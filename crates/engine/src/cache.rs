@@ -1,16 +1,18 @@
 //! On-disk incremental result cache.
 //!
-//! One entry per victim net, keyed by name and guarded by the cluster
-//! [fingerprint](crate::fingerprint): a hit requires the stored fingerprint
-//! to match the one recomputed from the current database, so any edit that
-//! could change the verdict — a coupling capacitor, wire RC, a driver cell,
-//! an analysis knob — invalidates exactly the entries it touches.
+//! One [record](crate::record) per victim net, filed by name and guarded
+//! by the cluster [fingerprint](crate::fingerprint): a hit requires the
+//! stored fingerprint to match the one recomputed from the current
+//! database, so any edit that could change the verdict — a coupling
+//! capacitor, wire RC, a driver cell, an analysis knob — invalidates
+//! exactly the entries it touches. Only healthy records are stored: a
+//! verdict from a recovery rung must be recomputed next run, otherwise
+//! cold and warm reports would diverge.
 //!
-//! The store is a line-oriented text file (`pcv-engine-cache v2`) with
-//! peaks serialized as `f64` bit patterns, so a cache round-trip is
-//! bit-exact. Since v2 the store is crash-safe end to end: every entry
-//! line carries a CRC32 of its fields, the file ends in a `#footer` line
-//! (entry count + whole-body CRC), and saves go through the atomic
+//! The store is a line-oriented text file (`pcv-engine-cache v2`), one
+//! record cache line each, bit-exact and crash-safe end to end: every
+//! entry line carries a CRC32 of its fields, the file ends in a `#footer`
+//! line (entry count + whole-body CRC), and saves go through the atomic
 //! write-temp + fsync + rename path in [`crate::fs`]. Loading is
 //! tolerant: a missing file is an empty cache, a v1 (or foreign) header
 //! loads as empty, CRC-damaged lines are skipped and counted, and a
@@ -19,7 +21,10 @@
 //! to wrong verdicts.
 
 use crate::fs::{crc32, Fs};
-use std::collections::HashMap;
+use crate::record::JournalEntry;
+use std::borrow::Borrow;
+use std::cmp::Ordering;
+use std::collections::BTreeSet;
 use std::path::Path;
 
 /// Header line of the store format.
@@ -27,30 +32,6 @@ const HEADER: &str = "pcv-engine-cache v2";
 
 /// Prefix of the file-level integrity footer.
 const FOOTER_PREFIX: &str = "#footer ";
-
-/// Cached receiver verdict (mirrors [`pcv_xtalk::ReceiverVerdict`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct CachedReceiver {
-    /// Receiver cell name.
-    pub cell: String,
-    /// Output peak bit pattern.
-    pub output_peak_bits: u64,
-    /// Whether the glitch propagates.
-    pub propagates: bool,
-}
-
-/// Cached analysis outcome for one victim.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CacheEntry {
-    /// Fingerprint of the cluster + configuration that produced this entry.
-    pub fingerprint: u64,
-    /// Worst rising peak, as `f64` bits.
-    pub rise_bits: u64,
-    /// Worst falling peak, as `f64` bits.
-    pub fall_bits: u64,
-    /// Receiver check outcome, when one ran.
-    pub receiver: Option<CachedReceiver>,
-}
 
 /// What a cache load found on disk — surfaced so callers (and chaos
 /// drills) can tell a clean store from a damaged-but-recovered one.
@@ -65,10 +46,41 @@ pub struct CacheLoadStats {
     pub torn: bool,
 }
 
-/// In-memory cache: victim net name → entry.
+/// A record ordered and looked up by its own name, so the store holds each
+/// name once and iterates in the order the file is written.
+#[derive(Debug, Clone)]
+struct ByName(JournalEntry);
+
+impl Borrow<str> for ByName {
+    fn borrow(&self) -> &str {
+        &self.0.name
+    }
+}
+
+impl Ord for ByName {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0.name.cmp(&other.0.name)
+    }
+}
+
+impl PartialOrd for ByName {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for ByName {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.name == other.0.name
+    }
+}
+
+impl Eq for ByName {}
+
+/// In-memory cache: the healthy record of each victim net, by name.
 #[derive(Debug, Clone, Default)]
 pub struct ResultCache {
-    entries: HashMap<String, CacheEntry>,
+    entries: BTreeSet<ByName>,
 }
 
 impl ResultCache {
@@ -89,26 +101,17 @@ impl ResultCache {
 
     /// Look up an entry by victim name **and** fingerprint; a stale
     /// fingerprint is a miss.
-    pub fn lookup(&self, name: &str, fingerprint: u64) -> Option<&CacheEntry> {
-        self.entries.get(name).filter(|e| e.fingerprint == fingerprint)
+    pub fn lookup(&self, name: &str, fingerprint: u64) -> Option<&JournalEntry> {
+        self.entries.get(name).map(|e| &e.0).filter(|e| e.fingerprint == fingerprint)
     }
 
-    /// Look up an entry by victim name alone — the shard-merge harvest
-    /// path, where the caller recomputes the fingerprint itself and
-    /// decides freshness on its own terms.
-    pub fn get(&self, name: &str) -> Option<&CacheEntry> {
-        self.entries.get(name)
-    }
-
-    /// Insert or replace an entry.
-    pub fn insert(&mut self, name: String, entry: CacheEntry) {
-        self.entries.insert(name, entry);
-    }
-
-    /// Load a cache from disk ([`ResultCache::load_with`] on the real
-    /// filesystem, discarding the load statistics).
-    pub fn load(path: &Path) -> Self {
-        Self::load_with(&Fs::real(), path).0
+    /// Insert or replace the entry for `entry.name`. A degraded record is
+    /// not stored (see the [module docs](self)); whatever the store held
+    /// for that name stays.
+    pub fn insert(&mut self, entry: JournalEntry) {
+        if entry.degraded.is_none() {
+            self.entries.replace(ByName(entry));
+        }
     }
 
     /// Load a cache through `fs`, reporting what was found. A missing
@@ -131,8 +134,8 @@ impl ResultCache {
         };
         let entry_lines = &lines[1..];
         for line in entry_lines {
-            match parse_line(line) {
-                Some((name, entry)) => cache.insert(name, entry),
+            match JournalEntry::from_cache_line(line) {
+                Some(entry) => cache.insert(entry),
                 None => stats.skipped += 1,
             }
         }
@@ -155,16 +158,6 @@ impl ResultCache {
         (cache, stats)
     }
 
-    /// Write the cache to disk ([`ResultCache::save_with`] on the real
-    /// filesystem).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures — a failed save only costs future hits.
-    pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        self.save_with(&Fs::real(), path)
-    }
-
     /// Write the cache through `fs`: CRC per entry line, an integrity
     /// footer, and an atomic replace of the destination — a reader never
     /// observes a half-written store. Entries are sorted by victim name so
@@ -175,28 +168,15 @@ impl ResultCache {
     /// Propagates I/O failures — a failed save leaves any previous store
     /// intact and only costs future hits.
     pub fn save_with(&self, fs: &Fs, path: &Path) -> std::io::Result<()> {
-        let mut names: Vec<&String> = self.entries.keys().collect();
-        names.sort();
         let mut out = String::with_capacity(80 * (2 + self.entries.len()));
         out.push_str(HEADER);
         out.push('\n');
-        for name in &names {
-            let e = &self.entries[*name];
-            let (cell, peak, prop) = match &e.receiver {
-                Some(r) => (
-                    r.cell.as_str(),
-                    format!("{:016x}", r.output_peak_bits),
-                    if r.propagates { "1" } else { "0" },
-                ),
-                None => ("-", "-".to_owned(), "-"),
-            };
-            let body = format!(
-                "{name}\t{:016x}\t{:016x}\t{:016x}\t{cell}\t{peak}\t{prop}",
-                e.fingerprint, e.rise_bits, e.fall_bits
-            );
-            out.push_str(&format!("{body}\t{:08x}\n", crc32(body.as_bytes())));
+        for entry in &self.entries {
+            entry.0.write_cache_line(&mut out);
         }
-        out.push_str(&format!("{FOOTER_PREFIX}{} {:08x}\n", names.len(), crc32(out.as_bytes())));
+        let footer =
+            format!("{FOOTER_PREFIX}{} {:08x}\n", self.entries.len(), crc32(out.as_bytes()));
+        out.push_str(&footer);
         fs.write_atomic(path, out.as_bytes())
     }
 }
@@ -212,58 +192,10 @@ fn parse_footer(line: &str) -> Option<(usize, u32)> {
     Some((count, crc))
 }
 
-/// Parse one store line; `None` for malformed or CRC-damaged input.
-fn parse_line(line: &str) -> Option<(String, CacheEntry)> {
-    // The trailing field is the CRC of everything before it.
-    let (body, crc_hex) = line.rsplit_once('\t')?;
-    let crc = u32::from_str_radix(crc_hex, 16).ok()?;
-    if crc32(body.as_bytes()) != crc {
-        return None;
-    }
-    let mut f = body.split('\t');
-    let name = f.next()?;
-    if name.is_empty() {
-        return None;
-    }
-    let fingerprint = u64::from_str_radix(f.next()?, 16).ok()?;
-    let rise_bits = u64::from_str_radix(f.next()?, 16).ok()?;
-    let fall_bits = u64::from_str_radix(f.next()?, 16).ok()?;
-    // A bit pattern that parses but encodes NaN/∞ can only come from a
-    // corrupted store (the engine never caches non-finite peaks); treat it
-    // as a miss rather than let it poison a verdict.
-    if !f64::from_bits(rise_bits).is_finite() || !f64::from_bits(fall_bits).is_finite() {
-        return None;
-    }
-    let cell = f.next()?;
-    let peak = f.next()?;
-    let prop = f.next()?;
-    if f.next().is_some() {
-        return None;
-    }
-    let receiver = match (cell, peak, prop) {
-        ("-", "-", "-") => None,
-        _ => {
-            let output_peak_bits = u64::from_str_radix(peak, 16).ok()?;
-            if !f64::from_bits(output_peak_bits).is_finite() {
-                return None;
-            }
-            Some(CachedReceiver {
-                cell: cell.to_owned(),
-                output_peak_bits,
-                propagates: match prop {
-                    "1" => true,
-                    "0" => false,
-                    _ => return None,
-                },
-            })
-        }
-    };
-    Some((name.to_owned(), CacheEntry { fingerprint, rise_bits, fall_bits, receiver }))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pcv_xtalk::ReceiverVerdict;
 
     /// A valid v2 entry line for hand-built store fixtures.
     fn line(body: &str) -> String {
@@ -287,28 +219,9 @@ mod tests {
 
     fn sample() -> ResultCache {
         let mut c = ResultCache::new();
-        c.insert(
-            "bus0_1".into(),
-            CacheEntry {
-                fingerprint: 0xdead_beef,
-                rise_bits: 0.31_f64.to_bits(),
-                fall_bits: (-0.07_f64).to_bits(),
-                receiver: None,
-            },
-        );
-        c.insert(
-            "acc_q3".into(),
-            CacheEntry {
-                fingerprint: 1,
-                rise_bits: 0.6_f64.to_bits(),
-                fall_bits: (-0.58_f64).to_bits(),
-                receiver: Some(CachedReceiver {
-                    cell: "INVX4".into(),
-                    output_peak_bits: (-1.2_f64).to_bits(),
-                    propagates: true,
-                }),
-            },
-        );
+        c.insert(JournalEntry::new("bus0_1", 0xdead_beef, 0.31, -0.07, None, None));
+        let rx = ReceiverVerdict { cell: "INVX4".into(), output_peak: -1.2, propagates: true };
+        c.insert(JournalEntry::new("acc_q3", 1, 0.6, -0.58, Some(rx), None));
         c
     }
 
@@ -318,7 +231,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("store");
         let c = sample();
-        c.save(&path).unwrap();
+        c.save_with(&Fs::real(), &path).unwrap();
         let (back, stats) = ResultCache::load_with(&Fs::real(), &path);
         assert_eq!(back.len(), 2);
         assert_eq!(stats, CacheLoadStats { entries: 2, skipped: 0, torn: false });
@@ -337,7 +250,7 @@ mod tests {
 
     #[test]
     fn missing_file_is_empty_cache() {
-        let c = ResultCache::load(Path::new("/nonexistent/pcv-engine-cache"));
+        let c = ResultCache::load_with(&Fs::real(), Path::new("/nonexistent/pcv-engine-cache")).0;
         assert!(c.is_empty());
     }
 
@@ -380,7 +293,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("store");
         std::fs::write(&path, text).unwrap();
-        let c = ResultCache::load(&path);
+        let c = ResultCache::load_with(&Fs::real(), &path).0;
         assert_eq!(c.len(), 1, "only the all-finite entry survives");
         assert!(c.lookup("w4", 1).is_some());
         for poisoned in ["w1", "w2", "w3"] {
@@ -396,9 +309,9 @@ mod tests {
         let path = dir.join("store");
         // The v1 format had no line CRCs; it is versioned out, not parsed.
         std::fs::write(&path, "pcv-engine-cache v1\nw1\t1\t2\t3\t-\t-\t-\n").unwrap();
-        assert!(ResultCache::load(&path).is_empty());
+        assert!(ResultCache::load_with(&Fs::real(), &path).0.is_empty());
         std::fs::write(&path, "pcv-engine-cache v999\nw1\t1\t2\t3\t-\t-\t-\n").unwrap();
-        assert!(ResultCache::load(&path).is_empty());
+        assert!(ResultCache::load_with(&Fs::real(), &path).0.is_empty());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -407,15 +320,20 @@ mod tests {
         let dir = std::env::temp_dir().join("pcv-engine-cache-test-torn");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("store");
-        sample().save(&path).unwrap();
+        sample().save_with(&Fs::real(), &path).unwrap();
         // Chop the file mid-way: the footer (and part of a line) is lost.
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() * 2 / 3]).unwrap();
         let (c, stats) = ResultCache::load_with(&Fs::real(), &path);
         assert!(stats.torn, "a chopped store must read as torn");
         assert!(c.len() < 2, "the damaged tail cannot load fully");
-        for (name, entry) in &c.entries {
-            assert_eq!(Some(entry), sample().entries.get(name), "survivors are intact");
+        let original = sample();
+        for ByName(entry) in &c.entries {
+            assert_eq!(
+                Some(entry),
+                original.lookup(&entry.name, entry.fingerprint),
+                "survivors are intact"
+            );
         }
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -4,9 +4,10 @@
 //!
 //! # Journal
 //!
-//! While a run executes, every *freshly computed* cluster verdict is
-//! appended to `<cache>.journal` as one CRC-framed JSON line (cache hits
-//! are not journaled — the cache file already holds them durably). A
+//! While a run executes, every *freshly computed* cluster
+//! [record](crate::record) is appended to `<cache>.journal` as one
+//! CRC-framed JSON line (cache hits are not journaled — the cache file
+//! already holds them durably). A
 //! `SIGKILL` or power loss therefore loses at most the clusters that were
 //! in flight. [`Engine::resume`](crate::Engine::resume) replays the
 //! journal: entries whose cluster fingerprint still matches the current
@@ -38,12 +39,11 @@
 //! stack uses, so a caller's Ctrl-C handler can share one token between
 //! the engine and its own long computations.
 
-use crate::cache::CachedReceiver;
 use crate::fs::{crc32, Fs};
-use crate::recovery::RecoveryRung;
+use crate::record::JournalEntry;
 use pcv_mor::CancelToken;
 use pcv_obs::{EngineEvent, EventSink};
-use pcv_trace::json::str_lit;
+use pcv_trace::json::{self, Value};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -140,49 +140,6 @@ impl EventSink for StopAfter {
     }
 }
 
-/// One failed attempt in a replayed degradation trail (the durable subset
-/// of [`crate::recovery::Attempt`]: wall-clock durations are not
-/// persisted).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReplayAttempt {
-    /// Rung the attempt ran at.
-    pub rung: RecoveryRung,
-    /// Why it failed.
-    pub reason: String,
-}
-
-/// A replayed degradation: the rung that stood and the attempt trail, as
-/// journaled. Carries everything `signoff_json` serializes, so a replayed
-/// degraded verdict renders byte-identically to the original.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReplayDegradation {
-    /// The rung whose verdict stood.
-    pub recovered: RecoveryRung,
-    /// Failed attempts, in ladder order.
-    pub attempts: Vec<ReplayAttempt>,
-}
-
-/// One journaled cluster verdict — the exact bits needed to reconstruct
-/// the cluster's [`pcv_xtalk::NetVerdict`] and degradation record without
-/// re-running the analysis.
-#[derive(Debug, Clone, PartialEq)]
-pub struct JournalEntry {
-    /// Victim net name.
-    pub name: String,
-    /// Cluster fingerprint at the time the verdict was computed; replay
-    /// requires it to match the current one.
-    pub fingerprint: u64,
-    /// Worst rising peak, as `f64` bits.
-    pub rise_bits: u64,
-    /// Worst falling peak, as `f64` bits.
-    pub fall_bits: u64,
-    /// Receiver check outcome, when one ran.
-    pub receiver: Option<CachedReceiver>,
-    /// Degradation trail, when the verdict came from a rung above
-    /// baseline.
-    pub degraded: Option<ReplayDegradation>,
-}
-
 /// Result of loading a journal for replay.
 #[derive(Debug, Clone, Default)]
 pub struct JournalLoad {
@@ -211,117 +168,11 @@ fn frame(payload: &str) -> String {
 
 /// Unframe one journal line: verify the CRC, return the payload.
 fn unframe(line: &str) -> Option<&str> {
+    // A damaged line may hold multi-byte (lossily replaced) characters
+    // anywhere, so the frame is taken apart by checked splits only.
     let (crc_hex, payload) = line.split_at_checked(9)?;
-    let crc = u32::from_str_radix(&crc_hex[..8], 16).ok()?;
-    if crc_hex.as_bytes()[8] != b' ' || crc32(payload.as_bytes()) != crc {
-        return None;
-    }
-    Some(payload)
-}
-
-/// Look a rung up by its stable name.
-fn rung_from_name(name: &str) -> Option<RecoveryRung> {
-    RecoveryRung::ALL.iter().copied().find(|r| r.name() == name)
-}
-
-impl JournalEntry {
-    /// Render as the journal's JSON payload (one line, unframed).
-    fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"kind\":\"cluster\",\"name\":{},\"fp\":\"{:016x}\",\
-             \"rise\":\"{:016x}\",\"fall\":\"{:016x}\",\"receiver\":",
-            str_lit(&self.name),
-            self.fingerprint,
-            self.rise_bits,
-            self.fall_bits
-        );
-        match &self.receiver {
-            Some(r) => out.push_str(&format!(
-                "{{\"cell\":{},\"peak\":\"{:016x}\",\"propagates\":{}}}",
-                str_lit(&r.cell),
-                r.output_peak_bits,
-                r.propagates
-            )),
-            None => out.push_str("null"),
-        }
-        out.push_str(",\"degraded\":");
-        match &self.degraded {
-            Some(d) => {
-                out.push_str(&format!(
-                    "{{\"recovered\":{},\"attempts\":[",
-                    str_lit(d.recovered.name())
-                ));
-                for (i, a) in d.attempts.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&format!(
-                        "{{\"rung\":{},\"reason\":{}}}",
-                        str_lit(a.rung.name()),
-                        str_lit(&a.reason)
-                    ));
-                }
-                out.push_str("]}");
-            }
-            None => out.push_str("null"),
-        }
-        out.push('}');
-        out
-    }
-
-    /// Parse a cluster payload; `None` for anything malformed (the caller
-    /// counts it as skipped).
-    fn from_value(v: &pcv_obs::json::Value) -> Option<JournalEntry> {
-        let hex = |v: &pcv_obs::json::Value| u64::from_str_radix(v.as_str()?, 16).ok();
-        let rise_bits = hex(v.get("rise")?)?;
-        let fall_bits = hex(v.get("fall")?)?;
-        // The engine never journals non-finite peaks; a bit pattern that
-        // decodes to NaN/∞ is corruption that slipped past the CRC.
-        if !f64::from_bits(rise_bits).is_finite() || !f64::from_bits(fall_bits).is_finite() {
-            return None;
-        }
-        let receiver = match v.get("receiver")? {
-            pcv_obs::json::Value::Null => None,
-            r => {
-                let output_peak_bits = hex(r.get("peak")?)?;
-                if !f64::from_bits(output_peak_bits).is_finite() {
-                    return None;
-                }
-                Some(CachedReceiver {
-                    cell: r.get("cell")?.as_str()?.to_owned(),
-                    output_peak_bits,
-                    propagates: match r.get("propagates")? {
-                        pcv_obs::json::Value::Bool(b) => *b,
-                        _ => return None,
-                    },
-                })
-            }
-        };
-        let degraded = match v.get("degraded")? {
-            pcv_obs::json::Value::Null => None,
-            d => {
-                let mut attempts = Vec::new();
-                for a in d.get("attempts")?.as_arr()? {
-                    attempts.push(ReplayAttempt {
-                        rung: rung_from_name(a.get("rung")?.as_str()?)?,
-                        reason: a.get("reason")?.as_str()?.to_owned(),
-                    });
-                }
-                Some(ReplayDegradation {
-                    recovered: rung_from_name(d.get("recovered")?.as_str()?)?,
-                    attempts,
-                })
-            }
-        };
-        Some(JournalEntry {
-            name: v.get("name")?.as_str()?.to_owned(),
-            fingerprint: hex(v.get("fp")?)?,
-            rise_bits,
-            fall_bits,
-            receiver,
-            degraded,
-        })
-    }
+    let crc = u32::from_str_radix(crc_hex.strip_suffix(' ')?, 16).ok()?;
+    (crc32(payload.as_bytes()) == crc).then_some(payload)
 }
 
 impl Journal {
@@ -362,7 +213,7 @@ impl Journal {
     /// Propagates I/O failures; a failed append costs resume coverage for
     /// this one cluster, nothing else.
     pub fn record(&self, entry: &JournalEntry) -> io::Result<()> {
-        self.fs.append_durable(&self.path, frame(&entry.to_json()).as_bytes())
+        self.fs.append_durable(&self.path, frame(&entry.to_journal_json()).as_bytes())
     }
 
     /// Append a batch of checkpoint records in one durable write — the
@@ -379,7 +230,7 @@ impl Journal {
         }
         let mut buf = String::new();
         for entry in entries {
-            buf.push_str(&frame(&entry.to_json()));
+            buf.push_str(&frame(&entry.to_journal_json()));
         }
         self.fs.append_durable(&self.path, buf.as_bytes())
     }
@@ -393,12 +244,12 @@ impl Journal {
             return load;
         };
         for (i, line) in text.lines().enumerate() {
-            let parsed = unframe(line).and_then(|payload| pcv_obs::json::parse(payload).ok());
+            let parsed = unframe(line).and_then(|payload| json::parse(payload).ok());
             let Some(v) = parsed else {
                 load.skipped += 1;
                 continue;
             };
-            match v.get("kind").and_then(pcv_obs::json::Value::as_str) {
+            match v.get("kind").and_then(Value::as_str) {
                 Some("run") if i == 0 => {
                     let hex = |key: &str| u64::from_str_radix(v.get(key)?.as_str()?, 16).ok();
                     match (hex("config"), hex("chip")) {
@@ -406,7 +257,7 @@ impl Journal {
                         _ => load.skipped += 1,
                     }
                 }
-                Some("cluster") => match JournalEntry::from_value(&v) {
+                Some("cluster") => match JournalEntry::from_journal_json(&v) {
                     Some(entry) => load.entries.push(entry),
                     None => load.skipped += 1,
                 },
@@ -576,6 +427,8 @@ impl Drop for RunLock {
 mod tests {
     use super::*;
     use crate::fs::{DiskFaultPlan, FsFaultKind};
+    use crate::recovery::{Attempt, RecoveryRung, Trail};
+    use pcv_xtalk::ReceiverVerdict;
 
     fn dir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("pcv-durable-{tag}-{}", std::process::id()));
@@ -584,24 +437,16 @@ mod tests {
     }
 
     fn entry(name: &str, fp: u64) -> JournalEntry {
-        JournalEntry {
-            name: name.to_owned(),
-            fingerprint: fp,
-            rise_bits: 0.31_f64.to_bits(),
-            fall_bits: (-0.07_f64).to_bits(),
-            receiver: Some(CachedReceiver {
-                cell: "INVX4".into(),
-                output_peak_bits: (-1.2_f64).to_bits(),
-                propagates: true,
-            }),
-            degraded: Some(ReplayDegradation {
-                recovered: RecoveryRung::GminBoost,
-                attempts: vec![ReplayAttempt {
-                    rung: RecoveryRung::Baseline,
-                    reason: "numeric \"failure\"".into(),
-                }],
-            }),
-        }
+        let rx = ReceiverVerdict { cell: "INVX4".into(), output_peak: -1.2, propagates: true };
+        let trail = Trail {
+            recovered: RecoveryRung::GminBoost,
+            attempts: vec![Attempt {
+                rung: RecoveryRung::Baseline,
+                reason: "numeric \"failure\"".into(),
+                elapsed: std::time::Duration::ZERO,
+            }],
+        };
+        JournalEntry::new(name, fp, 0.31, -0.07, Some(rx), Some(trail))
     }
 
     #[test]
@@ -630,7 +475,7 @@ mod tests {
         let j = Journal::begin(&fs, &path, 1, 2).unwrap();
         j.record(&entry("whole", 7)).unwrap();
         // Simulate a crash mid-append: half a framed record at the tail.
-        let line = frame(&entry("torn", 9).to_json());
+        let line = frame(&entry("torn", 9).to_journal_json());
         let mut bytes = std::fs::read(&path).unwrap();
         bytes.extend_from_slice(&line.as_bytes()[..line.len() / 2]);
         std::fs::write(&path, bytes).unwrap();

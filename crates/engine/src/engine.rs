@@ -1,13 +1,13 @@
 //! The engine proper: shard victims into cluster jobs, run them on the
 //! work-stealing scheduler, and merge a deterministic report.
 
-use crate::cache::{CacheEntry, CachedReceiver, ResultCache};
-use crate::durable::{
-    DurableConfig, Journal, JournalEntry, LockError, ReplayAttempt, ReplayDegradation, RunLock,
-};
+use crate::cache::ResultCache;
+use crate::durable::{DurableConfig, Journal, LockError, RunLock};
 use crate::fingerprint::{chip_slice_fingerprint, cluster_fingerprint, config_hash};
+use crate::record::JournalEntry;
 use crate::recovery::{
     route, Attempt, Degradation, FaultKind, FaultPlan, FaultSpec, RecoveryConfig, RecoveryRung,
+    Trail,
 };
 use crate::report::{ClusterCost, EngineError, EngineReport, EngineStats};
 use crate::resident::{ResidentChip, VerdictSnapshot};
@@ -24,6 +24,7 @@ use pcv_xtalk::{
     analyze_glitch, check_receiver_propagation, AnalysisContext, AnalysisOptions, ChipReport,
     EngineKind, GlitchResult, NetVerdict, ReceiverVerdict, Severity, XtalkError,
 };
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -126,14 +127,25 @@ pub struct Engine {
     plan: FaultPlan,
 }
 
-/// Outcome of one successful cluster job.
+/// Where a cluster job's record came from.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Source {
+    /// Analyzed in this run.
+    Fresh,
+    /// Adopted from the checkpoint journal (resume path).
+    Journal,
+    /// Adopted from the incremental cache.
+    Cache,
+}
+
+/// Outcome of one completed cluster job.
 struct JobOk {
     verdict: NetVerdict,
     cluster: Cluster,
-    cached: bool,
-    /// The verdict was adopted from the checkpoint journal (resume path).
-    replayed: bool,
-    entry: Option<CacheEntry>,
+    source: Source,
+    /// The record behind the verdict, for the end-of-run cache save —
+    /// `None` when the cache is where it came from.
+    record: Option<JournalEntry>,
     degradation: Option<Degradation>,
     prune: Duration,
     analysis: Duration,
@@ -147,19 +159,6 @@ struct AttemptOk {
     receiver: Option<ReceiverVerdict>,
     analysis: Duration,
     receiver_time: Duration,
-}
-
-/// Classify peaks against the noise-margin thresholds (serial rule).
-fn classify(rise: f64, fall: f64, vdd: f64, warn: f64, fail: f64) -> (f64, Severity) {
-    let worst_frac = rise.abs().max(fall.abs()) / vdd;
-    let severity = if worst_frac >= fail {
-        Severity::Violation
-    } else if worst_frac >= warn {
-        Severity::Warning
-    } else {
-        Severity::Clean
-    };
-    (worst_frac, severity)
 }
 
 /// Analysis options for one ladder rung. Adjustments are *cumulative*: each
@@ -249,8 +248,10 @@ impl Engine {
     /// Audit `victims`: prune, analyze and classify each one as a parallel
     /// cluster job, then merge a report identical to the serial flow.
     ///
-    /// Jobs that return an error or panic become [`EngineError`] records;
-    /// the remaining victims are still fully reported.
+    /// A cluster whose analysis errors or panics walks the recovery ladder
+    /// and, at worst, ends with a conservative verdict plus an
+    /// [`EngineError`] record; the remaining victims are still fully
+    /// reported.
     ///
     /// # Errors
     ///
@@ -300,26 +301,12 @@ impl Engine {
         self.run(&chip.ctx(), chip.victims(), true, Some(chip.component_sizes()), snapshot)
     }
 
-    /// [`Engine::verify_resident`] restricted to an explicit victim slice
-    /// — the shard-worker path, where each process audits only the
-    /// victims its shard owns but elaborates the full chip so cluster
-    /// fingerprints match the coordinator's.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Engine::verify`].
-    pub fn verify_slice(
-        &self,
-        chip: &ResidentChip,
-        victims: &[PNetId],
-        snapshot: Option<&VerdictSnapshot>,
-    ) -> Result<EngineReport, XtalkError> {
-        self.run(&chip.ctx(), victims, false, Some(chip.component_sizes()), snapshot)
-    }
-
     /// [`Engine::resume_resident`] restricted to an explicit victim slice
-    /// — a restarted shard worker replays its own journal and finishes
-    /// only its slice's tail.
+    /// — the shard-worker path, where each process audits only the victims
+    /// its shard owns but elaborates the full chip so cluster fingerprints
+    /// match the coordinator's. A first incarnation finds no journal and
+    /// runs fresh; a restarted one replays its own and finishes only its
+    /// slice's tail.
     ///
     /// # Errors
     ///
@@ -468,33 +455,14 @@ impl Engine {
         // Serialize checkpoint appends across worker threads so records
         // can never interleave mid-line.
         let journal_mutex = std::sync::Mutex::new(());
-        let checkpoint = |ok: &JobOk, fp: u64| {
-            let Some(j) = journal else {
-                return;
-            };
-            let entry = JournalEntry {
-                name: ok.verdict.name.clone(),
-                fingerprint: fp,
-                rise_bits: ok.verdict.rise_peak.to_bits(),
-                fall_bits: ok.verdict.fall_peak.to_bits(),
-                receiver: ok.verdict.receiver.as_ref().map(|r| CachedReceiver {
-                    cell: r.cell.clone(),
-                    output_peak_bits: r.output_peak.to_bits(),
-                    propagates: r.propagates,
-                }),
-                degraded: ok.degradation.as_ref().map(|d| ReplayDegradation {
-                    recovered: d.recovered,
-                    attempts: d
-                        .attempts
-                        .iter()
-                        .map(|a| ReplayAttempt { rung: a.rung, reason: a.reason.clone() })
-                        .collect(),
-                }),
-            };
-            let _guard = journal_mutex.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            // Best-effort: a failed append costs resume coverage for this
-            // cluster, nothing else.
-            let _ = j.record(&entry);
+        let checkpoint = |record: &JournalEntry| {
+            if let Some(j) = journal {
+                let _guard =
+                    journal_mutex.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+                // Best-effort: a failed append costs resume coverage for
+                // this cluster, nothing else.
+                let _ = j.record(record);
+            }
         };
 
         let stop = cfg.durable.stop.as_ref();
@@ -516,243 +484,62 @@ impl Engine {
             }
         }
 
-        let job = |i: usize| -> Result<Option<JobOk>, XtalkError> {
+        let job = |i: usize| -> Option<JobOk> {
             let vic = victims[i];
+            let name = ctx.db.net(vic).name();
             // Graceful drain: once a stop is requested, queued clusters
             // are skipped (in-flight ones run to completion so their
             // verdicts stay deterministic and get checkpointed).
             if stop.is_some_and(|s| s.is_stopped()) {
                 pcv_trace::count("engine.durable.skipped", 1);
-                emit(EngineEvent::ClusterSkipped { name: ctx.db.net(vic).name().to_owned() });
-                return Ok(None);
+                emit(EngineEvent::ClusterSkipped { name: name.to_owned() });
+                return None;
             }
-            let _job_span = pcv_trace::span_labeled("engine", "cluster_job", || {
-                ctx.db.net(vic).name().to_owned()
-            });
+            let _job_span = pcv_trace::span_labeled("engine", "cluster_job", || name.to_owned());
             let job_start = Instant::now();
-            emit(EngineEvent::ClusterStarted { name: ctx.db.net(vic).name().to_owned() });
+            emit(EngineEvent::ClusterStarted { name: name.to_owned() });
             let t = Instant::now();
             let cluster = prune_victim_with_components(ctx.db, vic, &cfg.prune, component_sizes);
             let prune = t.elapsed();
-            let name = ctx.db.net(vic).name().to_owned();
 
             let fp = cluster_fingerprint(ctx, &cluster, chash);
-            // Resume path: adopt a journaled verdict when its fingerprint
-            // still matches the cluster we just pruned — exact f64 bits,
-            // exact degradation trail, so the merged report cannot drift.
-            if let Some(e) = replay.get(&name).filter(|e| e.fingerprint == fp) {
+            // Adopt a stored record when its fingerprint still matches the
+            // cluster we just pruned — exact f64 bits, exact degradation
+            // trail, so the merged report cannot drift. The journal of an
+            // interrupted run (resume path) is asked before the cache.
+            let stored = if let Some(e) = replay.get(name).filter(|e| e.fingerprint == fp) {
                 pcv_trace::count("engine.journal.replays", 1);
-                emit(EngineEvent::ClusterReplayed { name: name.clone() });
-                let rise = f64::from_bits(e.rise_bits);
-                let fall = f64::from_bits(e.fall_bits);
-                let (worst_frac, severity) =
-                    classify(rise, fall, cfg.analysis.vdd, cfg.warn_frac, cfg.fail_frac);
-                let receiver = e.receiver.as_ref().map(|r| ReceiverVerdict {
-                    cell: r.cell.clone(),
-                    output_peak: f64::from_bits(r.output_peak_bits),
-                    propagates: r.propagates,
-                });
-                let degradation = e.degraded.as_ref().map(|d| Degradation {
-                    net: vic,
-                    name: name.clone(),
-                    attempts: d
-                        .attempts
-                        .iter()
-                        .map(|a| Attempt {
-                            rung: a.rung,
-                            reason: a.reason.clone(),
-                            elapsed: Duration::ZERO,
-                        })
-                        .collect(),
-                    recovered: d.recovered,
-                });
-                // Replayed healthy verdicts flow into the cache save at
-                // the end of this run (the interrupted run never saved
-                // them); degraded ones stay uncached as always.
-                let entry = degradation.is_none().then(|| CacheEntry {
-                    fingerprint: fp,
-                    rise_bits: e.rise_bits,
-                    fall_bits: e.fall_bits,
-                    receiver: e.receiver.clone(),
-                });
-                let verdict = NetVerdict {
-                    net: vic,
-                    name,
-                    rise_peak: rise,
-                    fall_peak: fall,
-                    worst_frac,
-                    severity,
-                    cluster_size: cluster.size(),
-                    neighbors_before: cluster.neighbors_before,
-                    receiver,
-                };
-                emit(EngineEvent::ClusterFinished {
-                    name: verdict.name.clone(),
-                    cached: false,
-                    elapsed: job_start.elapsed(),
-                });
-                return Ok(Some(JobOk {
-                    verdict,
-                    cluster,
-                    cached: false,
-                    replayed: true,
-                    entry,
-                    degradation,
-                    prune,
-                    analysis: Duration::ZERO,
-                    receiver: Duration::ZERO,
-                }));
-            }
-            if let Some(e) = cache.lookup(&name, fp) {
+                emit(EngineEvent::ClusterReplayed { name: name.to_owned() });
+                Some((e, Source::Journal))
+            } else if let Some(e) = cache.lookup(name, fp) {
                 pcv_trace::count("engine.cache.hits", 1);
-                emit(EngineEvent::CacheHit { name: name.clone() });
-                let rise = f64::from_bits(e.rise_bits);
-                let fall = f64::from_bits(e.fall_bits);
-                let (worst_frac, severity) =
-                    classify(rise, fall, cfg.analysis.vdd, cfg.warn_frac, cfg.fail_frac);
-                let receiver = e.receiver.as_ref().map(|r| ReceiverVerdict {
-                    cell: r.cell.clone(),
-                    output_peak: f64::from_bits(r.output_peak_bits),
-                    propagates: r.propagates,
-                });
-                let verdict = NetVerdict {
-                    net: vic,
-                    name,
-                    rise_peak: rise,
-                    fall_peak: fall,
-                    worst_frac,
-                    severity,
-                    cluster_size: cluster.size(),
-                    neighbors_before: cluster.neighbors_before,
-                    receiver,
-                };
-                emit(EngineEvent::ClusterFinished {
-                    name: verdict.name.clone(),
-                    cached: true,
-                    elapsed: job_start.elapsed(),
-                });
-                return Ok(Some(JobOk {
-                    verdict,
-                    cluster,
-                    cached: true,
-                    replayed: false,
-                    entry: None,
-                    degradation: None,
-                    prune,
-                    analysis: Duration::ZERO,
-                    receiver: Duration::ZERO,
-                }));
-            }
-            pcv_trace::count("engine.cache.misses", 1);
-            emit(EngineEvent::CacheMiss { name: name.clone() });
-
-            let fault = self.plan.fault_for(&name);
-
-            if !cfg.recovery.enabled {
-                // Legacy fail-open path: one attempt, errors surface as
-                // EngineError records with no verdict.
-                let mut opts = rung_options(cfg, RecoveryRung::Baseline);
-                if let Some(spec) = fault {
-                    inject(spec.kind, &name, &mut opts)?;
-                }
-                let ok = self.run_attempt(ctx, &cluster, &name, &opts)?;
-                let out = self.assemble(vic, cluster, &name, fp, ok, None, prune);
-                checkpoint(&out, fp);
-                emit(EngineEvent::ClusterFinished {
-                    name: name.clone(),
-                    cached: false,
-                    elapsed: job_start.elapsed(),
-                });
-                return Ok(Some(out));
-            }
-
-            // The recovery ladder: walk rungs until an attempt succeeds;
-            // the WorstCase rung always succeeds, so every victim ends
-            // with a verdict.
-            let mut attempts: Vec<Attempt> = Vec::new();
-            let mut rung = RecoveryRung::Baseline;
-            let (ok, recovered) = loop {
-                if rung == RecoveryRung::WorstCase {
-                    pcv_trace::count("engine.recovery.worst_case", 1);
-                    let vdd = cfg.analysis.vdd;
-                    break (
-                        AttemptOk {
-                            rise: vdd,
-                            fall: -vdd,
-                            receiver: None,
-                            analysis: Duration::ZERO,
-                            receiver_time: Duration::ZERO,
-                        },
-                        RecoveryRung::WorstCase,
-                    );
-                }
-                if rung > RecoveryRung::Baseline {
-                    pcv_trace::count("engine.recovery.retries", 1);
-                }
-                let mut opts = rung_options(cfg, rung);
-                let actx = rung_context(ctx, rung);
-                // Non-persistent faults fire at the baseline attempt only,
-                // so the first retry rung sees a healthy cluster.
-                let inject_here = fault
-                    .filter(|spec| spec.persistent || rung == RecoveryRung::Baseline)
-                    .map(|spec| spec.kind);
-                let attempt_start = Instant::now();
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    if let Some(kind) = inject_here {
-                        inject(kind, &name, &mut opts)?;
-                    }
-                    self.run_attempt(&actx, &cluster, &name, &opts)
-                }));
-                match outcome {
-                    Ok(Ok(ok)) => break (ok, rung),
-                    Ok(Err(err)) => {
-                        if matches!(&err, XtalkError::Mor(MorError::Cancelled { .. })) {
-                            pcv_trace::count("engine.recovery.deadline_hits", 1);
-                        }
-                        if matches!(&err, XtalkError::Mor(MorError::BudgetExhausted { .. })) {
-                            pcv_trace::count("engine.recovery.budget_exhausted", 1);
-                        }
-                        let target = route(&err);
-                        let next = rung.next().expect("worst case breaks the loop");
-                        attempts.push(Attempt {
-                            rung,
-                            reason: err.to_string(),
-                            elapsed: attempt_start.elapsed(),
-                        });
-                        rung = next.max(target);
-                        emit(EngineEvent::ClusterRetried { name: name.clone(), rung: rung.name() });
-                    }
-                    Err(payload) => {
-                        let message = scheduler::panic_message(payload);
-                        attempts.push(Attempt {
-                            rung,
-                            reason: format!("job panicked: {message}"),
-                            elapsed: attempt_start.elapsed(),
-                        });
-                        // A panic carries no typed routing information;
-                        // skip the MOR-tuning rungs entirely.
-                        let next = rung.next().expect("worst case breaks the loop");
-                        rung = next.max(RecoveryRung::SpiceFallback);
-                        emit(EngineEvent::ClusterRetried { name: name.clone(), rung: rung.name() });
-                    }
+                emit(EngineEvent::CacheHit { name: name.to_owned() });
+                Some((e, Source::Cache))
+            } else {
+                None
+            };
+            let (record, source, analysis, receiver) = match stored {
+                Some((e, source)) => (Cow::Borrowed(e), source, Duration::ZERO, Duration::ZERO),
+                None => {
+                    pcv_trace::count("engine.cache.misses", 1);
+                    emit(EngineEvent::CacheMiss { name: name.to_owned() });
+                    let (fresh, analysis, receiver) =
+                        self.walk_ladder(ctx, &cluster, name, fp, &emit);
+                    checkpoint(&fresh);
+                    (Cow::Owned(fresh), Source::Fresh, analysis, receiver)
                 }
             };
-            let degradation = (recovered != RecoveryRung::Baseline).then(|| {
-                pcv_trace::count("engine.recovery.degraded", 1);
-                if recovered == RecoveryRung::SpiceFallback {
-                    pcv_trace::count("engine.recovery.fallback_spice", 1);
-                }
-                emit(EngineEvent::ClusterDegraded { name: name.clone(), rung: recovered.name() });
-                Degradation { net: vic, name: name.clone(), attempts, recovered }
-            });
-            let out = self.assemble(vic, cluster, &name, fp, ok, degradation, prune);
-            checkpoint(&out, fp);
+            let (verdict, degradation) =
+                record.verdict(vic, &cluster, cfg.analysis.vdd, cfg.warn_frac, cfg.fail_frac);
             emit(EngineEvent::ClusterFinished {
-                name: name.clone(),
-                cached: false,
+                name: name.to_owned(),
+                cached: source == Source::Cache,
                 elapsed: job_start.elapsed(),
             });
-            Ok(Some(out))
+            // Replayed records flow into the cache save at the end of this
+            // run too: the interrupted run never saved them.
+            let record = (source != Source::Cache).then(|| record.into_owned());
+            Some(JobOk { verdict, cluster, source, record, degradation, prune, analysis, receiver })
         };
 
         // Mid-run read side: each completed verdict is published into the
@@ -760,7 +547,7 @@ impl Engine {
         // polling a resident run see partial results grow monotonically.
         let observed_job = |i: usize| {
             let outcome = job(i);
-            if let (Some(snap), Ok(Some(ok))) = (snapshot, &outcome) {
+            if let (Some(snap), Some(ok)) = (snapshot, &outcome) {
                 snap.insert(ok.verdict.clone());
             }
             outcome
@@ -779,75 +566,67 @@ impl Engine {
         let mut costs: Vec<ClusterCost> = Vec::with_capacity(victims.len());
         let mut errors = Vec::new();
         let mut degradations: Vec<Degradation> = Vec::new();
-        let mut fresh: Vec<(String, CacheEntry)> = Vec::new();
+        let mut fresh: Vec<JournalEntry> = Vec::new();
         let (mut hits, mut misses) = (0usize, 0usize);
         let (mut journal_hits, mut skipped) = (0usize, 0usize);
         let (mut prune_total, mut analysis_total, mut receiver_total) =
             (Duration::ZERO, Duration::ZERO, Duration::ZERO);
         for (i, result) in results.into_iter().enumerate() {
-            let flat = match result {
-                Ok(Ok(Some(ok))) => Ok(ok),
-                Ok(Ok(None)) => {
+            let ok = match result {
+                Ok(Some(ok)) => ok,
+                Ok(None) => {
                     // Skipped after a stop request: no verdict, no error —
                     // the cluster is simply left for the resume run.
                     skipped += 1;
                     continue;
                 }
-                Ok(Err(e)) => Err(e.to_string()),
-                Err(panic) => Err(format!("job panicked: {panic}")),
-            };
-            match flat {
-                Ok(ok) => {
-                    if ok.replayed {
-                        journal_hits += 1;
-                    } else if ok.cached {
-                        hits += 1;
-                    } else {
-                        misses += 1;
-                    }
-                    if let Some(entry) = ok.entry {
-                        fresh.push((ok.verdict.name.clone(), entry));
-                    }
-                    prune_total += ok.prune;
-                    analysis_total += ok.analysis;
-                    receiver_total += ok.receiver;
-                    if let Some(d) = ok.degradation {
-                        // A worst-cased cluster also surfaces as a
-                        // structured error record: the last attempt names
-                        // the stage and reason the analysis gave up on.
-                        if d.recovered == RecoveryRung::WorstCase {
-                            let (stage, message) = match d.attempts.last() {
-                                Some(a) => (a.rung.name().to_owned(), a.reason.clone()),
-                                None => ("baseline".to_owned(), "no attempt recorded".to_owned()),
-                            };
-                            errors.push(EngineError {
-                                net: d.net,
-                                name: d.name.clone(),
-                                stage,
-                                message,
-                            });
-                        }
-                        degradations.push(d);
-                    }
-                    costs.push(ClusterCost {
-                        net: ok.verdict.net,
-                        name: ok.verdict.name.clone(),
-                        cluster_size: ok.verdict.cluster_size,
-                        cached: ok.cached,
-                        prune: ok.prune,
-                        analysis: ok.analysis,
-                        receiver: ok.receiver,
+                // Analysis failures and panics end in the ladder; only a
+                // panic outside its per-attempt isolation (pruning, say)
+                // lands here, and it is the one way a victim goes without
+                // a verdict.
+                Err(panic) => {
+                    errors.push(EngineError {
+                        net: victims[i],
+                        name: ctx.db.net(victims[i]).name().to_owned(),
+                        stage: "baseline".to_owned(),
+                        message: format!("job panicked: {panic}"),
                     });
-                    verdicts.push(ok.verdict);
-                    clusters.push(ok.cluster);
+                    continue;
                 }
-                Err(message) => errors.push(EngineError {
-                    net: victims[i],
-                    name: ctx.db.net(victims[i]).name().to_owned(),
-                    stage: "baseline".to_owned(),
-                    message,
-                }),
+            };
+            match ok.source {
+                Source::Journal => journal_hits += 1,
+                Source::Cache => hits += 1,
+                Source::Fresh => misses += 1,
             }
+            fresh.extend(ok.record);
+            prune_total += ok.prune;
+            analysis_total += ok.analysis;
+            receiver_total += ok.receiver;
+            if let Some(d) = ok.degradation {
+                // A worst-cased cluster also surfaces as a structured error
+                // record: the last attempt names the stage and reason the
+                // analysis gave up on.
+                if d.recovered == RecoveryRung::WorstCase {
+                    let (stage, message) = match d.attempts.last() {
+                        Some(a) => (a.rung.name().to_owned(), a.reason.clone()),
+                        None => ("baseline".to_owned(), "no attempt recorded".to_owned()),
+                    };
+                    errors.push(EngineError { net: d.net, name: d.name.clone(), stage, message });
+                }
+                degradations.push(d);
+            }
+            costs.push(ClusterCost {
+                net: ok.verdict.net,
+                name: ok.verdict.name.clone(),
+                cluster_size: ok.verdict.cluster_size,
+                cached: ok.source == Source::Cache,
+                prune: ok.prune,
+                analysis: ok.analysis,
+                receiver: ok.receiver,
+            });
+            verdicts.push(ok.verdict);
+            clusters.push(ok.cluster);
         }
         verdicts.sort_by(|a, b| b.worst_frac.partial_cmp(&a.worst_frac).expect("finite fractions"));
         // Most expensive first; the stable sort keeps ties in input order.
@@ -863,8 +642,8 @@ impl Engine {
         if let Some(path) = cfg.cache_path.as_deref() {
             let _span = pcv_trace::span("engine", "cache_save");
             let mut updated = cache;
-            for (name, entry) in fresh {
-                updated.insert(name, entry);
+            for record in fresh {
+                updated.insert(record);
             }
             // Best-effort: a failed save only costs future cache hits.
             cache_saved = updated.save_with(&fs, path).is_ok();
@@ -878,7 +657,7 @@ impl Engine {
             }
         }
 
-        let recovery_total: Duration = degradations.iter().map(Degradation::recovery_time).sum();
+        let recovery_total: Duration = degradations.iter().map(|d| d.recovery_time()).sum();
         let mem = pcv_obs::mem::snapshot().unwrap_or_default();
         let mut stats = EngineStats {
             workers,
@@ -991,7 +770,8 @@ impl Engine {
             (rise, fall, Some(worse))
         };
         let analysis = t.elapsed();
-        let (_, severity) = classify(rise, fall, cfg.analysis.vdd, cfg.warn_frac, cfg.fail_frac);
+        let (_, severity) =
+            Severity::classify(rise, fall, cfg.analysis.vdd, cfg.warn_frac, cfg.fail_frac);
         let mut receiver_time = Duration::ZERO;
         let receiver = if cfg.check_receivers && severity >= Severity::Warning {
             let t = Instant::now();
@@ -1004,55 +784,85 @@ impl Engine {
         Ok(AttemptOk { rise, fall, receiver, analysis, receiver_time })
     }
 
-    /// Turn a standing attempt into the job outcome: classify, build the
-    /// verdict, and decide cacheability. Degraded results are **not**
-    /// cached — a recovered verdict must be recomputed next run, otherwise
-    /// cold and warm reports would diverge.
-    #[allow(clippy::too_many_arguments)]
-    fn assemble(
+    /// The recovery ladder for one cache-missed cluster: walk rungs until
+    /// an attempt succeeds; past the last analysis rung the record is the
+    /// conservative [`JournalEntry::worst_case`], so every victim ends
+    /// with a verdict. Returns the record plus the standing attempt's
+    /// analysis and receiver-check times.
+    fn walk_ladder(
         &self,
-        vic: PNetId,
-        cluster: Cluster,
+        ctx: &AnalysisContext<'_>,
+        cluster: &Cluster,
         name: &str,
         fp: u64,
-        ok: AttemptOk,
-        degradation: Option<Degradation>,
-        prune: Duration,
-    ) -> JobOk {
+        emit: &impl Fn(EngineEvent),
+    ) -> (JournalEntry, Duration, Duration) {
         let cfg = &self.config;
-        let (worst_frac, severity) =
-            classify(ok.rise, ok.fall, cfg.analysis.vdd, cfg.warn_frac, cfg.fail_frac);
-        let entry = degradation.is_none().then(|| CacheEntry {
-            fingerprint: fp,
-            rise_bits: ok.rise.to_bits(),
-            fall_bits: ok.fall.to_bits(),
-            receiver: ok.receiver.as_ref().map(|r| CachedReceiver {
-                cell: r.cell.clone(),
-                output_peak_bits: r.output_peak.to_bits(),
-                propagates: r.propagates,
-            }),
-        });
-        let verdict = NetVerdict {
-            net: vic,
-            name: name.to_owned(),
-            rise_peak: ok.rise,
-            fall_peak: ok.fall,
-            worst_frac,
-            severity,
-            cluster_size: cluster.size(),
-            neighbors_before: cluster.neighbors_before,
-            receiver: ok.receiver,
+        let fault = self.plan.fault_for(name);
+        let mut attempts: Vec<Attempt> = Vec::new();
+        let mut rung = RecoveryRung::Baseline;
+        let standing = loop {
+            if rung == RecoveryRung::WorstCase {
+                pcv_trace::count("engine.recovery.worst_case", 1);
+                break None;
+            }
+            if rung > RecoveryRung::Baseline {
+                pcv_trace::count("engine.recovery.retries", 1);
+            }
+            let mut opts = rung_options(cfg, rung);
+            let actx = rung_context(ctx, rung);
+            // Non-persistent faults fire at the baseline attempt only,
+            // so the first retry rung sees a healthy cluster.
+            let inject_here = fault
+                .filter(|spec| spec.persistent || rung == RecoveryRung::Baseline)
+                .map(|spec| spec.kind);
+            let attempt_start = Instant::now();
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                if let Some(kind) = inject_here {
+                    inject(kind, name, &mut opts)?;
+                }
+                self.run_attempt(&actx, cluster, name, &opts)
+            }));
+            let (reason, target) = match outcome {
+                Ok(Ok(ok)) => break Some(ok),
+                Ok(Err(err)) => {
+                    if matches!(&err, XtalkError::Mor(MorError::Cancelled { .. })) {
+                        pcv_trace::count("engine.recovery.deadline_hits", 1);
+                    }
+                    if matches!(&err, XtalkError::Mor(MorError::BudgetExhausted { .. })) {
+                        pcv_trace::count("engine.recovery.budget_exhausted", 1);
+                    }
+                    (err.to_string(), route(&err))
+                }
+                // A panic carries no typed routing information; skip the
+                // MOR-tuning rungs entirely.
+                Err(payload) => {
+                    let message = scheduler::panic_message(payload);
+                    (format!("job panicked: {message}"), RecoveryRung::SpiceFallback)
+                }
+            };
+            attempts.push(Attempt { rung, reason, elapsed: attempt_start.elapsed() });
+            rung = rung.next().expect("worst case breaks the loop").max(target);
+            emit(EngineEvent::ClusterRetried { name: name.to_owned(), rung: rung.name() });
         };
-        JobOk {
-            verdict,
-            cluster,
-            cached: false,
-            replayed: false,
-            entry,
-            degradation,
-            prune,
-            analysis: ok.analysis,
-            receiver: ok.receiver_time,
+        if rung != RecoveryRung::Baseline {
+            pcv_trace::count("engine.recovery.degraded", 1);
+            if rung == RecoveryRung::SpiceFallback {
+                pcv_trace::count("engine.recovery.fallback_spice", 1);
+            }
+            emit(EngineEvent::ClusterDegraded { name: name.to_owned(), rung: rung.name() });
+        }
+        match standing {
+            Some(ok) => {
+                let trail =
+                    (rung != RecoveryRung::Baseline).then_some(Trail { recovered: rung, attempts });
+                let record = JournalEntry::new(name, fp, ok.rise, ok.fall, ok.receiver, trail);
+                (record, ok.analysis, ok.receiver_time)
+            }
+            None => {
+                let record = JournalEntry::worst_case(name, fp, cfg.analysis.vdd, attempts);
+                (record, Duration::ZERO, Duration::ZERO)
+            }
         }
     }
 
@@ -1193,25 +1003,6 @@ mod tests {
         // The other victim is still fully audited, untouched by recovery.
         let cold_v = report.chip.verdicts.iter().find(|v| v.name == "cold").unwrap();
         assert!(cold_v.worst_frac < 1.0);
-    }
-
-    #[test]
-    fn disabled_ladder_keeps_fail_open_behavior() {
-        let (db, hot, cold) = db();
-        let ctx = AnalysisContext::fixed_resistance(&db, 2000.0);
-        let mut cfg = config(2);
-        cfg.recovery.enabled = false;
-        let mut engine = Engine::new(cfg);
-        engine.inject_fault("hot");
-        let report = engine.verify(&ctx, &[cold, hot]).unwrap();
-        assert_eq!(report.errors.len(), 1);
-        assert_eq!(report.errors[0].name, "hot");
-        assert_eq!(report.errors[0].stage, "baseline");
-        assert!(report.errors[0].message.contains("injected fault"));
-        // Fail-open: the faulted victim has no verdict at all.
-        assert_eq!(report.chip.verdicts.len(), 1);
-        assert_eq!(report.chip.verdicts[0].name, "cold");
-        assert!(report.degradations.is_empty());
     }
 
     #[test]

@@ -16,17 +16,24 @@
 //! - **Determinism** — results are merged by input index and sorted with
 //!   the serial flow's exact stable comparator, so an N-worker run is
 //!   byte-identical to the serial report regardless of scheduling.
-//! - **Fault isolation** — each job runs under `catch_unwind`; a
-//!   panicking or erroring cluster becomes an [`EngineError`] record while
-//!   every other victim is still fully audited.
+//! - **Fault isolation** — each analysis attempt runs under
+//!   `catch_unwind`; a panicking or erroring cluster affects only its own
+//!   verdict while every other victim is still fully audited.
 //! - **Graceful degradation** ([`recovery`]) — failed cluster jobs walk a
 //!   typed recovery ladder (boosted `gmin`, smaller Krylov space, softer
 //!   Newton, SPICE fallback, conservative worst-case) so every victim ends
-//!   with a verdict; the trail lands in [`EngineReport::degradations`].
+//!   with a verdict; the trail lands in [`EngineReport::degradations`] and
+//!   a worst-cased victim also in [`EngineReport::errors`].
 //!   Deterministic fault injection ([`recovery::FaultPlan`]) drills the
 //!   ladder in tests and chaos runs.
+//! - **One cluster record** ([`record`]) — every victim's result is one
+//!   bit-exact [`JournalEntry`], built by one function, turned into the
+//!   report's verdict by one function, and spelled on disk by two
+//!   adapters (cache line, journal line) that live beside it. The cache,
+//!   the journal, the shard harvest and the replay all pass that type
+//!   around.
 //! - **Incrementality** ([`cache`], [`fingerprint`]) — each cluster's
-//!   verdict is stored under a fingerprint of its topology, couplings,
+//!   record is stored under a fingerprint of its topology, couplings,
 //!   drivers and analysis options. Re-runs skip unchanged clusters;
 //!   touching one coupling capacitor invalidates exactly the clusters it
 //!   feeds.
@@ -35,7 +42,7 @@
 //!   [`EngineReport`].
 //! - **Durability** ([`durable`], [`fs`]) — every persisted artifact is
 //!   written atomically (write-temp + fsync + rename) with CRC-32
-//!   integrity framing; completed verdicts are checkpointed to a
+//!   integrity framing; completed records are checkpointed to a
 //!   write-ahead journal so a killed run resumes with
 //!   [`Engine::resume`] to a byte-identical sign-off; an advisory run
 //!   lock serializes writers; [`fs::DiskFaultPlan`] injects
@@ -80,27 +87,26 @@ pub mod eco;
 pub mod engine;
 pub mod fingerprint;
 pub mod fs;
+pub mod record;
 pub mod recovery;
 pub mod report;
 pub mod resident;
 pub mod scheduler;
 pub mod shard;
 
-pub use cache::{CacheEntry, CacheLoadStats, CachedReceiver, ResultCache};
-pub use durable::{
-    DurableConfig, Journal, JournalEntry, JournalLoad, LockError, ReplayAttempt, ReplayDegradation,
-    RunLock, StopAfter, StopFlag,
-};
+pub use cache::{CacheLoadStats, ResultCache};
+pub use durable::{DurableConfig, Journal, JournalLoad, LockError, RunLock, StopAfter, StopFlag};
 pub use eco::{EcoOutcome, EcoPlan};
 pub use engine::{Engine, EngineConfig};
 pub use fingerprint::{chip_slice_fingerprint, cluster_fingerprint, config_hash, Fnv1a};
 pub use fs::{crc32, DiskFaultPlan, Fs, FsFaultKind};
+pub use record::JournalEntry;
 pub use recovery::{
-    Attempt, Degradation, FaultKind, FaultPlan, FaultSpec, RecoveryConfig, RecoveryRung,
+    Attempt, Degradation, FaultKind, FaultPlan, FaultSpec, RecoveryConfig, RecoveryRung, Trail,
 };
 pub use report::{ClusterCost, EngineError, EngineReport, EngineStats};
 pub use resident::{ResidentChip, VerdictSnapshot};
 pub use shard::{
-    harvest_shard, partition, shard_of, worst_case_entries, write_merged_journal,
-    PlannedShardFault, ShardContribution, ShardFault, ShardFaultPlan,
+    harvest_shard, partition, shard_of, write_merged_journal, PlannedShardFault, ShardContribution,
+    ShardFault, ShardFaultPlan,
 };

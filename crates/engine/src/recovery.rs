@@ -32,6 +32,7 @@
 use crate::fingerprint::Fnv1a;
 use pcv_mor::MorError;
 use pcv_netlist::PNetId;
+use pcv_trace::json::{str_lit, Value};
 use pcv_xtalk::XtalkError;
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -77,6 +78,11 @@ impl RecoveryRung {
         }
     }
 
+    /// Look a rung up by its stable name.
+    pub fn from_name(name: &str) -> Option<RecoveryRung> {
+        RecoveryRung::ALL.iter().copied().find(|r| r.name() == name)
+    }
+
     /// The next rung up, or `None` from [`RecoveryRung::WorstCase`].
     pub fn next(self) -> Option<RecoveryRung> {
         let i = RecoveryRung::ALL.iter().position(|&r| r == self).expect("rung in ALL");
@@ -109,10 +115,6 @@ pub fn route(err: &XtalkError) -> RecoveryRung {
 /// Knobs for the recovery ladder.
 #[derive(Debug, Clone)]
 pub struct RecoveryConfig {
-    /// Walk the ladder on failure. When `false`, a failed job becomes an
-    /// [`EngineError`](crate::EngineError) record with no verdict — the
-    /// pre-ladder fail-open behavior.
-    pub enabled: bool,
     /// Multiplier applied to `gmin` at [`RecoveryRung::GminBoost`] and up.
     pub gmin_boost: f64,
     /// Multiplier applied to the MOR `max_step_fraction` at
@@ -133,7 +135,6 @@ pub struct RecoveryConfig {
 impl Default for RecoveryConfig {
     fn default() -> Self {
         RecoveryConfig {
-            enabled: true,
             gmin_boost: 1e3,
             step_shrink: 0.25,
             newton_budget: 2_000_000,
@@ -268,8 +269,9 @@ impl FaultPlan {
 ///
 /// `elapsed` is wall-clock and therefore **never** enters the
 /// deterministic signoff document (which must be byte-identical across
-/// worker counts and machines) — it exists so the run ledger and operator
-/// stats can attribute the *cost* of recovery, not just its path.
+/// worker counts and machines) nor any stored record — an attempt read
+/// back from disk has `elapsed` zero. It exists so the run ledger and
+/// operator stats can attribute the *cost* of recovery, not just its path.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Attempt {
     /// The rung the attempt ran at.
@@ -280,27 +282,81 @@ pub struct Attempt {
     pub elapsed: Duration,
 }
 
-/// How one cluster was degraded: every failed attempt (rung + reason) and
-/// the rung whose result finally stood. Joinable with
-/// [`EngineError`](crate::EngineError) records through `net`/`name`.
+/// A degradation trail: every failed attempt (rung + reason) and the rung
+/// whose result finally stood. The one trail type — a stored cluster
+/// record ([`crate::JournalEntry`]) carries it, a report's
+/// [`Degradation`] embeds it, and one writer spells it in both documents
+/// that show it (the journal line and the sign-off).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Trail {
+    /// The rung that produced the standing verdict
+    /// ([`RecoveryRung::WorstCase`] when every analysis failed).
+    pub recovered: RecoveryRung,
+    /// Every attempt that failed, in ladder order.
+    pub attempts: Vec<Attempt>,
+}
+
+impl Trail {
+    /// Total wall-clock time spent inside the failed attempts — the price
+    /// the recovery ladder paid before a verdict stood.
+    pub fn recovery_time(&self) -> Duration {
+        self.attempts.iter().map(|a| a.elapsed).sum()
+    }
+
+    /// Append `"recovered":…,"attempts":[{"rung":…,"reason":…},…]` — the
+    /// members a trail contributes to the JSON object that shows it (the
+    /// caller owns the braces and any members of its own). Attempt
+    /// durations are wall-clock and deliberately omitted: both documents
+    /// must stay byte-identical across worker counts and machines.
+    pub(crate) fn write_json_members(&self, out: &mut String) {
+        out.push_str(&format!("\"recovered\":{},\"attempts\":[", str_lit(self.recovered.name())));
+        for (i, a) in self.attempts.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(&format!(
+                "{{\"rung\":{},\"reason\":{}}}",
+                str_lit(a.rung.name()),
+                str_lit(&a.reason)
+            ));
+        }
+        out.push(']');
+    }
+
+    /// Read the members [`Trail::write_json_members`] wrote out of their
+    /// object; `None` for anything malformed or an unknown rung name.
+    pub(crate) fn from_json(v: &Value) -> Option<Trail> {
+        let mut attempts = Vec::new();
+        for a in v.get("attempts")?.as_arr()? {
+            attempts.push(Attempt {
+                rung: RecoveryRung::from_name(a.get("rung")?.as_str()?)?,
+                reason: a.get("reason")?.as_str()?.to_owned(),
+                elapsed: Duration::ZERO,
+            });
+        }
+        Some(Trail { recovered: RecoveryRung::from_name(v.get("recovered")?.as_str()?)?, attempts })
+    }
+}
+
+/// How one cluster was degraded: the victim and its [`Trail`]. Joinable
+/// with [`EngineError`](crate::EngineError) records through `net`/`name`.
+/// Dereferences to the trail, so `d.recovered` and `d.attempts` read
+/// straight through.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Degradation {
     /// The victim that needed recovery.
     pub net: PNetId,
     /// Victim net name.
     pub name: String,
-    /// Every attempt that failed, in ladder order.
-    pub attempts: Vec<Attempt>,
-    /// The rung that produced the standing verdict
-    /// ([`RecoveryRung::WorstCase`] when every analysis failed).
-    pub recovered: RecoveryRung,
+    /// What the ladder tried and where it stopped.
+    pub trail: Trail,
 }
 
-impl Degradation {
-    /// Total wall-clock time spent inside this cluster's failed attempts —
-    /// the price the recovery ladder paid before a verdict stood.
-    pub fn recovery_time(&self) -> Duration {
-        self.attempts.iter().map(|a| a.elapsed).sum()
+impl std::ops::Deref for Degradation {
+    type Target = Trail;
+
+    fn deref(&self) -> &Trail {
+        &self.trail
     }
 }
 
@@ -401,12 +457,14 @@ mod tests {
         let d = Degradation {
             net: PNetId(0),
             name: "bus0_2".into(),
-            attempts: vec![Attempt {
-                rung: RecoveryRung::Baseline,
-                reason: "matrix is not positive definite".into(),
-                elapsed: Duration::from_millis(3),
-            }],
-            recovered: RecoveryRung::GminBoost,
+            trail: Trail {
+                recovered: RecoveryRung::GminBoost,
+                attempts: vec![Attempt {
+                    rung: RecoveryRung::Baseline,
+                    reason: "matrix is not positive definite".into(),
+                    elapsed: Duration::from_millis(3),
+                }],
+            },
         };
         let s = d.to_string();
         assert!(s.contains("bus0_2"));

@@ -20,8 +20,8 @@ pub struct EngineError {
     /// Victim net name.
     pub name: String,
     /// Recovery-ladder rung (stable lower-case name, e.g.
-    /// `"spice_fallback"`) at which the failure stood — `"baseline"` when
-    /// the ladder is disabled.
+    /// `"spice_fallback"`) at which the failure stood — `"baseline"` for a
+    /// panic outside the ladder's own unwind isolation.
     pub stage: String,
     /// Error or panic message.
     pub message: String,
@@ -100,8 +100,8 @@ pub struct EngineStats {
     /// tracking is not installed.
     pub allocs: u64,
     /// Lifecycle events the configured [`pcv_obs::EventSink`] shed instead
-    /// of delivering (a full [`pcv_obs::EventChannel`] ring or
-    /// [`pcv_obs::EventHub`] archive); 0 with no sink or an unbounded one.
+    /// of delivering (a full [`pcv_obs::EventHub`] archive); 0 with no
+    /// sink or an unbounded one.
     /// Observability never backpressures verification — this counter is
     /// how the loss stays visible.
     pub events_dropped: u64,
@@ -147,9 +147,10 @@ pub struct EngineReport {
     /// byte-identical to the serial [`pcv_xtalk::verify_chip`] report when
     /// no job failed.
     pub chip: ChipReport,
-    /// Victims whose jobs failed (error or panic), in input order. With the
-    /// recovery ladder enabled these are exactly the worst-cased victims —
-    /// every one of them still has a (conservative) verdict in `chip`.
+    /// Victims whose jobs failed (error or panic), in input order: the
+    /// worst-cased victims, every one of which still has a (conservative)
+    /// verdict in `chip` — plus, should a job ever panic outside the
+    /// ladder's per-attempt isolation, that victim, with no verdict.
     pub errors: Vec<EngineError>,
     /// Victims whose verdict came from a recovery rung above baseline, in
     /// input order: the full attempt trail and the rung that stood.
@@ -317,26 +318,9 @@ impl EngineReport {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!(
-                "{{\"net\":{},\"name\":{},\"recovered\":{},\"attempts\":[",
-                d.net.0,
-                str_lit(&d.name),
-                str_lit(d.recovered.name())
-            ));
-            // Attempt durations are wall-clock and deliberately omitted:
-            // this document must stay byte-identical across worker counts
-            // and machines. They live in the run ledger instead.
-            for (j, a) in d.attempts.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    "{{\"rung\":{},\"reason\":{}}}",
-                    str_lit(a.rung.name()),
-                    str_lit(&a.reason)
-                ));
-            }
-            out.push_str("]}");
+            out.push_str(&format!("{{\"net\":{},\"name\":{},", d.net.0, str_lit(&d.name)));
+            d.trail.write_json_members(&mut out);
+            out.push('}');
         }
         out.push_str("]}");
         out
@@ -427,7 +411,7 @@ mod tests {
 
     #[test]
     fn signoff_json_embeds_chip_and_degradations() {
-        use crate::recovery::RecoveryRung;
+        use crate::recovery::{RecoveryRung, Trail};
         let report = EngineReport {
             chip: ChipReport {
                 verdicts: Vec::new(),
@@ -439,12 +423,14 @@ mod tests {
             degradations: vec![Degradation {
                 net: PNetId(7),
                 name: "bus0_2".into(),
-                attempts: vec![crate::recovery::Attempt {
-                    rung: RecoveryRung::Baseline,
-                    reason: "numeric \"failure\"".into(),
-                    elapsed: Duration::from_millis(2),
-                }],
-                recovered: RecoveryRung::GminBoost,
+                trail: Trail {
+                    recovered: RecoveryRung::GminBoost,
+                    attempts: vec![crate::recovery::Attempt {
+                        rung: RecoveryRung::Baseline,
+                        reason: "numeric \"failure\"".into(),
+                        elapsed: Duration::from_millis(2),
+                    }],
+                },
             }],
             stats: EngineStats::default(),
             clusters: Vec::new(),

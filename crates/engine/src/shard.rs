@@ -23,10 +23,11 @@
 //! the supervisor claims to survive is a repeatable test, not an anecdote.
 
 use crate::cache::ResultCache;
-use crate::durable::{Journal, JournalEntry, ReplayAttempt, ReplayDegradation};
+use crate::durable::Journal;
 use crate::fingerprint::{cluster_fingerprint, Fnv1a};
 use crate::fs::Fs;
-use crate::recovery::RecoveryRung;
+use crate::record::JournalEntry;
+use crate::recovery::{Attempt, RecoveryRung};
 use crate::resident::ResidentChip;
 use pcv_netlist::PNetId;
 use pcv_xtalk::prune::prune_victim_with_components;
@@ -159,45 +160,6 @@ impl ShardFaultPlan {
     }
 }
 
-/// Synthesize conservative [`RecoveryRung::WorstCase`] journal entries
-/// for victims a dead shard never finished: rail-to-rail peaks
-/// (`rise = vdd`, `fall = -vdd`), no receiver check, and a recorded
-/// degradation trail explaining *why* (the supervision verdict in
-/// `reason`). The cluster fingerprint is computed coordinator-side
-/// exactly as the engine would, so replay adopts these entries verbatim
-/// instead of silently recomputing a real verdict.
-#[must_use]
-pub fn worst_case_entries(
-    chip: &ResidentChip,
-    prune: &PruneConfig,
-    config_fp: u64,
-    vdd: f64,
-    missing: &[PNetId],
-    reason: &str,
-) -> Vec<JournalEntry> {
-    let ctx = chip.ctx();
-    missing
-        .iter()
-        .map(|&v| {
-            let cluster = prune_victim_with_components(ctx.db, v, prune, chip.component_sizes());
-            JournalEntry {
-                name: ctx.db.net(v).name().to_owned(),
-                fingerprint: cluster_fingerprint(&ctx, &cluster, config_fp),
-                rise_bits: vdd.to_bits(),
-                fall_bits: (-vdd).to_bits(),
-                receiver: None,
-                degraded: Some(ReplayDegradation {
-                    recovered: RecoveryRung::WorstCase,
-                    attempts: vec![ReplayAttempt {
-                        rung: RecoveryRung::Baseline,
-                        reason: reason.to_owned(),
-                    }],
-                }),
-            }
-        })
-        .collect()
-}
-
 /// What one shard contributed at merge time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardContribution {
@@ -215,10 +177,15 @@ pub struct ShardContribution {
 }
 
 /// Harvest everything shard `slice` produced — cache first, then journal
-/// remnant — and fill the remainder with [`worst_case_entries`] when
-/// `reason` is `Some` (a shard that exhausted its restart budget).
+/// remnant — and, when `exhausted_reason` is `Some` (a shard that exhausted
+/// its restart budget), fill the remainder with conservative
+/// [`JournalEntry::worst_case`] records whose one-attempt trail carries
+/// that reason. Their cluster fingerprint is computed here exactly as the
+/// engine would, so replay adopts them verbatim instead of silently
+/// recomputing a real verdict.
 ///
-/// Entries are emitted in slice order. Cache entries are only adopted
+/// Harvested entries are emitted in slice order, worst-case fills after
+/// them. Cache entries are only adopted
 /// when their stored fingerprint matches the current cluster fingerprint,
 /// and journal entries only when the journal header matches
 /// `(config_fp, shard chip fingerprint)` — stale artifacts degrade to
@@ -254,7 +221,7 @@ pub fn harvest_shard(
         }
     }
 
-    let mut missing = Vec::new();
+    let mut filled = Vec::new();
     let mut seen: HashSet<&str> = HashSet::new();
     for &v in slice {
         let name = ctx.db.net(v).name();
@@ -263,28 +230,23 @@ pub fn harvest_shard(
         }
         let cluster = prune_victim_with_components(ctx.db, v, prune, chip.component_sizes());
         let fp = cluster_fingerprint(&ctx, &cluster, config_fp);
-        if let Some(entry) = cache.get(name).filter(|e| e.fingerprint == fp) {
-            out.push(JournalEntry {
-                name: name.to_owned(),
-                fingerprint: entry.fingerprint,
-                rise_bits: entry.rise_bits,
-                fall_bits: entry.fall_bits,
-                receiver: entry.receiver.clone(),
-                degraded: None,
-            });
+        if let Some(entry) = cache.lookup(name, fp) {
+            out.push(entry.clone());
             stat.from_cache += 1;
         } else if let Some(&entry) = journaled.get(name).filter(|e| e.fingerprint == fp) {
             out.push(entry.clone());
             stat.from_journal += 1;
-        } else if exhausted_reason.is_some() {
-            missing.push(v);
+        } else if let Some(reason) = exhausted_reason {
+            let gave_up = Attempt {
+                rung: RecoveryRung::Baseline,
+                reason: reason.to_owned(),
+                elapsed: std::time::Duration::ZERO,
+            };
+            filled.push(JournalEntry::worst_case(name, fp, vdd, vec![gave_up]));
         }
     }
-    if let Some(reason) = exhausted_reason {
-        let wc = worst_case_entries(chip, prune, config_fp, vdd, &missing, reason);
-        stat.worst_case = wc.len();
-        out.extend(wc);
-    }
+    stat.worst_case = filled.len();
+    out.extend(filled);
     (out, stat)
 }
 

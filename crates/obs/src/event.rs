@@ -3,7 +3,7 @@
 //! Events are *observational*: they describe what the engine did, they
 //! never influence what it does. Sinks run on the engine's worker threads,
 //! so implementations must be cheap and thread-safe; anything expensive
-//! belongs behind an [`EventChannel`](crate::EventChannel).
+//! belongs behind an [`EventHub`](crate::EventHub).
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -215,8 +215,8 @@ pub trait EventSink: Send + Sync {
 
     /// Events this sink has *shed* (accepted the call but discarded the
     /// event) so far — non-zero only for bounded sinks under a slow
-    /// consumer ([`ChannelSink`](crate::ChannelSink),
-    /// [`EventHub`](crate::EventHub)). Unbounded sinks keep the default 0.
+    /// consumer ([`EventHub`](crate::EventHub)). Unbounded sinks keep the
+    /// default 0.
     /// The engine folds this into `EngineStats::events_dropped` at the end
     /// of a run, so shedding is never silent.
     fn dropped(&self) -> u64 {

@@ -1,17 +1,14 @@
 //! Multi-subscriber event fan-out: one producer (the engine), any number
 //! of late-joining consumers, bounded memory, counted overflow.
 //!
-//! [`EventChannel`](crate::EventChannel) is a point-to-point ring: one
-//! consumer, and events published before it drains are gone once the ring
-//! wraps. A verification *service* needs different semantics — several
-//! clients may subscribe to the same run's event stream, each at its own
-//! pace, possibly after the run already started. [`EventHub`] provides
-//! that: events append to one bounded archive, and every subscriber is an
-//! independent cursor over it, so a subscriber attached mid-run still
-//! replays the run from the first event. When the archive is full the hub
-//! sheds new events and counts them ([`EventHub::dropped`]) — fan-out, like
-//! every other observability path, must never apply backpressure to
-//! verification.
+//! A verification *service* has several clients subscribing to the same
+//! run's event stream, each at its own pace, possibly after the run
+//! already started. [`EventHub`] provides that: events append to one
+//! bounded archive, and every subscriber is an independent cursor over it,
+//! so a subscriber attached mid-run still replays the run from the first
+//! event. When the archive is full the hub sheds new events and counts
+//! them ([`EventHub::dropped`]) — fan-out, like every other observability
+//! path, must never apply backpressure to verification.
 
 use crate::event::{EngineEvent, EventSink};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

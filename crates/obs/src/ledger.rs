@@ -7,8 +7,7 @@
 //! verification flow. The schema is versioned and flat so any line-
 //! oriented tool (or [`crate::json::parse`]) can consume it.
 
-use crate::json::{self, Value};
-use pcv_trace::json::{f64_lit, str_lit};
+use pcv_trace::json::{self, f64_lit, str_lit, Value};
 use std::io::Write;
 use std::path::Path;
 

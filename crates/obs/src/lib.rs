@@ -12,9 +12,6 @@
 //!   started/finished/retried/degraded, cache hits, worker idle. Sinks are
 //!   pluggable; event *counts* per cluster-scoped kind are a pure function
 //!   of the input, independent of worker count and scheduling.
-//! - **Channel** ([`EventChannel`]) — a bounded, lock-free-ish ring for
-//!   shipping events off the hot path to a consumer thread; when full it
-//!   drops (and counts) rather than blocking a worker.
 //! - **Fan-out** ([`EventHub`]) — a bounded archive with any number of
 //!   replaying subscribers ([`HubCursor`]), for serving one run's event
 //!   stream to several clients that may join mid-run; overflow is shed
@@ -29,7 +26,8 @@
 //!   plus a [`pcv_trace`] probe so every span carries its allocation delta.
 //! - **Ledger** ([`ledger`]) — one append-only JSONL record per engine run
 //!   (fingerprints, stage wall times, counters, peak memory), written next
-//!   to the result cache, parseable back with the in-tree [`json`] reader.
+//!   to the result cache, parseable back with the in-tree [`json`] reader
+//!   (a re-export of [`pcv_trace::json`], the workspace's one JSON module).
 //! - **Metrics** ([`Registry`]) — a process-lifetime store of counters,
 //!   gauges, and fixed-bucket histograms rendered as deterministic
 //!   Prometheus text exposition, with [`pcv_trace`] traces folded in.
@@ -44,20 +42,18 @@
 #![deny(missing_docs)]
 
 pub mod alloc;
-pub mod channel;
 pub mod event;
 pub mod fanout;
 pub mod flight;
-pub mod json;
 pub mod ledger;
 pub mod metrics;
 pub mod progress;
 
 pub use alloc::{mem, MemSnapshot, TrackingAlloc};
-pub use channel::{ChannelSink, EventChannel, EventReceiver};
 pub use event::{CountingSink, EngineEvent, EventSink, NullSink, TeeSink};
 pub use fanout::{CursorState, EventHub, HubCursor};
 pub use flight::{FlightEntry, FlightRecorder};
 pub use ledger::RunRecord;
 pub use metrics::Registry;
+pub use pcv_trace::json;
 pub use progress::{ProgressMonitor, ProgressSnapshot, StderrStatusLine};

@@ -41,6 +41,16 @@
 //! verification: sign-off artifacts are byte-identical with the
 //! observatory enabled or disabled.
 //!
+//! ## One verdict object
+//!
+//! A verdict has one JSON rendering, [`pcv_xtalk::NetVerdict::write_json`]:
+//! the object inside a sign-off document's `chip.verdicts`, the object
+//! `GET /runs/{id}/verdicts` lists, and — with `"kind":"verdict"` added —
+//! the line a [shard worker](worker) streams to its
+//! [coordinator](shard), which reads it back with the strict
+//! [`pcv_xtalk::NetVerdict::from_json`]. A client can byte-compare a
+//! served verdict against a sign-off.
+//!
 //! ## Determinism contract
 //!
 //! A served run and an offline [`pcv_engine::Engine::verify`] run of the

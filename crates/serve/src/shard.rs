@@ -37,7 +37,6 @@
 
 use crate::error::ApiError;
 use crate::session::DesignSpec;
-use crate::worker::parse_verdict;
 use pcv_engine::durable::StopFlag;
 use pcv_engine::fs::Fs;
 use pcv_engine::shard::{harvest_shard, partition, ShardFault, ShardFaultPlan};
@@ -47,6 +46,7 @@ use pcv_engine::{
 };
 use pcv_obs::json::{parse, Value};
 use pcv_obs::EventSink;
+use pcv_xtalk::NetVerdict;
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -121,6 +121,10 @@ pub struct ShardStats {
     pub restarts: u32,
     /// Heartbeat deadlines missed (each one kills an incarnation).
     pub heartbeat_misses: u32,
+    /// Stdout lines that were not JSON, or verdict lines the strict reader
+    /// ([`NetVerdict::from_json`]) rejected. They still count as
+    /// heartbeats; their verdicts arrive through the journal harvest.
+    pub malformed_lines: usize,
     /// Whether the restart budget ran out (WorstCase fill applied).
     pub exhausted: bool,
     /// Torn journal lines the shard's replays skipped (worker-reported,
@@ -224,6 +228,8 @@ struct ShardResult {
 struct ShardJob {
     shard: usize,
     slice_len: usize,
+    /// Nets on the chip: the bound a streamed verdict's `net` must respect.
+    nets: usize,
     config_line: String, // without the trailing '}' and drill keys
     cache: PathBuf,
     worker_exe: PathBuf,
@@ -302,7 +308,10 @@ fn supervise_incarnation(
         match rx.recv_timeout(wait) {
             Ok(line) => {
                 job.snapshot.beat();
-                let Ok(doc) = parse(&line) else { continue };
+                let Ok(doc) = parse(&line) else {
+                    stats.malformed_lines += 1;
+                    continue;
+                };
                 match doc.get("kind").and_then(Value::as_str) {
                     Some("hello") => {
                         if let Some(t) = doc.get("torn_journal_lines").and_then(Value::as_u64) {
@@ -310,8 +319,12 @@ fn supervise_incarnation(
                         }
                     }
                     Some("verdict") => {
-                        if let Some(v) = parse_verdict(&doc) {
-                            job.snapshot.insert(v);
+                        // The stream only feeds the live snapshot; a line
+                        // the strict reader rejects is dropped here, and the
+                        // verdict still arrives through the journal harvest.
+                        match NetVerdict::from_json(&doc, job.nets) {
+                            Some(v) => job.snapshot.insert(v),
+                            None => stats.malformed_lines += 1,
                         }
                         emitted += 1;
                         if let Some(frac) = sigkill_frac {
@@ -543,6 +556,7 @@ impl Coordinator {
                 let job = ShardJob {
                     shard: k,
                     slice_len: slice.len(),
+                    nets: self.chip.num_nets(),
                     config_line: self.worker_config_line(k, &cache),
                     cache,
                     worker_exe: self.cfg.worker_exe.clone(),

@@ -12,14 +12,19 @@
 //!
 //! ```text
 //! {"kind":"hello","shard":K,"victims":N,"torn_journal_lines":T}
-//! {"kind":"verdict","net":...,"name":...,...}        // as they land
+//! {"net":...,"name":...,...,"kind":"verdict"}        // as they land
 //! {"kind":"beat","done":N}                            // idle liveness
 //! {"kind":"done","outcome":"complete","peak_alloc_bytes":B,"torn_journal_lines":T}
 //! ```
 //!
-//! Any line is a heartbeat to the coordinator; silence past the deadline
-//! is what gets a worker killed and restarted. Exit status 0 means the
-//! `done` line is trustworthy; anything else is a crash.
+//! A verdict line is the one verdict JSON object
+//! ([`NetVerdict::write_json`], the same bytes a sign-off document holds)
+//! with `"kind":"verdict"` added; the coordinator reads it with
+//! [`NetVerdict::from_json`], which rejects anything a healthy worker
+//! could not have written. Any line is a heartbeat to the coordinator;
+//! silence past the deadline is what gets a worker killed and restarted.
+//! Exit status 0 means the `done` line is trustworthy; anything else is a
+//! crash.
 //!
 //! The config line may also arm deterministic worker-side drills
 //! ([`pcv_engine::shard::ShardFault`]): `panic_after` aborts the process
@@ -33,7 +38,7 @@ use pcv_engine::fs::Fs;
 use pcv_engine::shard::partition;
 use pcv_engine::{Engine, EngineConfig, VerdictSnapshot};
 use pcv_obs::json::{parse, Value};
-use pcv_xtalk::{NetVerdict, ReceiverVerdict, Severity};
+use pcv_xtalk::NetVerdict;
 use std::collections::HashSet;
 use std::io::{BufRead, Write};
 use std::path::PathBuf;
@@ -41,67 +46,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Serialize a verdict for the worker→coordinator stream: peaks as exact
-/// `f64` bits, so the coordinator's mirrored snapshot is bit-identical
-/// to the worker's. Bit patterns travel as JSON *strings* — the daemon's
-/// minimal JSON parser stores numbers as `f64`, which would silently
-/// round any integer above 2^53.
-pub fn verdict_line(v: &NetVerdict) -> String {
-    use pcv_trace::json::str_lit;
-    let receiver = match &v.receiver {
-        None => "null".to_owned(),
-        Some(r) => format!(
-            "{{\"cell\":{},\"output_bits\":\"{}\",\"propagates\":{}}}",
-            str_lit(&r.cell),
-            r.output_peak.to_bits(),
-            r.propagates
-        ),
-    };
-    format!(
-        "{{\"kind\":\"verdict\",\"net\":{},\"name\":{},\"rise_bits\":\"{}\",\"fall_bits\":\"{}\",\"worst_bits\":\"{}\",\"severity\":{},\"cluster_size\":{},\"neighbors_before\":{},\"receiver\":{}}}",
-        v.net.0,
-        str_lit(&v.name),
-        v.rise_peak.to_bits(),
-        v.fall_peak.to_bits(),
-        v.worst_frac.to_bits(),
-        str_lit(&v.severity.to_string()),
-        v.cluster_size,
-        v.neighbors_before,
-        receiver
-    )
-}
-
-/// Parse a [`verdict_line`] back into a [`NetVerdict`] (coordinator side).
-pub fn parse_verdict(v: &Value) -> Option<NetVerdict> {
-    let bits = |key: &str| {
-        let raw = v.get(key)?.as_str()?.parse::<u64>().ok()?;
-        Some(f64::from_bits(raw))
-    };
-    let severity = match v.get("severity")?.as_str()? {
-        "clean" => Severity::Clean,
-        "warning" => Severity::Warning,
-        "VIOLATION" => Severity::Violation,
-        _ => return None,
-    };
-    let receiver = match v.get("receiver") {
-        None | Some(Value::Null) => None,
-        Some(r) => Some(ReceiverVerdict {
-            cell: r.get("cell")?.as_str()?.to_owned(),
-            output_peak: f64::from_bits(r.get("output_bits")?.as_str()?.parse::<u64>().ok()?),
-            propagates: matches!(r.get("propagates")?, Value::Bool(true)),
-        }),
-    };
-    Some(NetVerdict {
-        net: pcv_netlist::PNetId(v.get("net")?.as_u64()? as usize),
-        name: v.get("name")?.as_str()?.to_owned(),
-        rise_peak: bits("rise_bits")?,
-        fall_peak: bits("fall_bits")?,
-        worst_frac: bits("worst_bits")?,
-        severity,
-        cluster_size: v.get("cluster_size")?.as_u64()? as usize,
-        neighbors_before: v.get("neighbors_before")?.as_u64()? as usize,
-        receiver,
-    })
+/// One line of the worker→coordinator verdict stream.
+fn wire_line(v: &NetVerdict) -> String {
+    let mut line = String::new();
+    v.write_json(&mut line);
+    line.pop(); // reopen the object
+    line.push_str(",\"kind\":\"verdict\"}");
+    line
 }
 
 fn emit(line: &str) {
@@ -260,7 +211,7 @@ fn spawn_poller(
                         return;
                     }
                 }
-                emit(&verdict_line(&v));
+                emit(&wire_line(&v));
                 seen.insert(v.name.clone());
                 emitted_new = true;
                 if let Some(n) = panic_after {
@@ -300,10 +251,10 @@ fn spawn_poller(
 mod tests {
     use super::*;
     use pcv_netlist::PNetId;
+    use pcv_xtalk::{ReceiverVerdict, Severity};
 
-    #[test]
-    fn verdict_line_round_trips_bit_exactly() {
-        let v = NetVerdict {
+    fn sample() -> NetVerdict {
+        NetVerdict {
             net: PNetId(7),
             name: "bus0.3".into(),
             rise_peak: 0.123_456_789_012_345,
@@ -317,14 +268,48 @@ mod tests {
                 output_peak: 0.001_234,
                 propagates: false,
             }),
-        };
-        let line = verdict_line(&v);
-        let parsed = parse_verdict(&parse(&line).unwrap()).unwrap();
-        assert_eq!(parsed, v);
+        }
+    }
+
+    #[test]
+    fn wire_line_round_trips_bit_exactly() {
+        let v = sample();
+        let doc = parse(&wire_line(&v)).unwrap();
+        assert_eq!(doc.get("kind").and_then(Value::as_str), Some("verdict"));
+        assert_eq!(NetVerdict::from_json(&doc, 8), Some(v.clone()));
 
         let bare = NetVerdict { receiver: None, severity: Severity::Violation, ..v };
-        let parsed = parse_verdict(&parse(&verdict_line(&bare)).unwrap()).unwrap();
-        assert_eq!(parsed, bare);
+        assert_eq!(NetVerdict::from_json(&parse(&wire_line(&bare)).unwrap(), 8), Some(bare));
+    }
+
+    #[test]
+    fn hostile_verdict_lines_are_rejected() {
+        // A child's stdout is outside input: whatever a healthy worker
+        // could not have written must not reach the snapshot.
+        let good = wire_line(&sample());
+        let hex = |x: f64| format!("{:016x}", x.to_bits());
+        let (rise, rx) = (hex(sample().rise_peak), hex(0.001_234));
+        let off_by_one = format!("{:016x}", sample().rise_peak.to_bits() ^ 1);
+        let hostile = [
+            ("NaN rise bits", good.replace(&rise, &hex(f64::NAN))),
+            ("infinite rise bits", good.replace(&rise, &hex(f64::INFINITY))),
+            ("bits disagree with decimal", good.replace(&rise, &off_by_one)),
+            ("short bit pattern", good.replace(&rise, &rise[1..])),
+            ("NaN receiver bits", good.replace(&rx, &hex(f64::NAN))),
+            ("non-bool propagates", good.replace("\"propagates\":false", "\"propagates\":0")),
+            ("string propagates", good.replace("\"propagates\":false", "\"propagates\":\"no\"")),
+            ("unknown severity", good.replace("\"warning\"", "\"fatal\"")),
+            ("net out of range", good.replace("\"net\":7", "\"net\":8")),
+            ("negative net", good.replace("\"net\":7", "\"net\":-1")),
+            ("fractional count", good.replace("\"cluster_size\":11", "\"cluster_size\":1.5")),
+            ("missing receiver", good.replace(",\"receiver\":{", ",\"rx\":{")),
+            ("missing name", good.replace("\"name\":", "\"nom\":")),
+        ];
+        for (what, line) in hostile {
+            assert_ne!(line, good, "{what}: the mutation must apply");
+            let doc = parse(&line).unwrap_or_else(|e| panic!("{what}: still JSON: {e}"));
+            assert_eq!(NetVerdict::from_json(&doc, 8), None, "{what} was accepted: {line}");
+        }
     }
 
     #[test]

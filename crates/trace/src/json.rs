@@ -1,5 +1,10 @@
-//! Minimal JSON writing helpers — enough to emit valid trace and report
-//! documents without an external serializer.
+//! The workspace's one JSON module: writing helpers — enough to emit valid
+//! trace and report documents without an external serializer — and a
+//! minimal reader for the documents this workspace writes (ledger records,
+//! journal payloads, worker lines, benchmark summaries).
+
+use std::collections::BTreeMap;
+use std::fmt;
 
 /// Append `s` to `out` as a JSON string literal (with quotes).
 pub fn write_str(out: &mut String, s: &str) {
@@ -48,6 +53,296 @@ pub fn f64_bits(v: f64) -> String {
     format!("\"{:016x}\"", v.to_bits())
 }
 
+/// A parsed JSON value.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Value {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// Any JSON number (parsed as `f64`).
+    Num(f64),
+    /// A string, unescaped.
+    Str(String),
+    /// An array.
+    Arr(Vec<Value>),
+    /// An object, key-ordered.
+    Obj(BTreeMap<String, Value>),
+}
+
+impl Value {
+    /// The string content, if this is a string.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Value::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The numeric content, if this is a number.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Value::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The numeric content as `u64`, if this is a non-negative integral
+    /// number small enough to round-trip exactly.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => {
+                Some(*n as u64)
+            }
+            _ => None,
+        }
+    }
+
+    /// Member lookup, if this is an object.
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        match self {
+            Value::Obj(m) => m.get(key),
+            _ => None,
+        }
+    }
+
+    /// The object map, if this is an object.
+    pub fn as_obj(&self) -> Option<&BTreeMap<String, Value>> {
+        match self {
+            Value::Obj(m) => Some(m),
+            _ => None,
+        }
+    }
+
+    /// The element list, if this is an array.
+    pub fn as_arr(&self) -> Option<&[Value]> {
+        match self {
+            Value::Arr(v) => Some(v),
+            _ => None,
+        }
+    }
+}
+
+/// A parse failure: what went wrong and the byte offset it happened at.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ParseError {
+    /// Human-readable description.
+    pub what: &'static str,
+    /// Byte offset into the input.
+    pub at: usize,
+}
+
+impl fmt::Display for ParseError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "json parse error at byte {}: {}", self.at, self.what)
+    }
+}
+
+impl std::error::Error for ParseError {}
+
+/// Parse one complete JSON document; trailing non-whitespace is an error.
+///
+/// # Errors
+///
+/// [`ParseError`] with the offending byte offset.
+pub fn parse(text: &str) -> Result<Value, ParseError> {
+    let bytes = text.as_bytes();
+    let mut p = Parser { bytes, pos: 0 };
+    p.skip_ws();
+    let v = p.value()?;
+    p.skip_ws();
+    if p.pos != bytes.len() {
+        return Err(p.err("trailing characters after document"));
+    }
+    Ok(v)
+}
+
+struct Parser<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl Parser<'_> {
+    fn err(&self, what: &'static str) -> ParseError {
+        ParseError { what, at: self.pos }
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.bytes.get(self.pos).copied()
+    }
+
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    fn expect(&mut self, b: u8, what: &'static str) -> Result<(), ParseError> {
+        if self.peek() == Some(b) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(self.err(what))
+        }
+    }
+
+    fn literal(&mut self, word: &str, v: Value) -> Result<Value, ParseError> {
+        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+            self.pos += word.len();
+            Ok(v)
+        } else {
+            Err(self.err("invalid literal"))
+        }
+    }
+
+    fn value(&mut self) -> Result<Value, ParseError> {
+        match self.peek() {
+            Some(b'{') => self.object(),
+            Some(b'[') => self.array(),
+            Some(b'"') => Ok(Value::Str(self.string()?)),
+            Some(b't') => self.literal("true", Value::Bool(true)),
+            Some(b'f') => self.literal("false", Value::Bool(false)),
+            Some(b'n') => self.literal("null", Value::Null),
+            Some(b'-' | b'0'..=b'9') => self.number(),
+            _ => Err(self.err("expected a value")),
+        }
+    }
+
+    fn object(&mut self) -> Result<Value, ParseError> {
+        self.expect(b'{', "expected '{'")?;
+        let mut map = BTreeMap::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(Value::Obj(map));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            self.expect(b':', "expected ':' after key")?;
+            self.skip_ws();
+            let val = self.value()?;
+            map.insert(key, val);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(Value::Obj(map));
+                }
+                _ => return Err(self.err("expected ',' or '}'")),
+            }
+        }
+    }
+
+    fn array(&mut self) -> Result<Value, ParseError> {
+        self.expect(b'[', "expected '['")?;
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Value::Arr(items));
+        }
+        loop {
+            self.skip_ws();
+            items.push(self.value()?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(Value::Arr(items));
+                }
+                _ => return Err(self.err("expected ',' or ']'")),
+            }
+        }
+    }
+
+    fn string(&mut self) -> Result<String, ParseError> {
+        self.expect(b'"', "expected '\"'")?;
+        let mut out = String::new();
+        loop {
+            let Some(b) = self.peek() else {
+                return Err(self.err("unterminated string"));
+            };
+            self.pos += 1;
+            match b {
+                b'"' => return Ok(out),
+                b'\\' => {
+                    let Some(esc) = self.peek() else {
+                        return Err(self.err("unterminated escape"));
+                    };
+                    self.pos += 1;
+                    match esc {
+                        b'"' => out.push('"'),
+                        b'\\' => out.push('\\'),
+                        b'/' => out.push('/'),
+                        b'b' => out.push('\u{8}'),
+                        b'f' => out.push('\u{c}'),
+                        b'n' => out.push('\n'),
+                        b'r' => out.push('\r'),
+                        b't' => out.push('\t'),
+                        b'u' => {
+                            let hex = self
+                                .bytes
+                                .get(self.pos..self.pos + 4)
+                                .and_then(|h| std::str::from_utf8(h).ok())
+                                .and_then(|h| u32::from_str_radix(h, 16).ok())
+                                .ok_or_else(|| self.err("invalid \\u escape"))?;
+                            self.pos += 4;
+                            // Surrogate pairs are not produced by our
+                            // writers; reject rather than mis-decode.
+                            let c = char::from_u32(hex)
+                                .ok_or_else(|| self.err("unsupported \\u code point"))?;
+                            out.push(c);
+                        }
+                        _ => return Err(self.err("unknown escape")),
+                    }
+                }
+                _ => {
+                    // Re-sync to a char boundary for multi-byte UTF-8.
+                    let start = self.pos - 1;
+                    while self.peek().is_some_and(|b| b & 0xC0 == 0x80) {
+                        self.pos += 1;
+                    }
+                    let s = std::str::from_utf8(&self.bytes[start..self.pos])
+                        .map_err(|_| self.err("invalid utf-8 in string"))?;
+                    out.push_str(s);
+                }
+            }
+        }
+    }
+
+    fn number(&mut self) -> Result<Value, ParseError> {
+        let start = self.pos;
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
+        }
+        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
+            self.pos += 1;
+        }
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            while self.peek().is_some_and(|b| b.is_ascii_digit()) {
+                self.pos += 1;
+            }
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            while self.peek().is_some_and(|b| b.is_ascii_digit()) {
+                self.pos += 1;
+            }
+        }
+        let text = std::str::from_utf8(&self.bytes[start..self.pos])
+            .map_err(|_| self.err("invalid number"))?;
+        text.parse::<f64>().map(Value::Num).map_err(|_| self.err("invalid number"))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -67,5 +362,39 @@ mod tests {
         assert_eq!(f64_lit(1e-15), "0.000000000000001");
         assert_eq!(f64_lit(f64::INFINITY), "\"inf\"");
         assert_eq!(f64_bits(1.0), "\"3ff0000000000000\"");
+    }
+
+    #[test]
+    fn parses_scalars_and_nesting() {
+        let v = parse(r#"{"a":1,"b":[true,null,"x\n"],"c":{"d":-2.5e-1}}"#).unwrap();
+        assert_eq!(v.get("a").unwrap().as_u64(), Some(1));
+        let b = v.get("b").unwrap().as_arr().unwrap();
+        assert_eq!(b[0], Value::Bool(true));
+        assert_eq!(b[1], Value::Null);
+        assert_eq!(b[2].as_str(), Some("x\n"));
+        assert_eq!(v.get("c").unwrap().get("d").unwrap().as_f64(), Some(-0.25));
+    }
+
+    #[test]
+    fn round_trips_trace_writer_output() {
+        // The documents our writers emit must come back intact.
+        let lit = str_lit("weird \"name\"\twith\\slashes");
+        let v = parse(&lit).unwrap();
+        assert_eq!(v.as_str(), Some("weird \"name\"\twith\\slashes"));
+        let v = parse(&f64_lit(0.15)).unwrap();
+        assert_eq!(v.as_f64(), Some(0.15));
+    }
+
+    #[test]
+    fn rejects_malformed_documents() {
+        for bad in ["", "{", "{\"a\":}", "[1,]", "tru", "\"open", "1 2", "{\"a\":1}x"] {
+            assert!(parse(bad).is_err(), "accepted malformed {bad:?}");
+        }
+    }
+
+    #[test]
+    fn unicode_and_escapes_survive() {
+        let v = parse("\"caf\u{e9} \\u0041\"").unwrap();
+        assert_eq!(v.as_str(), Some("café A"));
     }
 }

@@ -6,6 +6,7 @@ use crate::error::XtalkError;
 use crate::prune::{prune_victim, Cluster, PruneConfig, PruningStats};
 use crate::receiver::check_receiver_propagation;
 use pcv_netlist::PNetId;
+use pcv_trace::json::{f64_bits, f64_lit, str_lit, Value};
 use std::fmt;
 
 /// Receiver-side verdict for a flagged victim (see [`audit_receivers`]).
@@ -38,6 +39,39 @@ impl fmt::Display for Severity {
             Severity::Clean => write!(f, "clean"),
             Severity::Warning => write!(f, "warning"),
             Severity::Violation => write!(f, "VIOLATION"),
+        }
+    }
+}
+
+impl Severity {
+    /// Classify a rise/fall peak pair against the noise-margin thresholds
+    /// (`warn_frac` ≤ `fail_frac`, fractions of `vdd`): the worst peak as
+    /// a fraction of Vdd, and the severity that fraction earns.
+    pub fn classify(
+        rise: f64,
+        fall: f64,
+        vdd: f64,
+        warn_frac: f64,
+        fail_frac: f64,
+    ) -> (f64, Severity) {
+        let worst_frac = rise.abs().max(fall.abs()) / vdd;
+        let severity = if worst_frac >= fail_frac {
+            Severity::Violation
+        } else if worst_frac >= warn_frac {
+            Severity::Warning
+        } else {
+            Severity::Clean
+        };
+        (worst_frac, severity)
+    }
+
+    /// Inverse of the `Display` rendering.
+    fn from_name(name: &str) -> Option<Severity> {
+        match name {
+            "clean" => Some(Severity::Clean),
+            "warning" => Some(Severity::Warning),
+            "VIOLATION" => Some(Severity::Violation),
+            _ => None,
         }
     }
 }
@@ -157,14 +191,7 @@ pub fn verify_chip(
             let down = analyze_glitch(ctx, &cluster, false, opts)?;
             (up.peak, down.peak)
         };
-        let worst_frac = (rise.abs().max(fall.abs())) / opts.vdd;
-        let severity = if worst_frac >= fail_frac {
-            Severity::Violation
-        } else if worst_frac >= warn_frac {
-            Severity::Warning
-        } else {
-            Severity::Clean
-        };
+        let (worst_frac, severity) = Severity::classify(rise, fall, opts.vdd, warn_frac, fail_frac);
         verdicts.push(NetVerdict {
             net: vic,
             name: ctx.db.net(vic).name().to_owned(),
@@ -182,6 +209,81 @@ pub fn verify_chip(
     Ok(ChipReport { verdicts, pruning: PruningStats::compute(&clusters), warn_frac, fail_frac })
 }
 
+/// Append `"key":<decimal>,"key_bits":"<hex>"` — every float in the
+/// report documents appears twice, readable and exact.
+fn json_float(out: &mut String, key: &str, v: f64) {
+    out.push_str(&format!("\"{key}\":{},\"{key}_bits\":{}", f64_lit(v), f64_bits(v)));
+}
+
+impl NetVerdict {
+    /// Append this verdict as a JSON object — the one rendering shared,
+    /// byte for byte, by [`ChipReport::to_json`] (and so every sign-off
+    /// document), the daemon's `GET /runs/{id}/verdicts`, and the shard
+    /// worker's verdict stream. [`NetVerdict::from_json`] reads it back.
+    pub fn write_json(&self, out: &mut String) {
+        out.push_str(&format!("{{\"net\":{},\"name\":{},", self.net.0, str_lit(&self.name)));
+        json_float(out, "rise_peak", self.rise_peak);
+        out.push(',');
+        json_float(out, "fall_peak", self.fall_peak);
+        out.push(',');
+        json_float(out, "worst_frac", self.worst_frac);
+        out.push_str(&format!(
+            ",\"severity\":{},\"cluster_size\":{},\"neighbors_before\":{}",
+            str_lit(&self.severity.to_string()),
+            self.cluster_size,
+            self.neighbors_before
+        ));
+        out.push_str(",\"receiver\":");
+        match &self.receiver {
+            Some(r) => {
+                out.push_str(&format!("{{\"cell\":{},", str_lit(&r.cell)));
+                json_float(out, "output_peak", r.output_peak);
+                out.push_str(&format!(",\"propagates\":{}}}", r.propagates));
+            }
+            None => out.push_str("null"),
+        }
+        out.push('}');
+    }
+
+    /// Read a [`NetVerdict::write_json`] object back, bit for bit. The
+    /// object may come from another process, so the reader is strict: a
+    /// float is its 16-digit `_bits` pattern, which must be finite and
+    /// agree with the decimal beside it; `net` must be below `nets` (the
+    /// reading side's net count); flags must be booleans and the severity
+    /// a known name. Anything else is `None`.
+    pub fn from_json(v: &Value, nets: usize) -> Option<NetVerdict> {
+        fn float(v: &Value, key: &str, bits_key: &str) -> Option<f64> {
+            let hex = v.get(bits_key)?.as_str()?;
+            let x = f64::from_bits(u64::from_str_radix(hex, 16).ok()?);
+            let agrees = v.get(key)?.as_f64()?.to_bits() == x.to_bits();
+            (hex.len() == 16 && x.is_finite() && agrees).then_some(x)
+        }
+        let count = |key: &str| Some(v.get(key)?.as_u64()? as usize);
+        let receiver = match v.get("receiver")? {
+            Value::Null => None,
+            r => Some(ReceiverVerdict {
+                cell: r.get("cell")?.as_str()?.to_owned(),
+                output_peak: float(r, "output_peak", "output_peak_bits")?,
+                propagates: match r.get("propagates")? {
+                    Value::Bool(b) => *b,
+                    _ => return None,
+                },
+            }),
+        };
+        Some(NetVerdict {
+            net: PNetId(count("net").filter(|&n| n < nets)?),
+            name: v.get("name")?.as_str()?.to_owned(),
+            rise_peak: float(v, "rise_peak", "rise_peak_bits")?,
+            fall_peak: float(v, "fall_peak", "fall_peak_bits")?,
+            worst_frac: float(v, "worst_frac", "worst_frac_bits")?,
+            severity: Severity::from_name(v.get("severity")?.as_str()?)?,
+            cluster_size: count("cluster_size")?,
+            neighbors_before: count("neighbors_before")?,
+            receiver,
+        })
+    }
+}
+
 impl ChipReport {
     /// Render the audit as deterministic JSON.
     ///
@@ -190,20 +292,16 @@ impl ChipReport {
     /// compared byte-for-byte across runs, worker counts, and cache states
     /// — the property the golden-report regression suite locks down.
     pub fn to_json(&self) -> String {
-        use pcv_trace::json::{f64_bits, f64_lit, str_lit};
-        let float = |out: &mut String, key: &str, v: f64| {
-            out.push_str(&format!("\"{key}\":{},\"{key}_bits\":{}", f64_lit(v), f64_bits(v)));
-        };
         let mut out = String::from("{");
-        float(&mut out, "warn_frac", self.warn_frac);
+        json_float(&mut out, "warn_frac", self.warn_frac);
         out.push(',');
-        float(&mut out, "fail_frac", self.fail_frac);
+        json_float(&mut out, "fail_frac", self.fail_frac);
         out.push_str(",\"pruning\":{");
-        float(&mut out, "mean_before", self.pruning.mean_before);
+        json_float(&mut out, "mean_before", self.pruning.mean_before);
         out.push(',');
-        float(&mut out, "mean_component", self.pruning.mean_component);
+        json_float(&mut out, "mean_component", self.pruning.mean_component);
         out.push(',');
-        float(&mut out, "mean_after", self.pruning.mean_after);
+        json_float(&mut out, "mean_after", self.pruning.mean_after);
         out.push_str(&format!(
             ",\"max_after\":{},\"active_clusters\":{}}}",
             self.pruning.max_after, self.pruning.active_clusters
@@ -213,28 +311,7 @@ impl ChipReport {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("{{\"net\":{},\"name\":{},", v.net.0, str_lit(&v.name)));
-            float(&mut out, "rise_peak", v.rise_peak);
-            out.push(',');
-            float(&mut out, "fall_peak", v.fall_peak);
-            out.push(',');
-            float(&mut out, "worst_frac", v.worst_frac);
-            out.push_str(&format!(
-                ",\"severity\":{},\"cluster_size\":{},\"neighbors_before\":{}",
-                str_lit(&v.severity.to_string()),
-                v.cluster_size,
-                v.neighbors_before
-            ));
-            out.push_str(",\"receiver\":");
-            match &v.receiver {
-                Some(r) => {
-                    out.push_str(&format!("{{\"cell\":{},", str_lit(&r.cell)));
-                    float(&mut out, "output_peak", r.output_peak);
-                    out.push_str(&format!(",\"propagates\":{}}}", r.propagates));
-                }
-                None => out.push_str("null"),
-            }
-            out.push('}');
+            v.write_json(&mut out);
         }
         out.push_str("]}");
         out
