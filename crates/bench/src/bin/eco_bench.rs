@@ -4,19 +4,29 @@
 //! The workload is a 2048-net tiled wire field (512 independent 4-wire
 //! tiles, six empty tracks apart so the extractor's coupling cutoff keeps
 //! tiles decoupled). One cold sign-off over the whole chip seeds the
-//! session cache and provides the denominator; each timed repetition then
-//! applies a <0.1% ECO — one ground-cap edit on one net — and re-verifies
-//! through [`Engine::eco_verify_resident`], which re-analyzes only the
-//! dirty clusters and splices the other ~2044 verdicts from the warm
-//! cache. Repetitions alternate between two edit variants so every
+//! session cache; each timed repetition then applies a <0.1% ECO — one
+//! ground-cap edit on one net — and re-verifies through
+//! [`Engine::eco_verify_resident`], which re-analyzes only the dirty
+//! clusters and splices the other ~2044 verdicts from the warm cache.
+//! Repetitions alternate between two edit variants so every
 //! iteration pays real dirty-cluster work instead of a pure cache hit.
 //!
-//! The report gates two ways under `--check`:
+//! The claim under test is that an ECO costs O(dirty) work, and it is gated
+//! two ways:
 //!
-//! 1. the noise-aware regression gate in [`pcv_bench::regression`] over
-//!    the ECO median against the checked-in `BENCH_eco.json` baseline;
-//! 2. a hard floor: the cold/ECO speedup must be at least
-//!    [`MIN_SPEEDUP`]× — the headline incremental-re-verification claim.
+//! 1. on every timed run, `--check` or not: the clusters re-analyzed are
+//!    exactly the plan's dirty set, and that set stays inside the edited
+//!    tile (at most [`WIRES_PER_TILE`] of the 2048 nets);
+//! 2. under `--check`: the noise-aware regression gate in
+//!    [`pcv_bench::regression`] over the absolute ECO median against the
+//!    checked-in `BENCH_eco.json` baseline.
+//!
+//! The cold/ECO ratio is printed and not gated. It divides by the cold
+//! sign-off, so a faster numeric kernel lowers it while both numbers improve
+//! (the reduced-transient rewrite took the cold run from 10.9 s to 2.6 s and
+//! the ECO median from 61 ms to 45 ms on one box: 179× became 57×); what
+//! remains of an ECO run is elaboration, diff, plan and cache I/O, which no
+//! floor relative to the cold numerics can describe.
 //!
 //! ```text
 //! cargo run --release -p pcv-bench --bin eco_bench              # measure
@@ -43,9 +53,6 @@ const BENCH_NAME: &str = "eco_splice_tiles2048";
 const TILES: usize = 512;
 const WIRES_PER_TILE: usize = 4;
 const WIRE_LENGTH: f64 = 500e-6;
-/// The headline claim the gate enforces: a 0.1% edit re-verifies at least
-/// this much faster than the cold sign-off.
-const MIN_SPEEDUP: f64 = 100.0;
 
 fn baseline_default() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("baselines/BENCH_eco.json")
@@ -169,8 +176,8 @@ fn main() -> ExitCode {
     let total = base.victims().len();
     let variants = [chip(perturbed(&tech, "t0_w0", 1.01)), chip(perturbed(&tech, "t0_w0", 1.02))];
 
-    // The denominator: one cold sign-off over the whole chip, which also
-    // seeds the session cache for the incremental runs.
+    // One cold sign-off over the whole chip seeds the session cache for the
+    // incremental runs (and is the numerator of the printed ratio).
     let t0 = Instant::now();
     let cold = mk_engine().verify_resident(&base, None).expect("cold sign-off verifies");
     let cold_ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -245,13 +252,6 @@ fn main() -> ExitCode {
     }
 
     if args.check {
-        if speedup < MIN_SPEEDUP {
-            eprintln!(
-                "eco_bench: FAIL — 0.1% edit re-verified only {speedup:.1}x faster than cold \
-                 (floor {MIN_SPEEDUP}x)"
-            );
-            return ExitCode::FAILURE;
-        }
         let Some(baseline) = BenchReport::read(&args.baseline) else {
             eprintln!(
                 "eco_bench: no readable baseline at {} (seed one with --bless)",

@@ -13,14 +13,16 @@
 //! whose matrix is a diagonal plus a rank-`k` correction (`k` = number of
 //! nonlinear terminations). The Sherman–Morrison–Woodbury identity makes
 //! each solve `O(q·k + k³)` instead of `O(q³)`, which is the efficiency
-//! claim at the heart of the paper.
+//! claim at the heart of the paper. The one `O(q·k²)` ingredient, the Gram
+//! matrix `Uᵀ(αD + I)⁻¹U` of the active `η` columns, depends on the step
+//! size alone and is rebuilt only when `α` changes (see `Workspace`).
 
 use crate::cancel::CancelToken;
 use crate::error::MorError;
 use crate::model::DiagonalModel;
 use pcv_netlist::termination::Termination;
 use pcv_netlist::Waveform;
-use pcv_sparse::dense::{Dense, DenseLu};
+use pcv_sparse::dense::{lu_factor_in_place, lu_solve_into};
 
 /// Options for the reduced transient.
 #[derive(Debug, Clone)]
@@ -135,13 +137,8 @@ pub fn simulate(
     }
     let _span = pcv_trace::span("mor", "rom_eval");
     let q = model.order();
-
-    // Active (current-carrying) ports.
-    let active: Vec<usize> = (0..p).filter(|&j| terminations[j].is_some()).collect();
-
-    // Port capacitances (companion-modeled at the ports).
-    let caps: Vec<f64> = (0..p).map(|j| terminations[j].map_or(0.0, |t| t.capacitance())).collect();
-    let has_cap: Vec<usize> = (0..p).filter(|&j| caps[j] > 0.0).collect();
+    let mut ws = Workspace::new(model, terminations, opts);
+    let has_cap: Vec<usize> = (0..p).filter(|&j| ws.caps[j] > 0.0).collect();
 
     // Breakpoints from termination stimuli.
     let mut bps: Vec<f64> = Vec::new();
@@ -158,40 +155,27 @@ pub fn simulate(
     // damped Newton in a limit cycle; retry with progressively smaller
     // steps (and a larger budget) before giving up.
     let mut x = vec![0.0; q];
-    let mut iters = 0usize;
-    let mut dc_ok = false;
+    let mut x_new = vec![0.0; q];
+    let mut beta = vec![0.0; q];
+    let mut dc_iters = None;
     for damp_scale in [1.0, 0.2, 0.04] {
-        let mut dc_opts = opts.clone();
-        dc_opts.damping = opts.damping * damp_scale;
-        dc_opts.max_newton = opts.max_newton * 4;
-        x.iter_mut().for_each(|v| *v = 0.0);
-        if let Ok(it) = newton_solve(
-            model,
-            terminations,
-            &active,
-            &caps,
-            &has_cap,
-            &mut x,
-            /* alpha */ 0.0,
-            /* beta */ &vec![0.0; q],
-            /* t */ 0.0,
-            /* cap history */ None,
-            &dc_opts,
-        ) {
-            iters = it;
-            dc_ok = true;
+        x.fill(0.0);
+        let dc = Step { alpha: 0.0, beta: &beta, t: 0.0, caps: None };
+        if let Ok(it) = ws.newton(&mut x, &dc, opts.damping * damp_scale, opts.max_newton * 4) {
+            dc_iters = Some(it);
             break;
         }
     }
-    if !dc_ok {
+    let Some(mut iters) = dc_iters else {
         if cancelled(opts) {
             return Err(MorError::Cancelled { stage: "reduced transient dc" });
         }
         return Err(MorError::NoConvergence { t: 0.0 });
-    }
+    };
     let mut total_newton = iters;
 
-    let mut y = model.outputs(&x);
+    let mut y = vec![0.0; p];
+    ws.outputs(&x, &mut y);
     if y.iter().any(|v| !v.is_finite()) {
         return Err(MorError::NonFinite { what: "reduced transient dc solution" });
     }
@@ -227,52 +211,39 @@ pub fn simulate(
             }
         }
         // Multistep coefficients: ẋ = α x + β.
-        let (alpha, beta): (f64, Vec<f64>) = if use_be {
-            (1.0 / h_eff, x.iter().map(|&xi| -xi / h_eff).collect())
-        } else {
-            (2.0 / h_eff, x.iter().zip(&xdot).map(|(&xi, &xd)| -2.0 * xi / h_eff - xd).collect())
-        };
-        let mut x_new = x.clone();
-        let cap_hist = Some((h_eff, use_be, &cap_v_prev[..], &cap_i_prev[..]));
-        match newton_solve(
-            model,
-            terminations,
-            &active,
-            &caps,
-            &has_cap,
-            &mut x_new,
-            alpha,
-            &beta,
-            t + h_eff,
-            cap_hist,
-            opts,
-        ) {
+        let alpha = if use_be { 1.0 / h_eff } else { 2.0 / h_eff };
+        for ((b, &xi), &xd) in beta.iter_mut().zip(&x).zip(&xdot) {
+            *b = if use_be { -xi / h_eff } else { -2.0 * xi / h_eff - xd };
+        }
+        x_new.copy_from_slice(&x);
+        let caps = CapHistory { h: h_eff, be: use_be, v_prev: &cap_v_prev, i_prev: &cap_i_prev };
+        let step = Step { alpha, beta: &beta, t: t + h_eff, caps: Some(caps) };
+        match ws.newton(&mut x_new, &step, opts.damping, opts.max_newton) {
             Ok(it) => {
                 iters = it;
                 total_newton += it;
                 // Accept.
-                let y_new = model.outputs(&x_new);
-                if y_new.iter().any(|v| !v.is_finite()) {
+                ws.outputs(&x_new, &mut y);
+                if y.iter().any(|v| !v.is_finite()) {
                     return Err(MorError::NonFinite { what: "reduced transient waveform" });
                 }
                 for &j in &has_cap {
                     let i_new = if use_be {
-                        caps[j] / h_eff * (y_new[j] - cap_v_prev[j])
+                        ws.caps[j] / h_eff * (y[j] - cap_v_prev[j])
                     } else {
-                        2.0 * caps[j] / h_eff * (y_new[j] - cap_v_prev[j]) - cap_i_prev[j]
+                        2.0 * ws.caps[j] / h_eff * (y[j] - cap_v_prev[j]) - cap_i_prev[j]
                     };
                     cap_i_prev[j] = i_new;
                 }
-                cap_v_prev[..p].copy_from_slice(&y_new[..p]);
+                cap_v_prev.copy_from_slice(&y);
                 for k in 0..q {
                     xdot[k] = alpha * x_new[k] + beta[k];
                 }
-                x = x_new;
-                y = y_new;
+                std::mem::swap(&mut x, &mut x_new);
                 t += h_eff;
                 times.push(t);
-                for (j, dj) in data.iter_mut().enumerate() {
-                    dj.push(y[j]);
+                for (dj, &yj) in data.iter_mut().zip(&y) {
+                    dj.push(yj);
                 }
                 steps += 1;
                 use_be = false;
@@ -304,143 +275,275 @@ pub fn simulate(
     Ok(MorTranResult { times, data, steps, newton_iters: total_newton })
 }
 
-/// Newton solve of `F(x) = αD x + D β + x - η u = 0` where
-/// `u_j = -(i_term_j + i_cap_j)` on active ports. The Jacobian is
-/// `M + Σ η_j w_j η_jᵀ` with `M = αD + I` diagonal and
-/// `w_j = g_j + geq_j ≥ 0`, solved with the Woodbury identity.
-///
-/// Returns the iteration count, or `Err(())` on non-convergence (the caller
-/// retries with a smaller step).
-#[allow(clippy::too_many_arguments)]
-fn newton_solve(
-    model: &DiagonalModel,
-    terminations: &[Option<&dyn Termination>],
-    active: &[usize],
-    caps: &[f64],
-    has_cap: &[usize],
-    x: &mut [f64],
+/// Port-capacitor companion history of the step being solved.
+#[derive(Clone, Copy)]
+struct CapHistory<'a> {
+    h: f64,
+    /// Backward Euler (else trapezoidal).
+    be: bool,
+    /// Port voltages and capacitor currents at the last accepted point.
+    v_prev: &'a [f64],
+    i_prev: &'a [f64],
+}
+
+/// One discretized system `F(x) = αD x + D β + x - η u(t, ηᵀx) = 0`.
+struct Step<'a> {
     alpha: f64,
-    beta: &[f64],
+    beta: &'a [f64],
     t: f64,
-    cap_hist: Option<(f64, bool, &[f64], &[f64])>,
-    opts: &MorOptions,
-) -> Result<usize, ()> {
-    let q = model.order();
-    let d = model.d();
-    let eta = model.eta();
-    let k = active.len();
+    /// `None` in DC, where capacitors carry no current.
+    caps: Option<CapHistory<'a>>,
+}
 
-    // M = αD + I (diagonal, strictly positive since D ≥ 0).
-    let m_diag: Vec<f64> = d.iter().map(|&dk| alpha * dk + 1.0).collect();
+/// Per-call scratch of [`simulate`]: everything a Newton solve reads or
+/// writes besides the state, sized once so that a step allocates nothing.
+///
+/// **Bit-identity contract.** Every floating-point value comes from the
+/// same operations in the same order as in the textbook loop kept as
+/// `tests::reference`, which rebuilds every quantity in every iteration, so
+/// waveforms, `steps` and `newton_iters` are equal to the last bit. The only
+/// work skipped is work whose result has the same bits by construction:
+/// `M = αD + I` and the Gram matrix `G` depend on `α` alone and are kept
+/// until `α`'s bit pattern changes.
+struct Workspace<'a> {
+    opts: &'a MorOptions,
+    terminations: &'a [Option<&'a dyn Termination>],
+    d: &'a [f64],
+    /// Active (current-carrying) ports, ascending.
+    active: Vec<usize>,
+    /// Port capacitances (companion-modeled at the ports), by port.
+    caps: Vec<f64>,
+    /// `ηᵀ`: port `j`'s column of `η` is `cols[j*q..(j+1)*q]`.
+    cols: Vec<f64>,
+    /// The `α` that `m_diag` and `gram` were built for, by bit pattern.
+    alpha_bits: Option<u64>,
+    /// `M = αD + I` (diagonal, strictly positive since D ≥ 0).
+    m_diag: Vec<f64>,
+    /// `G = Uᵀ M⁻¹ U` over the active columns `U` of `η`, row-major `k×k`.
+    gram: Vec<f64>,
+    /// Effective conductance and drawn current per active port.
+    w: Vec<f64>,
+    i_port: Vec<f64>,
+    /// The residual `F`, then `M⁻¹F` in place.
+    f: Vec<f64>,
+    delta: Vec<f64>,
+    /// `S = I + W G`, LU-factored in place, and the small solve `S z = rhs`.
+    s: Vec<f64>,
+    perm: Vec<usize>,
+    rhs: Vec<f64>,
+    z: Vec<f64>,
+}
 
-    for iter in 0..opts.max_newton {
-        if cancelled(opts) {
-            return Err(());
-        }
-        let y = model.outputs(x);
-        // Port currents and conductances.
-        let mut w = vec![0.0; k]; // effective conductance per active port
-        let mut i_port = vec![0.0; k]; // current drawn from port
-        for (a, &j) in active.iter().enumerate() {
-            let term = terminations[j].expect("active port has termination");
-            let (i_t, g_t) = term.eval(t, y[j]);
-            let (mut i_c, mut g_c) = (0.0, 0.0);
-            if caps[j] > 0.0 {
-                if let Some((h, be, v_prev, i_prev)) = cap_hist {
-                    let geq = if be { caps[j] / h } else { 2.0 * caps[j] / h };
-                    let ieq = if be { geq * v_prev[j] } else { geq * v_prev[j] + i_prev[j] };
-                    i_c = geq * y[j] - ieq;
-                    g_c = geq;
-                }
-                // In DC (cap_hist None) capacitors carry no current.
-            }
-            i_port[a] = i_t + i_c;
-            w[a] = (g_t + g_c).max(0.0);
-        }
-        let _ = has_cap;
-
-        // Residual F(x) = αD x + D β + x + Σ η_j i_port_j  (u = -i_port).
-        let mut f = vec![0.0; q];
-        for kk in 0..q {
-            f[kk] = alpha * d[kk] * x[kk] + d[kk] * beta[kk] + x[kk];
-        }
-        for (a, &j) in active.iter().enumerate() {
-            for kk in 0..q {
-                f[kk] += eta[(kk, j)] * i_port[a];
-            }
-        }
-
-        // Solve (M + U Wdiag Uᵀ') Δ = -F via Woodbury, where U columns are
-        // η_j and the correction is Σ η_j w_j η_jᵀ.
-        // Δ = -M⁻¹F + M⁻¹U (I + W Vᵀ M⁻¹ U)⁻¹ W Vᵀ M⁻¹ F   (V = U here)
-        let minv_f: Vec<f64> = (0..q).map(|kk| f[kk] / m_diag[kk]).collect();
-        let delta: Vec<f64> = if k == 0 {
-            minv_f.iter().map(|&v| -v).collect()
-        } else {
-            // S = I_k + W Uᵀ M⁻¹ U  (k×k), rhs_k = W Uᵀ M⁻¹ F.
-            let mut s = Dense::identity(k);
-            let mut rhs_k = vec![0.0; k];
-            for (a, &ja) in active.iter().enumerate() {
-                let mut dot_f = 0.0;
-                for kk in 0..q {
-                    dot_f += eta[(kk, ja)] * minv_f[kk];
-                }
-                rhs_k[a] = w[a] * dot_f;
-                for (b, &jb) in active.iter().enumerate() {
-                    let mut dot_u = 0.0;
-                    for kk in 0..q {
-                        dot_u += eta[(kk, ja)] * eta[(kk, jb)] / m_diag[kk];
-                    }
-                    s[(a, b)] += w[a] * dot_u;
-                }
-            }
-            let z = match DenseLu::factor(s) {
-                Ok(lu) => lu.solve(&rhs_k),
-                Err(_) => return Err(()),
-            };
-            // Δ = -M⁻¹F + M⁻¹ U z.
-            let mut delta: Vec<f64> = minv_f.iter().map(|&v| -v).collect();
-            for (a, &ja) in active.iter().enumerate() {
-                for kk in 0..q {
-                    delta[kk] += eta[(kk, ja)] * z[a] / m_diag[kk];
-                }
-            }
-            delta
-        };
-
-        let mut max_dy = 0.0f64;
-        for (a, &j) in active.iter().enumerate() {
-            let mut dy = 0.0;
-            for kk in 0..q {
-                dy += eta[(kk, j)] * delta[kk];
-            }
-            max_dy = max_dy.max(dy.abs());
-            let _ = a;
-        }
-        // Damp large steps: tabulated driver models have derivative kinks
-        // that full Newton steps can cycle across.
-        let scale = if max_dy > opts.damping { opts.damping / max_dy } else { 1.0 };
-        // Also watch the raw state update so observe-only models converge.
-        let max_dx = delta.iter().fold(0.0f64, |m, &v| m.max(v.abs()));
-        for kk in 0..q {
-            x[kk] += scale * delta[kk];
-        }
-        if max_dy < opts.vtol && max_dx < opts.vtol * 100.0 {
-            return Ok(iter + 1);
+impl<'a> Workspace<'a> {
+    fn new(
+        model: &'a DiagonalModel,
+        terminations: &'a [Option<&'a dyn Termination>],
+        opts: &'a MorOptions,
+    ) -> Self {
+        let (q, p) = (model.order(), model.num_ports());
+        let active: Vec<usize> = (0..p).filter(|&j| terminations[j].is_some()).collect();
+        let eta = model.eta();
+        let k = active.len();
+        Workspace {
+            opts,
+            terminations,
+            d: model.d(),
+            active,
+            caps: terminations.iter().map(|t| t.map_or(0.0, |t| t.capacitance())).collect(),
+            cols: (0..p).flat_map(|j| (0..q).map(move |kk| eta[(kk, j)])).collect(),
+            alpha_bits: None,
+            m_diag: vec![0.0; q],
+            gram: vec![0.0; k * k],
+            w: vec![0.0; k],
+            i_port: vec![0.0; k],
+            f: vec![0.0; q],
+            delta: vec![0.0; q],
+            s: vec![0.0; k * k],
+            perm: vec![0; k],
+            rhs: vec![0.0; k],
+            z: vec![0.0; k],
         }
     }
-    Err(())
+
+    /// Port voltages `y = ηᵀ x` of every port.
+    fn outputs(&self, x: &[f64], y: &mut [f64]) {
+        for (j, yj) in y.iter_mut().enumerate() {
+            *yj = dot(column(&self.cols, x.len(), j), x);
+        }
+    }
+
+    /// Rebuild `M` and `G` unless they already belong to this `α`.
+    fn set_alpha(&mut self, alpha: f64) {
+        if self.alpha_bits == Some(alpha.to_bits()) {
+            return;
+        }
+        self.alpha_bits = Some(alpha.to_bits());
+        for (m, &dk) in self.m_diag.iter_mut().zip(self.d) {
+            *m = alpha * dk + 1.0;
+        }
+        let (q, k) = (self.d.len(), self.active.len());
+        for (a, &ja) in self.active.iter().enumerate() {
+            let col_a = column(&self.cols, q, ja);
+            for (b, &jb) in self.active.iter().enumerate().skip(a) {
+                let col_b = column(&self.cols, q, jb);
+                let mut dot_u = 0.0;
+                for ((&ea, &eb), &m) in col_a.iter().zip(col_b).zip(&self.m_diag) {
+                    dot_u += ea * eb / m;
+                }
+                // ηₐ·η_b and η_b·ηₐ round alike, so the mirror is exact.
+                self.gram[a * k + b] = dot_u;
+                self.gram[b * k + a] = dot_u;
+            }
+        }
+    }
+
+    /// Newton solve of `step`'s system, where `u_j = -(i_term_j + i_cap_j)`
+    /// on active ports. The Jacobian is `M + Σ η_j w_j η_jᵀ` with
+    /// `M = αD + I` diagonal and `w_j = g_j + geq_j ≥ 0`, solved with the
+    /// Woodbury identity.
+    ///
+    /// Returns the iteration count, or `Err(())` on non-convergence (the
+    /// caller retries with a smaller step).
+    fn newton(
+        &mut self,
+        x: &mut [f64],
+        step: &Step<'_>,
+        damping: f64,
+        max_newton: usize,
+    ) -> Result<usize, ()> {
+        self.set_alpha(step.alpha);
+        let Workspace {
+            opts,
+            terminations,
+            d,
+            active,
+            caps,
+            cols,
+            m_diag,
+            gram,
+            w,
+            i_port,
+            f,
+            delta,
+            s,
+            perm,
+            rhs,
+            z,
+            ..
+        } = self;
+        let (alpha, beta) = (step.alpha, step.beta);
+        let (q, k) = (d.len(), active.len());
+        let col = |j: usize| column(cols, q, j);
+
+        for iter in 0..max_newton {
+            if cancelled(opts) {
+                return Err(());
+            }
+            // Port currents and conductances.
+            for (a, &j) in active.iter().enumerate() {
+                let term = terminations[j].expect("active port has termination");
+                let yj = dot(col(j), x);
+                let (i_t, g_t) = term.eval(step.t, yj);
+                let (mut i_c, mut g_c) = (0.0, 0.0);
+                if caps[j] > 0.0 {
+                    if let Some(CapHistory { h, be, v_prev, i_prev }) = step.caps {
+                        let geq = if be { caps[j] / h } else { 2.0 * caps[j] / h };
+                        let ieq = if be { geq * v_prev[j] } else { geq * v_prev[j] + i_prev[j] };
+                        i_c = geq * yj - ieq;
+                        g_c = geq;
+                    }
+                }
+                i_port[a] = i_t + i_c;
+                w[a] = (g_t + g_c).max(0.0);
+            }
+
+            // Residual F(x) = αD x + D β + x + Σ η_j i_port_j  (u = -i_port).
+            for (kk, fk) in f.iter_mut().enumerate() {
+                *fk = alpha * d[kk] * x[kk] + d[kk] * beta[kk] + x[kk];
+            }
+            for (&j, &ip) in active.iter().zip(i_port.iter()) {
+                for (fk, &e) in f.iter_mut().zip(col(j)) {
+                    *fk += e * ip;
+                }
+            }
+
+            // Solve (M + U W Uᵀ) Δ = -F via Woodbury, where the columns of U
+            // are the active η_j:
+            // Δ = -M⁻¹F + M⁻¹U (I + W Uᵀ M⁻¹ U)⁻¹ W Uᵀ M⁻¹ F.
+            for (fk, &m) in f.iter_mut().zip(m_diag.iter()) {
+                *fk /= m;
+            }
+            for (dk, &v) in delta.iter_mut().zip(f.iter()) {
+                *dk = -v;
+            }
+            if k > 0 {
+                // S = I_k + W G  (k×k), rhs = W Uᵀ M⁻¹ F.
+                for (a, &ja) in active.iter().enumerate() {
+                    rhs[a] = w[a] * dot(col(ja), f);
+                    for b in 0..k {
+                        let ident = if a == b { 1.0 } else { 0.0 };
+                        s[a * k + b] = ident + w[a] * gram[a * k + b];
+                    }
+                }
+                if lu_factor_in_place(s, perm).is_err() {
+                    return Err(());
+                }
+                lu_solve_into(s, perm, rhs, z);
+                // Δ = -M⁻¹F + M⁻¹ U z.
+                for (&ja, &za) in active.iter().zip(z.iter()) {
+                    for ((dk, &e), &m) in delta.iter_mut().zip(col(ja)).zip(m_diag.iter()) {
+                        *dk += e * za / m;
+                    }
+                }
+            }
+
+            let mut max_dy = 0.0f64;
+            for &j in active.iter() {
+                max_dy = max_dy.max(dot(col(j), delta).abs());
+            }
+            // Damp large steps: tabulated driver models have derivative kinks
+            // that full Newton steps can cycle across.
+            let scale = if max_dy > damping { damping / max_dy } else { 1.0 };
+            // Also watch the raw state update so observe-only models converge.
+            let max_dx = delta.iter().fold(0.0f64, |m, &v| m.max(v.abs()));
+            for (xk, &dk) in x.iter_mut().zip(delta.iter()) {
+                *xk += scale * dk;
+            }
+            if max_dy < opts.vtol && max_dx < opts.vtol * 100.0 {
+                return Ok(iter + 1);
+            }
+        }
+        Err(())
+    }
+}
+
+/// Column `j` of `η` in the transposed copy `cols` (`q` entries a column).
+fn column(cols: &[f64], q: usize, j: usize) -> &[f64] {
+    &cols[j * q..(j + 1) * q]
+}
+
+/// `Σ aₖ·bₖ`, accumulated from `+0.0` in index order. Not `vecops::dot`:
+/// `Iterator::sum` leaves the sign of its starting zero to the toolchain,
+/// and the bit-identity contract cannot.
+fn dot(a: &[f64], b: &[f64]) -> f64 {
+    let mut sum = 0.0;
+    for (&ak, &bk) in a.iter().zip(b) {
+        sum += ak * bk;
+    }
+    sum
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::ReducedModel;
     use crate::rc::RcCluster;
     use crate::sympvl::reduce;
     use pcv_netlist::termination::{
         CapacitiveTermination, ResistiveTermination, TheveninTermination,
     };
     use pcv_netlist::SourceWave;
+    use pcv_sparse::Dense;
 
     /// Single RC line: driver port at node 0, far-end port observed.
     fn rc_line(segments: usize, r_per_seg: f64, c_per_seg: f64) -> RcCluster {
@@ -607,5 +710,546 @@ mod tests {
         assert!(res.newton_iters >= res.steps);
         assert_eq!(res.num_ports(), 2);
         assert_eq!(res.times().len(), res.steps + 1);
+    }
+
+    /// A tabulated push-pull driver: piecewise-linear pull-up and pull-down
+    /// I–V tables (derivative kinks at every table point) blended by an
+    /// input ramp from `t0` to `t0 + tr`.
+    #[derive(Debug)]
+    struct TabulatedDriver {
+        vdd: f64,
+        t0: f64,
+        tr: f64,
+        /// `(v, i)` points of the pull-down current, `v` ascending from 0.
+        table: Vec<(f64, f64)>,
+    }
+
+    impl TabulatedDriver {
+        fn rising(vdd: f64, i_sat: f64, t0: f64, tr: f64) -> Self {
+            let table = [0.0, 0.08, 0.2, 0.45, 1.0, 1.4]
+                .iter()
+                .zip([0.0, 0.35, 0.7, 0.93, 1.0, 1.02])
+                .map(|(&v, i)| (v * vdd, i * i_sat))
+                .collect();
+            TabulatedDriver { vdd, t0, tr, table }
+        }
+
+        /// Pull-down current and slope at `v`, odd-extended below 0.
+        fn pull(&self, v: f64) -> (f64, f64) {
+            let (sign, v) = if v < 0.0 { (-1.0, -v) } else { (1.0, v) };
+            let seg = self.table.windows(2).find(|w| v < w[1].0).unwrap_or_else(|| {
+                let n = self.table.len();
+                &self.table[n - 2..]
+            });
+            let g = (seg[1].1 - seg[0].1) / (seg[1].0 - seg[0].0);
+            (sign * (seg[0].1 + g * (v - seg[0].0)), g)
+        }
+    }
+
+    impl Termination for TabulatedDriver {
+        fn eval(&self, t: f64, v: f64) -> (f64, f64) {
+            let s = ((t - self.t0) / self.tr).clamp(0.0, 1.0);
+            let (i_dn, g_dn) = self.pull(v);
+            let (i_up, g_up) = self.pull(self.vdd - v);
+            ((1.0 - s) * i_dn - s * i_up, (1.0 - s) * g_dn + s * g_up)
+        }
+
+        fn capacitance(&self) -> f64 {
+            1.5e-15
+        }
+
+        fn breakpoints(&self) -> Vec<f64> {
+            vec![self.t0, self.t0 + self.tr]
+        }
+    }
+
+    /// A random passive diagonal model: time constants spread over 2.5
+    /// decades with a few algebraic (`d = 0`) states, dense signed `η`.
+    fn random_model(rng: &mut pcv_rng::Rng, q: usize, p: usize) -> DiagonalModel {
+        let d: Vec<f64> = (0..q)
+            .map(|_| if rng.bool_with(0.1) { 0.0 } else { 10f64.powf(rng.range_f64(-12.0, -9.5)) })
+            .collect();
+        let rho = Dense::from_fn(q, p, |_, _| rng.range_f64(-6.0, 6.0));
+        ReducedModel::new(Dense::from_diag(&d), rho).diagonalize().unwrap()
+    }
+
+    /// `k` random terminations (a mix of tabulated drivers with staggered
+    /// breakpoints, Thevenin drivers, holding resistors and capacitive loads)
+    /// followed by `observe` observe-only ports, in a seeded shuffle.
+    fn random_terminations(
+        rng: &mut pcv_rng::Rng,
+        k: usize,
+        observe: usize,
+    ) -> Vec<Option<Box<dyn Termination>>> {
+        let mut terms: Vec<Option<Box<dyn Termination>>> = (0..k)
+            .map(|a| -> Option<Box<dyn Termination>> {
+                let t0 = rng.range_f64(0.2e-9, 2.0e-9);
+                Some(match a % 4 {
+                    0 => Box::new(TabulatedDriver::rising(
+                        2.5,
+                        rng.range_f64(1e-3, 4e-3),
+                        t0,
+                        rng.range_f64(0.05e-9, 0.4e-9),
+                    )),
+                    1 => Box::new(ResistiveTermination::new(rng.range_f64(300.0, 3000.0))),
+                    2 => Box::new(TheveninTermination::new(
+                        rng.range_f64(200.0, 2000.0),
+                        SourceWave::step(2.5, 0.0, t0, 0.1e-9),
+                    )),
+                    _ => Box::new(CapacitiveTermination::new(rng.range_f64(2e-15, 40e-15))),
+                })
+            })
+            .chain((0..observe).map(|_| None))
+            .collect();
+        for i in (1..terms.len()).rev() {
+            terms.swap(i, rng.range_usize(0, i + 1));
+        }
+        terms
+    }
+
+    /// Run kernel and oracle on one seeded case and require equality to the
+    /// last bit — of the result, or of the typed error.
+    fn assert_bit_identical(
+        seed: u64,
+        q: usize,
+        k: usize,
+        observe: usize,
+        opts: &MorOptions,
+    ) -> usize {
+        let mut rng = pcv_rng::Rng::new(seed);
+        let model = random_model(&mut rng, q, k + observe);
+        let boxes = random_terminations(&mut rng, k, observe);
+        let terms: Vec<Option<&dyn Termination>> = boxes.iter().map(|b| b.as_deref()).collect();
+        let tag = format!("seed {seed}, q {q}, k {k}, observe {observe}");
+        let got = simulate(&model, &terms, 4e-9, opts);
+        let want = reference::simulate(&model, &terms, 4e-9, opts);
+        let (got, want) = match (got, want) {
+            (Ok(g), Ok(w)) => (g, w),
+            (g, w) => {
+                assert_eq!(g.err().map(|e| e.to_string()), w.err().map(|e| e.to_string()), "{tag}");
+                return 0;
+            }
+        };
+        assert_eq!((got.steps, got.newton_iters), (want.steps, want.newton_iters), "{tag}");
+        let bits = |v: &[f64]| v.iter().map(|s| s.to_bits()).collect::<Vec<u64>>();
+        assert_eq!(bits(&got.times), bits(&want.times), "{tag}: times");
+        assert_eq!(got.data.len(), want.data.len(), "{tag}");
+        for (j, (g, w)) in got.data.iter().zip(&want.data).enumerate() {
+            assert_eq!(bits(g), bits(w), "{tag}: port {j}");
+        }
+        got.steps
+    }
+
+    #[test]
+    fn kernel_is_bit_identical_to_the_reference_loop() {
+        let opts = MorOptions::default();
+        let mut seed = 0;
+        for k in [0, 1, 4, 13] {
+            for (q, observe) in [(1, 1), (7, 0), (24, 2), (40, 5)] {
+                if k + observe == 0 {
+                    continue;
+                }
+                seed += 1;
+                let steps = assert_bit_identical(seed, q, k, observe, &opts);
+                assert!(steps >= 1000, "seed {seed}: a full transient ran, got {steps} steps");
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_is_bit_identical_through_step_rejections() {
+        // Two Newton iterations a step cannot follow a tabulated driver
+        // through its input ramp: steps are rejected, h shrinks fourfold and
+        // the integrator falls back to backward Euler, so the α cache is
+        // invalidated over and over.
+        let tight = MorOptions { max_newton: 2, ..MorOptions::default() };
+        for seed in [101, 102, 103] {
+            let relaxed = assert_bit_identical(seed, 24, 4, 2, &MorOptions::default());
+            let rejected = assert_bit_identical(seed, 24, 4, 2, &tight);
+            assert!(rejected > relaxed, "seed {seed}: {rejected} steps vs {relaxed}");
+        }
+    }
+
+    #[test]
+    fn kernel_and_reference_fail_alike() {
+        // Budgets and a starved DC solve end both loops with the same typed
+        // error at the same time point.
+        for opts in [
+            MorOptions { newton_budget: 300, ..MorOptions::default() },
+            MorOptions { max_tran_steps: 40, ..MorOptions::default() },
+            MorOptions { max_newton: 0, ..MorOptions::default() },
+        ] {
+            assert_eq!(assert_bit_identical(7, 24, 4, 2, &opts), 0);
+        }
+    }
+
+    /// Two ports on one node (identical `η` columns) shorted by 1e-30 Ω:
+    /// `w·G` swallows the identity in `S = I + W G`, whose rows then cancel
+    /// exactly.
+    fn singular_case() -> (DiagonalModel, ResistiveTermination) {
+        let rho = Dense::from_rows(&[&[3.0, 3.0], &[1.0, 1.0], &[-2.0, -2.0]]);
+        let model =
+            ReducedModel::new(Dense::from_diag(&[1e-10, 2e-10, 3e-11]), rho).diagonalize().unwrap();
+        (model, ResistiveTermination::new(1e-30))
+    }
+
+    #[test]
+    fn singular_woodbury_matrix_is_the_retry_error() {
+        let (model, short) = singular_case();
+        let terms: [Option<&dyn Termination>; 2] = [Some(&short), Some(&short)];
+        let opts = MorOptions::default();
+        let mut ws = Workspace::new(&model, &terms, &opts);
+        let beta = [0.0; 3];
+        let mut x = [1e-3, 0.0, 0.0];
+        let dc = Step { alpha: 0.0, beta: &beta, t: 0.0, caps: None };
+        assert_eq!(ws.newton(&mut x, &dc, opts.damping, opts.max_newton), Err(()));
+        assert_eq!(x, [1e-3, 0.0, 0.0], "no update is applied from a singular solve");
+        // End to end every DC retry hits it, which is NoConvergence at t = 0.
+        let err = simulate(&model, &terms, 1e-9, &opts).unwrap_err();
+        assert!(matches!(err, MorError::NoConvergence { t } if t == 0.0), "got {err}");
+        let want = reference::simulate(&model, &terms, 1e-9, &opts).unwrap_err();
+        assert_eq!(err.to_string(), want.to_string());
+    }
+
+    #[test]
+    fn pre_cancelled_token_stops_inside_newton() {
+        let cl = rc_line(4, 100.0, 1e-15);
+        let rom = reduce(&cl, 3).unwrap().diagonalize().unwrap();
+        let drv = TheveninTermination::new(500.0, SourceWave::step(0.0, 1.0, 0.1e-9, 0.1e-9));
+        let terms: [Option<&dyn Termination>; 2] = [Some(&drv), None];
+        let token = CancelToken::new();
+        token.cancel();
+        let opts = MorOptions { cancel: Some(token), ..MorOptions::default() };
+        let mut ws = Workspace::new(&rom, &terms, &opts);
+        let beta = vec![0.0; rom.order()];
+        let mut x = vec![0.25; rom.order()];
+        let dc = Step { alpha: 0.0, beta: &beta, t: 0.0, caps: None };
+        assert_eq!(ws.newton(&mut x, &dc, opts.damping, opts.max_newton), Err(()));
+        assert!(x.iter().all(|&v| v == 0.25), "the poll precedes the first iteration");
+        let err = simulate(&rom, &terms, 2e-9, &opts).unwrap_err();
+        assert!(matches!(err, MorError::Cancelled { stage: "reduced transient dc" }), "got {err}");
+    }
+
+    /// The textbook loop the workspace kernel replaced, verbatim: every
+    /// Newton iteration recomputes `M`, all port outputs and the whole
+    /// `Uᵀ M⁻¹ U` table and allocates its vectors afresh. It is the oracle of
+    /// the bit-identity contract — the differential tests below require the
+    /// kernel to reproduce it to the last bit.
+    mod reference {
+        use super::super::*;
+        use pcv_sparse::dense::{Dense, DenseLu};
+
+        pub fn simulate(
+            model: &DiagonalModel,
+            terminations: &[Option<&dyn Termination>],
+            tstop: f64,
+            opts: &MorOptions,
+        ) -> Result<MorTranResult, MorError> {
+            let p = model.num_ports();
+            if terminations.len() != p {
+                return Err(MorError::InvalidIndex {
+                    what: "termination list",
+                    index: terminations.len(),
+                    bound: p + 1,
+                });
+            }
+            if tstop.is_nan() || tstop <= 0.0 {
+                return Err(MorError::InvalidValue { what: "tstop" });
+            }
+            let q = model.order();
+
+            // Active (current-carrying) ports.
+            let active: Vec<usize> = (0..p).filter(|&j| terminations[j].is_some()).collect();
+
+            // Port capacitances (companion-modeled at the ports).
+            let caps: Vec<f64> =
+                (0..p).map(|j| terminations[j].map_or(0.0, |t| t.capacitance())).collect();
+            let has_cap: Vec<usize> = (0..p).filter(|&j| caps[j] > 0.0).collect();
+
+            // Breakpoints from termination stimuli.
+            let mut bps: Vec<f64> = Vec::new();
+            for t in terminations.iter().flatten() {
+                bps.extend(t.breakpoints());
+            }
+            bps.retain(|&b| b > 0.0 && b < tstop);
+            bps.sort_by(|a, b| a.partial_cmp(b).expect("finite breakpoints"));
+            bps.dedup_by(|a, b| (*a - *b).abs() < 1e-18);
+            let mut bp_idx = 0usize;
+
+            // --- DC initialization: solve x = η u(0, ηᵀx). ---
+            // Tabulated driver surfaces have derivative kinks that can trap the
+            // damped Newton in a limit cycle; retry with progressively smaller
+            // steps (and a larger budget) before giving up.
+            let mut x = vec![0.0; q];
+            let mut iters = 0usize;
+            let mut dc_ok = false;
+            for damp_scale in [1.0, 0.2, 0.04] {
+                let mut dc_opts = opts.clone();
+                dc_opts.damping = opts.damping * damp_scale;
+                dc_opts.max_newton = opts.max_newton * 4;
+                x.iter_mut().for_each(|v| *v = 0.0);
+                if let Ok(it) = newton_solve(
+                    model,
+                    terminations,
+                    &active,
+                    &caps,
+                    &mut x,
+                    /* alpha */ 0.0,
+                    /* beta */ &vec![0.0; q],
+                    /* t */ 0.0,
+                    /* cap history */ None,
+                    &dc_opts,
+                ) {
+                    iters = it;
+                    dc_ok = true;
+                    break;
+                }
+            }
+            if !dc_ok {
+                if cancelled(opts) {
+                    return Err(MorError::Cancelled { stage: "reduced transient dc" });
+                }
+                return Err(MorError::NoConvergence { t: 0.0 });
+            }
+            let mut total_newton = iters;
+
+            let mut y = model.outputs(&x);
+            if y.iter().any(|v| !v.is_finite()) {
+                return Err(MorError::NonFinite { what: "reduced transient dc solution" });
+            }
+            let hmax = tstop * opts.max_step_fraction;
+            let h_init = hmax / 10.0;
+            let mut h = h_init;
+            let mut t = 0.0;
+            let tiny = tstop * 1e-12;
+
+            let mut times = vec![0.0];
+            let mut data: Vec<Vec<f64>> = (0..p).map(|j| vec![y[j]]).collect();
+            let mut steps = 0usize;
+
+            // Multistep history: xdot for trapezoidal, port-voltage/current history
+            // for the capacitor companions.
+            let mut xdot = vec![0.0; q];
+            let mut cap_v_prev = y.clone();
+            let mut cap_i_prev = vec![0.0; p];
+            let mut use_be = true;
+
+            while t < tstop - tiny {
+                if cancelled(opts) {
+                    return Err(MorError::Cancelled { stage: "reduced transient" });
+                }
+                if total_newton > opts.newton_budget || steps >= opts.max_tran_steps {
+                    return Err(MorError::BudgetExhausted { t });
+                }
+                let next_bp = bps.get(bp_idx).copied();
+                let mut h_eff = h.min(hmax).min(tstop - t);
+                if let Some(bp) = next_bp {
+                    if bp > t + tiny {
+                        h_eff = h_eff.min(bp - t);
+                    }
+                }
+                // Multistep coefficients: ẋ = α x + β.
+                let (alpha, beta): (f64, Vec<f64>) = if use_be {
+                    (1.0 / h_eff, x.iter().map(|&xi| -xi / h_eff).collect())
+                } else {
+                    (
+                        2.0 / h_eff,
+                        x.iter().zip(&xdot).map(|(&xi, &xd)| -2.0 * xi / h_eff - xd).collect(),
+                    )
+                };
+                let mut x_new = x.clone();
+                let cap_hist = Some((h_eff, use_be, &cap_v_prev[..], &cap_i_prev[..]));
+                match newton_solve(
+                    model,
+                    terminations,
+                    &active,
+                    &caps,
+                    &mut x_new,
+                    alpha,
+                    &beta,
+                    t + h_eff,
+                    cap_hist,
+                    opts,
+                ) {
+                    Ok(it) => {
+                        iters = it;
+                        total_newton += it;
+                        // Accept.
+                        let y_new = model.outputs(&x_new);
+                        if y_new.iter().any(|v| !v.is_finite()) {
+                            return Err(MorError::NonFinite { what: "reduced transient waveform" });
+                        }
+                        for &j in &has_cap {
+                            let i_new = if use_be {
+                                caps[j] / h_eff * (y_new[j] - cap_v_prev[j])
+                            } else {
+                                2.0 * caps[j] / h_eff * (y_new[j] - cap_v_prev[j]) - cap_i_prev[j]
+                            };
+                            cap_i_prev[j] = i_new;
+                        }
+                        cap_v_prev[..p].copy_from_slice(&y_new[..p]);
+                        for k in 0..q {
+                            xdot[k] = alpha * x_new[k] + beta[k];
+                        }
+                        x = x_new;
+                        y = y_new;
+                        t += h_eff;
+                        times.push(t);
+                        for (j, dj) in data.iter_mut().enumerate() {
+                            dj.push(y[j]);
+                        }
+                        steps += 1;
+                        use_be = false;
+                        if let Some(bp) = next_bp {
+                            if (t - bp).abs() <= tiny {
+                                bp_idx += 1;
+                                h = h_init;
+                                use_be = true;
+                                continue;
+                            }
+                        }
+                        if iters <= 3 {
+                            h = (h * 1.5).min(hmax);
+                        } else if iters >= 8 {
+                            h *= 0.5;
+                        }
+                    }
+                    Err(()) => {
+                        h /= 4.0;
+                        use_be = true;
+                        if h < opts.min_step {
+                            return Err(MorError::NoConvergence { t });
+                        }
+                    }
+                }
+            }
+            Ok(MorTranResult { times, data, steps, newton_iters: total_newton })
+        }
+
+        /// Newton solve of `F(x) = αD x + D β + x - η u = 0` where
+        /// `u_j = -(i_term_j + i_cap_j)` on active ports. The Jacobian is
+        /// `M + Σ η_j w_j η_jᵀ` with `M = αD + I` diagonal and
+        /// `w_j = g_j + geq_j ≥ 0`, solved with the Woodbury identity.
+        ///
+        /// Returns the iteration count, or `Err(())` on non-convergence (the caller
+        /// retries with a smaller step).
+        #[allow(clippy::too_many_arguments)]
+        fn newton_solve(
+            model: &DiagonalModel,
+            terminations: &[Option<&dyn Termination>],
+            active: &[usize],
+            caps: &[f64],
+            x: &mut [f64],
+            alpha: f64,
+            beta: &[f64],
+            t: f64,
+            cap_hist: Option<(f64, bool, &[f64], &[f64])>,
+            opts: &MorOptions,
+        ) -> Result<usize, ()> {
+            let q = model.order();
+            let d = model.d();
+            let eta = model.eta();
+            let k = active.len();
+
+            // M = αD + I (diagonal, strictly positive since D ≥ 0).
+            let m_diag: Vec<f64> = d.iter().map(|&dk| alpha * dk + 1.0).collect();
+
+            for iter in 0..opts.max_newton {
+                if cancelled(opts) {
+                    return Err(());
+                }
+                let y = model.outputs(x);
+                // Port currents and conductances.
+                let mut w = vec![0.0; k]; // effective conductance per active port
+                let mut i_port = vec![0.0; k]; // current drawn from port
+                for (a, &j) in active.iter().enumerate() {
+                    let term = terminations[j].expect("active port has termination");
+                    let (i_t, g_t) = term.eval(t, y[j]);
+                    let (mut i_c, mut g_c) = (0.0, 0.0);
+                    if caps[j] > 0.0 {
+                        if let Some((h, be, v_prev, i_prev)) = cap_hist {
+                            let geq = if be { caps[j] / h } else { 2.0 * caps[j] / h };
+                            let ieq =
+                                if be { geq * v_prev[j] } else { geq * v_prev[j] + i_prev[j] };
+                            i_c = geq * y[j] - ieq;
+                            g_c = geq;
+                        }
+                        // In DC (cap_hist None) capacitors carry no current.
+                    }
+                    i_port[a] = i_t + i_c;
+                    w[a] = (g_t + g_c).max(0.0);
+                }
+
+                // Residual F(x) = αD x + D β + x + Σ η_j i_port_j  (u = -i_port).
+                let mut f = vec![0.0; q];
+                for kk in 0..q {
+                    f[kk] = alpha * d[kk] * x[kk] + d[kk] * beta[kk] + x[kk];
+                }
+                for (a, &j) in active.iter().enumerate() {
+                    for kk in 0..q {
+                        f[kk] += eta[(kk, j)] * i_port[a];
+                    }
+                }
+
+                // Solve (M + U Wdiag Uᵀ') Δ = -F via Woodbury, where U columns are
+                // η_j and the correction is Σ η_j w_j η_jᵀ.
+                // Δ = -M⁻¹F + M⁻¹U (I + W Vᵀ M⁻¹ U)⁻¹ W Vᵀ M⁻¹ F   (V = U here)
+                let minv_f: Vec<f64> = (0..q).map(|kk| f[kk] / m_diag[kk]).collect();
+                let delta: Vec<f64> = if k == 0 {
+                    minv_f.iter().map(|&v| -v).collect()
+                } else {
+                    // S = I_k + W Uᵀ M⁻¹ U  (k×k), rhs_k = W Uᵀ M⁻¹ F.
+                    let mut s = Dense::identity(k);
+                    let mut rhs_k = vec![0.0; k];
+                    for (a, &ja) in active.iter().enumerate() {
+                        let mut dot_f = 0.0;
+                        for kk in 0..q {
+                            dot_f += eta[(kk, ja)] * minv_f[kk];
+                        }
+                        rhs_k[a] = w[a] * dot_f;
+                        for (b, &jb) in active.iter().enumerate() {
+                            let mut dot_u = 0.0;
+                            for kk in 0..q {
+                                dot_u += eta[(kk, ja)] * eta[(kk, jb)] / m_diag[kk];
+                            }
+                            s[(a, b)] += w[a] * dot_u;
+                        }
+                    }
+                    let z = match DenseLu::factor(s) {
+                        Ok(lu) => lu.solve(&rhs_k),
+                        Err(_) => return Err(()),
+                    };
+                    // Δ = -M⁻¹F + M⁻¹ U z.
+                    let mut delta: Vec<f64> = minv_f.iter().map(|&v| -v).collect();
+                    for (a, &ja) in active.iter().enumerate() {
+                        for kk in 0..q {
+                            delta[kk] += eta[(kk, ja)] * z[a] / m_diag[kk];
+                        }
+                    }
+                    delta
+                };
+
+                let mut max_dy = 0.0f64;
+                for &j in active {
+                    let mut dy = 0.0;
+                    for kk in 0..q {
+                        dy += eta[(kk, j)] * delta[kk];
+                    }
+                    max_dy = max_dy.max(dy.abs());
+                }
+                // Damp large steps: tabulated driver models have derivative kinks
+                // that full Newton steps can cycle across.
+                let scale = if max_dy > opts.damping { opts.damping / max_dy } else { 1.0 };
+                // Also watch the raw state update so observe-only models converge.
+                let max_dx = delta.iter().fold(0.0f64, |m, &v| m.max(v.abs()));
+                for kk in 0..q {
+                    x[kk] += scale * delta[kk];
+                }
+                if max_dy < opts.vtol && max_dx < opts.vtol * 100.0 {
+                    return Ok(iter + 1);
+                }
+            }
+            Err(())
+        }
     }
 }

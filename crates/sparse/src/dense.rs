@@ -285,41 +285,8 @@ impl DenseLu {
             return Err(Error::NotSquare { nrows: a.nrows, ncols: a.ncols });
         }
         let n = a.nrows;
-        let mut perm: Vec<usize> = (0..n).collect();
-        for k in 0..n {
-            // Partial pivoting: pick the largest entry on or below diagonal.
-            let mut piv_row = k;
-            let mut piv_val = a[(k, k)].abs();
-            for r in (k + 1)..n {
-                let v = a[(r, k)].abs();
-                if v > piv_val {
-                    piv_val = v;
-                    piv_row = r;
-                }
-            }
-            if piv_val == 0.0 {
-                return Err(Error::Singular { col: k });
-            }
-            if piv_row != k {
-                perm.swap(k, piv_row);
-                for c in 0..n {
-                    let tmp = a[(k, c)];
-                    a[(k, c)] = a[(piv_row, c)];
-                    a[(piv_row, c)] = tmp;
-                }
-            }
-            let pivot = a[(k, k)];
-            for r in (k + 1)..n {
-                let m = a[(r, k)] / pivot;
-                a[(r, k)] = m;
-                if m != 0.0 {
-                    for c in (k + 1)..n {
-                        let upd = m * a[(k, c)];
-                        a[(r, c)] -= upd;
-                    }
-                }
-            }
-        }
+        let mut perm = vec![0; n];
+        lu_factor_in_place(&mut a.data, &mut perm)?;
         Ok(DenseLu { n, lu: a, perm })
     }
 
@@ -334,23 +301,8 @@ impl DenseLu {
     ///
     /// Panics if `b.len()` differs from the factored dimension.
     pub fn solve(&self, b: &[f64]) -> Vec<f64> {
-        assert_eq!(b.len(), self.n, "solve: length mismatch");
-        // Apply permutation, then forward/backward substitution.
-        let mut x: Vec<f64> = self.perm.iter().map(|&p| b[p]).collect();
-        for r in 1..self.n {
-            let mut sum = x[r];
-            for (c, &xc) in x.iter().enumerate().take(r) {
-                sum -= self.lu[(r, c)] * xc;
-            }
-            x[r] = sum;
-        }
-        for r in (0..self.n).rev() {
-            let mut sum = x[r];
-            for (c, &xc) in x.iter().enumerate().skip(r + 1) {
-                sum -= self.lu[(r, c)] * xc;
-            }
-            x[r] = sum / self.lu[(r, r)];
-        }
+        let mut x = vec![0.0; self.n];
+        lu_solve_into(&self.lu.data, &self.perm, b, &mut x);
         x
     }
 
@@ -374,6 +326,91 @@ impl DenseLu {
         }
         let sign = if swaps.is_multiple_of(2) { 1.0 } else { -1.0 };
         sign * (0..self.n).map(|k| self.lu[(k, k)]).product::<f64>()
+    }
+}
+
+/// LU-factorize, in place and with partial pivoting, the row-major `n x n`
+/// matrix `a` (`n = perm.len()`): on return `a` holds the unit-lower `L`
+/// below the diagonal and `U` on and above it, and `perm[k]` is the original
+/// row in pivot position `k`. [`DenseLu::factor`] is this function on an
+/// owned matrix; callers that refactor every iteration keep `a` and `perm`
+/// and allocate nothing.
+///
+/// # Errors
+///
+/// Returns [`Error::Singular`] if no usable pivot exists in some column.
+///
+/// # Panics
+///
+/// Panics if `a.len() != perm.len()²`.
+pub fn lu_factor_in_place(a: &mut [f64], perm: &mut [usize]) -> Result<(), Error> {
+    let n = perm.len();
+    assert_eq!(a.len(), n * n, "lu_factor_in_place: square required");
+    for (k, pk) in perm.iter_mut().enumerate() {
+        *pk = k;
+    }
+    for k in 0..n {
+        // Partial pivoting: pick the largest entry on or below diagonal.
+        let mut piv_row = k;
+        let mut piv_val = a[k * n + k].abs();
+        for r in (k + 1)..n {
+            let v = a[r * n + k].abs();
+            if v > piv_val {
+                piv_val = v;
+                piv_row = r;
+            }
+        }
+        if piv_val == 0.0 {
+            return Err(Error::Singular { col: k });
+        }
+        let (top, below) = a.split_at_mut((k + 1) * n);
+        let pivot_row = &mut top[k * n..];
+        if piv_row != k {
+            perm.swap(k, piv_row);
+            pivot_row.swap_with_slice(&mut below[(piv_row - k - 1) * n..][..n]);
+        }
+        let pivot = pivot_row[k];
+        for row in below.chunks_exact_mut(n) {
+            let m = row[k] / pivot;
+            row[k] = m;
+            if m != 0.0 {
+                for (rc, &pc) in row[k + 1..].iter_mut().zip(&pivot_row[k + 1..]) {
+                    *rc -= m * pc;
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Solve `A x = b` into `x` from the factors [`lu_factor_in_place`] left in
+/// `lu` and `perm`.
+///
+/// # Panics
+///
+/// Panics if `b`, `x` or `lu` disagree with `perm.len()`.
+pub fn lu_solve_into(lu: &[f64], perm: &[usize], b: &[f64], x: &mut [f64]) {
+    let n = perm.len();
+    assert_eq!(b.len(), n, "solve: length mismatch");
+    assert_eq!(x.len(), n, "solve: length mismatch");
+    assert_eq!(lu.len(), n * n, "solve: factor size mismatch");
+    // Apply permutation, then forward/backward substitution.
+    for (xk, &p) in x.iter_mut().zip(perm) {
+        *xk = b[p];
+    }
+    for r in 1..n {
+        let mut sum = x[r];
+        for (&l, &xc) in lu[r * n..r * n + r].iter().zip(x.iter()) {
+            sum -= l * xc;
+        }
+        x[r] = sum;
+    }
+    for r in (0..n).rev() {
+        let mut sum = x[r];
+        for (&u, &xc) in lu[r * n + r + 1..(r + 1) * n].iter().zip(&x[r + 1..]) {
+            sum -= u * xc;
+        }
+        x[r] = sum / lu[r * n + r];
     }
 }
 
@@ -614,6 +651,31 @@ mod tests {
     fn lu_detects_singularity() {
         let a = Dense::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]);
         assert!(matches!(a.solve(&[1.0, 1.0]), Err(Error::Singular { .. })));
+    }
+
+    #[test]
+    fn in_place_lu_reuses_its_buffers() {
+        // A workspace refactored every iteration: the second factorization
+        // must not see the first one's factors or pivot order.
+        let first = [0.0, 2.0, 3.0, 1.0];
+        let second = [2.0, 1.0, 1.0, 4.0, -6.0, 0.0, -2.0, 7.0, 2.0];
+        let mut a = first.to_vec();
+        let mut perm = vec![0; 2];
+        lu_factor_in_place(&mut a, &mut perm).unwrap();
+        assert_eq!(perm, [1, 0]);
+        a.clear();
+        a.extend_from_slice(&second);
+        perm.resize(3, 7);
+        lu_factor_in_place(&mut a, &mut perm).unwrap();
+        let b = [1.0, -2.0, 3.0];
+        let mut x = [0.0; 3];
+        lu_solve_into(&a, &perm, &b, &mut x);
+        let fresh = DenseLu::factor(Dense { nrows: 3, ncols: 3, data: second.to_vec() }).unwrap();
+        assert_eq!(x.to_vec(), fresh.solve(&b));
+        assert_eq!(perm, fresh.perm);
+        let mut singular = [1.0, 2.0, 2.0, 4.0];
+        let err = lu_factor_in_place(&mut singular, &mut [0; 2]);
+        assert!(matches!(err, Err(Error::Singular { col: 1 })));
     }
 
     #[test]
