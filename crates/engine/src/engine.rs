@@ -12,7 +12,7 @@ use crate::recovery::{
 use crate::report::{ClusterCost, EngineError, EngineReport, EngineStats};
 use crate::resident::{ResidentChip, VerdictSnapshot};
 use crate::scheduler;
-use pcv_cells::library::CellKind;
+use pcv_cells::library::{Cell, CellKind};
 use pcv_mor::{CancelToken, MorError};
 use pcv_netlist::PNetId;
 use pcv_obs::{EngineEvent, EventSink, RunRecord};
@@ -21,8 +21,8 @@ use pcv_xtalk::prune::{
     coupling_component_sizes, prune_victim_with_components, Cluster, PruneConfig, PruningStats,
 };
 use pcv_xtalk::{
-    analyze_glitch, check_receiver_propagation, AnalysisContext, AnalysisOptions, ChipReport,
-    EngineKind, GlitchResult, NetVerdict, ReceiverVerdict, Severity, XtalkError,
+    check_receiver_propagation, AnalysisContext, AnalysisOptions, ChipReport, EngineKind,
+    NetVerdict, PreparedCluster, ReceiverVerdict, Severity, XtalkError,
 };
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -748,23 +748,32 @@ impl Engine {
         Ok(report)
     }
 
-    /// One full analysis at one ladder rung: both glitch polarities, then
-    /// the receiver check when the verdict is severe enough. `opts` carries
-    /// the rung's (possibly adjusted) analysis options.
+    /// One full analysis at one ladder rung: both glitch polarities from the
+    /// one prepared cluster, then the receiver check when the verdict is
+    /// severe enough. `opts` carries the rung's (possibly adjusted) analysis
+    /// options; `prepared` is the job's cluster, assembled by the first
+    /// attempt that needs it and kept across rungs, so an attempt reduces at
+    /// most once and never rebuilds the RC model.
     fn run_attempt(
         &self,
         ctx: &AnalysisContext<'_>,
         cluster: &Cluster,
         name: &str,
         opts: &AnalysisOptions,
+        prepared: &mut Option<PreparedCluster>,
     ) -> Result<AttemptOk, XtalkError> {
         let cfg = &self.config;
         let t = Instant::now();
+        let mut glitch = |rising: bool| {
+            prepared
+                .get_or_insert_with(|| PreparedCluster::new(ctx, cluster, opts))
+                .glitch(ctx, rising, opts)
+        };
         let (rise, fall, worse) = if cluster.aggressors.is_empty() {
             (0.0, 0.0, None)
         } else {
-            let up = analyze_glitch(ctx, cluster, true, opts)?;
-            let down = analyze_glitch(ctx, cluster, false, opts)?;
+            let up = glitch(true)?;
+            let down = glitch(false)?;
             let (rise, fall) = (up.peak, down.peak);
             let worse = if rise.abs() >= fall.abs() { up } else { down };
             (rise, fall, Some(worse))
@@ -775,9 +784,26 @@ impl Engine {
         let mut receiver_time = Duration::ZERO;
         let receiver = if cfg.check_receivers && severity >= Severity::Warning {
             let t = Instant::now();
-            let r = self.receiver_check(ctx, cluster, name, rise, fall, worse, opts)?;
+            let cell = receiver_cell(ctx, name)?;
+            let rising = rise.abs() >= fall.abs();
+            // The worse-polarity waveform is already in hand (the analysis
+            // is deterministic, so re-running it as the serial audit does
+            // would give the same samples); only an aggressor-less victim
+            // flagged by a zero warning threshold has none yet.
+            let worse = match worse {
+                Some(g) => g,
+                None => glitch(rising)?,
+            };
+            let vdd = cfg.analysis.vdd;
+            let quiet = if rising { 0.0 } else { vdd };
+            let check =
+                check_receiver_propagation(cell, &worse.waveform, quiet, vdd, cfg.fail_frac)?;
             receiver_time = t.elapsed();
-            Some(r)
+            Some(ReceiverVerdict {
+                cell: cell.name.clone(),
+                output_peak: check.output_peak,
+                propagates: check.propagates,
+            })
         } else {
             None
         };
@@ -800,6 +826,7 @@ impl Engine {
         let cfg = &self.config;
         let fault = self.plan.fault_for(name);
         let mut attempts: Vec<Attempt> = Vec::new();
+        let mut prepared: Option<PreparedCluster> = None;
         let mut rung = RecoveryRung::Baseline;
         let standing = loop {
             if rung == RecoveryRung::WorstCase {
@@ -821,7 +848,7 @@ impl Engine {
                 if let Some(kind) = inject_here {
                     inject(kind, name, &mut opts)?;
                 }
-                self.run_attempt(&actx, cluster, name, &opts)
+                self.run_attempt(&actx, cluster, name, &opts, &mut prepared)
             }));
             let (reason, target) = match outcome {
                 Ok(Ok(ok)) => break Some(ok),
@@ -865,59 +892,26 @@ impl Engine {
             }
         }
     }
+}
 
-    /// In-job receiver check: the serial [`pcv_xtalk::audit_receivers`]
-    /// rule, reusing the worse-polarity waveform already computed instead
-    /// of re-running the analysis (deterministic, so the result is
-    /// identical).
-    #[allow(clippy::too_many_arguments)]
-    fn receiver_check(
-        &self,
-        ctx: &AnalysisContext<'_>,
-        cluster: &Cluster,
-        name: &str,
-        rise: f64,
-        fall: f64,
-        worse: Option<GlitchResult>,
-        opts: &AnalysisOptions,
-    ) -> Result<ReceiverVerdict, XtalkError> {
-        let (Some(design), Some(lib)) = (ctx.design, ctx.lib) else {
-            return Err(XtalkError::InvalidConfig {
-                what: "receiver checks need design and library data",
-            });
-        };
-        let dnet =
-            design.find_net(name).ok_or_else(|| XtalkError::NoDriver { net: name.to_owned() })?;
-        // Same receiver pick as the serial audit: first non-latch load,
-        // else the latch input-stage-equivalent inverter.
-        let receiver_cell = design
-            .loads_of(dnet)
-            .iter()
-            .filter_map(|&(inst, _)| lib.cell(&design.instance(inst).cell))
-            .find(|c| c.kind != CellKind::Latch)
-            .or_else(|| lib.cell("INVX1"))
-            .ok_or(XtalkError::InvalidConfig { what: "no receiver cell available" })?;
-        let rising = rise.abs() >= fall.abs();
-        let glitch = match worse {
-            Some(g) => g,
-            // Only reachable for an aggressor-less victim flagged by a
-            // zero warning threshold.
-            None => analyze_glitch(ctx, cluster, rising, opts)?,
-        };
-        let quiet = if rising { 0.0 } else { self.config.analysis.vdd };
-        let check = check_receiver_propagation(
-            receiver_cell,
-            &glitch.waveform,
-            quiet,
-            self.config.analysis.vdd,
-            self.config.fail_frac,
-        )?;
-        Ok(ReceiverVerdict {
-            cell: receiver_cell.name.clone(),
-            output_peak: check.output_peak,
-            propagates: check.propagates,
-        })
-    }
+/// The receiving cell the in-job receiver check replays a glitch into — the
+/// serial [`pcv_xtalk::audit_receivers`] pick: the victim's first non-latch
+/// load, else the latch input-stage-equivalent inverter.
+fn receiver_cell<'a>(ctx: &AnalysisContext<'a>, name: &str) -> Result<&'a Cell, XtalkError> {
+    let (Some(design), Some(lib)) = (ctx.design, ctx.lib) else {
+        return Err(XtalkError::InvalidConfig {
+            what: "receiver checks need design and library data",
+        });
+    };
+    let dnet =
+        design.find_net(name).ok_or_else(|| XtalkError::NoDriver { net: name.to_owned() })?;
+    design
+        .loads_of(dnet)
+        .iter()
+        .filter_map(|&(inst, _)| lib.cell(&design.instance(inst).cell))
+        .find(|c| c.kind != CellKind::Latch)
+        .or_else(|| lib.cell("INVX1"))
+        .ok_or(XtalkError::InvalidConfig { what: "no receiver cell available" })
 }
 
 #[cfg(test)]

@@ -26,7 +26,7 @@ use crate::cancel::CancelToken;
 use crate::error::MorError;
 use crate::model::ReducedModel;
 use crate::rc::RcCluster;
-use pcv_sparse::vecops::{axpy, dot, norm2};
+use pcv_sparse::vecops::{axpy, dot, dot_many, norm2};
 use pcv_sparse::{Dense, SparseCholesky};
 
 /// Deflation tolerance: a candidate basis vector whose norm after
@@ -137,8 +137,7 @@ pub fn reduce_with(
             if cancel.is_some_and(CancelToken::is_cancelled) {
                 return Err(MorError::Cancelled { stage: "block lanczos" });
             }
-            let w = av[idx].clone();
-            if let Some(v) = orthonormalize(&w, &basis) {
+            if let Some(v) = orthonormalize(&av[idx], &basis) {
                 av.push(apply_a(&v));
                 basis.push(v);
                 next.push(basis.len() - 1);
@@ -150,20 +149,10 @@ pub fn reduce_with(
     let q = basis.len();
     pcv_trace::value("mor.reduced_order", q as u64);
     // T = Vᵀ A V from the cached products, symmetrized against rounding.
-    let mut t = Dense::zeros(q, q);
-    for i in 0..q {
-        for j in 0..q {
-            t[(i, j)] = dot(&basis[i], &av[j]);
-        }
-    }
+    let mut t = project(&basis, &av);
     t.symmetrize();
     // ρ = Vᵀ L.
-    let mut rho = Dense::zeros(q, p);
-    for (j, col) in l_cols.iter().enumerate() {
-        for i in 0..q {
-            rho[(i, j)] = dot(&basis[i], col);
-        }
-    }
+    let rho = project(&basis, &l_cols);
     // Guard the projection outputs: a near-singular Cholesky factor can push
     // NaN/Inf through the triangular solves without tripping any earlier
     // typed error, and a non-finite T poisons every verdict downstream.
@@ -171,6 +160,17 @@ pub fn reduce_with(
         return Err(MorError::NonFinite { what: "reduced model projection" });
     }
     Ok(ReducedModel::new(t, rho))
+}
+
+/// `Vᵀ W`: entry `(i, j)` is `dot(&basis[i], &cols[j])`, bit for bit.
+fn project(basis: &[Vec<f64>], cols: &[Vec<f64>]) -> Dense {
+    let mut m = Dense::zeros(basis.len(), cols.len());
+    let mut column = vec![0.0; basis.len()];
+    for (j, col) in cols.iter().enumerate() {
+        dot_many(basis, col, &mut column);
+        m.set_col(j, &column);
+    }
+    m
 }
 
 /// Every entry of a dense matrix is finite.

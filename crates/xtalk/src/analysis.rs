@@ -12,7 +12,7 @@ use crate::error::XtalkError;
 use crate::prune::Cluster;
 use pcv_cells::charlib::{CharCell, CharLibrary};
 use pcv_cells::library::{Cell, CellLibrary};
-use pcv_mor::{simulate, sympvl, MorOptions, RcCluster};
+use pcv_mor::{simulate, sympvl, DiagonalModel, MorOptions, RcCluster};
 use pcv_netlist::termination::Termination;
 use pcv_netlist::{Circuit, Design, PNetId, ParasiticDb, SourceWave, Waveform};
 use pcv_spice::{SimOptions, Simulator};
@@ -313,7 +313,221 @@ pub enum DelayMode {
     Decoupled,
 }
 
-/// Analyze the worst-case glitch on a quiet victim.
+/// A pruned cluster made ready for analysis once: the assembled RC model,
+/// the aggressor plan and — for [`EngineKind::Mor`] — the diagonalized
+/// SyMPVL model.
+///
+/// None of the three depends on what the drivers do, so one value answers
+/// either glitch polarity and either coupled delay mode; a polarity then
+/// costs its terminations, the transient and the measurement. The reduced
+/// model is kept together with the two options it was reduced under
+/// (`block_iters`, `gmin_scale`) and replaced when a call arrives with
+/// different ones, which is how a recovery-ladder rung re-reduces without
+/// rebuilding the RC model. Apart from those two, the context and options of
+/// later calls must be the ones the cluster was assembled under (the ladder
+/// changes only the engine, the driver model and numerical limits).
+#[derive(Debug, Clone)]
+pub struct PreparedCluster {
+    model: ClusterModel,
+    plans: Vec<AggressorPlan>,
+    rom: Option<Rom>,
+}
+
+/// A diagonalized reduced model and the options it was reduced under.
+#[derive(Debug, Clone)]
+struct Rom {
+    block_iters: usize,
+    gmin_scale: f64,
+    diag: DiagonalModel,
+}
+
+impl PreparedCluster {
+    /// Assemble the coupled RC model and plan the aggressors. The reduction
+    /// happens in the first analysis call, which is where its errors surface.
+    pub fn new(ctx: &AnalysisContext<'_>, cluster: &Cluster, opts: &AnalysisOptions) -> Self {
+        PreparedCluster {
+            model: build_cluster(ctx.db, cluster, &|n| ctx.load_cap(n), false),
+            plans: plan_aggressors(ctx, cluster, opts),
+            rom: None,
+        }
+    }
+
+    /// Make sure the reduced model for `opts` exists: reduce and diagonalize
+    /// unless the one held was reduced under the same `block_iters` and
+    /// `gmin_scale`. A no-op for [`EngineKind::Spice`]. Every analysis call
+    /// starts with this.
+    ///
+    /// Fails with [`XtalkError::InvalidConfig`] for transistor-level drivers
+    /// under the reduced engine, otherwise with what the reduction reports
+    /// (non-SPD conductance, cancellation, non-finite projection).
+    fn prepare(
+        &mut self,
+        ctx: &AnalysisContext<'_>,
+        opts: &AnalysisOptions,
+    ) -> Result<(), XtalkError> {
+        let EngineKind::Mor { block_iters } = opts.engine else {
+            return Ok(());
+        };
+        if ctx.driver_model == DriverModelKind::TransistorLevel {
+            return Err(XtalkError::InvalidConfig {
+                what: "transistor-level drivers require the SPICE engine",
+            });
+        }
+        let gmin_scale = opts.gmin_scale;
+        if self.rom.as_ref().is_some_and(|r| {
+            r.block_iters == block_iters && r.gmin_scale.to_bits() == gmin_scale.to_bits()
+        }) {
+            return Ok(());
+        }
+        let _span = pcv_trace::span("xtalk", "prepare");
+        let cancel = opts.mor.cancel.as_ref();
+        let reduced = if gmin_scale == 1.0 {
+            sympvl::reduce_with(&self.model.rc, block_iters, cancel)?
+        } else {
+            let mut rc = self.model.rc.clone();
+            rc.set_gmin(rc.gmin() * gmin_scale)?;
+            sympvl::reduce_with(&rc, block_iters, cancel)?
+        };
+        self.rom = Some(Rom { block_iters, gmin_scale, diag: reduced.diagonalize()? });
+        Ok(())
+    }
+
+    /// The worst-case glitch of one polarity on the quiet victim: `rising`
+    /// holds the victim low while the planned aggressors rise; otherwise the
+    /// falling dual.
+    ///
+    /// # Errors
+    ///
+    /// Propagates engine and model-construction failures.
+    pub fn glitch(
+        &mut self,
+        ctx: &AnalysisContext<'_>,
+        rising: bool,
+        opts: &AnalysisOptions,
+    ) -> Result<GlitchResult, XtalkError> {
+        let started = Instant::now();
+        self.prepare(ctx, opts)?;
+        let _span = if rising {
+            pcv_trace::span("xtalk", "glitch_rise")
+        } else {
+            pcv_trace::span("xtalk", "glitch_fall")
+        };
+        // Quiet aggressors rest at the victim's level so only switching
+        // activity produces coupling current.
+        let hold = if rising { SwitchRole::HoldLow } else { SwitchRole::HoldHigh };
+        let mut roles = Vec::with_capacity(self.model.members.len());
+        roles.push(hold);
+        roles.extend(self.plans.iter().map(|plan| {
+            if plan.switching {
+                edge(rising, plan.t0)
+            } else {
+                hold
+            }
+        }));
+        let run = self.run(ctx, &roles, opts)?;
+        let baseline = if rising { 0.0 } else { opts.vdd };
+        let (t_peak, peak) = run.observe.peak_deviation(baseline);
+        if !peak.is_finite() || !t_peak.is_finite() {
+            return Err(XtalkError::Measurement { what: "finite glitch peak" });
+        }
+        Ok(GlitchResult {
+            peak,
+            t_peak,
+            waveform: run.observe,
+            newton_iters: run.newton_iters,
+            reduced_order: run.reduced_order,
+            elapsed: started.elapsed(),
+        })
+    }
+
+    /// The victim's interconnect delay with coupling kept and every aggressor
+    /// switching with it — against it when `aggressors_opposite` (the worst
+    /// case), along with it otherwise (the optimistic bound).
+    ///
+    /// # Errors
+    ///
+    /// Propagates engine failures; [`XtalkError::Measurement`] if the victim
+    /// never crosses 50 %.
+    pub fn delay(
+        &mut self,
+        ctx: &AnalysisContext<'_>,
+        victim_rising: bool,
+        aggressors_opposite: bool,
+        opts: &AnalysisOptions,
+    ) -> Result<DelayResult, XtalkError> {
+        let aggressor = edge(victim_rising ^ aggressors_opposite, opts.switch_time);
+        self.delay_with(ctx, victim_rising, aggressor, opts)
+    }
+
+    /// Delay of the victim's own edge while every aggressor plays `aggressor`.
+    fn delay_with(
+        &mut self,
+        ctx: &AnalysisContext<'_>,
+        victim_rising: bool,
+        aggressor: SwitchRole,
+        opts: &AnalysisOptions,
+    ) -> Result<DelayResult, XtalkError> {
+        let started = Instant::now();
+        self.prepare(ctx, opts)?;
+        let _span = pcv_trace::span("xtalk", "delay");
+        let mut roles = vec![aggressor; self.model.members.len()];
+        roles[0] = edge(victim_rising, opts.switch_time);
+        let run = self.run(ctx, &roles, opts)?;
+        let half = 0.5 * opts.vdd;
+        let far = run
+            .observe
+            .crossing(half, victim_rising, 0.0)
+            .ok_or(XtalkError::Measurement { what: "victim receiver 50% crossing" })?;
+        let near = run
+            .victim_driver
+            .crossing(half, victim_rising, 0.0)
+            .ok_or(XtalkError::Measurement { what: "victim driver 50% crossing" })?;
+        Ok(DelayResult {
+            delay: far - near,
+            far_crossing: far,
+            driver_crossing: near,
+            waveform: run.observe,
+            elapsed: started.elapsed(),
+        })
+    }
+
+    /// Run the prepared cluster with per-member roles on the selected engine.
+    fn run(
+        &self,
+        ctx: &AnalysisContext<'_>,
+        roles: &[SwitchRole],
+        opts: &AnalysisOptions,
+    ) -> Result<EngineRun, XtalkError> {
+        let model = &self.model;
+        if opts.engine == EngineKind::Spice {
+            return run_spice(ctx, model, roles, opts);
+        }
+        let rom = &self.rom.as_ref().expect("prepare() ran for the reduced engine").diag;
+        let mut boxes: Vec<Box<dyn Termination>> = Vec::with_capacity(roles.len());
+        for (k, &role) in roles.iter().enumerate() {
+            let ch = match ctx.driver_model {
+                DriverModelKind::FixedResistance(_) => None,
+                _ => Some(ctx.char_cell(model.members[k])?),
+            };
+            boxes.push(make_termination(ctx.driver_model, role, ch, opts.input_slew, opts.vdd)?);
+        }
+        let mut terms: Vec<Option<&dyn Termination>> = vec![None; model.rc.num_ports()];
+        for (k, b) in boxes.iter().enumerate() {
+            terms[model.driver_ports[k]] = Some(b.as_ref());
+        }
+        let res = simulate(rom, &terms, opts.tstop, &opts.mor)?;
+        Ok(EngineRun {
+            observe: res.waveform(model.observe_port),
+            victim_driver: res.waveform(model.victim_port()),
+            newton_iters: res.newton_iters,
+            reduced_order: Some(rom.order()),
+        })
+    }
+}
+
+/// Analyze the worst-case glitch on a quiet victim: prepare the cluster,
+/// then take one polarity ([`PreparedCluster::glitch`]). Callers that want
+/// both polarities keep the [`PreparedCluster`] and pay for one reduction.
 ///
 /// `rising` selects a rising glitch (victim held low, aggressors rising);
 /// otherwise the falling dual.
@@ -327,47 +541,7 @@ pub fn analyze_glitch(
     rising: bool,
     opts: &AnalysisOptions,
 ) -> Result<GlitchResult, XtalkError> {
-    let _span = if rising {
-        pcv_trace::span("xtalk", "glitch_rise")
-    } else {
-        pcv_trace::span("xtalk", "glitch_fall")
-    };
-    let model = build_cluster(ctx.db, cluster, &|n| ctx.load_cap(n), false);
-    let plans = plan_aggressors(ctx, cluster, opts);
-    let mut roles = Vec::with_capacity(model.members.len());
-    roles.push(if rising { SwitchRole::HoldLow } else { SwitchRole::HoldHigh });
-    for plan in &plans {
-        let role = if !plan.switching {
-            // Quiet aggressors rest at the victim's level so only switching
-            // activity produces coupling current.
-            if rising {
-                SwitchRole::HoldLow
-            } else {
-                SwitchRole::HoldHigh
-            }
-        } else if rising {
-            SwitchRole::Rise { t0: plan.t0 }
-        } else {
-            SwitchRole::Fall { t0: plan.t0 }
-        };
-        roles.push(role);
-    }
-
-    let started = Instant::now();
-    let run = run_engine(ctx, &model, &roles, opts)?;
-    let baseline = if rising { 0.0 } else { opts.vdd };
-    let (t_peak, peak) = run.observe.peak_deviation(baseline);
-    if !peak.is_finite() || !t_peak.is_finite() {
-        return Err(XtalkError::Measurement { what: "finite glitch peak" });
-    }
-    Ok(GlitchResult {
-        peak,
-        t_peak,
-        waveform: run.observe,
-        newton_iters: run.newton_iters,
-        reduced_order: run.reduced_order,
-        elapsed: started.elapsed(),
-    })
+    PreparedCluster::new(ctx, cluster, opts).glitch(ctx, rising, opts)
 }
 
 /// Analyze the victim's interconnect delay while aggressors act per `mode`.
@@ -383,52 +557,32 @@ pub fn analyze_delay(
     mode: DelayMode,
     opts: &AnalysisOptions,
 ) -> Result<DelayResult, XtalkError> {
-    let _span = pcv_trace::span("xtalk", "delay");
     let decouple = mode == DelayMode::Decoupled;
-    let model = build_cluster(ctx.db, cluster, &|n| ctx.load_cap(n), decouple);
-    let mut roles = Vec::with_capacity(model.members.len());
-    let t0 = opts.switch_time;
-    roles.push(if victim_rising { SwitchRole::Rise { t0 } } else { SwitchRole::Fall { t0 } });
-    for _ in &cluster.aggressors {
-        let role = match mode {
-            DelayMode::Decoupled => {
-                // Aggressors are electrically irrelevant once decoupled.
-                if victim_rising {
-                    SwitchRole::HoldLow
-                } else {
-                    SwitchRole::HoldHigh
-                }
-            }
-            DelayMode::Coupled { aggressors_opposite } => {
-                let agg_rising = victim_rising ^ aggressors_opposite;
-                if agg_rising {
-                    SwitchRole::Rise { t0 }
-                } else {
-                    SwitchRole::Fall { t0 }
-                }
-            }
-        };
-        roles.push(role);
+    // No glitch is asked of this value, so no aggressor plan is made.
+    let mut prepared = PreparedCluster {
+        model: build_cluster(ctx.db, cluster, &|n| ctx.load_cap(n), decouple),
+        plans: Vec::new(),
+        rom: None,
+    };
+    match mode {
+        DelayMode::Coupled { aggressors_opposite } => {
+            prepared.delay(ctx, victim_rising, aggressors_opposite, opts)
+        }
+        // Aggressors are electrically irrelevant once decoupled.
+        DelayMode::Decoupled => {
+            let hold = if victim_rising { SwitchRole::HoldLow } else { SwitchRole::HoldHigh };
+            prepared.delay_with(ctx, victim_rising, hold, opts)
+        }
     }
+}
 
-    let started = Instant::now();
-    let run = run_engine(ctx, &model, &roles, opts)?;
-    let half = 0.5 * opts.vdd;
-    let far = run
-        .observe
-        .crossing(half, victim_rising, 0.0)
-        .ok_or(XtalkError::Measurement { what: "victim receiver 50% crossing" })?;
-    let near = run
-        .victim_driver
-        .crossing(half, victim_rising, 0.0)
-        .ok_or(XtalkError::Measurement { what: "victim driver 50% crossing" })?;
-    Ok(DelayResult {
-        delay: far - near,
-        far_crossing: far,
-        driver_crossing: near,
-        waveform: run.observe,
-        elapsed: started.elapsed(),
-    })
+/// A driver's output edge starting at `t0`.
+fn edge(rising: bool, t0: f64) -> SwitchRole {
+    if rising {
+        SwitchRole::Rise { t0 }
+    } else {
+        SwitchRole::Fall { t0 }
+    }
 }
 
 /// Internal engine-run output.
@@ -437,58 +591,6 @@ struct EngineRun {
     victim_driver: Waveform,
     newton_iters: usize,
     reduced_order: Option<usize>,
-}
-
-/// Dispatch a cluster with per-member roles to the selected engine.
-fn run_engine(
-    ctx: &AnalysisContext<'_>,
-    model: &ClusterModel,
-    roles: &[SwitchRole],
-    opts: &AnalysisOptions,
-) -> Result<EngineRun, XtalkError> {
-    match opts.engine {
-        EngineKind::Mor { block_iters } => {
-            if ctx.driver_model == DriverModelKind::TransistorLevel {
-                return Err(XtalkError::InvalidConfig {
-                    what: "transistor-level drivers require the SPICE engine",
-                });
-            }
-            let rom = if opts.gmin_scale == 1.0 {
-                sympvl::reduce_with(&model.rc, block_iters, opts.mor.cancel.as_ref())?
-            } else {
-                let mut rc = model.rc.clone();
-                rc.set_gmin(rc.gmin() * opts.gmin_scale)?;
-                sympvl::reduce_with(&rc, block_iters, opts.mor.cancel.as_ref())?
-            }
-            .diagonalize()?;
-            let mut boxes: Vec<Box<dyn Termination>> = Vec::with_capacity(roles.len());
-            for (k, &role) in roles.iter().enumerate() {
-                let ch = match ctx.driver_model {
-                    DriverModelKind::FixedResistance(_) => None,
-                    _ => Some(ctx.char_cell(model.members[k])?),
-                };
-                boxes.push(make_termination(
-                    ctx.driver_model,
-                    role,
-                    ch,
-                    opts.input_slew,
-                    opts.vdd,
-                )?);
-            }
-            let mut terms: Vec<Option<&dyn Termination>> = vec![None; model.rc.num_ports()];
-            for (k, b) in boxes.iter().enumerate() {
-                terms[model.driver_ports[k]] = Some(b.as_ref());
-            }
-            let res = simulate(&rom, &terms, opts.tstop, &opts.mor)?;
-            Ok(EngineRun {
-                observe: res.waveform(model.observe_port),
-                victim_driver: res.waveform(model.victim_port()),
-                newton_iters: res.newton_iters,
-                reduced_order: Some(rom.order()),
-            })
-        }
-        EngineKind::Spice => run_spice(ctx, model, roles, opts),
-    }
 }
 
 /// SPICE path: rebuild the cluster as a circuit, attach terminations or

@@ -1,7 +1,7 @@
 //! Chip-level verification: sweep victims, classify glitches against noise
 //! margins, and report — the audit the paper runs on the DSP design.
 
-use crate::analysis::{analyze_glitch, AnalysisContext, AnalysisOptions};
+use crate::analysis::{analyze_glitch, AnalysisContext, AnalysisOptions, PreparedCluster};
 use crate::error::XtalkError;
 use crate::prune::{prune_victim, Cluster, PruneConfig, PruningStats};
 use crate::receiver::check_receiver_propagation;
@@ -187,8 +187,9 @@ pub fn verify_chip(
         let (rise, fall) = if cluster.aggressors.is_empty() {
             (0.0, 0.0)
         } else {
-            let up = analyze_glitch(ctx, &cluster, true, opts)?;
-            let down = analyze_glitch(ctx, &cluster, false, opts)?;
+            let mut prepared = PreparedCluster::new(ctx, &cluster, opts);
+            let up = prepared.glitch(ctx, true, opts)?;
+            let down = prepared.glitch(ctx, false, opts)?;
             (up.peak, down.peak)
         };
         let (worst_frac, severity) = Severity::classify(rise, fall, opts.vdd, warn_frac, fail_frac);

@@ -68,7 +68,7 @@ pub mod sta;
 
 pub use analysis::{
     analyze_delay, analyze_glitch, AnalysisContext, AnalysisOptions, DelayMode, DelayResult,
-    EngineKind, GlitchResult,
+    EngineKind, GlitchResult, PreparedCluster,
 };
 pub use build::{build_cluster, ClusterModel};
 pub use chip::{audit_receivers, verify_chip, ChipReport, NetVerdict, ReceiverVerdict, Severity};

@@ -7,7 +7,9 @@
 use pcv_designs::structures::sandwich;
 use pcv_designs::Technology;
 use pcv_xtalk::prune::{prune_victim, PruneConfig};
-use pcv_xtalk::{analyze_delay, AnalysisContext, AnalysisOptions, DelayMode, XtalkError};
+use pcv_xtalk::{
+    analyze_delay, AnalysisContext, AnalysisOptions, DelayMode, PreparedCluster, XtalkError,
+};
 
 fn main() -> Result<(), XtalkError> {
     let tech = Technology::c025();
@@ -24,20 +26,10 @@ fn main() -> Result<(), XtalkError> {
         let opts = AnalysisOptions { tstop: 25e-9, ..Default::default() };
 
         let base = analyze_delay(&ctx, &cluster, true, DelayMode::Decoupled, &opts)?;
-        let worst = analyze_delay(
-            &ctx,
-            &cluster,
-            true,
-            DelayMode::Coupled { aggressors_opposite: true },
-            &opts,
-        )?;
-        let best = analyze_delay(
-            &ctx,
-            &cluster,
-            true,
-            DelayMode::Coupled { aggressors_opposite: false },
-            &opts,
-        )?;
+        // Both coupled modes run on one coupled model and one reduction.
+        let mut coupled = PreparedCluster::new(&ctx, &cluster, &opts);
+        let worst = coupled.delay(&ctx, true, true, &opts)?;
+        let best = coupled.delay(&ctx, true, false, &opts)?;
         println!(
             "{:>9.0} {:>10.4}ns {:>10.4}ns {:>10.4}ns {:>8.1}%",
             len_um,

@@ -5,7 +5,7 @@
 
 use pcv_netlist::{NetNodeRef, NetParasitics, ParasiticDb};
 use pcv_xtalk::prune::{prune_victim, PruneConfig};
-use pcv_xtalk::{analyze_glitch, AnalysisContext, AnalysisOptions, XtalkError};
+use pcv_xtalk::{AnalysisContext, AnalysisOptions, PreparedCluster, XtalkError};
 
 fn main() -> Result<(), XtalkError> {
     // --- 1. Describe extracted parasitics (normally parsed from SPEF). ---
@@ -52,11 +52,13 @@ fn main() -> Result<(), XtalkError> {
         cluster.decoupled_cap * 1e15
     );
 
-    // --- 3. Analyze: 1 kOhm linear drivers, SyMPVL engine. ---
+    // --- 3. Analyze: 1 kOhm linear drivers, SyMPVL engine. The cluster is
+    // assembled and reduced once; each polarity is then one transient. ---
     let ctx = AnalysisContext::fixed_resistance(&db, 1000.0);
     let opts = AnalysisOptions::default();
-    let rising = analyze_glitch(&ctx, &cluster, true, &opts)?;
-    let falling = analyze_glitch(&ctx, &cluster, false, &opts)?;
+    let mut prepared = PreparedCluster::new(&ctx, &cluster, &opts);
+    let rising = prepared.glitch(&ctx, true, &opts)?;
+    let falling = prepared.glitch(&ctx, false, &opts)?;
 
     println!(
         "rising glitch:  {:+.4} V at {:.2} ns (reduced order {})",

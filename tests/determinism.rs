@@ -9,8 +9,24 @@ mod fixtures;
 
 use fixtures::{bundle_fixture, dsp_fixture, random_fixture};
 use pcv_engine::{Engine, EngineConfig};
+use pcv_netlist::{NetParasitics, PNetId};
 use pcv_xtalk::drivers::DriverModelKind;
 use pcv_xtalk::AnalysisContext;
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+/// A trace session collects from every thread of the process, so an engine
+/// run on a sibling test's thread counts into whichever session is live.
+/// Tests that read a trace hold this lock exclusively; the rest share it and
+/// still run beside each other.
+static TRACE_ISOLATION: RwLock<()> = RwLock::new(());
+
+fn beside_untraced_runs() -> RwLockReadGuard<'static, ()> {
+    TRACE_ISOLATION.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn alone_in_the_trace() -> RwLockWriteGuard<'static, ()> {
+    TRACE_ISOLATION.write().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn cache_file(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("pcv-determinism-caches");
@@ -20,6 +36,7 @@ fn cache_file(tag: &str) -> std::path::PathBuf {
 
 #[test]
 fn bundle_report_is_identical_across_worker_counts() {
+    let _shared = beside_untraced_runs();
     let (db, victims) = bundle_fixture();
     let ctx = AnalysisContext::fixed_resistance(&db, 1000.0);
     let baseline = Engine::new(EngineConfig { workers: 1, ..Default::default() })
@@ -38,6 +55,7 @@ fn bundle_report_is_identical_across_worker_counts() {
 
 #[test]
 fn random_cluster_report_is_identical_across_worker_counts() {
+    let _shared = beside_untraced_runs();
     let (db, victims) = random_fixture();
     let ctx = AnalysisContext::fixed_resistance(&db, 1000.0);
     let baseline = Engine::new(EngineConfig { workers: 1, ..Default::default() })
@@ -55,6 +73,7 @@ fn random_cluster_report_is_identical_across_worker_counts() {
 
 #[test]
 fn dsp_receiver_report_is_identical_across_worker_counts_and_cache_states() {
+    let _shared = beside_untraced_runs();
     let (block, lib, victims) = dsp_fixture();
     let ctx = AnalysisContext {
         db: &block.parasitics,
@@ -91,6 +110,7 @@ fn dsp_receiver_report_is_identical_across_worker_counts_and_cache_states() {
 
 #[test]
 fn traced_run_matches_untraced_and_emits_chrome_trace() {
+    let _alone = alone_in_the_trace();
     let (db, victims) = bundle_fixture();
     let ctx = AnalysisContext::fixed_resistance(&db, 1000.0);
     let plain = Engine::new(EngineConfig { workers: 4, ..Default::default() })
@@ -121,4 +141,40 @@ fn traced_run_matches_untraced_and_emits_chrome_trace() {
     for w in traced.clusters.windows(2) {
         assert!(w[0].total() >= w[1].total());
     }
+}
+
+#[test]
+fn traced_run_builds_and_reduces_each_coupled_cluster_once() {
+    let _alone = alone_in_the_trace();
+    // The bundle plus one wire nothing couples to: its cluster has no
+    // aggressor, so its job must neither build a model nor reduce one.
+    let (mut db, mut victims) = bundle_fixture();
+    let mut lone = NetParasitics::new("lone");
+    let far = lone.add_node();
+    lone.add_resistor(0, far, 150.0);
+    lone.add_ground_cap(far, 8e-15);
+    lone.mark_load(far);
+    let lone: PNetId = db.add_net(lone);
+    victims.push(lone);
+    let ctx = AnalysisContext::fixed_resistance(&db, 1000.0);
+
+    let traced = Engine::new(EngineConfig { workers: 2, trace: true, ..Default::default() })
+        .verify(&ctx, &victims)
+        .unwrap();
+    assert!(traced.errors.is_empty() && traced.degradations.is_empty());
+    assert_eq!(traced.stats.cache_misses, victims.len());
+    let quiet = traced.chip.verdicts.iter().find(|v| v.net == lone).expect("lone wire audited");
+    assert_eq!((quiet.cluster_size, quiet.rise_peak, quiet.fall_peak), (1, 0.0, 0.0));
+
+    // Both polarities come from the one prepared cluster: one model build
+    // and one reduction a coupled job, two transients.
+    let coupled = victims.len() - 1;
+    let trace = traced.trace.as_ref().expect("traced run carries a trace");
+    let spans = |name: &str| trace.spans.iter().filter(|s| s.name == name).count();
+    assert_eq!(spans("cluster_job"), victims.len());
+    assert_eq!(spans("build_cluster"), coupled);
+    assert_eq!(spans("sympvl_reduce"), coupled);
+    assert_eq!(spans("glitch_rise"), coupled);
+    assert_eq!(spans("glitch_fall"), coupled);
+    assert_eq!(spans("rom_eval"), 2 * coupled);
 }
