@@ -9,10 +9,10 @@
 //! CRC-framed JSON line (cache hits are not journaled — the cache file
 //! already holds them durably). A
 //! `SIGKILL` or power loss therefore loses at most the clusters that were
-//! in flight. [`Engine::resume`](crate::Engine::resume) replays the
-//! journal: entries whose cluster fingerprint still matches the current
-//! netlist + configuration are adopted verbatim (exact `f64` bits, exact
-//! degradation trail), everything else is recomputed, and the merged
+//! in flight. A run requested with [`resume`](crate::RunRequest::resume)
+//! replays the journal: entries whose cluster fingerprint still matches the
+//! current netlist + configuration are adopted verbatim (exact `f64` bits,
+//! exact degradation trail), everything else is recomputed, and the merged
 //! report is byte-identical to an uninterrupted run.
 //!
 //! Record framing is `\<crc32 as 8 hex\> \<space\> \<json payload\>` per
@@ -54,7 +54,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 #[derive(Debug, Clone)]
 pub struct DurableConfig {
     /// Maintain the write-ahead checkpoint journal (`<cache>.journal`) so
-    /// a killed run can [`resume`](crate::Engine::resume). On by default.
+    /// a killed run can [`resume`](crate::RunRequest::resume). On by default.
     pub journal: bool,
     /// Take the advisory run lock (`<cache>.lock`) so two concurrent runs
     /// cannot corrupt the shared cache directory. On by default.

@@ -19,11 +19,11 @@
 //! 3. [`EcoPlan::compute`] confirms each candidate against the actual
 //!    [`cluster_fingerprint`]s of the old and new chips, yielding the
 //!    minimal dirty set.
-//! 4. [`Engine::eco_verify_resident`] runs the engine over the **new**
-//!    chip with the session's warm cache. Clean clusters hit the cache
-//!    (same fingerprint ⇒ the stored peak bits are exactly what a fresh
-//!    analysis would produce) and are spliced into the report without
-//!    analysis; dirty clusters re-analyze. The merged
+//! 4. [`Engine::run`] over the **new** chip with the session's warm cache
+//!    ([`Engine::eco_verify_resident`] is steps 1–4 in one call). Clean
+//!    clusters hit the cache (same fingerprint ⇒ the stored peak bits are
+//!    exactly what a fresh analysis would produce) and are spliced into
+//!    the report without analysis; dirty clusters re-analyze. The merged
 //!    [`EngineReport::signoff_json`] is **byte-identical** to a
 //!    from-scratch run on the edited chip: verdict values come from the
 //!    same bits, ordering uses the same stable comparator, and pruning
@@ -33,7 +33,7 @@
 //! observable — so an interrupted ECO completes with the same crash
 //! matrix as any sign-off.
 
-use crate::engine::{Engine, EngineConfig};
+use crate::engine::{Engine, EngineConfig, RunRequest};
 use crate::fingerprint::{cluster_fingerprint, config_hash};
 use crate::report::EngineReport;
 use crate::resident::{ResidentChip, VerdictSnapshot};
@@ -218,22 +218,20 @@ pub struct EcoOutcome {
 }
 
 impl Engine {
-    /// Incrementally re-verify `new` against the prior state `old`.
+    /// Plan the delta from `old` to `new`, then [`Engine::run`] over `new`
+    /// — the batch-side convenience. (A caller that already holds the
+    /// plan, as the daemon does from submit time, calls `run` directly.)
     ///
     /// Requires the engine's `cache_path` to point at the cache the prior
     /// run over `old` populated; clean clusters splice from it without
     /// re-analysis (their fingerprints are unchanged, so the cached bits
     /// are exactly what a fresh analysis would produce). With a cold or
     /// missing cache the result is still correct — everything simply
-    /// re-analyzes.
-    ///
-    /// With `resume`, a checkpoint journal left by an interrupted ECO run
-    /// over `new` is replayed first, exactly like
-    /// [`Engine::resume_resident`].
+    /// re-analyzes. `resume` and `snapshot` are the [`RunRequest`] fields.
     ///
     /// # Errors
     ///
-    /// Same contract as [`Engine::verify`].
+    /// Same contract as [`Engine::run`].
     pub fn eco_verify_resident(
         &self,
         old: &ResidentChip,
@@ -241,14 +239,10 @@ impl Engine {
         resume: bool,
         snapshot: Option<&VerdictSnapshot>,
     ) -> Result<EcoOutcome, XtalkError> {
-        let delta = EcoDelta::diff(old.db(), new.db());
-        let plan = EcoPlan::compute(&self.config, old, new, &delta);
-        let report = if resume {
-            self.resume_resident(new, snapshot)?
-        } else {
-            self.verify_resident(new, snapshot)?
-        };
-        Ok(EcoOutcome { plan, report })
+        Ok(EcoOutcome {
+            plan: EcoPlan::compute(&self.config, old, new, &EcoDelta::diff(old.db(), new.db())),
+            report: self.run(RunRequest { resume, snapshot, ..RunRequest::resident(new) })?,
+        })
     }
 }
 

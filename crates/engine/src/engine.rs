@@ -5,15 +5,12 @@ use crate::cache::ResultCache;
 use crate::durable::{DurableConfig, Journal, LockError, RunLock};
 use crate::fingerprint::{chip_slice_fingerprint, cluster_fingerprint, config_hash};
 use crate::record::JournalEntry;
-use crate::recovery::{
-    route, Attempt, Degradation, FaultKind, FaultPlan, FaultSpec, RecoveryConfig, RecoveryRung,
-    Trail,
-};
+use crate::recovery::{route, Attempt, Degradation, FaultKind, FaultPlan, RecoveryRung, Trail};
 use crate::report::{ClusterCost, EngineError, EngineReport, EngineStats};
 use crate::resident::{ResidentChip, VerdictSnapshot};
 use crate::scheduler;
 use pcv_cells::library::{Cell, CellKind};
-use pcv_mor::{CancelToken, MorError};
+use pcv_mor::MorError;
 use pcv_netlist::PNetId;
 use pcv_obs::{EngineEvent, EventSink, RunRecord};
 use pcv_xtalk::drivers::DriverModelKind;
@@ -56,19 +53,12 @@ pub struct EngineConfig {
     /// the cache. Off by default — instrumentation then costs one relaxed
     /// atomic load per site.
     pub trace: bool,
-    /// Recovery-ladder knobs ([`RecoveryConfig`]): how failed cluster jobs
-    /// are retried and degraded instead of dropped.
-    pub recovery: RecoveryConfig,
     /// Streaming lifecycle-event sink ([`pcv_obs::EventSink`]): run
     /// start/finish, cluster queue/start/finish, cache hits, retries,
     /// degradations, worker idling. Events fire from worker threads as
     /// they happen — they carry wall-clock data and exist strictly outside
     /// the deterministic report path. `None` (the default) costs nothing.
     pub sink: Option<Arc<dyn EventSink>>,
-    /// Append one [`pcv_obs::RunRecord`] per run to the JSONL ledger next
-    /// to the cache file (`<cache>.ledger.jsonl`). Only takes effect when
-    /// `cache_path` is set; best-effort, observational only.
-    pub ledger: bool,
     /// Durability knobs ([`DurableConfig`]): checkpoint journal, run lock,
     /// cooperative stop, and the (fault-injectable) filesystem handle all
     /// persisted artifacts go through.
@@ -86,9 +76,7 @@ impl std::fmt::Debug for EngineConfig {
             .field("check_receivers", &self.check_receivers)
             .field("cache_path", &self.cache_path)
             .field("trace", &self.trace)
-            .field("recovery", &self.recovery)
             .field("sink", &self.sink.as_ref().map(|_| "<EventSink>"))
-            .field("ledger", &self.ledger)
             .field("durable", &self.durable)
             .finish()
     }
@@ -105,9 +93,7 @@ impl Default for EngineConfig {
             check_receivers: false,
             cache_path: None,
             trace: false,
-            recovery: RecoveryConfig::default(),
             sink: None,
-            ledger: true,
             durable: DurableConfig::default(),
         }
     }
@@ -115,16 +101,59 @@ impl Default for EngineConfig {
 
 /// Parallel, fault-isolated, incremental chip-verification engine.
 ///
-/// [`Engine::verify`] produces, when every job succeeds and the cache is
+/// [`Engine::run`] produces, when every job succeeds and the cache is
 /// cold, the exact same [`ChipReport`] as the serial
 /// [`pcv_xtalk::verify_chip`] (+ [`pcv_xtalk::audit_receivers`] when
 /// `check_receivers` is set) — verdict for verdict, bit for bit —
 /// regardless of worker count or scheduling order.
 #[derive(Debug, Clone, Default)]
 pub struct Engine {
-    /// Configuration used by [`Engine::verify`].
+    /// Configuration every run of this engine uses.
     pub config: EngineConfig,
     plan: FaultPlan,
+}
+
+/// What one [`Engine::run`] audits and how it starts — plain data, built
+/// with struct-update syntax over one of the two constructors:
+/// `RunRequest { resume: true, ..RunRequest::resident(&chip) }`.
+#[derive(Clone, Copy)]
+pub struct RunRequest<'a> {
+    /// The analysis context the run borrows.
+    pub ctx: AnalysisContext<'a>,
+    /// The victims to audit, in input order. A shard worker narrows a
+    /// resident chip's list to its own slice; the context stays the full
+    /// chip so cluster fingerprints match every other process's.
+    pub victims: &'a [PNetId],
+    /// Coupling-component sizes already computed over `ctx.db`
+    /// ([`ResidentChip::component_sizes`]); `None` builds the union-find
+    /// at run start.
+    pub components: Option<&'a [usize]>,
+    /// First replay the checkpoint journal a previous (interrupted or
+    /// killed) run left next to the cache. With no journal on disk — or
+    /// one from a different config or victim list, or journaling off —
+    /// the run simply starts fresh.
+    pub resume: bool,
+    /// Publish every completed verdict here as the run progresses, so
+    /// concurrent readers can serve per-net partial results mid-run.
+    pub snapshot: Option<&'a VerdictSnapshot>,
+}
+
+impl<'a> RunRequest<'a> {
+    /// A from-scratch run of `victims` over a borrowed context.
+    pub fn new(ctx: &AnalysisContext<'a>, victims: &'a [PNetId]) -> Self {
+        RunRequest { ctx: *ctx, victims, components: None, resume: false, snapshot: None }
+    }
+
+    /// A from-scratch run of every victim of a resident chip, reusing the
+    /// component sizes it computed at elaboration. The report is
+    /// byte-identical to [`RunRequest::new`] over `chip.ctx()` and
+    /// `chip.victims()`.
+    pub fn resident(chip: &'a ResidentChip) -> Self {
+        RunRequest {
+            components: Some(chip.component_sizes()),
+            ..Self::new(&chip.ctx(), chip.victims())
+        }
+    }
 }
 
 /// Where a cluster job's record came from.
@@ -161,22 +190,29 @@ struct AttemptOk {
     receiver_time: Duration,
 }
 
+/// Multiplier applied to `gmin` at [`RecoveryRung::GminBoost`] and up.
+const GMIN_BOOST: f64 = 1e3;
+/// Multiplier applied to the MOR `max_step_fraction` at
+/// [`RecoveryRung::SofterNewton`] and up.
+const STEP_SHRINK: f64 = 0.25;
+/// Per-attempt Newton-iteration budget: deterministic stall protection (a
+/// wall-clock deadline would make degradation depend on machine speed).
+const NEWTON_BUDGET: usize = 2_000_000;
+/// Per-attempt accepted-step budget.
+const MAX_TRAN_STEPS: usize = 200_000;
+
 /// Analysis options for one ladder rung. Adjustments are *cumulative*: each
 /// higher rung keeps every lower rung's mitigation, so the walk is a pure
 /// function of the rung (not of the failure path that led there).
-fn rung_options(cfg: &EngineConfig, rung: RecoveryRung) -> AnalysisOptions {
-    let rec = &cfg.recovery;
-    let mut opts = cfg.analysis.clone();
+fn rung_options(analysis: &AnalysisOptions, rung: RecoveryRung) -> AnalysisOptions {
+    let mut opts = analysis.clone();
     // Stall protection applies at every rung, baseline included. The
     // budget checks are read-only until they trip, so they cannot perturb
     // a healthy run's numbers.
-    opts.mor.newton_budget = opts.mor.newton_budget.min(rec.newton_budget);
-    opts.mor.max_tran_steps = opts.mor.max_tran_steps.min(rec.max_tran_steps);
-    if let Some(budget) = rec.deadline {
-        opts.mor.cancel = Some(CancelToken::with_deadline(budget));
-    }
+    opts.mor.newton_budget = opts.mor.newton_budget.min(NEWTON_BUDGET);
+    opts.mor.max_tran_steps = opts.mor.max_tran_steps.min(MAX_TRAN_STEPS);
     if rung >= RecoveryRung::GminBoost {
-        opts.gmin_scale *= rec.gmin_boost;
+        opts.gmin_scale *= GMIN_BOOST;
     }
     if rung >= RecoveryRung::ReducedOrder {
         if let EngineKind::Mor { block_iters } = opts.engine {
@@ -184,7 +220,7 @@ fn rung_options(cfg: &EngineConfig, rung: RecoveryRung) -> AnalysisOptions {
         }
     }
     if rung >= RecoveryRung::SofterNewton {
-        opts.mor.max_step_fraction *= rec.step_shrink;
+        opts.mor.max_step_fraction *= STEP_SHRINK;
     }
     if rung >= RecoveryRung::SpiceFallback {
         opts.engine = EngineKind::Spice;
@@ -231,128 +267,66 @@ impl Engine {
         Engine { config, plan: FaultPlan::new() }
     }
 
-    /// Chaos hook: make every ladder attempt for the named victim panic
-    /// (a persistent [`FaultKind::Panic`]). The fault-isolation drill —
-    /// used by tests and operators to confirm one bad cluster cannot take
-    /// down a chip audit. Shorthand for [`Engine::set_fault_plan`].
-    pub fn inject_fault(&mut self, net_name: impl Into<String>) {
-        self.plan.inject(net_name, FaultSpec { kind: FaultKind::Panic, persistent: true });
-    }
-
     /// Install a deterministic fault-injection plan (replacing any previous
     /// one). See [`FaultPlan`].
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.plan = plan;
     }
 
-    /// Audit `victims`: prune, analyze and classify each one as a parallel
-    /// cluster job, then merge a report identical to the serial flow.
-    ///
-    /// A cluster whose analysis errors or panics walks the recovery ladder
-    /// and, at worst, ends with a conservative verdict plus an
-    /// [`EngineError`] record; the remaining victims are still fully
-    /// reported.
+    /// [`Engine::run`] from scratch over a borrowed context: the
+    /// convenience for callers that hold no [`ResidentChip`].
     ///
     /// # Errors
     ///
-    /// [`XtalkError::InvalidConfig`] for inconsistent thresholds or
-    /// receiver checks without design/library data. Per-victim analysis
-    /// failures do **not** error — they land in
-    /// [`EngineReport::errors`].
+    /// Same contract as [`Engine::run`].
     pub fn verify(
         &self,
         ctx: &AnalysisContext<'_>,
         victims: &[PNetId],
     ) -> Result<EngineReport, XtalkError> {
-        self.run(ctx, victims, false, None, None)
+        self.run(RunRequest::new(ctx, victims))
     }
 
-    /// [`Engine::verify`] over a [`ResidentChip`]: the elaborate-once,
-    /// run-many entry point. Reuses the chip's precomputed coupling
-    /// component sizes instead of rebuilding the union-find, and — when
-    /// `snapshot` is given — publishes every completed verdict into it as
-    /// the run progresses, so concurrent readers can serve per-net partial
-    /// results mid-run. The report is byte-identical to
-    /// [`Engine::verify`] over `chip.ctx()` and `chip.victims()`.
+    /// [`Engine::run`] from scratch over a whole [`ResidentChip`],
+    /// publishing into `snapshot` when one is given.
     ///
     /// # Errors
     ///
-    /// Same contract as [`Engine::verify`].
+    /// Same contract as [`Engine::run`].
     pub fn verify_resident(
         &self,
         chip: &ResidentChip,
         snapshot: Option<&VerdictSnapshot>,
     ) -> Result<EngineReport, XtalkError> {
-        self.run(&chip.ctx(), chip.victims(), false, Some(chip.component_sizes()), snapshot)
+        self.run(RunRequest { snapshot, ..RunRequest::resident(chip) })
     }
 
-    /// [`Engine::resume`] over a [`ResidentChip`]: replay the checkpoint
-    /// journal, then finish the remaining clusters — the service-side path
-    /// for completing a run a shutdown interrupted.
+    /// Audit the request's victims: prune, analyze and classify each one
+    /// as a parallel cluster job, then merge a report identical to the
+    /// serial flow — the one way a run starts, whatever the request asks
+    /// for.
+    ///
+    /// A cluster whose analysis errors or panics walks the recovery ladder
+    /// and, at worst, ends with a conservative verdict plus an
+    /// [`EngineError`] record; the remaining victims are still fully
+    /// reported. With [`RunRequest::resume`], journaled verdicts whose
+    /// cluster fingerprint still matches the current netlist +
+    /// configuration are adopted bit for bit and only the missing or stale
+    /// clusters are recomputed, so the merged report — and in particular
+    /// [`EngineReport::signoff_json`] — is byte-identical to an
+    /// uninterrupted run.
     ///
     /// # Errors
     ///
-    /// Same contract as [`Engine::verify`].
-    pub fn resume_resident(
-        &self,
-        chip: &ResidentChip,
-        snapshot: Option<&VerdictSnapshot>,
-    ) -> Result<EngineReport, XtalkError> {
-        self.run(&chip.ctx(), chip.victims(), true, Some(chip.component_sizes()), snapshot)
-    }
-
-    /// [`Engine::resume_resident`] restricted to an explicit victim slice
-    /// — the shard-worker path, where each process audits only the victims
-    /// its shard owns but elaborates the full chip so cluster fingerprints
-    /// match the coordinator's. A first incarnation finds no journal and
-    /// runs fresh; a restarted one replays its own and finishes only its
-    /// slice's tail.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Engine::verify`].
-    pub fn resume_slice(
-        &self,
-        chip: &ResidentChip,
-        victims: &[PNetId],
-        snapshot: Option<&VerdictSnapshot>,
-    ) -> Result<EngineReport, XtalkError> {
-        self.run(&chip.ctx(), victims, true, Some(chip.component_sizes()), snapshot)
-    }
-
-    /// [`Engine::verify`], but first replay the checkpoint journal a
-    /// previous (interrupted or killed) run left next to the cache:
-    /// journaled verdicts whose cluster fingerprint still matches the
-    /// current netlist + configuration are adopted bit for bit, and only
-    /// the missing or stale clusters are recomputed. The merged report —
-    /// and in particular [`EngineReport::signoff_json`] — is
-    /// byte-identical to an uninterrupted [`Engine::verify`] run.
-    ///
-    /// With no journal on disk (or a journal from a different config,
-    /// chip slice, or with journaling disabled), this is exactly
-    /// [`Engine::verify`].
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Engine::verify`]. Journal damage is never an
-    /// error: corrupt or torn records are skipped and their clusters
-    /// recomputed.
-    pub fn resume(
-        &self,
-        ctx: &AnalysisContext<'_>,
-        victims: &[PNetId],
-    ) -> Result<EngineReport, XtalkError> {
-        self.run(ctx, victims, true, None, None)
-    }
-
-    fn run(
-        &self,
-        ctx: &AnalysisContext<'_>,
-        victims: &[PNetId],
-        resume: bool,
-        components: Option<&[usize]>,
-        snapshot: Option<&VerdictSnapshot>,
-    ) -> Result<EngineReport, XtalkError> {
+    /// [`XtalkError::InvalidConfig`] for inconsistent thresholds or
+    /// receiver checks without design/library data; [`XtalkError::Busy`]
+    /// when another run holds the cache directory's lock. Per-victim
+    /// analysis failures do **not** error — they land in
+    /// [`EngineReport::errors`] — and journal damage never does: corrupt or
+    /// torn records are skipped and their clusters recomputed.
+    pub fn run(&self, request: RunRequest<'_>) -> Result<EngineReport, XtalkError> {
+        let RunRequest { ctx, victims, components, resume, snapshot } = request;
+        let ctx = &ctx;
         let cfg = &self.config;
         if cfg.warn_frac > cfg.fail_frac {
             return Err(XtalkError::InvalidConfig {
@@ -687,41 +661,41 @@ impl Engine {
         // Read the sink's shed counter only after the final event fired,
         // so a drop of RunFinished itself is still accounted for.
         stats.events_dropped = sink.map(|s| s.dropped()).unwrap_or(0);
-        if cfg.ledger {
-            if let Some(path) = cfg.cache_path.as_deref() {
-                let record = RunRecord {
-                    config_fingerprint: chash,
-                    chip_fingerprint: chip_fp,
-                    outcome: if interrupted { "stopped".to_owned() } else { "complete".to_owned() },
-                    journal_hits,
-                    skipped,
-                    victims: victims.len(),
-                    workers,
-                    host_parallelism: std::thread::available_parallelism()
-                        .map(|n| n.get())
-                        .unwrap_or(1),
-                    cache_hits: hits,
-                    cache_misses: misses,
-                    degraded: degradations.len(),
-                    errors: errors.len(),
-                    steals: stats.steals,
-                    wall_ms: stats.wall_time.as_secs_f64() * 1e3,
-                    prune_ms: prune_total.as_secs_f64() * 1e3,
-                    analysis_ms: analysis_total.as_secs_f64() * 1e3,
-                    receiver_ms: receiver_total.as_secs_f64() * 1e3,
-                    recovery_ms: recovery_total.as_secs_f64() * 1e3,
-                    peak_alloc_bytes: mem.peak_bytes,
-                    allocs: mem.allocs,
-                };
-                let mut os = path.as_os_str().to_owned();
-                os.push(".ledger.jsonl");
-                // Best-effort, like the cache save: a failed append only
-                // costs trajectory history. Durable (fsync'd) so the
-                // "stopped, resumable" marker survives the kill that
-                // usually follows it.
-                let line = format!("{}\n", record.to_json());
-                let _ = fs.append_durable(std::path::Path::new(&os), line.as_bytes());
-            }
+        // One `RunRecord` line per run in the JSONL ledger next to the cache
+        // (`<cache>.ledger.jsonl`): best-effort, observational only.
+        if let Some(path) = cfg.cache_path.as_deref() {
+            let record = RunRecord {
+                config_fingerprint: chash,
+                chip_fingerprint: chip_fp,
+                outcome: if interrupted { "stopped".to_owned() } else { "complete".to_owned() },
+                journal_hits,
+                skipped,
+                victims: victims.len(),
+                workers,
+                host_parallelism: std::thread::available_parallelism()
+                    .map(|n| n.get())
+                    .unwrap_or(1),
+                cache_hits: hits,
+                cache_misses: misses,
+                degraded: degradations.len(),
+                errors: errors.len(),
+                steals: stats.steals,
+                wall_ms: stats.wall_time.as_secs_f64() * 1e3,
+                prune_ms: prune_total.as_secs_f64() * 1e3,
+                analysis_ms: analysis_total.as_secs_f64() * 1e3,
+                receiver_ms: receiver_total.as_secs_f64() * 1e3,
+                recovery_ms: recovery_total.as_secs_f64() * 1e3,
+                peak_alloc_bytes: mem.peak_bytes,
+                allocs: mem.allocs,
+            };
+            let mut os = path.as_os_str().to_owned();
+            os.push(".ledger.jsonl");
+            // Best-effort, like the cache save: a failed append only
+            // costs trajectory history. Durable (fsync'd) so the
+            // "stopped, resumable" marker survives the kill that
+            // usually follows it.
+            let line = format!("{}\n", record.to_json());
+            let _ = fs.append_durable(std::path::Path::new(&os), line.as_bytes());
         }
         let trace = session.map(|s| s.finish());
         let report = EngineReport {
@@ -836,7 +810,7 @@ impl Engine {
             if rung > RecoveryRung::Baseline {
                 pcv_trace::count("engine.recovery.retries", 1);
             }
-            let mut opts = rung_options(cfg, rung);
+            let mut opts = rung_options(&cfg.analysis, rung);
             let actx = rung_context(ctx, rung);
             // Non-persistent faults fire at the baseline attempt only,
             // so the first retry rung sees a healthy cluster.
@@ -853,9 +827,6 @@ impl Engine {
             let (reason, target) = match outcome {
                 Ok(Ok(ok)) => break Some(ok),
                 Ok(Err(err)) => {
-                    if matches!(&err, XtalkError::Mor(MorError::Cancelled { .. })) {
-                        pcv_trace::count("engine.recovery.deadline_hits", 1);
-                    }
                     if matches!(&err, XtalkError::Mor(MorError::BudgetExhausted { .. })) {
                         pcv_trace::count("engine.recovery.budget_exhausted", 1);
                     }
@@ -917,6 +888,7 @@ fn receiver_cell<'a>(ctx: &AnalysisContext<'a>, name: &str) -> Result<&'a Cell, 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recovery::FaultSpec;
     use pcv_netlist::{NetNodeRef, NetParasitics, ParasiticDb};
 
     /// The same two-victim fixture as the serial chip tests.
@@ -974,7 +946,9 @@ mod tests {
         let (db, hot, cold) = db();
         let ctx = AnalysisContext::fixed_resistance(&db, 2000.0);
         let mut engine = Engine::new(config(2));
-        engine.inject_fault("hot");
+        let mut plan = FaultPlan::new();
+        plan.inject("hot", FaultSpec { kind: FaultKind::Panic, persistent: true });
+        engine.set_fault_plan(plan);
         let report = engine.verify(&ctx, &[cold, hot]).unwrap();
         // A persistent panic defeats every analysis rung, so the victim is
         // worst-cased: a conservative verdict plus a structured error.

@@ -70,6 +70,20 @@ impl Fnv1a {
     pub fn finish(&self) -> u64 {
         self.0
     }
+
+    /// Final hash value through a splitmix64 finalizer. FNV-1a avalanches
+    /// weakly over trailing bytes (`"w3"` vs `"w4"`, bus bit indices), so
+    /// anything that takes a modulus or a uniform draw of the hash — shard
+    /// assignment, seeded fault picks — finishes here instead.
+    pub(crate) fn finish_mixed(&self) -> u64 {
+        let mut x = self.0;
+        x ^= x >> 30;
+        x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        x ^= x >> 27;
+        x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
+        x ^= x >> 31;
+        x
+    }
 }
 
 /// Hash the run-global configuration: everything that applies to every
@@ -242,6 +256,14 @@ mod tests {
         let mut h = Fnv1a::new();
         h.write(b"foobar");
         assert_eq!(h.finish(), 0x85944171f73967e8);
+    }
+
+    #[test]
+    fn mixed_finish_is_the_splitmix64_finalizer() {
+        // splitmix64's first output from state 0 is the finalizer applied
+        // to the golden-ratio increment (published reference value).
+        assert_eq!(Fnv1a(0x9e37_79b9_7f4a_7c15).finish_mixed(), 0xe220_a839_7b1d_cdaf);
+        assert_eq!(Fnv1a(0).finish_mixed(), 0);
     }
 
     #[test]

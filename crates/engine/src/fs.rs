@@ -13,11 +13,12 @@
 //! - [`Fs::read`] — plain read, with an optional injected bit-flip so the
 //!   corruption-detection paths (CRC mismatches) are drilled end to end.
 //!
-//! Fault injection mirrors the recovery ladder's [`FaultPlan`]
-//! (`crate::recovery::FaultPlan`) philosophy: a [`DiskFaultPlan`] is a pure
-//! data structure (no RNG state, no wall clock), so the same plan produces
-//! the same faults on every run and machine. Faults target paths by
-//! substring and either fire forever or a fixed number of times.
+//! Fault injection mirrors the recovery ladder's
+//! [`FaultPlan`](crate::recovery::FaultPlan) philosophy: a
+//! [`DiskFaultPlan`] is a pure data structure (no RNG state, no wall
+//! clock), so the same plan produces the same faults on every run and
+//! machine. Faults target paths by substring and either fire forever or a
+//! fixed number of times.
 
 use std::io::{self, Write};
 use std::path::Path;

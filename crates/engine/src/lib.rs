@@ -43,8 +43,8 @@
 //! - **Durability** ([`durable`], [`fs`]) — every persisted artifact is
 //!   written atomically (write-temp + fsync + rename) with CRC-32
 //!   integrity framing; completed records are checkpointed to a
-//!   write-ahead journal so a killed run resumes with
-//!   [`Engine::resume`] to a byte-identical sign-off; an advisory run
+//!   write-ahead journal so a killed run resumes (a [`RunRequest`] with
+//!   `resume` set) to a byte-identical sign-off; an advisory run
 //!   lock serializes writers; [`fs::DiskFaultPlan`] injects
 //!   deterministic disk faults (torn writes, ENOSPC, bit flips) for
 //!   chaos drills.
@@ -97,13 +97,11 @@ pub mod shard;
 pub use cache::{CacheLoadStats, ResultCache};
 pub use durable::{DurableConfig, Journal, JournalLoad, LockError, RunLock, StopAfter, StopFlag};
 pub use eco::{EcoOutcome, EcoPlan};
-pub use engine::{Engine, EngineConfig};
+pub use engine::{Engine, EngineConfig, RunRequest};
 pub use fingerprint::{chip_slice_fingerprint, cluster_fingerprint, config_hash, Fnv1a};
 pub use fs::{crc32, DiskFaultPlan, Fs, FsFaultKind};
 pub use record::JournalEntry;
-pub use recovery::{
-    Attempt, Degradation, FaultKind, FaultPlan, FaultSpec, RecoveryConfig, RecoveryRung, Trail,
-};
+pub use recovery::{Attempt, Degradation, FaultKind, FaultPlan, FaultSpec, RecoveryRung, Trail};
 pub use report::{ClusterCost, EngineError, EngineReport, EngineStats};
 pub use resident::{ResidentChip, VerdictSnapshot};
 pub use shard::{

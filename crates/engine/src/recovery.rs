@@ -112,38 +112,6 @@ pub fn route(err: &XtalkError) -> RecoveryRung {
     }
 }
 
-/// Knobs for the recovery ladder.
-#[derive(Debug, Clone)]
-pub struct RecoveryConfig {
-    /// Multiplier applied to `gmin` at [`RecoveryRung::GminBoost`] and up.
-    pub gmin_boost: f64,
-    /// Multiplier applied to the MOR `max_step_fraction` at
-    /// [`RecoveryRung::SofterNewton`].
-    pub step_shrink: f64,
-    /// Per-attempt Newton-iteration budget (deterministic stall
-    /// protection); `usize::MAX` disables.
-    pub newton_budget: usize,
-    /// Per-attempt accepted-step budget; `usize::MAX` disables.
-    pub max_tran_steps: usize,
-    /// Optional per-attempt wall-clock soft deadline. **Non-deterministic**:
-    /// whether a cluster degrades then depends on machine speed, so leave
-    /// `None` (the default) whenever byte-identical reports matter. The
-    /// iteration budgets above are the deterministic alternative.
-    pub deadline: Option<Duration>,
-}
-
-impl Default for RecoveryConfig {
-    fn default() -> Self {
-        RecoveryConfig {
-            gmin_boost: 1e3,
-            step_shrink: 0.25,
-            newton_budget: 2_000_000,
-            max_tran_steps: 200_000,
-            deadline: None,
-        }
-    }
-}
-
 /// The failure class a [`FaultPlan`] injects into a cluster job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
@@ -250,16 +218,8 @@ impl FaultPlan {
         let mut h = Fnv1a::new();
         h.write_u64(s.seed);
         h.write_str(name);
-        // FNV avalanches weakly over a trailing digit ("w3" vs "w4"), so
-        // finish with a splitmix64 mix before mapping the top 53 bits to
-        // a uniform [0, 1) draw.
-        let mut x = h.finish();
-        x ^= x >> 30;
-        x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        x ^= x >> 27;
-        x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-        x ^= x >> 31;
-        let draw = (x >> 11) as f64 / (1u64 << 53) as f64;
+        // The top 53 mixed bits are a uniform [0, 1) draw.
+        let draw = (h.finish_mixed() >> 11) as f64 / (1u64 << 53) as f64;
         (draw < s.probability).then_some(FaultSpec { kind: s.kind, persistent: s.persistent })
     }
 }
@@ -433,6 +393,11 @@ mod tests {
             names.iter().map(|n| p.fault_for(n).is_some()).collect()
         };
         assert_eq!(pick(&a), pick(&b), "same seed, same faults");
+        // The pick is pinned, not just pure: chaos suites name the victims
+        // a seed faults, so a drifting hash silently changes what they drill.
+        let picked = pick(&a);
+        let faulted: Vec<usize> = (0..32).filter(|&i| picked[i]).collect();
+        assert_eq!(faulted, [0, 2, 4, 7, 8, 9, 10, 11, 12, 13, 15, 17, 18, 21, 23, 24, 27, 29]);
         assert_ne!(pick(&a), pick(&c), "different seed, different faults");
         let hits = pick(&a).iter().filter(|&&x| x).count();
         assert!(hits > 8 && hits < 56, "p=0.5 should fault roughly half, got {hits}/64");

@@ -72,7 +72,7 @@ pub struct EngineStats {
     /// Jobs that ran the full analysis.
     pub cache_misses: usize,
     /// Jobs whose verdict was adopted from the checkpoint journal of an
-    /// interrupted run ([`Engine::resume`](crate::Engine::resume)).
+    /// interrupted run ([`RunRequest::resume`](crate::RunRequest::resume)).
     pub journal_hits: usize,
     /// Jobs skipped because a graceful stop was requested mid-run.
     pub skipped: usize,
@@ -159,8 +159,8 @@ pub struct EngineReport {
     pub stats: EngineStats,
     /// Per-cluster cost breakdown, most expensive first.
     pub clusters: Vec<ClusterCost>,
-    /// Merged trace of the run when [`EngineConfig::trace`]
-    /// (`crate::EngineConfig::trace`) was set.
+    /// Merged trace of the run when
+    /// [`EngineConfig::trace`](crate::EngineConfig::trace) was set.
     pub trace: Option<Trace>,
     /// `true` when a cooperative stop interrupted the run: the report is
     /// partial ([`EngineStats::skipped`] clusters have no verdict) and the
@@ -338,8 +338,8 @@ impl EngineReport {
         self.write_profile_with(&crate::fs::Fs::real(), stem)
     }
 
-    /// [`EngineReport::write_profile`] through an explicit [`Fs`]
-    /// (`crate::fs::Fs`) handle: both artifacts are written atomically
+    /// [`EngineReport::write_profile`] through an explicit
+    /// [`Fs`](crate::fs::Fs) handle: both artifacts are written atomically
     /// (write-temp + fsync + rename), so a crash mid-export can never
     /// leave a torn JSON document behind.
     ///

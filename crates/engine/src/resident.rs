@@ -5,8 +5,7 @@
 //! coupling union-find — before the first verdict, on *every* invocation.
 //! A verification service must pay it once: [`ResidentChip`] owns all of
 //! that state, keeps it hot in memory, and hands the engine a borrowed
-//! [`AnalysisContext`] per run. [`Engine::verify_resident`] and
-//! [`Engine::resume_resident`](crate::Engine::resume_resident) reuse the
+//! [`AnalysisContext`] per run. A [`RunRequest::resident`] run reuses the
 //! precomputed component sizes instead of rebuilding the union-find, so a
 //! warm run starts analyzing immediately.
 //!
@@ -16,7 +15,7 @@
 //! clusters that finished while the rest of the chip is still in flight —
 //! without touching the run lock or waiting for the merged report.
 //!
-//! [`Engine::verify_resident`]: crate::Engine::verify_resident
+//! [`RunRequest::resident`]: crate::RunRequest::resident
 
 use pcv_cells::charlib::CharLibrary;
 use pcv_cells::library::CellLibrary;

@@ -69,7 +69,7 @@ impl EventHub {
     }
 
     /// Mark the stream finished. Idempotent; only affects what
-    /// [`HubCursor::next`] reports for an exhausted cursor.
+    /// [`HubCursor::poll`] reports for an exhausted cursor.
     pub fn close(&self) {
         self.closed.store(true, Ordering::Release);
     }

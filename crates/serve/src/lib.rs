@@ -53,7 +53,7 @@
 //!
 //! ## Determinism contract
 //!
-//! A served run and an offline [`pcv_engine::Engine::verify`] run of the
+//! A served run and an offline [`pcv_engine::Engine::run`] of the
 //! same design with the same analysis knobs produce **byte-identical**
 //! sign-off documents: the engine's config fingerprint covers only
 //! result-affecting knobs, and worker count, event sinks and cache
@@ -72,9 +72,12 @@ pub mod session;
 pub mod shard;
 pub mod worker;
 
+mod overlay;
+
 pub use client::{Client, Response};
 pub use error::ApiError;
 pub use observe::{check_access_log, check_exposition, Observatory};
+pub use overlay::Thresholds;
 pub use server::{Server, ServerConfig};
 pub use session::{DesignSpec, Session, SessionState, VictimSel};
 pub use shard::{Coordinator, CoordinatorConfig, ShardRunOutcome, ShardStats};

@@ -16,18 +16,19 @@
 //! raises the in-flight run's [`StopFlag`]: the engine drains — in-flight
 //! clusters finish and are checkpointed, queued clusters are skipped — so
 //! the session's journal on disk is resumable, either by a restarted
-//! daemon (`"resume": true` on the next run) or offline with
-//! [`Engine::resume`](pcv_engine::Engine::resume).
+//! daemon (`"resume": true` on the next run) or offline with a
+//! [`RunRequest`] that sets `resume`.
 
 use crate::error::ApiError;
 use crate::http::{self, ChunkedWriter, Request};
 use crate::observe::Observatory;
+use crate::overlay::{boolean, float, Thresholds};
 use crate::session::{DesignSpec, Session, SessionState};
 use crate::shard::{Coordinator, CoordinatorConfig};
 use pcv_engine::fs::Fs;
 use pcv_engine::{
-    EcoPlan, Engine, EngineConfig, FaultKind, FaultPlan, ResidentChip, StopAfter, StopFlag,
-    VerdictSnapshot,
+    EcoPlan, Engine, EngineConfig, FaultKind, FaultPlan, ResidentChip, RunRequest, StopAfter,
+    StopFlag, VerdictSnapshot,
 };
 use pcv_netlist::eco::EcoDelta;
 use pcv_obs::json::{parse, Value};
@@ -52,9 +53,6 @@ pub struct ServerConfig {
     pub data_dir: PathBuf,
     /// Bounded run-queue capacity: submissions beyond this answer 429.
     pub queue_capacity: usize,
-    /// Per-run event archive capacity; overflow is shed and counted in
-    /// the `/events` stream trailer.
-    pub hub_capacity: usize,
     /// Whether the observatory records (metrics, access log, flight
     /// recorder, watchdog). When false the `/metrics` and `/debug/flight`
     /// surfaces stay up but nothing is recorded — and sign-off artifacts
@@ -78,13 +76,16 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".into(),
             data_dir: PathBuf::from("target/pcv_serve"),
             queue_capacity: 8,
-            hub_capacity: 1 << 16,
             observe: true,
             stall_timeout_ms: 0,
             worker_exe: None,
         }
     }
 }
+
+/// Per-run event archive capacity; overflow is shed and counted in the
+/// `/events` stream trailer.
+const HUB_CAPACITY: usize = 1 << 16;
 
 /// Where a run is in its lifecycle.
 #[derive(Debug, Clone, PartialEq)]
@@ -114,9 +115,7 @@ impl RunState {
 #[derive(Debug, Clone, Default)]
 struct RunOverlay {
     workers: Option<usize>,
-    warn_frac: Option<f64>,
-    fail_frac: Option<f64>,
-    check_receivers: Option<bool>,
+    thresholds: Thresholds,
     /// Drill knob: stop cooperatively after this many cluster verdicts
     /// (the served twin of `dsp_chip_signoff --stop-after`).
     stop_after: Option<usize>,
@@ -152,9 +151,6 @@ impl RunOverlay {
     fn apply(&mut self, key: &str, value: &Value) -> Result<bool, ApiError> {
         match key {
             "workers" => self.workers = Some(uint(value, key)?),
-            "warn_frac" => self.warn_frac = Some(float(value, key)?),
-            "fail_frac" => self.fail_frac = Some(float(value, key)?),
-            "check_receivers" => self.check_receivers = Some(boolean(value, key)?),
             "stop_after" => self.stop_after = Some(uint(value, key)?),
             "resume" => self.resume = boolean(value, key)?,
             "trace" => self.trace = boolean(value, key)?,
@@ -164,7 +160,7 @@ impl RunOverlay {
             "shard_timeout_ms" => self.shard_timeout_ms = Some(uint(value, key)? as u64),
             "deadline_ms" => self.deadline_ms = Some(uint(value, key)? as u64),
             "shard_restarts" => self.shard_restarts = Some(uint(value, key)? as u32),
-            _ => return Ok(false),
+            _ => return self.thresholds.read_member(key, value),
         }
         Ok(true)
     }
@@ -213,18 +209,10 @@ impl RunOverlay {
             workers: self.workers.unwrap_or(0),
             cache_path: Some(cache_path),
             sink,
+            trace: self.trace,
             ..EngineConfig::default()
         };
-        if let Some(w) = self.warn_frac {
-            cfg.warn_frac = w;
-        }
-        if let Some(f) = self.fail_frac {
-            cfg.fail_frac = f;
-        }
-        if let Some(c) = self.check_receivers {
-            cfg.check_receivers = c;
-        }
-        cfg.trace = self.trace;
+        self.thresholds.apply(&mut cfg);
         cfg
     }
 }
@@ -235,22 +223,10 @@ fn uint(v: &Value, key: &str) -> Result<usize, ApiError> {
         .ok_or_else(|| ApiError::BadRequest(format!("{key} must be a non-negative integer")))
 }
 
-fn float(v: &Value, key: &str) -> Result<f64, ApiError> {
-    v.as_f64().ok_or_else(|| ApiError::BadRequest(format!("{key} must be a number")))
-}
-
-fn boolean(v: &Value, key: &str) -> Result<bool, ApiError> {
-    match v {
-        Value::Bool(b) => Ok(*b),
-        _ => Err(ApiError::BadRequest(format!("{key} must be a boolean"))),
-    }
-}
-
-/// An ECO re-verification queued behind a run: the exact chip pair the
-/// delta was planned over, pinned so a later patch on the same session
-/// cannot shift what this run verifies.
+/// An ECO re-verification queued behind a run: the exact chip the delta
+/// was planned onto, pinned so a later patch on the same session cannot
+/// shift what this run verifies.
 struct EcoJob {
-    old: Arc<ResidentChip>,
     new: Arc<ResidentChip>,
     /// [`EcoPlan::to_json`] of the plan answered at submit time; recorded
     /// in the run ledger when the run completes.
@@ -755,7 +731,7 @@ fn submit_eco(shared: &Arc<Shared>, sid: &str, body: &str, corr: &str) -> Result
     let plan = EcoPlan::compute(&cfg, &old, &new, &delta);
     let plan_json = plan.to_json();
     let total = new.victims().len();
-    let eco = EcoJob { old, new: Arc::clone(&new), plan: plan_json.clone() };
+    let eco = EcoJob { new: Arc::clone(&new), plan: plan_json.clone() };
     let run = enqueue(shared, &session.id, total, overlay, Some(eco), corr)?;
     // The swap happens only after the run is safely queued: a 429 above
     // leaves the resident chip untouched. The stored spec follows the
@@ -788,7 +764,7 @@ fn enqueue(
         session: sid.to_owned(),
         corr: corr.to_owned(),
         state: Mutex::new(RunState::Queued),
-        hub: Arc::new(EventHub::new(shared.cfg.hub_capacity)),
+        hub: Arc::new(EventHub::new(HUB_CAPACITY)),
         snapshot: Arc::new(VerdictSnapshot::new()),
         total,
         overlay,
@@ -1040,18 +1016,17 @@ fn execute_run(shared: &Shared, run_id: &str) {
             );
             engine.set_fault_plan(plan);
         }
-        match &run.eco {
-            // An ECO run verifies exactly the chip pair the plan was
-            // answered for; clean clusters splice from the warm cache.
-            Some(eco) => engine
-                .eco_verify_resident(&eco.old, &eco.new, run.overlay.resume, Some(&run.snapshot))
-                .map(|o| o.report),
-            None if run.overlay.resume => {
-                engine.resume_resident(&session.chip(), Some(&run.snapshot))
-            }
-            None => engine.verify_resident(&session.chip(), Some(&run.snapshot)),
-        }
-        .map_err(ApiError::from)
+        // An ECO run verifies exactly the chip its plan was answered for
+        // (clean clusters splice from the warm cache); any other run, the
+        // session's current one.
+        let chip = run.eco.as_ref().map_or_else(|| session.chip(), |eco| Arc::clone(&eco.new));
+        engine
+            .run(RunRequest {
+                resume: run.overlay.resume,
+                snapshot: Some(&run.snapshot),
+                ..RunRequest::resident(&chip)
+            })
+            .map_err(ApiError::from)
     };
     {
         let mut current = shared.current_stop.lock().unwrap_or_else(PoisonError::into_inner);
@@ -1106,9 +1081,7 @@ fn execute_sharded(
     let shards = run.overlay.shards.unwrap_or(2);
     let mut cfg = CoordinatorConfig::new(shards, worker_exe, session.cache_path.clone());
     cfg.workers_per_shard = run.overlay.workers.unwrap_or(0);
-    cfg.warn_frac = run.overlay.warn_frac;
-    cfg.fail_frac = run.overlay.fail_frac;
-    cfg.check_receivers = run.overlay.check_receivers;
+    cfg.thresholds = run.overlay.thresholds;
     if let Some(ms) = run.overlay.shard_timeout_ms {
         cfg.heartbeat_timeout = Duration::from_millis(ms);
     }

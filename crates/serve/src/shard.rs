@@ -29,20 +29,21 @@
 //! journal remnant; a shard that exhausted its budget has the gaps filled
 //! with conservative `WorstCase` entries carrying a recorded degradation
 //! trail. The coordinator folds all of it into one merged journal under
-//! its own `(config, chip)` fingerprint header and replays it through
-//! [`pcv_engine::Engine::resume_resident`] — entry adoption is
+//! its own `(config, chip)` fingerprint header and replays it through a
+//! [`RunRequest`] with `resume` set — entry adoption is
 //! fingerprint-guarded bit-for-bit, stragglers are recomputed in-process,
 //! and byte-identity with an unsharded run follows from the resume
 //! equivalence the durability layer already proves.
 
 use crate::error::ApiError;
+use crate::overlay::Thresholds;
 use crate::session::DesignSpec;
 use pcv_engine::durable::StopFlag;
 use pcv_engine::fs::Fs;
 use pcv_engine::shard::{harvest_shard, partition, ShardFault, ShardFaultPlan};
 use pcv_engine::{
     chip_slice_fingerprint, config_hash, write_merged_journal, Engine, EngineConfig, EngineReport,
-    ResidentChip, VerdictSnapshot,
+    ResidentChip, RunRequest, VerdictSnapshot,
 };
 use pcv_obs::json::{parse, Value};
 use pcv_obs::EventSink;
@@ -66,12 +67,9 @@ pub struct CoordinatorConfig {
     pub cache_path: PathBuf,
     /// Engine threads inside each worker (0 = auto).
     pub workers_per_shard: usize,
-    /// Warning threshold override (fraction of Vdd).
-    pub warn_frac: Option<f64>,
-    /// Failure threshold override (fraction of Vdd).
-    pub fail_frac: Option<f64>,
-    /// Receiver-propagation check override.
-    pub check_receivers: Option<bool>,
+    /// Result-affecting overrides, shipped to every worker and applied to
+    /// the merge run alike.
+    pub thresholds: Thresholds,
     /// A worker silent for this long is declared stalled and killed.
     pub heartbeat_timeout: Duration,
     /// Whole-run deadline; exceeding it kills every worker and fails the
@@ -97,9 +95,7 @@ impl CoordinatorConfig {
             worker_exe,
             cache_path,
             workers_per_shard: 0,
-            warn_frac: None,
-            fail_frac: None,
-            check_receivers: None,
+            thresholds: Thresholds::default(),
             heartbeat_timeout: Duration::from_millis(10_000),
             deadline: None,
             restart_budget: 3,
@@ -487,7 +483,7 @@ impl Coordinator {
         PathBuf::from(format!("{}.shard{shard}", self.cfg.cache_path.display()))
     }
 
-    fn worker_config_line(&self, shard: usize, cache: &Path) -> String {
+    pub(crate) fn worker_config_line(&self, shard: usize, cache: &Path) -> String {
         use pcv_trace::json::str_lit;
         let mut line = self.spec.to_json();
         debug_assert!(line.ends_with('}'));
@@ -499,34 +495,18 @@ impl Coordinator {
             str_lit(&cache.display().to_string()),
             self.cfg.workers_per_shard
         ));
-        if let Some(w) = self.cfg.warn_frac {
-            line.push_str(&format!(",\"warn_frac\":{}", pcv_trace::json::f64_lit(w)));
-        }
-        if let Some(f) = self.cfg.fail_frac {
-            line.push_str(&format!(",\"fail_frac\":{}", pcv_trace::json::f64_lit(f)));
-        }
-        if let Some(c) = self.cfg.check_receivers {
-            line.push_str(&format!(",\"check_receivers\":{c}"));
-        }
+        self.cfg.thresholds.write_members(&mut line);
         line // drill keys + closing '}' are appended per incarnation
     }
 
     /// The engine configuration the merge run (and the fingerprints) use
     /// — the same resolution a single-process run of this overlay gets.
-    fn merge_engine_config(&self) -> EngineConfig {
+    pub(crate) fn merge_engine_config(&self) -> EngineConfig {
         let mut cfg = EngineConfig {
             cache_path: Some(self.cfg.cache_path.clone()),
             ..EngineConfig::default()
         };
-        if let Some(w) = self.cfg.warn_frac {
-            cfg.warn_frac = w;
-        }
-        if let Some(f) = self.cfg.fail_frac {
-            cfg.fail_frac = f;
-        }
-        if let Some(c) = self.cfg.check_receivers {
-            cfg.check_receivers = c;
-        }
+        self.cfg.thresholds.apply(&mut cfg);
         cfg
     }
 
@@ -589,7 +569,7 @@ impl Coordinator {
 
         // Merge: harvest every shard's files, fill exhausted shards with
         // WorstCase, write one journal, resume in-process.
-        let ecfg = self.merge_engine_config();
+        let mut ecfg = self.merge_engine_config();
         let ctx = self.chip.ctx();
         let chash = config_hash(
             &ctx,
@@ -625,11 +605,13 @@ impl Coordinator {
         write_merged_journal(&fs, &self.cfg.cache_path, chash, chip_fp, &entries)
             .map_err(|e| ApiError::Internal(format!("merged journal: {e}")))?;
 
-        let mut merge_cfg = self.merge_engine_config();
-        merge_cfg.sink = self.cfg.sink.clone();
-        merge_cfg.durable.stop = self.cfg.stop.clone();
-        let engine = Engine::new(merge_cfg);
-        let report = engine.resume_resident(&self.chip, snapshot.map(Arc::as_ref))?;
+        ecfg.sink = self.cfg.sink.clone();
+        ecfg.durable.stop = self.cfg.stop.clone();
+        let report = Engine::new(ecfg).run(RunRequest {
+            resume: true,
+            snapshot: snapshot.map(Arc::as_ref),
+            ..RunRequest::resident(&self.chip)
+        })?;
         Ok(ShardRunOutcome { report, shards: shard_stats })
     }
 }

@@ -4,9 +4,9 @@
 //! elaborates the **full** chip from the embedded [`DesignSpec`] (so net
 //! ids and cluster fingerprints match the coordinator's view exactly),
 //! partitions the victim set with [`pcv_engine::shard::partition`], and
-//! verifies only its own slice — always through the resume path, so a
-//! restarted incarnation replays its shard journal and recomputes just
-//! the tail.
+//! verifies only its own slice — always with [`RunRequest::resume`] set,
+//! so a restarted incarnation replays its shard journal and recomputes
+//! just the tail.
 //!
 //! Everything the worker says goes to stdout as JSONL:
 //!
@@ -32,11 +32,13 @@
 //! after N verdicts while the process stays alive — the two failure
 //! modes (crash vs. hang) the supervisor must distinguish.
 
+use crate::error::ApiError;
+use crate::overlay::Thresholds;
 use crate::session::{elaborate, DesignSpec};
 use pcv_engine::durable::Journal;
 use pcv_engine::fs::Fs;
 use pcv_engine::shard::partition;
-use pcv_engine::{Engine, EngineConfig, VerdictSnapshot};
+use pcv_engine::{Engine, EngineConfig, RunRequest, VerdictSnapshot};
 use pcv_obs::json::{parse, Value};
 use pcv_xtalk::NetVerdict;
 use std::collections::HashSet;
@@ -68,33 +70,58 @@ struct WorkerConfig {
     shard: usize,
     cache: PathBuf,
     workers: usize,
-    warn_frac: Option<f64>,
-    fail_frac: Option<f64>,
-    check_receivers: Option<bool>,
+    thresholds: Thresholds,
     panic_after: Option<usize>,
     stall_after: Option<usize>,
 }
 
-fn parse_config(line: &str) -> Result<WorkerConfig, String> {
-    let spec = DesignSpec::from_json(line).map_err(|e| format!("design spec: {e:?}"))?;
-    let doc = parse(line).map_err(|e| format!("config line: {e}"))?;
-    let uint = |key: &str| doc.get(key).and_then(Value::as_u64).map(|n| n as usize);
-    let shards = uint("shards").ok_or("config needs \"shards\"")?;
-    let shard = uint("shard").ok_or("config needs \"shard\"")?;
-    if shards == 0 || shard >= shards {
-        return Err(format!("shard {shard} out of range for {shards} shards"));
+impl WorkerConfig {
+    /// The engine configuration of this worker's slice run: the
+    /// coordinator's merge configuration (same thresholds, so the same
+    /// `config_hash`) over the shard's own cache.
+    fn engine_config(&self) -> EngineConfig {
+        let mut cfg = EngineConfig {
+            workers: self.workers,
+            cache_path: Some(self.cache.clone()),
+            ..EngineConfig::default()
+        };
+        self.thresholds.apply(&mut cfg);
+        cfg
     }
-    let cache =
-        doc.get("cache").and_then(Value::as_str).ok_or("config needs a \"cache\" path")?.into();
+}
+
+/// Read the coordinator's config line. A threshold override of the wrong
+/// type is rejected, not defaulted: a worker running on other thresholds
+/// than its coordinator fingerprints every cluster differently, and its
+/// whole slice would be silently recomputed at merge.
+fn parse_config(line: &str) -> Result<WorkerConfig, ApiError> {
+    fn bad(what: impl Into<String>) -> ApiError {
+        ApiError::BadRequest(what.into())
+    }
+    let spec = DesignSpec::from_json(line)?;
+    let doc = parse(line).map_err(|e| bad(format!("config line: {e}")))?;
+    let uint = |key: &str| doc.get(key).and_then(Value::as_u64).map(|n| n as usize);
+    let shards = uint("shards").ok_or_else(|| bad("config needs \"shards\""))?;
+    let shard = uint("shard").ok_or_else(|| bad("config needs \"shard\""))?;
+    if shards == 0 || shard >= shards {
+        return Err(bad(format!("shard {shard} out of range for {shards} shards")));
+    }
+    let cache = doc
+        .get("cache")
+        .and_then(Value::as_str)
+        .ok_or_else(|| bad("config needs a \"cache\" path"))?
+        .into();
+    let mut thresholds = Thresholds::default();
+    for (key, value) in doc.as_obj().ok_or_else(|| bad("config line must be a JSON object"))? {
+        thresholds.read_member(key, value)?;
+    }
     Ok(WorkerConfig {
         spec,
         shards,
         shard,
         cache,
         workers: uint("workers").unwrap_or(0),
-        warn_frac: doc.get("warn_frac").and_then(Value::as_f64),
-        fail_frac: doc.get("fail_frac").and_then(Value::as_f64),
-        check_receivers: doc.get("check_receivers").map(|v| matches!(v, Value::Bool(true))),
+        thresholds,
         panic_after: uint("panic_after"),
         stall_after: uint("stall_after"),
     })
@@ -119,7 +146,7 @@ pub fn run_worker() -> i32 {
 }
 
 fn worker_main(line: &str) -> Result<i32, String> {
-    let cfg = parse_config(line)?;
+    let cfg = parse_config(line).map_err(|e| format!("config: {e:?}"))?;
     let chip = elaborate(&cfg.spec).map_err(|e| format!("elaborate: {e:?}"))?;
     let slice = partition(&chip, chip.victims(), cfg.shards).swap_remove(cfg.shard);
     let torn = Journal::load(&Fs::real(), &Journal::path_for(&cfg.cache)).skipped;
@@ -141,25 +168,17 @@ fn worker_main(line: &str) -> Result<i32, String> {
         cfg.stall_after,
     );
 
-    let mut ecfg = EngineConfig {
-        workers: cfg.workers,
-        cache_path: Some(cfg.cache.clone()),
-        ..EngineConfig::default()
-    };
-    if let Some(w) = cfg.warn_frac {
-        ecfg.warn_frac = w;
-    }
-    if let Some(f) = cfg.fail_frac {
-        ecfg.fail_frac = f;
-    }
-    if let Some(c) = cfg.check_receivers {
-        ecfg.check_receivers = c;
-    }
-    let engine = Engine::new(ecfg);
-    // Always the resume path: a first incarnation finds no journal and
-    // runs fresh; a restarted one replays its checkpoints and finishes
-    // only the tail. The header fingerprint check guards staleness.
-    let result = engine.resume_slice(&chip, &slice, Some(&snapshot));
+    // The full chip's context (so cluster fingerprints match the
+    // coordinator's), this shard's victims only. Always resuming: a first
+    // incarnation finds no journal and runs fresh; a restarted one replays
+    // its checkpoints and finishes only the tail. The header fingerprint
+    // check guards staleness.
+    let result = Engine::new(cfg.engine_config()).run(RunRequest {
+        victims: &slice,
+        resume: true,
+        snapshot: Some(&snapshot),
+        ..RunRequest::resident(&chip)
+    });
 
     finished.store(true, Ordering::Release);
     let _ = poller.join();
@@ -309,6 +328,79 @@ mod tests {
             assert_ne!(line, good, "{what}: the mutation must apply");
             let doc = parse(&line).unwrap_or_else(|e| panic!("{what}: still JSON: {e}"));
             assert_eq!(NetVerdict::from_json(&doc, 8), None, "{what} was accepted: {line}");
+        }
+    }
+
+    const DESIGN: &str = "\"design\":{\"kind\":\"dsp\",\"buses\":1,\"bits\":2,\"random\":0}";
+
+    #[test]
+    fn hostile_threshold_overrides_are_rejected_not_defaulted() {
+        // A worker that quietly ran on default thresholds would fingerprint
+        // every cluster differently from its coordinator; the merge would
+        // then drop its whole slice and recompute it in-process.
+        let line = |extra: &str| {
+            format!("{{{DESIGN},\"shards\":2,\"shard\":1,\"cache\":\"/tmp/x\"{extra}}}")
+        };
+        let ok = parse_config(&line(",\"warn_frac\":0.05,\"check_receivers\":true")).unwrap();
+        assert_eq!(ok.thresholds.warn_frac, Some(0.05));
+        assert_eq!(ok.thresholds.check_receivers, Some(true));
+        assert_eq!(parse_config(&line("")).unwrap().thresholds, Thresholds::default());
+        for extra in [
+            ",\"check_receivers\":1",
+            ",\"check_receivers\":\"true\"",
+            ",\"check_receivers\":null",
+            ",\"warn_frac\":\"0.1\"",
+            ",\"warn_frac\":true",
+            ",\"fail_frac\":[0.2]",
+            ",\"fail_frac\":null",
+        ] {
+            match parse_config(&line(extra)) {
+                Err(ApiError::BadRequest(_)) => {}
+                Err(other) => panic!("{extra}: expected BadRequest, got {other:?}"),
+                Ok(cfg) => panic!("{extra}: accepted as {:?}", cfg.thresholds),
+            }
+        }
+    }
+
+    #[test]
+    fn coordinator_line_and_merge_config_agree_on_config_hash() {
+        use crate::shard::{Coordinator, CoordinatorConfig};
+        use pcv_engine::config_hash;
+        let spec = DesignSpec::from_json(&format!("{{{DESIGN}}}")).unwrap();
+        let chip = Arc::new(elaborate(&spec).unwrap());
+        let hash = |cfg: &EngineConfig| {
+            config_hash(
+                &chip.ctx(),
+                &cfg.prune,
+                &cfg.analysis,
+                cfg.warn_frac,
+                cfg.fail_frac,
+                cfg.check_receivers,
+            )
+        };
+        let default_hash = hash(&EngineConfig::default());
+        // 0.1 + 0.2 and 1/3 need all 17 digits to survive the text round trip.
+        let fracs = [None, Some(0.05), Some(0.1 + 0.2), Some(1.0 / 3.0)];
+        for warn_frac in fracs {
+            for fail_frac in fracs {
+                for check_receivers in [None, Some(false), Some(true)] {
+                    let thresholds = Thresholds { warn_frac, fail_frac, check_receivers };
+                    let mut ccfg =
+                        CoordinatorConfig::new(2, "/bin/true".into(), "/tmp/m.cache".into());
+                    ccfg.thresholds = thresholds;
+                    ccfg.workers_per_shard = 3;
+                    let c = Coordinator::new(spec.clone(), Arc::clone(&chip), ccfg);
+                    let line = c.worker_config_line(1, &c.shard_cache(1)) + "}";
+                    let worker = parse_config(&line).unwrap();
+                    assert_eq!(worker.thresholds, thresholds, "{line}");
+                    assert_eq!((worker.shards, worker.shard, worker.workers), (2, 1, 3));
+                    let merged = hash(&c.merge_engine_config());
+                    assert_eq!(hash(&worker.engine_config()), merged, "{line}");
+                    let all_default =
+                        warn_frac.is_none() && fail_frac.is_none() && check_receivers != Some(true);
+                    assert_eq!(merged == default_hash, all_default, "{line}");
+                }
+            }
         }
     }
 

@@ -14,7 +14,7 @@ pub fn dot(x: &[f64], y: &[f64]) -> f64 {
 /// How many products [`dot_many`] carries at once.
 const LANES: usize = 4;
 
-/// `out[k] = dot(&xs[k], y)` for every `k`, [`LANES`] products at a time.
+/// `out[k] = dot(&xs[k], y)` for every `k`, `LANES` (4) products at a time.
 ///
 /// Each product keeps its own accumulator and adds left to right from the
 /// neutral element of `f64`'s `Sum` (`-0.0`), so every `out[k]` has exactly

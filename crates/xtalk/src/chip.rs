@@ -322,8 +322,8 @@ impl ChipReport {
     /// downstream tooling.
     pub fn to_csv(&self) -> String {
         let mut out = String::from(
-            "net,rise_peak_v,fall_peak_v,worst_frac_vdd,severity,cluster_size,             neighbors_before,receiver_cell,receiver_peak_v,receiver_propagates
-",
+            "net,rise_peak_v,fall_peak_v,worst_frac_vdd,severity,cluster_size,\
+             neighbors_before,receiver_cell,receiver_peak_v,receiver_propagates\n",
         );
         for v in &self.verdicts {
             let (rc_cell, rc_peak, rc_prop) = match &v.receiver {
@@ -333,8 +333,7 @@ impl ChipReport {
                 None => ("", String::new(), String::new()),
             };
             out.push_str(&format!(
-                "{},{:.6},{:.6},{:.6},{},{},{},{},{},{}
-",
+                "{},{:.6},{:.6},{:.6},{},{},{},{},{},{}\n",
                 v.name,
                 v.rise_peak,
                 v.fall_peak,
@@ -563,7 +562,23 @@ mod tests {
         .unwrap();
         let csv = report.to_csv();
         assert_eq!(csv.lines().count(), 3);
-        assert!(csv.starts_with("net,"));
+        let header: Vec<&str> = csv.lines().next().unwrap().split(',').collect();
+        let columns = [
+            "net",
+            "rise_peak_v",
+            "fall_peak_v",
+            "worst_frac_vdd",
+            "severity",
+            "cluster_size",
+            "neighbors_before",
+            "receiver_cell",
+            "receiver_peak_v",
+            "receiver_propagates",
+        ];
+        assert_eq!(header, columns);
+        for row in csv.lines().skip(1) {
+            assert_eq!(row.split(',').count(), columns.len(), "{row}");
+        }
         assert!(csv.contains("hot,"));
         assert!(csv.contains("VIOLATION"));
     }

@@ -20,7 +20,7 @@ use pcv_bench::charlib_for;
 use pcv_cells::library::CellLibrary;
 use pcv_designs::dsp::{generate, DspConfig};
 use pcv_designs::Technology;
-use pcv_engine::{Engine, EngineConfig, StopAfter, StopFlag};
+use pcv_engine::{Engine, EngineConfig, RunRequest, StopAfter, StopFlag};
 use pcv_netlist::PNetId;
 use pcv_obs::{EventSink, StderrStatusLine, TeeSink};
 use pcv_xtalk::drivers::DriverModelKind;
@@ -105,7 +105,7 @@ fn main() -> Result<(), XtalkError> {
             partial.stats.victims,
             partial.stats.skipped
         );
-        Engine::new(base).resume(&ctx, &victims)?
+        Engine::new(base).run(RunRequest { resume: true, ..RunRequest::new(&ctx, &victims) })?
     } else {
         Engine::new(base).verify(&ctx, &victims)?
     };

@@ -6,7 +6,7 @@
 use pcv_designs::structures::bundle;
 use pcv_designs::Technology;
 use pcv_engine::{
-    DiskFaultPlan, Engine, EngineConfig, Fs, FsFaultKind, Journal, StopAfter, StopFlag,
+    DiskFaultPlan, Engine, EngineConfig, Fs, FsFaultKind, Journal, RunRequest, StopAfter, StopFlag,
 };
 use pcv_netlist::{PNetId, ParasiticDb};
 use pcv_obs::{ledger, EventSink};
@@ -169,7 +169,9 @@ fn bit_flip_on_journal_read_drops_only_the_damaged_checkpoint() {
     let mut cfg =
         EngineConfig { workers: 2, cache_path: Some(cache.clone()), ..Default::default() };
     cfg.durable.fs = Fs::with_faults(plan);
-    let resumed = Engine::new(cfg).resume(&ctx, &victims).unwrap();
+    let resumed = Engine::new(cfg)
+        .run(RunRequest { resume: true, ..RunRequest::new(&ctx, &victims) })
+        .unwrap();
     assert_eq!(resumed.signoff_json(), baseline, "a corrupt journal must never skew the signoff");
     assert!(resumed.stats.journal_hits < completed, "at least the flipped record must be rejected");
     assert!(!Journal::path_for(&cache).exists(), "the completed resume retires the journal");

@@ -6,7 +6,9 @@
 
 use pcv_designs::structures::bundle;
 use pcv_designs::Technology;
-use pcv_engine::{Engine, EngineConfig, EngineReport, Journal, RunLock, StopAfter, StopFlag};
+use pcv_engine::{
+    Engine, EngineConfig, EngineReport, Journal, RunLock, RunRequest, StopAfter, StopFlag,
+};
 use pcv_netlist::{PNetId, ParasiticDb};
 use pcv_obs::{ledger, EventSink};
 use pcv_xtalk::{AnalysisContext, XtalkError};
@@ -80,8 +82,9 @@ fn resume_is_byte_identical_across_stop_points_and_worker_counts() {
 
             // Resume with a fresh engine (no stop): replay the journal,
             // compute only what is missing, discard the journal on success.
-            let resumed =
-                Engine::new(config(workers, Some(cache.clone()))).resume(&ctx, &victims).unwrap();
+            let resumed = Engine::new(config(workers, Some(cache.clone())))
+                .run(RunRequest { resume: true, ..RunRequest::new(&ctx, &victims) })
+                .unwrap();
             assert!(!resumed.interrupted);
             assert_eq!(
                 resumed.signoff_json(),
@@ -121,7 +124,9 @@ fn single_worker_stop_skips_exactly_the_queued_tail() {
         PathBuf::from(os)
     };
     let ctx = AnalysisContext::fixed_resistance(&db, 1000.0);
-    let resumed = Engine::new(config(1, Some(cache))).resume(&ctx, &victims).unwrap();
+    let resumed = Engine::new(config(1, Some(cache)))
+        .run(RunRequest { resume: true, ..RunRequest::new(&ctx, &victims) })
+        .unwrap();
     let (records, unparsed) = ledger::scan(&ledger_path);
     assert_eq!(unparsed, 0);
     assert_eq!(records.len(), 2);
@@ -157,7 +162,9 @@ fn sigkill_simulation_with_torn_journal_and_no_cache_still_resumes_identically()
     std::fs::write(&jpath, &body[..torn_len]).unwrap();
     let _ = std::fs::remove_file(&cache);
 
-    let resumed = Engine::new(config(4, Some(cache))).resume(&ctx, &victims).unwrap();
+    let resumed = Engine::new(config(4, Some(cache)))
+        .run(RunRequest { resume: true, ..RunRequest::new(&ctx, &victims) })
+        .unwrap();
     assert_eq!(resumed.signoff_json(), baseline, "torn journal must not corrupt the signoff");
     // Exactly one checkpoint was destroyed; everything else replays.
     assert_eq!(resumed.stats.journal_hits, completed - 1);
@@ -170,8 +177,9 @@ fn resume_without_a_journal_is_a_plain_verify() {
     let ctx = AnalysisContext::fixed_resistance(&db, 1000.0);
     let baseline = baseline_signoff(&db, &victims);
     let dir = temp_dir("nojournal");
-    let report =
-        Engine::new(config(2, Some(dir.join("signoff.cache")))).resume(&ctx, &victims).unwrap();
+    let report = Engine::new(config(2, Some(dir.join("signoff.cache"))))
+        .run(RunRequest { resume: true, ..RunRequest::new(&ctx, &victims) })
+        .unwrap();
     assert_eq!(report.signoff_json(), baseline);
     assert_eq!(report.stats.journal_hits, 0);
     assert_eq!(report.stats.cache_misses, victims.len());
@@ -191,7 +199,9 @@ fn stale_journal_from_another_config_is_ignored() {
 
     let mut cfg = config(2, Some(cache));
     cfg.fail_frac = 0.5; // different config fingerprint
-    let resumed = Engine::new(cfg.clone()).resume(&ctx, &victims).unwrap();
+    let resumed = Engine::new(cfg.clone())
+        .run(RunRequest { resume: true, ..RunRequest::new(&ctx, &victims) })
+        .unwrap();
     assert_eq!(resumed.stats.journal_hits, 0, "a stale journal must not be replayed");
     let fresh =
         Engine::new(EngineConfig { cache_path: None, ..cfg }).verify(&ctx, &victims).unwrap();

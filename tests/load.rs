@@ -6,7 +6,7 @@
 //! Every test boots a real daemon on an ephemeral localhost port and
 //! talks to it over TCP with the blocking [`pcv_serve::Client`].
 
-use pcv_engine::{Engine, EngineConfig};
+use pcv_engine::{Engine, EngineConfig, RunRequest};
 use pcv_serve::session::{elaborate, DesignSpec};
 use pcv_serve::{Client, Server, ServerConfig};
 use pcv_trace::json::str_lit;
@@ -274,7 +274,8 @@ fn shutdown_mid_run_leaves_a_resumable_journal() {
         cache_path: Some(data_dir.join(format!("session-{session}.cache"))),
         ..EngineConfig::default()
     };
-    let report = Engine::new(cfg).resume_resident(&chip, None).unwrap();
+    let report =
+        Engine::new(cfg).run(RunRequest { resume: true, ..RunRequest::resident(&chip) }).unwrap();
     assert!(!report.interrupted);
     assert_eq!(
         report.signoff_json(),
