@@ -356,13 +356,12 @@ mod tests {
 
     #[test]
     fn injected_short_write_is_detected_on_load() {
-        use crate::fs::{DiskFaultPlan, FsFaultKind};
+        use crate::fault::Plan;
+        use crate::fs::FsFaultKind;
         let dir = std::env::temp_dir().join("pcv-engine-cache-test-chaos");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("store");
-        let mut plan = DiskFaultPlan::new();
-        plan.fail_times("store", FsFaultKind::ShortWrite, 1);
-        let fs = Fs::with_faults(plan);
+        let fs = Fs::with_faults(Plan::new().at(path.display(), 1, FsFaultKind::ShortWrite));
         sample().save_with(&fs, &path).unwrap();
         let (_, stats) = ResultCache::load_with(&fs, &path);
         assert!(stats.torn, "the torn save must not read back clean");

@@ -35,9 +35,7 @@
 //! the engine drain — in-flight clusters complete (so their verdicts stay
 //! deterministic and journaled), queued clusters are skipped — and the run
 //! returns early with a valid checkpoint on disk and the ledger marked
-//! resumable. The flag wraps the same [`CancelToken`] type the numeric
-//! stack uses, so a caller's Ctrl-C handler can share one token between
-//! the engine and its own long computations.
+//! resumable.
 
 use crate::fs::{crc32, Fs};
 use crate::record::JournalEntry;
@@ -48,17 +46,14 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Durability knobs for an engine run (all of them only take effect when
+/// Durability knobs for an engine run. What is *not* a knob: whenever
 /// [`EngineConfig::cache_path`](crate::EngineConfig::cache_path) names a
-/// location to persist next to).
-#[derive(Debug, Clone)]
+/// location to persist next to, the run keeps the write-ahead checkpoint
+/// journal (`<cache>.journal`, so a killed run can
+/// [`resume`](crate::RunRequest::resume)) and takes the advisory run lock
+/// (`<cache>.lock`) — both best-effort on I/O failure.
+#[derive(Debug, Clone, Default)]
 pub struct DurableConfig {
-    /// Maintain the write-ahead checkpoint journal (`<cache>.journal`) so
-    /// a killed run can [`resume`](crate::RunRequest::resume). On by default.
-    pub journal: bool,
-    /// Take the advisory run lock (`<cache>.lock`) so two concurrent runs
-    /// cannot corrupt the shared cache directory. On by default.
-    pub lock: bool,
     /// Cooperative stop flag: when raised mid-run, the engine drains
     /// (in-flight clusters finish and are checkpointed, queued ones are
     /// skipped) and returns an interrupted, resumable report. `None`
@@ -69,19 +64,11 @@ pub struct DurableConfig {
     pub fs: Fs,
 }
 
-impl Default for DurableConfig {
-    fn default() -> Self {
-        DurableConfig { journal: true, lock: true, stop: None, fs: Fs::real() }
-    }
-}
-
 /// Cooperative stop request for a running engine. Clones share the flag.
 ///
 /// Raising the flag ([`StopFlag::stop`]) asks the engine to drain: no new
 /// cluster jobs start, in-flight ones finish and are checkpointed, and the
 /// run returns an [interrupted](crate::EngineReport::interrupted) report.
-/// The flag is a [`CancelToken`] underneath, so the same handle a Ctrl-C
-/// hook raises can also cancel caller-side numeric work.
 #[derive(Debug, Clone, Default)]
 pub struct StopFlag {
     token: CancelToken,
@@ -101,12 +88,6 @@ impl StopFlag {
     /// Whether a stop has been requested.
     pub fn is_stopped(&self) -> bool {
         self.token.is_cancelled()
-    }
-
-    /// The underlying [`CancelToken`], for callers that want to thread the
-    /// same stop signal into their own `pcv_mor` computations.
-    pub fn cancel_token(&self) -> CancelToken {
-        self.token.clone()
     }
 }
 
@@ -426,7 +407,8 @@ impl Drop for RunLock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fs::{DiskFaultPlan, FsFaultKind};
+    use crate::fault::{Plan, ALWAYS};
+    use crate::fs::FsFaultKind;
     use crate::recovery::{Attempt, RecoveryRung, Trail};
     use pcv_xtalk::ReceiverVerdict;
 
@@ -493,8 +475,7 @@ mod tests {
         let path = d.join("cache.journal");
         let j = Journal::begin(&Fs::real(), &path, 1, 2).unwrap();
         j.record(&entry("a", 7)).unwrap();
-        let mut plan = DiskFaultPlan::new();
-        plan.fail("journal", FsFaultKind::BitFlip);
+        let plan = Plan::new().at(path.display(), ALWAYS, FsFaultKind::BitFlip);
         let load = Journal::load(&Fs::with_faults(plan), &path);
         // The flip lands somewhere: whichever record it hits is dropped,
         // and nothing mis-parses into a wrong verdict.
@@ -604,14 +585,5 @@ mod tests {
         // Further events must not underflow or panic.
         sink.event(&finished("c"));
         assert!(flag.is_stopped());
-    }
-
-    #[test]
-    fn stop_flag_shares_a_cancel_token() {
-        let flag = StopFlag::new();
-        let token = flag.cancel_token();
-        assert!(!token.is_cancelled());
-        flag.stop();
-        assert!(token.is_cancelled(), "the token and the flag are one signal");
     }
 }

@@ -3,9 +3,10 @@
 
 use crate::cache::ResultCache;
 use crate::durable::{DurableConfig, Journal, LockError, RunLock};
+use crate::fault::Plan;
 use crate::fingerprint::{chip_slice_fingerprint, cluster_fingerprint, config_hash};
 use crate::record::JournalEntry;
-use crate::recovery::{route, Attempt, Degradation, FaultKind, FaultPlan, RecoveryRung, Trail};
+use crate::recovery::{route, Attempt, Degradation, FaultKind, RecoveryRung, Trail};
 use crate::report::{ClusterCost, EngineError, EngineReport, EngineStats};
 use crate::resident::{ResidentChip, VerdictSnapshot};
 use crate::scheduler;
@@ -59,9 +60,10 @@ pub struct EngineConfig {
     /// they happen — they carry wall-clock data and exist strictly outside
     /// the deterministic report path. `None` (the default) costs nothing.
     pub sink: Option<Arc<dyn EventSink>>,
-    /// Durability knobs ([`DurableConfig`]): checkpoint journal, run lock,
-    /// cooperative stop, and the (fault-injectable) filesystem handle all
-    /// persisted artifacts go through.
+    /// Durability knobs ([`DurableConfig`]): cooperative stop and the
+    /// (fault-injectable) filesystem handle all persisted artifacts go
+    /// through. The checkpoint journal and the run lock are not knobs:
+    /// both are on whenever `cache_path` is set.
     pub durable: DurableConfig,
 }
 
@@ -110,7 +112,7 @@ impl Default for EngineConfig {
 pub struct Engine {
     /// Configuration every run of this engine uses.
     pub config: EngineConfig,
-    plan: FaultPlan,
+    plan: Plan<FaultKind>,
 }
 
 /// What one [`Engine::run`] audits and how it starts — plain data, built
@@ -130,8 +132,8 @@ pub struct RunRequest<'a> {
     pub components: Option<&'a [usize]>,
     /// First replay the checkpoint journal a previous (interrupted or
     /// killed) run left next to the cache. With no journal on disk — or
-    /// one from a different config or victim list, or journaling off —
-    /// the run simply starts fresh.
+    /// one from a different config or victim list — the run simply
+    /// starts fresh.
     pub resume: bool,
     /// Publish every completed verdict here as the run progresses, so
     /// concurrent readers can serve per-net partial results mid-run.
@@ -264,12 +266,13 @@ fn inject(kind: FaultKind, name: &str, opts: &mut AnalysisOptions) -> Result<(),
 impl Engine {
     /// Engine with the given configuration.
     pub fn new(config: EngineConfig) -> Self {
-        Engine { config, plan: FaultPlan::new() }
+        Engine { config, plan: Plan::new() }
     }
 
     /// Install a deterministic fault-injection plan (replacing any previous
-    /// one). See [`FaultPlan`].
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
+    /// one): sites are victim names, occurrences ladder attempts — see
+    /// [`FaultKind`].
+    pub fn set_fault_plan(&mut self, plan: Plan<FaultKind>) {
         self.plan = plan;
     }
 
@@ -373,21 +376,19 @@ impl Engine {
         // would interleave journal appends and race the cache replace.
         // Held (RAII) until this function returns.
         let _lock = match cfg.cache_path.as_deref() {
-            Some(path) if cfg.durable.lock => {
-                match RunLock::acquire(&RunLock::path_for(path), chash) {
-                    Ok(lock) => Some(lock),
-                    Err(LockError::Held { pid }) => {
-                        return Err(XtalkError::Busy {
-                            path: RunLock::path_for(path).display().to_string(),
-                            pid,
-                        });
-                    }
-                    // Advisory locking is best-effort: an unusable lock
-                    // file must not block verification.
-                    Err(LockError::Io(_)) => None,
+            Some(path) => match RunLock::acquire(&RunLock::path_for(path), chash) {
+                Ok(lock) => Some(lock),
+                Err(LockError::Held { pid }) => {
+                    return Err(XtalkError::Busy {
+                        path: RunLock::path_for(path).display().to_string(),
+                        pid,
+                    });
                 }
-            }
-            _ => None,
+                // Advisory locking is best-effort: an unusable lock
+                // file must not block verification.
+                Err(LockError::Io(_)) => None,
+            },
+            None => None,
         };
 
         let cache = {
@@ -404,7 +405,7 @@ impl Engine {
         // journal cannot be written is still correct, just not resumable.
         let mut replay: HashMap<String, JournalEntry> = HashMap::new();
         let journal_handle: Option<Journal> = match cfg.cache_path.as_deref() {
-            Some(path) if cfg.durable.journal => {
+            Some(path) => {
                 let jpath = Journal::path_for(path);
                 let mut resumed = false;
                 if resume {
@@ -423,7 +424,7 @@ impl Engine {
                     Journal::begin(&fs, &jpath, chash, chip_fp).ok()
                 }
             }
-            _ => None,
+            None => None,
         };
         let journal = journal_handle.as_ref();
         // Serialize checkpoint appends across worker threads so records
@@ -798,7 +799,6 @@ impl Engine {
         emit: &impl Fn(EngineEvent),
     ) -> (JournalEntry, Duration, Duration) {
         let cfg = &self.config;
-        let fault = self.plan.fault_for(name);
         let mut attempts: Vec<Attempt> = Vec::new();
         let mut prepared: Option<PreparedCluster> = None;
         let mut rung = RecoveryRung::Baseline;
@@ -812,11 +812,10 @@ impl Engine {
             }
             let mut opts = rung_options(&cfg.analysis, rung);
             let actx = rung_context(ctx, rung);
-            // Non-persistent faults fire at the baseline attempt only,
-            // so the first retry rung sees a healthy cluster.
-            let inject_here = fault
-                .filter(|spec| spec.persistent || rung == RecoveryRung::Baseline)
-                .map(|spec| spec.kind);
+            // A fault's occurrence is the attempt index: a one-shot rule
+            // hits the baseline only, so the first retry rung sees a
+            // healthy cluster.
+            let inject_here = self.plan.armed(name, attempts.len() as u32).next().copied();
             let attempt_start = Instant::now();
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 if let Some(kind) = inject_here {
@@ -888,7 +887,7 @@ fn receiver_cell<'a>(ctx: &AnalysisContext<'a>, name: &str) -> Result<&'a Cell, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recovery::FaultSpec;
+    use crate::fault::ALWAYS;
     use pcv_netlist::{NetNodeRef, NetParasitics, ParasiticDb};
 
     /// The same two-victim fixture as the serial chip tests.
@@ -946,9 +945,7 @@ mod tests {
         let (db, hot, cold) = db();
         let ctx = AnalysisContext::fixed_resistance(&db, 2000.0);
         let mut engine = Engine::new(config(2));
-        let mut plan = FaultPlan::new();
-        plan.inject("hot", FaultSpec { kind: FaultKind::Panic, persistent: true });
-        engine.set_fault_plan(plan);
+        engine.set_fault_plan(Plan::new().at("hot", ALWAYS, FaultKind::Panic));
         let report = engine.verify(&ctx, &[cold, hot]).unwrap();
         // A persistent panic defeats every analysis rung, so the victim is
         // worst-cased: a conservative verdict plus a structured error.
@@ -981,9 +978,7 @@ mod tests {
         let clean = Engine::new(config(1)).verify(&ctx, &victims).unwrap();
 
         let mut engine = Engine::new(config(2));
-        let mut plan = FaultPlan::new();
-        plan.inject_named("hot", FaultKind::NonSpd);
-        engine.set_fault_plan(plan);
+        engine.set_fault_plan(Plan::new().at("hot", 1, FaultKind::NonSpd));
         let report = engine.verify(&ctx, &victims).unwrap();
         // The non-SPD fault routes to GminBoost; the retry sees a healthy
         // cluster and succeeds there.
@@ -1006,9 +1001,7 @@ mod tests {
         let (db, hot, cold) = db();
         let ctx = AnalysisContext::fixed_resistance(&db, 2000.0);
         let mut engine = Engine::new(config(2));
-        let mut plan = FaultPlan::new();
-        plan.inject("hot", FaultSpec { kind: FaultKind::Slow, persistent: true });
-        engine.set_fault_plan(plan);
+        engine.set_fault_plan(Plan::new().at("hot", ALWAYS, FaultKind::Slow));
         let report = engine.verify(&ctx, &[cold, hot]).unwrap();
         // The collapsed Newton budget defeats every MOR rung; the SPICE
         // fallback does not consult the MOR budget and succeeds.
@@ -1033,9 +1026,7 @@ mod tests {
         let mut cfg = config(1);
         cfg.cache_path = Some(path.clone());
         let mut engine = Engine::new(cfg.clone());
-        let mut plan = FaultPlan::new();
-        plan.inject_named("hot", FaultKind::NaN);
-        engine.set_fault_plan(plan);
+        engine.set_fault_plan(Plan::new().at("hot", 1, FaultKind::NaN));
         let faulted = engine.verify(&ctx, &[cold, hot]).unwrap();
         assert_eq!(faulted.degradations.len(), 1);
 

@@ -13,13 +13,13 @@
 //! - [`Fs::read`] — plain read, with an optional injected bit-flip so the
 //!   corruption-detection paths (CRC mismatches) are drilled end to end.
 //!
-//! Fault injection mirrors the recovery ladder's
-//! [`FaultPlan`](crate::recovery::FaultPlan) philosophy: a
-//! [`DiskFaultPlan`] is a pure data structure (no RNG state, no wall
-//! clock), so the same plan produces the same faults on every run and
-//! machine. Faults target paths by substring and either fire forever or a
-//! fixed number of times.
+//! Fault injection is a [`Plan`] of [`FsFaultKind`]s whose sites are full
+//! file paths — the destination path of the operation, never a fragment of
+//! it, so a rule for `x.cache` leaves `x.cache.journal` alone. Each rule
+//! fires on its first `n` operations that could suffer it (a `BitFlip` on
+//! reads, a `RenameFail` on atomic replacements, …).
 
+use crate::fault::Plan;
 use std::io::{self, Write};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
@@ -50,7 +50,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
-/// The disk failure class a [`DiskFaultPlan`] injects.
+/// The disk failure class a [`Plan`] injects through [`Fs::with_faults`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsFaultKind {
     /// Write only the first half of the payload, then report success —
@@ -80,59 +80,12 @@ impl FsFaultKind {
     }
 }
 
-/// One planned disk fault: which paths it hits, what it does, and how many
-/// times it fires.
-#[derive(Debug, Clone)]
-struct FsFault {
-    /// Applies to any path whose string form contains this fragment.
-    path_contains: String,
-    kind: FsFaultKind,
-    /// Firings left; `u32::MAX` means persistent.
-    remaining: u32,
-}
-
-/// A deterministic plan of disk faults, keyed by path substring. Mirrors
-/// the numeric ladder's `FaultPlan`: pure data, no randomness, so chaos
-/// drills replay identically everywhere.
-#[derive(Debug, Clone, Default)]
-pub struct DiskFaultPlan {
-    faults: Vec<FsFault>,
-}
-
-impl DiskFaultPlan {
-    /// Empty plan (no faults).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// `true` when the plan injects nothing.
-    pub fn is_empty(&self) -> bool {
-        self.faults.is_empty()
-    }
-
-    /// Fault every matching operation, forever.
-    pub fn fail(&mut self, path_contains: impl Into<String>, kind: FsFaultKind) -> &mut Self {
-        self.fail_times(path_contains, kind, u32::MAX)
-    }
-
-    /// Fault the first `times` matching operations, then behave normally.
-    pub fn fail_times(
-        &mut self,
-        path_contains: impl Into<String>,
-        kind: FsFaultKind,
-        times: u32,
-    ) -> &mut Self {
-        self.faults.push(FsFault { path_contains: path_contains.into(), kind, remaining: times });
-        self
-    }
-}
-
 /// The I/O handle every persistence site goes through: real std I/O by
-/// default, with an optional [`DiskFaultPlan`] consulted on each
-/// operation. Cloning shares the plan (and its remaining-fire counters).
+/// default, with an optional fault [`Plan`] consulted on each operation.
+/// Cloning shares the plan (and its occurrence counters).
 #[derive(Debug, Clone, Default)]
 pub struct Fs {
-    faults: Option<Arc<Mutex<DiskFaultPlan>>>,
+    faults: Option<Arc<Mutex<Plan<FsFaultKind>>>>,
 }
 
 impl Fs {
@@ -141,28 +94,19 @@ impl Fs {
         Self::default()
     }
 
-    /// Filesystem access with `plan`'s faults injected.
-    pub fn with_faults(plan: DiskFaultPlan) -> Self {
+    /// Filesystem access with `plan`'s faults injected; a rule's site is
+    /// the full path of the file an operation targets.
+    pub fn with_faults(plan: Plan<FsFaultKind>) -> Self {
         Fs { faults: Some(Arc::new(Mutex::new(plan))) }
     }
 
-    /// Consume one firing of the first live fault of `kind` matching
-    /// `path`, if any.
+    /// Consume one firing of the first live rule of `kind` at `path`, if
+    /// any.
     fn take_fault(&self, path: &Path, kind: FsFaultKind) -> bool {
-        let Some(plan) = &self.faults else {
-            return false;
-        };
-        let mut plan = plan.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let text = path.to_string_lossy();
-        for fault in &mut plan.faults {
-            if fault.kind == kind && fault.remaining > 0 && text.contains(&fault.path_contains) {
-                if fault.remaining != u32::MAX {
-                    fault.remaining -= 1;
-                }
-                return true;
-            }
-        }
-        false
+        self.faults.as_ref().is_some_and(|plan| {
+            let mut plan = plan.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+            plan.fire(&path.to_string_lossy(), |&k| k == kind)
+        })
     }
 
     /// Read a file's bytes, applying any planned [`FsFaultKind::BitFlip`].
@@ -281,6 +225,8 @@ impl Fs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::durable::Journal;
+    use crate::fault::ALWAYS;
 
     fn dir(tag: &str) -> std::path::PathBuf {
         let d = std::env::temp_dir().join(format!("pcv-fs-{tag}-{}", std::process::id()));
@@ -316,9 +262,7 @@ mod tests {
         let fs = Fs::real();
         fs.write_atomic(&path, b"stable").unwrap();
         for kind in [FsFaultKind::NoSpace, FsFaultKind::FsyncFail, FsFaultKind::RenameFail] {
-            let mut plan = DiskFaultPlan::new();
-            plan.fail("file", kind);
-            let faulty = Fs::with_faults(plan);
+            let faulty = Fs::with_faults(Plan::new().at(path.display(), ALWAYS, kind));
             let err = faulty.write_atomic(&path, b"overwrite").unwrap_err();
             if kind == FsFaultKind::NoSpace {
                 assert_eq!(err.kind(), io::ErrorKind::StorageFull);
@@ -333,9 +277,7 @@ mod tests {
     fn short_write_publishes_a_torn_file() {
         let d = dir("torn");
         let path = d.join("file");
-        let mut plan = DiskFaultPlan::new();
-        plan.fail_times("file", FsFaultKind::ShortWrite, 1);
-        let fs = Fs::with_faults(plan);
+        let fs = Fs::with_faults(Plan::new().at(path.display(), 1, FsFaultKind::ShortWrite));
         fs.write_atomic(&path, b"0123456789").unwrap();
         assert_eq!(fs.read(&path).unwrap(), b"01234", "only half landed");
         // The fault was one-shot: the next write is whole again.
@@ -348,9 +290,7 @@ mod tests {
     fn append_accumulates_and_short_append_tears_the_tail() {
         let d = dir("append");
         let path = d.join("log");
-        let mut plan = DiskFaultPlan::new();
-        plan.fail_times("log", FsFaultKind::ShortWrite, 1);
-        let fs = Fs::with_faults(plan);
+        let fs = Fs::with_faults(Plan::new().at(path.display(), 1, FsFaultKind::ShortWrite));
         fs.append_durable(&path, b"torn-record\n").unwrap(); // one-shot fault fires here
         fs.append_durable(&path, b"whole-1\n").unwrap();
         fs.append_durable(&path, b"whole-2\n").unwrap();
@@ -368,8 +308,7 @@ mod tests {
         let path = d.join("file");
         Fs::real().write_atomic(&path, b"abcdefgh").unwrap();
         let flipped = |fs: &Fs| fs.read(&path).unwrap();
-        let mut plan = DiskFaultPlan::new();
-        plan.fail("file", FsFaultKind::BitFlip);
+        let plan = Plan::new().at(path.display(), ALWAYS, FsFaultKind::BitFlip);
         let a = flipped(&Fs::with_faults(plan.clone()));
         let b = flipped(&Fs::with_faults(plan));
         assert_eq!(a, b, "the flip is a pure function of the content");
@@ -381,12 +320,13 @@ mod tests {
     #[test]
     fn faults_only_hit_matching_paths() {
         let d = dir("match");
-        let mut plan = DiskFaultPlan::new();
-        plan.fail("cache", FsFaultKind::NoSpace);
-        assert!(!plan.is_empty());
-        let fs = Fs::with_faults(plan);
+        let cache = d.join("signoff.cache");
+        let fs = Fs::with_faults(Plan::new().at(cache.display(), ALWAYS, FsFaultKind::NoSpace));
         fs.write_atomic(&d.join("journal"), b"ok").unwrap();
-        assert!(fs.write_atomic(&d.join("signoff.cache"), b"no").is_err());
+        // A site is the whole path: the cache's siblings share its prefix
+        // and are still not it.
+        fs.write_atomic(&Journal::path_for(&cache), b"ok").unwrap();
+        assert!(fs.write_atomic(&cache, b"no").is_err());
         let _ = std::fs::remove_dir_all(&d);
     }
 }

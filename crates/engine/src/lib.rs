@@ -24,8 +24,8 @@
 //!   Newton, SPICE fallback, conservative worst-case) so every victim ends
 //!   with a verdict; the trail lands in [`EngineReport::degradations`] and
 //!   a worst-cased victim also in [`EngineReport::errors`].
-//!   Deterministic fault injection ([`recovery::FaultPlan`]) drills the
-//!   ladder in tests and chaos runs.
+//!   Deterministic fault injection (a [`Plan`] of [`FaultKind`]s) drills
+//!   the ladder in tests and chaos runs.
 //! - **One cluster record** ([`record`]) — every victim's result is one
 //!   bit-exact [`JournalEntry`], built by one function, turned into the
 //!   report's verdict by one function, and spelled on disk by two
@@ -45,9 +45,11 @@
 //!   integrity framing; completed records are checkpointed to a
 //!   write-ahead journal so a killed run resumes (a [`RunRequest`] with
 //!   `resume` set) to a byte-identical sign-off; an advisory run
-//!   lock serializes writers; [`fs::DiskFaultPlan`] injects
+//!   lock serializes writers; a [`Plan`] of [`FsFaultKind`]s injects
 //!   deterministic disk faults (torn writes, ENOSPC, bit flips) for
 //!   chaos drills.
+//! - **Fault injection** ([`fault`]) — one scheduling primitive,
+//!   [`Plan`], under the numeric, disk and shard-process drills alike.
 //!
 //! # Example
 //!
@@ -85,6 +87,7 @@ pub mod cache;
 pub mod durable;
 pub mod eco;
 pub mod engine;
+pub mod fault;
 pub mod fingerprint;
 pub mod fs;
 pub mod record;
@@ -98,13 +101,13 @@ pub use cache::{CacheLoadStats, ResultCache};
 pub use durable::{DurableConfig, Journal, JournalLoad, LockError, RunLock, StopAfter, StopFlag};
 pub use eco::{EcoOutcome, EcoPlan};
 pub use engine::{Engine, EngineConfig, RunRequest};
+pub use fault::Plan;
 pub use fingerprint::{chip_slice_fingerprint, cluster_fingerprint, config_hash, Fnv1a};
-pub use fs::{crc32, DiskFaultPlan, Fs, FsFaultKind};
+pub use fs::{crc32, Fs, FsFaultKind};
 pub use record::JournalEntry;
-pub use recovery::{Attempt, Degradation, FaultKind, FaultPlan, FaultSpec, RecoveryRung, Trail};
+pub use recovery::{Attempt, Degradation, FaultKind, RecoveryRung, Trail};
 pub use report::{ClusterCost, EngineError, EngineReport, EngineStats};
 pub use resident::{ResidentChip, VerdictSnapshot};
 pub use shard::{
-    harvest_shard, partition, shard_of, write_merged_journal, PlannedShardFault, ShardContribution,
-    ShardFault, ShardFaultPlan,
+    harvest_shard, partition, shard_of, write_merged_journal, ShardContribution, ShardFault,
 };

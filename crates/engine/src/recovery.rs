@@ -1,5 +1,5 @@
-//! The per-cluster recovery ladder: escalation policy, deterministic fault
-//! injection, and degradation records.
+//! The per-cluster recovery ladder: escalation policy, the numeric fault
+//! classes a drill can inject, and degradation records.
 //!
 //! The paper's deliverable is chip-level *signoff*: every victim net must
 //! end with a verdict. A cluster whose reduction or transient fails must
@@ -29,12 +29,10 @@
 //! of the victim and the configuration — no wall-clock, no randomness — so
 //! a recovered report is byte-identical across worker counts.
 
-use crate::fingerprint::Fnv1a;
 use pcv_mor::MorError;
 use pcv_netlist::PNetId;
 use pcv_trace::json::{str_lit, Value};
 use pcv_xtalk::XtalkError;
-use std::collections::BTreeMap;
 use std::time::Duration;
 
 /// One rung of the recovery ladder, in escalation order.
@@ -112,7 +110,12 @@ pub fn route(err: &XtalkError) -> RecoveryRung {
     }
 }
 
-/// The failure class a [`FaultPlan`] injects into a cluster job.
+/// The failure class a [`Plan`](crate::fault::Plan) injects into a cluster
+/// job — keyed by victim *name* (scheduling- and worker-count-independent),
+/// the occurrence being the ladder attempt: a rule with `fires` 1 hits the
+/// baseline attempt only, so the first retry rung sees a healthy cluster;
+/// [`ALWAYS`](crate::fault::ALWAYS) hits every rung (a
+/// [`FaultKind::Panic`] can then only end worst-cased).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// Synthesize a `NotPositiveDefinite` Cholesky breakdown (routes to
@@ -137,90 +140,6 @@ impl FaultKind {
             FaultKind::NaN => "nan",
             FaultKind::Slow => "slow",
         }
-    }
-}
-
-/// One victim's injected fault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultSpec {
-    /// What to inject.
-    pub kind: FaultKind,
-    /// `true` → the fault fires at every rung (the cluster can only end
-    /// worst-cased for [`FaultKind::Panic`]); `false` → baseline only, so
-    /// the first retry rung sees a healthy cluster.
-    pub persistent: bool,
-}
-
-/// A deterministic fault-injection plan: which victims fail, how, and at
-/// which rungs. Faults are keyed by victim *name* (scheduling- and
-/// worker-count-independent), either explicitly or through a seeded
-/// per-name probability, so the same plan produces the same faults on
-/// every run and machine.
-#[derive(Debug, Clone, Default)]
-pub struct FaultPlan {
-    by_name: BTreeMap<String, FaultSpec>,
-    seeded: Option<SeededFaults>,
-}
-
-/// Probabilistic portion of a [`FaultPlan`].
-#[derive(Debug, Clone, Copy)]
-struct SeededFaults {
-    seed: u64,
-    probability: f64,
-    kind: FaultKind,
-    persistent: bool,
-}
-
-impl FaultPlan {
-    /// Empty plan (no faults).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// `true` when the plan injects nothing.
-    pub fn is_empty(&self) -> bool {
-        self.by_name.is_empty() && self.seeded.is_none()
-    }
-
-    /// Inject a fault into the named victim's job.
-    pub fn inject(&mut self, name: impl Into<String>, spec: FaultSpec) -> &mut Self {
-        self.by_name.insert(name.into(), spec);
-        self
-    }
-
-    /// Inject a baseline-only (transient) fault into the named victim.
-    pub fn inject_named(&mut self, name: impl Into<String>, kind: FaultKind) -> &mut Self {
-        self.inject(name, FaultSpec { kind, persistent: false })
-    }
-
-    /// Additionally fault every victim whose name hashes (under `seed`)
-    /// below `probability`. The decision is a pure function of
-    /// `(seed, name)` — FNV-1a, no RNG state — so it is identical across
-    /// worker counts, runs and machines.
-    pub fn seed_probability(
-        &mut self,
-        seed: u64,
-        probability: f64,
-        kind: FaultKind,
-        persistent: bool,
-    ) -> &mut Self {
-        self.seeded = Some(SeededFaults { seed, probability, kind, persistent });
-        self
-    }
-
-    /// The fault (if any) planned for a victim. Explicit by-name entries
-    /// shadow the seeded probability.
-    pub fn fault_for(&self, name: &str) -> Option<FaultSpec> {
-        if let Some(spec) = self.by_name.get(name) {
-            return Some(*spec);
-        }
-        let s = self.seeded?;
-        let mut h = Fnv1a::new();
-        h.write_u64(s.seed);
-        h.write_str(name);
-        // The top 53 mixed bits are a uniform [0, 1) draw.
-        let draw = (h.finish_mixed() >> 11) as f64 / (1u64 << 53) as f64;
-        (draw < s.probability).then_some(FaultSpec { kind: s.kind, persistent: s.persistent })
     }
 }
 
@@ -333,6 +252,7 @@ impl std::fmt::Display for Degradation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{Plan, ALWAYS};
 
     #[test]
     fn rungs_escalate_in_order_and_terminate() {
@@ -369,28 +289,23 @@ mod tests {
 
     #[test]
     fn by_name_faults_shadow_seeded_ones() {
-        let mut plan = FaultPlan::new();
-        plan.inject("hot", FaultSpec { kind: FaultKind::Panic, persistent: true });
-        plan.seed_probability(42, 1.0, FaultKind::NaN, false);
-        let hot = plan.fault_for("hot").unwrap();
-        assert_eq!(hot.kind, FaultKind::Panic);
-        assert!(hot.persistent);
-        let other = plan.fault_for("anything").unwrap();
-        assert_eq!(other.kind, FaultKind::NaN);
-        assert!(!other.persistent);
+        let plan =
+            Plan::new().at("hot", ALWAYS, FaultKind::Panic).seeded(42, 1.0, 1, FaultKind::NaN);
+        let at = |name, nth| plan.armed(name, nth).copied().collect::<Vec<_>>();
+        assert_eq!(at("hot", 0), [FaultKind::Panic]);
+        assert_eq!(at("hot", 5), [FaultKind::Panic], "persistent: every rung");
+        assert_eq!(at("anything", 0), [FaultKind::NaN]);
+        assert_eq!(at("anything", 1), [], "transient: baseline only");
     }
 
     #[test]
     fn seeded_faults_are_deterministic_and_seed_sensitive() {
-        let mut a = FaultPlan::new();
-        a.seed_probability(7, 0.5, FaultKind::Slow, false);
-        let mut b = FaultPlan::new();
-        b.seed_probability(7, 0.5, FaultKind::Slow, false);
-        let mut c = FaultPlan::new();
-        c.seed_probability(8, 0.5, FaultKind::Slow, false);
+        let a = Plan::new().seeded(7, 0.5, 1, FaultKind::Slow);
+        let b = Plan::new().seeded(7, 0.5, 1, FaultKind::Slow);
+        let c = Plan::new().seeded(8, 0.5, 1, FaultKind::Slow);
         let names: Vec<String> = (0..64).map(|i| format!("net_{i}")).collect();
-        let pick = |p: &FaultPlan| -> Vec<bool> {
-            names.iter().map(|n| p.fault_for(n).is_some()).collect()
+        let pick = |p: &Plan<FaultKind>| -> Vec<bool> {
+            names.iter().map(|n| p.armed(n, 0).next().is_some()).collect()
         };
         assert_eq!(pick(&a), pick(&b), "same seed, same faults");
         // The pick is pinned, not just pure: chaos suites name the victims
@@ -405,16 +320,12 @@ mod tests {
 
     #[test]
     fn probability_extremes() {
-        let mut none = FaultPlan::new();
-        none.seed_probability(1, 0.0, FaultKind::NaN, false);
-        let mut all = FaultPlan::new();
-        all.seed_probability(1, 1.0, FaultKind::NaN, false);
+        let none = Plan::new().seeded(1, 0.0, 1, FaultKind::NaN);
+        let all = Plan::new().seeded(1, 1.0, 1, FaultKind::NaN);
         for name in ["a", "b", "c", "longer_net_name_7"] {
-            assert!(none.fault_for(name).is_none());
-            assert!(all.fault_for(name).is_some());
+            assert!(none.armed(name, 0).next().is_none());
+            assert!(all.armed(name, 0).next().is_some());
         }
-        assert!(FaultPlan::new().is_empty());
-        assert!(!all.is_empty());
     }
 
     #[test]

@@ -18,10 +18,11 @@
 //! with a single-process run is inherited from the resume proof, not
 //! re-argued here.
 //!
-//! [`ShardFaultPlan`] is the chaos layer: deterministic worker-side
+//! [`ShardFault`] is the chaos layer's payload: deterministic worker-side
 //! drills (panic, stall) and coordinator-side drills (SIGKILL at a
-//! fraction, torn journal, duplicate journal entry) so every failure mode
-//! the supervisor claims to survive is a repeatable test, not an anecdote.
+//! fraction, torn journal, duplicate journal entry), scheduled by a
+//! [`Plan`](crate::fault::Plan), so every failure mode the supervisor
+//! claims to survive is a repeatable test, not an anecdote.
 
 use crate::cache::ResultCache;
 use crate::durable::Journal;
@@ -65,7 +66,12 @@ pub fn partition(chip: &ResidentChip, victims: &[PNetId], shards: usize) -> Vec<
     slices
 }
 
-/// One deterministic failure drill, aimed at a single shard.
+/// One deterministic failure drill, aimed at a single shard. In a
+/// [`Plan`](crate::fault::Plan) the site is the shard index (in decimal)
+/// and the occurrence the worker's incarnation: `fires` 1 hits the first
+/// launch only, so the restarted worker finishes cleanly;
+/// [`ALWAYS`](crate::fault::ALWAYS) re-arms after every restart, which is
+/// how a restart budget gets exhausted on purpose.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ShardFault {
     /// Worker aborts (as a panic/crash would) after emitting this many
@@ -85,68 +91,6 @@ pub enum ShardFault {
     /// After killing the worker, append a duplicate of the journal's last
     /// intact cluster record — replay must dedupe by victim name.
     DuplicateEntry,
-}
-
-/// One planned fault: which shard, what fault, and whether it re-arms
-/// after a restart (`persistent`) or fires once (the default — drills
-/// that should let the restarted worker finish cleanly).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PlannedShardFault {
-    /// Target shard index.
-    pub shard: usize,
-    /// The drill.
-    pub fault: ShardFault,
-    /// `true` re-arms after every restart (how the restart budget gets
-    /// exhausted on purpose); `false` fires on the first incarnation only.
-    pub persistent: bool,
-}
-
-/// A deterministic chaos schedule for a sharded run.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ShardFaultPlan {
-    faults: Vec<PlannedShardFault>,
-}
-
-impl ShardFaultPlan {
-    /// An empty plan (no drills).
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Arm a one-shot fault against `shard`: it fires on the shard's
-    /// first incarnation and is disarmed for restarts.
-    #[must_use]
-    pub fn with_fault(mut self, shard: usize, fault: ShardFault) -> Self {
-        self.faults.push(PlannedShardFault { shard, fault, persistent: false });
-        self
-    }
-
-    /// Arm a persistent fault against `shard`: every incarnation —
-    /// including restarts — re-runs the drill, which is how a restart
-    /// budget gets exhausted deterministically.
-    #[must_use]
-    pub fn with_persistent_fault(mut self, shard: usize, fault: ShardFault) -> Self {
-        self.faults.push(PlannedShardFault { shard, fault, persistent: true });
-        self
-    }
-
-    /// Faults aimed at `shard`, filtered for the given incarnation:
-    /// `incarnation` 0 is the first launch, 1+ are restarts (which see
-    /// only persistent faults).
-    pub fn faults_for(
-        &self,
-        shard: usize,
-        incarnation: u32,
-    ) -> impl Iterator<Item = &PlannedShardFault> {
-        self.faults.iter().filter(move |f| f.shard == shard && (incarnation == 0 || f.persistent))
-    }
-
-    /// Whether the plan is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.faults.is_empty()
-    }
 }
 
 /// What one shard contributed at merge time.
@@ -295,12 +239,12 @@ mod tests {
 
     #[test]
     fn fault_plan_one_shot_vs_persistent() {
-        let plan = ShardFaultPlan::new()
-            .with_fault(1, ShardFault::SigkillAtFrac(0.5))
-            .with_persistent_fault(2, ShardFault::PanicAfter(0));
-        assert_eq!(plan.faults_for(1, 0).count(), 1);
-        assert_eq!(plan.faults_for(1, 1).count(), 0, "one-shot disarms on restart");
-        assert_eq!(plan.faults_for(2, 3).count(), 1, "persistent survives restarts");
-        assert_eq!(plan.faults_for(0, 0).count(), 0);
+        use crate::fault::{Plan, ALWAYS};
+        let kill = ShardFault::SigkillAtFrac(0.5);
+        let plan = Plan::new().at(1, 1, kill).at(2, ALWAYS, ShardFault::PanicAfter(0));
+        assert_eq!(plan.armed("1", 0).count(), 1);
+        assert_eq!(plan.armed("1", 1).count(), 0, "one-shot disarms on restart");
+        assert_eq!(plan.armed("2", 3).count(), 1, "persistent survives restarts");
+        assert_eq!(plan.armed("0", 0).count(), 0);
     }
 }

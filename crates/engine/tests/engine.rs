@@ -5,9 +5,8 @@
 use pcv_cells::library::CellLibrary;
 use pcv_designs::dsp::{generate, DspConfig};
 use pcv_designs::Technology;
-use pcv_engine::{
-    cluster_fingerprint, config_hash, Engine, EngineConfig, FaultKind, FaultPlan, FaultSpec,
-};
+use pcv_engine::fault::ALWAYS;
+use pcv_engine::{cluster_fingerprint, config_hash, Engine, EngineConfig, FaultKind, Plan};
 use pcv_netlist::{NetNodeRef, NetParasitics, PNetId, ParasiticDb};
 use pcv_rng::Rng;
 use pcv_xtalk::drivers::DriverModelKind;
@@ -105,9 +104,7 @@ fn injected_panic_yields_one_error_and_a_complete_report() {
     };
     let faulted = block.parasitics.net(victims[1]).name().to_owned();
     let mut engine = Engine::new(engine_config(4));
-    let mut plan = FaultPlan::new();
-    plan.inject(faulted.clone(), FaultSpec { kind: FaultKind::Panic, persistent: true });
-    engine.set_fault_plan(plan);
+    engine.set_fault_plan(Plan::new().at(&faulted, ALWAYS, FaultKind::Panic));
     let report = engine.verify(&ctx, &victims).unwrap();
 
     assert_eq!(report.errors.len(), 1);

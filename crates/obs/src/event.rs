@@ -224,20 +224,12 @@ pub trait EventSink: Send + Sync {
     }
 }
 
-/// A sink that discards every event — the explicit form of "no
-/// observability", for code that wants to hold a sink unconditionally.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl EventSink for NullSink {
-    fn event(&self, _ev: &EngineEvent) {}
-}
-
 /// A sink that counts events per kind — the workhorse of the event-stream
 /// determinism tests.
 #[derive(Debug, Default)]
 pub struct CountingSink {
-    counts: Mutex<BTreeMap<&'static str, u64>>,
+    /// Per kind: how many, and whether the kind is cluster-scoped.
+    counts: Mutex<BTreeMap<&'static str, (u64, bool)>>,
 }
 
 impl CountingSink {
@@ -246,28 +238,24 @@ impl CountingSink {
         Self::default()
     }
 
-    /// Current per-kind counts.
-    pub fn counts(&self) -> BTreeMap<&'static str, u64> {
-        self.counts.lock().unwrap_or_else(std::sync::PoisonError::into_inner).clone()
+    fn tally(&self, cluster_only: bool) -> BTreeMap<&'static str, u64> {
+        let counts = self.counts.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        counts
+            .iter()
+            .filter(|(_, &(_, cluster_scoped))| cluster_scoped || !cluster_only)
+            .map(|(&kind, &(n, _))| (kind, n))
+            .collect()
     }
 
-    /// Counts restricted to cluster-scoped kinds (the deterministic
-    /// subset).
+    /// Current per-kind counts.
+    pub fn counts(&self) -> BTreeMap<&'static str, u64> {
+        self.tally(false)
+    }
+
+    /// Counts restricted to the kinds [`EngineEvent::is_cluster_scoped`]
+    /// accepts (the deterministic subset).
     pub fn cluster_counts(&self) -> BTreeMap<&'static str, u64> {
-        let mut counts = self.counts();
-        counts.retain(|kind, _| {
-            !matches!(
-                *kind,
-                "run_started"
-                    | "worker_idle"
-                    | "run_finished"
-                    | "run_resumed"
-                    | "run_stopped"
-                    | "cluster_skipped"
-                    | "stall_warning"
-            )
-        });
-        counts
+        self.tally(true)
     }
 
     /// Count for one kind (0 when never seen).
@@ -279,7 +267,7 @@ impl CountingSink {
 impl EventSink for CountingSink {
     fn event(&self, ev: &EngineEvent) {
         let mut counts = self.counts.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        *counts.entry(ev.kind()).or_insert(0) += 1;
+        counts.entry(ev.kind()).or_insert((0, ev.is_cluster_scoped())).0 += 1;
     }
 }
 

@@ -50,7 +50,7 @@ pub mod metrics;
 pub mod progress;
 
 pub use alloc::{mem, MemSnapshot, TrackingAlloc};
-pub use event::{CountingSink, EngineEvent, EventSink, NullSink, TeeSink};
+pub use event::{CountingSink, EngineEvent, EventSink, TeeSink};
 pub use fanout::{CursorState, EventHub, HubCursor};
 pub use flight::{FlightEntry, FlightRecorder};
 pub use ledger::RunRecord;

@@ -174,11 +174,6 @@ impl Observatory {
         self.registry.counter_add("pcv_stall_warnings_total", HELP_STALLS, &[("run", run)], 1);
     }
 
-    /// Stall warnings recorded for `run` so far.
-    pub fn stall_count(&self, run: &str) -> u64 {
-        self.registry.counter_value("pcv_stall_warnings_total", &[("run", run)])
-    }
-
     /// Fold one finished engine run into the registry: run outcome,
     /// `EngineStats` counters and gauges, ECO splice fraction, and the
     /// run's trace when one was collected.

@@ -73,8 +73,24 @@ impl Thresholds {
     }
 }
 
+/// An optional member of `obj`, read strictly: absent is `None`, present
+/// with the wrong type is an error — never a silent default.
+pub(crate) fn member<T>(
+    obj: &Value,
+    key: &str,
+    read: fn(&Value, &str) -> Result<T, ApiError>,
+) -> Result<Option<T>, ApiError> {
+    obj.get(key).map(|v| read(v, key)).transpose()
+}
+
 pub(crate) fn float(v: &Value, key: &str) -> Result<f64, ApiError> {
     v.as_f64().ok_or_else(|| ApiError::BadRequest(format!("{key} must be a number")))
+}
+
+pub(crate) fn uint(v: &Value, key: &str) -> Result<usize, ApiError> {
+    v.as_u64()
+        .map(|n| n as usize)
+        .ok_or_else(|| ApiError::BadRequest(format!("{key} must be a non-negative integer")))
 }
 
 pub(crate) fn boolean(v: &Value, key: &str) -> Result<bool, ApiError> {

@@ -22,13 +22,13 @@
 use crate::error::ApiError;
 use crate::http::{self, ChunkedWriter, Request};
 use crate::observe::Observatory;
-use crate::overlay::{boolean, float, Thresholds};
+use crate::overlay::{boolean, float, uint, Thresholds};
 use crate::session::{DesignSpec, Session, SessionState};
 use crate::shard::{Coordinator, CoordinatorConfig};
 use pcv_engine::fs::Fs;
 use pcv_engine::{
-    EcoPlan, Engine, EngineConfig, FaultKind, FaultPlan, ResidentChip, RunRequest, StopAfter,
-    StopFlag, VerdictSnapshot,
+    EcoPlan, Engine, EngineConfig, FaultKind, Plan, ResidentChip, RunRequest, StopAfter, StopFlag,
+    VerdictSnapshot,
 };
 use pcv_netlist::eco::EcoDelta;
 use pcv_obs::json::{parse, Value};
@@ -215,12 +215,6 @@ impl RunOverlay {
         self.thresholds.apply(&mut cfg);
         cfg
     }
-}
-
-fn uint(v: &Value, key: &str) -> Result<usize, ApiError> {
-    v.as_u64()
-        .map(|n| n as usize)
-        .ok_or_else(|| ApiError::BadRequest(format!("{key} must be a non-negative integer")))
 }
 
 /// An ECO re-verification queued behind a run: the exact chip the delta
@@ -637,13 +631,6 @@ fn lookup_run(shared: &Shared, rid: &str) -> Result<Arc<RunHandle>, ApiError> {
         .ok_or_else(|| ApiError::NotFound(format!("no run {rid:?}")))
 }
 
-/// Splice `"corr":"..."` into a response object's trailing position, tying
-/// the answered resource back to the request that created it.
-fn with_corr(json: String, corr: &str) -> String {
-    debug_assert!(json.ends_with('}'));
-    format!("{},\"corr\":{}}}", &json[..json.len() - 1], str_lit(corr))
-}
-
 fn create_session(shared: &Arc<Shared>, body: &str, corr: &str) -> Result<String, ApiError> {
     if shared.shutting_down.load(Ordering::Acquire) {
         return Err(ApiError::Busy("daemon is draining".into()));
@@ -657,9 +644,13 @@ fn create_session(shared: &Arc<Shared>, body: &str, corr: &str) -> Result<String
     let built = Session::build(id.clone(), &spec, &shared.cfg.data_dir);
     shared.obs.elaboration_finished();
     let session = Arc::new(built?);
-    let info = session.info_json();
+    // The session's info object plus `corr`, tying the answered resource
+    // back to the request that created it.
+    let mut info = String::from("{");
+    session.write_info_members(&mut info);
+    info.push_str(&format!(",\"corr\":{}}}", str_lit(corr)));
     shared.sessions.write().unwrap_or_else(PoisonError::into_inner).insert(id, session);
-    Ok(with_corr(info, corr))
+    Ok(info)
 }
 
 fn submit_run(shared: &Arc<Shared>, sid: &str, body: &str, corr: &str) -> Result<String, ApiError> {
@@ -1007,14 +998,8 @@ fn execute_run(shared: &Shared, run_id: &str) {
         if let Some(frac) = run.overlay.drill_slow_frac {
             // The watchdog drill: seed deterministic slow faults so victims
             // escalate through the recovery ladder's slow rung.
-            let mut plan = FaultPlan::new();
-            plan.seed_probability(
-                run.overlay.drill_seed.unwrap_or(1),
-                frac,
-                FaultKind::Slow,
-                false,
-            );
-            engine.set_fault_plan(plan);
+            let seed = run.overlay.drill_seed.unwrap_or(1);
+            engine.set_fault_plan(Plan::new().seeded(seed, frac, 1, FaultKind::Slow));
         }
         // An ECO run verifies exactly the chip its plan was answered for
         // (clean clusters splice from the warm cache); any other run, the

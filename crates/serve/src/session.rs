@@ -15,6 +15,7 @@
 //! Running → Completed` once per run, paying elaboration exactly once.
 
 use crate::error::ApiError;
+use crate::overlay::{float, member, uint};
 use pcv_cells::charlib::{characterize, CharLibrary};
 use pcv_cells::library::CellLibrary;
 use pcv_designs::dsp::{generate, DspConfig};
@@ -58,13 +59,13 @@ pub enum DesignSpec {
     },
 }
 
-fn num(v: &Value, key: &str) -> Option<f64> {
-    v.get(key).and_then(Value::as_f64)
-}
-
 impl DesignSpec {
-    /// Parse the `POST /sessions` body. Unknown `kind`s and missing
-    /// required fields are [`ApiError::BadRequest`].
+    /// Parse the `POST /sessions` body — also the head of a shard worker's
+    /// config line. Unknown `kind`s, missing required fields, and members
+    /// that are present with the wrong type or range are
+    /// [`ApiError::BadRequest`], never a silent default: the daemon (or a
+    /// worker) must not elaborate a chip the client did not ask for.
+    /// Absent optional members keep their defaults.
     ///
     /// # Errors
     ///
@@ -81,14 +82,13 @@ impl DesignSpec {
         match kind {
             "dsp" => {
                 let d = DspConfig::default();
+                let count = |key: &str| member(design, key, uint);
                 let config = DspConfig {
-                    n_buses: num(design, "buses").map(|n| n as usize).unwrap_or(d.n_buses),
-                    bus_bits: num(design, "bits").map(|n| n as usize).unwrap_or(d.bus_bits),
-                    n_random_nets: num(design, "random")
-                        .map(|n| n as usize)
-                        .unwrap_or(d.n_random_nets),
-                    cycle: num(design, "cycle").unwrap_or(d.cycle),
-                    seed: design.get("seed").and_then(Value::as_u64).unwrap_or(d.seed),
+                    n_buses: count("buses")?.unwrap_or(d.n_buses),
+                    bus_bits: count("bits")?.unwrap_or(d.bus_bits),
+                    n_random_nets: count("random")?.unwrap_or(d.n_random_nets),
+                    cycle: positive(design, "cycle")?.unwrap_or(d.cycle),
+                    seed: count("seed")?.map_or(d.seed, |s| s as u64),
                 };
                 if config.n_buses * config.bus_bits + config.n_random_nets == 0 {
                     return Err(ApiError::BadRequest("dsp design generates no nets".into()));
@@ -101,10 +101,7 @@ impl DesignSpec {
                     .and_then(Value::as_str)
                     .ok_or_else(|| ApiError::BadRequest("spef design needs \"text\"".into()))?
                     .to_owned();
-                let drive_ohms = num(design, "drive_ohms").unwrap_or(1000.0);
-                if !(drive_ohms.is_finite() && drive_ohms > 0.0) {
-                    return Err(ApiError::BadRequest("drive_ohms must be positive".into()));
-                }
+                let drive_ohms = positive(design, "drive_ohms")?.unwrap_or(1000.0);
                 let victims = match design.get("victims") {
                     None => VictimSel::All,
                     Some(Value::Str(s)) if s == "all" => VictimSel::All,
@@ -133,21 +130,31 @@ impl DesignSpec {
         }
     }
 
-    /// Serialize back to the `POST /sessions` wire shape — the form the
-    /// shard coordinator hands each worker process so it elaborates the
-    /// *identical* chip (same net ids, same fingerprints) the daemon
-    /// holds. Round-trips through [`DesignSpec::from_json`].
+    /// Serialize back to the `POST /sessions` wire shape. Round-trips
+    /// through [`DesignSpec::from_json`].
     pub fn to_json(&self) -> String {
-        use pcv_trace::json::str_lit;
+        let mut out = String::from("{");
+        self.write_members(&mut out);
+        out.push('}');
+        out
+    }
+
+    /// Append `"design":{…}` — the member a spec contributes to the object
+    /// that carries it (the caller owns the braces and any members of its
+    /// own): the `POST /sessions` body, and the config line the shard
+    /// coordinator hands each worker process so it elaborates the
+    /// *identical* chip (same net ids, same fingerprints) the daemon holds.
+    pub(crate) fn write_members(&self, out: &mut String) {
+        use pcv_trace::json::{f64_lit, str_lit};
         match self {
-            DesignSpec::Dsp { config } => format!(
-                "{{\"design\":{{\"kind\":\"dsp\",\"buses\":{},\"bits\":{},\"random\":{},\"cycle\":{},\"seed\":{}}}}}",
+            DesignSpec::Dsp { config } => out.push_str(&format!(
+                "\"design\":{{\"kind\":\"dsp\",\"buses\":{},\"bits\":{},\"random\":{},\"cycle\":{},\"seed\":{}}}",
                 config.n_buses,
                 config.bus_bits,
                 config.n_random_nets,
-                pcv_trace::json::f64_lit(config.cycle),
+                f64_lit(config.cycle),
                 config.seed
-            ),
+            )),
             DesignSpec::Spef { text, drive_ohms, victims } => {
                 let victims = match victims {
                     VictimSel::All => "\"all\"".to_owned(),
@@ -156,14 +163,24 @@ impl DesignSpec {
                         format!("[{}]", items.join(","))
                     }
                 };
-                format!(
-                    "{{\"design\":{{\"kind\":\"spef\",\"text\":{},\"drive_ohms\":{},\"victims\":{}}}}}",
+                out.push_str(&format!(
+                    "\"design\":{{\"kind\":\"spef\",\"text\":{},\"drive_ohms\":{},\"victims\":{}}}",
                     str_lit(text),
-                    pcv_trace::json::f64_lit(*drive_ohms),
+                    f64_lit(*drive_ohms),
                     victims
-                )
+                ));
             }
         }
+    }
+}
+
+/// An optional design member that must be a positive number when present.
+fn positive(design: &Value, key: &str) -> Result<Option<f64>, ApiError> {
+    match member(design, key, float)? {
+        Some(x) if !(x.is_finite() && x > 0.0) => {
+            Err(ApiError::BadRequest(format!("{key} must be positive")))
+        }
+        x => Ok(x),
     }
 }
 
@@ -422,15 +439,24 @@ impl Session {
 
     /// The `{"session":...}` info object served for this session.
     pub fn info_json(&self) -> String {
+        let mut out = String::from("{");
+        self.write_info_members(&mut out);
+        out.push('}');
+        out
+    }
+
+    /// Append the members of [`Session::info_json`]; the caller owns the
+    /// braces and any members of its own (`POST /sessions` adds `corr`).
+    pub(crate) fn write_info_members(&self, out: &mut String) {
         use pcv_trace::json::str_lit;
         let chip = self.chip();
-        format!(
-            "{{\"session\":{},\"state\":{},\"nets\":{},\"victims\":{}}}",
+        out.push_str(&format!(
+            "\"session\":{},\"state\":{},\"nets\":{},\"victims\":{}",
             str_lit(&self.id),
             str_lit(self.state().name()),
             chip.num_nets(),
             chip.victims().len()
-        )
+        ));
     }
 }
 
@@ -488,6 +514,46 @@ mod tests {
                 other => panic!("{body}: expected BadRequest, got {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn present_members_of_the_wrong_type_or_range_are_rejected_not_defaulted() {
+        // Each of these used to elaborate *some* chip — the default one, a
+        // truncated one, a 1000-ohm one — with no error, in the daemon and
+        // (through the same reader) in every shard worker.
+        for design in [
+            "\"kind\":\"dsp\",\"buses\":\"8\"",
+            "\"kind\":\"dsp\",\"buses\":null",
+            "\"kind\":\"dsp\",\"bits\":2.7",
+            "\"kind\":\"dsp\",\"random\":-1",
+            "\"kind\":\"dsp\",\"seed\":\"x\"",
+            "\"kind\":\"dsp\",\"seed\":18446744073709551615",
+            "\"kind\":\"dsp\",\"cycle\":\"10e-9\"",
+            "\"kind\":\"dsp\",\"cycle\":-1e-9",
+            "\"kind\":\"spef\",\"text\":\"x\",\"drive_ohms\":\"50\"",
+            "\"kind\":\"spef\",\"text\":\"x\",\"drive_ohms\":true",
+            "\"kind\":\"spef\",\"text\":\"x\",\"drive_ohms\":0",
+        ] {
+            match DesignSpec::from_json(&format!("{{\"design\":{{{design}}}}}")) {
+                Err(ApiError::BadRequest(_)) => {}
+                other => panic!("{design}: expected BadRequest, got {other:?}"),
+            }
+        }
+        // Absent members keep their defaults; 2^53 is the largest seed the
+        // wire carries exactly, and it is carried.
+        let parsed = |design: &str| DesignSpec::from_json(&format!("{{\"design\":{{{design}}}}}"));
+        assert_eq!(
+            parsed("\"kind\":\"dsp\"").unwrap(),
+            DesignSpec::Dsp { config: DspConfig::default() }
+        );
+        assert_eq!(
+            parsed("\"kind\":\"dsp\",\"seed\":9007199254740992").unwrap(),
+            DesignSpec::Dsp { config: DspConfig { seed: 1 << 53, ..DspConfig::default() } }
+        );
+        let spef =
+            DesignSpec::Spef { text: "x".into(), drive_ohms: 1000.0, victims: VictimSel::All };
+        assert_eq!(parsed("\"kind\":\"spef\",\"text\":\"x\"").unwrap(), spef);
+        assert_eq!(DesignSpec::from_json(&spef.to_json()).unwrap(), spef);
     }
 
     #[test]

@@ -40,10 +40,10 @@ use crate::overlay::Thresholds;
 use crate::session::DesignSpec;
 use pcv_engine::durable::StopFlag;
 use pcv_engine::fs::Fs;
-use pcv_engine::shard::{harvest_shard, partition, ShardFault, ShardFaultPlan};
+use pcv_engine::shard::{harvest_shard, partition, ShardFault};
 use pcv_engine::{
     chip_slice_fingerprint, config_hash, write_merged_journal, Engine, EngineConfig, EngineReport,
-    ResidentChip, RunRequest, VerdictSnapshot,
+    Plan, ResidentChip, RunRequest, VerdictSnapshot,
 };
 use pcv_obs::json::{parse, Value};
 use pcv_obs::EventSink;
@@ -77,8 +77,9 @@ pub struct CoordinatorConfig {
     pub deadline: Option<Duration>,
     /// Restarts allowed per shard before it is declared exhausted.
     pub restart_budget: u32,
-    /// Deterministic failure drills.
-    pub fault_plan: ShardFaultPlan,
+    /// Deterministic failure drills: sites are shard indices, occurrences
+    /// worker incarnations (see [`ShardFault`]).
+    pub fault_plan: Plan<ShardFault>,
     /// Event sink for the merge run (the daemon threads its hub here).
     pub sink: Option<Arc<dyn EventSink>>,
     /// Cooperative stop for the merge run (the daemon's drain flag).
@@ -99,7 +100,7 @@ impl CoordinatorConfig {
             heartbeat_timeout: Duration::from_millis(10_000),
             deadline: None,
             restart_budget: 3,
-            fault_plan: ShardFaultPlan::new(),
+            fault_plan: Plan::new(),
             sink: None,
             stop: None,
         }
@@ -166,30 +167,6 @@ impl ShardRunOutcome {
     }
 }
 
-/// Per-incarnation drill knobs extracted from the fault plan.
-#[derive(Debug, Clone, Copy, Default)]
-struct Drills {
-    panic_after: Option<usize>,
-    stall_after: Option<usize>,
-    sigkill_frac: Option<f64>,
-    torn_journal: bool,
-    duplicate_entry: bool,
-}
-
-fn drills_for(plan: &ShardFaultPlan, shard: usize, incarnation: u32) -> Drills {
-    let mut d = Drills::default();
-    for f in plan.faults_for(shard, incarnation) {
-        match f.fault {
-            ShardFault::PanicAfter(n) => d.panic_after = Some(n),
-            ShardFault::StallAfter(n) => d.stall_after = Some(n),
-            ShardFault::SigkillAtFrac(x) => d.sigkill_frac = Some(x),
-            ShardFault::TornJournal => d.torn_journal = true,
-            ShardFault::DuplicateEntry => d.duplicate_entry = true,
-        }
-    }
-    d
-}
-
 /// Tear the journal's final line mid-frame (what a crash mid-append
 /// leaves behind) — the replay must drop exactly that line.
 fn tear_journal_tail(path: &Path) {
@@ -221,39 +198,26 @@ struct ShardResult {
     timed_out: bool,
 }
 
-struct ShardJob {
+struct ShardJob<'a> {
+    coord: &'a Coordinator,
     shard: usize,
     slice_len: usize,
-    /// Nets on the chip: the bound a streamed verdict's `net` must respect.
-    nets: usize,
-    config_line: String, // without the trailing '}' and drill keys
     cache: PathBuf,
-    worker_exe: PathBuf,
-    heartbeat_timeout: Duration,
     deadline: Option<Instant>,
-    restart_budget: u32,
-    plan: ShardFaultPlan,
     snapshot: Arc<VerdictSnapshot>,
 }
 
 fn spawn_worker(
     job: &ShardJob,
-    drills: Drills,
+    drills: &[ShardFault],
 ) -> std::io::Result<(Child, mpsc::Receiver<String>)> {
-    let mut child = Command::new(&job.worker_exe)
+    let mut child = Command::new(&job.coord.cfg.worker_exe)
         .arg("--shard-worker")
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
         .spawn()?;
-    let mut line = job.config_line.clone();
-    if let Some(n) = drills.panic_after {
-        line.push_str(&format!(",\"panic_after\":{n}"));
-    }
-    if let Some(n) = drills.stall_after {
-        line.push_str(&format!(",\"stall_after\":{n}"));
-    }
-    line.push('}');
+    let line = job.coord.worker_config_line(job.shard, &job.cache, drills);
     if let Some(mut stdin) = child.stdin.take() {
         let _ = writeln!(stdin, "{line}");
         // Dropping stdin closes the pipe; the worker has its one line.
@@ -285,11 +249,17 @@ fn supervise_incarnation(
     job: &ShardJob,
     child: &mut Child,
     rx: &mpsc::Receiver<String>,
-    drills: Drills,
+    drills: &[ShardFault],
     stats: &mut ShardStats,
 ) -> Exit {
+    let heartbeat_timeout = job.coord.cfg.heartbeat_timeout;
+    // Nets on the chip: the bound a streamed verdict's `net` must respect.
+    let nets = job.coord.chip.num_nets();
     let mut emitted = 0usize;
-    let mut sigkill_frac = drills.sigkill_frac;
+    let mut sigkill_frac = drills.iter().find_map(|d| match d {
+        ShardFault::SigkillAtFrac(frac) => Some(*frac),
+        _ => None,
+    });
     loop {
         let wait = match job.deadline {
             Some(d) => {
@@ -297,9 +267,9 @@ fn supervise_incarnation(
                     let _ = child.kill();
                     return Exit::TimedOut;
                 };
-                job.heartbeat_timeout.min(left)
+                heartbeat_timeout.min(left)
             }
-            None => job.heartbeat_timeout,
+            None => heartbeat_timeout,
         };
         match rx.recv_timeout(wait) {
             Ok(line) => {
@@ -318,7 +288,7 @@ fn supervise_incarnation(
                         // The stream only feeds the live snapshot; a line
                         // the strict reader rejects is dropped here, and the
                         // verdict still arrives through the journal harvest.
-                        match NetVerdict::from_json(&doc, job.nets) {
+                        match NetVerdict::from_json(&doc, nets) {
                             Some(v) => job.snapshot.insert(v),
                             None => stats.malformed_lines += 1,
                         }
@@ -362,6 +332,8 @@ fn supervise_incarnation(
 }
 
 fn supervise_shard(job: &ShardJob) -> ShardResult {
+    let cfg = &job.coord.cfg;
+    let site = job.shard.to_string();
     let mut stats =
         ShardStats { shard: job.shard, victims: job.slice_len, ..ShardStats::default() };
     let mut incarnation = 0u32;
@@ -371,26 +343,26 @@ fn supervise_shard(job: &ShardJob) -> ShardResult {
                 return ShardResult { stats, exhausted_reason: None, timed_out: true };
             }
         }
-        let drills = drills_for(&job.plan, job.shard, incarnation);
-        let Ok((mut child, rx)) = spawn_worker(job, drills) else {
+        let drills: Vec<ShardFault> = cfg.fault_plan.armed(&site, incarnation).copied().collect();
+        let Ok((mut child, rx)) = spawn_worker(job, &drills) else {
             // Spawn failure burns a restart like any other incarnation
             // death — persistent spawn failure ends in WorstCase fill,
             // not a hung coordinator.
             stats.restarts += 1;
-            if stats.restarts > job.restart_budget {
+            if stats.restarts > cfg.restart_budget {
                 return exhausted(job, stats);
             }
             incarnation += 1;
             backoff(incarnation);
             continue;
         };
-        let exit = supervise_incarnation(job, &mut child, &rx, drills, &mut stats);
+        let exit = supervise_incarnation(job, &mut child, &rx, &drills, &mut stats);
         // After a done line the child is exiting on its own — killing it
         // here would race its natural exit and turn an honest completion
         // into a SIGKILL status. Everything else gets killed so a child is
         // never leaked.
         let status = match exit {
-            Exit::Done { .. } => wait_bounded(&mut child, job.heartbeat_timeout),
+            Exit::Done { .. } => wait_bounded(&mut child, cfg.heartbeat_timeout),
             _ => {
                 let _ = child.kill();
                 child.wait()
@@ -415,14 +387,14 @@ fn supervise_shard(job: &ShardJob) -> ShardResult {
         // real crash can, *between* death and restart, so the replacement
         // incarnation's replay proves the tolerance.
         let journal = pcv_engine::Journal::path_for(&job.cache);
-        if drills.torn_journal {
+        if drills.contains(&ShardFault::TornJournal) {
             tear_journal_tail(&journal);
         }
-        if drills.duplicate_entry {
+        if drills.contains(&ShardFault::DuplicateEntry) {
             duplicate_journal_tail(&journal);
         }
         stats.restarts += 1;
-        if stats.restarts > job.restart_budget {
+        if stats.restarts > cfg.restart_budget {
             return exhausted(job, stats);
         }
         incarnation += 1;
@@ -434,7 +406,7 @@ fn exhausted(job: &ShardJob, mut stats: ShardStats) -> ShardResult {
     stats.exhausted = true;
     let reason = format!(
         "shard {} worker exhausted restart budget ({} restarts)",
-        job.shard, job.restart_budget
+        job.shard, job.coord.cfg.restart_budget
     );
     ShardResult { stats, exhausted_reason: Some(reason), timed_out: false }
 }
@@ -483,11 +455,18 @@ impl Coordinator {
         PathBuf::from(format!("{}.shard{shard}", self.cfg.cache_path.display()))
     }
 
-    pub(crate) fn worker_config_line(&self, shard: usize, cache: &Path) -> String {
+    /// The one config line a worker incarnation reads: the design, its
+    /// slice, the thresholds, and a key for each armed worker-side drill
+    /// (the other drills are the supervisor's to execute).
+    pub(crate) fn worker_config_line(
+        &self,
+        shard: usize,
+        cache: &Path,
+        drills: &[ShardFault],
+    ) -> String {
         use pcv_trace::json::str_lit;
-        let mut line = self.spec.to_json();
-        debug_assert!(line.ends_with('}'));
-        line.pop();
+        let mut line = String::from("{");
+        self.spec.write_members(&mut line);
         line.push_str(&format!(
             ",\"shards\":{},\"shard\":{},\"cache\":{},\"workers\":{}",
             self.cfg.shards,
@@ -496,7 +475,15 @@ impl Coordinator {
             self.cfg.workers_per_shard
         ));
         self.cfg.thresholds.write_members(&mut line);
-        line // drill keys + closing '}' are appended per incarnation
+        for drill in drills {
+            match drill {
+                ShardFault::PanicAfter(n) => line.push_str(&format!(",\"panic_after\":{n}")),
+                ShardFault::StallAfter(n) => line.push_str(&format!(",\"stall_after\":{n}")),
+                _ => {}
+            }
+        }
+        line.push('}');
+        line
     }
 
     /// The engine configuration the merge run (and the fingerprints) use
@@ -532,18 +519,12 @@ impl Coordinator {
         let results: Vec<ShardResult> = std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(slices.len());
             for (k, slice) in slices.iter().enumerate() {
-                let cache = self.shard_cache(k);
                 let job = ShardJob {
+                    coord: self,
                     shard: k,
                     slice_len: slice.len(),
-                    nets: self.chip.num_nets(),
-                    config_line: self.worker_config_line(k, &cache),
-                    cache,
-                    worker_exe: self.cfg.worker_exe.clone(),
-                    heartbeat_timeout: self.cfg.heartbeat_timeout,
+                    cache: self.shard_cache(k),
                     deadline,
-                    restart_budget: self.cfg.restart_budget,
-                    plan: self.cfg.fault_plan.clone(),
                     snapshot: snapshot.map_or_else(|| Arc::clone(&own_snapshot), Arc::clone),
                 };
                 handles.push(scope.spawn(move || supervise_shard(&job)));

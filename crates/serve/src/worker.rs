@@ -18,22 +18,23 @@
 //! ```
 //!
 //! A verdict line is the one verdict JSON object
-//! ([`NetVerdict::write_json`], the same bytes a sign-off document holds)
-//! with `"kind":"verdict"` added; the coordinator reads it with
+//! ([`NetVerdict::write_members`], the same bytes a sign-off document
+//! holds) with `"kind":"verdict"` added; the coordinator reads it with
 //! [`NetVerdict::from_json`], which rejects anything a healthy worker
 //! could not have written. Any line is a heartbeat to the coordinator;
 //! silence past the deadline is what gets a worker killed and restarted.
 //! Exit status 0 means the `done` line is trustworthy; anything else is a
 //! crash.
 //!
-//! The config line may also arm deterministic worker-side drills
-//! ([`pcv_engine::shard::ShardFault`]): `panic_after` aborts the process
-//! after N verdicts have been emitted, `stall_after` silences all output
-//! after N verdicts while the process stays alive — the two failure
-//! modes (crash vs. hang) the supervisor must distinguish.
+//! The config line may also arm deterministic worker-side drills — the
+//! coordinator writes one key per armed [`pcv_engine::shard::ShardFault`]:
+//! `panic_after` aborts the process after N verdicts have been emitted,
+//! `stall_after` silences all output after N verdicts while the process
+//! stays alive — the two failure modes (crash vs. hang) the supervisor
+//! must distinguish.
 
 use crate::error::ApiError;
-use crate::overlay::Thresholds;
+use crate::overlay::{member, uint, Thresholds};
 use crate::session::{elaborate, DesignSpec};
 use pcv_engine::durable::Journal;
 use pcv_engine::fs::Fs;
@@ -50,9 +51,8 @@ use std::time::Duration;
 
 /// One line of the worker→coordinator verdict stream.
 fn wire_line(v: &NetVerdict) -> String {
-    let mut line = String::new();
-    v.write_json(&mut line);
-    line.pop(); // reopen the object
+    let mut line = String::from("{");
+    v.write_members(&mut line);
     line.push_str(",\"kind\":\"verdict\"}");
     line
 }
@@ -90,19 +90,20 @@ impl WorkerConfig {
     }
 }
 
-/// Read the coordinator's config line. A threshold override of the wrong
-/// type is rejected, not defaulted: a worker running on other thresholds
-/// than its coordinator fingerprints every cluster differently, and its
-/// whole slice would be silently recomputed at merge.
+/// Read the coordinator's config line. A member of the wrong type is
+/// rejected, not defaulted: a worker running on other thresholds than its
+/// coordinator fingerprints every cluster differently, and its whole slice
+/// would be silently recomputed at merge; a drill key that quietly
+/// disarmed would pass a test it should have failed.
 fn parse_config(line: &str) -> Result<WorkerConfig, ApiError> {
     fn bad(what: impl Into<String>) -> ApiError {
         ApiError::BadRequest(what.into())
     }
     let spec = DesignSpec::from_json(line)?;
     let doc = parse(line).map_err(|e| bad(format!("config line: {e}")))?;
-    let uint = |key: &str| doc.get(key).and_then(Value::as_u64).map(|n| n as usize);
-    let shards = uint("shards").ok_or_else(|| bad("config needs \"shards\""))?;
-    let shard = uint("shard").ok_or_else(|| bad("config needs \"shard\""))?;
+    let count = |key: &str| member(&doc, key, uint);
+    let shards = count("shards")?.ok_or_else(|| bad("config needs \"shards\""))?;
+    let shard = count("shard")?.ok_or_else(|| bad("config needs \"shard\""))?;
     if shards == 0 || shard >= shards {
         return Err(bad(format!("shard {shard} out of range for {shards} shards")));
     }
@@ -120,10 +121,10 @@ fn parse_config(line: &str) -> Result<WorkerConfig, ApiError> {
         shards,
         shard,
         cache,
-        workers: uint("workers").unwrap_or(0),
+        workers: count("workers")?.unwrap_or(0),
         thresholds,
-        panic_after: uint("panic_after"),
-        stall_after: uint("stall_after"),
+        panic_after: count("panic_after")?,
+        stall_after: count("stall_after")?,
     })
 }
 
@@ -293,6 +294,20 @@ mod tests {
     #[test]
     fn wire_line_round_trips_bit_exactly() {
         let v = sample();
+        assert_eq!(
+            wire_line(&v),
+            concat!(
+                "{\"net\":7,\"name\":\"bus0.3\",",
+                "\"rise_peak\":0.123456789012345,\"rise_peak_bits\":\"3fbf9add3746f62e\",",
+                "\"fall_peak\":-0.0987654321,\"fall_peak_bits\":\"bfb948b0fcd84560\",",
+                "\"worst_frac\":0.049382716,\"worst_frac_bits\":\"3fa948b0fc6a51e1\",",
+                "\"severity\":\"warning\",\"cluster_size\":11,\"neighbors_before\":4,",
+                "\"receiver\":{\"cell\":\"INVX2\",\"output_peak\":0.001234,",
+                "\"output_peak_bits\":\"3f5437c5692b3cc5\",\"propagates\":false},",
+                "\"kind\":\"verdict\"}"
+            ),
+            "the verdict line's bytes are pinned"
+        );
         let doc = parse(&wire_line(&v)).unwrap();
         assert_eq!(doc.get("kind").and_then(Value::as_str), Some("verdict"));
         assert_eq!(NetVerdict::from_json(&doc, 8), Some(v.clone()));
@@ -390,7 +405,7 @@ mod tests {
                     ccfg.thresholds = thresholds;
                     ccfg.workers_per_shard = 3;
                     let c = Coordinator::new(spec.clone(), Arc::clone(&chip), ccfg);
-                    let line = c.worker_config_line(1, &c.shard_cache(1)) + "}";
+                    let line = c.worker_config_line(1, &c.shard_cache(1), &[]);
                     let worker = parse_config(&line).unwrap();
                     assert_eq!(worker.thresholds, thresholds, "{line}");
                     assert_eq!((worker.shards, worker.shard, worker.workers), (2, 1, 3));
@@ -400,6 +415,48 @@ mod tests {
                         warn_frac.is_none() && fail_frac.is_none() && check_receivers != Some(true);
                     assert_eq!(merged == default_hash, all_default, "{line}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn config_line_bytes_are_pinned_and_drill_keys_are_strict() {
+        use crate::shard::{Coordinator, CoordinatorConfig};
+        use pcv_engine::ShardFault;
+        let spec = DesignSpec::from_json(&format!("{{{DESIGN}}}")).unwrap();
+        let chip = Arc::new(elaborate(&spec).unwrap());
+        let mut ccfg = CoordinatorConfig::new(2, "/bin/true".into(), "/tmp/m.cache".into());
+        ccfg.thresholds =
+            Thresholds { warn_frac: Some(0.1 + 0.2), fail_frac: None, check_receivers: Some(true) };
+        ccfg.workers_per_shard = 3;
+        let c = Coordinator::new(spec, chip, ccfg);
+        // The supervisor's own drills never reach the worker's line.
+        let armed = [ShardFault::SigkillAtFrac(0.5), ShardFault::PanicAfter(3)];
+        let line = c.worker_config_line(1, &c.shard_cache(1), &armed);
+        assert_eq!(
+            line,
+            concat!(
+                "{\"design\":{\"kind\":\"dsp\",\"buses\":1,\"bits\":2,\"random\":0,",
+                "\"cycle\":0.00000001,\"seed\":1},\"shards\":2,\"shard\":1,",
+                "\"cache\":\"/tmp/m.cache.shard1\",\"workers\":3,",
+                "\"warn_frac\":0.30000000000000004,\"check_receivers\":true,\"panic_after\":3}"
+            )
+        );
+        let worker = parse_config(&line).unwrap();
+        assert_eq!((worker.panic_after, worker.stall_after), (Some(3), None));
+        // A drill or worker-count key of the wrong type used to disarm (or
+        // default) silently; it is a typed rejection like the thresholds.
+        for (good, bad) in [
+            ("\"panic_after\":3", "\"panic_after\":\"3\""),
+            ("\"panic_after\":3", "\"stall_after\":-1"),
+            ("\"panic_after\":3", "\"stall_after\":1.5"),
+            ("\"workers\":3", "\"workers\":\"3\""),
+            ("\"shard\":1", "\"shard\":true"),
+        ] {
+            match parse_config(&line.replace(good, bad)) {
+                Err(ApiError::BadRequest(_)) => {}
+                Err(other) => panic!("{bad}: expected BadRequest, got {other:?}"),
+                Ok(_) => panic!("{bad}: accepted"),
             }
         }
     }

@@ -1,10 +1,8 @@
-//! Trace exports: Chrome `trace_event` JSON (loadable in `chrome://tracing`
-//! or [Perfetto](https://ui.perfetto.dev)) and a compact machine-readable
-//! summary.
+//! Trace export: Chrome `trace_event` JSON (loadable in `chrome://tracing`
+//! or [Perfetto](https://ui.perfetto.dev)).
 
 use crate::json;
 use crate::trace::Trace;
-use std::path::Path;
 
 /// Microseconds (Chrome's native unit) from nanoseconds, with sub-µs
 /// resolution preserved.
@@ -86,74 +84,12 @@ impl Trace {
         out.push_str("]}");
         out
     }
-
-    /// Render a compact summary: counters, histogram statistics, and
-    /// summed cost per span kind. Keys are ordered, so the document is
-    /// deterministic up to timing values.
-    pub fn to_summary_json(&self) -> String {
-        let mut out = String::from("{\"counters\":{");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{}:{v}", json::str_lit(name)));
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{}:{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"mean\":{}}}",
-                json::str_lit(name),
-                h.count,
-                h.sum,
-                if h.count == 0 { 0 } else { h.min },
-                h.max,
-                json::f64_lit(h.mean())
-            ));
-        }
-        out.push_str("},\"span_totals\":{");
-        for (i, ((cat, name), t)) in self.span_totals().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{}:{{\"count\":{},\"total_ns\":{},\"alloc_bytes\":{},\"allocs\":{}}}",
-                json::str_lit(&format!("{cat}/{name}")),
-                t.count,
-                t.total_ns,
-                t.alloc_bytes,
-                t.alloc_count
-            ));
-        }
-        out.push_str("}}");
-        out
-    }
-
-    /// Write the Chrome trace next to `path` (exact path, not a sibling).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures.
-    pub fn write_chrome_trace(&self, path: &Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_chrome_trace())
-    }
-
-    /// Write the summary JSON to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures.
-    pub fn write_summary(&self, path: &Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_summary_json())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{Histogram, Span};
+    use crate::trace::Span;
 
     fn sample() -> Trace {
         let mut t = Trace::default();
@@ -178,10 +114,6 @@ mod tests {
             alloc_count: 0,
         });
         t.counters.insert("engine.cache.hit".into(), 7);
-        let mut h = Histogram::default();
-        h.record(3);
-        h.record(5);
-        t.histograms.insert("mor.order".into(), h);
         t
     }
 
@@ -195,6 +127,9 @@ mod tests {
         assert!(doc.contains("\"ph\":\"C\""));
         assert!(doc.contains("\"ts\":1.500"));
         assert!(doc.contains("\"dur\":2.500"));
+        // Counters close at the trace's end: the latest span end (5000 ns).
+        assert_eq!(sample().end_ns(), 5000);
+        assert!(doc.contains("\"ph\":\"C\",\"ts\":5.000,"));
         assert!(doc.contains("\"label\":\"bus0_1\",\"alloc_bytes\":4096,\"allocs\":12"));
         // Balanced braces/brackets — a cheap well-formedness check.
         let braces = doc.matches('{').count();
@@ -203,24 +138,8 @@ mod tests {
     }
 
     #[test]
-    fn summary_has_all_three_sections() {
-        let doc = sample().to_summary_json();
-        assert!(doc.contains("\"counters\":{\"engine.cache.hit\":7}"));
-        assert!(
-            doc.contains("\"mor.order\":{\"count\":2,\"sum\":8,\"min\":3,\"max\":5,\"mean\":4.0}")
-        );
-        assert!(doc.contains(
-            "\"xtalk/prune\":{\"count\":1,\"total_ns\":2500,\"alloc_bytes\":4096,\"allocs\":12}"
-        ));
-        assert!(doc.contains(
-            "\"mor/reduce\":{\"count\":1,\"total_ns\":1000,\"alloc_bytes\":0,\"allocs\":0}"
-        ));
-    }
-
-    #[test]
     fn empty_trace_exports_cleanly() {
         let t = Trace::default();
         assert_eq!(t.to_chrome_trace(), "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[]}");
-        assert_eq!(t.to_summary_json(), "{\"counters\":{},\"histograms\":{},\"span_totals\":{}}");
     }
 }

@@ -14,14 +14,15 @@
 //!   calls, steals), summed across threads.
 //! - **Histograms** ([`value`]) — sample distributions (reduced-model
 //!   order, queue depth) in power-of-two buckets.
-//! - **Collector** ([`Collector`]) — the pluggable sink. With none
-//!   installed (the default) every site costs one relaxed atomic load; the
-//!   provided [`BufferCollector`] keeps per-thread buffers so recording
-//!   threads never contend.
-//! - **Sessions** ([`TraceSession`]) — install, run, [`TraceSession::finish`]
+//! - **Sessions** ([`TraceSession`]) — start, run, [`TraceSession::finish`]
 //!   into a [`Trace`]: spans sorted deterministically, metrics aggregated.
-//! - **Exports** — [`Trace::to_chrome_trace`] (loadable in
-//!   `chrome://tracing` / Perfetto) and [`Trace::to_summary_json`].
+//!   With no session active (the default) every site costs one relaxed
+//!   atomic load; an active one records into per-thread buffers, so
+//!   recording threads never contend.
+//! - **Export** — [`Trace::to_chrome_trace`] (loadable in
+//!   `chrome://tracing` / Perfetto).
+//! - **JSON** ([`json`]) — the workspace's one JSON module: the literal
+//!   writers and the strict reader every crate's codecs are built from.
 //!
 //! # Example
 //!
@@ -45,28 +46,26 @@
 
 #![deny(missing_docs)]
 
-pub mod collector;
 pub mod export;
 pub mod json;
 pub mod mem;
 pub mod session;
 pub mod trace;
 
-pub use collector::{Collector, NullCollector, SpanRecord};
-pub use session::{enabled, install, uninstall, BufferCollector, TraceSession};
-pub use trace::{Histogram, Span, SpanTotal, Trace};
+pub use session::{enabled, TraceSession};
+pub use trace::{Histogram, Span, Trace};
 
 use std::sync::Arc;
 use std::time::Instant;
 
-/// An open span: records itself to the installed collector when dropped.
+/// An open span: records itself into the active session when dropped.
 ///
 /// When tracing is disabled this is an empty shell — no clock is read and
 /// drop does nothing.
 pub struct SpanGuard(Option<ActiveSpan>);
 
 struct ActiveSpan {
-    collector: Arc<dyn Collector>,
+    collector: Arc<session::BufferCollector>,
     cat: &'static str,
     name: &'static str,
     label: Option<String>,
@@ -80,15 +79,14 @@ impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some(active) = self.0.take() {
             let (bytes, allocs) = mem::sample();
-            active.collector.record_span(SpanRecord {
-                cat: active.cat,
-                name: active.name,
-                label: active.label,
-                start: active.start,
-                end: Instant::now(),
-                alloc_bytes: bytes.saturating_sub(active.mem0.0),
-                alloc_count: allocs.saturating_sub(active.mem0.1),
-            });
+            active.collector.record_span(
+                active.cat,
+                active.name,
+                active.label,
+                active.start,
+                Instant::now(),
+                (bytes.saturating_sub(active.mem0.0), allocs.saturating_sub(active.mem0.1)),
+            );
         }
     }
 }
@@ -103,7 +101,7 @@ pub fn span(cat: &'static str, name: &'static str) -> SpanGuard {
 }
 
 /// Open a span with a per-instance label (e.g. a net name). The label
-/// closure only runs when a collector is installed, so the disabled path
+/// closure only runs while a session is active, so the disabled path
 /// never allocates.
 #[inline]
 pub fn span_labeled(

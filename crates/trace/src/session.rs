@@ -1,4 +1,4 @@
-//! Trace sessions: install a collector, run instrumented code, drain a
+//! Trace sessions: start collecting, run instrumented code, drain a
 //! deterministic merged [`Trace`].
 //!
 //! # Fast path
@@ -11,7 +11,7 @@
 //!
 //! # Buffering
 //!
-//! [`BufferCollector`] gives each recording thread its own buffer
+//! The session's collector gives each recording thread its own buffer
 //! (registered on first use, appended under an uncontended mutex), so
 //! workers never contend on a shared event log. Draining locks every
 //! buffer, merges, and sorts spans by `(start, thread, name)` — a
@@ -21,7 +21,6 @@
 //! engine runs) that both want tracing take turns instead of corrupting
 //! each other's event streams.
 
-use crate::collector::{Collector, SpanRecord};
 use crate::trace::{Histogram, Span, Trace};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -29,23 +28,23 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
-/// Is any collector installed? One relaxed load; the only cost paid by
+/// Is a session collecting? One relaxed load; the only cost paid by
 /// instrumentation when tracing is off.
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
-/// Generation counter: bumped on every install/uninstall so per-thread
+/// Generation counter: bumped on every session start/end so per-thread
 /// collector caches know when to refresh.
 static GENERATION: AtomicU64 = AtomicU64::new(0);
 
-/// The installed collector (None when tracing is off).
-static CURRENT: Mutex<Option<Arc<dyn Collector>>> = Mutex::new(None);
+/// The active session's collector (None when tracing is off).
+static CURRENT: Mutex<Option<Arc<BufferCollector>>> = Mutex::new(None);
 
 /// Serializes sessions process-wide.
 static GATE: Mutex<()> = Mutex::new(());
 
 thread_local! {
     /// Per-thread cache of (generation, collector).
-    static CACHED: RefCell<(u64, Option<Arc<dyn Collector>>)> = const { RefCell::new((0, None)) };
+    static CACHED: RefCell<(u64, Option<Arc<BufferCollector>>)> = const { RefCell::new((0, None)) };
 }
 
 /// Lock a mutex, shrugging off poisoning (a panicked recording thread must
@@ -54,24 +53,24 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// `true` when a collector is installed. Instrumentation sites use this to
+/// `true` while a session is collecting. Instrumentation sites use this to
 /// skip building labels or reading clocks when tracing is off.
 #[inline]
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Take the session gate *without* installing a collector: while the guard
+/// Take the session gate *without* starting to collect: while the guard
 /// lives, no [`TraceSession`] can start. Used by tests and benchmarks that
 /// must observe disabled-mode behavior without racing a concurrent session.
 pub fn exclusive_gate() -> MutexGuard<'static, ()> {
     lock(&GATE)
 }
 
-/// Run `f` with the installed collector, if any. The disabled path is a
-/// single relaxed load.
+/// Run `f` with the active session's collector, if any. The disabled path
+/// is a single relaxed load.
 #[inline]
-pub(crate) fn with_collector<R>(f: impl FnOnce(&Arc<dyn Collector>) -> R) -> Option<R> {
+pub(crate) fn with_collector<R>(f: impl FnOnce(&Arc<BufferCollector>) -> R) -> Option<R> {
     if !enabled() {
         return None;
     }
@@ -85,23 +84,20 @@ pub(crate) fn with_collector<R>(f: impl FnOnce(&Arc<dyn Collector>) -> R) -> Opt
     })
 }
 
-/// Install `collector` as the process-wide event sink (used by
-/// [`TraceSession`]; exposed for custom sinks). Returns the previous one.
-pub fn install(collector: Arc<dyn Collector>) -> Option<Arc<dyn Collector>> {
+/// Make `collector` the process-wide event sink.
+fn install(collector: Arc<BufferCollector>) {
     let mut cur = lock(&CURRENT);
-    let prev = cur.replace(collector);
+    *cur = Some(collector);
     GENERATION.fetch_add(1, Ordering::Release);
     ENABLED.store(true, Ordering::Relaxed);
-    prev
 }
 
 /// Remove the installed collector, disabling tracing.
-pub fn uninstall() -> Option<Arc<dyn Collector>> {
+fn uninstall() {
     let mut cur = lock(&CURRENT);
     ENABLED.store(false, Ordering::Relaxed);
-    let prev = cur.take();
+    *cur = None;
     GENERATION.fetch_add(1, Ordering::Release);
-    prev
 }
 
 /// Buffer of one recording thread.
@@ -143,21 +139,15 @@ thread_local! {
 
 /// The collector behind [`TraceSession`]: per-thread append-only buffers,
 /// merged deterministically at drain time.
-pub struct BufferCollector {
+pub(crate) struct BufferCollector {
     id: u64,
     epoch: Instant,
     buffers: Mutex<Vec<Arc<ThreadBuf>>>,
 }
 
-impl Default for BufferCollector {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl BufferCollector {
     /// Fresh collector; its epoch (span time zero) is now.
-    pub fn new() -> Self {
+    fn new() -> Self {
         BufferCollector {
             id: NEXT_COLLECTOR_ID.fetch_add(1, Ordering::Relaxed),
             epoch: Instant::now(),
@@ -192,7 +182,7 @@ impl BufferCollector {
     ///
     /// Spans are sorted by `(start, thread, name, duration)`; counters and
     /// histograms are aggregated into ordered maps. Buffers are left empty.
-    pub fn drain(&self) -> Trace {
+    fn drain(&self) -> Trace {
         let buffers = lock(&self.buffers);
         let mut spans: Vec<Span> = Vec::new();
         let mut counters: BTreeMap<String, u64> = BTreeMap::new();
@@ -233,36 +223,40 @@ impl BufferCollector {
         });
         Trace { spans, counters, histograms }
     }
-}
 
-impl Collector for BufferCollector {
-    fn record_span(&self, rec: SpanRecord) {
-        let start_ns = self.ns_since_epoch(rec.start);
-        let dur_ns = rec.end.saturating_duration_since(rec.start).as_nanos() as u64;
+    /// Record one completed span. Times are absolute [`Instant`]s, anchored
+    /// here to the collector's epoch; `alloc` is the `(bytes, count)`
+    /// allocated on the recording thread while the span was open (zeros
+    /// unless a [`crate::mem`] probe is registered).
+    pub(crate) fn record_span(
+        &self,
+        cat: &'static str,
+        name: &'static str,
+        label: Option<String>,
+        start: Instant,
+        end: Instant,
+        (alloc_bytes, alloc_count): (u64, u64),
+    ) {
+        let start_ns = self.ns_since_epoch(start);
+        let dur_ns = end.saturating_duration_since(start).as_nanos() as u64;
         self.with_buf(|buf| {
-            buf.push(Event::Span {
-                cat: rec.cat,
-                name: rec.name,
-                label: rec.label,
-                start_ns,
-                dur_ns,
-                alloc_bytes: rec.alloc_bytes,
-                alloc_count: rec.alloc_count,
-            })
+            buf.push(Event::Span { cat, name, label, start_ns, dur_ns, alloc_bytes, alloc_count })
         });
     }
 
-    fn count(&self, name: &'static str, delta: u64) {
+    /// Add `delta` to the named monotonic counter.
+    pub(crate) fn count(&self, name: &'static str, delta: u64) {
         self.with_buf(|buf| buf.push(Event::Count { name, delta }));
     }
 
-    fn value(&self, name: &'static str, value: u64) {
+    /// Record one sample of the named distribution (histogram).
+    pub(crate) fn value(&self, name: &'static str, value: u64) {
         self.with_buf(|buf| buf.push(Event::Value { name, value }));
     }
 }
 
 /// An active tracing session: created by [`TraceSession::start`], which
-/// installs a [`BufferCollector`] process-wide; finished by
+/// installs a fresh collector process-wide; finished by
 /// [`TraceSession::finish`], which uninstalls it and returns the merged
 /// [`Trace`].
 ///
@@ -277,11 +271,11 @@ pub struct TraceSession {
 
 impl TraceSession {
     /// Start a session: waits for any other session to finish, then
-    /// installs a fresh [`BufferCollector`].
+    /// installs a fresh collector.
     pub fn start() -> TraceSession {
         let gate = lock(&GATE);
         let collector = Arc::new(BufferCollector::new());
-        install(Arc::clone(&collector) as Arc<dyn Collector>);
+        install(Arc::clone(&collector));
         TraceSession { collector, _gate: gate }
     }
 

@@ -99,19 +99,6 @@ impl Histogram {
     }
 }
 
-/// Aggregate cost of one `(category, name)` span kind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SpanTotal {
-    /// Number of spans.
-    pub count: u64,
-    /// Summed duration across all of them (nanoseconds).
-    pub total_ns: u64,
-    /// Summed bytes allocated inside them (0 without an allocator probe).
-    pub alloc_bytes: u64,
-    /// Summed allocation count inside them.
-    pub alloc_count: u64,
-}
-
 /// The deterministic merged output of a tracing session.
 ///
 /// Spans are ordered by `(start, thread, category, name, duration)`;
@@ -129,19 +116,6 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Summed span cost per `(category, name)` pair, ordered by key.
-    pub fn span_totals(&self) -> BTreeMap<(&'static str, &'static str), SpanTotal> {
-        let mut totals: BTreeMap<(&'static str, &'static str), SpanTotal> = BTreeMap::new();
-        for s in &self.spans {
-            let t = totals.entry((s.cat, s.name)).or_default();
-            t.count += 1;
-            t.total_ns += s.dur_ns;
-            t.alloc_bytes += s.alloc_bytes;
-            t.alloc_count += s.alloc_count;
-        }
-        totals
-    }
-
     /// Total duration of the trace: the latest span end (ns since epoch).
     pub fn end_ns(&self) -> u64 {
         self.spans.iter().map(|s| s.start_ns + s.dur_ns).max().unwrap_or(0)
@@ -213,33 +187,5 @@ mod tests {
         // Merging an empty histogram is the identity.
         both.merge(&Histogram::default());
         assert_eq!(a, both);
-    }
-
-    #[test]
-    fn span_totals_aggregate_by_kind() {
-        let mk = |name: &'static str, dur: u64, bytes: u64| Span {
-            cat: "t",
-            name,
-            label: None,
-            tid: 0,
-            start_ns: 0,
-            dur_ns: dur,
-            alloc_bytes: bytes,
-            alloc_count: bytes / 8,
-        };
-        let trace = Trace {
-            spans: vec![mk("a", 10, 64), mk("b", 5, 16), mk("a", 7, 32)],
-            ..Default::default()
-        };
-        let totals = trace.span_totals();
-        assert_eq!(
-            totals[&("t", "a")],
-            SpanTotal { count: 2, total_ns: 17, alloc_bytes: 96, alloc_count: 12 }
-        );
-        assert_eq!(
-            totals[&("t", "b")],
-            SpanTotal { count: 1, total_ns: 5, alloc_bytes: 16, alloc_count: 2 }
-        );
-        assert_eq!(trace.end_ns(), 10);
     }
 }

@@ -222,7 +222,16 @@ impl NetVerdict {
     /// document), the daemon's `GET /runs/{id}/verdicts`, and the shard
     /// worker's verdict stream. [`NetVerdict::from_json`] reads it back.
     pub fn write_json(&self, out: &mut String) {
-        out.push_str(&format!("{{\"net\":{},\"name\":{},", self.net.0, str_lit(&self.name)));
+        out.push('{');
+        self.write_members(out);
+        out.push('}');
+    }
+
+    /// Append the members of [`NetVerdict::write_json`]'s object; the
+    /// caller owns the braces and any members of its own (the shard
+    /// worker's stream adds `"kind":"verdict"`).
+    pub fn write_members(&self, out: &mut String) {
+        out.push_str(&format!("\"net\":{},\"name\":{},", self.net.0, str_lit(&self.name)));
         json_float(out, "rise_peak", self.rise_peak);
         out.push(',');
         json_float(out, "fall_peak", self.fall_peak);
@@ -243,7 +252,6 @@ impl NetVerdict {
             }
             None => out.push_str("null"),
         }
-        out.push('}');
     }
 
     /// Read a [`NetVerdict::write_json`] object back, bit for bit. The

@@ -1,7 +1,7 @@
 //! Chaos suite: deterministic fault injection against the recovery ladder.
 //!
 //! The signoff contract under attack is *no cluster left unverified*: with
-//! any [`FaultPlan`] installed, every victim must end with a verdict —
+//! any fault [`Plan`] installed, every victim must end with a verdict —
 //! recovered at a documented rung or conservatively worst-cased — and the
 //! full signoff document must stay byte-identical across worker counts.
 //! With no faults installed, the ladder must be invisible: zero
@@ -10,7 +10,8 @@
 mod fixtures;
 
 use fixtures::{bundle_fixture, random_fixture};
-use pcv_engine::{Engine, EngineConfig, FaultKind, FaultPlan, FaultSpec, RecoveryRung};
+use pcv_engine::fault::ALWAYS;
+use pcv_engine::{Engine, EngineConfig, FaultKind, Plan, RecoveryRung};
 use pcv_netlist::{NetNodeRef, NetParasitics, PNetId, ParasiticDb};
 use pcv_xtalk::{AnalysisContext, Severity};
 
@@ -41,7 +42,7 @@ fn chaos_fixture() -> (ParasiticDb, Vec<PNetId>) {
     (db, victims)
 }
 
-fn engine_with(workers: usize, plan: FaultPlan) -> Engine {
+fn engine_with(workers: usize, plan: Plan<FaultKind>) -> Engine {
     let mut engine = Engine::new(EngineConfig { workers, ..Default::default() });
     engine.set_fault_plan(plan);
     engine
@@ -50,14 +51,13 @@ fn engine_with(workers: usize, plan: FaultPlan) -> Engine {
 /// A plan exercising every fault kind at once — a Cholesky breakdown, a
 /// non-finite value, a budget collapse, a persistent panic — plus a seeded
 /// probabilistic sprinkle of transient NaN faults over the rest.
-fn mixed_plan() -> FaultPlan {
-    let mut plan = FaultPlan::new();
-    plan.inject_named("v1", FaultKind::NonSpd);
-    plan.inject_named("v3", FaultKind::NaN);
-    plan.inject("v5", FaultSpec { kind: FaultKind::Slow, persistent: true });
-    plan.inject("v7", FaultSpec { kind: FaultKind::Panic, persistent: true });
-    plan.seed_probability(3, 0.3, FaultKind::NaN, false);
-    plan
+fn mixed_plan() -> Plan<FaultKind> {
+    Plan::new()
+        .at("v1", 1, FaultKind::NonSpd)
+        .at("v3", 1, FaultKind::NaN)
+        .at("v5", ALWAYS, FaultKind::Slow)
+        .at("v7", ALWAYS, FaultKind::Panic)
+        .seeded(3, 0.3, 1, FaultKind::NaN)
 }
 
 #[test]
@@ -78,8 +78,11 @@ fn every_faulted_cluster_is_verified_or_degraded_with_a_recorded_rung() {
     }
 
     // Exactly the faulted clusters degraded, each with its attempt trail.
-    let faulted: Vec<&str> =
-        victims.iter().map(|&v| db.net(v).name()).filter(|n| plan.fault_for(n).is_some()).collect();
+    let faulted: Vec<&str> = victims
+        .iter()
+        .map(|&v| db.net(v).name())
+        .filter(|n| plan.armed(n, 0).count() > 0)
+        .collect();
     assert!(faulted.len() > 4, "the seeded sprinkle must fault beyond the named wires");
     assert_eq!(report.degradations.len(), faulted.len());
     assert_eq!(report.stats.degraded, faulted.len());
@@ -131,15 +134,11 @@ fn signoff_document_is_byte_identical_across_worker_counts() {
 fn seeded_fault_storm_recovers_every_cluster_deterministically() {
     let (db, victims) = random_fixture();
     let ctx = AnalysisContext::fixed_resistance(&db, 1000.0);
-    let storm = || {
-        let mut plan = FaultPlan::new();
-        plan.seed_probability(7, 0.6, FaultKind::NonSpd, false);
-        plan
-    };
+    let storm = || Plan::new().seeded(7, 0.6, 1, FaultKind::NonSpd);
 
     let report = engine_with(4, storm()).verify(&ctx, &victims).unwrap();
     let expected: usize =
-        victims.iter().filter(|&&v| storm().fault_for(db.net(v).name()).is_some()).count();
+        victims.iter().filter(|&&v| storm().armed(db.net(v).name(), 0).count() > 0).count();
     assert!(expected >= 2, "p=0.6 must fault several of {} victims", victims.len());
     assert_eq!(report.degradations.len(), expected);
     // Transient non-SPD faults all recover on the first retry rung.
@@ -168,6 +167,6 @@ fn empty_plan_leaves_reports_untouched() {
     assert!(signoff.ends_with(",\"degradations\":[]}"));
     assert!(signoff.contains(&clean.chip.to_json()));
 
-    let explicit_empty = engine_with(4, FaultPlan::new()).verify(&ctx, &victims).unwrap();
+    let explicit_empty = engine_with(4, Plan::new()).verify(&ctx, &victims).unwrap();
     assert_eq!(explicit_empty.signoff_json(), signoff);
 }

@@ -5,8 +5,9 @@
 
 use pcv_designs::structures::bundle;
 use pcv_designs::Technology;
+use pcv_engine::fault::ALWAYS;
 use pcv_engine::{
-    DiskFaultPlan, Engine, EngineConfig, Fs, FsFaultKind, Journal, RunRequest, StopAfter, StopFlag,
+    Engine, EngineConfig, Fs, FsFaultKind, Journal, Plan, RunRequest, StopAfter, StopFlag,
 };
 use pcv_netlist::{PNetId, ParasiticDb};
 use pcv_obs::{ledger, EventSink};
@@ -27,15 +28,19 @@ fn temp_dir(tag: &str) -> PathBuf {
     d
 }
 
-/// Engine config pointed at `cache`, journal/lock off unless a drill
-/// needs them (isolates the artifact under test from sibling files that
-/// share the cache path as a prefix).
-fn bare_config(cache: PathBuf, fs: Fs) -> EngineConfig {
+/// Engine config pointed at `cache`, persisting through `fs`. A fault rule
+/// names one file by its full path, so the cache's siblings (journal, lock,
+/// ledger) stay healthy unless a drill names them too.
+fn config_on(cache: PathBuf, fs: Fs) -> EngineConfig {
     let mut cfg = EngineConfig { workers: 2, cache_path: Some(cache), ..Default::default() };
-    cfg.durable.journal = false;
-    cfg.durable.lock = false;
     cfg.durable.fs = fs;
     cfg
+}
+
+fn ledger_path(cache: &std::path::Path) -> PathBuf {
+    let mut os = cache.as_os_str().to_owned();
+    os.push(".ledger.jsonl");
+    PathBuf::from(os)
 }
 
 fn baseline_signoff(db: &ParasiticDb, victims: &[PNetId]) -> String {
@@ -54,16 +59,15 @@ fn torn_cache_save_is_detected_and_recomputed() {
 
     // The save of the cold run is torn in half — the power-loss shape a
     // non-atomic writer would leave behind.
-    let mut plan = DiskFaultPlan::new();
-    plan.fail_times("results.cache", FsFaultKind::ShortWrite, 1);
-    let first = Engine::new(bare_config(cache.clone(), Fs::with_faults(plan)))
+    let plan = Plan::new().at(cache.display(), 1, FsFaultKind::ShortWrite);
+    let first = Engine::new(config_on(cache.clone(), Fs::with_faults(plan)))
         .verify(&ctx, &victims)
         .unwrap();
     assert_eq!(first.signoff_json(), baseline, "the fault only hits the disk, not the verdicts");
 
     // The warm run loads the torn file: intact leading entries are kept,
     // the torn tail is dropped, and the missing verdicts are recomputed.
-    let warm = Engine::new(bare_config(cache, Fs::real())).verify(&ctx, &victims).unwrap();
+    let warm = Engine::new(config_on(cache, Fs::real())).verify(&ctx, &victims).unwrap();
     assert_eq!(warm.signoff_json(), baseline, "a torn cache must never skew a verdict");
     assert!(warm.stats.cache_misses > 0, "the dropped tail must be recomputed");
     assert_eq!(warm.stats.cache_hits + warm.stats.cache_misses, victims.len());
@@ -78,14 +82,12 @@ fn bit_flip_on_cache_read_never_reaches_a_verdict() {
     let dir = temp_dir("flip-cache");
     let cache = dir.join("results.cache");
 
-    Engine::new(bare_config(cache.clone(), Fs::real())).verify(&ctx, &victims).unwrap();
+    Engine::new(config_on(cache.clone(), Fs::real())).verify(&ctx, &victims).unwrap();
 
     // Silent media corruption: one bit flips inside the cache file. The
     // per-record CRC catches it; the damaged record is recomputed.
-    let mut plan = DiskFaultPlan::new();
-    plan.fail("results.cache", FsFaultKind::BitFlip);
-    let warm =
-        Engine::new(bare_config(cache, Fs::with_faults(plan))).verify(&ctx, &victims).unwrap();
+    let plan = Plan::new().at(cache.display(), ALWAYS, FsFaultKind::BitFlip);
+    let warm = Engine::new(config_on(cache, Fs::with_faults(plan))).verify(&ctx, &victims).unwrap();
     assert_eq!(warm.signoff_json(), baseline, "a flipped bit must never skew a verdict");
     assert!(warm.stats.cache_misses > 0, "the corrupt record must be recomputed, not trusted");
     let _ = std::fs::remove_dir_all(&dir);
@@ -99,13 +101,12 @@ fn failed_cache_replacement_preserves_the_previous_cache() {
     let dir = temp_dir("rename-cache");
     let cache = dir.join("results.cache");
 
-    Engine::new(bare_config(cache.clone(), Fs::real())).verify(&ctx, &victims).unwrap();
+    Engine::new(config_on(cache.clone(), Fs::real())).verify(&ctx, &victims).unwrap();
     let saved = std::fs::read(&cache).unwrap();
 
     for kind in [FsFaultKind::RenameFail, FsFaultKind::FsyncFail, FsFaultKind::NoSpace] {
-        let mut plan = DiskFaultPlan::new();
-        plan.fail("results.cache", kind);
-        let report = Engine::new(bare_config(cache.clone(), Fs::with_faults(plan)))
+        let plan = Plan::new().at(cache.display(), ALWAYS, kind);
+        let report = Engine::new(config_on(cache.clone(), Fs::with_faults(plan)))
             .verify(&ctx, &victims)
             .unwrap();
         assert_eq!(report.signoff_json(), baseline, "{}: verdicts unaffected", kind.name());
@@ -129,12 +130,11 @@ fn enospc_everywhere_still_produces_correct_verdicts() {
     let dir = temp_dir("enospc");
     let cache = dir.join("results.cache");
 
-    let mut plan = DiskFaultPlan::new();
-    plan.fail("results", FsFaultKind::NoSpace);
-    let mut cfg =
-        EngineConfig { workers: 2, cache_path: Some(cache.clone()), ..Default::default() };
-    cfg.durable.fs = Fs::with_faults(plan);
-    let report = Engine::new(cfg).verify(&ctx, &victims).unwrap();
+    // Probability 1 picks every path: cache, journal and ledger alike.
+    let plan = Plan::new().seeded(0, 1.0, ALWAYS, FsFaultKind::NoSpace);
+    let report = Engine::new(config_on(cache.clone(), Fs::with_faults(plan)))
+        .verify(&ctx, &victims)
+        .unwrap();
     assert_eq!(report.signoff_json(), baseline);
     assert!(!cache.exists(), "the full disk accepted no cache file");
     let _ = std::fs::remove_dir_all(&dir);
@@ -164,12 +164,8 @@ fn bit_flip_on_journal_read_drops_only_the_damaged_checkpoint() {
 
     // Resume through a disk that flips a bit when the journal is read:
     // the CRC frame rejects the damaged record(s), which are recomputed.
-    let mut plan = DiskFaultPlan::new();
-    plan.fail(".journal", FsFaultKind::BitFlip);
-    let mut cfg =
-        EngineConfig { workers: 2, cache_path: Some(cache.clone()), ..Default::default() };
-    cfg.durable.fs = Fs::with_faults(plan);
-    let resumed = Engine::new(cfg)
+    let plan = Plan::new().at(Journal::path_for(&cache).display(), ALWAYS, FsFaultKind::BitFlip);
+    let resumed = Engine::new(config_on(cache.clone(), Fs::with_faults(plan)))
         .run(RunRequest { resume: true, ..RunRequest::new(&ctx, &victims) })
         .unwrap();
     assert_eq!(resumed.signoff_json(), baseline, "a corrupt journal must never skew the signoff");
@@ -186,16 +182,11 @@ fn enospc_on_the_journal_does_not_change_the_run() {
     let ctx = AnalysisContext::fixed_resistance(&db, 1000.0);
     let baseline = baseline_signoff(&db, &victims);
     let dir = temp_dir("enospc-journal");
+    let cache = dir.join("results.cache");
 
-    let mut plan = DiskFaultPlan::new();
-    plan.fail(".journal", FsFaultKind::NoSpace);
-    let mut cfg = EngineConfig {
-        workers: 2,
-        cache_path: Some(dir.join("results.cache")),
-        ..Default::default()
-    };
-    cfg.durable.fs = Fs::with_faults(plan);
-    let report = Engine::new(cfg).verify(&ctx, &victims).unwrap();
+    let plan = Plan::new().at(Journal::path_for(&cache).display(), ALWAYS, FsFaultKind::NoSpace);
+    let report =
+        Engine::new(config_on(cache, Fs::with_faults(plan))).verify(&ctx, &victims).unwrap();
     assert_eq!(report.signoff_json(), baseline);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -206,24 +197,15 @@ fn torn_ledger_append_is_counted_not_misparsed() {
     let ctx = AnalysisContext::fixed_resistance(&db, 1000.0);
     let dir = temp_dir("torn-ledger");
     let cache = dir.join("results.cache");
-    let ledger_path = {
-        let mut os = cache.as_os_str().to_owned();
-        os.push(".ledger.jsonl");
-        PathBuf::from(os)
-    };
+    let ledger_path = ledger_path(&cache);
 
     // First run's ledger append is torn mid-record; the second run's
     // append lands right after the torn bytes on the same line (there was
     // no trailing newline), so that line is garbage. The third run starts
     // a clean line.
-    let mut plan = DiskFaultPlan::new();
-    plan.fail_times(".ledger", FsFaultKind::ShortWrite, 1);
-    let fs = Fs::with_faults(plan);
+    let fs = Fs::with_faults(Plan::new().at(ledger_path.display(), 1, FsFaultKind::ShortWrite));
     for _ in 0..3 {
-        let mut cfg =
-            EngineConfig { workers: 2, cache_path: Some(cache.clone()), ..Default::default() };
-        cfg.durable.fs = fs.clone();
-        Engine::new(cfg).verify(&ctx, &victims).unwrap();
+        Engine::new(config_on(cache.clone(), fs.clone())).verify(&ctx, &victims).unwrap();
     }
 
     let (records, unparsed) = ledger::scan(&ledger_path);
@@ -231,4 +213,74 @@ fn torn_ledger_append_is_counted_not_misparsed() {
     assert_eq!(records.len(), 1, "only the clean third record parses");
     assert_eq!(records[0].outcome, "complete");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// What exact-path sites and seeded targets give away free: one sweep over
+/// every persisted artifact at once — cache, journal and ledger — with the
+/// journal and the run lock on, as production runs them.
+#[test]
+fn seeded_disk_fault_sweep_never_skews_a_verdict_and_converges() {
+    // Small on purpose: the sweep drills I/O, and makes 160 runs.
+    let db = bundle(6, 200e-6, &Technology::c025());
+    let victims: Vec<PNetId> = (0..db.num_nets()).map(PNetId).collect();
+    let ctx = AnalysisContext::fixed_resistance(&db, 1000.0);
+    let healthy =
+        Engine::new(EngineConfig { workers: 2, ..Default::default() }).verify(&ctx, &victims);
+    let healthy = healthy.unwrap();
+    let baseline = healthy.signoff_json();
+    let request = RunRequest { resume: true, ..RunRequest::new(&ctx, &victims) };
+
+    let mut picked_total = 0;
+    for seed in 0..8u64 {
+        for kind in [
+            FsFaultKind::ShortWrite,
+            FsFaultKind::NoSpace,
+            FsFaultKind::FsyncFail,
+            FsFaultKind::RenameFail,
+            FsFaultKind::BitFlip,
+        ] {
+            let dir = temp_dir(&format!("sweep-{seed}-{}", kind.name()));
+            let cache = dir.join("results.cache");
+            let fires = [1, 2, ALWAYS][seed as usize % 3];
+            let plan = Plan::new().seeded(seed, 0.3, fires, kind);
+            // The temp path carries the pid, so which files a seed picks
+            // varies run to run; a failure names them, and three exact
+            // `at` rules replay it.
+            let picked = [cache.clone(), Journal::path_for(&cache), ledger_path(&cache)]
+                .map(|p| plan.armed(&p.to_string_lossy(), 0).count() > 0);
+            picked_total += picked.iter().filter(|&&p| p).count();
+            let what =
+                format!("seed {seed}: {} x{fires} at cache/journal/ledger {picked:?}", kind.name());
+
+            // An interrupted run and its resume, both on the faulty disk:
+            // each errs typed or reports only healthy verdicts.
+            let fs = Fs::with_faults(plan);
+            let flag = StopFlag::new();
+            let mut stopped = config_on(cache.clone(), fs.clone());
+            stopped.sink = Some(Arc::new(StopAfter::new(flag.clone(), victims.len() / 2)));
+            stopped.durable.stop = Some(flag);
+            for cfg in [stopped, config_on(cache.clone(), fs)] {
+                let Ok(report) = Engine::new(cfg).run(request) else {
+                    continue;
+                };
+                for v in &report.chip.verdicts {
+                    assert!(healthy.chip.verdicts.contains(v), "{what}: skewed {v:?}");
+                }
+                if !report.interrupted {
+                    assert_eq!(report.signoff_json(), baseline, "{what}");
+                }
+            }
+
+            // A clean disk heals whatever the faults left behind: baseline
+            // bytes, journal retired, and a fully warm cache after it.
+            let clean = Engine::new(config_on(cache.clone(), Fs::real())).run(request).unwrap();
+            assert_eq!(clean.signoff_json(), baseline, "{what}: clean run");
+            assert!(!Journal::path_for(&cache).exists(), "{what}: journal not retired");
+            let warm = Engine::new(config_on(cache, Fs::real())).run(request).unwrap();
+            assert_eq!(warm.signoff_json(), baseline, "{what}: warm run");
+            assert_eq!(warm.stats.cache_hits, victims.len(), "{what}: cache did not heal");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+    assert!(picked_total > 0, "p = 0.3 over 120 draws must pick some file");
 }

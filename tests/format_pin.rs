@@ -215,6 +215,12 @@ fn served_verdict_objects_are_the_signoff_objects() {
     let body = "{\"design\":{\"kind\":\"dsp\",\"buses\":1,\"bits\":4,\"random\":6}}";
     let resp = client.request("POST", "/sessions", body).unwrap();
     assert_eq!(resp.status, 200, "{}", resp.body);
+    // The first answer of a fresh daemon, pinned as bytes: the session's
+    // info object with the request's correlation ID as its last member.
+    assert_eq!(
+        resp.body,
+        "{\"session\":\"s1\",\"state\":\"ready\",\"nets\":10,\"victims\":6,\"corr\":\"c1\"}"
+    );
     let session = field(&resp.body, "session");
     let overlay = "{\"warn_frac\":0.18,\"fail_frac\":0.2,\"check_receivers\":true}";
     let resp = client.request("POST", &format!("/sessions/{session}/runs"), overlay).unwrap();

@@ -7,7 +7,7 @@
 //! Every test boots a real daemon on an ephemeral localhost port, exactly
 //! like the load suite.
 
-use pcv_engine::{Engine, EngineConfig, FaultKind, FaultPlan};
+use pcv_engine::{Engine, EngineConfig, FaultKind, Plan};
 use pcv_serve::session::{elaborate, DesignSpec};
 use pcv_serve::{check_access_log, check_exposition, Client, Server, ServerConfig};
 use pcv_trace::json::str_lit;
@@ -264,9 +264,7 @@ fn watchdog_drill_trips_warns_dumps_and_the_run_still_completes() {
         let spec = DesignSpec::from_json(&spef_body_sized(2, 0)).unwrap();
         let chip = elaborate(&spec).unwrap();
         let mut engine = Engine::new(EngineConfig::default());
-        let mut plan = FaultPlan::new();
-        plan.seed_probability(1, 1.0, FaultKind::Slow, false);
-        engine.set_fault_plan(plan);
+        engine.set_fault_plan(Plan::new().seeded(1, 1.0, 1, FaultKind::Slow));
         engine.verify_resident(&chip, None).unwrap().signoff_json()
     };
     assert_eq!(served, offline, "drill run's verdicts diverged from the offline fault run");

@@ -11,12 +11,12 @@
 mod fixtures;
 
 use fixtures::bundle_fixture;
-use pcv_engine::{Engine, EngineConfig, FaultKind, FaultPlan};
+use pcv_engine::{Engine, EngineConfig, FaultKind, Plan};
 use pcv_obs::{ledger, CountingSink, EventSink};
 use pcv_xtalk::AnalysisContext;
 use std::sync::Arc;
 
-fn observed_run(workers: usize, plan: Option<FaultPlan>) -> (Arc<CountingSink>, String) {
+fn observed_run(workers: usize, plan: Option<Plan<FaultKind>>) -> (Arc<CountingSink>, String) {
     let (db, victims) = bundle_fixture();
     let ctx = AnalysisContext::fixed_resistance(&db, 1000.0);
     let sink = Arc::new(CountingSink::new());
@@ -32,10 +32,8 @@ fn observed_run(workers: usize, plan: Option<FaultPlan>) -> (Arc<CountingSink>, 
     (sink, report.signoff_json())
 }
 
-fn nan_sprinkle() -> FaultPlan {
-    let mut plan = FaultPlan::new();
-    plan.seed_probability(11, 0.4, FaultKind::NaN, false);
-    plan
+fn nan_sprinkle() -> Plan<FaultKind> {
+    Plan::new().seeded(11, 0.4, 1, FaultKind::NaN)
 }
 
 #[test]

@@ -13,7 +13,8 @@
 //! budget runs out, the run still completes with conservative `WorstCase`
 //! verdicts and a recorded degradation trail instead of holes.
 
-use pcv_engine::shard::{partition, ShardFault, ShardFaultPlan};
+use pcv_engine::fault::{Plan, ALWAYS};
+use pcv_engine::shard::{partition, ShardFault};
 use pcv_engine::{Engine, EngineConfig, ResidentChip};
 use pcv_serve::session::{elaborate, DesignSpec};
 use pcv_serve::{ApiError, Coordinator, CoordinatorConfig, ShardRunOutcome};
@@ -84,7 +85,7 @@ fn run_with(
     tag: &str,
     shards: usize,
     workers_per_shard: usize,
-    plan: ShardFaultPlan,
+    plan: Plan<ShardFault>,
     tune: impl FnOnce(&mut CoordinatorConfig),
 ) -> Result<ShardRunOutcome, ApiError> {
     let dir = temp_dir(tag);
@@ -102,8 +103,7 @@ fn sigkill_matrix_preserves_byte_identity() {
     for &shards in &[2usize, 4, 8] {
         let (victim_shard, slice_len) = biggest_shard(&chip, shards);
         for &frac in &[0.25f64, 0.5, 0.75] {
-            let plan =
-                ShardFaultPlan::new().with_fault(victim_shard, ShardFault::SigkillAtFrac(frac));
+            let plan = Plan::new().at(victim_shard, 1, ShardFault::SigkillAtFrac(frac));
             let tag = format!("kill-{shards}-{}", (frac * 100.0) as u32);
             let outcome =
                 run_with(&tag, shards, 1, plan, |_| {}).unwrap_or_else(|e| panic!("{tag}: {e:?}"));
@@ -124,7 +124,7 @@ fn sigkill_with_multithreaded_workers_preserves_byte_identity() {
     let expected = offline_doc(&chip);
     let (victim_shard, _) = biggest_shard(&chip, 4);
     for &workers in &[2usize, 4] {
-        let plan = ShardFaultPlan::new().with_fault(victim_shard, ShardFault::SigkillAtFrac(0.5));
+        let plan = Plan::new().at(victim_shard, 1, ShardFault::SigkillAtFrac(0.5));
         let outcome = run_with(&format!("kill-w{workers}"), 4, workers, plan, |_| {}).unwrap();
         assert_eq!(outcome.report.signoff_json(), expected, "workers={workers}");
     }
@@ -136,7 +136,7 @@ fn killed_worker_restarts_and_resumes_from_its_journal() {
     let expected = offline_doc(&chip);
     let (victim_shard, slice_len) = biggest_shard(&chip, 2);
     assert!(slice_len >= 4, "test chip must give the drilled shard real work");
-    let plan = ShardFaultPlan::new().with_fault(victim_shard, ShardFault::SigkillAtFrac(0.25));
+    let plan = Plan::new().at(victim_shard, 1, ShardFault::SigkillAtFrac(0.25));
     let outcome = run_with("resume", 2, 1, plan, |_| {}).unwrap();
     assert_eq!(outcome.report.signoff_json(), expected);
     let stats = &outcome.shards[victim_shard];
@@ -156,11 +156,11 @@ fn torn_and_duplicated_shard_journals_are_tolerated() {
     // Kill both workers mid-slice; corrupt the bigger shard's journal
     // remnant with a mid-frame tear and the other's with a duplicated
     // final record before the replacement incarnations replay them.
-    let plan = ShardFaultPlan::new()
-        .with_fault(victim_shard, ShardFault::SigkillAtFrac(0.25))
-        .with_fault(victim_shard, ShardFault::TornJournal)
-        .with_fault(other, ShardFault::SigkillAtFrac(0.25))
-        .with_fault(other, ShardFault::DuplicateEntry);
+    let plan = Plan::new()
+        .at(victim_shard, 1, ShardFault::SigkillAtFrac(0.25))
+        .at(victim_shard, 1, ShardFault::TornJournal)
+        .at(other, 1, ShardFault::SigkillAtFrac(0.25))
+        .at(other, 1, ShardFault::DuplicateEntry);
     let outcome = run_with("torn", 2, 1, plan, |_| {}).unwrap();
     assert_eq!(outcome.report.signoff_json(), expected);
     let stats = &outcome.shards[victim_shard];
@@ -176,7 +176,7 @@ fn stalled_worker_is_killed_and_restarted() {
     let chip = chip();
     let expected = offline_doc(&chip);
     let (victim_shard, _) = biggest_shard(&chip, 2);
-    let plan = ShardFaultPlan::new().with_fault(victim_shard, ShardFault::StallAfter(1));
+    let plan = Plan::new().at(victim_shard, 1, ShardFault::StallAfter(1));
     let outcome = run_with("stall", 2, 1, plan, |cfg| {
         cfg.heartbeat_timeout = Duration::from_millis(1_500);
     })
@@ -196,7 +196,7 @@ fn exhausted_restart_budget_degrades_to_worst_case_without_holes() {
     };
     assert!(!shard0_names.is_empty());
     // Shard 0 aborts before its first verdict, every incarnation.
-    let plan = ShardFaultPlan::new().with_persistent_fault(0, ShardFault::PanicAfter(0));
+    let plan = Plan::new().at(0, ALWAYS, ShardFault::PanicAfter(0));
     let outcome = run_with("budget", 2, 1, plan, |cfg| {
         cfg.restart_budget = 1;
     })
@@ -319,9 +319,11 @@ fn daemon_rejects_inconsistent_shard_overlays() {
 #[test]
 fn run_deadline_maps_to_typed_timeout() {
     // Both workers go silent immediately and stay silent forever.
-    let plan = ShardFaultPlan::new()
-        .with_persistent_fault(0, ShardFault::StallAfter(0))
-        .with_persistent_fault(1, ShardFault::StallAfter(0));
+    let plan = Plan::new().at(0, ALWAYS, ShardFault::StallAfter(0)).at(
+        1,
+        ALWAYS,
+        ShardFault::StallAfter(0),
+    );
     let err = run_with("deadline", 2, 1, plan, |cfg| {
         cfg.heartbeat_timeout = Duration::from_secs(30);
         cfg.deadline = Some(Duration::from_millis(800));
