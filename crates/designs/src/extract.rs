@@ -113,12 +113,12 @@ pub fn extract(wires: &[WireGeom], tech: &Technology, seg_len: f64) -> Parasitic
             // nearest nodes of the two wires.
             let chunks = (((hi - lo) / seg_len).ceil()).max(1.0) as usize;
             let dl = (hi - lo) / chunks as f64;
+            let cc = tech.coupling_cap(dl, spacing);
+            if cc <= 0.0 {
+                continue;
+            }
             for k in 0..chunks {
                 let mid = lo + dl * (k as f64 + 0.5);
-                let cc = tech.coupling_cap(dl, spacing);
-                if cc <= 0.0 {
-                    continue;
-                }
                 let na = nearest_node(&node_positions[i], mid);
                 let nb = nearest_node(&node_positions[j], mid);
                 db.add_coupling(
@@ -179,15 +179,19 @@ pub fn fold_grounded_nets(db: &ParasiticDb, grounded: &[&str]) -> ParasiticDb {
     out
 }
 
+/// Index of the position nearest to `x`; among equally near ones, the first.
+/// `positions` ascends (a wire's nodes from driver to receiver) and is not
+/// empty, so only the two neighbours of `x` can be nearest.
 fn nearest_node(positions: &[f64], x: f64) -> usize {
-    let mut best = 0usize;
-    let mut dist = f64::INFINITY;
-    for (k, &p) in positions.iter().enumerate() {
-        let d = (p - x).abs();
-        if d < dist {
-            dist = d;
-            best = k;
-        }
+    let dist = |k: usize| (positions[k] - x).abs();
+    let above = positions.partition_point(|&p| p < x);
+    let mut best = above.min(positions.len() - 1);
+    if above > 0 && dist(above - 1) <= dist(best) {
+        best = above - 1;
+    }
+    // Repeated positions, or differences that round to one distance.
+    while best > 0 && dist(best - 1) == dist(best) {
+        best -= 1;
     }
     best
 }
@@ -199,6 +203,95 @@ mod tests {
     fn tech() -> Technology {
         Technology::c025()
     }
+
+    /// The linear scan `nearest_node` replaced: the first index attaining
+    /// the minimum distance.
+    fn nearest_by_scan(positions: &[f64], x: f64) -> usize {
+        let mut best = 0usize;
+        let mut dist = f64::INFINITY;
+        for (k, &p) in positions.iter().enumerate() {
+            let d = (p - x).abs();
+            if d < dist {
+                dist = d;
+                best = k;
+            }
+        }
+        best
+    }
+
+    #[test]
+    fn nearest_node_picks_what_the_scan_picked() {
+        let mut rng = pcv_rng::Rng::new(0xe87_4ac7);
+        for case in 0..400 {
+            // Ascending positions on grids from 1 to 1e-9 wide, some repeated.
+            let scale = 10f64.powi(-(case % 10));
+            let origin = rng.range_f64(-2.0, 2.0) * scale;
+            let mut positions = vec![origin];
+            for _ in 0..rng.range_usize(0, 40) {
+                let step = if rng.bool_with(0.2) { 0.0 } else { rng.range_f64(0.0, 1.0) * scale };
+                positions.push(positions.last().unwrap() + step);
+            }
+            let (first, last) = (positions[0], *positions.last().unwrap());
+            let mut probes = vec![
+                first - scale,
+                last + scale,
+                first - 1e9,
+                last + 1e9,
+                f64::NEG_INFINITY,
+                f64::INFINITY,
+                f64::NAN,
+            ];
+            for pair in positions.windows(2) {
+                // Exact midpoints tie the two neighbours; the lower wins.
+                probes.extend([pair[0], 0.5 * (pair[0] + pair[1]), pair[1]]);
+            }
+            probes.extend((0..20).map(|_| rng.range_f64(first - scale, last + scale)));
+            for x in probes {
+                assert_eq!(
+                    nearest_node(&positions, x),
+                    nearest_by_scan(&positions, x),
+                    "case {case}: x = {x:e} in {positions:?}"
+                );
+            }
+        }
+    }
+
+    /// FNV-1a over the SPEF text of a database: every name, node, value
+    /// digit and the order of every record.
+    fn spef_hash(db: &ParasiticDb) -> (usize, u64) {
+        let text = pcv_netlist::spef::write_spef(db);
+        let hash = text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        (text.len(), hash)
+    }
+
+    #[test]
+    fn extraction_bytes_are_those_of_the_linear_scan() {
+        // Pinned at the commit before `nearest_node` went from a scan over
+        // every node to a bracket: the DSP block, and long wires with
+        // staggered overlaps extracted at 2.5 um (about 500 nodes a wire).
+        let t = tech();
+        let lib = pcv_cells::library::CellLibrary::standard_025();
+        let dsp = crate::dsp::generate(&crate::dsp::DspConfig::default(), &t, &lib);
+        assert_eq!(spef_hash(&dsp.parasitics), DSP_PIN);
+        let wires: Vec<WireGeom> = (0..6)
+            .map(|k| {
+                let x0 = 37.3e-6 * k as f64;
+                WireGeom::min_width(
+                    format!("m{k}"),
+                    k % 4,
+                    x0,
+                    x0 + 1.2e-3 + 11.1e-6 * k as f64,
+                    &t,
+                )
+            })
+            .collect();
+        assert_eq!(spef_hash(&extract(&wires, &t, 2.5e-6)), MESH_PIN);
+    }
+
+    const DSP_PIN: (usize, u64) = (788_671, 10_071_246_783_915_506_304);
+    const MESH_PIN: (usize, u64) = (418_823, 7_271_754_169_350_146_753);
 
     #[test]
     fn single_wire_totals_match_analytic() {

@@ -51,4 +51,4 @@ pub use chol::SparseCholesky;
 pub use dense::Dense;
 pub use error::{ensure_finite, Error};
 pub use lu::SparseLu;
-pub use sparse::{Csc, Triplets};
+pub use sparse::{Assembly, Csc, Triplets};

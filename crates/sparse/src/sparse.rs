@@ -71,9 +71,26 @@ impl Triplets {
         self.ncols
     }
 
-    /// Assemble into compressed sparse column form, summing duplicates.
-    pub fn to_csc(&self) -> Csc {
-        // Count entries per column.
+    /// Drop every entry, keeping the dimensions and the allocations.
+    pub fn clear(&mut self) {
+        self.rows.clear();
+        self.cols.clear();
+        self.vals.clear();
+    }
+
+    /// Scatter the pushes into their columns (push order within a column)
+    /// and sort every column by row: the one ordering rule of assembly.
+    /// `carry(k)` rides along with push `k` — its value for [`to_csc`], its
+    /// index for [`record`] — and the sort never looks at it, so both see
+    /// the same permutation (std's unstable sort keeps push order among
+    /// equal rows only up to 20 entries; beyond that the order is whatever
+    /// this call on this tuple type produces).
+    ///
+    /// Returns the column pointers and the sorted `(row, carried)` entries.
+    ///
+    /// [`to_csc`]: Triplets::to_csc
+    /// [`record`]: Triplets::record
+    fn sorted_columns(&self, carry: impl Fn(usize) -> f64) -> (Vec<usize>, Vec<(usize, f64)>) {
         let mut colptr = vec![0usize; self.ncols + 1];
         for &c in &self.cols {
             colptr[c + 1] += 1;
@@ -81,20 +98,135 @@ impl Triplets {
         for c in 0..self.ncols {
             colptr[c + 1] += colptr[c];
         }
-        // Scatter (unsorted within column for now).
-        let mut rowidx = vec![0usize; self.vals.len()];
-        let mut values = vec![0.0; self.vals.len()];
+        let mut entries = vec![(0usize, 0.0f64); self.vals.len()];
         let mut next = colptr.clone();
-        for k in 0..self.vals.len() {
-            let c = self.cols[k];
-            let dst = next[c];
-            rowidx[dst] = self.rows[k];
-            values[dst] = self.vals[k];
+        for (k, (&r, &c)) in self.rows.iter().zip(&self.cols).enumerate() {
+            entries[next[c]] = (r, carry(k));
             next[c] += 1;
         }
-        let mut csc = Csc { nrows: self.nrows, ncols: self.ncols, colptr, rowidx, values };
-        csc.sort_and_dedup();
-        csc
+        for c in 0..self.ncols {
+            entries[colptr[c]..colptr[c + 1]].sort_unstable_by_key(|&(r, _)| r);
+        }
+        (colptr, entries)
+    }
+
+    /// Assemble into compressed sparse column form, summing duplicates.
+    pub fn to_csc(&self) -> Csc {
+        let (raw, entries) = self.sorted_columns(|k| self.vals[k]);
+        let mut colptr = vec![0usize; self.ncols + 1];
+        let mut rowidx = Vec::with_capacity(entries.len());
+        let mut values = Vec::with_capacity(entries.len());
+        for c in 0..self.ncols {
+            for dup in entries[raw[c]..raw[c + 1]].chunk_by(|a, b| a.0 == b.0) {
+                let mut v = dup[0].1;
+                for d in &dup[1..] {
+                    v += d.1;
+                }
+                rowidx.push(dup[0].0);
+                values.push(v);
+            }
+            colptr[c + 1] = rowidx.len();
+        }
+        Csc { nrows: self.nrows, ncols: self.ncols, colptr, rowidx, values }
+    }
+
+    /// Record what `self.to_csc()` — followed by
+    /// [`permute_sym(perm)`](Csc::permute_sym) when `perm` is given — does
+    /// to this push sequence, so that later value sets pushed in the same
+    /// sequence assemble without a sort or an allocation
+    /// ([`Assembly::assemble`]), to the same bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics, with `perm`, as [`Csc::permute_sym`] does.
+    pub fn record(&self, perm: Option<&[usize]>) -> Assembly {
+        // The pushes go through the sort tagged with their own index, so the
+        // order each slot's duplicates are summed in is read off, not
+        // re-derived.
+        let (raw, entries) = self.sorted_columns(|k| k as f64);
+        let mut colptr = vec![0usize; self.ncols + 1];
+        let mut rowidx = Vec::new();
+        let mut slot_ptr = vec![0usize];
+        let mut order = Vec::with_capacity(entries.len());
+        for c in 0..self.ncols {
+            for dup in entries[raw[c]..raw[c + 1]].chunk_by(|a, b| a.0 == b.0) {
+                rowidx.push(dup[0].0);
+                order.extend(dup.iter().map(|d| d.1 as usize));
+                slot_ptr.push(order.len());
+            }
+            colptr[c + 1] = rowidx.len();
+        }
+        // Likewise each slot carries its own number through `permute_sym`
+        // itself, which tells where it lands.
+        let values = (0..rowidx.len()).map(|slot| slot as f64).collect();
+        let mut a = Csc { nrows: self.nrows, ncols: self.ncols, colptr, rowidx, values };
+        if let Some(perm) = perm {
+            a = a.permute_sym(perm);
+            let mut moved_ptr = vec![0usize];
+            let mut moved = Vec::with_capacity(order.len());
+            for &from in &a.values {
+                let from = from as usize;
+                moved.extend_from_slice(&order[slot_ptr[from]..slot_ptr[from + 1]]);
+                moved_ptr.push(moved.len());
+            }
+            (slot_ptr, order) = (moved_ptr, moved);
+        }
+        Assembly { rows: self.rows.clone(), cols: self.cols.clone(), slot_ptr, order, a }
+    }
+}
+
+/// A recorded assembly ([`Triplets::record`]): the CSC pattern one push
+/// sequence assembles to and, per stored entry, which pushes sum into it in
+/// which order.
+///
+/// It is keyed by the exact `(row, col)` sequence it was recorded from:
+/// [`assemble`](Assembly::assemble) refuses any other, so a stale plan costs
+/// a re-record and can never mis-assemble.
+#[derive(Debug, Clone)]
+pub struct Assembly {
+    rows: Vec<usize>,
+    cols: Vec<usize>,
+    /// `order[slot_ptr[s]..slot_ptr[s + 1]]` are the pushes summed, in that
+    /// order, into stored entry `s` of `a`.
+    slot_ptr: Vec<usize>,
+    order: Vec<usize>,
+    a: Csc,
+}
+
+impl Default for Assembly {
+    /// The record of an empty 0 x 0 builder.
+    fn default() -> Self {
+        Triplets::default().record(None)
+    }
+}
+
+impl Assembly {
+    /// Sum the values of `t` into [`matrix`](Assembly::matrix). Returns
+    /// `false`, writing nothing, unless `t` has the dimensions and the push
+    /// sequence this was recorded from.
+    pub fn assemble(&mut self, t: &Triplets) -> bool {
+        if (t.nrows, t.ncols) != (self.a.nrows, self.a.ncols)
+            || t.rows != self.rows
+            || t.cols != self.cols
+        {
+            return false;
+        }
+        for (v, dup) in self.a.values.iter_mut().zip(self.slot_ptr.windows(2)) {
+            let dup = &self.order[dup[0]..dup[1]];
+            let mut sum = t.vals[dup[0]];
+            for &k in &dup[1..] {
+                sum += t.vals[k];
+            }
+            *v = sum;
+        }
+        true
+    }
+
+    /// The assembled matrix: the recorded pattern holding the values of the
+    /// last successful [`assemble`](Assembly::assemble) (unspecified before
+    /// the first).
+    pub fn matrix(&self) -> &Csc {
+        &self.a
     }
 }
 
@@ -153,37 +285,6 @@ impl Csc {
             }
         }
         Csc { nrows, ncols, colptr, rowidx, values }
-    }
-
-    fn sort_and_dedup(&mut self) {
-        let mut new_colptr = vec![0usize; self.ncols + 1];
-        let mut new_rowidx = Vec::with_capacity(self.rowidx.len());
-        let mut new_values = Vec::with_capacity(self.values.len());
-        let mut buf: Vec<(usize, f64)> = Vec::new();
-        for c in 0..self.ncols {
-            buf.clear();
-            for k in self.colptr[c]..self.colptr[c + 1] {
-                buf.push((self.rowidx[k], self.values[k]));
-            }
-            buf.sort_unstable_by_key(|&(r, _)| r);
-            let mut i = 0;
-            while i < buf.len() {
-                let r = buf[i].0;
-                let mut v = buf[i].1;
-                let mut j = i + 1;
-                while j < buf.len() && buf[j].0 == r {
-                    v += buf[j].1;
-                    j += 1;
-                }
-                new_rowidx.push(r);
-                new_values.push(v);
-                i = j;
-            }
-            new_colptr[c + 1] = new_rowidx.len();
-        }
-        self.colptr = new_colptr;
-        self.rowidx = new_rowidx;
-        self.values = new_values;
     }
 
     /// Number of rows.
@@ -381,6 +482,198 @@ impl fmt::Display for Csc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pcv_rng::Rng;
+
+    /// `to_csc` as it was before `sorted_columns`: scatter into parallel
+    /// arrays, copy each column out, sort `(row, value)` pairs, sum runs.
+    /// Kept verbatim as the oracle for the shared ordering rule.
+    fn reference_to_csc(t: &Triplets) -> Csc {
+        let mut colptr = vec![0usize; t.ncols + 1];
+        for &c in &t.cols {
+            colptr[c + 1] += 1;
+        }
+        for c in 0..t.ncols {
+            colptr[c + 1] += colptr[c];
+        }
+        let mut rowidx = vec![0usize; t.vals.len()];
+        let mut values = vec![0.0; t.vals.len()];
+        let mut next = colptr.clone();
+        for k in 0..t.vals.len() {
+            let c = t.cols[k];
+            let dst = next[c];
+            rowidx[dst] = t.rows[k];
+            values[dst] = t.vals[k];
+            next[c] += 1;
+        }
+        let mut new_colptr = vec![0usize; t.ncols + 1];
+        let mut new_rowidx = Vec::with_capacity(rowidx.len());
+        let mut new_values = Vec::with_capacity(values.len());
+        let mut buf: Vec<(usize, f64)> = Vec::new();
+        for c in 0..t.ncols {
+            buf.clear();
+            for k in colptr[c]..colptr[c + 1] {
+                buf.push((rowidx[k], values[k]));
+            }
+            buf.sort_unstable_by_key(|&(r, _)| r);
+            let mut i = 0;
+            while i < buf.len() {
+                let r = buf[i].0;
+                let mut v = buf[i].1;
+                let mut j = i + 1;
+                while j < buf.len() && buf[j].0 == r {
+                    v += buf[j].1;
+                    j += 1;
+                }
+                new_rowidx.push(r);
+                new_values.push(v);
+                i = j;
+            }
+            new_colptr[c + 1] = new_rowidx.len();
+        }
+        Csc {
+            nrows: t.nrows,
+            ncols: t.ncols,
+            colptr: new_colptr,
+            rowidx: new_rowidx,
+            values: new_values,
+        }
+    }
+
+    fn assert_same_bits(got: &Csc, want: &Csc, what: &str) {
+        assert_eq!((got.nrows, got.ncols), (want.nrows, want.ncols), "{what}");
+        assert_eq!((&got.colptr, &got.rowidx), (&want.colptr, &want.rowidx), "{what}: pattern");
+        let bits = |m: &Csc| m.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got), bits(want), "{what}: values");
+    }
+
+    /// Values whose sum depends on the order of addition (magnitudes 1e-12
+    /// to 1e4, both signs, a few zeros and negative zeros).
+    fn lumpy(rng: &mut Rng) -> f64 {
+        match rng.range_usize(0, 12) {
+            0 => 0.0,
+            1 => -0.0,
+            _ => rng.range_f64(-1.0, 1.0) * 10f64.powi(rng.range_usize(0, 17) as i32 - 12),
+        }
+    }
+
+    /// A stamp-like stream: few rows, so a column holds far more than the
+    /// 20 entries up to which the unstable sort happens to keep push order.
+    fn heavy_stream(rng: &mut Rng, n: usize, pushes: usize) -> Triplets {
+        let mut t = Triplets::new(n, n);
+        for _ in 0..pushes {
+            t.push(rng.range_usize(0, n), rng.range_usize(0, n), lumpy(rng));
+        }
+        t
+    }
+
+    fn random_perm(rng: &mut Rng, n: usize) -> Vec<usize> {
+        let mut p: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            p.swap(i, rng.range_usize(0, i + 1));
+        }
+        p
+    }
+
+    #[test]
+    fn recorded_assembly_replays_to_csc_and_permute_sym_bit_for_bit() {
+        let mut rng = Rng::new(0x5107_a55e);
+        let mut longest = 0;
+        for case in 0..120 {
+            let n = rng.range_usize(1, 9);
+            // From under 20 pushes a column to several hundred.
+            let pushes = rng.range_usize(0, n * [8, 40, 300][case % 3]);
+            let mut t = heavy_stream(&mut rng, n, pushes);
+            let perm = random_perm(&mut rng, n);
+            let per_col = |c| t.cols.iter().filter(|&&x| x == c).count();
+            longest = longest.max((0..n).map(per_col).max().unwrap());
+
+            assert_same_bits(&t.to_csc(), &reference_to_csc(&t), "to_csc");
+            let mut natural = t.record(None);
+            let mut permuted = t.record(Some(&perm));
+            // Replay on the recorded values, then on fresh ones pushed in
+            // the same sequence into the cleared builder.
+            for replay in 0..3 {
+                let what = format!("case {case} replay {replay}");
+                assert!(natural.assemble(&t) && permuted.assemble(&t), "{what}");
+                let want = reference_to_csc(&t);
+                assert_same_bits(natural.matrix(), &want, &what);
+                assert_same_bits(permuted.matrix(), &want.permute_sym(&perm), &what);
+                let (rows, cols) = (t.rows.clone(), t.cols.clone());
+                t.clear();
+                for (&r, &c) in rows.iter().zip(&cols) {
+                    t.push(r, c, lumpy(&mut rng));
+                }
+            }
+        }
+        assert!(longest > 60, "the sweep must leave the sort's stable regime ({longest})");
+    }
+
+    #[test]
+    fn push_order_is_not_the_summation_order_beyond_twenty_entries() {
+        // Why the order is recorded and not derived: find a column where
+        // summing duplicates in push order gives different bits.
+        let mut rng = Rng::new(20);
+        let differs = (0..50).any(|_| {
+            let t = heavy_stream(&mut rng, 3, 200);
+            let mut in_push_order = Triplets::new(3, 3);
+            for slot in 0..9 {
+                let (r, c) = (slot / 3, slot % 3);
+                let mut sum: Option<f64> = None;
+                for k in (0..t.len()).filter(|&k| (t.rows[k], t.cols[k]) == (r, c)) {
+                    sum = Some(sum.map_or(t.vals[k], |s| s + t.vals[k]));
+                }
+                if let Some(sum) = sum {
+                    in_push_order.push(r, c, sum);
+                }
+            }
+            let (a, b) = (t.to_csc(), in_push_order.to_csc());
+            a.rowidx == b.rowidx
+                && a.values.iter().zip(&b.values).any(|(x, y)| x.to_bits() != y.to_bits())
+        });
+        assert!(differs, "expected push-order summation to differ from the sorted order");
+    }
+
+    #[test]
+    fn assembly_refuses_any_other_push_sequence() {
+        let mut t = Triplets::new(3, 3);
+        t.push(0, 0, 1.0);
+        t.push(1, 2, 2.0);
+        t.push(0, 0, 3.0);
+        let mut plan = t.record(None);
+        assert!(plan.assemble(&t));
+        assert_eq!(plan.matrix().get(0, 0), 4.0);
+        let before = plan.matrix().clone();
+
+        let mut reordered = Triplets::new(3, 3);
+        reordered.push(1, 2, 2.0);
+        reordered.push(0, 0, 1.0);
+        reordered.push(0, 0, 3.0);
+        let mut shorter = Triplets::new(3, 3);
+        shorter.push(0, 0, 1.0);
+        shorter.push(1, 2, 2.0);
+        let mut wider = Triplets::new(4, 4);
+        wider.push(0, 0, 1.0);
+        wider.push(1, 2, 2.0);
+        wider.push(0, 0, 3.0);
+        for other in [&reordered, &shorter, &wider, &Triplets::default()] {
+            assert!(!plan.assemble(other));
+            assert_same_bits(plan.matrix(), &before, "a refused assemble writes nothing");
+        }
+        // The empty plan matches only the empty builder.
+        assert!(Assembly::default().assemble(&Triplets::default()));
+        assert!(!Assembly::default().assemble(&t));
+    }
+
+    #[test]
+    fn clear_keeps_dimensions() {
+        let mut t = Triplets::new(2, 3);
+        t.push(1, 2, 1.0);
+        t.clear();
+        assert!(t.is_empty());
+        assert_eq!((t.nrows(), t.ncols()), (2, 3));
+        t.push(1, 2, 5.0);
+        assert_eq!(t.to_csc().get(1, 2), 5.0);
+    }
 
     fn sample() -> Csc {
         // [1 0 2]

@@ -10,7 +10,7 @@ use crate::mos::eval_mos;
 use pcv_netlist::termination::Termination;
 use pcv_netlist::Waveform;
 use pcv_netlist::{Circuit, Element, NodeId};
-use pcv_sparse::SparseLu;
+use pcv_sparse::{Assembly, SparseLu};
 use std::fmt;
 
 /// Errors produced by the simulator.
@@ -133,6 +133,45 @@ struct CapInst {
 struct CapState {
     v_prev: Vec<f64>,
     i_prev: Vec<f64>,
+}
+
+/// Everything a Newton iteration writes, owned by one [`Simulator::dc`] or
+/// [`Simulator::transient_probed`] call, so that iterations stop allocating
+/// once the buffers have grown to the circuit.
+struct Workspace {
+    st: Stamper,
+    /// Recorded assemblies of the two push sequences a run stamps: DC
+    /// (capacitors open) and transient (backward Euler and trapezoidal stamp
+    /// the same sequence). A plan that does not match what was just stamped
+    /// is re-recorded.
+    plans: [Assembly; 2],
+    plan_builds: u64,
+    lu: SparseLu,
+    /// Right-hand side and solution in the fill-reducing numbering.
+    bp: Vec<f64>,
+    xp: Vec<f64>,
+    /// The undamped Newton solution in circuit numbering.
+    x_new: Vec<f64>,
+    /// The iterate; holds the solution when `solve_point` returns `Ok`.
+    x: Vec<f64>,
+    /// Steps the transient loop gave up on and retried smaller.
+    rejected_steps: u64,
+}
+
+impl Workspace {
+    fn new(size: usize) -> Self {
+        Workspace {
+            st: Stamper::new(size),
+            plans: Default::default(),
+            plan_builds: 0,
+            lu: SparseLu::default(),
+            bp: vec![0.0; size],
+            xp: vec![0.0; size],
+            x_new: vec![0.0; size],
+            x: vec![0.0; size],
+            rejected_steps: 0,
+        }
+    }
 }
 
 /// Results of a transient analysis: sampled waveforms at the probed nodes.
@@ -328,54 +367,61 @@ impl<'a> Simulator<'a> {
         }
     }
 
-    /// One Newton solve. Returns the solution and the iteration count.
+    /// One Newton solve from `x0`. Returns the iteration count and leaves the
+    /// solution in `ws.x`; `x0` is untouched, so a failed solve can be retried.
     #[allow(clippy::too_many_arguments)]
     fn solve_point(
         &self,
+        ws: &mut Workspace,
         x0: &[f64],
         t: f64,
         gmin: f64,
         dynamic: Option<(&[CapInst], &CapState, f64, Method)>,
         dc_sources: bool,
         opts: &SimOptions,
-    ) -> Result<(Vec<f64>, usize), SimError> {
+    ) -> Result<usize, SimError> {
         let n = self.layout.num_nodes();
         let size = self.layout.size();
-        let mut x = x0.to_vec();
+        ws.x.copy_from_slice(x0);
         for iter in 0..opts.max_newton {
-            let mut st = Stamper::new(size);
-            self.stamp(&mut st, &x, t, gmin, dynamic, dc_sources);
-            let (j, rhs) = st.finish();
-            let perm = self.ordering.get_or_init(|| pcv_sparse::order::rcm(&j));
-            let x_new = if perm.len() == j.nrows() {
-                let jp = j.permute_sym(perm);
-                let bp: Vec<f64> = perm.iter().map(|&old| rhs[old]).collect();
-                let xp = SparseLu::factor(&jp, 1e-3)?.solve(&bp);
-                let mut un = vec![0.0; size];
-                for (new, &old) in perm.iter().enumerate() {
-                    un[old] = xp[new];
+            ws.st.clear();
+            self.stamp(&mut ws.st, &ws.x, t, gmin, dynamic, dc_sources);
+            let (triplets, rhs) = ws.st.system();
+            let perm = self.ordering.get_or_init(|| pcv_sparse::order::rcm(&triplets.to_csc()));
+            let permuted = perm.len() == size;
+            let plan = &mut ws.plans[usize::from(dynamic.is_some())];
+            if !plan.assemble(triplets) {
+                *plan = triplets.record(permuted.then_some(perm));
+                assert!(plan.assemble(triplets), "a plan matches the builder it records");
+                ws.plan_builds += 1;
+            }
+            ws.lu.refactor(plan.matrix(), 1e-3)?;
+            if permuted {
+                for (b, &old) in ws.bp.iter_mut().zip(perm) {
+                    *b = rhs[old];
                 }
-                un
+                ws.lu.solve_into(&ws.bp, &mut ws.xp);
+                for (&xp, &old) in ws.xp.iter().zip(perm) {
+                    ws.x_new[old] = xp;
+                }
             } else {
-                SparseLu::factor(&j, 1e-3)?.solve(&rhs)
-            };
+                ws.lu.solve_into(rhs, &mut ws.x_new);
+            }
             // Damped update on node voltages; branch currents move freely.
             let mut converged = true;
-            let mut next = x.clone();
-            for i in 0..size {
-                let delta = x_new[i] - x[i];
+            for (i, (x, &x_new)) in ws.x.iter_mut().zip(&ws.x_new).enumerate() {
+                let delta = x_new - *x;
                 if i < n {
-                    if delta.abs() > opts.vtol + opts.reltol * x[i].abs() {
+                    if delta.abs() > opts.vtol + opts.reltol * x.abs() {
                         converged = false;
                     }
-                    next[i] = x[i] + delta.clamp(-opts.damping, opts.damping);
+                    *x += delta.clamp(-opts.damping, opts.damping);
                 } else {
-                    next[i] = x_new[i];
+                    *x = x_new;
                 }
             }
-            x = next;
             if converged {
-                return Ok((x, iter + 1));
+                return Ok(iter + 1);
             }
         }
         Err(SimError::NoConvergence { t })
@@ -390,24 +436,28 @@ impl<'a> Simulator<'a> {
     /// Returns [`SimError::NoConvergence`] or [`SimError::Solver`] when even
     /// stepped solves fail.
     pub fn dc(&self, opts: &SimOptions) -> Result<Vec<f64>, SimError> {
-        let x0 = vec![0.0; self.layout.size()];
-        match self.solve_point(&x0, 0.0, opts.gmin, None, true, opts) {
-            Ok((x, _)) => Ok(x),
-            Err(_) => {
-                // gmin stepping: solve a heavily damped system first and
-                // track the solution as gmin relaxes.
-                let mut x = x0;
-                let mut g = 1e-2;
-                while g > opts.gmin * 1.001 {
-                    if let Ok((xs, _)) = self.solve_point(&x, 0.0, g, None, true, opts) {
-                        x = xs;
-                    }
-                    g *= 0.1;
+        let mut ws = Workspace::new(self.layout.size());
+        let x = self.dc_on(&mut ws, opts);
+        pcv_trace::count("spice.asm.plan_builds", ws.plan_builds);
+        x
+    }
+
+    fn dc_on(&self, ws: &mut Workspace, opts: &SimOptions) -> Result<Vec<f64>, SimError> {
+        let mut x = vec![0.0; self.layout.size()];
+        if self.solve_point(ws, &x, 0.0, opts.gmin, None, true, opts).is_err() {
+            // gmin stepping: solve a heavily damped system first and
+            // track the solution as gmin relaxes.
+            let mut g = 1e-2;
+            while g > opts.gmin * 1.001 {
+                if self.solve_point(ws, &x, 0.0, g, None, true, opts).is_ok() {
+                    x.copy_from_slice(&ws.x);
                 }
-                let (x, _) = self.solve_point(&x, 0.0, opts.gmin, None, true, opts)?;
-                Ok(x)
+                g *= 0.1;
             }
+            self.solve_point(ws, &x, 0.0, opts.gmin, None, true, opts)?;
         }
+        x.copy_from_slice(&ws.x);
+        Ok(x)
     }
 
     /// Run a transient analysis to `tstop`, recording every non-ground node.
@@ -440,8 +490,33 @@ impl<'a> Simulator<'a> {
     ) -> Result<TranResult, SimError> {
         assert!(tstop > 0.0, "tstop must be positive");
         assert!(probes.iter().all(|p| !p.is_ground()), "cannot probe ground");
+        let mut ws = Workspace::new(self.layout.size());
+        let mut result = TranResult {
+            times: Vec::new(),
+            probes: probes.to_vec(),
+            data: vec![Vec::new(); probes.len()],
+            steps: 0,
+            newton_iters: 0,
+        };
+        let outcome = self.transient_on(&mut ws, &mut result, tstop, opts);
+        // Once per run, whatever its outcome: what it cost, in counters.
+        pcv_trace::count("spice.tran.steps", result.steps as u64);
+        pcv_trace::count("spice.tran.newton_iters", result.newton_iters as u64);
+        pcv_trace::count("spice.tran.rejected_steps", ws.rejected_steps);
+        pcv_trace::count("spice.asm.plan_builds", ws.plan_builds);
+        outcome.map(|()| result)
+    }
+
+    /// The transient loop proper, recording into `result`.
+    fn transient_on(
+        &self,
+        ws: &mut Workspace,
+        result: &mut TranResult,
+        tstop: f64,
+        opts: &SimOptions,
+    ) -> Result<(), SimError> {
         let caps = self.collect_caps();
-        let mut x = self.dc(opts)?;
+        let mut x = self.dc_on(ws, opts)?;
         if x.iter().any(|v| !v.is_finite()) {
             return Err(SimError::NonFinite { t: 0.0 });
         }
@@ -471,13 +546,11 @@ impl<'a> Simulator<'a> {
         let mut t = 0.0;
         let tiny = tstop * 1e-12;
 
-        let mut result = TranResult {
-            times: vec![0.0],
-            probes: probes.to_vec(),
-            data: probes.iter().map(|&p| vec![node_voltage(&x, p)]).collect(),
-            steps: 0,
-            newton_iters: 0,
-        };
+        let TranResult { times, probes, data, .. } = result;
+        times.push(0.0);
+        for (samples, &probe) in data.iter_mut().zip(probes.iter()) {
+            samples.push(node_voltage(&x, probe));
+        }
         // Start each run (and each post-breakpoint region) with BE to damp
         // the trapezoidal ringing a slope discontinuity would excite.
         let mut use_be = true;
@@ -492,6 +565,7 @@ impl<'a> Simulator<'a> {
             }
             let method = if use_be { Method::BackwardEuler } else { Method::Trapezoidal };
             match self.solve_point(
+                ws,
                 &x,
                 t + h_eff,
                 opts.gmin,
@@ -499,13 +573,15 @@ impl<'a> Simulator<'a> {
                 false,
                 opts,
             ) {
-                Ok((x_new, iters)) => {
-                    if x_new.iter().any(|v| !v.is_finite()) {
+                Ok(iters) => {
+                    if ws.x.iter().any(|v| !v.is_finite()) {
                         return Err(SimError::NonFinite { t: t + h_eff });
                     }
-                    // Accept: update capacitor states.
+                    // Accept: the solution becomes the state, the old state
+                    // the next solve's scratch.
+                    std::mem::swap(&mut x, &mut ws.x);
                     for (k, cap) in caps.iter().enumerate() {
-                        let v_new = node_voltage(&x_new, cap.a) - node_voltage(&x_new, cap.b);
+                        let v_new = node_voltage(&x, cap.a) - node_voltage(&x, cap.b);
                         let i_new = match method {
                             Method::BackwardEuler => cap.farads / h_eff * (v_new - state.v_prev[k]),
                             Method::Trapezoidal => {
@@ -517,10 +593,9 @@ impl<'a> Simulator<'a> {
                         state.i_prev[k] = i_new;
                     }
                     t += h_eff;
-                    x = x_new;
-                    result.times.push(t);
-                    for (p, &probe) in probes.iter().enumerate() {
-                        result.data[p].push(node_voltage(&x, probe));
+                    times.push(t);
+                    for (samples, &probe) in data.iter_mut().zip(probes.iter()) {
+                        samples.push(node_voltage(&x, probe));
                     }
                     result.steps += 1;
                     result.newton_iters += iters;
@@ -543,6 +618,7 @@ impl<'a> Simulator<'a> {
                     }
                 }
                 Err(SimError::NoConvergence { .. }) | Err(SimError::Solver(_)) => {
+                    ws.rejected_steps += 1;
                     h /= 4.0;
                     use_be = true;
                     if h < opts.min_step {
@@ -552,7 +628,7 @@ impl<'a> Simulator<'a> {
                 Err(e) => return Err(e),
             }
         }
-        Ok(result)
+        Ok(())
     }
 }
 
@@ -563,6 +639,517 @@ mod tests {
     use pcv_netlist::{MosParams, SourceWave};
 
     const VDD: f64 = 2.5;
+
+    /// The solver as it was before the workspace, verbatim: every Newton
+    /// iteration builds a fresh `Stamper`, assembles with `to_csc`, permutes
+    /// with `permute_sym`, factors from scratch and allocates its vectors.
+    /// It is the oracle of the bit-identity contract — the differential
+    /// tests below require the workspace path to reproduce it to the last
+    /// bit. (`SparseLu::factor` is itself pinned to its own verbatim
+    /// reference inside `pcv-sparse`.)
+    mod reference {
+        use super::super::*;
+
+        #[allow(clippy::too_many_arguments)]
+        fn solve_point(
+            sim: &Simulator,
+            x0: &[f64],
+            t: f64,
+            gmin: f64,
+            dynamic: Option<(&[CapInst], &CapState, f64, Method)>,
+            dc_sources: bool,
+            opts: &SimOptions,
+        ) -> Result<(Vec<f64>, usize), SimError> {
+            let n = sim.layout.num_nodes();
+            let size = sim.layout.size();
+            let mut x = x0.to_vec();
+            for iter in 0..opts.max_newton {
+                let mut st = Stamper::new(size);
+                sim.stamp(&mut st, &x, t, gmin, dynamic, dc_sources);
+                let (j, rhs) = st.finish();
+                let perm = sim.ordering.get_or_init(|| pcv_sparse::order::rcm(&j));
+                let x_new = if perm.len() == j.nrows() {
+                    let jp = j.permute_sym(perm);
+                    let bp: Vec<f64> = perm.iter().map(|&old| rhs[old]).collect();
+                    let xp = SparseLu::factor(&jp, 1e-3)?.solve(&bp);
+                    let mut un = vec![0.0; size];
+                    for (new, &old) in perm.iter().enumerate() {
+                        un[old] = xp[new];
+                    }
+                    un
+                } else {
+                    SparseLu::factor(&j, 1e-3)?.solve(&rhs)
+                };
+                let mut converged = true;
+                let mut next = x.clone();
+                for i in 0..size {
+                    let delta = x_new[i] - x[i];
+                    if i < n {
+                        if delta.abs() > opts.vtol + opts.reltol * x[i].abs() {
+                            converged = false;
+                        }
+                        next[i] = x[i] + delta.clamp(-opts.damping, opts.damping);
+                    } else {
+                        next[i] = x_new[i];
+                    }
+                }
+                x = next;
+                if converged {
+                    return Ok((x, iter + 1));
+                }
+            }
+            Err(SimError::NoConvergence { t })
+        }
+
+        pub fn dc(sim: &Simulator, opts: &SimOptions) -> Result<Vec<f64>, SimError> {
+            let x0 = vec![0.0; sim.layout.size()];
+            match solve_point(sim, &x0, 0.0, opts.gmin, None, true, opts) {
+                Ok((x, _)) => Ok(x),
+                Err(_) => {
+                    let mut x = x0;
+                    let mut g = 1e-2;
+                    while g > opts.gmin * 1.001 {
+                        if let Ok((xs, _)) = solve_point(sim, &x, 0.0, g, None, true, opts) {
+                            x = xs;
+                        }
+                        g *= 0.1;
+                    }
+                    let (x, _) = solve_point(sim, &x, 0.0, opts.gmin, None, true, opts)?;
+                    Ok(x)
+                }
+            }
+        }
+
+        pub fn transient_probed(
+            sim: &Simulator,
+            tstop: f64,
+            opts: &SimOptions,
+            probes: &[NodeId],
+        ) -> Result<TranResult, SimError> {
+            let caps = sim.collect_caps();
+            let mut x = dc(sim, opts)?;
+            if x.iter().any(|v| !v.is_finite()) {
+                return Err(SimError::NonFinite { t: 0.0 });
+            }
+            let mut state = CapState {
+                v_prev: caps
+                    .iter()
+                    .map(|c| node_voltage(&x, c.a) - node_voltage(&x, c.b))
+                    .collect(),
+                i_prev: vec![0.0; caps.len()],
+            };
+
+            let mut bps: Vec<f64> = Vec::new();
+            for e in sim.ckt.elements() {
+                if let Element::Vsrc { wave, .. } | Element::Isrc { wave, .. } = e {
+                    bps.extend(wave.breakpoints());
+                }
+            }
+            for (_, term) in &sim.terminations {
+                bps.extend(term.breakpoints());
+            }
+            bps.retain(|&b| b > 0.0 && b < tstop);
+            bps.sort_by(|a, b| a.partial_cmp(b).expect("finite breakpoints"));
+            bps.dedup_by(|a, b| (*a - *b).abs() < 1e-18);
+            let mut bp_idx = 0;
+
+            let hmax = tstop * opts.max_step_fraction;
+            let h_init = hmax / 10.0;
+            let mut h = h_init;
+            let mut t = 0.0;
+            let tiny = tstop * 1e-12;
+
+            let mut result = TranResult {
+                times: vec![0.0],
+                probes: probes.to_vec(),
+                data: probes.iter().map(|&p| vec![node_voltage(&x, p)]).collect(),
+                steps: 0,
+                newton_iters: 0,
+            };
+            let mut use_be = true;
+
+            while t < tstop - tiny {
+                let next_bp = bps.get(bp_idx).copied();
+                let mut h_eff = h.min(hmax).min(tstop - t);
+                if let Some(bp) = next_bp {
+                    if bp > t + tiny {
+                        h_eff = h_eff.min(bp - t);
+                    }
+                }
+                let method = if use_be { Method::BackwardEuler } else { Method::Trapezoidal };
+                match solve_point(
+                    sim,
+                    &x,
+                    t + h_eff,
+                    opts.gmin,
+                    Some((&caps, &state, h_eff, method)),
+                    false,
+                    opts,
+                ) {
+                    Ok((x_new, iters)) => {
+                        if x_new.iter().any(|v| !v.is_finite()) {
+                            return Err(SimError::NonFinite { t: t + h_eff });
+                        }
+                        for (k, cap) in caps.iter().enumerate() {
+                            let v_new = node_voltage(&x_new, cap.a) - node_voltage(&x_new, cap.b);
+                            let i_new = match method {
+                                Method::BackwardEuler => {
+                                    cap.farads / h_eff * (v_new - state.v_prev[k])
+                                }
+                                Method::Trapezoidal => {
+                                    2.0 * cap.farads / h_eff * (v_new - state.v_prev[k])
+                                        - state.i_prev[k]
+                                }
+                            };
+                            state.v_prev[k] = v_new;
+                            state.i_prev[k] = i_new;
+                        }
+                        t += h_eff;
+                        x = x_new;
+                        result.times.push(t);
+                        for (p, &probe) in probes.iter().enumerate() {
+                            result.data[p].push(node_voltage(&x, probe));
+                        }
+                        result.steps += 1;
+                        result.newton_iters += iters;
+                        use_be = false;
+
+                        if let Some(bp) = next_bp {
+                            if (t - bp).abs() <= tiny {
+                                bp_idx += 1;
+                                h = h_init;
+                                use_be = true;
+                                continue;
+                            }
+                        }
+                        if iters <= 3 {
+                            h = (h * 1.5).min(hmax);
+                        } else if iters >= 8 {
+                            h *= 0.5;
+                        }
+                    }
+                    Err(SimError::NoConvergence { .. }) | Err(SimError::Solver(_)) => {
+                        h /= 4.0;
+                        use_be = true;
+                        if h < opts.min_step {
+                            return Err(SimError::StepTooSmall { t });
+                        }
+                    }
+                    Err(e) => return Err(e),
+                }
+            }
+            Ok(result)
+        }
+    }
+
+    use pcv_cells::library::{Cell, CellLibrary};
+    use pcv_rng::Rng;
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// What a run did and how it ended, down to the last bit.
+    type Outcome = Result<(usize, usize, Vec<u64>, Vec<Vec<u64>>), String>;
+
+    fn outcome(res: Result<TranResult, SimError>) -> Outcome {
+        match res {
+            Ok(r) => Ok((
+                r.steps,
+                r.newton_iters,
+                bits(&r.times),
+                r.data.iter().map(|d| bits(d)).collect(),
+            )),
+            // The variant, its `t`, and a solver error's column.
+            Err(e) => Err(format!("{e:?}")),
+        }
+    }
+
+    /// Run the reference and the workspace path, each on a simulator of its
+    /// own (so each derives the ordering itself), and require one outcome.
+    /// `natural` pins an ordering of the wrong length on both, which sends
+    /// them down the natural-order branch.
+    fn assert_bit_identical(
+        what: &str,
+        ckt: &Circuit,
+        terms: &[(NodeId, &dyn Termination)],
+        tstop: f64,
+        opts: &SimOptions,
+        natural: bool,
+    ) -> Outcome {
+        let sim = || {
+            let mut sim = Simulator::new(ckt);
+            for &(node, term) in terms {
+                sim.add_termination(node, term);
+            }
+            if natural {
+                sim.ordering.set(Vec::new()).unwrap();
+            }
+            sim
+        };
+        let probes: Vec<NodeId> = (0..ckt.num_nodes()).map(NodeId::from_index).collect();
+        let want_dc = reference::dc(&sim(), opts).map(|x| bits(&x)).map_err(|e| format!("{e:?}"));
+        let got_dc = sim().dc(opts).map(|x| bits(&x)).map_err(|e| format!("{e:?}"));
+        assert_eq!(got_dc, want_dc, "{what}: dc");
+        let want = outcome(reference::transient_probed(&sim(), tstop, opts, &probes));
+        let got = outcome(sim().transient_probed(tstop, opts, &probes));
+        assert!(
+            got == want,
+            "{what}: transient differs (steps/iters/error: {:?} vs {:?})",
+            { got.as_ref().map(|g| (g.0, g.1)) },
+            want.as_ref().map(|w| (w.0, w.1))
+        );
+        got
+    }
+
+    /// A victim glitch as the cluster analysis would hand it over: `samples`
+    /// points on an uneven grid, a bump of `amp` on the quiet level plus a
+    /// little ringing, decimated to 400 PWL points when longer (the rule of
+    /// `pcv_xtalk::check_receiver_propagation`).
+    fn glitch_pwl(rng: &mut Rng, samples: usize, quiet: f64, amp: f64) -> Vec<(f64, f64)> {
+        let t_end = rng.range_f64(2e-9, 5e-9);
+        let (center, width) = (rng.range_f64(0.3, 0.6) * t_end, rng.range_f64(0.03, 0.15) * t_end);
+        let mut times: Vec<f64> = (0..samples).map(|_| rng.range_f64(0.0, t_end)).collect();
+        times[0] = 0.0;
+        times[samples - 1] = t_end;
+        times.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        times.dedup();
+        let value = |t: f64| {
+            let u = (t - center) / width;
+            quiet + amp * (-u * u).exp() + 0.01 * amp * (40.0 * u).sin()
+        };
+        if times.len() <= 400 {
+            return times.iter().map(|&t| (t, value(t))).collect();
+        }
+        let w = Waveform::from_samples(times.clone(), times.iter().map(|&t| value(t)).collect());
+        (0..400)
+            .map(|k| {
+                let t = t_end * k as f64 / 399.0;
+                (t, w.value_at(t))
+            })
+            .collect()
+    }
+
+    /// The receiver testbench of `check_receiver_propagation`: supply, PWL
+    /// input tied to every input pin, the cell, a fanout-of-one load.
+    fn receiver_bench(cell: &Cell, fingers: usize, pwl: Vec<(f64, f64)>) -> Circuit {
+        let mut ckt = Circuit::new();
+        let vdd = ckt.node("vdd");
+        let inp = ckt.node("in");
+        let out = ckt.node("out");
+        ckt.add_vsrc(vdd, Circuit::GROUND, SourceWave::Dc(VDD));
+        ckt.add_vsrc(inp, Circuit::GROUND, SourceWave::Pwl(pwl));
+        let inputs = vec![inp; cell.kind.num_inputs()];
+        for _ in 0..fingers {
+            cell.build(&mut ckt, &inputs, out, vdd);
+        }
+        ckt.add_capacitor(out, Circuit::GROUND, cell.input_cap().max(1e-15));
+        ckt
+    }
+
+    /// Raw Jacobian pushes of one transient iteration of `ckt`, and its
+    /// unknown count: more than 20 pushes a column on average means some
+    /// column is past the length up to which the assembly sort keeps push
+    /// order.
+    fn transient_pushes(ckt: &Circuit) -> (usize, usize) {
+        let sim = Simulator::new(ckt);
+        let size = sim.layout.size();
+        let caps = sim.collect_caps();
+        let state = CapState { v_prev: vec![0.0; caps.len()], i_prev: vec![0.0; caps.len()] };
+        let mut st = Stamper::new(size);
+        let dynamic = Some((&caps[..], &state, 1e-12, Method::Trapezoidal));
+        sim.stamp(&mut st, &vec![0.0; size], 0.0, 1e-12, dynamic, false);
+        (st.system().0.len(), size)
+    }
+
+    #[test]
+    fn receiver_benches_match_the_reference_bit_for_bit() {
+        let lib = CellLibrary::standard_025();
+        let mut rng = Rng::new(0x19_5eed);
+        let opts = SimOptions::default();
+        // Every driver kind of the library, and a six-finger NAND2 stage.
+        let benches = [
+            ("INVX4", 1),
+            ("BUFX2", 1),
+            ("NAND2X2", 1),
+            ("NOR2X1", 1),
+            ("TBUFX8", 1),
+            ("NAND2X1", 6),
+        ];
+        let mut switched = 0;
+        for (k, (name, fingers)) in benches.into_iter().enumerate() {
+            let cell = lib.cell(name).unwrap();
+            for rising in [true, false] {
+                // Short and long recordings alternate over kinds and polarities;
+                // the long ones go through the 400-point decimation.
+                let samples = if (k + usize::from(rising)) % 2 == 0 { 900 } else { 23 };
+                let quiet = if rising { 0.0 } else { VDD };
+                let amp = rng.range_f64(0.3, 2.4) * if rising { 1.0 } else { -1.0 };
+                let pwl = glitch_pwl(&mut rng, samples, quiet, amp);
+                let tstop = pwl.last().unwrap().0;
+                let ckt = receiver_bench(cell, fingers, pwl);
+                if fingers > 1 {
+                    let (pushes, size) = transient_pushes(&ckt);
+                    assert!(pushes > 20 * size, "{pushes} pushes over {size} columns");
+                }
+                let what = format!("{name}x{fingers} rising={rising} samples={samples}");
+                let got = assert_bit_identical(&what, &ckt, &[], tstop, &opts, false).unwrap();
+                let out = &got.3[ckt.find_node("out").unwrap().index()];
+                let swing = out.iter().map(|&b| (f64::from_bits(b) - f64::from_bits(out[0])).abs());
+                switched += usize::from(swing.fold(0.0, f64::max) > 0.5 * VDD);
+            }
+        }
+        assert!(switched >= 2, "some glitches must flip the receiver ({switched})");
+    }
+
+    /// A driver with a saturating (tanh) pull toward a ramping target: a
+    /// nonlinear termination with its own breakpoints and capacitance.
+    #[derive(Debug)]
+    struct TanhDriver {
+        target: SourceWave,
+        imax: f64,
+        cout: f64,
+        /// Injects NaN from this time on (never, when infinite).
+        poisoned_from: f64,
+    }
+
+    impl Termination for TanhDriver {
+        fn eval(&self, t: f64, v: f64) -> (f64, f64) {
+            if t >= self.poisoned_from {
+                return (f64::NAN, 1e-3);
+            }
+            let u = (v - self.target.value_at(t)) / 0.5;
+            (self.imax * u.tanh(), self.imax / 0.5 / u.cosh().powi(2))
+        }
+        fn capacitance(&self) -> f64 {
+            self.cout
+        }
+        fn breakpoints(&self) -> Vec<f64> {
+            self.target.breakpoints()
+        }
+    }
+
+    /// The SPICE-fallback rung's shape: `wires` coupled RC lines, a
+    /// nonlinear driver at each near end, a capacitive load at each far end.
+    fn rc_cluster(rng: &mut Rng, wires: usize, segs: usize) -> (Circuit, Vec<NodeId>) {
+        let mut ckt = Circuit::new();
+        let mut near = Vec::new();
+        let mut nodes: Vec<Vec<NodeId>> = Vec::new();
+        for w in 0..wires {
+            let line: Vec<NodeId> = (0..=segs).map(|k| ckt.node(&format!("w{w}_{k}"))).collect();
+            for pair in line.windows(2) {
+                ckt.add_resistor(pair[0], pair[1], rng.range_f64(20.0, 80.0));
+            }
+            for &node in &line {
+                ckt.add_capacitor(node, Circuit::GROUND, rng.range_f64(1e-15, 4e-15));
+            }
+            near.push(line[0]);
+            nodes.push(line);
+        }
+        for pair in nodes.windows(2) {
+            for (&a, &b) in pair[0].iter().zip(&pair[1]) {
+                ckt.add_capacitor(a, b, rng.range_f64(2e-15, 6e-15));
+            }
+        }
+        (ckt, near)
+    }
+
+    fn tanh_drivers(rng: &mut Rng, count: usize, poisoned_from: f64) -> Vec<TanhDriver> {
+        (0..count)
+            .map(|w| TanhDriver {
+                target: if w % 2 == 1 {
+                    SourceWave::step(0.0, VDD, rng.range_f64(0.2e-9, 0.6e-9), 0.1e-9)
+                } else {
+                    SourceWave::Dc(0.0)
+                },
+                imax: rng.range_f64(1e-3, 4e-3),
+                cout: 5e-15,
+                poisoned_from: if w == 1 { poisoned_from } else { f64::INFINITY },
+            })
+            .collect()
+    }
+
+    #[test]
+    fn rc_clusters_with_nonlinear_terminations_match_the_reference() {
+        let mut rng = Rng::new(0xfa11_bac4);
+        let opts = SimOptions::default();
+        for (wires, segs, natural) in [(3, 8, false), (5, 12, false), (4, 6, true)] {
+            let (ckt, near) = rc_cluster(&mut rng, wires, segs);
+            let drivers = tanh_drivers(&mut rng, wires, f64::INFINITY);
+            let terms: Vec<(NodeId, &dyn Termination)> =
+                near.iter().zip(&drivers).map(|(&n, d)| (n, d as &dyn Termination)).collect();
+            let what = format!("{wires}x{segs} natural={natural}");
+            let got = assert_bit_identical(&what, &ckt, &terms, 2e-9, &opts, natural).unwrap();
+            assert!(got.0 > 500, "{what}: {} steps", got.0);
+        }
+    }
+
+    #[test]
+    fn failures_match_the_reference_in_variant_and_time() {
+        let mut rng = Rng::new(0xdead_10cc);
+        let lib = CellLibrary::standard_025();
+        let defaults = SimOptions::default();
+
+        // A singular deck: two sources fight over one node, at any gmin.
+        let mut ckt = Circuit::new();
+        let a = ckt.node("a");
+        let b = ckt.node("b");
+        ckt.add_vsrc(a, Circuit::GROUND, SourceWave::Dc(1.0));
+        ckt.add_vsrc(a, Circuit::GROUND, SourceWave::Dc(2.0));
+        ckt.add_resistor(a, b, 100.0);
+        ckt.add_capacitor(b, Circuit::GROUND, 1e-15);
+        let err = assert_bit_identical("singular", &ckt, &[], 1e-9, &defaults, false).unwrap_err();
+        assert!(err.starts_with("Solver(Singular"), "{err}");
+
+        // A Newton budget too small for the steps the controller asks for:
+        // the DC point is reached through gmin stepping, the run completes
+        // through rejected steps and `h /= 4` retries.
+        let tight = SimOptions { max_newton: 9, max_step_fraction: 0.1, ..SimOptions::default() };
+        let pwl = vec![
+            (0.0, 0.0),
+            (1e-9, 0.0),
+            (1.02e-9, 3.6),
+            (1.5e-9, 3.6),
+            (1.52e-9, 0.0),
+            (3e-9, 0.0),
+        ];
+        let tstop = 3e-9;
+        let ckt = receiver_bench(lib.cell("NAND2X4").unwrap(), 1, pwl);
+        let sim = Simulator::new(&ckt);
+        let mut ws = Workspace::new(sim.layout.size());
+        let x0 = vec![0.0; sim.layout.size()];
+        assert!(sim.solve_point(&mut ws, &x0, 0.0, tight.gmin, None, true, &tight).is_err());
+        let mut result =
+            TranResult { times: vec![], probes: vec![], data: vec![], steps: 0, newton_iters: 0 };
+        sim.transient_on(&mut ws, &mut result, tstop, &tight).unwrap();
+        assert!(ws.rejected_steps > 0, "the tight budget must reject steps");
+        assert_eq!(ws.plan_builds, 2, "one DC plan, one transient plan, rejections or not");
+        assert_bit_identical("rejections", &ckt, &[], tstop, &tight, false).unwrap();
+
+        // The same deck with a floor under the step: the retries run out.
+        let floored = SimOptions { min_step: tstop / 100.0, ..tight.clone() };
+        let err = assert_bit_identical("floor", &ckt, &[], tstop, &floored, false).unwrap_err();
+        assert!(err.starts_with("StepTooSmall"), "{err}");
+
+        // A DC point no budget reaches.
+        let hopeless = SimOptions { max_newton: 1, ..SimOptions::default() };
+        let err = assert_bit_identical("dc", &ckt, &[], tstop, &hopeless, false).unwrap_err();
+        assert!(err.starts_with("NoConvergence { t: 0.0 }"), "{err}");
+
+        // A termination that turns to NaN mid-run: NonFinite at that step.
+        let (ckt, near) = rc_cluster(&mut rng, 3, 5);
+        let drivers = tanh_drivers(&mut rng, 3, 0.8e-9);
+        let terms: Vec<(NodeId, &dyn Termination)> =
+            near.iter().zip(&drivers).map(|(&n, d)| (n, d as &dyn Termination)).collect();
+        let err = assert_bit_identical("nan", &ckt, &terms, 2e-9, &defaults, false).unwrap_err();
+        assert!(err.starts_with("NonFinite"), "{err}");
+        // ... and from the start: NonFinite at the DC point.
+        let drivers = tanh_drivers(&mut rng, 3, 0.0);
+        let terms: Vec<(NodeId, &dyn Termination)> =
+            near.iter().zip(&drivers).map(|(&n, d)| (n, d as &dyn Termination)).collect();
+        let err = assert_bit_identical("nan dc", &ckt, &terms, 2e-9, &defaults, false).unwrap_err();
+        assert_eq!(err, "NonFinite { t: 0.0 }");
+    }
 
     #[test]
     fn dc_voltage_divider() {

@@ -67,6 +67,18 @@ impl Stamper {
         self.size
     }
 
+    /// Forget every stamp, keeping the size and the allocations: the next
+    /// Newton iteration stamps into the same buffers.
+    pub fn clear(&mut self) {
+        self.triplets.clear();
+        self.rhs.fill(0.0);
+    }
+
+    /// The system as stamped so far: unassembled Jacobian entries and RHS.
+    pub fn system(&self) -> (&Triplets, &[f64]) {
+        (&self.triplets, &self.rhs)
+    }
+
     /// Stamp a conductance `g` between two nodes (either may be ground).
     pub fn conductance(&mut self, a: NodeId, b: NodeId, g: f64) {
         if let Some(i) = a.index_opt() {

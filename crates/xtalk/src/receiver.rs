@@ -42,7 +42,8 @@ pub struct ReceiverCheck {
 ///
 /// # Errors
 ///
-/// Propagates simulation failures and rejects empty waveforms.
+/// Propagates simulation failures and rejects waveforms that are empty or
+/// span no time.
 pub fn check_receiver_propagation(
     cell: &Cell,
     glitch: &Waveform,
@@ -55,6 +56,9 @@ pub fn check_receiver_propagation(
         return Err(XtalkError::Measurement { what: "empty victim waveform" });
     }
     let t_end = *glitch.times().last().expect("non-empty waveform");
+    if t_end.is_nan() || t_end <= 0.0 {
+        return Err(XtalkError::Measurement { what: "victim waveform spans no time" });
+    }
     // Use the waveform's own samples when small; decimate onto a uniform
     // grid only for long recordings (keeps the MNA breakpoint list
     // manageable without flattening the glitch apex).
@@ -271,5 +275,17 @@ mod tests {
         let inv = lib.cell("INVX1").unwrap();
         let err = check_receiver_propagation(inv, &Waveform::new(), 0.0, VDD, 0.2);
         assert!(matches!(err, Err(XtalkError::Measurement { .. })));
+    }
+
+    #[test]
+    fn waveform_spanning_no_time_is_rejected_not_a_panic() {
+        let lib = CellLibrary::standard_025();
+        let inv = lib.cell("INVX1").unwrap();
+        let one_sample = Waveform::from_samples(vec![0.0], vec![0.3]);
+        let err = check_receiver_propagation(inv, &one_sample, 0.0, VDD, 0.2).unwrap_err();
+        assert!(
+            matches!(err, XtalkError::Measurement { what: "victim waveform spans no time" }),
+            "{err}"
+        );
     }
 }

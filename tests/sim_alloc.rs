@@ -1,15 +1,20 @@
-//! Allocation regression test of the reduced transient (`pcv_mor::simulate`).
+//! Allocation regression tests of the two transient kernels: the reduced
+//! transient (`pcv_mor::simulate`) and the receiver SPICE run
+//! (`pcv_xtalk::check_receiver_propagation` on `pcv_spice`).
 //!
-//! The kernel sizes one workspace per call and then steps without touching
+//! Each kernel sizes one workspace per call and then steps without touching
 //! the heap; what still allocates is the result — `times` and one sample
-//! vector per port, each doubling as it grows. So the allocation count must
-//! be (nearly) independent of the step count: quadrupling the steps adds two
-//! doublings per vector, nothing per step.
+//! vector per port or probe, each doubling as it grows. So the allocation
+//! count must be (nearly) independent of the step count: quadrupling the
+//! steps adds two doublings per vector, nothing per step.
 
+use pcv_cells::library::CellLibrary;
 use pcv_mor::{simulate, sympvl, MorOptions, RcCluster};
 use pcv_netlist::termination::{Termination, TheveninTermination};
-use pcv_netlist::SourceWave;
+use pcv_netlist::{Circuit, SourceWave, Waveform};
 use pcv_obs::{mem, TrackingAlloc};
+use pcv_spice::{SimOptions, Simulator};
+use pcv_xtalk::check_receiver_propagation;
 
 #[global_allocator]
 static ALLOC: TrackingAlloc = TrackingAlloc::system();
@@ -81,5 +86,65 @@ fn a_transient_step_does_not_allocate() {
         fine_allocs <= coarse_allocs + growth,
         "{fine_steps} steps took {fine_allocs} allocations, {coarse_steps} steps took \
          {coarse_allocs}: the difference must stay within result-vector growth ({growth})"
+    );
+}
+
+/// A victim glitch of `samples` points over 4 ns: quiet, a 0.9 V bump
+/// centred at 2 ns, quiet again.
+fn glitch(samples: usize) -> Waveform {
+    let times: Vec<f64> = (0..samples).map(|k| 4e-9 * k as f64 / (samples - 1) as f64).collect();
+    let values = times.iter().map(|&t| 0.9 * (-((t - 2e-9) / 0.4e-9).powi(2)).exp()).collect();
+    Waveform::from_samples(times, values)
+}
+
+#[test]
+fn a_receiver_check_allocates_nothing_per_step_or_newton_iteration() {
+    let lib = CellLibrary::standard_025();
+    let cell = lib.cell("NAND2X2").unwrap();
+    let (long, short) = (glitch(400), glitch(5));
+
+    // The long glitch's testbench, as `check_receiver_propagation` builds
+    // it, straight through the simulator: how many steps and Newton
+    // iterations the allocation counts below have to be independent of.
+    let run = |glitch: &Waveform| {
+        let mut ckt = Circuit::new();
+        let vdd = ckt.node("vdd");
+        let inp = ckt.node("in");
+        let out = ckt.node("out");
+        ckt.add_vsrc(vdd, Circuit::GROUND, SourceWave::Dc(2.5));
+        let pwl = glitch.times().iter().copied().zip(glitch.values().iter().copied()).collect();
+        ckt.add_vsrc(inp, Circuit::GROUND, SourceWave::Pwl(pwl));
+        cell.build(&mut ckt, &[inp, inp], out, vdd);
+        ckt.add_capacitor(out, Circuit::GROUND, cell.input_cap().max(1e-15));
+        let res = Simulator::new(&ckt).transient_probed(4e-9, &SimOptions::default(), &[out]);
+        let res = res.unwrap();
+        (res.steps as u64, res.newton_iters as u64)
+    };
+    let (long_steps, long_iters) = run(&long);
+    let (short_steps, _) = run(&short);
+    assert!(long_steps >= 2000 && short_steps < long_steps / 2, "{long_steps}, {short_steps}");
+
+    let allocs = |glitch: &Waveform| {
+        let before = mem::thread_totals().1;
+        let check = check_receiver_propagation(cell, glitch, 0.0, 2.5, 0.2).unwrap();
+        let allocs = mem::thread_totals().1 - before;
+        let steps = if glitch.len() == 400 { long_steps } else { short_steps };
+        assert_eq!(check.output.len() as u64, steps + 1, "the same run as above");
+        allocs
+    };
+    let (long_allocs, short_allocs) = (allocs(&long), allocs(&short));
+    assert!(mem::active(), "the tracking allocator is installed in this binary");
+    assert!(
+        10 * long_allocs < long_iters,
+        "{long_allocs} allocations over {long_iters} Newton iterations: more than one in ten"
+    );
+    // What may separate the two: a longer PWL and breakpoint list (the same
+    // number of vectors, each larger) and one or two more doublings of
+    // `times` and of the one probe's samples.
+    let growth = 8;
+    assert!(
+        long_allocs <= short_allocs + growth,
+        "{long_steps} steps took {long_allocs} allocations, {short_steps} steps took \
+         {short_allocs}: the difference must stay within PWL and result-vector growth ({growth})"
     );
 }
