@@ -13,11 +13,11 @@
 //! 1. [`EcoDelta::diff`] (in `pcv-netlist`) types the edit: nets
 //!    added/removed/re-parasitized and coupling-cap edits.
 //! 2. [`pcv_xtalk::blast_radius`] maps the touched nets to every victim
-//!    within two coupling hops — the only clusters whose canonical v3
+//!    within two coupling hops — the only clusters whose canonical v4
 //!    fingerprint *can* change (see that module for the soundness
 //!    argument).
 //! 3. [`EcoPlan::compute`] confirms each candidate against the actual
-//!    [`cluster_fingerprint`]s of the old and new chips, yielding the
+//!    [`crate::cluster_fingerprint`]s of the old and new chips, yielding the
 //!    minimal dirty set.
 //! 4. [`Engine::run`] over the **new** chip with the session's warm cache
 //!    ([`Engine::eco_verify_resident`] is steps 1–4 in one call). Clean
@@ -34,7 +34,7 @@
 //! matrix as any sign-off.
 
 use crate::engine::{Engine, EngineConfig, RunRequest};
-use crate::fingerprint::{cluster_fingerprint, config_hash};
+use crate::fingerprint::{cluster_fingerprint_in, config_hash, NetDigests};
 use crate::report::EngineReport;
 use crate::resident::{ResidentChip, VerdictSnapshot};
 use pcv_netlist::eco::EcoDelta;
@@ -128,6 +128,7 @@ fn victim_fingerprints(
         cfg.fail_frac,
         cfg.check_receivers,
     );
+    let digests = NetDigests::new(ctx);
     let mut out = BTreeMap::new();
     for &vic in chip.victims() {
         let name = ctx.db.net(vic).name();
@@ -135,7 +136,7 @@ fn victim_fingerprints(
             continue;
         }
         let cluster = prune_victim_with_components(ctx.db, vic, &cfg.prune, chip.component_sizes());
-        out.insert(name.to_owned(), cluster_fingerprint(ctx, &cluster, chash));
+        out.insert(name.to_owned(), cluster_fingerprint_in(ctx, &cluster, chash, &digests));
     }
     out
 }

@@ -4,7 +4,7 @@
 use crate::cache::ResultCache;
 use crate::durable::{DurableConfig, Journal, LockError, RunLock};
 use crate::fault::Plan;
-use crate::fingerprint::{chip_slice_fingerprint, cluster_fingerprint, config_hash};
+use crate::fingerprint::{chip_slice_fingerprint, cluster_fingerprint_in, config_hash, NetDigests};
 use crate::record::JournalEntry;
 use crate::recovery::{route, Attempt, Degradation, FaultKind, RecoveryRung, Trail};
 use crate::report::{ClusterCost, EngineError, EngineReport, EngineStats};
@@ -459,6 +459,11 @@ impl Engine {
             }
         }
 
+        // Per-net section digests, shared by the worker threads for the
+        // length of this run: each net is hashed once, not once per
+        // cluster it is a member of.
+        let digests = NetDigests::new(ctx);
+
         let job = |i: usize| -> Option<JobOk> {
             let vic = victims[i];
             let name = ctx.db.net(vic).name();
@@ -477,7 +482,7 @@ impl Engine {
             let cluster = prune_victim_with_components(ctx.db, vic, &cfg.prune, component_sizes);
             let prune = t.elapsed();
 
-            let fp = cluster_fingerprint(ctx, &cluster, chash);
+            let fp = cluster_fingerprint_in(ctx, &cluster, chash, &digests);
             // Adopt a stored record when its fingerprint still matches the
             // cluster we just pruned — exact f64 bits, exact degradation
             // trail, so the merged report cannot drift. The journal of an

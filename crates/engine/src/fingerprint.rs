@@ -12,14 +12,25 @@
 //! to run the exact same floating-point analysis, so the cached verdict is
 //! bit-identical to a recomputed one.
 //!
+//! It is a digest of digests. Everything a member net contributes — its
+//! RC, its incident couplings, its annotations — depends on the analysis
+//! context and that net alone, not on the cluster around it, so it is
+//! hashed into a per-net *section digest*, once per sweep (`NetDigests`),
+//! and a cluster's fingerprint hashes the configuration, the pruning
+//! outcome and its members' digests, victim first. Fingerprinting a chip
+//! therefore costs one pass over each net, however much the clusters
+//! overlap.
+//!
 //! Element lists are *canonicalized* (sorted) before hashing, so the
 //! fingerprint depends only on the electrical content of a cluster, not on
 //! the order a parasitic extractor happened to emit resistors, capacitors,
 //! or couplings. Re-extracting an unchanged layout therefore keeps the
 //! cache warm even when the netlist file shuffles.
 
+use pcv_netlist::PNetId;
 use pcv_xtalk::prune::Cluster;
 use pcv_xtalk::AnalysisContext;
+use std::sync::OnceLock;
 
 /// Incremental FNV-1a 64-bit hasher.
 #[derive(Debug, Clone)]
@@ -100,10 +111,10 @@ pub fn config_hash(
     use pcv_xtalk::drivers::DriverModelKind;
     use pcv_xtalk::EngineKind;
     let mut h = Fnv1a::new();
-    // v3: gmin scaling and the MOR solver knobs entered the options and
-    // can change a verdict bit-for-bit, so they enter the hash. Bumping
-    // the tag invalidates caches written by earlier layouts.
-    h.write_str("pcv-engine config v3");
+    // v4: a cluster fingerprint became a digest of per-net section
+    // digests. Bumping the tag invalidates caches written by earlier
+    // layouts.
+    h.write_str("pcv-engine config v4");
     h.write_f64(prune.cap_ratio);
     h.write_usize(prune.max_aggressors);
     match opts.engine {
@@ -153,8 +164,112 @@ pub fn chip_slice_fingerprint(ctx: &AnalysisContext<'_>, victims: &[pcv_netlist:
     h.finish()
 }
 
-/// Fingerprint one pruned cluster under a given configuration hash.
-pub fn cluster_fingerprint(ctx: &AnalysisContext<'_>, cluster: &Cluster, config: u64) -> u64 {
+/// Run-scoped memo of per-net section digests, indexed by [`PNetId`].
+///
+/// A section reads nothing but `(ctx, net)`, so within one
+/// [`AnalysisContext`] it is hashed once however many clusters the net is
+/// a member of. A memo is created per sweep and dropped with it: nothing
+/// digested under one context can be read under another.
+pub(crate) struct NetDigests(Vec<OnceLock<u64>>);
+
+impl NetDigests {
+    /// An empty memo for the nets of `ctx`.
+    pub(crate) fn new(ctx: &AnalysisContext<'_>) -> Self {
+        NetDigests((0..ctx.db.num_nets()).map(|_| OnceLock::new()).collect())
+    }
+
+    fn get(&self, ctx: &AnalysisContext<'_>, net: PNetId) -> u64 {
+        *self.0[net.0].get_or_init(|| net_section_digest(ctx, net))
+    }
+}
+
+/// Digest of everything one member net contributes to a cluster's
+/// analysis: its RC, every coupling incident to it, and the design
+/// annotations the analysis consults for it.
+fn net_section_digest(ctx: &AnalysisContext<'_>, m: PNetId) -> u64 {
+    pcv_trace::count("engine.fingerprint.net_digests", 1);
+    let mut h = Fnv1a::new();
+    let net = ctx.db.net(m);
+    h.write_str(net.name());
+    h.write_usize(net.num_nodes());
+    // Canonical order for every element list: the fingerprint must not
+    // depend on the order an extractor emitted the netlist.
+    let mut loads: Vec<usize> = net.load_nodes().to_vec();
+    loads.sort_unstable();
+    for n in loads {
+        h.write_usize(n);
+    }
+    let mut resistors: Vec<(usize, usize, u64)> =
+        net.resistors().iter().map(|&(a, b, ohms)| (a, b, ohms.to_bits())).collect();
+    resistors.sort_unstable();
+    for (a, b, bits) in resistors {
+        h.write_usize(a);
+        h.write_usize(b);
+        h.write_u64(bits);
+    }
+    let mut gcaps: Vec<(usize, u64)> =
+        net.ground_caps().iter().map(|&(n, c)| (n, c.to_bits())).collect();
+    gcaps.sort_unstable();
+    for (n, bits) in gcaps {
+        h.write_usize(n);
+        h.write_u64(bits);
+    }
+    // Every coupling incident to a member shapes the analyzed network:
+    // member-to-member caps directly, member-to-outside caps through
+    // conservative decoupling (grounded at the member node).
+    let mut couplings: Vec<(usize, &str, usize, u64)> = ctx
+        .db
+        .couplings_of(m)
+        .map(|c| {
+            let (own, other) = if c.a.net == m { (c.a, c.b) } else { (c.b, c.a) };
+            (own.node, ctx.db.net(other.net).name(), other.node, c.farads.to_bits())
+        })
+        .collect();
+    couplings.sort_unstable();
+    for (own_node, other_name, other_node, bits) in couplings {
+        h.write_usize(own_node);
+        h.write_str(other_name);
+        h.write_usize(other_node);
+        h.write_u64(bits);
+    }
+    // Design-side inputs: receiver loading, switching window, driver
+    // cell, complement partner.
+    h.write_f64(ctx.load_cap(m));
+    if let Some(design) = ctx.design {
+        match design.find_net(net.name()) {
+            Some(dnet) => {
+                match design.window(dnet) {
+                    Some((a, b)) => {
+                        h.write_u64(1);
+                        h.write_f64(a);
+                        h.write_f64(b);
+                    }
+                    None => h.write_u64(0),
+                }
+                match design.complement_of(dnet) {
+                    Some(other) => h.write_str(design.net_name(other)),
+                    None => h.write_u64(0),
+                }
+            }
+            None => h.write_u64(2),
+        }
+    }
+    match ctx.driver_cell(m) {
+        Ok(cell) => h.write_str(&cell.name),
+        Err(_) => h.write_u64(3),
+    }
+    h.finish()
+}
+
+/// Fingerprint one pruned cluster under a given configuration hash,
+/// taking each member's section digest from (or into) `memo`.
+pub(crate) fn cluster_fingerprint_in(
+    ctx: &AnalysisContext<'_>,
+    cluster: &Cluster,
+    config: u64,
+    memo: &NetDigests,
+) -> u64 {
+    pcv_trace::count("engine.fingerprint.clusters", 1);
     let mut h = Fnv1a::new();
     h.write_u64(config);
 
@@ -165,79 +280,16 @@ pub fn cluster_fingerprint(ctx: &AnalysisContext<'_>, cluster: &Cluster, config:
     for &(_, cc) in &cluster.aggressors {
         h.write_f64(cc);
     }
-
     for m in cluster.members() {
-        let net = ctx.db.net(m);
-        h.write_str(net.name());
-        h.write_usize(net.num_nodes());
-        // Canonical order for every element list: the fingerprint must not
-        // depend on the order an extractor emitted the netlist.
-        let mut loads: Vec<usize> = net.load_nodes().to_vec();
-        loads.sort_unstable();
-        for n in loads {
-            h.write_usize(n);
-        }
-        let mut resistors: Vec<(usize, usize, u64)> =
-            net.resistors().iter().map(|&(a, b, ohms)| (a, b, ohms.to_bits())).collect();
-        resistors.sort_unstable();
-        for (a, b, bits) in resistors {
-            h.write_usize(a);
-            h.write_usize(b);
-            h.write_u64(bits);
-        }
-        let mut gcaps: Vec<(usize, u64)> =
-            net.ground_caps().iter().map(|&(n, c)| (n, c.to_bits())).collect();
-        gcaps.sort_unstable();
-        for (n, bits) in gcaps {
-            h.write_usize(n);
-            h.write_u64(bits);
-        }
-        // Every coupling incident to a member shapes the analyzed network:
-        // member-to-member caps directly, member-to-outside caps through
-        // conservative decoupling (grounded at the member node).
-        let mut couplings: Vec<(usize, &str, usize, u64)> = ctx
-            .db
-            .couplings_of(m)
-            .map(|c| {
-                let (own, other) = if c.a.net == m { (c.a, c.b) } else { (c.b, c.a) };
-                (own.node, ctx.db.net(other.net).name(), other.node, c.farads.to_bits())
-            })
-            .collect();
-        couplings.sort_unstable();
-        for (own_node, other_name, other_node, bits) in couplings {
-            h.write_usize(own_node);
-            h.write_str(other_name);
-            h.write_usize(other_node);
-            h.write_u64(bits);
-        }
-        // Design-side inputs: receiver loading, switching window, driver
-        // cell, complement partner.
-        h.write_f64(ctx.load_cap(m));
-        if let Some(design) = ctx.design {
-            match design.find_net(net.name()) {
-                Some(dnet) => {
-                    match design.window(dnet) {
-                        Some((a, b)) => {
-                            h.write_u64(1);
-                            h.write_f64(a);
-                            h.write_f64(b);
-                        }
-                        None => h.write_u64(0),
-                    }
-                    match design.complement_of(dnet) {
-                        Some(other) => h.write_str(design.net_name(other)),
-                        None => h.write_u64(0),
-                    }
-                }
-                None => h.write_u64(2),
-            }
-        }
-        match ctx.driver_cell(m) {
-            Ok(cell) => h.write_str(&cell.name),
-            Err(_) => h.write_u64(3),
-        }
+        h.write_u64(memo.get(ctx, m));
     }
     h.finish()
+}
+
+/// Fingerprint one pruned cluster under a given configuration hash: the
+/// value a sweep computes for it, from a memo of its own.
+pub fn cluster_fingerprint(ctx: &AnalysisContext<'_>, cluster: &Cluster, config: u64) -> u64 {
+    cluster_fingerprint_in(ctx, cluster, config, &NetDigests::new(ctx))
 }
 
 #[cfg(test)]
@@ -275,5 +327,212 @@ mod tests {
         b.write_str("a");
         b.write_str("bc");
         assert_ne!(a.finish(), b.finish());
+    }
+
+    use pcv_cells::library::CellLibrary;
+    use pcv_netlist::{Design, NetNodeRef, NetParasitics, ParasiticDb};
+    use pcv_xtalk::drivers::DriverModelKind;
+    use pcv_xtalk::prune::{prune_victim, PruneConfig};
+
+    /// Every per-net input a section digests, for one member of the
+    /// fixture's cluster.
+    #[derive(Clone)]
+    struct Inputs {
+        ohms: f64,
+        ground_cap: f64,
+        /// The member's coupling to a net outside the cluster.
+        outside: (f64, usize, &'static str),
+        receivers: usize,
+        window: Option<(f64, f64)>,
+        complement: bool,
+        driver: &'static str,
+    }
+
+    const BASE: Inputs = Inputs {
+        ohms: 150.0,
+        ground_cap: 5e-15,
+        outside: (0.05e-15, 0, "far"),
+        receivers: 1,
+        window: Some((1e-9, 2e-9)),
+        complement: false,
+        driver: "INVX2",
+    };
+
+    /// Victim `v` with aggressors `a0`, `a1`, each weakly coupled to a net
+    /// that pruning leaves outside; `member` (0 = victim) takes `inputs`,
+    /// the other two take [`BASE`].
+    fn fixture(member: usize, inputs: &Inputs) -> (ParasiticDb, Design) {
+        let mut db = ParasiticDb::new();
+        let mut design = Design::new("fixture");
+        let pi = design.add_net("pi");
+        let sink = design.add_net("sink");
+        let outside: Vec<_> = ["far", "farther"]
+            .iter()
+            .map(|name| {
+                let mut net = NetParasitics::new(*name);
+                net.add_node();
+                design.add_net(*name);
+                db.add_net(net)
+            })
+            .collect();
+        let mut ids = Vec::new();
+        for (k, name) in ["v", "a0", "a1"].into_iter().enumerate() {
+            let inp = if k == member { inputs } else { &BASE };
+            let mut net = NetParasitics::new(name);
+            let (n1, n2) = (net.add_node(), net.add_node());
+            net.add_resistor(0, n1, inp.ohms);
+            net.add_resistor(n1, n2, 180.0);
+            net.add_ground_cap(n1, inp.ground_cap);
+            net.add_ground_cap(n2, 6e-15);
+            net.mark_load(n2);
+            let id = db.add_net(net);
+            let dnet = design.add_net(name);
+            design.add_instance(format!("drv_{name}"), inp.driver, vec![pi], Some(dnet), false);
+            for r in 0..inp.receivers {
+                design.add_instance(
+                    format!("rx{r}_{name}"),
+                    "INVX1",
+                    vec![dnet],
+                    Some(sink),
+                    false,
+                );
+            }
+            if let Some((open, close)) = inp.window {
+                design.set_window(dnet, open, close);
+            }
+            let (farads, node, far) = inp.outside;
+            let far = outside[usize::from(far != "far")];
+            db.add_coupling(NetNodeRef { net: id, node: 1 }, NetNodeRef { net: far, node }, farads);
+            ids.push((id, dnet));
+        }
+        for &(agg, _) in &ids[1..] {
+            let v = ids[0].0;
+            db.add_coupling(
+                NetNodeRef { net: v, node: 2 },
+                NetNodeRef { net: agg, node: 2 },
+                20e-15,
+            );
+        }
+        if inputs.complement {
+            // The member pairs with the next one round the cluster.
+            design.set_complementary(ids[member].1, ids[(member + 1) % 3].1);
+        }
+        (db, design)
+    }
+
+    fn fixture_fingerprint(member: usize, inputs: &Inputs) -> u64 {
+        let (db, design) = fixture(member, inputs);
+        let lib = CellLibrary::standard_025();
+        let ctx = AnalysisContext {
+            db: &db,
+            design: Some(&design),
+            lib: Some(&lib),
+            charlib: None,
+            driver_model: DriverModelKind::FixedResistance(1500.0),
+        };
+        let cluster = prune_victim(&db, db.find_net("v").unwrap(), &PruneConfig::default());
+        assert_eq!(cluster.size(), 3, "both aggressors kept, the outside nets pruned");
+        cluster_fingerprint(&ctx, &cluster, 7)
+    }
+
+    #[test]
+    fn every_input_of_every_member_reaches_the_fingerprint() {
+        let edits: [(&str, Inputs); 11] = [
+            ("a resistor", Inputs { ohms: 151.0, ..BASE }),
+            ("a ground cap", Inputs { ground_cap: 5.05e-15, ..BASE }),
+            ("outside coupling value", Inputs { outside: (0.0505e-15, 0, "far"), ..BASE }),
+            ("outside coupling far node", Inputs { outside: (0.05e-15, 1, "far"), ..BASE }),
+            ("outside net's name", Inputs { outside: (0.05e-15, 0, "farther"), ..BASE }),
+            ("load cap", Inputs { receivers: 2, ..BASE }),
+            ("window edge", Inputs { window: Some((1e-9, 2.5e-9)), ..BASE }),
+            ("window removed", Inputs { window: None, ..BASE }),
+            ("complement partner", Inputs { complement: true, ..BASE }),
+            ("driver cell", Inputs { driver: "BUFX4", ..BASE }),
+            ("driver strength", Inputs { driver: "INVX4", ..BASE }),
+        ];
+        let base = fixture_fingerprint(0, &BASE);
+        let mut seen = vec![base];
+        for member in 0..3 {
+            assert_eq!(fixture_fingerprint(member, &BASE), base, "the baseline is one chip");
+            for (what, inputs) in &edits {
+                let fp = fixture_fingerprint(member, inputs);
+                assert!(!seen.contains(&fp), "member {member}: {what} left no trace");
+                seen.push(fp);
+            }
+        }
+    }
+
+    #[test]
+    fn pruning_outcome_member_order_and_config_reach_the_fingerprint() {
+        let (db, _) = fixture(0, &BASE);
+        let ctx = AnalysisContext::fixed_resistance(&db, 1500.0);
+        let cluster = prune_victim(&db, db.find_net("v").unwrap(), &PruneConfig::default());
+        let base = cluster_fingerprint(&ctx, &cluster, 7);
+        let mut edited = vec![cluster.clone(); 5];
+        edited[0].decoupled_cap *= 1.01;
+        edited[1].aggressors[1].1 *= 1.01;
+        edited[2].aggressors.swap(0, 1);
+        edited[3].aggressors.pop();
+        // The victim trades places with an aggressor: same member set.
+        edited[4].victim = std::mem::replace(&mut edited[4].aggressors[0].0, cluster.victim);
+        let mut seen = vec![base, cluster_fingerprint(&ctx, &cluster, 8)];
+        assert_ne!(seen[0], seen[1], "config hash");
+        for (k, c) in edited.iter().enumerate() {
+            let fp = cluster_fingerprint(&ctx, c, 7);
+            assert!(!seen.contains(&fp), "edit {k} left no trace");
+            seen.push(fp);
+        }
+        // What the report carries but no analysis reads stays out.
+        let mut cosmetic = cluster.clone();
+        cosmetic.neighbors_before += 1;
+        cosmetic.component_size += 1;
+        assert_eq!(cluster_fingerprint(&ctx, &cosmetic, 7), base);
+    }
+
+    #[test]
+    fn a_shared_memo_gives_the_fresh_value_from_one_thread_and_from_four() {
+        use pcv_designs::dsp::{generate, DspConfig};
+        let lib = CellLibrary::standard_025();
+        let cfg = DspConfig { n_buses: 2, bus_bits: 8, n_random_nets: 24, ..Default::default() };
+        let block = generate(&cfg, &pcv_designs::Technology::c025(), &lib);
+        let ctx = AnalysisContext {
+            db: &block.parasitics,
+            design: Some(&block.design),
+            lib: Some(&lib),
+            charlib: None,
+            driver_model: DriverModelKind::FixedResistance(2000.0),
+        };
+        let prune = PruneConfig::default();
+        let clusters: Vec<Cluster> =
+            (0..ctx.db.num_nets()).map(|v| prune_victim(ctx.db, PNetId(v), &prune)).collect();
+        let fresh: Vec<u64> = clusters.iter().map(|c| cluster_fingerprint(&ctx, c, 11)).collect();
+        let member_slots: usize = clusters.iter().map(Cluster::size).sum();
+        let mut distinct: Vec<PNetId> = clusters.iter().flat_map(Cluster::members).collect();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert!(member_slots > 2 * distinct.len(), "the chip must share nets between clusters");
+
+        for threads in [1usize, 4] {
+            let memo = NetDigests::new(&ctx);
+            let start = std::sync::Barrier::new(threads);
+            std::thread::scope(|scope| {
+                for t in 0..threads {
+                    let (memo, start, clusters, fresh, ctx) =
+                        (&memo, &start, &clusters, &fresh, &ctx);
+                    scope.spawn(move || {
+                        // Every thread fingerprints every cluster, each from
+                        // its own starting point, so first uses collide.
+                        start.wait();
+                        for k in 0..clusters.len() {
+                            let k = (k + t * clusters.len() / threads) % clusters.len();
+                            let fp = cluster_fingerprint_in(ctx, &clusters[k], 11, memo);
+                            assert_eq!(fp, fresh[k], "victim {k}, thread {t} of {threads}");
+                        }
+                    });
+                }
+            });
+            let filled = memo.0.iter().filter(|slot| slot.get().is_some()).count();
+            assert_eq!(filled, distinct.len(), "one digest per net that is a member somewhere");
+        }
     }
 }

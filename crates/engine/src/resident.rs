@@ -23,7 +23,7 @@ use pcv_netlist::{Design, PNetId, ParasiticDb};
 use pcv_xtalk::drivers::DriverModelKind;
 use pcv_xtalk::prune::coupling_component_sizes;
 use pcv_xtalk::{AnalysisContext, NetVerdict};
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::Mutex;
 
 /// A chip elaborated once and held resident for many verification runs.
@@ -116,7 +116,7 @@ impl ResidentChip {
 
     /// Whether `name` names one of the audited victims.
     pub fn is_victim(&self, name: &str) -> bool {
-        self.victims.iter().any(|&v| self.db.net(v).name() == name)
+        self.db.find_net(name).is_some_and(|id| self.victims.contains(&id))
     }
 }
 
@@ -129,13 +129,20 @@ impl ResidentChip {
 /// the run itself.
 #[derive(Debug, Default)]
 pub struct VerdictSnapshot {
-    done: Mutex<HashMap<String, NetVerdict>>,
+    done: Mutex<Published>,
     /// Monotonic publication counter — a lock-free heartbeat for stall
     /// watchdogs, bumped on every [`VerdictSnapshot::insert`]. Unlike
     /// [`VerdictSnapshot::len`] it never takes the verdict lock, so a
     /// watchdog polling it cannot contend with the engine's inserts or a
     /// client's verdict reads.
     beats: std::sync::atomic::AtomicU64,
+}
+
+/// Verdicts in order of first publication, plus each net's position.
+#[derive(Debug, Default)]
+struct Published {
+    log: Vec<NetVerdict>,
+    position: HashMap<String, usize>,
 }
 
 impl VerdictSnapshot {
@@ -147,7 +154,15 @@ impl VerdictSnapshot {
     /// Publish one completed verdict (engine-side).
     pub fn insert(&self, verdict: NetVerdict) {
         let mut done = self.done.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        done.insert(verdict.name.clone(), verdict);
+        let Published { log, position } = &mut *done;
+        match position.entry(verdict.name.clone()) {
+            // A re-publication replaces the verdict where it first landed.
+            Entry::Occupied(at) => log[*at.get()] = verdict,
+            Entry::Vacant(slot) => {
+                slot.insert(log.len());
+                log.push(verdict);
+            }
+        }
         drop(done);
         self.beats.fetch_add(1, std::sync::atomic::Ordering::Release);
     }
@@ -169,12 +184,12 @@ impl VerdictSnapshot {
     /// The verdict for one net, if its cluster has completed.
     pub fn get(&self, name: &str) -> Option<NetVerdict> {
         let done = self.done.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        done.get(name).cloned()
+        done.position.get(name).map(|&at| done.log[at].clone())
     }
 
     /// Completed verdicts so far.
     pub fn len(&self) -> usize {
-        self.done.lock().unwrap_or_else(std::sync::PoisonError::into_inner).len()
+        self.done.lock().unwrap_or_else(std::sync::PoisonError::into_inner).log.len()
     }
 
     /// Whether no verdict has completed yet.
@@ -186,10 +201,19 @@ impl VerdictSnapshot {
     /// for a partial set — worst-first only makes sense once the run has
     /// merged).
     pub fn all(&self) -> Vec<NetVerdict> {
-        let done = self.done.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let mut out: Vec<NetVerdict> = done.values().cloned().collect();
+        let mut out = self.since(0);
         out.sort_by(|a, b| a.name.cmp(&b.name));
         out
+    }
+
+    /// The verdicts first published at or after position `cursor`, in
+    /// publication order; `cursor` plus the returned length is the next
+    /// cursor. A net published again keeps its first position, so a reader
+    /// advancing a cursor meets every net exactly once and copies only what
+    /// is new to it.
+    pub fn since(&self, cursor: usize) -> Vec<NetVerdict> {
+        let done = self.done.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        done.log.get(cursor..).unwrap_or_default().to_vec()
     }
 }
 
@@ -258,5 +282,84 @@ mod tests {
         assert!(!chip.is_victim("agg"), "aggressors are not victims");
         assert_eq!(chip.num_nets(), 3);
         assert_eq!(chip.component_sizes().len(), 3);
+    }
+
+    fn verdict(name: &str, worst_frac: f64) -> NetVerdict {
+        NetVerdict {
+            net: PNetId(0),
+            name: name.to_owned(),
+            rise_peak: worst_frac,
+            fall_peak: 0.0,
+            worst_frac,
+            severity: Severity::Clean,
+            cluster_size: 1,
+            neighbors_before: 0,
+            receiver: None,
+        }
+    }
+
+    #[test]
+    fn cursor_reads_follow_publication_order() {
+        let snap = VerdictSnapshot::new();
+        assert!(snap.since(0).is_empty());
+        for name in ["m", "z", "a"] {
+            snap.insert(verdict(name, 0.1));
+        }
+        let names = |vs: Vec<NetVerdict>| vs.into_iter().map(|v| v.name).collect::<Vec<_>>();
+        assert_eq!(names(snap.since(0)), ["m", "z", "a"], "publication order, not name order");
+        assert_eq!(names(snap.since(2)), ["a"]);
+        assert!(snap.since(3).is_empty());
+        assert!(snap.since(99).is_empty(), "a cursor past the end reads nothing");
+        snap.insert(verdict("k", 0.1));
+        assert_eq!(names(snap.since(3)), ["k"]);
+        assert_eq!(names(snap.all()), ["a", "k", "m", "z"]);
+    }
+
+    #[test]
+    fn a_republished_net_is_not_new_to_a_cursor() {
+        let snap = VerdictSnapshot::new();
+        snap.insert(verdict("a", 0.1));
+        snap.insert(verdict("b", 0.2));
+        let cursor = snap.since(0).len();
+        snap.insert(verdict("a", 0.3));
+        assert!(snap.since(cursor).is_empty(), "the reader already met `a`");
+        assert_eq!((snap.len(), snap.beats()), (2, 3), "a beat, not a verdict");
+        // Every read serves the latest publication, where the first landed.
+        assert_eq!(snap.get("a").unwrap().worst_frac, 0.3);
+        let all = snap.since(0);
+        assert_eq!((all[0].name.as_str(), all[0].worst_frac), ("a", 0.3));
+        assert_eq!(all[1].name, "b");
+    }
+
+    #[test]
+    fn a_cursor_meets_every_net_once_while_inserts_race_it() {
+        const N: usize = 2000;
+        let snap = VerdictSnapshot::new();
+        let start = std::sync::Barrier::new(2);
+        let read = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                start.wait();
+                for k in 0..N {
+                    snap.insert(verdict(&format!("n{k}"), 0.1));
+                    // Re-publications land between the reader's batches too.
+                    snap.insert(verdict(&format!("n{}", k / 2), 0.2));
+                }
+            });
+            let reader = scope.spawn(|| {
+                start.wait();
+                let mut read: Vec<String> = Vec::new();
+                while read.len() < N {
+                    let batch = snap.since(read.len());
+                    if batch.is_empty() {
+                        std::thread::yield_now();
+                    }
+                    read.extend(batch.into_iter().map(|v| v.name));
+                }
+                read
+            });
+            reader.join().expect("reader")
+        });
+        let want: Vec<String> = (0..N).map(|k| format!("n{k}")).collect();
+        assert_eq!(read, want, "every net exactly once, in publication order");
     }
 }

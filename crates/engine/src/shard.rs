@@ -26,7 +26,7 @@
 
 use crate::cache::ResultCache;
 use crate::durable::Journal;
-use crate::fingerprint::{cluster_fingerprint, Fnv1a};
+use crate::fingerprint::{cluster_fingerprint_in, Fnv1a, NetDigests};
 use crate::fs::Fs;
 use crate::record::JournalEntry;
 use crate::recovery::{Attempt, RecoveryRung};
@@ -154,6 +154,7 @@ pub fn harvest_shard(
         }
     }
 
+    let digests = NetDigests::new(&ctx);
     let mut filled = Vec::new();
     let mut seen: HashSet<&str> = HashSet::new();
     for &v in slice {
@@ -162,7 +163,7 @@ pub fn harvest_shard(
             continue;
         }
         let cluster = prune_victim_with_components(ctx.db, v, prune, chip.component_sizes());
-        let fp = cluster_fingerprint(&ctx, &cluster, config_fp);
+        let fp = cluster_fingerprint_in(&ctx, &cluster, config_fp, &digests);
         if let Some(entry) = cache.lookup(name, fp) {
             out.push(entry.clone());
             stat.from_cache += 1;

@@ -6,7 +6,10 @@ use pcv_cells::library::CellLibrary;
 use pcv_designs::dsp::{generate, DspConfig};
 use pcv_designs::Technology;
 use pcv_engine::fault::ALWAYS;
-use pcv_engine::{cluster_fingerprint, config_hash, Engine, EngineConfig, FaultKind, Plan};
+use pcv_engine::{
+    cluster_fingerprint, config_hash, Engine, EngineConfig, FaultKind, Fs, JournalEntry, Plan,
+    ResultCache,
+};
 use pcv_netlist::{NetNodeRef, NetParasitics, PNetId, ParasiticDb};
 use pcv_rng::Rng;
 use pcv_xtalk::drivers::DriverModelKind;
@@ -213,6 +216,48 @@ fn perturbing_one_coupling_invalidates_exactly_that_cluster() {
         let before = cold.chip.verdicts.iter().find(|v| v.name == name).unwrap();
         let after = second.chip.verdicts.iter().find(|v| v.name == name).unwrap();
         assert_eq!(before, after);
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn a_cache_entry_under_any_other_fingerprint_is_a_miss_then_overwritten() {
+    // What a cache written by a build with another fingerprint scheme (or
+    // another config tag) looks like to this one: right names, other values.
+    let path = cache_file("foreign-fingerprint");
+    let _ = std::fs::remove_file(&path);
+    let (db, victims) = pair_db(&[30e-15, 25e-15, 20e-15]);
+    let ctx = AnalysisContext::fixed_resistance(&db, 1500.0);
+    let engine = Engine::new(EngineConfig {
+        workers: 2,
+        cache_path: Some(path.clone()),
+        ..Default::default()
+    });
+    let cold = engine.verify(&ctx, &victims).unwrap();
+
+    // The engine files each record under exactly the public fingerprint.
+    let cfg = &engine.config;
+    let chash = config_hash(&ctx, &cfg.prune, &cfg.analysis, cfg.warn_frac, cfg.fail_frac, false);
+    let fp = cluster_fingerprint(&ctx, &prune_victim(&db, victims[1], &cfg.prune), chash);
+    let fs = Fs::real();
+    let (cache, _) = ResultCache::load_with(&fs, &path);
+    let stored = cache.lookup("v1", fp).expect("filed under cluster_fingerprint").clone();
+
+    for foreign in [fp ^ 1, fp.rotate_left(17), 0, u64::MAX] {
+        // Poisoned peaks: adopting the record would show in the report.
+        let mut tampered = cache.clone();
+        tampered.insert(JournalEntry {
+            fingerprint: foreign,
+            rise_bits: 0.9f64.to_bits(),
+            ..stored.clone()
+        });
+        tampered.save_with(&fs, &path).unwrap();
+        let run = engine.verify(&ctx, &victims).unwrap();
+        assert_eq!((run.stats.cache_hits, run.stats.cache_misses), (victims.len() - 1, 1));
+        assert_eq!(run.chip, cold.chip, "fingerprint {foreign:#x} was adopted");
+        let (after, _) = ResultCache::load_with(&fs, &path);
+        assert_eq!(after.lookup("v1", fp), Some(&stored), "the miss rewrote the entry");
+        assert_eq!(after.len(), victims.len());
     }
     let _ = std::fs::remove_file(&path);
 }

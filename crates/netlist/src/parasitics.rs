@@ -251,6 +251,27 @@ impl ParasiticDb {
         self.net_couplings[net.0].iter().map(move |&i| &self.couplings[i])
     }
 
+    /// Every coupling capacitor with a terminal on any of `nets`, each
+    /// exactly once, in [`ParasiticDb::couplings`] order — what a filtered
+    /// walk of the whole list yields, at the cost of the listed nets' own
+    /// couplings. `nets` may repeat a net.
+    pub fn couplings_touching(&self, nets: &[PNetId]) -> impl Iterator<Item = &CouplingCap> {
+        // Each per-net list is strictly ascending; merge them by index.
+        let mut heads: Vec<&[usize]> =
+            nets.iter().map(|n| self.net_couplings[n.0].as_slice()).collect();
+        std::iter::from_fn(move || {
+            let next = heads.iter().filter_map(|h| h.first().copied()).min()?;
+            // A member-to-member coupling (or a repeated net) heads more
+            // than one list: advance them all so it is yielded once.
+            for h in &mut heads {
+                if h.first() == Some(&next) {
+                    *h = &h[1..];
+                }
+            }
+            Some(&self.couplings[next])
+        })
+    }
+
     /// Sum of coupling capacitance touching a net.
     pub fn total_coupling_cap(&self, net: PNetId) -> f64 {
         self.couplings_of(net).map(|c| c.farads).sum()
@@ -382,5 +403,46 @@ mod tests {
         n.mark_load(k);
         n.mark_load(k);
         assert_eq!(n.load_nodes().len(), 1);
+    }
+
+    #[test]
+    fn couplings_touching_is_the_filtered_walk() {
+        use pcv_rng::Rng;
+        let mut rng = Rng::new(0xC0_7011C);
+        for round in 0..50 {
+            let mut db = ParasiticDb::new();
+            let n = rng.range_usize(2, 12);
+            let ids: Vec<PNetId> =
+                (0..n).map(|i| db.add_net(NetParasitics::new(format!("n{i}")))).collect();
+            // Net 0 stays uncoupled; parallel and zero-farad couplings occur.
+            for _ in 0..rng.range_usize(0, 60) {
+                let a = ids[rng.range_usize(1, n)];
+                let b = ids[rng.range_usize(1, n)];
+                if a != b {
+                    let farads = if rng.bool_with(0.2) { 0.0 } else { rng.range_f64(0.0, 1e-14) };
+                    db.add_coupling(
+                        NetNodeRef { net: a, node: 0 },
+                        NetNodeRef { net: b, node: 0 },
+                        farads,
+                    );
+                }
+            }
+            let mut sets = vec![vec![], vec![ids[0]], ids.clone()];
+            for _ in 0..8 {
+                // Draws with replacement: a set may name a net twice.
+                sets.push((0..rng.range_usize(1, 7)).map(|_| ids[rng.range_usize(0, n)]).collect());
+            }
+            for set in sets {
+                let want: Vec<*const CouplingCap> = db
+                    .couplings()
+                    .iter()
+                    .filter(|c| set.contains(&c.a.net) || set.contains(&c.b.net))
+                    .map(std::ptr::from_ref)
+                    .collect();
+                let got: Vec<*const CouplingCap> =
+                    db.couplings_touching(&set).map(std::ptr::from_ref).collect();
+                assert_eq!(got, want, "round {round}, set {set:?}");
+            }
+        }
     }
 }

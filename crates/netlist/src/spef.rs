@@ -14,7 +14,7 @@
 //! *CC <net_a> <node_a> <net_b> <node_b> <farads>
 //! ```
 
-use crate::parasitics::{NetNodeRef, NetParasitics, ParasiticDb};
+use crate::parasitics::{NetNodeRef, NetParasitics, PNetId, ParasiticDb};
 use std::fmt;
 
 /// Errors produced while parsing SPEF-lite text.
@@ -72,6 +72,9 @@ pub fn write_spef(db: &ParasiticDb) -> String {
 pub fn parse_spef(text: &str) -> Result<ParasiticDb, ParseSpefError> {
     let mut db = ParasiticDb::new();
     let mut current: Option<NetParasitics> = None;
+    // The two nets the previous `*CC` line named: consecutive couplings
+    // run along one pair of wires, so most look-ups end here.
+    let mut last_cc: [Option<(&str, PNetId)>; 2] = [None; 2];
     let err = |line: usize, message: &str| ParseSpefError { line, message: message.to_owned() };
 
     for (lineno, raw) in text.lines().enumerate() {
@@ -86,14 +89,23 @@ pub fn parse_spef(text: &str) -> Result<ParasiticDb, ParseSpefError> {
         let Some(keyword) = tokens.next() else {
             return Err(err(line, "line has no leading keyword token"));
         };
-        let rest: Vec<&str> = tokens.collect();
+        // No record has more than five operands; further tokens are only
+        // counted, which is all the arity checks need.
+        let mut rest = [""; 5];
+        let mut rest_len = 0usize;
+        for token in tokens {
+            if let Some(slot) = rest.get_mut(rest_len) {
+                *slot = token;
+            }
+            rest_len += 1;
+        }
         match keyword {
             "*SPEF" => {}
             "*NET" => {
                 if current.is_some() {
                     return Err(err(line, "*NET before previous *END"));
                 }
-                if rest.len() != 2 {
+                if rest_len != 2 {
                     return Err(err(line, "*NET needs <name> <num_nodes>"));
                 }
                 let n: usize = rest[1].parse().map_err(|_| err(line, "invalid node count"))?;
@@ -116,7 +128,7 @@ pub fn parse_spef(text: &str) -> Result<ParasiticDb, ParseSpefError> {
                 };
                 match keyword {
                     "*LOAD" => {
-                        if rest.len() != 1 {
+                        if rest_len != 1 {
                             return Err(err(line, "*LOAD needs <node>"));
                         }
                         let n = parse_usize(rest[0])?;
@@ -126,7 +138,7 @@ pub fn parse_spef(text: &str) -> Result<ParasiticDb, ParseSpefError> {
                         net.mark_load(n);
                     }
                     "*R" => {
-                        if rest.len() != 3 {
+                        if rest_len != 3 {
                             return Err(err(line, "*R needs <a> <b> <ohms>"));
                         }
                         let a = parse_usize(rest[0])?;
@@ -141,7 +153,7 @@ pub fn parse_spef(text: &str) -> Result<ParasiticDb, ParseSpefError> {
                         net.add_resistor(a, b, r);
                     }
                     _ => {
-                        if rest.len() != 2 {
+                        if rest_len != 2 {
                             return Err(err(line, "*GC needs <node> <farads>"));
                         }
                         let n = parse_usize(rest[0])?;
@@ -167,12 +179,19 @@ pub fn parse_spef(text: &str) -> Result<ParasiticDb, ParseSpefError> {
                 if current.is_some() {
                     return Err(err(line, "*CC inside *NET block"));
                 }
-                if rest.len() != 5 {
+                if rest_len != 5 {
                     return Err(err(line, "*CC needs <net_a> <node_a> <net_b> <node_b> <farads>"));
                 }
-                let na = db.find_net(rest[0]).ok_or_else(|| err(line, "unknown net in *CC"))?;
+                // A name never changes id once defined, so a remembered
+                // pair answers exactly what the map would.
+                let find = |name: &str| {
+                    let remembered = last_cc.iter().flatten().find(|(n, _)| *n == name);
+                    remembered.map(|&(_, id)| id).or_else(|| db.find_net(name))
+                };
+                let na = find(rest[0]).ok_or_else(|| err(line, "unknown net in *CC"))?;
                 let a: usize = rest[1].parse().map_err(|_| err(line, "invalid node index"))?;
-                let nb = db.find_net(rest[2]).ok_or_else(|| err(line, "unknown net in *CC"))?;
+                let nb = find(rest[2]).ok_or_else(|| err(line, "unknown net in *CC"))?;
+                last_cc = [Some((rest[0], na)), Some((rest[2], nb))];
                 let b: usize = rest[3].parse().map_err(|_| err(line, "invalid node index"))?;
                 let c: f64 = rest[4].parse().map_err(|_| err(line, "invalid numeric value"))?;
                 if na == nb {
@@ -205,7 +224,7 @@ pub fn parse_spef(text: &str) -> Result<ParasiticDb, ParseSpefError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::PNetId;
+    use pcv_rng::Rng;
 
     fn sample_db() -> ParasiticDb {
         let mut db = ParasiticDb::new();
@@ -356,5 +375,377 @@ mod tests {
             assert_eq!(a.1.to_bits(), b.1.to_bits(), "capacitance bits drifted");
         }
         assert_eq!(write_spef(&back), text);
+    }
+
+    /// `parse_spef` as it stood when it collected every record's operands
+    /// into a `Vec` and asked the name map twice per `*CC`, verbatim: the
+    /// oracle for databases *and* errors.
+    mod reference {
+        use crate::parasitics::{NetNodeRef, NetParasitics, ParasiticDb};
+        use crate::spef::ParseSpefError;
+
+        pub fn parse_spef(text: &str) -> Result<ParasiticDb, ParseSpefError> {
+            let mut db = ParasiticDb::new();
+            let mut current: Option<NetParasitics> = None;
+            let err =
+                |line: usize, message: &str| ParseSpefError { line, message: message.to_owned() };
+
+            for (lineno, raw) in text.lines().enumerate() {
+                let line = lineno + 1;
+                let trimmed = raw.trim();
+                if trimmed.is_empty() || trimmed.starts_with("//") {
+                    continue;
+                }
+                let mut tokens = trimmed.split_whitespace();
+                // `trimmed` is non-empty here, but a typed error beats a panic if
+                // the tokenizer ever disagrees (e.g. exotic whitespace).
+                let Some(keyword) = tokens.next() else {
+                    return Err(err(line, "line has no leading keyword token"));
+                };
+                let rest: Vec<&str> = tokens.collect();
+                match keyword {
+                    "*SPEF" => {}
+                    "*NET" => {
+                        if current.is_some() {
+                            return Err(err(line, "*NET before previous *END"));
+                        }
+                        if rest.len() != 2 {
+                            return Err(err(line, "*NET needs <name> <num_nodes>"));
+                        }
+                        let n: usize =
+                            rest[1].parse().map_err(|_| err(line, "invalid node count"))?;
+                        if n == 0 {
+                            return Err(err(line, "net needs at least the driver node"));
+                        }
+                        let mut net = NetParasitics::new(rest[0]);
+                        for _ in 1..n {
+                            net.add_node();
+                        }
+                        current = Some(net);
+                    }
+                    "*LOAD" | "*R" | "*GC" => {
+                        let net = current
+                            .as_mut()
+                            .ok_or_else(|| err(line, "record outside *NET block"))?;
+                        let parse_usize = |s: &str| -> Result<usize, ParseSpefError> {
+                            s.parse().map_err(|_| err(line, "invalid node index"))
+                        };
+                        let parse_f64 = |s: &str| -> Result<f64, ParseSpefError> {
+                            s.parse().map_err(|_| err(line, "invalid numeric value"))
+                        };
+                        match keyword {
+                            "*LOAD" => {
+                                if rest.len() != 1 {
+                                    return Err(err(line, "*LOAD needs <node>"));
+                                }
+                                let n = parse_usize(rest[0])?;
+                                if n >= net.num_nodes() {
+                                    return Err(err(line, "load node out of range"));
+                                }
+                                net.mark_load(n);
+                            }
+                            "*R" => {
+                                if rest.len() != 3 {
+                                    return Err(err(line, "*R needs <a> <b> <ohms>"));
+                                }
+                                let a = parse_usize(rest[0])?;
+                                let b = parse_usize(rest[1])?;
+                                let r = parse_f64(rest[2])?;
+                                if a >= net.num_nodes() || b >= net.num_nodes() {
+                                    return Err(err(line, "resistor node out of range"));
+                                }
+                                if r <= 0.0 || !r.is_finite() {
+                                    return Err(err(line, "resistance must be positive"));
+                                }
+                                net.add_resistor(a, b, r);
+                            }
+                            _ => {
+                                if rest.len() != 2 {
+                                    return Err(err(line, "*GC needs <node> <farads>"));
+                                }
+                                let n = parse_usize(rest[0])?;
+                                let c = parse_f64(rest[1])?;
+                                if n >= net.num_nodes() {
+                                    return Err(err(line, "cap node out of range"));
+                                }
+                                if c < 0.0 || !c.is_finite() {
+                                    return Err(err(line, "capacitance must be non-negative"));
+                                }
+                                net.add_ground_cap(n, c);
+                            }
+                        }
+                    }
+                    "*END" => {
+                        let net = current.take().ok_or_else(|| err(line, "*END without *NET"))?;
+                        if db.find_net(net.name()).is_some() {
+                            return Err(err(line, "duplicate net name"));
+                        }
+                        db.add_net(net);
+                    }
+                    "*CC" => {
+                        if current.is_some() {
+                            return Err(err(line, "*CC inside *NET block"));
+                        }
+                        if rest.len() != 5 {
+                            return Err(err(
+                                line,
+                                "*CC needs <net_a> <node_a> <net_b> <node_b> <farads>",
+                            ));
+                        }
+                        let na =
+                            db.find_net(rest[0]).ok_or_else(|| err(line, "unknown net in *CC"))?;
+                        let a: usize =
+                            rest[1].parse().map_err(|_| err(line, "invalid node index"))?;
+                        let nb =
+                            db.find_net(rest[2]).ok_or_else(|| err(line, "unknown net in *CC"))?;
+                        let b: usize =
+                            rest[3].parse().map_err(|_| err(line, "invalid node index"))?;
+                        let c: f64 =
+                            rest[4].parse().map_err(|_| err(line, "invalid numeric value"))?;
+                        if na == nb {
+                            return Err(err(line, "coupling endpoints must differ"));
+                        }
+                        if a >= db.net(na).num_nodes() || b >= db.net(nb).num_nodes() {
+                            return Err(err(line, "coupling node out of range"));
+                        }
+                        if c < 0.0 || !c.is_finite() {
+                            return Err(err(line, "capacitance must be non-negative"));
+                        }
+                        db.add_coupling(
+                            NetNodeRef { net: na, node: a },
+                            NetNodeRef { net: nb, node: b },
+                            c,
+                        );
+                    }
+                    other => return Err(err(line, &format!("unknown record {other:?}"))),
+                }
+            }
+            if current.is_some() {
+                return Err(ParseSpefError {
+                    line: text.lines().count(),
+                    message: "unterminated *NET block".into(),
+                });
+            }
+            Ok(db)
+        }
+    }
+
+    /// SPEF text of a `pcv-designs` chip. The generator links the library
+    /// build of this crate, whose `ParasiticDb` is not this test build's
+    /// type, so the chip is copied through its accessors.
+    macro_rules! spef_of {
+        ($chip:expr) => {{
+            let chip = $chip;
+            let mut db = ParasiticDb::new();
+            for (_, net) in chip.iter() {
+                let mut copy = NetParasitics::new(net.name());
+                for _ in 1..net.num_nodes() {
+                    copy.add_node();
+                }
+                net.load_nodes().iter().for_each(|&n| copy.mark_load(n));
+                net.resistors().iter().for_each(|&(a, b, r)| copy.add_resistor(a, b, r));
+                net.ground_caps().iter().for_each(|&(n, c)| copy.add_ground_cap(n, c));
+                db.add_net(copy);
+            }
+            for c in chip.couplings() {
+                let end = |t: (usize, usize)| NetNodeRef { net: PNetId(t.0), node: t.1 };
+                db.add_coupling(end((c.a.net.0, c.a.node)), end((c.b.net.0, c.b.node)), c.farads);
+            }
+            write_spef(&db)
+        }};
+    }
+
+    /// Both parsers on one text: the same error, or databases equal in
+    /// every net, coupling (by bits), name and per-net coupling list.
+    /// Returns whether the text parsed.
+    fn assert_parses_alike(text: &str, what: &str) -> bool {
+        let got = parse_spef(text);
+        let want = reference::parse_spef(text);
+        match (&got, &want) {
+            (Err(g), Err(w)) => assert_eq!(g, w, "{what}: errors differ"),
+            (Ok(g), Ok(w)) => {
+                assert!(g.iter().map(|(_, n)| n).eq(w.iter().map(|(_, n)| n)), "{what}: nets");
+                let bits = |c: &crate::CouplingCap| (c.a, c.b, c.farads.to_bits());
+                assert!(
+                    g.couplings().iter().map(bits).eq(w.couplings().iter().map(bits)),
+                    "{what}"
+                );
+                for (id, net) in g.iter() {
+                    assert_eq!(w.find_net(net.name()), Some(id), "{what}: name map");
+                    assert_eq!(g.find_net(net.name()), Some(id), "{what}: name map");
+                    assert!(
+                        g.couplings_of(id).map(bits).eq(w.couplings_of(id).map(bits)),
+                        "{what}"
+                    );
+                }
+            }
+            _ => panic!("{what}: {got:?} vs {want:?}"),
+        }
+        got.is_ok()
+    }
+
+    /// One seeded mutation of `text`: what a truncated transfer, a buggy
+    /// writer or a hostile client would send.
+    fn mutate(text: &str, rng: &mut Rng) -> String {
+        const KEYWORDS: [&str; 8] = ["*SPEF", "*NET", "*LOAD", "*R", "*GC", "*END", "*CC", "*X"];
+        const GARBAGE: [&str; 10] =
+            ["", "-1", "+3", "1e", "nan", "inf", "-0.0", "99999999999999999999", "0x10", "١"];
+        const SPACES: [&str; 6] = ["\u{a0}", "\u{2003}", "\t", "\u{b}", "\u{85}", "  "];
+        let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+        let at = rng.range_usize(0, lines.len());
+        let tokens = |line: &str| line.split(' ').map(str::to_owned).collect::<Vec<_>>();
+        match rng.range_usize(0, 10) {
+            0 => {
+                // Truncation at any byte (the texts here are ASCII).
+                return text[..rng.range_usize(0, text.len())].to_owned();
+            }
+            1 => {
+                let mut t = tokens(&lines[at]);
+                t[0] = KEYWORDS[rng.range_usize(0, KEYWORDS.len())].to_owned();
+                lines[at] = t.join(" ");
+            }
+            2 => {
+                // A number becomes out of range, negative or not a number.
+                let mut t = tokens(&lines[at]);
+                let k = rng.range_usize(0, t.len());
+                t[k] = GARBAGE[rng.range_usize(0, GARBAGE.len())].to_owned();
+                lines[at] = t.join(" ");
+            }
+            3 => {
+                // Arity: a token lost or doubled.
+                let mut t = tokens(&lines[at]);
+                let k = rng.range_usize(0, t.len());
+                if rng.bool_with(0.5) {
+                    t.remove(k);
+                } else {
+                    t.insert(k, t[k].clone());
+                }
+                lines[at] = t.join(" ");
+            }
+            4 => {
+                // A coupling record where it may not be (inside a block) or
+                // before the nets it names.
+                if let Some(cc) = lines.iter().rev().find(|l| l.starts_with("*CC")).cloned() {
+                    lines.insert(at, cc);
+                }
+            }
+            5 => {
+                let space = SPACES[rng.range_usize(0, SPACES.len())];
+                lines[at] = lines[at].replace(' ', space);
+                if rng.bool_with(0.3) {
+                    lines[at] = format!("{space}{}{space}", lines[at]);
+                }
+            }
+            6 => {
+                // A second net of an existing name.
+                let nets: Vec<usize> =
+                    (0..lines.len()).filter(|&i| lines[i].starts_with("*NET")).collect();
+                if nets.len() >= 2 {
+                    let from = nets[rng.range_usize(0, nets.len())];
+                    let to = nets[rng.range_usize(0, nets.len())];
+                    let name = tokens(&lines[from])[1].clone();
+                    let mut t = tokens(&lines[to]);
+                    t[1] = name;
+                    lines[to] = t.join(" ");
+                }
+            }
+            7 => {
+                lines.remove(at);
+            }
+            8 => {
+                // A node index past the end of its net.
+                let mut t = tokens(&lines[at]);
+                if t.len() > 2 {
+                    let k = rng.range_usize(1, t.len() - 1);
+                    t[k] = rng.range_usize(0, 4000).to_string();
+                    lines[at] = t.join(" ");
+                }
+            }
+            _ => {
+                // One byte, anywhere, becomes another printable one.
+                let mut bytes = text.as_bytes().to_vec();
+                let k = rng.range_usize(0, bytes.len());
+                bytes[k] = b' ' + rng.range_usize(0, 95) as u8;
+                return String::from_utf8(bytes).expect("ASCII stays UTF-8");
+            }
+        }
+        let mut out = lines.join("\n");
+        out.push('\n');
+        out
+    }
+
+    #[test]
+    fn parser_matches_the_reference_on_chips_and_their_mutations() {
+        use pcv_designs::random::{random_cluster, RandomClusterConfig};
+        use pcv_designs::structures::{bundle, sandwich};
+        let tech = pcv_designs::Technology::c025();
+        let random =
+            RandomClusterConfig { n_aggressors: 5, max_len: 600e-6, seed: 9, ..Default::default() };
+        let mut texts = vec![
+            spef_of!(bundle(5, 300e-6, &tech)),
+            spef_of!(sandwich(40e-6, &tech)),
+            spef_of!(random_cluster(&random, &tech).db),
+            write_spef(&zero_cap_db()),
+        ];
+        // Couplings interleaved with blocks: a `*CC` may follow its nets
+        // at once, and later nets keep arriving after it.
+        texts.push(
+            "// head\n*SPEF pcv-lite 1.0 extra tokens are fine here\n*NET a 2\n*LOAD 1\n*END\n\
+             *NET b 3\n*END\n*CC a 1 b 2 1e-15\n*CC b 0 a 0 2e-15\n*NET c 1\n*END\n\
+             *CC c 0 a 1 3e-15\n*CC a 0 c 0 0\n\r\n*CC b 1 c 0 4e-15\r\n"
+                .to_owned(),
+        );
+        let mut rng = Rng::new(0x5BEF_D1FF);
+        let (mut accepted, mut rejected) = (0, 0);
+        for (k, text) in texts.iter().enumerate() {
+            assert!(assert_parses_alike(text, &format!("text {k}")), "text {k} parses");
+            for round in 0..300 {
+                // Up to three mutations deep, so later damage meets a
+                // parser state earlier damage already bent.
+                let mut hostile = mutate(text, &mut rng);
+                for _ in 0..rng.range_usize(0, 3) {
+                    if !hostile.is_empty() && hostile.is_ascii() && hostile.lines().count() > 0 {
+                        hostile = mutate(&hostile, &mut rng);
+                    }
+                }
+                if assert_parses_alike(&hostile, &format!("text {k} round {round}:\n{hostile}")) {
+                    accepted += 1;
+                } else {
+                    rejected += 1;
+                }
+            }
+        }
+        assert!(accepted > 100 && rejected > 500, "{accepted} accepted, {rejected} rejected");
+    }
+
+    #[test]
+    fn exotic_whitespace_separates_and_trims_as_before() {
+        // `split_whitespace` and `trim` follow Unicode White_Space, not
+        // ASCII: U+00A0 and U+2003 separate tokens, and a line of them is
+        // blank. A by-hand tokenizer would read these differently.
+        let text = "*NET\u{a0}a\u{2003}2\n\u{2003}*GC 1\u{a0}1e-15\u{a0}\n\u{a0}\u{2003}\n*END\n\
+                    *NET b 1\n*END\n*CC\u{a0}a 1\u{2003}b 0 1e-15\n";
+        assert!(assert_parses_alike(text, "exotic separators"));
+        let db = parse_spef(text).unwrap();
+        assert_eq!((db.num_nets(), db.couplings().len()), (2, 1));
+        // U+200B (zero width space) is not White_Space: it glues tokens.
+        assert!(!assert_parses_alike("*NET a\u{200b}1\n*END\n", "zero width space"));
+    }
+
+    #[test]
+    fn cc_name_memo_never_outlives_a_lookup_it_did_not_make() {
+        // The remembered pair must answer only for the names it holds:
+        // a prefix, a different case, or an unknown name still asks the map.
+        let nets = "*NET ab 1\n*END\n*NET a 1\n*END\n*NET B 1\n*END\n";
+        for (cc, ok) in [
+            ("*CC ab 0 a 0 1e-15\n*CC a 0 ab 0 1e-15\n*CC a 0 B 0 1e-15\n", true),
+            ("*CC ab 0 a 0 1e-15\n*CC ab 0 b 0 1e-15\n", false),
+            ("*CC ab 0 a 0 1e-15\n*CC ab 0 ab 0 1e-15\n", false),
+            ("*CC ab 0 a 0 1e-15\n*CC a 0 a 0 1e-15\n", false),
+            ("*CC ab 0 a 0 1e-15\n*CC abc 0 a 0 1e-15\n", false),
+        ] {
+            let text = format!("{nets}{cc}");
+            assert_eq!(assert_parses_alike(&text, cc), ok, "{cc}");
+        }
     }
 }

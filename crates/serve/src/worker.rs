@@ -42,7 +42,6 @@ use pcv_engine::shard::partition;
 use pcv_engine::{Engine, EngineConfig, RunRequest, VerdictSnapshot};
 use pcv_obs::json::{parse, Value};
 use pcv_xtalk::NetVerdict;
-use std::collections::HashSet;
 use std::io::{BufRead, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -213,29 +212,28 @@ fn spawn_poller(
     stall_after: Option<usize>,
 ) -> std::thread::JoinHandle<()> {
     std::thread::spawn(move || {
-        let mut seen: HashSet<String> = HashSet::new();
+        // Every tick emits all it reads (or ends the thread), so the
+        // emitted count is also the snapshot cursor.
+        let mut emitted = 0usize;
         let mut idle_ticks = 0u32;
         loop {
             let done = finished.load(Ordering::Acquire);
-            let mut fresh = Vec::new();
-            for v in snapshot.all() {
-                if !seen.contains(&v.name) {
-                    fresh.push(v);
-                }
-            }
+            // Only what landed since the last tick, by name within the tick.
+            let mut fresh = snapshot.since(emitted);
+            fresh.sort_by(|a, b| a.name.cmp(&b.name));
             let mut emitted_new = false;
             for v in fresh {
                 if let Some(n) = stall_after {
-                    if seen.len() >= n {
+                    if emitted >= n {
                         silenced.store(true, Ordering::Release);
                         return;
                     }
                 }
                 emit(&wire_line(&v));
-                seen.insert(v.name.clone());
+                emitted += 1;
                 emitted_new = true;
                 if let Some(n) = panic_after {
-                    if seen.len() >= n {
+                    if emitted >= n {
                         // A crash, not a clean exit: no done line, no
                         // journal discard, nonzero status.
                         std::process::abort();
@@ -258,7 +256,7 @@ fn spawn_poller(
             } else {
                 idle_ticks += 1;
                 if idle_ticks >= 5 {
-                    emit(&format!("{{\"kind\":\"beat\",\"done\":{}}}", seen.len()));
+                    emit(&format!("{{\"kind\":\"beat\",\"done\":{emitted}}}"));
                     idle_ticks = 0;
                 }
             }

@@ -90,9 +90,14 @@ pub fn build_cluster(
     }
 
     // Couplings: member-to-member kept (unless decoupled mode), the rest
-    // grounded at the member side.
+    // grounded at the member side. Only the members' own couplings are
+    // visited, in database order: a cluster's element order is the
+    // database's order restricted to the cluster, which is what keeps
+    // every stamped sum's bits whatever the size of the chip around it.
     let member_idx = |net: PNetId| members.iter().position(|&m| m == net);
-    for c in db.couplings() {
+    let mut visited = 0u64;
+    for c in db.couplings_touching(&members) {
+        visited += 1;
         let ia = member_idx(c.a.net);
         let ib = member_idx(c.b.net);
         match (ia, ib) {
@@ -120,9 +125,10 @@ pub fn build_cluster(
                         .expect("valid decoupled cap");
                 }
             }
-            (None, None) => {}
+            (None, None) => unreachable!("a visited coupling touches a member"),
         }
     }
+    pcv_trace::count("xtalk.build.couplings_visited", visited);
 
     // Ports: driver pin of every member, then the victim observation pin.
     let mut driver_ports = Vec::with_capacity(members.len());
@@ -141,7 +147,11 @@ pub fn build_cluster(
 mod tests {
     use super::*;
     use crate::prune::{prune_victim, PruneConfig};
+    use pcv_cells::library::CellLibrary;
+    use pcv_designs::dsp::{generate, DspConfig};
+    use pcv_designs::Technology;
     use pcv_netlist::{NetNodeRef, NetParasitics};
+    use pcv_rng::Rng;
 
     fn pair_db() -> (ParasiticDb, PNetId, PNetId) {
         let mut db = ParasiticDb::new();
@@ -222,5 +232,236 @@ mod tests {
         let cluster = prune_victim(&db, vid, &PruneConfig::default());
         let model = build_cluster(&db, &cluster, &|_| 0.0, false);
         assert_eq!(model.rc.ports()[model.observe_port], 0);
+    }
+
+    /// `build_cluster` as it stood when it scanned every coupling of the
+    /// chip, verbatim: the element-order oracle for the members-only walk.
+    mod reference {
+        use super::super::ClusterModel;
+        use crate::prune::Cluster;
+        use pcv_mor::RcCluster;
+        use pcv_netlist::{PNetId, ParasiticDb};
+
+        pub fn build_cluster(
+            db: &ParasiticDb,
+            cluster: &Cluster,
+            load_cap: &dyn Fn(PNetId) -> f64,
+            ground_couplings: bool,
+        ) -> ClusterModel {
+            let _span = pcv_trace::span("xtalk", "build_cluster");
+            pcv_trace::value("xtalk.cluster_nets", cluster.size() as u64);
+            let members = cluster.members();
+            let mut rc = RcCluster::new();
+            let mut offsets = Vec::with_capacity(members.len());
+
+            // Wire RC of each member.
+            for &m in &members {
+                let net = db.net(m);
+                let offset = rc.num_nodes();
+                offsets.push(offset);
+                for _ in 0..net.num_nodes() {
+                    rc.add_node();
+                }
+                for &(a, b, ohms) in net.resistors() {
+                    rc.add_resistor(offset + a, offset + b, ohms).expect("valid net resistor");
+                }
+                for &(n, c) in net.ground_caps() {
+                    if c > 0.0 {
+                        rc.add_ground_cap(offset + n, c).expect("valid net cap");
+                    }
+                }
+                // Receiver pin loading, split across the net's load pins.
+                let pins = net.load_nodes();
+                let total = load_cap(m);
+                if total > 0.0 && !pins.is_empty() {
+                    let per = total / pins.len() as f64;
+                    for &pin in pins {
+                        rc.add_ground_cap(offset + pin, per).expect("valid load cap");
+                    }
+                }
+            }
+
+            // Couplings: member-to-member kept (unless decoupled mode), the rest
+            // grounded at the member side.
+            let member_idx = |net: PNetId| members.iter().position(|&m| m == net);
+            for c in db.couplings() {
+                let ia = member_idx(c.a.net);
+                let ib = member_idx(c.b.net);
+                match (ia, ib) {
+                    (Some(a), Some(b)) => {
+                        let na = offsets[a] + c.a.node;
+                        let nb = offsets[b] + c.b.node;
+                        if ground_couplings {
+                            if c.farads > 0.0 {
+                                rc.add_ground_cap(na, c.farads).expect("valid decoupled cap");
+                                rc.add_ground_cap(nb, c.farads).expect("valid decoupled cap");
+                            }
+                        } else if c.farads > 0.0 {
+                            rc.add_capacitor(na, nb, c.farads).expect("valid coupling cap");
+                        }
+                    }
+                    (Some(a), None) => {
+                        if c.farads > 0.0 {
+                            rc.add_ground_cap(offsets[a] + c.a.node, c.farads)
+                                .expect("valid decoupled cap");
+                        }
+                    }
+                    (None, Some(b)) => {
+                        if c.farads > 0.0 {
+                            rc.add_ground_cap(offsets[b] + c.b.node, c.farads)
+                                .expect("valid decoupled cap");
+                        }
+                    }
+                    (None, None) => {}
+                }
+            }
+
+            // Ports: driver pin of every member, then the victim observation pin.
+            let mut driver_ports = Vec::with_capacity(members.len());
+            for (k, &m) in members.iter().enumerate() {
+                let net = db.net(m);
+                driver_ports.push(rc.add_port(offsets[k] + net.driver_node()));
+            }
+            let vic = db.net(members[0]);
+            let observe_node =
+                vic.load_nodes().first().copied().unwrap_or_else(|| vic.driver_node());
+            let observe_port = rc.add_port(offsets[0] + observe_node);
+
+            ClusterModel { rc, members, driver_ports, observe_port, offsets }
+        }
+    }
+
+    /// Rebuild `db` with a few hostile couplings appended: a second and a
+    /// third capacitor between one existing node pair, and zero-farad
+    /// couplings between random nets.
+    fn with_hostile_couplings(db: &ParasiticDb, rng: &mut Rng) -> ParasiticDb {
+        let mut out = db.clone();
+        let n = out.num_nets();
+        for _ in 0..6 {
+            if !out.couplings().is_empty() {
+                let c = out.couplings()[rng.range_usize(0, out.couplings().len())];
+                out.add_coupling(c.a, c.b, c.farads * rng.range_f64(0.1, 2.0));
+                out.add_coupling(c.b, c.a, 0.0);
+            }
+            let a = PNetId(rng.range_usize(0, n));
+            let b = PNetId(rng.range_usize(0, n));
+            if a != b {
+                let node = |rng: &mut Rng, net| rng.range_usize(0, out.net(net).num_nodes());
+                let (na, nb) = (node(rng, a), node(rng, b));
+                out.add_coupling(
+                    NetNodeRef { net: a, node: na },
+                    NetNodeRef { net: b, node: nb },
+                    if rng.bool_with(0.5) { 0.0 } else { rng.range_f64(0.1e-15, 5e-15) },
+                );
+            }
+        }
+        out
+    }
+
+    fn assert_same_model(got: &ClusterModel, want: &ClusterModel, what: &str) {
+        let bits = |xs: &[(usize, usize, f64)]| {
+            xs.iter().map(|&(a, b, v)| (a, b, v.to_bits())).collect::<Vec<_>>()
+        };
+        assert_eq!(got.rc.num_nodes(), want.rc.num_nodes(), "{what}: nodes");
+        assert_eq!(bits(got.rc.resistors()), bits(want.rc.resistors()), "{what}: resistors");
+        assert_eq!(bits(got.rc.capacitors()), bits(want.rc.capacitors()), "{what}: capacitors");
+        assert_eq!(got.rc.ports(), want.rc.ports(), "{what}: ports");
+        assert_eq!(got.members, want.members, "{what}: members");
+        assert_eq!(got.driver_ports, want.driver_ports, "{what}: driver ports");
+        assert_eq!(got.observe_port, want.observe_port, "{what}: observe port");
+        assert_eq!(got.offsets, want.offsets, "{what}: offsets");
+    }
+
+    #[test]
+    fn members_only_walk_assembles_what_the_full_scan_assembled() {
+        use pcv_designs::extract::{extract, WireGeom};
+        let tech = Technology::c025();
+        let mut rng = Rng::new(0xB01D_C1A5);
+        // Groups of minimum-pitch wires six empty tracks apart (decoupled
+        // tiles), as the benchmark's fields are laid out.
+        let field = |groups: usize, wires: usize, len: f64, seg: f64| {
+            let mut geom = Vec::new();
+            for g in 0..groups {
+                for w in 0..wires {
+                    let track = (g * (wires + 6) + w) as i64;
+                    let len = len * (1.0 + 0.1 * g as f64);
+                    geom.push(WireGeom::min_width(format!("g{g}_w{w}"), track, 0.0, len, &tech));
+                }
+            }
+            extract(&geom, &tech, seg)
+        };
+        let dsp = DspConfig { n_buses: 2, bus_bits: 6, n_random_nets: 24, cycle: 10e-9, seed: 5 };
+        let chips = [
+            ("dsp", generate(&dsp, &tech, &CellLibrary::standard_025()).parasitics),
+            ("tiled", field(6, 4, 400e-6, 25e-6)),
+            ("mesh", field(2, 5, 300e-6, 2.5e-6)),
+        ];
+        // Witnesses that the sweep met the cases it is for.
+        let (mut kept, mut lonely) = (0, 0);
+        for (chip, base) in &chips {
+            let db = with_hostile_couplings(base, &mut rng);
+            let n = db.num_nets();
+            let check = |cluster: &Cluster, rng: &mut Rng, what: &str| {
+                let scale = rng.range_f64(0.0, 4e-15);
+                let load = move |net: PNetId| if net.0.is_multiple_of(3) { 0.0 } else { scale };
+                for grounded in [false, true] {
+                    let got = build_cluster(&db, cluster, &load, grounded);
+                    let want = reference::build_cluster(&db, cluster, &load, grounded);
+                    assert_same_model(&got, &want, &format!("{chip} {what} grounded={grounded}"));
+                }
+            };
+            // What pruning produces, from keep-everything to keep-nothing
+            // (an aggressor-less victim whose couplings all leave the
+            // cluster).
+            for v in 0..n {
+                let cfg = PruneConfig {
+                    cap_ratio: [0.0, 0.02, 0.2, 2.0][rng.range_usize(0, 4)],
+                    max_aggressors: rng.range_usize(0, 8),
+                };
+                let cluster = prune_victim(&db, PNetId(v), &cfg);
+                check(&cluster, &mut rng, &format!("victim {v} {cfg:?}"));
+                kept += usize::from(!cluster.aggressors.is_empty());
+                lonely += usize::from(cluster.aggressors.is_empty() && cluster.decoupled_cap > 0.0);
+            }
+            // Arbitrary member sets: members that share no coupling, so
+            // one is coupled to outsiders only.
+            for round in 0..40 {
+                let victim = PNetId(rng.range_usize(0, n));
+                let mut aggressors: Vec<(PNetId, f64)> = Vec::new();
+                for _ in 0..rng.range_usize(0, 6) {
+                    let a = PNetId(rng.range_usize(0, n));
+                    if a != victim && aggressors.iter().all(|&(m, _)| m != a) {
+                        aggressors.push((a, 0.0));
+                    }
+                }
+                let cluster = Cluster {
+                    victim,
+                    aggressors,
+                    decoupled_cap: 0.0,
+                    neighbors_before: 0,
+                    component_size: 1,
+                };
+                check(&cluster, &mut rng, &format!("arbitrary set {round}"));
+            }
+        }
+        assert!(kept > 20 && lonely > 20, "{kept} coupled clusters, {lonely} aggressor-less");
+    }
+
+    #[test]
+    fn an_isolated_victim_visits_no_coupling() {
+        let (mut db, vid, _) = pair_db();
+        let lone = db.add_net(NetParasitics::new("lone"));
+        let cluster = prune_victim(&db, lone, &PruneConfig::default());
+        assert!(cluster.aggressors.is_empty());
+        let got = build_cluster(&db, &cluster, &|_| 1e-15, false);
+        assert_same_model(
+            &got,
+            &reference::build_cluster(&db, &cluster, &|_| 1e-15, false),
+            "lone",
+        );
+        assert!(got.rc.capacitors().is_empty(), "no load pin, no coupling, no ground cap");
+        // The pair's own coupling is still there for its owner.
+        let cluster = prune_victim(&db, vid, &PruneConfig::default());
+        assert_eq!(build_cluster(&db, &cluster, &|_| 0.0, false).rc.capacitors().len(), 3);
     }
 }

@@ -178,3 +178,50 @@ fn traced_run_builds_and_reduces_each_coupled_cluster_once() {
     assert_eq!(spans("glitch_fall"), coupled);
     assert_eq!(spans("rom_eval"), 2 * coupled);
 }
+
+#[test]
+fn per_victim_work_follows_the_cluster_not_the_chip() {
+    use pcv_designs::extract::{extract, WireGeom};
+    let _alone = alone_in_the_trace();
+    // Fields of one decoupled 4-wire tile repeated 4 and 64 times: sixteen
+    // times the couplings, the same clusters.
+    let tech = pcv_designs::Technology::c025();
+    let field = |tiles: usize| {
+        let mut wires = Vec::new();
+        for t in 0..tiles {
+            for w in 0..4 {
+                let track = (t * 10 + w) as i64;
+                wires.push(WireGeom::min_width(format!("t{t}_w{w}"), track, 0.0, 100e-6, &tech));
+            }
+        }
+        extract(&wires, &tech, 25e-6)
+    };
+    let mut visited_per_tile = Vec::new();
+    for tiles in [4usize, 64] {
+        let db = field(tiles);
+        let victims: Vec<PNetId> = (0..db.num_nets()).map(PNetId).collect();
+        let ctx = AnalysisContext::fixed_resistance(&db, 1000.0);
+        let traced = Engine::new(EngineConfig { workers: 2, trace: true, ..Default::default() })
+            .verify(&ctx, &victims)
+            .unwrap();
+        assert!(traced.errors.is_empty() && traced.degradations.is_empty());
+        let trace = traced.trace.as_ref().expect("traced run carries a trace");
+        let count = |name: &str| trace.counters.get(name).copied().unwrap_or(0) as usize;
+
+        // One fingerprint a victim; one section digest a *net*, although
+        // every net is a member of several clusters.
+        let member_slots: usize = traced.chip.verdicts.iter().map(|v| v.cluster_size).sum();
+        assert!(member_slots >= 2 * db.num_nets(), "clusters overlap: {member_slots} slots");
+        assert_eq!(count("engine.fingerprint.clusters"), victims.len());
+        assert_eq!(count("engine.fingerprint.net_digests"), db.num_nets());
+
+        // A build visits its members' couplings, never the other tiles'.
+        let builds = trace.spans.iter().filter(|s| s.name == "build_cluster").count();
+        assert_eq!(builds, victims.len());
+        let visited = count("xtalk.build.couplings_visited");
+        assert_eq!(visited % tiles, 0, "identical tiles do identical work");
+        assert!(visited / tiles <= 4 * db.couplings().len() / tiles, "within the tile");
+        visited_per_tile.push(visited / tiles);
+    }
+    assert_eq!(visited_per_tile[0], visited_per_tile[1], "couplings visited per victim");
+}

@@ -448,7 +448,7 @@ fn mutate(spec: &ChipSpec, rng: &mut Rng, tag: u64) -> ChipSpec {
     new
 }
 
-/// Canonical v3 fingerprints of every victim, recomputed here from the
+/// Canonical v4 fingerprints of every victim, recomputed here from the
 /// public primitives the engine itself uses — the oracle the planner's
 /// dirty set is checked against.
 fn fingerprints(cfg: &EngineConfig, chip: &ResidentChip) -> BTreeMap<String, u64> {
