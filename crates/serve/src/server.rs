@@ -294,7 +294,6 @@ impl Server {
         std::fs::create_dir_all(&cfg.data_dir)?;
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let obs = Observatory::new(&cfg.data_dir, cfg.observe);
         let shared = Arc::new(Shared {
             cfg,
@@ -377,11 +376,30 @@ impl Server {
         if let Some(h) = self.executor.take() {
             let _ = h.join();
         }
+        self.stop_threads();
+    }
+
+    /// Stop and join whatever threads are still running. The listener blocks
+    /// in `accept`, so after its flag is raised a loopback connection wakes
+    /// it; it is joined only if that connection was made.
+    fn stop_threads(&mut self) {
         self.shared.listener_stop.store(true, Ordering::Release);
-        if let Some(h) = self.listener.take() {
+        self.shared.watchdog_stop.store(true, Ordering::Release);
+        if let Some(h) = self.executor.take() {
             let _ = h.join();
         }
-        self.shared.watchdog_stop.store(true, Ordering::Release);
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        if let Some(h) = self.listener.take() {
+            if TcpStream::connect_timeout(&wake, Duration::from_secs(5)).is_ok() {
+                let _ = h.join();
+            }
+        }
         if let Some(h) = self.watchdog.take() {
             let _ = h.join();
         }
@@ -392,17 +410,7 @@ impl Drop for Server {
     fn drop(&mut self) {
         // A dropped (not joined) server still stops its threads.
         initiate_shutdown(&self.shared);
-        self.shared.listener_stop.store(true, Ordering::Release);
-        self.shared.watchdog_stop.store(true, Ordering::Release);
-        if let Some(h) = self.executor.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.listener.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.watchdog.take() {
-            let _ = h.join();
-        }
+        self.stop_threads();
     }
 }
 
@@ -475,19 +483,19 @@ fn initiate_shutdown(shared: &Shared) {
     shared.queue_cv.notify_all();
 }
 
+/// Accept until [`Shared::listener_stop`] is raised; the flag is read after
+/// every accepted connection, the last of which is the waker's.
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    loop {
+    for stream in listener.incoming() {
         if shared.listener_stop.load(Ordering::Acquire) {
             return;
         }
-        match listener.accept() {
-            Ok((stream, _)) => {
+        match stream {
+            Ok(stream) => {
                 let conn_shared = Arc::clone(&shared);
                 std::thread::spawn(move || handle_connection(stream, conn_shared));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
+            // Out of descriptors, or the peer already gone: do not spin.
             Err(_) => std::thread::sleep(Duration::from_millis(20)),
         }
     }

@@ -7,6 +7,7 @@
 //! solves with `F = Lᵀ` (so that `G = FᵀF`).
 
 use crate::error::Error;
+use crate::panel;
 use crate::sparse::Csc;
 
 const NONE: usize = usize::MAX;
@@ -238,44 +239,36 @@ impl SparseCholesky {
         Ok(x)
     }
 
-    /// Solve `L y = b` in place (forward substitution).
+    /// Solve `L y = b` in place (forward substitution) — on one vector or,
+    /// lane by lane with the same bits, on a [panel] of them.
     ///
     /// In SyMPVL terms, with `F = Lᵀ` this computes `F⁻ᵀ b`.
     ///
     /// # Panics
     ///
-    /// Panics if the length differs from the matrix dimension.
+    /// Panics if the length is not a multiple of the matrix dimension.
     pub fn solve_lower_in_place(&self, x: &mut [f64]) {
-        assert_eq!(x.len(), self.n, "solve_lower: length mismatch");
-        pcv_trace::count("sparse.chol.tri_solves", 1);
-        let (cp, ri, vv) = (self.l.colptr(), self.l.rowidx(), self.l.values());
-        for j in 0..self.n {
-            let xj = x[j] / vv[cp[j]];
-            x[j] = xj;
-            for p in (cp[j] + 1)..cp[j + 1] {
-                x[ri[p]] -= vv[p] * xj;
-            }
-        }
+        panel::solve_lower(&self.l, self.right_hand_sides(x), x);
     }
 
-    /// Solve `Lᵀ x = b` in place (backward substitution).
+    /// Solve `Lᵀ x = b` in place (backward substitution) — on one vector or,
+    /// lane by lane with the same bits, on a [panel] of them.
     ///
     /// In SyMPVL terms, with `F = Lᵀ` this computes `F⁻¹ b`.
     ///
     /// # Panics
     ///
-    /// Panics if the length differs from the matrix dimension.
+    /// Panics if the length is not a multiple of the matrix dimension.
     pub fn solve_lower_t_in_place(&self, x: &mut [f64]) {
-        assert_eq!(x.len(), self.n, "solve_lower_t: length mismatch");
-        pcv_trace::count("sparse.chol.tri_solves", 1);
-        let (cp, ri, vv) = (self.l.colptr(), self.l.rowidx(), self.l.values());
-        for j in (0..self.n).rev() {
-            let mut sum = x[j];
-            for p in (cp[j] + 1)..cp[j + 1] {
-                sum -= vv[p] * x[ri[p]];
-            }
-            x[j] = sum / vv[cp[j]];
-        }
+        panel::solve_lower_t(&self.l, self.right_hand_sides(x), x);
+    }
+
+    /// How many vectors of this dimension `x` holds, counted as solves.
+    fn right_hand_sides(&self, x: &[f64]) -> usize {
+        assert_eq!(x.len() % self.n.max(1), 0, "triangular solve: length mismatch");
+        let k = x.len() / self.n.max(1);
+        pcv_trace::count("sparse.chol.tri_solves", k as u64);
+        k
     }
 
     /// Multiply `y = Fᵀ x = L x` (lower-triangular product).

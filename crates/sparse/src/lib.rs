@@ -17,6 +17,8 @@
 //!   an implicit-shift QL solver for symmetric tridiagonal matrices, used to
 //!   diagonalize the reduced model (`T = QᵀDQ`).
 //! * [`order`] — reverse Cuthill–McKee fill-reducing ordering.
+//! * [`panel`] — the row-major `n × k` form in which the triangular solves,
+//!   the sparse product and the Gram–Schmidt kernels take `k` vectors at once.
 //!
 //! # Example
 //!
@@ -44,6 +46,7 @@ pub mod eig;
 pub mod error;
 pub mod lu;
 pub mod order;
+pub mod panel;
 pub mod sparse;
 pub mod vecops;
 

@@ -349,23 +349,17 @@ impl Csc {
         y
     }
 
-    /// `y = A x` into a caller-provided buffer (cleared first).
+    /// `y = A x` into a caller-provided buffer (cleared first) — for one
+    /// vector or, lane by lane with the same bits, a [panel](crate::panel).
     ///
     /// # Panics
     ///
-    /// Panics on length mismatches.
+    /// Panics unless `x` holds `ncols` and `y` `nrows` rows of the same width.
     pub fn matvec_into(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.ncols, "matvec: x length");
-        assert_eq!(y.len(), self.nrows, "matvec: y length");
-        y.fill(0.0);
-        for (c, &xc) in x.iter().enumerate() {
-            if xc == 0.0 {
-                continue;
-            }
-            for k in self.colptr[c]..self.colptr[c + 1] {
-                y[self.rowidx[k]] += self.values[k] * xc;
-            }
-        }
+        let k = x.len() / self.ncols.max(1);
+        assert_eq!(x.len(), self.ncols * k, "matvec: x length");
+        assert_eq!(y.len(), self.nrows * k, "matvec: y length");
+        crate::panel::matmul(self, k, x, y);
     }
 
     /// `y = Aᵀ x`.

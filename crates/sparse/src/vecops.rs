@@ -11,49 +11,6 @@ pub fn dot(x: &[f64], y: &[f64]) -> f64 {
     x.iter().zip(y).map(|(a, b)| a * b).sum()
 }
 
-/// How many products [`dot_many`] carries at once.
-const LANES: usize = 4;
-
-/// `out[k] = dot(&xs[k], y)` for every `k`, `LANES` (4) products at a time.
-///
-/// Each product keeps its own accumulator and adds left to right from the
-/// neutral element of `f64`'s `Sum` (`-0.0`), so every `out[k]` has exactly
-/// the bits [`dot`] returns. What changes is latency: one product is a chain
-/// of dependent additions, and several independent chains overlap.
-///
-/// # Panics
-///
-/// Panics if `out` and `xs` differ in length or any `xs[k]` differs from `y`.
-pub fn dot_many<X: AsRef<[f64]>>(xs: &[X], y: &[f64], out: &mut [f64]) {
-    assert_eq!(xs.len(), out.len(), "dot_many: one output per product");
-    let mut blocks = xs.chunks_exact(LANES);
-    let mut outs = out.chunks_exact_mut(LANES);
-    for (block, o) in blocks.by_ref().zip(outs.by_ref()) {
-        let lanes: [&[f64]; LANES] = std::array::from_fn(|k| block[k].as_ref());
-        o.copy_from_slice(&dot_lanes(lanes, y));
-    }
-    for (x, o) in blocks.remainder().iter().zip(outs.into_remainder()) {
-        *o = dot(x.as_ref(), y);
-    }
-}
-
-/// `K` dot products against one `y`, interleaved element by element.
-#[inline]
-fn dot_lanes<const K: usize>(xs: [&[f64]; K], y: &[f64]) -> [f64; K] {
-    let n = y.len();
-    let xs = xs.map(|x| {
-        assert_eq!(x.len(), n, "dot_many: length mismatch");
-        &x[..n]
-    });
-    let mut acc = [-0.0_f64; K];
-    for (i, &yi) in y.iter().enumerate() {
-        for k in 0..K {
-            acc[k] += xs[k][i] * yi;
-        }
-    }
-    acc
-}
-
 /// Euclidean norm of a slice.
 #[inline]
 pub fn norm2(x: &[f64]) -> f64 {
@@ -77,6 +34,23 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     for (yi, xi) in y.iter_mut().zip(x) {
         *yi += alpha * xi;
     }
+}
+
+/// `y += alpha * x` and then `dot(z, y)`, in one sweep: the bits of [`axpy`]
+/// followed by [`dot`], without the second walk over `y`.
+///
+/// # Panics
+///
+/// Panics if the slices have different lengths.
+#[inline]
+pub fn axpy_dot(alpha: f64, x: &[f64], y: &mut [f64], z: &[f64]) -> f64 {
+    assert!(x.len() == y.len() && z.len() == y.len(), "axpy_dot: length mismatch");
+    let mut sum = -0.0;
+    for ((yi, xi), zi) in y.iter_mut().zip(x).zip(z) {
+        *yi += alpha * xi;
+        sum += zi * *yi;
+    }
+    sum
 }
 
 /// Scale a slice in place: `x *= alpha`.
@@ -107,60 +81,30 @@ mod tests {
         assert_eq!(norm_inf(&[]), 0.0);
     }
 
-    /// `dot_many` against `dot`, to the bit, over every block/remainder split
-    /// and over the values where summation order or the starting zero shows:
-    /// signed zeros, subnormals, and an `inf * 0` NaN.
-    #[test]
-    fn dot_many_has_the_bits_of_dot() {
-        use pcv_rng::Rng;
-        let mut rng = Rng::new(0xD07);
-        let special = [0.0, -0.0, f64::MIN_POSITIVE / 8.0, -5e-324, 1e300, -1e-300];
-        for n in [0usize, 1, 7, 9183] {
-            for q in 1..=9usize {
-                let draw = |rng: &mut Rng| {
-                    if rng.bool_with(0.25) {
-                        special[rng.range_usize(0, special.len())]
-                    } else {
-                        rng.range_f64(-1.0, 1.0) * 10f64.powi(rng.range_usize(0, 12) as i32 - 6)
-                    }
-                };
-                let mut xs: Vec<Vec<f64>> =
-                    (0..q).map(|_| (0..n).map(|_| draw(&mut rng)).collect()).collect();
-                let mut y: Vec<f64> = (0..n).map(|_| draw(&mut rng)).collect();
-                if n > 1 {
-                    // One product that only ever adds signed zeros and one
-                    // poisoned by inf * 0, beside ordinary ones.
-                    xs[0].fill(-0.0);
-                    y[n / 2] = 0.0;
-                    xs[q - 1][n / 2] = f64::INFINITY;
-                }
-                let mut out = vec![f64::NAN; q];
-                dot_many(&xs, &y, &mut out);
-                for (k, x) in xs.iter().enumerate() {
-                    let want = dot(x, &y);
-                    assert_eq!(out[k].to_bits(), want.to_bits(), "n={n} q={q} k={k}: {want}");
-                }
-                if n > 1 {
-                    assert!(out[q - 1].is_nan(), "inf * 0 must poison its own product only");
-                    assert!(q == 1 || !out[0].is_nan());
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn dot_many_rejects_length_mismatch() {
-        let xs = vec![vec![1.0; 3]; 4];
-        dot_many(&xs, &[1.0, 2.0], &mut [0.0; 4]);
-    }
-
     #[test]
     fn axpy_accumulates() {
         let x = [1.0, 2.0];
         let mut y = [10.0, 20.0];
         axpy(2.0, &x, &mut y);
         assert_eq!(y, [12.0, 24.0]);
+    }
+
+    #[test]
+    fn axpy_dot_is_axpy_then_dot() {
+        let mut rng = pcv_rng::Rng::new(0xA9D);
+        for n in [0usize, 1, 5, 333] {
+            let mut draw = || (0..n).map(|_| rng.range_f64(-3.0, 3.0)).collect::<Vec<f64>>();
+            let (x, y, mut z) = (draw(), draw(), draw());
+            if n > 1 {
+                z[1] = -0.0;
+            }
+            let mut fused = y.clone();
+            let got = axpy_dot(-0.75, &x, &mut fused, &z);
+            let mut want = y;
+            axpy(-0.75, &x, &mut want);
+            assert_eq!(fused, want);
+            assert_eq!(got.to_bits(), dot(&z, &want).to_bits(), "n={n}");
+        }
     }
 
     #[test]

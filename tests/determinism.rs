@@ -177,6 +177,17 @@ fn traced_run_builds_and_reduces_each_coupled_cluster_once() {
     assert_eq!(spans("glitch_rise"), coupled);
     assert_eq!(spans("glitch_fall"), coupled);
     assert_eq!(spans("rom_eval"), 2 * coupled);
+
+    // Inside a reduction the spans follow blocks, not vectors: one assembly
+    // and one projection a reduce, one `A` application per block that kept
+    // a vector, and at most one more orthonormalization (a block that kept
+    // none ends the iteration).
+    let applies = trace.counters["mor.lanczos.block_applies"] as usize;
+    assert_eq!((spans("assemble"), spans("project")), (coupled, coupled));
+    assert_eq!(spans("apply_a"), applies);
+    assert!((applies..=applies + coupled).contains(&spans("gram_schmidt")));
+    let order = trace.histograms["mor.reduced_order"].sum as usize;
+    assert!(2 * applies <= order, "{applies} block applications for {order} basis vectors");
 }
 
 #[test]
@@ -224,4 +235,34 @@ fn per_victim_work_follows_the_cluster_not_the_chip() {
         visited_per_tile.push(visited / tiles);
     }
     assert_eq!(visited_per_tile[0], visited_per_tile[1], "couplings visited per victim");
+}
+
+/// A fine-mesh field — 2 groups × 5 wires, 0.4 mm extracted at 2.5 µm —
+/// signs off to the bytes recorded before block Lanczos worked on panels
+/// (commit 4516939): clusters of ~800 nodes reduced in blocks five and six
+/// wide, which no golden fixture reaches.
+#[test]
+fn fine_mesh_signoff_keeps_its_recorded_digest() {
+    use pcv_designs::extract::{extract, WireGeom};
+    let _shared = beside_untraced_runs();
+    let tech = pcv_designs::Technology::c025();
+    let mut wires = Vec::new();
+    for g in 0..2 {
+        for w in 0..5 {
+            let len = 400e-6 * (1.0 + 0.05 * g as f64);
+            wires.push(WireGeom::min_width(format!("g{g}_w{w}"), g * 11 + w, 0.0, len, &tech));
+        }
+    }
+    let db = extract(&wires, &tech, 2.5e-6);
+    let victims: Vec<PNetId> = (0..db.num_nets()).map(PNetId).collect();
+    let ctx = AnalysisContext::fixed_resistance(&db, 1000.0);
+    let report = Engine::new(EngineConfig { workers: 2, ..Default::default() })
+        .verify(&ctx, &victims)
+        .unwrap();
+    assert!(report.errors.is_empty() && report.degradations.is_empty());
+    let widest = report.chip.verdicts.iter().map(|v| v.cluster_size).max().unwrap();
+    assert!(widest >= 5, "blocks of at least six ports, got clusters of {widest}");
+    let mut h = pcv_engine::Fnv1a::new();
+    h.write(report.signoff_json().as_bytes());
+    assert_eq!(h.finish(), 0x6902_27a4_cef5_aad4, "sign-off bytes moved");
 }
