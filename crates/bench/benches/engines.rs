@@ -64,7 +64,9 @@ fn bench_chip_engine(tech: &Technology) {
     bench_case("chip_engine", "workers=4+trace", 5, || traced.verify(&ctx, &victims).unwrap());
     let report = traced.verify(&ctx, &victims).unwrap();
     let stem = std::env::temp_dir().join("pcv-engines-bench");
-    if let (Some(trace), Ok(paths)) = (&report.trace, report.write_profile(&stem)) {
+    if let (Some(trace), Ok(paths)) =
+        (&report.trace, report.write_profile_with(&pcv_engine::Fs::real(), &stem))
+    {
         println!(
             "# traced run: {} spans, {} counters -> {}",
             trace.spans.len(),

@@ -34,13 +34,12 @@
 //! cargo run --release -p pcv-bench --bin eco_bench -- --bless  # new baseline
 //! ```
 
-use pcv_bench::regression::{self, BenchReport, DEFAULT_THRESHOLD};
+use pcv_bench::regression::{self, GateArgs};
 use pcv_designs::extract::{extract, WireGeom};
 use pcv_designs::Technology;
 use pcv_engine::{Engine, EngineConfig, ResidentChip};
 use pcv_netlist::{PNetId, ParasiticDb};
 use pcv_obs::{mem, TrackingAlloc};
-use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -53,52 +52,6 @@ const BENCH_NAME: &str = "eco_splice_tiles2048";
 const TILES: usize = 512;
 const WIRES_PER_TILE: usize = 4;
 const WIRE_LENGTH: f64 = 500e-6;
-
-fn baseline_default() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("baselines/BENCH_eco.json")
-}
-
-struct Args {
-    iters: usize,
-    warmup: usize,
-    out: PathBuf,
-    baseline: PathBuf,
-    threshold: f64,
-    check: bool,
-    bless: bool,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        iters: 9,
-        warmup: 1,
-        out: PathBuf::from("BENCH_eco.json"),
-        baseline: baseline_default(),
-        threshold: DEFAULT_THRESHOLD,
-        check: false,
-        bless: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or(format!("{name} needs a value"));
-        match flag.as_str() {
-            "--iters" => args.iters = value("--iters")?.parse().map_err(|e| format!("{e}"))?,
-            "--warmup" => args.warmup = value("--warmup")?.parse().map_err(|e| format!("{e}"))?,
-            "--out" => args.out = PathBuf::from(value("--out")?),
-            "--baseline" => args.baseline = PathBuf::from(value("--baseline")?),
-            "--threshold" => {
-                args.threshold = value("--threshold")?.parse().map_err(|e| format!("{e}"))?;
-            }
-            "--check" => args.check = true,
-            "--bless" => args.bless = true,
-            other => return Err(format!("unknown flag {other}")),
-        }
-    }
-    if args.iters == 0 {
-        return Err("--iters must be at least 1".to_owned());
-    }
-    Ok(args)
-}
 
 /// Extract the tiled wire field: `TILES` groups of `WIRES_PER_TILE`
 /// minimum-pitch wires, each group six empty tracks from the next so
@@ -149,13 +102,11 @@ fn chip(db: ParasiticDb) -> ResidentChip {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("eco_bench: {e}");
-            return ExitCode::from(2);
-        }
+    let args = match GateArgs::parse("eco_bench", 9, Some(1), None) {
+        Ok(args) => args,
+        Err(code) => return code,
     };
+    let warmup = args.warmup.unwrap_or(0);
 
     let tech = Technology::c025();
     let cache_dir = std::env::temp_dir().join(format!("pcv-eco-bench-{}", std::process::id()));
@@ -207,7 +158,7 @@ fn main() -> ExitCode {
     };
 
     let mut prev = &base;
-    for i in 0..args.warmup {
+    for i in 0..warmup {
         let next = &variants[i % 2];
         run_eco(prev, next, false);
         prev = next;
@@ -215,14 +166,14 @@ fn main() -> ExitCode {
     mem::reset_peak();
     let mut samples_ms = Vec::with_capacity(args.iters);
     for i in 0..args.iters {
-        let next = &variants[(args.warmup + i) % 2];
+        let next = &variants[(warmup + i) % 2];
         samples_ms.push(run_eco(prev, next, true));
         prev = next;
     }
     let peak = mem::snapshot().map_or(0, |s| s.peak_bytes);
     let _ = std::fs::remove_dir_all(&cache_dir);
 
-    let report = regression::summarize(BENCH_NAME, args.warmup, samples_ms, peak);
+    let report = regression::summarize(BENCH_NAME, warmup, samples_ms, peak);
     let speedup = cold_ms / report.median_ms;
     eprintln!(
         "eco_bench: {} — cold {:.1} ms, eco median {:.3} ms ({speedup:.0}x), mad {:.3} ms, \
@@ -233,37 +184,5 @@ fn main() -> ExitCode {
         report.mad_ms,
         report.peak_alloc_bytes as f64 / (1024.0 * 1024.0)
     );
-    if let Err(e) = report.write(&args.out) {
-        eprintln!("eco_bench: cannot write {}: {e}", args.out.display());
-        return ExitCode::from(2);
-    }
-    println!("{}", report.to_json());
-
-    if args.bless {
-        if let Some(dir) = args.baseline.parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        if let Err(e) = report.write(&args.baseline) {
-            eprintln!("eco_bench: cannot bless {}: {e}", args.baseline.display());
-            return ExitCode::from(2);
-        }
-        eprintln!("eco_bench: blessed new baseline at {}", args.baseline.display());
-        return ExitCode::SUCCESS;
-    }
-
-    if args.check {
-        let Some(baseline) = BenchReport::read(&args.baseline) else {
-            eprintln!(
-                "eco_bench: no readable baseline at {} (seed one with --bless)",
-                args.baseline.display()
-            );
-            return ExitCode::from(2);
-        };
-        let verdict = regression::gate(&baseline, &report, args.threshold);
-        eprintln!("eco_bench: {}", verdict.detail);
-        if verdict.regressed {
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
+    regression::finish(&report, &args, || true)
 }

@@ -31,7 +31,7 @@
 //! cargo run --release -p pcv-bench --bin scaleout_bench -- --bless  # new baseline
 //! ```
 
-use pcv_bench::regression::{self, BenchReport, DEFAULT_THRESHOLD};
+use pcv_bench::regression::{self, GateArgs};
 use pcv_designs::dsp::DspConfig;
 use pcv_engine::{Engine, EngineConfig};
 use pcv_obs::{mem, TrackingAlloc};
@@ -53,10 +53,6 @@ const MIN_SPEEDUP_4: f64 = 2.5;
 /// The shard counts measured, in report order.
 const SHARD_COUNTS: [usize; 3] = [2, 4, 8];
 
-fn baseline_default() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("baselines/BENCH_scaleout.json")
-}
-
 /// The `pcv_serve` binary is a sibling of this bench in the same cargo
 /// target directory — CI builds `-p pcv-serve --release` first.
 fn worker_exe_default() -> PathBuf {
@@ -66,66 +62,17 @@ fn worker_exe_default() -> PathBuf {
         .unwrap_or_else(|| PathBuf::from("pcv_serve"))
 }
 
-struct Args {
-    iters: usize,
-    out: PathBuf,
-    baseline: PathBuf,
-    threshold: f64,
-    serve_exe: PathBuf,
-    check: bool,
-    bless: bool,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        iters: 3,
-        out: PathBuf::from("BENCH_scaleout.json"),
-        baseline: baseline_default(),
-        threshold: DEFAULT_THRESHOLD,
-        serve_exe: worker_exe_default(),
-        check: false,
-        bless: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or(format!("{name} needs a value"));
-        match flag.as_str() {
-            "--iters" => args.iters = value("--iters")?.parse().map_err(|e| format!("{e}"))?,
-            "--out" => args.out = PathBuf::from(value("--out")?),
-            "--baseline" => args.baseline = PathBuf::from(value("--baseline")?),
-            "--threshold" => {
-                args.threshold = value("--threshold")?.parse().map_err(|e| format!("{e}"))?;
-            }
-            "--serve-exe" => args.serve_exe = PathBuf::from(value("--serve-exe")?),
-            "--check" => args.check = true,
-            "--bless" => args.bless = true,
-            other => return Err(format!("unknown flag {other}")),
-        }
-    }
-    if args.iters == 0 {
-        return Err("--iters must be at least 1".to_owned());
-    }
-    Ok(args)
-}
-
-fn median_of(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    regression::median(&samples)
-}
-
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("scaleout_bench: {e}");
-            return ExitCode::from(2);
-        }
+    let args = match GateArgs::parse("scaleout_bench", 3, None, Some(worker_exe_default())) {
+        Ok(args) => args,
+        Err(code) => return code,
     };
-    if !args.serve_exe.is_file() {
+    let serve_exe = args.serve_exe.as_deref().expect("this gate takes --serve-exe");
+    if !serve_exe.is_file() {
         eprintln!(
             "scaleout_bench: worker binary {} not found (build with \
              `cargo build --release -p pcv-serve` or pass --serve-exe)",
-            args.serve_exe.display()
+            serve_exe.display()
         );
         return ExitCode::from(2);
     }
@@ -134,10 +81,7 @@ fn main() -> ExitCode {
     let chip = Arc::new(elaborate(&spec).expect("scaleout tier elaborates"));
     let total = chip.victims().len();
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    eprintln!(
-        "scaleout_bench: {total} victims, {cores} cores, worker {}",
-        args.serve_exe.display()
-    );
+    eprintln!("scaleout_bench: {total} victims, {cores} cores, worker {}", serve_exe.display());
 
     let dir = std::env::temp_dir().join(format!("pcv-scaleout-bench-{}", std::process::id()));
     let wipe = || {
@@ -163,7 +107,7 @@ fn main() -> ExitCode {
     let run_sharded = |shards: usize| -> f64 {
         wipe();
         let mut cfg =
-            CoordinatorConfig::new(shards, args.serve_exe.clone(), dir.join("merged.cache"));
+            CoordinatorConfig::new(shards, serve_exe.to_owned(), dir.join("merged.cache"));
         cfg.workers_per_shard = 1;
         let t0 = Instant::now();
         let outcome =
@@ -191,7 +135,7 @@ fn main() -> ExitCode {
         if shards == 4 {
             samples_4 = samples.clone();
         }
-        medians_ms.push(median_of(samples));
+        medians_ms.push(regression::median(&samples));
     }
     let peak = mem::snapshot().map_or(0, |s| s.peak_bytes);
     let _ = std::fs::remove_dir_all(&dir);
@@ -202,28 +146,9 @@ fn main() -> ExitCode {
         eprint!(", {shards} workers {:.0} ms ({:.2}x)", medians_ms[i], base_ms / medians_ms[i]);
     }
     eprintln!();
-    if let Err(e) = report.write(&args.out) {
-        eprintln!("scaleout_bench: cannot write {}: {e}", args.out.display());
-        return ExitCode::from(2);
-    }
-    println!("{}", report.to_json());
-
-    if args.bless {
-        if let Some(dir) = args.baseline.parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        if let Err(e) = report.write(&args.baseline) {
-            eprintln!("scaleout_bench: cannot bless {}: {e}", args.baseline.display());
-            return ExitCode::from(2);
-        }
-        eprintln!("scaleout_bench: blessed new baseline at {}", args.baseline.display());
-        return ExitCode::SUCCESS;
-    }
-
-    if args.check {
-        // Speedup floors only bind where the cores exist to deliver them.
-        let floors = [(2usize, MIN_SPEEDUP_2), (4usize, MIN_SPEEDUP_4)];
-        for (shards, floor) in floors {
+    // Speedup floors only bind where the cores exist to deliver them.
+    regression::finish(&report, &args, || {
+        for (shards, floor) in [(2usize, MIN_SPEEDUP_2), (4usize, MIN_SPEEDUP_4)] {
             let idx = SHARD_COUNTS.iter().position(|&s| s == shards).expect("measured count");
             let speedup = base_ms / medians_ms[idx];
             if cores < shards {
@@ -235,21 +160,9 @@ fn main() -> ExitCode {
                     "scaleout_bench: FAIL — {shards} workers gave only {speedup:.2}x \
                      (floor {floor}x)"
                 );
-                return ExitCode::FAILURE;
+                return false;
             }
         }
-        let Some(baseline) = BenchReport::read(&args.baseline) else {
-            eprintln!(
-                "scaleout_bench: no readable baseline at {} (seed one with --bless)",
-                args.baseline.display()
-            );
-            return ExitCode::from(2);
-        };
-        let verdict = regression::gate(&baseline, &report, args.threshold);
-        eprintln!("scaleout_bench: {}", verdict.detail);
-        if verdict.regressed {
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
+        true
+    })
 }

@@ -14,14 +14,13 @@
 //! cargo run --release -p pcv-bench --bin signoff_bench -- --bless  # new baseline
 //! ```
 
-use pcv_bench::regression::{self, BenchReport, DEFAULT_THRESHOLD};
+use pcv_bench::regression::{self, GateArgs};
 use pcv_designs::structures::bundle;
 use pcv_designs::Technology;
 use pcv_engine::{Engine, EngineConfig};
 use pcv_netlist::PNetId;
 use pcv_obs::{mem, TrackingAlloc};
 use pcv_xtalk::AnalysisContext;
-use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -31,52 +30,6 @@ use std::time::Instant;
 static ALLOC: TrackingAlloc = TrackingAlloc::system();
 
 const BENCH_NAME: &str = "signoff_bundle16";
-
-fn baseline_default() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("baselines/BENCH_signoff.json")
-}
-
-struct Args {
-    iters: usize,
-    warmup: usize,
-    out: PathBuf,
-    baseline: PathBuf,
-    threshold: f64,
-    check: bool,
-    bless: bool,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        iters: 9,
-        warmup: 2,
-        out: PathBuf::from("BENCH_signoff.json"),
-        baseline: baseline_default(),
-        threshold: DEFAULT_THRESHOLD,
-        check: false,
-        bless: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or(format!("{name} needs a value"));
-        match flag.as_str() {
-            "--iters" => args.iters = value("--iters")?.parse().map_err(|e| format!("{e}"))?,
-            "--warmup" => args.warmup = value("--warmup")?.parse().map_err(|e| format!("{e}"))?,
-            "--out" => args.out = PathBuf::from(value("--out")?),
-            "--baseline" => args.baseline = PathBuf::from(value("--baseline")?),
-            "--threshold" => {
-                args.threshold = value("--threshold")?.parse().map_err(|e| format!("{e}"))?;
-            }
-            "--check" => args.check = true,
-            "--bless" => args.bless = true,
-            other => return Err(format!("unknown flag {other}")),
-        }
-    }
-    if args.iters == 0 {
-        return Err("--iters must be at least 1".to_owned());
-    }
-    Ok(args)
-}
 
 /// One timed repetition: a cold-cache engine verify over the bundle.
 fn run_once(ctx: &AnalysisContext<'_>, victims: &[PNetId]) -> f64 {
@@ -89,19 +42,17 @@ fn run_once(ctx: &AnalysisContext<'_>, victims: &[PNetId]) -> f64 {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("signoff_bench: {e}");
-            return ExitCode::from(2);
-        }
+    let args = match GateArgs::parse("signoff_bench", 9, Some(2), None) {
+        Ok(args) => args,
+        Err(code) => return code,
     };
+    let warmup = args.warmup.unwrap_or(0);
 
     let db = bundle(16, 2000e-6, &Technology::c025());
     let victims: Vec<PNetId> = (0..db.num_nets()).map(PNetId).collect();
     let ctx = AnalysisContext::fixed_resistance(&db, 1000.0);
 
-    for _ in 0..args.warmup {
+    for _ in 0..warmup {
         run_once(&ctx, &victims);
     }
     mem::reset_peak();
@@ -111,7 +62,7 @@ fn main() -> ExitCode {
     }
     let peak = mem::snapshot().map_or(0, |s| s.peak_bytes);
 
-    let report = regression::summarize(BENCH_NAME, args.warmup, samples_ms, peak);
+    let report = regression::summarize(BENCH_NAME, warmup, samples_ms, peak);
     eprintln!(
         "signoff_bench: {} — median {:.3} ms, mad {:.3} ms, min {:.3} ms, peak heap {:.2} MiB",
         report.bench,
@@ -120,37 +71,5 @@ fn main() -> ExitCode {
         report.min_ms,
         report.peak_alloc_bytes as f64 / (1024.0 * 1024.0)
     );
-    if let Err(e) = report.write(&args.out) {
-        eprintln!("signoff_bench: cannot write {}: {e}", args.out.display());
-        return ExitCode::from(2);
-    }
-    println!("{}", report.to_json());
-
-    if args.bless {
-        if let Some(dir) = args.baseline.parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        if let Err(e) = report.write(&args.baseline) {
-            eprintln!("signoff_bench: cannot bless {}: {e}", args.baseline.display());
-            return ExitCode::from(2);
-        }
-        eprintln!("signoff_bench: blessed new baseline at {}", args.baseline.display());
-        return ExitCode::SUCCESS;
-    }
-
-    if args.check {
-        let Some(baseline) = BenchReport::read(&args.baseline) else {
-            eprintln!(
-                "signoff_bench: no readable baseline at {} (seed one with --bless)",
-                args.baseline.display()
-            );
-            return ExitCode::from(2);
-        };
-        let verdict = regression::gate(&baseline, &report, args.threshold);
-        eprintln!("signoff_bench: {}", verdict.detail);
-        if verdict.regressed {
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
+    regression::finish(&report, &args, || true)
 }

@@ -9,10 +9,8 @@
 
 use super::stats::{ErrStats, Histogram};
 use super::Scale;
-use crate::fixtures::charlib_for;
-use pcv_cells::library::CellLibrary;
-use pcv_designs::dsp::{generate, DspConfig};
-use pcv_designs::Technology;
+use pcv_designs::dsp::DspConfig;
+use pcv_engine::ResidentChip;
 use pcv_xtalk::drivers::DriverModelKind;
 use pcv_xtalk::prune::{prune_victim, PruneConfig};
 use pcv_xtalk::{analyze_glitch, AnalysisContext, AnalysisOptions, EngineKind};
@@ -117,45 +115,26 @@ pub fn num_victims(scale: Scale) -> usize {
 ///
 /// Panics on characterization or analysis failure (harness context).
 pub fn run(scale: Scale) -> (Distribution, Distribution) {
-    let tech = Technology::c025();
-    let lib = CellLibrary::standard_025();
-    let charlib = charlib_for(&[
-        "INVX2", "INVX4", "INVX8", "BUFX4", "BUFX8", "BUFX12", "NAND2X2", "NAND2X4", "NOR2X2",
-        "NOR2X4", "TBUFX4", "TBUFX8", "TBUFX16",
-    ]);
-    let block = generate(
-        &DspConfig { n_buses: 5, bus_bits: 16, n_random_nets: 80, ..Default::default() },
-        &tech,
-        &lib,
-    );
-    let victims = block.latch_victims();
-    let wanted = num_victims(scale).min(victims.len());
+    let chip = ResidentChip::dsp(&DspConfig {
+        n_buses: 5,
+        bus_bits: 16,
+        n_random_nets: 80,
+        ..Default::default()
+    })
+    .expect("driver cells characterize");
+    let wanted = num_victims(scale).min(chip.victims().len());
     let opts = AnalysisOptions::default();
     let vdd = opts.vdd;
+    let model_ctx = chip.ctx();
+    let ref_ctx = AnalysisContext { driver_model: DriverModelKind::TransistorLevel, ..model_ctx };
 
     let mut rise_cases = Vec::new();
     let mut fall_cases = Vec::new();
-    for &victim in victims.iter().take(wanted) {
-        let pnet =
-            block.parasitics.find_net(block.design.net_name(victim)).expect("views are aligned");
-        let cluster = prune_victim(&block.parasitics, pnet, &PruneConfig::default());
+    for &pnet in chip.victims().iter().take(wanted) {
+        let cluster = prune_victim(chip.db(), pnet, &PruneConfig::default());
         if cluster.aggressors.is_empty() {
             continue;
         }
-        let model_ctx = AnalysisContext::with_design(
-            &block.parasitics,
-            &block.design,
-            &lib,
-            &charlib,
-            DriverModelKind::Nonlinear,
-        );
-        let ref_ctx = AnalysisContext::with_design(
-            &block.parasitics,
-            &block.design,
-            &lib,
-            &charlib,
-            DriverModelKind::TransistorLevel,
-        );
         let spice_opts =
             AnalysisOptions { engine: EngineKind::Spice, ..AnalysisOptions::default() };
         for rising in [true, false] {
@@ -177,7 +156,7 @@ pub fn run(scale: Scale) -> (Distribution, Distribution) {
                 }
             };
             let case = Case {
-                net: block.parasitics.net(pnet).name().to_owned(),
+                net: chip.db().net(pnet).name().to_owned(),
                 reference: reference.peak,
                 model: model.peak,
                 spice_time: reference.elapsed,

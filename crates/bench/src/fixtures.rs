@@ -1,7 +1,7 @@
 //! Shared fixtures: partial characterized libraries and structure/driver
 //! bindings used by several experiments.
 
-use pcv_cells::charlib::{characterize, CharLibrary};
+use pcv_cells::charlib::CharLibrary;
 use pcv_cells::library::CellLibrary;
 use pcv_designs::structures::sandwich;
 use pcv_designs::Technology;
@@ -9,41 +9,15 @@ use pcv_netlist::{Design, ParasiticDb};
 use pcv_xtalk::drivers::DriverModelKind;
 use pcv_xtalk::AnalysisContext;
 
-/// Characterize only the named cells — a fast fixture for tests and
-/// examples that do not need the whole 53-cell library.
-///
-/// Results are cached as Liberty-lite files under
-/// `target/pcv_charlib_cache/` (characterization is the paper's "one-time
-/// task"; re-runs load from disk).
+/// Characterize only the named cells ([`CharLibrary::cached`]) — a fast
+/// fixture for tests and examples that do not need the 53-cell library.
 ///
 /// # Panics
 ///
 /// Panics on unknown cell names or characterization failure (fixture
 /// context: failures are programming errors).
 pub fn charlib_for(names: &[&str]) -> CharLibrary {
-    let lib = CellLibrary::standard_025();
-    let cache_dir =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/pcv_charlib_cache");
-    let _ = std::fs::create_dir_all(&cache_dir);
-    let mut out = CharLibrary::default();
-    for &n in names {
-        let cell = lib.cell(n).unwrap_or_else(|| panic!("unknown cell {n}"));
-        let cache = cache_dir.join(format!("{n}.lib"));
-        if let Ok(text) = std::fs::read_to_string(&cache) {
-            if let Ok(cached) = pcv_cells::liberty::parse_liberty(&text) {
-                if let Some(ch) = cached.cell(n) {
-                    out.insert(ch.clone());
-                    continue;
-                }
-            }
-        }
-        let ch = characterize(cell).expect("fixture characterization succeeds");
-        let mut single = CharLibrary::default();
-        single.insert(ch.clone());
-        let _ = std::fs::write(&cache, pcv_cells::liberty::write_liberty(&single));
-        out.insert(ch);
-    }
-    out
+    CharLibrary::cached(names).unwrap_or_else(|e| panic!("fixture characterization: {e}"))
 }
 
 /// A Figure 1 structure bound to drivers: victim `v` driven by

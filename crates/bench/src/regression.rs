@@ -5,21 +5,25 @@
 //! The gate is deliberately conservative about noise: a run only counts as
 //! regressed when its median exceeds the baseline median by **both** the
 //! relative threshold (default 15%) *and* the combined noise band
-//! ([`NOISE_MADS`] × the two runs' MADs). A jittery machine widens its own
+//! (`NOISE_MADS` × the two runs' MADs). A jittery machine widens its own
 //! band instead of flapping the gate; a real slowdown clears both bars.
+//!
+//! The gate binaries (`signoff_bench`, `eco_bench`, `scaleout_bench`) share
+//! one command line ([`GateArgs`]) and one ending ([`finish`]).
 
 use pcv_obs::json::{self, Value};
 use pcv_trace::json::{f64_lit, str_lit};
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::process::ExitCode;
 
 /// Schema version stamped into every benchmark report.
-pub const SCHEMA: u64 = 1;
+const SCHEMA: u64 = 1;
 
 /// Default relative regression threshold: 15% over the baseline median.
-pub const DEFAULT_THRESHOLD: f64 = 0.15;
+const DEFAULT_THRESHOLD: f64 = 0.15;
 
 /// Width of the noise band in combined MADs (baseline + current).
-pub const NOISE_MADS: f64 = 3.0;
+const NOISE_MADS: f64 = 3.0;
 
 /// One benchmark run: raw samples plus the robust summary statistics the
 /// gate compares. Serializes to a stable JSON schema.
@@ -144,35 +148,32 @@ impl BenchReport {
     /// # Errors
     ///
     /// Propagates I/O failures.
-    pub fn write(&self, path: &Path) -> std::io::Result<()> {
+    fn write(&self, path: &Path) -> std::io::Result<()> {
         pcv_engine::fs::Fs::real().write_atomic(path, self.to_json().as_bytes())
     }
 
     /// Read and parse a report from `path`.
-    pub fn read(path: &Path) -> Option<BenchReport> {
+    fn read(path: &Path) -> Option<BenchReport> {
         BenchReport::parse(&std::fs::read_to_string(path).ok()?)
     }
 }
 
 /// The gate's decision for one baseline/current pair.
 #[derive(Debug, Clone, PartialEq)]
-pub struct GateVerdict {
+struct GateVerdict {
     /// `true` when the current run is a regression.
-    pub regressed: bool,
+    regressed: bool,
     /// current median / baseline median.
-    pub ratio: f64,
-    /// The limit the current median was held to: the *larger* of the
-    /// relative threshold and the noise band.
-    pub limit_ms: f64,
+    ratio: f64,
     /// One-line human-readable explanation.
-    pub detail: String,
+    detail: String,
 }
 
 /// Compare `current` against `baseline` with relative threshold
 /// `threshold` (e.g. `0.15` for 15%). Regressed iff the current median
 /// exceeds both `baseline × (1 + threshold)` and the noise band
 /// `baseline + NOISE_MADS × (mad_baseline + mad_current)`.
-pub fn gate(baseline: &BenchReport, current: &BenchReport, threshold: f64) -> GateVerdict {
+fn gate(baseline: &BenchReport, current: &BenchReport, threshold: f64) -> GateVerdict {
     let threshold_limit = baseline.median_ms * (1.0 + threshold);
     let noise_limit = baseline.median_ms + NOISE_MADS * (baseline.mad_ms + current.mad_ms);
     let limit_ms = threshold_limit.max(noise_limit);
@@ -188,7 +189,120 @@ pub fn gate(baseline: &BenchReport, current: &BenchReport, threshold: f64) -> Ga
         limit_ms,
         if regressed { "REGRESSED" } else { "ok" }
     );
-    GateVerdict { regressed, ratio, limit_ms, detail }
+    GateVerdict { regressed, ratio, detail }
+}
+
+/// The command line the gate binaries share: `--iters N`, `--warmup N`,
+/// `--out FILE`, `--baseline FILE`, `--threshold X`, `--serve-exe FILE`,
+/// `--check`, `--bless`.
+#[derive(Debug)]
+pub struct GateArgs {
+    /// Timed repetitions, at least 1.
+    pub iters: usize,
+    /// Untimed warmup repetitions; `None` in a gate that takes none (the
+    /// flag is then unknown to it).
+    pub warmup: Option<usize>,
+    /// The `pcv_serve` binary to spawn workers from; `None` likewise.
+    pub serve_exe: Option<PathBuf>,
+    bin: &'static str,
+    out: PathBuf,
+    baseline: PathBuf,
+    threshold: f64,
+    check: bool,
+    bless: bool,
+}
+
+impl GateArgs {
+    /// Parse the process arguments of gate binary `bin` (`<what>_bench`)
+    /// over its defaults; the report defaults to `BENCH_<what>.json`, the
+    /// baseline to the checked-in `baselines/BENCH_<what>.json`. A malformed
+    /// command line is reported on stderr; the error is the exit code (2).
+    pub fn parse(
+        bin: &'static str,
+        iters: usize,
+        warmup: Option<usize>,
+        serve_exe: Option<PathBuf>,
+    ) -> Result<GateArgs, ExitCode> {
+        let file = format!("BENCH_{}.json", bin.trim_end_matches("_bench"));
+        let baseline = Path::new(env!("CARGO_MANIFEST_DIR")).join("baselines").join(&file);
+        let (out, threshold) = (PathBuf::from(file), DEFAULT_THRESHOLD);
+        let mut args = GateArgs {
+            iters,
+            warmup,
+            serve_exe,
+            bin,
+            out,
+            baseline,
+            threshold,
+            check: false,
+            bless: false,
+        };
+        args.read(std::env::args().skip(1)).map_err(|e| {
+            eprintln!("{bin}: {e}");
+            ExitCode::from(2)
+        })?;
+        Ok(args)
+    }
+
+    fn read(&mut self, mut it: impl Iterator<Item = String>) -> Result<(), String> {
+        while let Some(flag) = it.next() {
+            let mut value = || it.next().ok_or(format!("{flag} needs a value"));
+            let count = |text: String| text.parse::<usize>().map_err(|e| e.to_string());
+            match flag.as_str() {
+                "--iters" => self.iters = count(value()?)?,
+                "--warmup" if self.warmup.is_some() => self.warmup = Some(count(value()?)?),
+                "--out" => self.out = value()?.into(),
+                "--baseline" => self.baseline = value()?.into(),
+                "--threshold" => self.threshold = value()?.parse().map_err(|e| format!("{e}"))?,
+                "--serve-exe" if self.serve_exe.is_some() => self.serve_exe = Some(value()?.into()),
+                "--check" => self.check = true,
+                "--bless" => self.bless = true,
+                other => return Err(format!("unknown flag {other}")),
+            }
+        }
+        if self.iters == 0 {
+            return Err("--iters must be at least 1".to_owned());
+        }
+        Ok(())
+    }
+}
+
+/// End a gate binary's run: write `report` to `--out` and print it; under
+/// `--bless` make it the new baseline; under `--check` ask `floors` (the
+/// gate's own hard limits, which print what they find), then hold the report
+/// to the baseline. Exit code 0, 1 for a regression or a missed floor, 2 for
+/// an unwritable report or an unreadable baseline.
+pub fn finish(report: &BenchReport, args: &GateArgs, floors: impl FnOnce() -> bool) -> ExitCode {
+    let (bin, baseline) = (args.bin, args.baseline.display());
+    if let Err(e) = report.write(&args.out) {
+        eprintln!("{bin}: cannot write {}: {e}", args.out.display());
+        return ExitCode::from(2);
+    }
+    println!("{}", report.to_json());
+    if args.bless {
+        if let Some(dir) = args.baseline.parent() {
+            let _ = std::fs::create_dir_all(dir);
+        }
+        if let Err(e) = report.write(&args.baseline) {
+            eprintln!("{bin}: cannot bless {baseline}: {e}");
+            return ExitCode::from(2);
+        }
+        eprintln!("{bin}: blessed new baseline at {baseline}");
+    } else if args.check {
+        if !floors() {
+            return ExitCode::FAILURE;
+        }
+        let Some(checked_in) = BenchReport::read(&args.baseline) else {
+            eprintln!("{bin}: no readable baseline at {baseline} (seed one with --bless)");
+            return ExitCode::from(2);
+        };
+        let verdict = gate(&checked_in, report, args.threshold);
+        eprintln!("{bin}: {}", verdict.detail);
+        if verdict.regressed {
+            return ExitCode::FAILURE;
+        }
+    }
+    ExitCode::SUCCESS
 }
 
 #[cfg(test)]

@@ -14,12 +14,14 @@
 //!   areas).
 
 use crate::error::CellError;
+use crate::liberty::{parse_liberty, write_liberty};
 use crate::library::{Cell, CellKind, CellLibrary};
 use crate::VDD;
 use pcv_netlist::{Circuit, SourceWave};
 use pcv_sparse::Dense;
 use pcv_spice::{SimOptions, Simulator};
 use std::collections::BTreeMap;
+use std::path::Path;
 
 /// Characterization grid: input slews (seconds).
 pub const SLEW_GRID: [f64; 4] = [0.05e-9, 0.15e-9, 0.4e-9, 1.0e-9];
@@ -211,6 +213,48 @@ impl CharLibrary {
     /// Iterate in name order.
     pub fn iter(&self) -> impl Iterator<Item = &CharCell> {
         self.cells.values()
+    }
+
+    /// The named cells of the standard library, characterized — the paper's
+    /// one-time task, paid once per checkout: each cell is stored as a
+    /// Liberty-lite file under `target/pcv_charlib_cache/` and loaded from
+    /// there afterwards. A file that does not hold its cell (unreadable,
+    /// unparsable, another cell's) is characterized again and rewritten.
+    ///
+    /// # Errors
+    ///
+    /// [`CellError::UnknownCell`], else the first characterization failure.
+    pub fn cached(names: &[&str]) -> Result<CharLibrary, CellError> {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/pcv_charlib_cache");
+        Self::cached_in(&dir, names)
+    }
+
+    fn cached_in(dir: &Path, names: &[&str]) -> Result<CharLibrary, CellError> {
+        let lib = CellLibrary::standard_025();
+        let _ = std::fs::create_dir_all(dir);
+        let mut out = CharLibrary::default();
+        for &name in names {
+            let cell =
+                lib.cell(name).ok_or_else(|| CellError::UnknownCell { name: name.to_owned() })?;
+            let file = dir.join(format!("{name}.lib"));
+            out.insert(match Self::stored(&file, name) {
+                Some(ch) => ch,
+                None => {
+                    let ch = characterize(cell)?;
+                    let mut single = CharLibrary::default();
+                    single.insert(ch.clone());
+                    let _ = std::fs::write(&file, write_liberty(&single));
+                    ch
+                }
+            });
+        }
+        Ok(out)
+    }
+
+    /// The cell `name` as `file` stores it, if it does.
+    fn stored(file: &Path, name: &str) -> Option<CharCell> {
+        let text = std::fs::read_to_string(file).ok()?;
+        parse_liberty(&text).ok()?.cells.remove(name)
     }
 }
 
@@ -641,5 +685,120 @@ mod tests {
         assert_eq!(bilinear(&xs, &ys, &z, 0.5, 0.5), 1.5);
         // Clamps.
         assert_eq!(bilinear(&xs, &ys, &z, -1.0, 2.0), 1.0);
+    }
+
+    /// A scratch directory of this test process, emptied.
+    fn scratch(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("pcv-charlib-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    fn liberty_of(ch: &CharCell) -> String {
+        let mut single = CharLibrary::default();
+        single.insert(ch.clone());
+        write_liberty(&single)
+    }
+
+    /// `text` with one bit of byte `at` flipped.
+    fn flipped(text: &str, at: usize, bit: u32) -> Vec<u8> {
+        let mut bytes = text.as_bytes().to_vec();
+        bytes[at] ^= 1 << bit;
+        bytes
+    }
+
+    #[test]
+    fn a_damaged_cache_file_is_characterized_again_and_rewritten() {
+        let dir = scratch("damaged");
+        let file = dir.join("INVX2.lib");
+        // An empty directory: characterize, store.
+        let first = CharLibrary::cached_in(&dir, &["INVX2"]).unwrap();
+        let canonical = std::fs::read_to_string(&file).expect("the cell was stored");
+        assert_eq!(liberty_of(first.cell("INVX2").unwrap()), canonical);
+        // The stored file is what the next call returns, untouched.
+        let again = CharLibrary::cached_in(&dir, &["INVX2"]).unwrap();
+        assert_eq!(liberty_of(again.cell("INVX2").unwrap()), canonical);
+
+        let mut rng = pcv_rng::Rng::new(0x22);
+        let cut = rng.range_usize(1, canonical.rfind("  }").unwrap());
+        // The format carries no checksum, so a flip inside a number is
+        // another well-formed table; the drill is the first seeded flip
+        // that is not (`stored_cell_is_whole_or_absent` sweeps them all).
+        let flip = loop {
+            let damaged = flipped(&canonical, rng.range_usize(0, canonical.len()), 2);
+            std::fs::write(&file, &damaged).unwrap();
+            if CharLibrary::stored(&file, "INVX2").is_none() {
+                break damaged;
+            }
+        };
+        let damaged = [
+            ("truncated", canonical.as_bytes()[..cut].to_vec()),
+            ("bit-flipped", flip),
+            ("wrong cell", canonical.replace("cell (INVX2)", "cell (INVX4)").into_bytes()),
+            ("empty", Vec::new()),
+        ];
+        for (what, bytes) in damaged {
+            std::fs::write(&file, &bytes).unwrap();
+            let lib = CharLibrary::cached_in(&dir, &["INVX2"]).unwrap();
+            assert_eq!(lib.len(), 1, "{what}");
+            assert_eq!(liberty_of(lib.cell("INVX2").unwrap()), canonical, "{what}: the table");
+            assert_eq!(std::fs::read_to_string(&file).unwrap(), canonical, "{what}: rewritten");
+        }
+        assert!(matches!(
+            CharLibrary::cached_in(&dir, &["NOSUCHX1"]),
+            Err(CellError::UnknownCell { .. })
+        ));
+        assert!(!dir.join("NOSUCHX1.lib").exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn stored_cell_is_whole_or_absent() {
+        // Seeded cuts and bit flips, up to three deep, of a good file: the
+        // loader never panics, and what it returns is a whole cell under
+        // the asked name — every table at its grid's shape — or nothing.
+        let dir = scratch("fuzz");
+        let file = dir.join("INVX4.lib");
+        let canonical = liberty_of(&inv4());
+        let mut rng = pcv_rng::Rng::new(0x5eed);
+        let (mut whole, mut absent) = (0, 0);
+        for _ in 0..600 {
+            let mut bytes = canonical.as_bytes().to_vec();
+            for _ in 0..rng.range_usize(1, 4) {
+                if bytes.len() > 1 && rng.bool_with(0.3) {
+                    bytes.truncate(rng.range_usize(0, bytes.len()));
+                } else if !bytes.is_empty() {
+                    let at = rng.range_usize(0, bytes.len());
+                    bytes[at] ^= 1 << rng.range_usize(0, 8);
+                }
+            }
+            std::fs::write(&file, &bytes).unwrap();
+            match CharLibrary::stored(&file, "INVX4") {
+                Some(ch) => {
+                    whole += 1;
+                    assert_eq!(ch.name, "INVX4");
+                    let (ns, nl) = (ch.timing.slews.len(), ch.timing.loads.len());
+                    assert!(ns >= 2 && nl >= 2);
+                    let tables = [
+                        &ch.timing.delay_rise,
+                        &ch.timing.delay_fall,
+                        &ch.timing.slew_rise,
+                        &ch.timing.slew_fall,
+                    ];
+                    for m in tables {
+                        assert_eq!((m.nrows(), m.ncols()), (ns, nl));
+                    }
+                    let iv = &ch.iv;
+                    assert_eq!(
+                        (iv.current.nrows(), iv.current.ncols()),
+                        (iv.vin.len(), iv.vout.len())
+                    );
+                }
+                None => absent += 1,
+            }
+        }
+        assert!(whole > 0 && absent > 100, "both outcomes drilled: {whole} whole, {absent} absent");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -207,6 +207,14 @@ pub fn parse_liberty(text: &str) -> Result<CharLibrary, ParseLibertyError> {
             .collect()
     };
 
+    // A scalar attribute's value; none (`cin: ;`, a file cut there) is an error.
+    let parse_float = |s: &str, line: usize| -> Result<f64, ParseLibertyError> {
+        parse_floats(s, line)?
+            .first()
+            .copied()
+            .ok_or(ParseLibertyError { line, message: "missing number".into() })
+    };
+
     for (lineno, raw) in text.lines().enumerate() {
         let line = lineno + 1;
         let t = raw.trim();
@@ -272,11 +280,11 @@ pub fn parse_liberty(text: &str) -> Result<CharLibrary, ParseLibertyError> {
                 "kind" => {
                     c.kind = Some(kind_from(value).ok_or_else(|| err("unknown cell kind"))?);
                 }
-                "strength" => c.strength = Some(parse_floats(value, line)?[0]),
-                "cin" => c.cin = Some(parse_floats(value, line)?[0]),
-                "cout" => c.cout = Some(parse_floats(value, line)?[0]),
-                "rout_rise" => c.rout_rise = Some(parse_floats(value, line)?[0]),
-                "rout_fall" => c.rout_fall = Some(parse_floats(value, line)?[0]),
+                "strength" => c.strength = Some(parse_float(value, line)?),
+                "cin" => c.cin = Some(parse_float(value, line)?),
+                "cout" => c.cout = Some(parse_float(value, line)?),
+                "rout_rise" => c.rout_rise = Some(parse_float(value, line)?),
+                "rout_fall" => c.rout_fall = Some(parse_float(value, line)?),
                 "vin_delay_rise" => c.vin_delay_rise = parse_floats(value, line)?,
                 "vin_delay_fall" => c.vin_delay_fall = parse_floats(value, line)?,
                 "vin_stretch_rise" => c.vin_stretch_rise = parse_floats(value, line)?,
@@ -351,6 +359,20 @@ mod tests {
         let text = "library (x) {\n  cell (A) {\n    kind: inverter;\n  }\n}\n";
         let e = parse_liberty(text).unwrap_err();
         assert!(e.message.contains("cell A"), "{}", e.message);
+    }
+
+    #[test]
+    fn an_attribute_without_a_value_is_an_error_not_a_panic() {
+        // A file cut right after a colon used to index an empty list.
+        for attr in ["strength", "cin", "cout", "rout_rise", "rout_fall"] {
+            for text in [
+                format!("library (x) {{\n  cell (A) {{\n    {attr}:"),
+                format!("library (x) {{\n  cell (A) {{\n    {attr}: ;\n  }}\n}}\n"),
+            ] {
+                let e = parse_liberty(&text).unwrap_err();
+                assert_eq!((e.line, e.message.as_str()), (3, "missing number"), "{text}");
+            }
+        }
     }
 
     #[test]

@@ -18,8 +18,16 @@
 use crate::extract::{extract, WireGeom};
 use crate::tech::Technology;
 use pcv_cells::library::CellLibrary;
-use pcv_netlist::{Design, NetId, ParasiticDb};
+use pcv_netlist::{Design, NetId, PNetId, ParasiticDb};
 use pcv_rng::Rng;
+
+/// Every cell a generated block's drivers are drawn from — the set a flow
+/// pre-characterizes before auditing the block — in the generator's three
+/// runs: six inverter-like cells, four two-input gates, three bus drivers.
+pub const DRIVER_CELLS: [&str; 13] = [
+    "INVX2", "INVX4", "INVX8", "BUFX4", "BUFX8", "BUFX12", "NAND2X2", "NAND2X4", "NOR2X2",
+    "NOR2X4", "TBUFX4", "TBUFX8", "TBUFX16",
+];
 
 /// Configuration of the generated block.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,9 +76,10 @@ pub struct DspBlock {
 
 impl DspBlock {
     /// Nets that feed latch data pins — the victim population of the
-    /// paper's Figure 6/7 experiment.
-    pub fn latch_victims(&self) -> Vec<NetId> {
-        self.design.latch_input_nets()
+    /// paper's Figure 6/7 experiment — as ids of the parasitic view.
+    pub fn victims(&self) -> Vec<PNetId> {
+        let pnet = |d| self.parasitics.find_net(self.design.net_name(d)).expect("aligned views");
+        self.design.latch_input_nets().into_iter().map(pnet).collect()
     }
 }
 
@@ -147,9 +156,8 @@ pub fn generate(cfg: &DspConfig, tech: &Technology, lib: &CellLibrary) -> DspBlo
     // Primary inputs feeding the drivers (no parasitics of their own).
     let pi: Vec<NetId> = (0..8).map(|k| design.add_net(format!("pi{k}"))).collect();
 
-    let inv_like = ["INVX2", "INVX4", "INVX8", "BUFX4", "BUFX8", "BUFX12"];
-    let gate_like = ["NAND2X2", "NAND2X4", "NOR2X2", "NOR2X4"];
-    let tbufs = ["TBUFX4", "TBUFX8", "TBUFX16"];
+    let (inv_like, rest) = DRIVER_CELLS.split_at(6);
+    let (gate_like, tbufs) = rest.split_at(4);
     let pick = |rng: &mut Rng, list: &[&str]| -> String {
         list[rng.range_usize(0, list.len())].to_owned()
     };
@@ -160,7 +168,7 @@ pub fn generate(cfg: &DspConfig, tech: &Technology, lib: &CellLibrary) -> DspBlo
             // Bus design style: several tri-state drivers, one latch.
             let n_drv = rng.range_usize(2, 5);
             for d in 0..n_drv {
-                let cell = pick(&mut rng, &tbufs);
+                let cell = pick(&mut rng, tbufs);
                 let inp = pi[rng.range_usize(0, pi.len())];
                 design.add_instance(
                     format!("{}_drv{d}", plan.name),
@@ -172,8 +180,7 @@ pub fn generate(cfg: &DspConfig, tech: &Technology, lib: &CellLibrary) -> DspBlo
             }
         } else {
             let use_gate = rng.bool_with(0.3);
-            let cell =
-                if use_gate { pick(&mut rng, &gate_like) } else { pick(&mut rng, &inv_like) };
+            let cell = if use_gate { pick(&mut rng, gate_like) } else { pick(&mut rng, inv_like) };
             let n_inputs = lib.cell(&cell).map_or(1, |c| c.kind.num_inputs());
             let inputs: Vec<NetId> =
                 (0..n_inputs).map(|_| pi[rng.range_usize(0, pi.len())]).collect();
@@ -186,7 +193,7 @@ pub fn generate(cfg: &DspConfig, tech: &Technology, lib: &CellLibrary) -> DspBlo
         }
         let extra_loads = rng.range_usize(0, 3);
         for l in 0..extra_loads {
-            let cell = pick(&mut rng, &inv_like);
+            let cell = pick(&mut rng, inv_like);
             design.add_instance(format!("{}_ld{l}", plan.name), cell, vec![net], None, false);
         }
         // Switching window inside the cycle.
@@ -243,7 +250,7 @@ mod tests {
     #[test]
     fn latch_victims_exist() {
         let b = block();
-        let victims = b.latch_victims();
+        let victims = b.victims();
         assert!(victims.len() >= 16, "all bus bits plus some logic nets");
     }
 

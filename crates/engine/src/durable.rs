@@ -1,33 +1,25 @@
 //! The durability layer: write-ahead checkpoint journal, advisory run
 //! lock, and cooperative stop flag — everything that makes a sign-off run
-//! killable and resumable.
+//! killable and resumable. Their lifecycle within a run (when each file is
+//! opened, consulted, retired) is the record store's.
 //!
 //! # Journal
 //!
-//! While a run executes, every *freshly computed* cluster
-//! [record](crate::record) is appended to `<cache>.journal` as one
-//! CRC-framed JSON line (cache hits are not journaled — the cache file
-//! already holds them durably). A
-//! `SIGKILL` or power loss therefore loses at most the clusters that were
-//! in flight. A run requested with [`resume`](crate::RunRequest::resume)
-//! replays the journal: entries whose cluster fingerprint still matches the
-//! current netlist + configuration are adopted verbatim (exact `f64` bits,
-//! exact degradation trail), everything else is recomputed, and the merged
-//! report is byte-identical to an uninterrupted run.
-//!
-//! Record framing is `\<crc32 as 8 hex\> \<space\> \<json payload\>` per
-//! line; the CRC covers the payload bytes. The first record is a header
-//! carrying the config and chip-slice fingerprints; a resume against a
-//! journal whose header no longer matches silently discards it and runs
-//! fresh — a stale journal can cost recomputation, never correctness.
+//! `<cache>.journal` holds one CRC-framed JSON line per *freshly computed*
+//! cluster [record](crate::record) — `\<crc32 as 8 hex\> \<space\> \<json
+//! payload\>`, the CRC over the payload bytes — after a header line
+//! carrying the config and chip-slice fingerprints. A `SIGKILL` or power
+//! loss loses at most the clusters in flight; a
+//! [`resume`](crate::RunRequest::resume) against a journal whose header no
+//! longer matches runs fresh — a stale journal can cost recomputation,
+//! never correctness.
 //!
 //! # Lock
 //!
 //! [`RunLock`] is an advisory `<cache>.lock` file created with
-//! `O_CREAT|O_EXCL`, holding the owner's pid. A second run against the
-//! same cache directory gets a typed contention error instead of the two
-//! runs corrupting each other's journal and cache. Locks left behind by a
-//! dead process (pid no longer alive) are detected and broken.
+//! `O_CREAT|O_EXCL`, holding the owner's pid: a second run against the same
+//! cache path gets a typed contention error instead of the two corrupting
+//! each other's journal and cache. A lock left by a dead process is broken.
 //!
 //! # Stop
 //!
@@ -183,7 +175,7 @@ impl Journal {
 
     /// Continue appending to an existing journal (the resume path — the
     /// replayed records stay in place, new verdicts append after them).
-    pub fn append_to(fs: &Fs, path: &Path) -> Journal {
+    pub(crate) fn append_to(fs: &Fs, path: &Path) -> Journal {
         Journal { path: path.to_owned(), fs: fs.clone() }
     }
 
@@ -205,7 +197,7 @@ impl Journal {
     ///
     /// Propagates I/O failures; the append is all-or-torn-tail, and a torn
     /// tail is exactly what [`Journal::load`] tolerates.
-    pub fn record_all(&self, entries: &[JournalEntry]) -> io::Result<()> {
+    pub(crate) fn record_all(&self, entries: &[JournalEntry]) -> io::Result<()> {
         if entries.is_empty() {
             return Ok(());
         }
@@ -253,7 +245,7 @@ impl Journal {
     /// # Errors
     ///
     /// Propagates I/O failures other than the file already being gone.
-    pub fn discard(&self) -> io::Result<()> {
+    pub(crate) fn discard(&self) -> io::Result<()> {
         self.fs.remove(&self.path)
     }
 }

@@ -34,13 +34,12 @@
 //! matrix as any sign-off.
 
 use crate::engine::{Engine, EngineConfig, RunRequest};
-use crate::fingerprint::{cluster_fingerprint_in, config_hash, NetDigests};
+use crate::fingerprint::{pruned_fingerprint, NetDigests};
 use crate::report::EngineReport;
 use crate::resident::{ResidentChip, VerdictSnapshot};
 use pcv_netlist::eco::EcoDelta;
 use pcv_xtalk::dirty::blast_radius;
-use pcv_xtalk::prune::prune_victim_with_components;
-use pcv_xtalk::{AnalysisContext, XtalkError};
+use pcv_xtalk::XtalkError;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The planned scope of an incremental re-verification.
@@ -116,18 +115,11 @@ impl EcoPlan {
 /// configuration, keyed by net name.
 fn victim_fingerprints(
     cfg: &EngineConfig,
-    ctx: &AnalysisContext<'_>,
     chip: &ResidentChip,
     only: Option<&BTreeSet<String>>,
 ) -> BTreeMap<String, u64> {
-    let chash = config_hash(
-        ctx,
-        &cfg.prune,
-        &cfg.analysis,
-        cfg.warn_frac,
-        cfg.fail_frac,
-        cfg.check_receivers,
-    );
+    let ctx = &chip.ctx();
+    let chash = cfg.config_hash(ctx);
     let digests = NetDigests::new(ctx);
     let mut out = BTreeMap::new();
     for &vic in chip.victims() {
@@ -135,8 +127,9 @@ fn victim_fingerprints(
         if only.is_some_and(|set| !set.contains(name)) {
             continue;
         }
-        let cluster = prune_victim_with_components(ctx.db, vic, &cfg.prune, chip.component_sizes());
-        out.insert(name.to_owned(), cluster_fingerprint_in(ctx, &cluster, chash, &digests));
+        let (_, fp) =
+            pruned_fingerprint(ctx, vic, &cfg.prune, chip.component_sizes(), chash, &digests);
+        out.insert(name.to_owned(), fp);
     }
     out
 }
@@ -160,8 +153,6 @@ impl EcoPlan {
         let touched = delta.touched_nets();
         let radius = blast_radius(old.db(), new.db(), &touched);
 
-        let new_ctx = new.ctx();
-        let old_ctx = old.ctx();
         let old_victims: BTreeSet<&str> =
             old.victims().iter().map(|&v| old.db().net(v).name()).collect();
         let new_victims: BTreeSet<&str> =
@@ -188,8 +179,8 @@ impl EcoPlan {
             .collect();
         let candidate_set: BTreeSet<String> = candidates.iter().cloned().collect();
 
-        let new_fps = victim_fingerprints(cfg, &new_ctx, new, Some(&candidate_set));
-        let old_fps = victim_fingerprints(cfg, &old_ctx, old, Some(&candidate_set));
+        let new_fps = victim_fingerprints(cfg, new, Some(&candidate_set));
+        let old_fps = victim_fingerprints(cfg, old, Some(&candidate_set));
 
         let dirty: Vec<String> = candidates
             .iter()

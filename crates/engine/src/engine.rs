@@ -1,29 +1,25 @@
 //! The engine proper: shard victims into cluster jobs, run them on the
 //! work-stealing scheduler, and merge a deterministic report.
 
-use crate::cache::ResultCache;
-use crate::durable::{DurableConfig, Journal, LockError, RunLock};
+use crate::durable::DurableConfig;
 use crate::fault::Plan;
-use crate::fingerprint::{chip_slice_fingerprint, cluster_fingerprint_in, config_hash, NetDigests};
+use crate::fingerprint::{chip_slice_fingerprint, config_hash, pruned_fingerprint, NetDigests};
 use crate::record::JournalEntry;
 use crate::recovery::{route, Attempt, Degradation, FaultKind, RecoveryRung, Trail};
 use crate::report::{ClusterCost, EngineError, EngineReport, EngineStats};
 use crate::resident::{ResidentChip, VerdictSnapshot};
 use crate::scheduler;
-use pcv_cells::library::{Cell, CellKind};
+use crate::store::{RunStore, Source};
 use pcv_mor::MorError;
 use pcv_netlist::PNetId;
 use pcv_obs::{EngineEvent, EventSink, RunRecord};
 use pcv_xtalk::drivers::DriverModelKind;
-use pcv_xtalk::prune::{
-    coupling_component_sizes, prune_victim_with_components, Cluster, PruneConfig, PruningStats,
-};
+use pcv_xtalk::prune::{coupling_component_sizes, Cluster, PruneConfig};
 use pcv_xtalk::{
     check_receiver_propagation, AnalysisContext, AnalysisOptions, ChipReport, EngineKind,
     NetVerdict, PreparedCluster, ReceiverVerdict, Severity, XtalkError,
 };
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -65,6 +61,22 @@ pub struct EngineConfig {
     /// through. The checkpoint journal and the run lock are not knobs:
     /// both are on whenever `cache_path` is set.
     pub durable: DurableConfig,
+}
+
+impl EngineConfig {
+    /// [`config_hash`] of this configuration over `ctx`: the hash every
+    /// process that takes part in a run — batch, daemon, ECO planner, shard
+    /// coordinator and worker — mixes into its cluster fingerprints.
+    pub fn config_hash(&self, ctx: &AnalysisContext<'_>) -> u64 {
+        config_hash(
+            ctx,
+            &self.prune,
+            &self.analysis,
+            self.warn_frac,
+            self.fail_frac,
+            self.check_receivers,
+        )
+    }
 }
 
 impl std::fmt::Debug for EngineConfig {
@@ -158,22 +170,12 @@ impl<'a> RunRequest<'a> {
     }
 }
 
-/// Where a cluster job's record came from.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Source {
-    /// Analyzed in this run.
-    Fresh,
-    /// Adopted from the checkpoint journal (resume path).
-    Journal,
-    /// Adopted from the incremental cache.
-    Cache,
-}
-
 /// Outcome of one completed cluster job.
 struct JobOk {
     verdict: NetVerdict,
     cluster: Cluster,
-    source: Source,
+    /// Where the record was adopted from; `None` when this run analyzed it.
+    source: Option<Source>,
     /// The record behind the verdict, for the end-of-run cache save —
     /// `None` when the cache is where it came from.
     record: Option<JournalEntry>,
@@ -263,6 +265,100 @@ fn inject(kind: FaultKind, name: &str, opts: &mut AnalysisOptions) -> Result<(),
     }
 }
 
+/// What the merge of a run's job results yields: the report's parts, the
+/// records to fold into the cache, and [`EngineStats`]' counts and sums.
+struct Merged {
+    chip: ChipReport,
+    costs: Vec<ClusterCost>,
+    errors: Vec<EngineError>,
+    degradations: Vec<Degradation>,
+    fresh: Vec<JournalEntry>,
+    stats: EngineStats,
+}
+
+/// Deterministic merge: collect the job results in input order, then sort
+/// as the serial flow does ([`ChipReport::from_verdicts`]), so the merged
+/// report is independent of scheduling.
+fn merge(
+    ctx: &AnalysisContext<'_>,
+    victims: &[PNetId],
+    results: Vec<Result<Option<JobOk>, String>>,
+    warn_frac: f64,
+    fail_frac: f64,
+) -> Merged {
+    let _span = pcv_trace::span("engine", "merge");
+    let mut verdicts = Vec::with_capacity(victims.len());
+    let mut clusters = Vec::with_capacity(victims.len());
+    let mut costs: Vec<ClusterCost> = Vec::with_capacity(victims.len());
+    let mut errors = Vec::new();
+    let mut degradations: Vec<Degradation> = Vec::new();
+    let mut fresh: Vec<JournalEntry> = Vec::new();
+    let mut stats = EngineStats { victims: victims.len(), ..EngineStats::default() };
+    for (i, result) in results.into_iter().enumerate() {
+        let ok = match result {
+            Ok(Some(ok)) => ok,
+            Ok(None) => {
+                // Skipped after a stop request: no verdict, no error —
+                // the cluster is simply left for the resume run.
+                stats.skipped += 1;
+                continue;
+            }
+            // Analysis failures and panics end in the ladder; only a
+            // panic outside its per-attempt isolation (pruning, say)
+            // lands here, and it is the one way a victim goes without
+            // a verdict.
+            Err(panic) => {
+                errors.push(EngineError {
+                    net: victims[i],
+                    name: ctx.db.net(victims[i]).name().to_owned(),
+                    stage: "baseline".to_owned(),
+                    message: format!("job panicked: {panic}"),
+                });
+                continue;
+            }
+        };
+        match ok.source {
+            Some(Source::Journal) => stats.journal_hits += 1,
+            Some(Source::Cache) => stats.cache_hits += 1,
+            None => stats.cache_misses += 1,
+        }
+        fresh.extend(ok.record);
+        stats.prune_time += ok.prune;
+        stats.analysis_time += ok.analysis;
+        stats.receiver_time += ok.receiver;
+        if let Some(d) = ok.degradation {
+            // A worst-cased cluster also surfaces as a structured error
+            // record: the last attempt names the stage and reason the
+            // analysis gave up on.
+            if d.recovered == RecoveryRung::WorstCase {
+                let (stage, message) = match d.attempts.last() {
+                    Some(a) => (a.rung.name().to_owned(), a.reason.clone()),
+                    None => ("baseline".to_owned(), "no attempt recorded".to_owned()),
+                };
+                errors.push(EngineError { net: d.net, name: d.name.clone(), stage, message });
+            }
+            stats.recovery_time += d.recovery_time();
+            degradations.push(d);
+        }
+        costs.push(ClusterCost {
+            net: ok.verdict.net,
+            name: ok.verdict.name.clone(),
+            cluster_size: ok.verdict.cluster_size,
+            cached: ok.source == Some(Source::Cache),
+            prune: ok.prune,
+            analysis: ok.analysis,
+            receiver: ok.receiver,
+        });
+        verdicts.push(ok.verdict);
+        clusters.push(ok.cluster);
+    }
+    stats.degraded = degradations.len();
+    // Most expensive first; the stable sort keeps ties in input order.
+    costs.sort_by_key(|c| std::cmp::Reverse(c.total()));
+    let chip = ChipReport::from_verdicts(verdicts, &clusters, warn_frac, fail_frac);
+    Merged { chip, costs, errors, degradations, fresh, stats }
+}
+
 impl Engine {
     /// Engine with the given configuration.
     pub fn new(config: EngineConfig) -> Self {
@@ -336,20 +432,16 @@ impl Engine {
                 what: "warning threshold must not exceed failure",
             });
         }
-        if cfg.check_receivers && (ctx.design.is_none() || ctx.lib.is_none()) {
-            return Err(XtalkError::InvalidConfig {
-                what: "receiver checks need design and library data",
-            });
+        if cfg.check_receivers {
+            ctx.receiver_views()?;
         }
         // Bridge spans to the allocation counters when the instrumented
         // allocator is installed (idempotent no-op otherwise).
         pcv_obs::mem::install_trace_probe();
         let session = if cfg.trace { Some(pcv_trace::TraceSession::start()) } else { None };
         let start = Instant::now();
-        let workers = match cfg.workers {
-            0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-            n => n,
-        };
+        let host_parallelism = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+        let workers = if cfg.workers == 0 { host_parallelism } else { cfg.workers };
         // Lifecycle events are strictly observational: they carry
         // wall-clock data and never feed back into the report, so the
         // emit sites below must stay out of anything deterministic.
@@ -361,96 +453,23 @@ impl Engine {
         };
         emit(EngineEvent::RunStarted { victims: victims.len(), workers });
 
-        let chash = config_hash(
-            ctx,
-            &cfg.prune,
-            &cfg.analysis,
-            cfg.warn_frac,
-            cfg.fail_frac,
-            cfg.check_receivers,
-        );
+        // Open the record store: run lock, cache, and the checkpoint journal
+        // (on resume, the one a run of this config + chip slice left).
+        let chash = cfg.config_hash(ctx);
         let chip_fp = chip_slice_fingerprint(ctx, victims);
-        let fs = cfg.durable.fs.clone();
-
-        // Advisory run lock: two concurrent runs over one cache directory
-        // would interleave journal appends and race the cache replace.
-        // Held (RAII) until this function returns.
-        let _lock = match cfg.cache_path.as_deref() {
-            Some(path) => match RunLock::acquire(&RunLock::path_for(path), chash) {
-                Ok(lock) => Some(lock),
-                Err(LockError::Held { pid }) => {
-                    return Err(XtalkError::Busy {
-                        path: RunLock::path_for(path).display().to_string(),
-                        pid,
-                    });
-                }
-                // Advisory locking is best-effort: an unusable lock
-                // file must not block verification.
-                Err(LockError::Io(_)) => None,
-            },
-            None => None,
-        };
-
-        let cache = {
-            let _span = pcv_trace::span("engine", "cache_load");
-            match cfg.cache_path.as_deref() {
-                Some(path) => ResultCache::load_with(&fs, path).0,
-                None => ResultCache::new(),
-            }
-        };
-
-        // Checkpoint journal: on resume, adopt whatever a previous run of
-        // the same config + chip slice checkpointed; otherwise (or when
-        // the header is stale) start fresh. All best-effort — a run whose
-        // journal cannot be written is still correct, just not resumable.
-        let mut replay: HashMap<String, JournalEntry> = HashMap::new();
-        let journal_handle: Option<Journal> = match cfg.cache_path.as_deref() {
-            Some(path) => {
-                let jpath = Journal::path_for(path);
-                let mut resumed = false;
-                if resume {
-                    let load = Journal::load(&fs, &jpath);
-                    if load.header == Some((chash, chip_fp)) {
-                        for e in load.entries {
-                            replay.insert(e.name.clone(), e);
-                        }
-                        resumed = true;
-                    }
-                }
-                if resumed {
-                    emit(EngineEvent::RunResumed { replayable: replay.len() });
-                    Some(Journal::append_to(&fs, &jpath))
-                } else {
-                    Journal::begin(&fs, &jpath, chash, chip_fp).ok()
-                }
-            }
-            None => None,
-        };
-        let journal = journal_handle.as_ref();
-        // Serialize checkpoint appends across worker threads so records
-        // can never interleave mid-line.
-        let journal_mutex = std::sync::Mutex::new(());
-        let checkpoint = |record: &JournalEntry| {
-            if let Some(j) = journal {
-                let _guard =
-                    journal_mutex.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                // Best-effort: a failed append costs resume coverage for
-                // this cluster, nothing else.
-                let _ = j.record(record);
-            }
-        };
+        let mut store =
+            RunStore::open(&cfg.durable.fs, cfg.cache_path.as_deref(), chash, chip_fp, resume)?;
+        if let Some(replayable) = store.replayable() {
+            emit(EngineEvent::RunResumed { replayable });
+        }
 
         let stop = cfg.durable.stop.as_ref();
 
         // One union-find for the whole run instead of one per victim —
         // or zero, when a ResidentChip already paid for it at elaboration.
-        let computed_components;
-        let component_sizes: &[usize] = match components {
-            Some(sizes) => sizes,
-            None => {
-                computed_components = coupling_component_sizes(ctx.db);
-                &computed_components
-            }
+        let component_sizes: Cow<'_, [usize]> = match components {
+            Some(sizes) => Cow::Borrowed(sizes),
+            None => Cow::Owned(coupling_component_sizes(ctx.db)),
         };
 
         if sink.is_some() {
@@ -479,250 +498,114 @@ impl Engine {
             let job_start = Instant::now();
             emit(EngineEvent::ClusterStarted { name: name.to_owned() });
             let t = Instant::now();
-            let cluster = prune_victim_with_components(ctx.db, vic, &cfg.prune, component_sizes);
+            let (cluster, fp) =
+                pruned_fingerprint(ctx, vic, &cfg.prune, &component_sizes, chash, &digests);
             let prune = t.elapsed();
 
-            let fp = cluster_fingerprint_in(ctx, &cluster, chash, &digests);
-            // Adopt a stored record when its fingerprint still matches the
-            // cluster we just pruned — exact f64 bits, exact degradation
-            // trail, so the merged report cannot drift. The journal of an
-            // interrupted run (resume path) is asked before the cache.
-            let stored = if let Some(e) = replay.get(name).filter(|e| e.fingerprint == fp) {
-                pcv_trace::count("engine.journal.replays", 1);
-                emit(EngineEvent::ClusterReplayed { name: name.to_owned() });
-                Some((e, Source::Journal))
-            } else if let Some(e) = cache.lookup(name, fp) {
-                pcv_trace::count("engine.cache.hits", 1);
-                emit(EngineEvent::CacheHit { name: name.to_owned() });
-                Some((e, Source::Cache))
-            } else {
-                None
-            };
-            let (record, source, analysis, receiver) = match stored {
-                Some((e, source)) => (Cow::Borrowed(e), source, Duration::ZERO, Duration::ZERO),
+            let stored = store.adopt(name, fp);
+            let source = stored.map(|(_, source)| source);
+            let (record, analysis, receiver) = match stored {
+                Some((e, Source::Journal)) => {
+                    pcv_trace::count("engine.journal.replays", 1);
+                    emit(EngineEvent::ClusterReplayed { name: name.to_owned() });
+                    (Cow::Borrowed(e), Duration::ZERO, Duration::ZERO)
+                }
+                Some((e, Source::Cache)) => {
+                    pcv_trace::count("engine.cache.hits", 1);
+                    emit(EngineEvent::CacheHit { name: name.to_owned() });
+                    (Cow::Borrowed(e), Duration::ZERO, Duration::ZERO)
+                }
                 None => {
                     pcv_trace::count("engine.cache.misses", 1);
                     emit(EngineEvent::CacheMiss { name: name.to_owned() });
                     let (fresh, analysis, receiver) =
                         self.walk_ladder(ctx, &cluster, name, fp, &emit);
-                    checkpoint(&fresh);
-                    (Cow::Owned(fresh), Source::Fresh, analysis, receiver)
+                    store.checkpoint(&fresh);
+                    (Cow::Owned(fresh), analysis, receiver)
                 }
             };
             let (verdict, degradation) =
                 record.verdict(vic, &cluster, cfg.analysis.vdd, cfg.warn_frac, cfg.fail_frac);
             emit(EngineEvent::ClusterFinished {
                 name: name.to_owned(),
-                cached: source == Source::Cache,
+                cached: source == Some(Source::Cache),
                 elapsed: job_start.elapsed(),
             });
             // Replayed records flow into the cache save at the end of this
             // run too: the interrupted run never saved them.
-            let record = (source != Source::Cache).then(|| record.into_owned());
+            let record = (source != Some(Source::Cache)).then(|| record.into_owned());
+            // Mid-run read side: the verdict is published the moment its job
+            // is done, before the merge — readers polling a resident run see
+            // partial results grow monotonically.
+            if let Some(snap) = snapshot {
+                snap.insert(verdict.clone());
+            }
             Some(JobOk { verdict, cluster, source, record, degradation, prune, analysis, receiver })
         };
+        let (results, run_stats) = scheduler::run_with_idle(workers, victims.len(), job, |w| {
+            emit(EngineEvent::WorkerIdle { worker: w })
+        });
 
-        // Mid-run read side: each completed verdict is published into the
-        // snapshot the moment its job returns, before the merge — readers
-        // polling a resident run see partial results grow monotonically.
-        let observed_job = |i: usize| {
-            let outcome = job(i);
-            if let (Some(snap), Some(ok)) = (snapshot, &outcome) {
-                snap.insert(ok.verdict.clone());
-            }
-            outcome
-        };
-        let (results, run_stats) =
-            scheduler::run_with_idle(workers, victims.len(), observed_job, |w| {
-                emit(EngineEvent::WorkerIdle { worker: w })
-            });
-
-        // Deterministic merge: collect in input order, then apply the exact
-        // stable sort the serial flow uses. Stability makes ties keep input
-        // order, so the merged report is independent of scheduling.
-        let merge_span = pcv_trace::span("engine", "merge");
-        let mut verdicts = Vec::with_capacity(victims.len());
-        let mut clusters = Vec::with_capacity(victims.len());
-        let mut costs: Vec<ClusterCost> = Vec::with_capacity(victims.len());
-        let mut errors = Vec::new();
-        let mut degradations: Vec<Degradation> = Vec::new();
-        let mut fresh: Vec<JournalEntry> = Vec::new();
-        let (mut hits, mut misses) = (0usize, 0usize);
-        let (mut journal_hits, mut skipped) = (0usize, 0usize);
-        let (mut prune_total, mut analysis_total, mut receiver_total) =
-            (Duration::ZERO, Duration::ZERO, Duration::ZERO);
-        for (i, result) in results.into_iter().enumerate() {
-            let ok = match result {
-                Ok(Some(ok)) => ok,
-                Ok(None) => {
-                    // Skipped after a stop request: no verdict, no error —
-                    // the cluster is simply left for the resume run.
-                    skipped += 1;
-                    continue;
-                }
-                // Analysis failures and panics end in the ladder; only a
-                // panic outside its per-attempt isolation (pruning, say)
-                // lands here, and it is the one way a victim goes without
-                // a verdict.
-                Err(panic) => {
-                    errors.push(EngineError {
-                        net: victims[i],
-                        name: ctx.db.net(victims[i]).name().to_owned(),
-                        stage: "baseline".to_owned(),
-                        message: format!("job panicked: {panic}"),
-                    });
-                    continue;
-                }
-            };
-            match ok.source {
-                Source::Journal => journal_hits += 1,
-                Source::Cache => hits += 1,
-                Source::Fresh => misses += 1,
-            }
-            fresh.extend(ok.record);
-            prune_total += ok.prune;
-            analysis_total += ok.analysis;
-            receiver_total += ok.receiver;
-            if let Some(d) = ok.degradation {
-                // A worst-cased cluster also surfaces as a structured error
-                // record: the last attempt names the stage and reason the
-                // analysis gave up on.
-                if d.recovered == RecoveryRung::WorstCase {
-                    let (stage, message) = match d.attempts.last() {
-                        Some(a) => (a.rung.name().to_owned(), a.reason.clone()),
-                        None => ("baseline".to_owned(), "no attempt recorded".to_owned()),
-                    };
-                    errors.push(EngineError { net: d.net, name: d.name.clone(), stage, message });
-                }
-                degradations.push(d);
-            }
-            costs.push(ClusterCost {
-                net: ok.verdict.net,
-                name: ok.verdict.name.clone(),
-                cluster_size: ok.verdict.cluster_size,
-                cached: ok.source == Source::Cache,
-                prune: ok.prune,
-                analysis: ok.analysis,
-                receiver: ok.receiver,
-            });
-            verdicts.push(ok.verdict);
-            clusters.push(ok.cluster);
-        }
-        verdicts.sort_by(|a, b| b.worst_frac.partial_cmp(&a.worst_frac).expect("finite fractions"));
-        // Most expensive first; the stable sort keeps ties in input order.
-        costs.sort_by_key(|c| std::cmp::Reverse(c.total()));
-        drop(merge_span);
+        let Merged { chip, costs, errors, degradations, fresh, mut stats } =
+            merge(ctx, victims, results, cfg.warn_frac, cfg.fail_frac);
+        stats.workers = workers;
+        stats.worker_busy = run_stats.worker_busy;
+        stats.steals = run_stats.steals;
 
         let interrupted = stop.is_some_and(|s| s.is_stopped());
         if interrupted {
+            let skipped = stats.skipped;
             emit(EngineEvent::RunStopped { completed: victims.len() - skipped, skipped });
         }
 
-        let mut cache_saved = false;
-        if let Some(path) = cfg.cache_path.as_deref() {
-            let _span = pcv_trace::span("engine", "cache_save");
-            let mut updated = cache;
-            for record in fresh {
-                updated.insert(record);
-            }
-            // Best-effort: a failed save only costs future cache hits.
-            cache_saved = updated.save_with(&fs, path).is_ok();
-        }
-        // The journal has served its purpose only once every checkpointed
-        // verdict is durably in the cache *and* the run completed; an
-        // interrupted or save-failed run keeps it for the next resume.
-        if cache_saved && !interrupted {
-            if let Some(j) = journal {
-                let _ = j.discard();
-            }
-        }
-
-        let recovery_total: Duration = degradations.iter().map(|d| d.recovery_time()).sum();
-        let mem = pcv_obs::mem::snapshot().unwrap_or_default();
-        let mut stats = EngineStats {
-            workers,
-            victims: victims.len(),
-            cache_hits: hits,
-            cache_misses: misses,
-            journal_hits,
-            skipped,
-            degraded: degradations.len(),
-            prune_time: prune_total,
-            analysis_time: analysis_total,
-            receiver_time: receiver_total,
-            recovery_time: recovery_total,
-            wall_time: start.elapsed(),
-            worker_busy: run_stats.worker_busy,
-            steals: run_stats.steals,
-            peak_alloc_bytes: mem.peak_bytes,
-            allocs: mem.allocs,
-            events_dropped: 0,
-        };
-        emit(EngineEvent::RunFinished {
-            victims: victims.len(),
-            wall: stats.wall_time,
-            cache_hits: hits,
-            degraded: degradations.len(),
-        });
-        // Read the sink's shed counter only after the final event fired,
-        // so a drop of RunFinished itself is still accounted for.
-        stats.events_dropped = sink.map(|s| s.dropped()).unwrap_or(0);
-        // One `RunRecord` line per run in the JSONL ledger next to the cache
-        // (`<cache>.ledger.jsonl`): best-effort, observational only.
-        if let Some(path) = cfg.cache_path.as_deref() {
-            let record = RunRecord {
+        // Close. The ledger's record is taken after the cache save, so the
+        // wall time (and the heap peak) of the run cover it.
+        store.close(fresh, interrupted, || {
+            let mem = pcv_obs::mem::snapshot().unwrap_or_default();
+            stats.peak_alloc_bytes = mem.peak_bytes;
+            stats.allocs = mem.allocs;
+            stats.wall_time = start.elapsed();
+            emit(EngineEvent::RunFinished {
+                victims: victims.len(),
+                wall: stats.wall_time,
+                cache_hits: stats.cache_hits,
+                degraded: stats.degraded,
+            });
+            // Read the sink's shed counter only after the final event
+            // fired, so a drop of RunFinished itself is still accounted for.
+            stats.events_dropped = sink.map(|s| s.dropped()).unwrap_or(0);
+            let ms = |d: Duration| d.as_secs_f64() * 1e3;
+            RunRecord {
                 config_fingerprint: chash,
                 chip_fingerprint: chip_fp,
                 outcome: if interrupted { "stopped".to_owned() } else { "complete".to_owned() },
-                journal_hits,
-                skipped,
+                journal_hits: stats.journal_hits,
+                skipped: stats.skipped,
                 victims: victims.len(),
                 workers,
-                host_parallelism: std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1),
-                cache_hits: hits,
-                cache_misses: misses,
-                degraded: degradations.len(),
+                host_parallelism,
+                cache_hits: stats.cache_hits,
+                cache_misses: stats.cache_misses,
+                degraded: stats.degraded,
                 errors: errors.len(),
                 steals: stats.steals,
-                wall_ms: stats.wall_time.as_secs_f64() * 1e3,
-                prune_ms: prune_total.as_secs_f64() * 1e3,
-                analysis_ms: analysis_total.as_secs_f64() * 1e3,
-                receiver_ms: receiver_total.as_secs_f64() * 1e3,
-                recovery_ms: recovery_total.as_secs_f64() * 1e3,
+                wall_ms: ms(stats.wall_time),
+                prune_ms: ms(stats.prune_time),
+                analysis_ms: ms(stats.analysis_time),
+                receiver_ms: ms(stats.receiver_time),
+                recovery_ms: ms(stats.recovery_time),
                 peak_alloc_bytes: mem.peak_bytes,
                 allocs: mem.allocs,
-            };
-            let mut os = path.as_os_str().to_owned();
-            os.push(".ledger.jsonl");
-            // Best-effort, like the cache save: a failed append only
-            // costs trajectory history. Durable (fsync'd) so the
-            // "stopped, resumable" marker survives the kill that
-            // usually follows it.
-            let line = format!("{}\n", record.to_json());
-            let _ = fs.append_durable(std::path::Path::new(&os), line.as_bytes());
-        }
+            }
+        });
         let trace = session.map(|s| s.finish());
-        let report = EngineReport {
-            chip: ChipReport {
-                verdicts,
-                pruning: PruningStats::compute(&clusters),
-                warn_frac: cfg.warn_frac,
-                fail_frac: cfg.fail_frac,
-            },
-            errors,
-            degradations,
-            stats,
-            clusters: costs,
-            trace,
-            interrupted,
-        };
+        let report =
+            EngineReport { chip, errors, degradations, stats, clusters: costs, trace, interrupted };
         // Traced runs with a cache location drop their artifacts next to
         // the cache file (best-effort, like the cache save itself).
         if report.trace.is_some() {
             if let Some(path) = cfg.cache_path.as_deref() {
-                let _ = report.write_profile_with(&fs, path);
+                let _ = report.write_profile_with(&cfg.durable.fs, path);
             }
         }
         Ok(report)
@@ -764,7 +647,7 @@ impl Engine {
         let mut receiver_time = Duration::ZERO;
         let receiver = if cfg.check_receivers && severity >= Severity::Warning {
             let t = Instant::now();
-            let cell = receiver_cell(ctx, name)?;
+            let cell = ctx.receiver_cell(name)?;
             let rising = rise.abs() >= fall.abs();
             // The worse-polarity waveform is already in hand (the analysis
             // is deterministic, so re-running it as the serial audit does
@@ -867,26 +750,6 @@ impl Engine {
             }
         }
     }
-}
-
-/// The receiving cell the in-job receiver check replays a glitch into — the
-/// serial [`pcv_xtalk::audit_receivers`] pick: the victim's first non-latch
-/// load, else the latch input-stage-equivalent inverter.
-fn receiver_cell<'a>(ctx: &AnalysisContext<'a>, name: &str) -> Result<&'a Cell, XtalkError> {
-    let (Some(design), Some(lib)) = (ctx.design, ctx.lib) else {
-        return Err(XtalkError::InvalidConfig {
-            what: "receiver checks need design and library data",
-        });
-    };
-    let dnet =
-        design.find_net(name).ok_or_else(|| XtalkError::NoDriver { net: name.to_owned() })?;
-    design
-        .loads_of(dnet)
-        .iter()
-        .filter_map(|&(inst, _)| lib.cell(&design.instance(inst).cell))
-        .find(|c| c.kind != CellKind::Latch)
-        .or_else(|| lib.cell("INVX1"))
-        .ok_or(XtalkError::InvalidConfig { what: "no receiver cell available" })
 }
 
 #[cfg(test)]

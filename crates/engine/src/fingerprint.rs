@@ -28,7 +28,7 @@
 //! cache warm even when the netlist file shuffles.
 
 use pcv_netlist::PNetId;
-use pcv_xtalk::prune::Cluster;
+use pcv_xtalk::prune::{prune_victim_with_components, Cluster, PruneConfig};
 use pcv_xtalk::AnalysisContext;
 use std::sync::OnceLock;
 
@@ -102,7 +102,7 @@ impl Fnv1a {
 /// under different options never collide.
 pub fn config_hash(
     ctx: &AnalysisContext<'_>,
-    prune: &pcv_xtalk::PruneConfig,
+    prune: &PruneConfig,
     opts: &pcv_xtalk::AnalysisOptions,
     warn_frac: f64,
     fail_frac: f64,
@@ -263,7 +263,7 @@ fn net_section_digest(ctx: &AnalysisContext<'_>, m: PNetId) -> u64 {
 
 /// Fingerprint one pruned cluster under a given configuration hash,
 /// taking each member's section digest from (or into) `memo`.
-pub(crate) fn cluster_fingerprint_in(
+fn cluster_fingerprint_in(
     ctx: &AnalysisContext<'_>,
     cluster: &Cluster,
     config: u64,
@@ -284,6 +284,21 @@ pub(crate) fn cluster_fingerprint_in(
         h.write_u64(memo.get(ctx, m));
     }
     h.finish()
+}
+
+/// Prune `victim` and fingerprint what is left — the key of its stored
+/// record, computed alike by a run, an ECO plan and a shard harvest.
+pub(crate) fn pruned_fingerprint(
+    ctx: &AnalysisContext<'_>,
+    victim: PNetId,
+    prune: &PruneConfig,
+    component_sizes: &[usize],
+    config: u64,
+    memo: &NetDigests,
+) -> (Cluster, u64) {
+    let cluster = prune_victim_with_components(ctx.db, victim, prune, component_sizes);
+    let fp = cluster_fingerprint_in(ctx, &cluster, config, memo);
+    (cluster, fp)
 }
 
 /// Fingerprint one pruned cluster under a given configuration hash: the

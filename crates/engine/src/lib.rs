@@ -96,6 +96,7 @@ pub mod report;
 pub mod resident;
 pub mod scheduler;
 pub mod shard;
+mod store;
 
 pub use cache::{CacheLoadStats, ResultCache};
 pub use durable::{DurableConfig, Journal, JournalLoad, LockError, RunLock, StopAfter, StopFlag};

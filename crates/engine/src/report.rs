@@ -326,22 +326,11 @@ impl EngineReport {
         out
     }
 
-    /// Write the run's artifacts next to `stem`: `<stem>.profile.json`
-    /// (always) and `<stem>.trace.json` (Chrome trace format, when the run
-    /// was traced). Returns the paths written.
-    /// [`EngineReport::write_profile_with`] on the real filesystem.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures.
-    pub fn write_profile(&self, stem: &Path) -> std::io::Result<Vec<PathBuf>> {
-        self.write_profile_with(&crate::fs::Fs::real(), stem)
-    }
-
-    /// [`EngineReport::write_profile`] through an explicit
-    /// [`Fs`](crate::fs::Fs) handle: both artifacts are written atomically
-    /// (write-temp + fsync + rename), so a crash mid-export can never
-    /// leave a torn JSON document behind.
+    /// Write the run's artifacts next to `stem` through `fs`:
+    /// `<stem>.profile.json` (always) and `<stem>.trace.json` (Chrome trace
+    /// format, when the run was traced), each atomically (write-temp +
+    /// fsync + rename), so a crash mid-export can never leave a torn JSON
+    /// document behind. Returns the paths written.
     ///
     /// # Errors
     ///

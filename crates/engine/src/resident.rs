@@ -19,6 +19,9 @@
 
 use pcv_cells::charlib::CharLibrary;
 use pcv_cells::library::CellLibrary;
+use pcv_cells::CellError;
+use pcv_designs::dsp::{generate, DspConfig, DRIVER_CELLS};
+use pcv_designs::Technology;
 use pcv_netlist::{Design, PNetId, ParasiticDb};
 use pcv_xtalk::drivers::DriverModelKind;
 use pcv_xtalk::prune::coupling_component_sizes;
@@ -80,6 +83,28 @@ impl ResidentChip {
             victims,
             component_sizes,
         }
+    }
+
+    /// Elaborate the DSP-like block `config` generates, audited on its
+    /// latch-input victims with the nonlinear cell model — the chip of the
+    /// batch sign-off, of a served DSP session and of its shard workers.
+    ///
+    /// # Errors
+    ///
+    /// A failure of the one-time characterization ([`CharLibrary::cached`]).
+    pub fn dsp(config: &DspConfig) -> Result<Self, CellError> {
+        let lib = CellLibrary::standard_025();
+        let block = generate(config, &Technology::c025(), &lib);
+        let charlib = CharLibrary::cached(&DRIVER_CELLS)?;
+        let victims = block.victims();
+        Ok(Self::with_design(
+            block.parasitics,
+            block.design,
+            lib,
+            charlib,
+            DriverModelKind::Nonlinear,
+            victims,
+        ))
     }
 
     /// A borrowed analysis context over the resident data — the same

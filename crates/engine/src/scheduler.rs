@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Scheduler-level statistics for one [`run`].
+/// Scheduler-level statistics for one [`run_with_idle`].
 #[derive(Debug, Clone, Default)]
 pub struct RunStats {
     /// Jobs a worker stole from a sibling's deque.
@@ -38,28 +38,20 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Run jobs `0..n_jobs` across `workers` threads, stealing work between
-/// them, and return each job's result in job order.
+/// them, and return each job's result in job order: `Ok` holds the job's
+/// return value, `Err` the panic message if the job panicked. The job
+/// function receives the job index.
 ///
-/// `Ok` holds the job's return value; `Err` holds the panic message if the
-/// job panicked. The job function receives the job index.
+/// `on_idle(worker)` fires once per worker the moment it finds no job in
+/// its own deque and nothing left to steal — i.e. when it goes idle for
+/// good. Observability hooks (progress sinks) use this to report tail-end
+/// worker starvation; the callback runs on the worker thread and must not
+/// panic.
 ///
 /// # Panics
 ///
 /// Panics if `workers == 0` or a worker thread itself dies outside a job
 /// (both are scheduler bugs, not job faults).
-pub fn run<T, F>(workers: usize, n_jobs: usize, job: F) -> (Vec<Result<T, String>>, RunStats)
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    run_with_idle(workers, n_jobs, job, |_| {})
-}
-
-/// [`run`], plus an idle callback: `on_idle(worker)` fires once per worker
-/// the moment it finds no job in its own deque and nothing left to steal —
-/// i.e. when it goes idle for good. Observability hooks (progress sinks)
-/// use this to report tail-end worker starvation; the callback runs on the
-/// worker thread and must not panic.
 pub fn run_with_idle<T, F, I>(
     workers: usize,
     n_jobs: usize,
@@ -157,6 +149,14 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn run<T: Send>(
+        workers: usize,
+        n_jobs: usize,
+        job: impl Fn(usize) -> T + Sync,
+    ) -> (Vec<Result<T, String>>, RunStats) {
+        run_with_idle(workers, n_jobs, job, |_| {})
+    }
 
     #[test]
     fn results_come_back_in_job_order() {

@@ -8,15 +8,12 @@
 //! chip-order relative positions, which keeps per-shard journals and caches
 //! replayable.
 //!
-//! The module also carries the coordinator's merge primitives: a shard
-//! that finished delivers verdicts through its result cache; a shard that
-//! died mid-run leaves a journal remnant; a shard that exhausted its
-//! restart budget contributes synthesized conservative
-//! [`RecoveryRung::WorstCase`] entries (never a hole in the report). The
-//! coordinator folds all three into one merged journal under its own
-//! header and replays it through the ordinary resume path — byte-identity
-//! with a single-process run is inherited from the resume proof, not
-//! re-argued here.
+//! The module also carries the coordinator's merge primitives: harvest a
+//! shard's cache and journal remnant ([`harvest_shard`], filling a shard
+//! that exhausted its restart budget with conservative
+//! [`RecoveryRung::WorstCase`] entries — never a hole in the report), and
+//! fold the harvests into one merged journal ([`write_merged_journal`])
+//! that the ordinary resume path replays.
 //!
 //! [`ShardFault`] is the chaos layer's payload: deterministic worker-side
 //! drills (panic, stall) and coordinator-side drills (SIGKILL at a
@@ -24,16 +21,14 @@
 //! [`Plan`](crate::fault::Plan), so every failure mode the supervisor
 //! claims to survive is a repeatable test, not an anecdote.
 
-use crate::cache::ResultCache;
 use crate::durable::Journal;
-use crate::fingerprint::{cluster_fingerprint_in, Fnv1a, NetDigests};
-use crate::fs::Fs;
+use crate::engine::EngineConfig;
+use crate::fingerprint::{chip_slice_fingerprint, pruned_fingerprint, Fnv1a, NetDigests};
 use crate::record::JournalEntry;
 use crate::recovery::{Attempt, RecoveryRung};
 use crate::resident::ResidentChip;
+use crate::store::{RunStore, Source};
 use pcv_netlist::PNetId;
-use pcv_xtalk::prune::prune_victim_with_components;
-use pcv_xtalk::PruneConfig;
 use std::collections::HashSet;
 use std::io;
 use std::path::Path;
@@ -109,50 +104,30 @@ pub struct ShardContribution {
     pub torn_lines: usize,
 }
 
-/// Harvest everything shard `slice` produced — cache first, then journal
-/// remnant — and, when `exhausted_reason` is `Some` (a shard that exhausted
-/// its restart budget), fill the remainder with conservative
-/// [`JournalEntry::worst_case`] records whose one-attempt trail carries
-/// that reason. Their cluster fingerprint is computed here exactly as the
-/// engine would, so replay adopts them verbatim instead of silently
-/// recomputing a real verdict.
-///
-/// Harvested entries are emitted in slice order, worst-case fills after
-/// them. Cache entries are only adopted
-/// when their stored fingerprint matches the current cluster fingerprint,
-/// and journal entries only when the journal header matches
-/// `(config_fp, shard chip fingerprint)` — stale artifacts degrade to
-/// recomputation (or worst-case), never to a wrong verdict.
-#[allow(clippy::too_many_arguments)]
+/// Harvest everything shard `slice` produced under `cfg` — its journal
+/// remnant and its cache at `cache_path`, each record under the engine's
+/// own adoption rule (current cluster fingerprint; journal only under a
+/// header naming this config and slice), so a stale artifact degrades to
+/// recomputation, never to a wrong verdict. When `exhausted_reason` is
+/// `Some` (the shard ran out of restarts) every victim left over gets a
+/// conservative [`JournalEntry::worst_case`] record whose one-attempt trail
+/// carries that reason, under the fingerprint the engine will compute, so
+/// replay adopts it instead of silently recomputing a real verdict.
+/// Harvested entries come in slice order, worst-case fills after them.
 #[must_use]
 pub fn harvest_shard(
     chip: &ResidentChip,
-    prune: &PruneConfig,
-    config_fp: u64,
-    vdd: f64,
+    cfg: &EngineConfig,
     slice: &[PNetId],
     cache_path: &Path,
-    fs: &Fs,
     exhausted_reason: Option<&str>,
 ) -> (Vec<JournalEntry>, ShardContribution) {
     let ctx = chip.ctx();
+    let config_fp = cfg.config_hash(&ctx);
+    let shard_fp = chip_slice_fingerprint(&ctx, slice);
+    let store = RunStore::read(&cfg.durable.fs, Some(cache_path), config_fp, shard_fp, true);
     let mut out = Vec::new();
-    let mut stat = ShardContribution::default();
-
-    let (cache, cache_stats) = ResultCache::load_with(fs, cache_path);
-    stat.torn_lines += usize::from(cache_stats.torn);
-
-    let shard_fp = crate::fingerprint::chip_slice_fingerprint(&ctx, slice);
-    let load = Journal::load(fs, &Journal::path_for(cache_path));
-    stat.torn_lines += load.skipped;
-    let journal_ok = load.header == Some((config_fp, shard_fp));
-    let mut journaled: std::collections::HashMap<&str, &JournalEntry> =
-        std::collections::HashMap::new();
-    if journal_ok {
-        for e in &load.entries {
-            journaled.insert(e.name.as_str(), e); // last write wins; dupes collapse
-        }
-    }
+    let mut stat = ShardContribution { torn_lines: store.torn_lines, ..Default::default() };
 
     let digests = NetDigests::new(&ctx);
     let mut filled = Vec::new();
@@ -162,21 +137,31 @@ pub fn harvest_shard(
         if !seen.insert(name) {
             continue;
         }
-        let cluster = prune_victim_with_components(ctx.db, v, prune, chip.component_sizes());
-        let fp = cluster_fingerprint_in(&ctx, &cluster, config_fp, &digests);
-        if let Some(entry) = cache.lookup(name, fp) {
-            out.push(entry.clone());
-            stat.from_cache += 1;
-        } else if let Some(&entry) = journaled.get(name).filter(|e| e.fingerprint == fp) {
-            out.push(entry.clone());
-            stat.from_journal += 1;
-        } else if let Some(reason) = exhausted_reason {
-            let gave_up = Attempt {
-                rung: RecoveryRung::Baseline,
-                reason: reason.to_owned(),
-                elapsed: std::time::Duration::ZERO,
-            };
-            filled.push(JournalEntry::worst_case(name, fp, vdd, vec![gave_up]));
+        let (_, fp) =
+            pruned_fingerprint(&ctx, v, &cfg.prune, chip.component_sizes(), config_fp, &digests);
+        match store.adopt(name, fp) {
+            Some((entry, source)) => {
+                out.push(entry.clone());
+                match source {
+                    Source::Cache => stat.from_cache += 1,
+                    Source::Journal => stat.from_journal += 1,
+                }
+            }
+            None => {
+                if let Some(reason) = exhausted_reason {
+                    let gave_up = Attempt {
+                        rung: RecoveryRung::Baseline,
+                        reason: reason.to_owned(),
+                        elapsed: std::time::Duration::ZERO,
+                    };
+                    filled.push(JournalEntry::worst_case(
+                        name,
+                        fp,
+                        cfg.analysis.vdd,
+                        vec![gave_up],
+                    ));
+                }
+            }
         }
     }
     stat.worst_case = filled.len();
@@ -184,26 +169,28 @@ pub fn harvest_shard(
     (out, stat)
 }
 
-/// Write the coordinator's merged journal: a fresh header over the
-/// **full** victim list, followed by every harvested entry in one
-/// durable batch. A [`crate::RunRequest::resume`] run over the merged
-/// cache path then adopts matching entries bit-for-bit and recomputes
-/// any stragglers — producing a sign-off byte-identical to a
-/// single-process run.
+/// Write the coordinator's merged journal next to `cfg`'s cache: a fresh
+/// header — the one a run of `cfg` over every victim of `chip` looks for —
+/// followed by every harvested entry in one durable batch. A
+/// [`crate::RunRequest::resume`] run of `cfg` then adopts matching entries
+/// bit-for-bit and recomputes any stragglers, producing a sign-off
+/// byte-identical to a single-process run.
 ///
 /// # Errors
 ///
-/// Propagates I/O failures from the header write or the batch append.
+/// Propagates I/O failures from the header write or the batch append; a
+/// `cfg` without a cache path has nowhere to write.
 pub fn write_merged_journal(
-    fs: &Fs,
-    merged_cache: &Path,
-    config_fp: u64,
-    chip_fp: u64,
+    chip: &ResidentChip,
+    cfg: &EngineConfig,
     entries: &[JournalEntry],
 ) -> io::Result<()> {
+    let merged_cache = cfg.cache_path.as_deref().ok_or(io::ErrorKind::InvalidInput)?;
+    let ctx = chip.ctx();
+    let (config_fp, chip_fp) =
+        (cfg.config_hash(&ctx), chip_slice_fingerprint(&ctx, chip.victims()));
     let path = Journal::path_for(merged_cache);
-    let journal = Journal::begin(fs, &path, config_fp, chip_fp)?;
-    journal.record_all(entries)
+    Journal::begin(&cfg.durable.fs, &path, config_fp, chip_fp)?.record_all(entries)
 }
 
 #[cfg(test)]

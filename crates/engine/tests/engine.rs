@@ -2,13 +2,14 @@
 //! DSP fixture, fault isolation under an injected panic, and incremental
 //! cache behavior (full warm-run hits, exact invalidation).
 
+use pcv_cells::charlib::CharLibrary;
 use pcv_cells::library::CellLibrary;
-use pcv_designs::dsp::{generate, DspConfig};
+use pcv_designs::dsp::{generate, DspConfig, DRIVER_CELLS};
 use pcv_designs::Technology;
 use pcv_engine::fault::ALWAYS;
 use pcv_engine::{
-    cluster_fingerprint, config_hash, Engine, EngineConfig, FaultKind, Fs, JournalEntry, Plan,
-    ResultCache,
+    chip_slice_fingerprint, cluster_fingerprint, config_hash, Engine, EngineConfig, FaultKind, Fs,
+    JournalEntry, Plan, ResidentChip, ResultCache,
 };
 use pcv_netlist::{NetNodeRef, NetParasitics, PNetId, ParasiticDb};
 use pcv_rng::Rng;
@@ -25,12 +26,69 @@ fn dsp_fixture() -> (pcv_designs::dsp::DspBlock, CellLibrary, Vec<PNetId>) {
         &tech,
         &lib,
     );
-    let victims: Vec<PNetId> = block
-        .latch_victims()
-        .into_iter()
-        .map(|d| block.parasitics.find_net(block.design.net_name(d)).expect("views are aligned"))
-        .collect();
+    let victims = block.victims();
     (block, lib, victims)
+}
+
+/// `ResidentChip::dsp` is the one elaboration of a generated block; this
+/// is the chip assembled by hand from the generator's documented contract
+/// instead (design net `k` is parasitic net `k`; every driver is a
+/// `DRIVER_CELLS` cell), on the three configurations the fixtures, the
+/// batch example and the end-to-end test use.
+#[test]
+fn dsp_elaboration_is_the_hand_built_chip() {
+    for (n_buses, bus_bits, n_random_nets) in [(2, 6, 16), (3, 12, 40), (1, 6, 14)] {
+        let config = DspConfig { n_buses, bus_bits, n_random_nets, ..Default::default() };
+        let lib = CellLibrary::standard_025();
+        let block = generate(&config, &Technology::c025(), &lib);
+        let by_index: Vec<PNetId> =
+            block.design.latch_input_nets().into_iter().map(|d| PNetId(d.0)).collect();
+        for inst in block.design.instances().iter().filter(|i| i.output.is_some()) {
+            assert!(
+                DRIVER_CELLS.contains(&inst.cell.as_str()),
+                "{} drives with {}",
+                inst.name,
+                inst.cell
+            );
+        }
+        let by_hand = ResidentChip::with_design(
+            block.parasitics,
+            block.design,
+            lib,
+            CharLibrary::cached(&DRIVER_CELLS).unwrap(),
+            DriverModelKind::Nonlinear,
+            by_index,
+        );
+
+        let chip = ResidentChip::dsp(&config).unwrap();
+        assert_eq!(chip.num_nets(), by_hand.num_nets());
+        for (id, net) in by_hand.db().iter() {
+            assert_eq!(chip.db().net(id).name(), net.name(), "net ids");
+        }
+        assert_eq!(chip.victims(), by_hand.victims());
+        assert!(chip.victims().len() >= n_buses * bus_bits, "every bus bit feeds a latch");
+        assert_eq!(chip.component_sizes(), by_hand.component_sizes());
+        let (ctx, hand_ctx) = (chip.ctx(), by_hand.ctx());
+        assert_eq!(
+            chip_slice_fingerprint(&ctx, chip.victims()),
+            chip_slice_fingerprint(&hand_ctx, by_hand.victims())
+        );
+        let cfg = EngineConfig { check_receivers: true, ..Default::default() };
+        let chash = cfg.config_hash(&ctx);
+        assert_eq!(chash, cfg.config_hash(&hand_ctx));
+        assert_eq!(
+            chash,
+            config_hash(&ctx, &cfg.prune, &cfg.analysis, cfg.warn_frac, cfg.fail_frac, true)
+        );
+        // Everything a verdict reads — RC, couplings, windows, complements,
+        // driver cells — reaches the cluster fingerprint.
+        for &v in chip.victims() {
+            let fp = |c: &AnalysisContext<'_>| {
+                cluster_fingerprint(c, &prune_victim(c.db, v, &cfg.prune), chash)
+            };
+            assert_eq!(fp(&ctx), fp(&hand_ctx), "{}", ctx.db.net(v).name());
+        }
+    }
 }
 
 fn engine_config(workers: usize) -> EngineConfig {

@@ -251,12 +251,6 @@ impl Circuit {
         &self.elements
     }
 
-    /// Mutable access to the elements (e.g. to retarget source waveforms
-    /// between analyses without rebuilding the circuit).
-    pub fn elements_mut(&mut self) -> &mut [Element] {
-        &mut self.elements
-    }
-
     /// Add a resistor; returns its element index.
     ///
     /// # Panics

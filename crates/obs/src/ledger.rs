@@ -8,8 +8,7 @@
 //! oriented tool (or [`crate::json::parse`]) can consume it.
 
 use pcv_trace::json::{self, f64_lit, str_lit, Value};
-use std::io::Write;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Current ledger schema version. Version 2 added `outcome`,
 /// `journal_hits` and `skipped`; version-1 lines still parse with those
@@ -135,29 +134,21 @@ impl RunRecord {
             allocs: uint("allocs")?,
         })
     }
-
-    /// Append this record as one line to the ledger at `path`, creating
-    /// the file if needed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures (callers treat the ledger as best-effort).
-    pub fn append(&self, path: &Path) -> std::io::Result<()> {
-        let mut f = std::fs::OpenOptions::new().create(true).append(true).open(path)?;
-        writeln!(f, "{}", self.to_json())
-    }
 }
 
-/// Read every parseable record from a ledger file. Malformed or
-/// foreign-schema lines are skipped, not errors.
-pub fn read_all(path: &Path) -> Vec<RunRecord> {
-    scan(path).0
+/// The ledger an engine run over the cache at `cache` appends to:
+/// `<cache>.ledger.jsonl`.
+pub fn path_for(cache: &Path) -> PathBuf {
+    let mut os = cache.as_os_str().to_owned();
+    os.push(".ledger.jsonl");
+    PathBuf::from(os)
 }
 
-/// Like [`read_all`], but also count the lines that could not be parsed —
-/// a non-zero count usually means the final line was torn by a crash
-/// mid-append (the journal/ledger recovery path) or the file was written
-/// by a newer schema. Blank lines are ignored, not counted.
+/// Read every parseable record from a ledger file, and count the lines
+/// that could not be parsed (skipped, never an error) — a non-zero count
+/// usually means the final line was torn by a crash mid-append (the
+/// journal/ledger recovery path) or the file was written by a newer schema.
+/// Blank lines are ignored, not counted.
 pub fn scan(path: &Path) -> (Vec<RunRecord>, usize) {
     let Ok(text) = std::fs::read_to_string(path) else {
         return (Vec::new(), 0);
@@ -179,6 +170,7 @@ pub fn scan(path: &Path) -> (Vec<RunRecord>, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Write;
 
     fn sample() -> RunRecord {
         RunRecord {
@@ -228,10 +220,14 @@ mod tests {
         let path = dir.join("ledger.jsonl");
         let _ = std::fs::remove_file(&path);
         let mut rec = sample();
-        rec.append(&path).unwrap();
+        let append = |rec: &RunRecord| {
+            let mut f = std::fs::OpenOptions::new().create(true).append(true).open(&path).unwrap();
+            writeln!(f, "{}", rec.to_json()).unwrap();
+        };
+        append(&rec);
         rec.victims = 43;
-        rec.append(&path).unwrap();
-        let all = read_all(&path);
+        append(&rec);
+        let all = scan(&path).0;
         assert_eq!(all.len(), 2);
         assert_eq!(all[0].victims, 42);
         assert_eq!(all[1].victims, 43);
@@ -247,7 +243,7 @@ mod tests {
         text.push_str(&sample().to_json());
         text.push('\n');
         std::fs::write(&path, text).unwrap();
-        assert_eq!(read_all(&path).len(), 1);
+        assert_eq!(scan(&path).0.len(), 1);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -280,8 +276,6 @@ mod tests {
         assert_eq!(records.len(), 1);
         assert_eq!(records[0], sample());
         assert_eq!(skipped, 1);
-        // read_all sees the same surviving records.
-        assert_eq!(read_all(&path).len(), 1);
         let _ = std::fs::remove_file(&path);
     }
 }

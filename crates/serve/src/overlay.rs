@@ -7,12 +7,14 @@
 //! fingerprints stop matching and shard results are discarded at merge.
 //! They therefore travel as one type, [`Thresholds`], with one strict JSON
 //! reader (`read_member`: the `POST …/runs` body and the worker config
-//! line alike), one writer (`write_members`) and one resolution (`apply`).
+//! line alike), one writer (`write_members`) and one resolution
+//! (`engine_config`).
 
 use crate::error::ApiError;
 use pcv_engine::EngineConfig;
 use pcv_obs::json::Value;
 use pcv_trace::json::f64_lit;
+use std::path::PathBuf;
 
 /// Overrides of the engine's result-affecting thresholds; `None` keeps the
 /// [`EngineConfig`] default.
@@ -59,16 +61,18 @@ impl Thresholds {
         }
     }
 
-    /// Lay the overrides over `cfg`.
-    pub(crate) fn apply(&self, cfg: &mut EngineConfig) {
-        if let Some(w) = self.warn_frac {
-            cfg.warn_frac = w;
-        }
-        if let Some(f) = self.fail_frac {
-            cfg.fail_frac = f;
-        }
-        if let Some(c) = self.check_receivers {
-            cfg.check_receivers = c;
+    /// The engine configuration of a run under these overrides, on
+    /// `workers` threads over the cache at `cache_path` — everything else
+    /// the default, in the daemon, the coordinator and a worker alike.
+    pub(crate) fn engine_config(&self, workers: usize, cache_path: PathBuf) -> EngineConfig {
+        let d = EngineConfig::default();
+        EngineConfig {
+            workers,
+            cache_path: Some(cache_path),
+            warn_frac: self.warn_frac.unwrap_or(d.warn_frac),
+            fail_frac: self.fail_frac.unwrap_or(d.fail_frac),
+            check_receivers: self.check_receivers.unwrap_or(d.check_receivers),
+            ..d
         }
     }
 }

@@ -183,19 +183,29 @@ impl RunOverlay {
         Ok(overlay)
     }
 
-    /// Cross-field checks shared by the run and ECO submit paths.
+    /// Cross-field checks shared by the run and ECO submit paths: an
+    /// option that the chosen kind of run would drop is an error naming
+    /// it, never silently ignored.
     fn validate(&self) -> Result<(), ApiError> {
         let sharded = self.shards.is_some_and(|s| s >= 2);
-        if !sharded {
-            for (set, key) in [
-                (self.shard_timeout_ms.is_some(), "shard_timeout_ms"),
-                (self.deadline_ms.is_some(), "deadline_ms"),
-                (self.shard_restarts.is_some(), "shard_restarts"),
-            ] {
-                if set {
-                    return Err(ApiError::BadRequest(format!("{key} requires \"shards\" >= 2")));
-                }
+        // (set, key, belongs to sharded runs): the coordinator supervises
+        // processes; in-process drills and the trace are the executor's.
+        let scoped = [
+            (self.shard_timeout_ms.is_some(), "shard_timeout_ms", true),
+            (self.deadline_ms.is_some(), "deadline_ms", true),
+            (self.shard_restarts.is_some(), "shard_restarts", true),
+            (self.drill_slow_frac.is_some(), "drill_slow_frac", false),
+            (self.drill_seed.is_some(), "drill_seed", false),
+            (self.trace, "trace", false),
+        ];
+        for (set, key, of_sharded) in scoped {
+            if set && of_sharded != sharded {
+                let rule = if of_sharded { "requires" } else { "cannot be combined with" };
+                return Err(ApiError::BadRequest(format!("{key} {rule} \"shards\" >= 2")));
             }
+        }
+        if self.drill_seed.is_some() && self.drill_slow_frac.is_none() {
+            return Err(ApiError::BadRequest("drill_seed requires \"drill_slow_frac\"".into()));
         }
         Ok(())
     }
@@ -205,15 +215,8 @@ impl RunOverlay {
     /// fingerprint check, so the plan's dirty set is computed under
     /// exactly the configuration the run will use.
     fn engine_config(&self, cache_path: PathBuf, sink: Option<Arc<dyn EventSink>>) -> EngineConfig {
-        let mut cfg = EngineConfig {
-            workers: self.workers.unwrap_or(0),
-            cache_path: Some(cache_path),
-            sink,
-            trace: self.trace,
-            ..EngineConfig::default()
-        };
-        self.thresholds.apply(&mut cfg);
-        cfg
+        let cfg = self.thresholds.engine_config(self.workers.unwrap_or(0), cache_path);
+        EngineConfig { sink, trace: self.trace, ..cfg }
     }
 }
 
@@ -253,6 +256,22 @@ impl RunHandle {
     fn set_state(&self, next: RunState) {
         *self.state.lock().unwrap_or_else(PoisonError::into_inner) = next;
     }
+
+    /// The answer to the submission that queued this run.
+    fn queued_json(&self) -> String {
+        let mut out = format!(
+            "{{\"run\":{},\"session\":{},\"state\":\"queued\",\"total\":{},\"corr\":{}",
+            str_lit(&self.id),
+            str_lit(&self.session),
+            self.total,
+            str_lit(&self.corr)
+        );
+        if let Some(eco) = &self.eco {
+            out.push_str(&format!(",\"eco\":{}", eco.plan));
+        }
+        out.push('}');
+        out
+    }
 }
 
 struct Shared {
@@ -265,10 +284,9 @@ struct Shared {
     next_run: AtomicU64,
     shutting_down: AtomicBool,
     listener_stop: AtomicBool,
-    /// The in-flight run's stop flag, for the shutdown drain.
-    current_stop: Mutex<Option<StopFlag>>,
-    /// The in-flight run handle, for the stall watchdog's heartbeat poll.
-    current_run: Mutex<Option<Arc<RunHandle>>>,
+    /// The in-flight run: its handle for the stall watchdog's heartbeat
+    /// poll, its stop flag for the shutdown drain.
+    in_flight: Mutex<Option<(Arc<RunHandle>, StopFlag)>>,
     watchdog_stop: AtomicBool,
     obs: Observatory,
 }
@@ -305,8 +323,7 @@ impl Server {
             next_run: AtomicU64::new(0),
             shutting_down: AtomicBool::new(false),
             listener_stop: AtomicBool::new(false),
-            current_stop: Mutex::new(None),
-            current_run: Mutex::new(None),
+            in_flight: Mutex::new(None),
             watchdog_stop: AtomicBool::new(false),
             obs,
         });
@@ -437,8 +454,8 @@ fn watchdog_loop(shared: Arc<Shared>) {
     let mut tracked: Option<(String, u64, Instant, Duration)> = None;
     while !shared.watchdog_stop.load(Ordering::Acquire) {
         std::thread::sleep(tick);
-        let current = shared.current_run.lock().unwrap_or_else(PoisonError::into_inner).clone();
-        let Some(run) = current.filter(|r| r.state() == RunState::Running) else {
+        let current = shared.in_flight.lock().unwrap_or_else(PoisonError::into_inner).clone();
+        let Some((run, _)) = current.filter(|(r, _)| r.state() == RunState::Running) else {
             tracked = None;
             continue;
         };
@@ -476,7 +493,7 @@ fn watchdog_loop(shared: Arc<Shared>) {
 
 fn initiate_shutdown(shared: &Shared) {
     shared.shutting_down.store(true, Ordering::Release);
-    if let Some(stop) = &*shared.current_stop.lock().unwrap_or_else(PoisonError::into_inner) {
+    if let Some((_, stop)) = &*shared.in_flight.lock().unwrap_or_else(PoisonError::into_inner) {
         stop.stop();
     }
     // Wake the executor so it can observe the flag and drain the queue.
@@ -598,8 +615,7 @@ fn route(
 
 /// The liveness/readiness document: `ok` (liveness) stays first for
 /// compatibility; `ready` means "not draining and no session mid-
-/// elaboration"; `torn_ledger_lines` surfaces what `ledger::scan` found
-/// on the latest rescan (it used to be computed and dropped).
+/// elaboration"; `torn_ledger_lines` is what the latest `ledger::scan` found.
 fn healthz(shared: &Shared) -> String {
     let draining = shared.shutting_down.load(Ordering::Acquire);
     let elaborating = shared.obs.elaborating();
@@ -668,14 +684,7 @@ fn submit_run(shared: &Arc<Shared>, sid: &str, body: &str, corr: &str) -> Result
         return Err(ApiError::Busy("daemon is draining".into()));
     }
     let total = session.chip().victims().len();
-    let run = enqueue(shared, &session.id, total, overlay, None, corr)?;
-    Ok(format!(
-        "{{\"run\":{},\"session\":{},\"state\":\"queued\",\"total\":{},\"corr\":{}}}",
-        str_lit(&run.id),
-        str_lit(sid),
-        run.total,
-        str_lit(corr)
-    ))
+    Ok(enqueue(shared, &session.id, total, overlay, None, corr)?.queued_json())
 }
 
 /// `POST /sessions/{sid}/eco` — patch the resident parasitics with an
@@ -727,25 +736,16 @@ fn submit_eco(shared: &Arc<Shared>, sid: &str, body: &str, corr: &str) -> Result
     let old = session.chip();
     let delta = EcoDelta::diff(old.db(), new.db());
     let cfg = overlay.engine_config(session.cache_path.clone(), None);
-    let plan = EcoPlan::compute(&cfg, &old, &new, &delta);
-    let plan_json = plan.to_json();
+    let plan = EcoPlan::compute(&cfg, &old, &new, &delta).to_json();
     let total = new.victims().len();
-    let eco = EcoJob { new: Arc::clone(&new), plan: plan_json.clone() };
+    let eco = EcoJob { new: Arc::clone(&new), plan };
     let run = enqueue(shared, &session.id, total, overlay, Some(eco), corr)?;
     // The swap happens only after the run is safely queued: a 429 above
-    // leaves the resident chip untouched. The stored spec follows the
+    // leaves the resident chip untouched. The stored spec goes with the
     // chip, so a later sharded run's workers elaborate the patched
     // netlist, not the original upload.
-    session.swap_chip(new);
-    session.record_eco_text(&text);
-    Ok(format!(
-        "{{\"run\":{},\"session\":{},\"state\":\"queued\",\"total\":{},\"corr\":{},\"eco\":{}}}",
-        str_lit(&run.id),
-        str_lit(sid),
-        run.total,
-        str_lit(corr),
-        plan_json
-    ))
+    session.swap(new, &text);
+    Ok(run.queued_json())
 }
 
 /// Register a run handle and push it onto the bounded queue.
@@ -966,14 +966,8 @@ fn execute_run(shared: &Shared, run_id: &str) {
     session.set_state(SessionState::Running);
 
     let stop = StopFlag::new();
-    {
-        let mut current = shared.current_stop.lock().unwrap_or_else(PoisonError::into_inner);
-        *current = Some(stop.clone());
-    }
-    {
-        let mut current = shared.current_run.lock().unwrap_or_else(PoisonError::into_inner);
-        *current = Some(Arc::clone(&run));
-    }
+    *shared.in_flight.lock().unwrap_or_else(PoisonError::into_inner) =
+        Some((Arc::clone(&run), stop.clone()));
     // Close the race with a shutdown that arrived between queue pop and
     // flag install: drain immediately instead of running blind.
     if shared.shutting_down.load(Ordering::Acquire) {
@@ -1021,14 +1015,7 @@ fn execute_run(shared: &Shared, run_id: &str) {
             })
             .map_err(ApiError::from)
     };
-    {
-        let mut current = shared.current_stop.lock().unwrap_or_else(PoisonError::into_inner);
-        *current = None;
-    }
-    {
-        let mut current = shared.current_run.lock().unwrap_or_else(PoisonError::into_inner);
-        *current = None;
-    }
+    *shared.in_flight.lock().unwrap_or_else(PoisonError::into_inner) = None;
 
     absorb_run_observations(shared, &session, &run, &outcome);
     match outcome {
@@ -1084,7 +1071,8 @@ fn execute_sharded(
     }
     cfg.sink = Some(sink);
     cfg.stop = Some(stop.clone());
-    let coordinator = Coordinator::new(session.spec(), session.chip(), cfg);
+    let (chip, spec) = session.resident();
+    let coordinator = Coordinator::new(spec, chip, cfg);
     let outcome = coordinator.run(Some(&run.snapshot))?;
     shared.obs.absorb_shard_run(&outcome);
     Ok(outcome.report)
@@ -1092,9 +1080,8 @@ fn execute_sharded(
 
 /// Fold a finished run into the observatory: outcome + `EngineStats` into
 /// the registry, the run's trace (when one was requested), and a rescan of
-/// the session's engine ledger so its torn-line count — previously
-/// computed by `ledger::scan` and dropped on this path — reaches
-/// `/metrics` and `/healthz`.
+/// the session's engine ledger for its torn-line count (`/metrics`,
+/// `/healthz`).
 fn absorb_run_observations(
     shared: &Shared,
     session: &Session,
@@ -1110,9 +1097,7 @@ fn absorb_run_observations(
     } else {
         shared.obs.record_failed_run();
     }
-    let mut ledger_path = session.cache_path.as_os_str().to_owned();
-    ledger_path.push(".ledger.jsonl");
-    let (_, torn) = pcv_obs::ledger::scan(Path::new(&ledger_path));
+    let (_, torn) = pcv_obs::ledger::scan(&pcv_obs::ledger::path_for(&session.cache_path));
     shared.obs.set_torn_lines(torn as u64);
 }
 
@@ -1138,4 +1123,55 @@ fn ledger_append(shared: &Shared, run: &RunHandle, outcome: &str, artifact: Opti
     }
     line.push_str("}\n");
     let _ = Fs::real().append_durable(&ledger, line.as_bytes());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_option_the_run_would_drop_is_a_400_naming_it() {
+        for (body, key) in [
+            // Sharded: the coordinator supervises processes; it seeds no
+            // in-process drill and collects no trace.
+            ("{\"shards\":2,\"drill_slow_frac\":0.5}", "drill_slow_frac"),
+            ("{\"shards\":2,\"drill_slow_frac\":0.5,\"drill_seed\":3}", "drill_slow_frac"),
+            ("{\"shards\":4,\"drill_seed\":3}", "drill_seed"),
+            ("{\"shards\":2,\"trace\":true}", "trace"),
+            // A seed with nothing to seed.
+            ("{\"drill_seed\":3}", "drill_seed"),
+            ("{\"workers\":1,\"shards\":1,\"drill_seed\":3}", "drill_seed"),
+            // In-process: nothing to supervise.
+            ("{\"shard_timeout_ms\":500}", "shard_timeout_ms"),
+            ("{\"shards\":1,\"deadline_ms\":500}", "deadline_ms"),
+            ("{\"shard_restarts\":1}", "shard_restarts"),
+        ] {
+            match RunOverlay::from_json(body) {
+                Err(ApiError::BadRequest(m)) => assert!(m.starts_with(key), "{body}: {m}"),
+                other => panic!("{body}: expected a 400 naming {key}, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn the_forms_callers_send_are_accepted() {
+        let overlay = |body: &str| {
+            RunOverlay::from_json(body).unwrap_or_else(|e| panic!("{body}: rejected: {e:?}"))
+        };
+        assert!(overlay("").shards.is_none());
+        assert!(overlay("{\"trace\":true}").trace);
+        let drill = overlay("{\"workers\":1,\"drill_slow_frac\":1.0,\"drill_seed\":1}");
+        assert_eq!((drill.drill_slow_frac, drill.drill_seed), (Some(1.0), Some(1)));
+        assert_eq!(overlay("{\"drill_slow_frac\":0.25}").drill_seed, None, "seed defaults");
+        assert_eq!(overlay("{\"shards\":2,\"workers\":1}").shards, Some(2));
+        assert!(!overlay("{\"shards\":2,\"trace\":false}").trace, "an unset trace drops nothing");
+        let sharded = overlay(
+            "{\"shards\":2,\"shard_timeout_ms\":30000,\"deadline_ms\":600000,\
+             \"shard_restarts\":1,\"stop_after\":3,\"warn_frac\":0.05}",
+        );
+        assert_eq!(sharded.deadline_ms, Some(600_000));
+        assert_eq!(sharded.thresholds.warn_frac, Some(0.05));
+        // A one-shard run is the in-process executor's, drills and all.
+        assert!(overlay("{\"shards\":1,\"trace\":true,\"drill_slow_frac\":0.5}").trace);
+    }
 }

@@ -16,17 +16,13 @@
 
 use crate::error::ApiError;
 use crate::overlay::{float, member, uint};
-use pcv_cells::charlib::{characterize, CharLibrary};
-use pcv_cells::library::CellLibrary;
-use pcv_designs::dsp::{generate, DspConfig};
-use pcv_designs::Technology;
+use pcv_designs::dsp::DspConfig;
 use pcv_engine::ResidentChip;
 use pcv_netlist::spef::parse_spef;
 use pcv_netlist::PNetId;
 use pcv_obs::json::{parse, Value};
-use pcv_xtalk::drivers::DriverModelKind;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 /// Which nets of a SPEF upload to audit.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -184,45 +180,6 @@ fn positive(design: &Value, key: &str) -> Result<Option<f64>, ApiError> {
     }
 }
 
-/// Driver cells the DSP generator instantiates — the set the batch
-/// sign-off example characterizes, kept in lockstep so a served DSP run
-/// reproduces the batch artifact byte for byte.
-const DSP_DRIVER_CELLS: [&str; 13] = [
-    "INVX2", "INVX4", "INVX8", "BUFX4", "BUFX8", "BUFX12", "NAND2X2", "NAND2X4", "NOR2X2",
-    "NOR2X4", "TBUFX4", "TBUFX8", "TBUFX16",
-];
-
-/// Characterize the named cells, caching Liberty-lite files under
-/// `target/pcv_charlib_cache/` (shared with the batch fixtures, so the
-/// daemon and the examples pay the one-time task once between them).
-fn charlib_for(names: &[&str]) -> Result<CharLibrary, ApiError> {
-    let lib = CellLibrary::standard_025();
-    let cache_dir =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/pcv_charlib_cache");
-    let _ = std::fs::create_dir_all(&cache_dir);
-    let mut out = CharLibrary::default();
-    for &n in names {
-        let cell =
-            lib.cell(n).ok_or_else(|| ApiError::Internal(format!("unknown driver cell {n}")))?;
-        let cache = cache_dir.join(format!("{n}.lib"));
-        if let Ok(text) = std::fs::read_to_string(&cache) {
-            if let Ok(cached) = pcv_cells::liberty::parse_liberty(&text) {
-                if let Some(ch) = cached.cell(n) {
-                    out.insert(ch.clone());
-                    continue;
-                }
-            }
-        }
-        let ch = characterize(cell)
-            .map_err(|e| ApiError::Internal(format!("characterizing {n}: {e}")))?;
-        let mut single = CharLibrary::default();
-        single.insert(ch.clone());
-        let _ = std::fs::write(&cache, pcv_cells::liberty::write_liberty(&single));
-        out.insert(ch);
-    }
-    Ok(out)
-}
-
 /// Do the elaborate-once work for a spec: build the [`ResidentChip`] that
 /// every run of the session will borrow. Public so offline tools (tests,
 /// the CI smoke diff) can construct the *identical* chip the daemon holds.
@@ -233,30 +190,8 @@ fn charlib_for(names: &[&str]) -> Result<CharLibrary, ApiError> {
 /// [`ApiError::Internal`] for elaboration failures.
 pub fn elaborate(spec: &DesignSpec) -> Result<ResidentChip, ApiError> {
     match spec {
-        DesignSpec::Dsp { config } => {
-            let tech = Technology::c025();
-            let lib = CellLibrary::standard_025();
-            let block = generate(config, &tech, &lib);
-            let charlib = charlib_for(&DSP_DRIVER_CELLS)?;
-            let victims: Vec<PNetId> = block
-                .latch_victims()
-                .into_iter()
-                .map(|d| {
-                    block
-                        .parasitics
-                        .find_net(block.design.net_name(d))
-                        .expect("design and parasitic views are generated aligned")
-                })
-                .collect();
-            Ok(ResidentChip::with_design(
-                block.parasitics,
-                block.design,
-                lib,
-                charlib,
-                DriverModelKind::Nonlinear,
-                victims,
-            ))
-        }
+        DesignSpec::Dsp { config } => ResidentChip::dsp(config)
+            .map_err(|e| ApiError::Internal(format!("characterizing driver cells: {e}"))),
         DesignSpec::Spef { text, drive_ohms, victims } => {
             let db =
                 parse_spef(text).map_err(|e| ApiError::BadRequest(format!("spef parse: {e}")))?;
@@ -310,14 +245,6 @@ impl SessionState {
     }
 }
 
-/// The re-elaboration context an ECO patch needs: how the session's
-/// original SPEF upload was turned into a chip, minus the text itself.
-#[derive(Debug, Clone)]
-struct EcoContext {
-    drive_ohms: f64,
-    victims: VictimSel,
-}
-
 /// One resident chip plus its lifecycle state and cache location.
 ///
 /// The chip slot is swappable: an ECO patch replaces it with a freshly
@@ -328,17 +255,12 @@ struct EcoContext {
 pub struct Session {
     /// Session id (`s1`, `s2`, ...).
     pub id: String,
-    /// The elaborated chip, shared with the executor and query handlers.
-    chip: RwLock<Arc<ResidentChip>>,
+    /// The elaborated chip (shared with the executor and query handlers)
+    /// and the wire spec it came from (shipped to shard workers). One lock
+    /// holds the pair: an ECO replaces both or neither.
+    resident: RwLock<(Arc<ResidentChip>, DesignSpec)>,
     /// The engine cache/journal/ledger stem for this session's runs.
     pub cache_path: PathBuf,
-    /// How to re-elaborate an edited SPEF upload (`None` for generated
-    /// designs, which have no parasitics document to patch).
-    eco_ctx: Option<EcoContext>,
-    /// The wire spec the chip was elaborated from — what a shard
-    /// coordinator ships to worker processes. Kept in lockstep with the
-    /// chip across ECO swaps (see [`Session::record_eco_text`]).
-    spec: Mutex<DesignSpec>,
     state: Mutex<SessionState>,
 }
 
@@ -354,18 +276,10 @@ impl Session {
         spec: &DesignSpec,
         data_dir: &std::path::Path,
     ) -> Result<Session, ApiError> {
-        let eco_ctx = match spec {
-            DesignSpec::Spef { drive_ohms, victims, .. } => {
-                Some(EcoContext { drive_ohms: *drive_ohms, victims: victims.clone() })
-            }
-            DesignSpec::Dsp { .. } => None,
-        };
         let session = Session {
             cache_path: data_dir.join(format!("session-{id}.cache")),
             id,
-            chip: RwLock::new(Arc::new(elaborate(spec)?)),
-            eco_ctx,
-            spec: Mutex::new(spec.clone()),
+            resident: RwLock::new((Arc::new(elaborate(spec)?), spec.clone())),
             state: Mutex::new(SessionState::Parsed),
         };
         session.set_state(SessionState::Elaborated);
@@ -375,7 +289,13 @@ impl Session {
 
     /// The currently resident chip (an `Arc` clone; cheap).
     pub fn chip(&self) -> Arc<ResidentChip> {
-        Arc::clone(&self.chip.read().unwrap_or_else(std::sync::PoisonError::into_inner))
+        Arc::clone(&self.resident.read().unwrap_or_else(PoisonError::into_inner).0)
+    }
+
+    /// The resident chip and the wire spec it was elaborated from (a clone),
+    /// read under one lock: the spec re-elaborates to exactly this chip.
+    pub fn resident(&self) -> (Arc<ResidentChip>, DesignSpec) {
+        self.resident.read().unwrap_or_else(PoisonError::into_inner).clone()
     }
 
     /// Elaborate an edited SPEF document with this session's original
@@ -389,52 +309,44 @@ impl Session {
     /// including a [`ApiError::BadRequest`] when the edit removed a net
     /// the session's named victim list still references.
     pub fn elaborate_eco(&self, text: &str) -> Result<ResidentChip, ApiError> {
-        let ctx = self.eco_ctx.as_ref().ok_or_else(|| {
-            ApiError::Conflict(format!(
-                "session {} holds a generated design — only spef sessions accept eco patches",
-                self.id
-            ))
-        })?;
-        elaborate(&DesignSpec::Spef {
-            text: text.to_owned(),
-            drive_ohms: ctx.drive_ohms,
-            victims: ctx.victims.clone(),
-        })
+        // The stored spec says how the upload became a chip; only its
+        // text changes. (Copied out: elaboration must not hold the lock.)
+        let patched = match &self.resident.read().unwrap_or_else(PoisonError::into_inner).1 {
+            DesignSpec::Spef { drive_ohms, victims, .. } => DesignSpec::Spef {
+                text: text.to_owned(),
+                drive_ohms: *drive_ohms,
+                victims: victims.clone(),
+            },
+            DesignSpec::Dsp { .. } => {
+                return Err(ApiError::Conflict(format!(
+                    "session {} holds a generated design — only spef sessions accept eco patches",
+                    self.id
+                )))
+            }
+        };
+        elaborate(&patched)
     }
 
-    /// The wire spec the resident chip was elaborated from (a clone).
-    pub fn spec(&self) -> DesignSpec {
-        self.spec.lock().unwrap_or_else(std::sync::PoisonError::into_inner).clone()
-    }
-
-    /// Record the SPEF text an accepted ECO patch swapped in, keeping the
-    /// stored spec aligned with the resident chip so shard workers
-    /// elaborate the post-ECO netlist. No-op for generated designs.
-    pub fn record_eco_text(&self, text: &str) {
-        let mut spec = self.spec.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let DesignSpec::Spef { text: stored, .. } = &mut *spec {
+    /// Swap in the chip an accepted ECO patch elaborated from the SPEF
+    /// document `text`, and `text` into the stored spec with it, returning
+    /// the chip replaced (the ECO diff's "old" side).
+    pub fn swap(&self, next: Arc<ResidentChip>, text: &str) -> Arc<ResidentChip> {
+        let mut resident = self.resident.write().unwrap_or_else(PoisonError::into_inner);
+        if let DesignSpec::Spef { text: stored, .. } = &mut resident.1 {
             text.clone_into(stored);
         }
-    }
-
-    /// Swap the resident chip, returning the one it replaces (the ECO
-    /// diff's "old" side).
-    pub fn swap_chip(&self, next: Arc<ResidentChip>) -> Arc<ResidentChip> {
-        std::mem::replace(
-            &mut self.chip.write().unwrap_or_else(std::sync::PoisonError::into_inner),
-            next,
-        )
+        std::mem::replace(&mut resident.0, next)
     }
 
     /// Current lifecycle state.
     pub fn state(&self) -> SessionState {
-        *self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+        *self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Move to `next` (states only ever advance or bounce between the two
     /// idle states and `Running`).
     pub fn set_state(&self, next: SessionState) {
-        *self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner) = next;
+        *self.state.lock().unwrap_or_else(PoisonError::into_inner) = next;
     }
 
     /// The `{"session":...}` info object served for this session.
@@ -594,13 +506,71 @@ mod tests {
         extra.add_ground_cap(e1, 3e-15);
         extra.mark_load(e1);
         db.add_net(extra);
-        let patched = s.elaborate_eco(&write_spef(&db)).unwrap();
+        let text = write_spef(&db);
+        let patched = s.elaborate_eco(&text).unwrap();
         assert_eq!(patched.num_nets(), 3);
         assert_eq!(patched.victims().len(), 3, "VictimSel::All re-applies to the new netlist");
 
-        let old = s.swap_chip(Arc::new(patched));
+        let old = s.swap(Arc::new(patched), &text);
         assert_eq!(old.num_nets(), 2);
         assert_eq!(s.chip().num_nets(), 3);
+        let patched_spec = DesignSpec::Spef { text, drive_ohms: 1200.0, victims: VictimSel::All };
+        assert_eq!(s.resident().1, patched_spec, "the stored spec went with the chip");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_reader_never_sees_a_new_chip_beside_an_old_spec() {
+        // What a sharded run reads at start: the chip the coordinator
+        // holds and the spec its workers elaborate. With the two behind
+        // separate locks, a read between an ECO's two writes handed the
+        // workers the pre-ECO text, and every shard result missed at merge.
+        const PATCHES: usize = 40;
+        let text_of = |extra: usize| {
+            let mut db = small_db();
+            for k in 0..extra {
+                let mut n = NetParasitics::new(format!("spare{k}"));
+                let n1 = n.add_node();
+                n.add_resistor(0, n1, 80.0);
+                n.add_ground_cap(n1, 3e-15);
+                n.mark_load(n1);
+                db.add_net(n);
+            }
+            write_spef(&db)
+        };
+        let spec =
+            DesignSpec::Spef { text: text_of(0), drive_ohms: 1200.0, victims: VictimSel::All };
+        let dir = std::env::temp_dir().join(format!("pcv-serve-pair-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let s = Session::build("s1".into(), &spec, &dir).unwrap();
+        let patches: Vec<(Arc<ResidentChip>, String)> = (1..=PATCHES)
+            .map(|extra| {
+                let text = text_of(extra);
+                (Arc::new(s.elaborate_eco(&text).unwrap()), text)
+            })
+            .collect();
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let reads = std::thread::scope(|scope| {
+            let reader = scope.spawn(|| {
+                let mut reads = 0usize;
+                while !done.load(std::sync::atomic::Ordering::Acquire) || reads == 0 {
+                    let (chip, spec) = s.resident();
+                    let DesignSpec::Spef { text, .. } = spec else { panic!("a spef session") };
+                    let nets = parse_spef(&text).unwrap().num_nets();
+                    assert_eq!(chip.num_nets(), nets, "chip and spec of two different patches");
+                    reads += 1;
+                }
+                reads
+            });
+            for (chip, text) in &patches {
+                s.swap(Arc::clone(chip), text);
+                std::thread::yield_now();
+            }
+            done.store(true, std::sync::atomic::Ordering::Release);
+            reader.join().expect("reader")
+        });
+        assert!(reads > 0);
+        assert_eq!(s.chip().num_nets(), 2 + PATCHES);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

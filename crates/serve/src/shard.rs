@@ -39,11 +39,9 @@ use crate::error::ApiError;
 use crate::overlay::Thresholds;
 use crate::session::DesignSpec;
 use pcv_engine::durable::StopFlag;
-use pcv_engine::fs::Fs;
-use pcv_engine::shard::{harvest_shard, partition, ShardFault};
+use pcv_engine::shard::{harvest_shard, partition, ShardContribution, ShardFault};
 use pcv_engine::{
-    chip_slice_fingerprint, config_hash, write_merged_journal, Engine, EngineConfig, EngineReport,
-    Plan, ResidentChip, RunRequest, VerdictSnapshot,
+    write_merged_journal, Engine, EngineReport, Plan, ResidentChip, RunRequest, VerdictSnapshot,
 };
 use pcv_obs::json::{parse, Value};
 use pcv_obs::EventSink;
@@ -129,12 +127,8 @@ pub struct ShardStats {
     pub torn_journal_lines: usize,
     /// Peak worker heap, bytes (0 when allocation tracking is off).
     pub peak_alloc_bytes: u64,
-    /// Verdicts harvested from the shard's result cache.
-    pub from_cache: usize,
-    /// Verdicts harvested from the shard's journal remnant.
-    pub from_journal: usize,
-    /// Conservative worst-case verdicts synthesized for missing victims.
-    pub worst_case: usize,
+    /// What the merge harvested from the shard's files, and filled in.
+    pub harvest: ShardContribution,
 }
 
 /// A completed sharded run: the merged report plus per-shard telemetry.
@@ -486,17 +480,6 @@ impl Coordinator {
         line
     }
 
-    /// The engine configuration the merge run (and the fingerprints) use
-    /// — the same resolution a single-process run of this overlay gets.
-    pub(crate) fn merge_engine_config(&self) -> EngineConfig {
-        let mut cfg = EngineConfig {
-            cache_path: Some(self.cfg.cache_path.clone()),
-            ..EngineConfig::default()
-        };
-        self.cfg.thresholds.apply(&mut cfg);
-        cfg
-    }
-
     /// Run the sharded sign-off: fan out, supervise, merge, prove.
     ///
     /// `snapshot`, when given, is mirrored live: worker verdict lines are
@@ -550,40 +533,26 @@ impl Coordinator {
 
         // Merge: harvest every shard's files, fill exhausted shards with
         // WorstCase, write one journal, resume in-process.
-        let mut ecfg = self.merge_engine_config();
-        let ctx = self.chip.ctx();
-        let chash = config_hash(
-            &ctx,
-            &ecfg.prune,
-            &ecfg.analysis,
-            ecfg.warn_frac,
-            ecfg.fail_frac,
-            ecfg.check_receivers,
-        );
-        let chip_fp = chip_slice_fingerprint(&ctx, self.chip.victims());
-        let fs = Fs::real();
+        // The merge run's configuration — the resolution a single-process
+        // run of these thresholds gets, and each worker's (`worker.rs`).
+        let mut ecfg = self.cfg.thresholds.engine_config(0, self.cfg.cache_path.clone());
         let mut entries = Vec::new();
         let mut shard_stats = Vec::with_capacity(results.len());
         for (k, result) in results.into_iter().enumerate() {
             let (es, contrib) = harvest_shard(
                 &self.chip,
-                &ecfg.prune,
-                chash,
-                ecfg.analysis.vdd,
+                &ecfg,
                 &slices[k],
                 &self.shard_cache(k),
-                &fs,
                 result.exhausted_reason.as_deref(),
             );
             entries.extend(es);
             let mut stats = result.stats;
             stats.torn_journal_lines = stats.torn_journal_lines.max(contrib.torn_lines);
-            stats.from_cache = contrib.from_cache;
-            stats.from_journal = contrib.from_journal;
-            stats.worst_case = contrib.worst_case;
+            stats.harvest = contrib;
             shard_stats.push(stats);
         }
-        write_merged_journal(&fs, &self.cfg.cache_path, chash, chip_fp, &entries)
+        write_merged_journal(&self.chip, &ecfg, &entries)
             .map_err(|e| ApiError::Internal(format!("merged journal: {e}")))?;
 
         ecfg.sink = self.cfg.sink.clone();

@@ -39,7 +39,7 @@ use crate::session::{elaborate, DesignSpec};
 use pcv_engine::durable::Journal;
 use pcv_engine::fs::Fs;
 use pcv_engine::shard::partition;
-use pcv_engine::{Engine, EngineConfig, RunRequest, VerdictSnapshot};
+use pcv_engine::{Engine, RunRequest, VerdictSnapshot};
 use pcv_obs::json::{parse, Value};
 use pcv_xtalk::NetVerdict;
 use std::io::{BufRead, Write};
@@ -72,21 +72,6 @@ struct WorkerConfig {
     thresholds: Thresholds,
     panic_after: Option<usize>,
     stall_after: Option<usize>,
-}
-
-impl WorkerConfig {
-    /// The engine configuration of this worker's slice run: the
-    /// coordinator's merge configuration (same thresholds, so the same
-    /// `config_hash`) over the shard's own cache.
-    fn engine_config(&self) -> EngineConfig {
-        let mut cfg = EngineConfig {
-            workers: self.workers,
-            cache_path: Some(self.cache.clone()),
-            ..EngineConfig::default()
-        };
-        self.thresholds.apply(&mut cfg);
-        cfg
-    }
 }
 
 /// Read the coordinator's config line. A member of the wrong type is
@@ -173,7 +158,10 @@ fn worker_main(line: &str) -> Result<i32, String> {
     // incarnation finds no journal and runs fresh; a restarted one replays
     // its checkpoints and finishes only the tail. The header fingerprint
     // check guards staleness.
-    let result = Engine::new(cfg.engine_config()).run(RunRequest {
+    // The coordinator's merge configuration (same thresholds, so the same
+    // `config_hash`) over the shard's own cache.
+    let ecfg = cfg.thresholds.engine_config(cfg.workers, cfg.cache.clone());
+    let result = Engine::new(ecfg).run(RunRequest {
         victims: &slice,
         resume: true,
         snapshot: Some(&snapshot),
@@ -268,6 +256,7 @@ fn spawn_poller(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pcv_engine::EngineConfig;
     use pcv_netlist::PNetId;
     use pcv_xtalk::{ReceiverVerdict, Severity};
 
@@ -378,19 +367,9 @@ mod tests {
     #[test]
     fn coordinator_line_and_merge_config_agree_on_config_hash() {
         use crate::shard::{Coordinator, CoordinatorConfig};
-        use pcv_engine::config_hash;
         let spec = DesignSpec::from_json(&format!("{{{DESIGN}}}")).unwrap();
         let chip = Arc::new(elaborate(&spec).unwrap());
-        let hash = |cfg: &EngineConfig| {
-            config_hash(
-                &chip.ctx(),
-                &cfg.prune,
-                &cfg.analysis,
-                cfg.warn_frac,
-                cfg.fail_frac,
-                cfg.check_receivers,
-            )
-        };
+        let hash = |cfg: &EngineConfig| cfg.config_hash(&chip.ctx());
         let default_hash = hash(&EngineConfig::default());
         // 0.1 + 0.2 and 1/3 need all 17 digits to survive the text round trip.
         let fracs = [None, Some(0.05), Some(0.1 + 0.2), Some(1.0 / 3.0)];
@@ -407,8 +386,9 @@ mod tests {
                     let worker = parse_config(&line).unwrap();
                     assert_eq!(worker.thresholds, thresholds, "{line}");
                     assert_eq!((worker.shards, worker.shard, worker.workers), (2, 1, 3));
-                    let merged = hash(&c.merge_engine_config());
-                    assert_eq!(hash(&worker.engine_config()), merged, "{line}");
+                    let merged = hash(&thresholds.engine_config(0, "/tmp/m.cache".into()));
+                    let ecfg = worker.thresholds.engine_config(worker.workers, worker.cache);
+                    assert_eq!(hash(&ecfg), merged, "{line}");
                     let all_default =
                         warn_frac.is_none() && fail_frac.is_none() && check_receivers != Some(true);
                     assert_eq!(merged == default_hash, all_default, "{line}");

@@ -11,7 +11,7 @@ use crate::drivers::{make_termination, DriverModelKind, SwitchRole};
 use crate::error::XtalkError;
 use crate::prune::Cluster;
 use pcv_cells::charlib::{CharCell, CharLibrary};
-use pcv_cells::library::{Cell, CellLibrary};
+use pcv_cells::library::{Cell, CellKind, CellLibrary};
 use pcv_mor::{simulate, sympvl, DiagonalModel, MorOptions, RcCluster};
 use pcv_netlist::termination::Termination;
 use pcv_netlist::{Circuit, Design, PNetId, ParasiticDb, SourceWave, Waveform};
@@ -155,6 +155,38 @@ impl<'a> AnalysisContext<'a> {
             }
         }
         best.ok_or_else(|| XtalkError::NoDriver { net: name.to_owned() })
+    }
+
+    /// The gate-level views a receiver check reads.
+    ///
+    /// # Errors
+    ///
+    /// [`XtalkError::InvalidConfig`] without design or library data.
+    pub fn receiver_views(&self) -> Result<(&'a Design, &'a CellLibrary), XtalkError> {
+        self.design.zip(self.lib).ok_or(XtalkError::InvalidConfig {
+            what: "receiver checks need design and library data",
+        })
+    }
+
+    /// The cell a glitch on the net named `name` is replayed into: its
+    /// first non-latch load, else `INVX1` — a latch data pin is
+    /// electrically a small inverter behind a transmission gate.
+    ///
+    /// # Errors
+    ///
+    /// [`XtalkError::InvalidConfig`] without design data or a fallback
+    /// cell, [`XtalkError::NoDriver`] for a net the design does not know.
+    pub fn receiver_cell(&self, name: &str) -> Result<&'a Cell, XtalkError> {
+        let (design, lib) = self.receiver_views()?;
+        let dnet =
+            design.find_net(name).ok_or_else(|| XtalkError::NoDriver { net: name.to_owned() })?;
+        design
+            .loads_of(dnet)
+            .iter()
+            .filter_map(|&(inst, _)| lib.cell(&design.instance(inst).cell))
+            .find(|c| c.kind != CellKind::Latch)
+            .or_else(|| lib.cell("INVX1"))
+            .ok_or(XtalkError::InvalidConfig { what: "no receiver cell available" })
     }
 
     /// Characterized data for a net's driver cell.

@@ -113,6 +113,24 @@ pub struct ChipReport {
 }
 
 impl ChipReport {
+    /// The report over `verdicts` (one per audited victim, in input order)
+    /// and the clusters they were analyzed on: verdicts worst first — a
+    /// stable sort, so ties keep input order whatever computed them — and
+    /// the pruning statistics of `clusters`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a non-finite `worst_frac`.
+    pub fn from_verdicts(
+        mut verdicts: Vec<NetVerdict>,
+        clusters: &[Cluster],
+        warn_frac: f64,
+        fail_frac: f64,
+    ) -> ChipReport {
+        verdicts.sort_by(|a, b| b.worst_frac.partial_cmp(&a.worst_frac).expect("finite fractions"));
+        ChipReport { verdicts, pruning: PruningStats::compute(clusters), warn_frac, fail_frac }
+    }
+
     /// Victims classified at or above [`Severity::Warning`].
     pub fn flagged(&self) -> impl Iterator<Item = &NetVerdict> {
         self.verdicts.iter().filter(|v| v.severity >= Severity::Warning)
@@ -206,8 +224,7 @@ pub fn verify_chip(
         });
         clusters.push(cluster);
     }
-    verdicts.sort_by(|a, b| b.worst_frac.partial_cmp(&a.worst_frac).expect("finite fractions"));
-    Ok(ChipReport { verdicts, pruning: PruningStats::compute(&clusters), warn_frac, fail_frac })
+    Ok(ChipReport::from_verdicts(verdicts, &clusters, warn_frac, fail_frac))
 }
 
 /// Append `"key":<decimal>,"key_bits":"<hex>"` — every float in the
@@ -363,9 +380,7 @@ impl ChipReport {
 /// [`Severity::Warning`], replay the worst-polarity glitch waveform into
 /// the victim's receiving cell and record whether it propagates.
 ///
-/// Latch receivers are modeled by their input-stage-equivalent inverter
-/// (`INVX1`), since a latch data pin is electrically a small inverter
-/// behind a transmission gate.
+/// The receiving cell is [`AnalysisContext::receiver_cell`]'s.
 ///
 /// # Errors
 ///
@@ -377,26 +392,12 @@ pub fn audit_receivers(
     opts: &AnalysisOptions,
 ) -> Result<(), XtalkError> {
     let _span = pcv_trace::span("xtalk", "audit_receivers");
-    let (Some(design), Some(lib)) = (ctx.design, ctx.lib) else {
-        return Err(XtalkError::InvalidConfig {
-            what: "receiver checks need design and library data",
-        });
-    };
+    ctx.receiver_views()?;
     for v in report.verdicts.iter_mut() {
         if v.severity < Severity::Warning {
             continue;
         }
-        // Pick the receiving cell: the first non-latch load, else the
-        // latch input-stage equivalent.
-        let dnet =
-            design.find_net(&v.name).ok_or_else(|| XtalkError::NoDriver { net: v.name.clone() })?;
-        let receiver_cell = design
-            .loads_of(dnet)
-            .iter()
-            .filter_map(|&(inst, _)| lib.cell(&design.instance(inst).cell))
-            .find(|c| c.kind != pcv_cells::library::CellKind::Latch)
-            .or_else(|| lib.cell("INVX1"))
-            .ok_or(XtalkError::InvalidConfig { what: "no receiver cell available" })?;
+        let receiver_cell = ctx.receiver_cell(&v.name)?;
 
         // Re-run the worse polarity to recover the waveform.
         let rising = v.rise_peak.abs() >= v.fall_peak.abs();

@@ -61,7 +61,7 @@ fn main() -> Result<(), XtalkError> {
         // never leaves a torn JSON document here.
         let stem = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
             .join(format!("../../target/bus_audit_{length_um:.0}um"));
-        match report.write_profile(&stem) {
+        match report.write_profile_with(&pcv_engine::Fs::real(), &stem) {
             Ok(paths) => {
                 for p in paths {
                     println!("wrote {}", p.display());

@@ -16,16 +16,11 @@
 //! sign-off), then resumes from the checkpoint journal and finishes —
 //! byte-identical to an uninterrupted run.
 
-use pcv_bench::charlib_for;
-use pcv_cells::library::CellLibrary;
-use pcv_designs::dsp::{generate, DspConfig};
-use pcv_designs::Technology;
-use pcv_engine::{Engine, EngineConfig, RunRequest, StopAfter, StopFlag};
-use pcv_netlist::PNetId;
+use pcv_designs::dsp::DspConfig;
+use pcv_engine::{Engine, EngineConfig, ResidentChip, RunRequest, StopAfter, StopFlag};
 use pcv_obs::{EventSink, StderrStatusLine, TeeSink};
-use pcv_xtalk::drivers::DriverModelKind;
 use pcv_xtalk::prune::PruneConfig;
-use pcv_xtalk::{verify_chip, AnalysisContext, AnalysisOptions, XtalkError};
+use pcv_xtalk::{verify_chip, AnalysisOptions, XtalkError};
 use std::sync::Arc;
 
 fn main() -> Result<(), XtalkError> {
@@ -36,44 +31,26 @@ fn main() -> Result<(), XtalkError> {
         .position(|a| a == "--stop-after")
         .and_then(|i| args.get(i + 1))
         .and_then(|s| s.parse::<usize>().ok());
-    let tech = Technology::c025();
-    let lib = CellLibrary::standard_025();
 
-    println!("generating DSP-like block...");
-    let block = generate(
-        &DspConfig { n_buses: 3, bus_bits: 12, n_random_nets: 40, ..Default::default() },
-        &tech,
-        &lib,
-    );
+    // Generate the block, pre-characterize the cells its drivers use (the
+    // paper's one-time task, cached under target/), and pick the victims:
+    // every latch input — the state-corruption hazard.
+    println!("elaborating DSP-like block...");
+    let chip = ResidentChip::dsp(&DspConfig {
+        n_buses: 3,
+        bus_bits: 12,
+        n_random_nets: 40,
+        ..Default::default()
+    })?;
+    let (ctx, victims) = (chip.ctx(), chip.victims());
     println!(
-        "  {} nets, {} instances, {} coupling caps",
-        block.parasitics.num_nets(),
-        block.design.num_instances(),
-        block.parasitics.couplings().len()
+        "  {} nets, {} instances, {} coupling caps, {} cells characterized",
+        chip.num_nets(),
+        ctx.design.map_or(0, |d| d.num_instances()),
+        chip.db().couplings().len(),
+        ctx.charlib.map_or(0, |c| c.len())
     );
-
-    println!("pre-characterizing driver cells (one-time task)...");
-    let charlib = charlib_for(&[
-        "INVX2", "INVX4", "INVX8", "BUFX4", "BUFX8", "BUFX12", "NAND2X2", "NAND2X4", "NOR2X2",
-        "NOR2X4", "TBUFX4", "TBUFX8", "TBUFX16",
-    ]);
-    println!("  {} cells characterized", charlib.len());
-
-    // Audit every latch-input victim (the state-corruption hazard).
-    let victims: Vec<PNetId> = block
-        .latch_victims()
-        .into_iter()
-        .map(|d| block.parasitics.find_net(block.design.net_name(d)).expect("views are aligned"))
-        .collect();
     println!("auditing {} latch-input victims...", victims.len());
-
-    let ctx = AnalysisContext::with_design(
-        &block.parasitics,
-        &block.design,
-        &lib,
-        &charlib,
-        DriverModelKind::Nonlinear,
-    );
 
     // Parallel, cached sign-off run: one cluster job per victim on a
     // work-stealing pool, verdicts stored under topology fingerprints in
@@ -98,16 +75,16 @@ fn main() -> Result<(), XtalkError> {
         let mut cfg = base.clone();
         cfg.sink = Some(Arc::new(TeeSink::new(vec![status.clone(), stopper])));
         cfg.durable.stop = Some(flag);
-        let partial = Engine::new(cfg).verify(&ctx, &victims)?;
+        let partial = Engine::new(cfg).verify(&ctx, victims)?;
         println!(
             "stopped early: {}/{} verdict(s) checkpointed, {} skipped — resuming",
             partial.stats.victims - partial.stats.skipped,
             partial.stats.victims,
             partial.stats.skipped
         );
-        Engine::new(base).run(RunRequest { resume: true, ..RunRequest::new(&ctx, &victims) })?
+        Engine::new(base).run(RunRequest { resume: true, ..RunRequest::new(&ctx, victims) })?
     } else {
-        Engine::new(base).verify(&ctx, &victims)?
+        Engine::new(base).verify(&ctx, victims)?
     };
     let progress = status.snapshot();
     println!(
@@ -159,7 +136,7 @@ fn main() -> Result<(), XtalkError> {
     // is deterministic); keep it as the cross-check of the fast path.
     let serial = verify_chip(
         &ctx,
-        &victims,
+        victims,
         &PruneConfig::default(),
         &AnalysisOptions::default(),
         0.10,

@@ -14,10 +14,7 @@ use pcv_xtalk::{
 };
 
 fn charlib() -> pcv_cells::charlib::CharLibrary {
-    charlib_for(&[
-        "INVX2", "INVX4", "INVX8", "BUFX4", "BUFX8", "BUFX12", "NAND2X2", "NAND2X4", "NOR2X2",
-        "NOR2X4", "TBUFX4", "TBUFX8", "TBUFX16",
-    ])
+    charlib_for(&pcv_designs::dsp::DRIVER_CELLS)
 }
 
 #[test]
@@ -32,12 +29,7 @@ fn dsp_block_chip_audit_with_nonlinear_models() {
     );
 
     // Victims: the first few latch inputs.
-    let victims: Vec<PNetId> = block
-        .latch_victims()
-        .into_iter()
-        .take(4)
-        .map(|d| block.parasitics.find_net(block.design.net_name(d)).unwrap())
-        .collect();
+    let victims: Vec<PNetId> = block.victims().into_iter().take(4).collect();
     assert!(!victims.is_empty());
 
     let ctx = AnalysisContext::with_design(
@@ -108,8 +100,7 @@ fn nonlinear_model_tracks_transistor_reference_on_dsp_victim() {
         &tech,
         &lib,
     );
-    let victim_design = block.latch_victims()[2];
-    let victim = block.parasitics.find_net(block.design.net_name(victim_design)).unwrap();
+    let victim = block.victims()[2];
     let cluster = prune_victim(
         &block.parasitics,
         victim,

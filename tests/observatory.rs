@@ -114,7 +114,7 @@ fn ledger_records_a_real_run_trajectory() {
     engine(Some(sink.clone() as Arc<dyn EventSink>)).verify(&ctx, &victims).unwrap();
     assert_eq!(sink.count("cache_hit"), victims.len() as u64, "second run must be all hits");
 
-    let records = ledger::read_all(&ledger_path);
+    let records = ledger::scan(&ledger_path).0;
     assert_eq!(records.len(), 2, "one ledger line per run");
     let (cold, warm) = (&records[0], &records[1]);
     // Same chip, same config: the fingerprints tie the trajectory together.

@@ -142,7 +142,7 @@ fn killed_worker_restarts_and_resumes_from_its_journal() {
     let stats = &outcome.shards[victim_shard];
     assert!(stats.restarts >= 1, "the SIGKILL drill must have fired: {stats:?}");
     assert_eq!(
-        stats.from_cache, slice_len,
+        stats.harvest.from_cache, slice_len,
         "the restarted incarnation must complete the whole slice: {stats:?}"
     );
 }
@@ -205,7 +205,7 @@ fn exhausted_restart_budget_degrades_to_worst_case_without_holes() {
     let report = &outcome.report;
     assert_eq!(outcome.degraded_shards(), 1);
     assert!(outcome.shards[0].exhausted);
-    assert_eq!(outcome.shards[0].worst_case, shard0_names.len());
+    assert_eq!(outcome.shards[0].harvest.worst_case, shard0_names.len());
     // No holes: every victim still has a verdict.
     assert_eq!(report.chip.verdicts.len(), total);
     // The gaps are conservative worst-case verdicts, adopted bit-for-bit
