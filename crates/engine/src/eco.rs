@@ -13,7 +13,7 @@
 //! 1. [`EcoDelta::diff`] (in `pcv-netlist`) types the edit: nets
 //!    added/removed/re-parasitized and coupling-cap edits.
 //! 2. [`pcv_xtalk::blast_radius`] maps the touched nets to every victim
-//!    within two coupling hops — the only clusters whose canonical v4
+//!    within two coupling hops — the only clusters whose canonical
 //!    fingerprint *can* change (see that module for the soundness
 //!    argument).
 //! 3. [`EcoPlan::compute`] confirms each candidate against the actual
@@ -38,9 +38,10 @@ use crate::fingerprint::{pruned_fingerprint, NetDigests};
 use crate::report::EngineReport;
 use crate::resident::{ResidentChip, VerdictSnapshot};
 use pcv_netlist::eco::EcoDelta;
+use pcv_netlist::PNetId;
 use pcv_xtalk::dirty::blast_radius;
 use pcv_xtalk::XtalkError;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// The planned scope of an incremental re-verification.
 ///
@@ -111,36 +112,50 @@ impl EcoPlan {
     }
 }
 
-/// Canonical fingerprints of every victim of a chip under one engine
-/// configuration, keyed by net name.
-fn victim_fingerprints(
-    cfg: &EngineConfig,
-    chip: &ResidentChip,
-    only: Option<&BTreeSet<String>>,
-) -> BTreeMap<String, u64> {
-    let ctx = &chip.ctx();
-    let chash = cfg.config_hash(ctx);
-    let digests = NetDigests::new(ctx);
-    let mut out = BTreeMap::new();
-    for &vic in chip.victims() {
-        let name = ctx.db.net(vic).name();
-        if only.is_some_and(|set| !set.contains(name)) {
-            continue;
-        }
-        let (_, fp) =
-            pruned_fingerprint(ctx, vic, &cfg.prune, chip.component_sizes(), chash, &digests);
-        out.insert(name.to_owned(), fp);
+/// The victims of one chip by name and — under one engine configuration,
+/// each net's section digested at most once — their fingerprints.
+struct Victims<'a> {
+    cfg: &'a EngineConfig,
+    chip: &'a ResidentChip,
+    chash: u64,
+    digests: NetDigests,
+    /// Which nets of the chip are audited, by net id.
+    audited: Vec<bool>,
+}
+
+impl<'a> Victims<'a> {
+    fn new(cfg: &'a EngineConfig, chip: &'a ResidentChip) -> Self {
+        let ctx = &chip.ctx();
+        let mut audited = vec![false; chip.num_nets()];
+        chip.victims().iter().for_each(|v| audited[v.0] = true);
+        Victims { cfg, chip, chash: cfg.config_hash(ctx), digests: NetDigests::new(ctx), audited }
     }
-    out
+
+    fn names(&self) -> impl Iterator<Item = &'a str> + '_ {
+        self.chip.victims().iter().map(|&v| self.chip.db().net(v).name())
+    }
+
+    fn find(&self, name: &str) -> Option<PNetId> {
+        self.chip.db().find_net(name).filter(|id| self.audited[id.0])
+    }
+
+    /// The canonical fingerprint of victim `name`; `None` if it is none.
+    fn fingerprint(&self, name: &str) -> Option<u64> {
+        let (ctx, sizes) = (self.chip.ctx(), self.chip.component_sizes());
+        let key =
+            |v| pruned_fingerprint(&ctx, v, &self.cfg.prune, sizes, self.chash, &self.digests);
+        self.find(name).map(|v| key(v).1)
+    }
 }
 
 impl EcoPlan {
     /// Plan the incremental run for `delta` between two elaborated chips.
     ///
-    /// Only candidate victims (those inside the blast radius) are
-    /// fingerprinted — for a small edit on a large chip the plan costs a
-    /// handful of prunes, not a chip sweep. Victims outside the radius
-    /// cannot change fingerprint (the two-hop soundness argument in
+    /// Only candidate victims (those inside the blast radius, itself walked
+    /// from the touched nets) are looked up and fingerprinted — for a small
+    /// edit on a large chip the plan costs a handful of prunes and one pass
+    /// over the two victim lists, not a chip sweep. Victims outside the
+    /// radius cannot change fingerprint (the two-hop soundness argument in
     /// [`pcv_xtalk::dirty`]), and the engine's fingerprint-guarded cache
     /// re-checks every cluster during the run anyway, so a plan can never
     /// cause a stale verdict even if its assumptions were violated.
@@ -150,51 +165,36 @@ impl EcoPlan {
         new: &ResidentChip,
         delta: &EcoDelta,
     ) -> EcoPlan {
+        let _span = pcv_trace::span("engine", "eco_plan");
         let touched = delta.touched_nets();
         let radius = blast_radius(old.db(), new.db(), &touched);
-
-        let old_victims: BTreeSet<&str> =
-            old.victims().iter().map(|&v| old.db().net(v).name()).collect();
-        let new_victims: BTreeSet<&str> =
-            new.victims().iter().map(|&v| new.db().net(v).name()).collect();
+        let (old, new) = (Victims::new(cfg, old), Victims::new(cfg, new));
 
         // Victims that are new to the audit are dirty regardless of the
         // radius (there is nothing to splice for them); retired victims
-        // just drop out of the report.
-        let retired: Vec<String> = old_victims
-            .iter()
-            .filter(|v| !new_victims.contains(*v))
-            .map(|v| (*v).to_owned())
-            .collect();
-        let fresh: BTreeSet<String> = new_victims
-            .iter()
-            .filter(|v| !old_victims.contains(*v))
-            .map(|v| (*v).to_owned())
-            .collect();
-
-        let candidates: Vec<String> = new_victims
-            .iter()
-            .filter(|v| radius.contains(**v) || fresh.contains(**v))
-            .map(|v| (*v).to_owned())
-            .collect();
-        let candidate_set: BTreeSet<String> = candidates.iter().cloned().collect();
-
-        let new_fps = victim_fingerprints(cfg, new, Some(&candidate_set));
-        let old_fps = victim_fingerprints(cfg, old, Some(&candidate_set));
-
+        // just drop out of the report. An edit rarely changes the victim
+        // list at all, and one pass over the two lists shows it did not.
+        let (mut retired, mut candidates) = (BTreeSet::new(), BTreeSet::new());
+        if !old.names().eq(new.names()) {
+            let gone = old.names().filter(|v| new.find(v).is_none());
+            retired.extend(gone.map(str::to_owned));
+            let born = new.names().filter(|v| old.find(v).is_none());
+            candidates.extend(born.map(str::to_owned));
+        }
+        candidates.extend(radius.into_iter().filter(|name| new.find(name).is_some()));
         let dirty: Vec<String> = candidates
             .iter()
-            .filter(|name| old_fps.get(*name) != new_fps.get(*name))
+            .filter(|name| old.fingerprint(name) != new.fingerprint(name))
             .cloned()
             .collect();
 
         EcoPlan {
             edits: delta.num_edits(),
             touched: touched.into_iter().collect(),
-            candidates,
-            clean: new_victims.len() - dirty.len(),
+            candidates: candidates.into_iter().collect(),
+            clean: new.audited.iter().filter(|&&v| v).count() - dirty.len(),
             dirty,
-            retired,
+            retired: retired.into_iter().collect(),
         }
     }
 }
@@ -231,10 +231,10 @@ impl Engine {
         resume: bool,
         snapshot: Option<&VerdictSnapshot>,
     ) -> Result<EcoOutcome, XtalkError> {
-        Ok(EcoOutcome {
-            plan: EcoPlan::compute(&self.config, old, new, &EcoDelta::diff(old.db(), new.db())),
-            report: self.run(RunRequest { resume, snapshot, ..RunRequest::resident(new) })?,
-        })
+        let session = self.trace_session();
+        let plan = EcoPlan::compute(&self.config, old, new, &EcoDelta::diff(old.db(), new.db()));
+        let request = RunRequest { resume, snapshot, ..RunRequest::resident(new) };
+        Ok(EcoOutcome { plan, report: self.run_in(request, session)? })
     }
 }
 

@@ -424,6 +424,24 @@ impl Engine {
     /// [`EngineReport::errors`] — and journal damage never does: corrupt or
     /// torn records are skipped and their clusters recomputed.
     pub fn run(&self, request: RunRequest<'_>) -> Result<EngineReport, XtalkError> {
+        self.run_in(request, self.trace_session())
+    }
+
+    /// The session of a traced run ([`EngineConfig::trace`]). An ECO opens it
+    /// before its diff and plan, so one trace holds the whole turnaround.
+    pub(crate) fn trace_session(&self) -> Option<pcv_trace::TraceSession> {
+        // Bridge spans to the allocation counters when the instrumented
+        // allocator is installed (idempotent no-op otherwise).
+        pcv_obs::mem::install_trace_probe();
+        self.config.trace.then(pcv_trace::TraceSession::start)
+    }
+
+    /// [`Engine::run`] inside `session`, which it finishes.
+    pub(crate) fn run_in(
+        &self,
+        request: RunRequest<'_>,
+        session: Option<pcv_trace::TraceSession>,
+    ) -> Result<EngineReport, XtalkError> {
         let RunRequest { ctx, victims, components, resume, snapshot } = request;
         let ctx = &ctx;
         let cfg = &self.config;
@@ -435,23 +453,20 @@ impl Engine {
         if cfg.check_receivers {
             ctx.receiver_views()?;
         }
-        // Bridge spans to the allocation counters when the instrumented
-        // allocator is installed (idempotent no-op otherwise).
-        pcv_obs::mem::install_trace_probe();
-        let session = if cfg.trace { Some(pcv_trace::TraceSession::start()) } else { None };
         let start = Instant::now();
         let host_parallelism = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
         let workers = if cfg.workers == 0 { host_parallelism } else { cfg.workers };
         // Lifecycle events are strictly observational: they carry
         // wall-clock data and never feed back into the report, so the
         // emit sites below must stay out of anything deterministic.
+        // An event (most own a `String`) is built only for a sink to receive.
         let sink = cfg.sink.as_deref();
-        let emit = |ev: EngineEvent| {
+        let emit = |build: &dyn Fn() -> EngineEvent| {
             if let Some(s) = sink {
-                s.event(&ev);
+                s.event(&build());
             }
         };
-        emit(EngineEvent::RunStarted { victims: victims.len(), workers });
+        emit(&|| EngineEvent::RunStarted { victims: victims.len(), workers });
 
         // Open the record store: run lock, cache, and the checkpoint journal
         // (on resume, the one a run of this config + chip slice left).
@@ -460,7 +475,7 @@ impl Engine {
         let mut store =
             RunStore::open(&cfg.durable.fs, cfg.cache_path.as_deref(), chash, chip_fp, resume)?;
         if let Some(replayable) = store.replayable() {
-            emit(EngineEvent::RunResumed { replayable });
+            emit(&|| EngineEvent::RunResumed { replayable });
         }
 
         let stop = cfg.durable.stop.as_ref();
@@ -472,10 +487,8 @@ impl Engine {
             None => Cow::Owned(coupling_component_sizes(ctx.db)),
         };
 
-        if sink.is_some() {
-            for &vic in victims {
-                emit(EngineEvent::ClusterQueued { name: ctx.db.net(vic).name().to_owned() });
-            }
+        for &vic in victims {
+            emit(&|| EngineEvent::ClusterQueued { name: ctx.db.net(vic).name().to_owned() });
         }
 
         // Per-net section digests, shared by the worker threads for the
@@ -491,12 +504,12 @@ impl Engine {
             // verdicts stay deterministic and get checkpointed).
             if stop.is_some_and(|s| s.is_stopped()) {
                 pcv_trace::count("engine.durable.skipped", 1);
-                emit(EngineEvent::ClusterSkipped { name: name.to_owned() });
+                emit(&|| EngineEvent::ClusterSkipped { name: name.to_owned() });
                 return None;
             }
             let _job_span = pcv_trace::span_labeled("engine", "cluster_job", || name.to_owned());
             let job_start = Instant::now();
-            emit(EngineEvent::ClusterStarted { name: name.to_owned() });
+            emit(&|| EngineEvent::ClusterStarted { name: name.to_owned() });
             let t = Instant::now();
             let (cluster, fp) =
                 pruned_fingerprint(ctx, vic, &cfg.prune, &component_sizes, chash, &digests);
@@ -507,17 +520,17 @@ impl Engine {
             let (record, analysis, receiver) = match stored {
                 Some((e, Source::Journal)) => {
                     pcv_trace::count("engine.journal.replays", 1);
-                    emit(EngineEvent::ClusterReplayed { name: name.to_owned() });
+                    emit(&|| EngineEvent::ClusterReplayed { name: name.to_owned() });
                     (Cow::Borrowed(e), Duration::ZERO, Duration::ZERO)
                 }
                 Some((e, Source::Cache)) => {
                     pcv_trace::count("engine.cache.hits", 1);
-                    emit(EngineEvent::CacheHit { name: name.to_owned() });
+                    emit(&|| EngineEvent::CacheHit { name: name.to_owned() });
                     (Cow::Borrowed(e), Duration::ZERO, Duration::ZERO)
                 }
                 None => {
                     pcv_trace::count("engine.cache.misses", 1);
-                    emit(EngineEvent::CacheMiss { name: name.to_owned() });
+                    emit(&|| EngineEvent::CacheMiss { name: name.to_owned() });
                     let (fresh, analysis, receiver) =
                         self.walk_ladder(ctx, &cluster, name, fp, &emit);
                     store.checkpoint(&fresh);
@@ -526,7 +539,7 @@ impl Engine {
             };
             let (verdict, degradation) =
                 record.verdict(vic, &cluster, cfg.analysis.vdd, cfg.warn_frac, cfg.fail_frac);
-            emit(EngineEvent::ClusterFinished {
+            emit(&|| EngineEvent::ClusterFinished {
                 name: name.to_owned(),
                 cached: source == Some(Source::Cache),
                 elapsed: job_start.elapsed(),
@@ -542,9 +555,11 @@ impl Engine {
             }
             Some(JobOk { verdict, cluster, source, record, degradation, prune, analysis, receiver })
         };
+        let jobs_span = pcv_trace::span("engine", "jobs");
         let (results, run_stats) = scheduler::run_with_idle(workers, victims.len(), job, |w| {
-            emit(EngineEvent::WorkerIdle { worker: w })
+            emit(&|| EngineEvent::WorkerIdle { worker: w })
         });
+        drop(jobs_span);
 
         let Merged { chip, costs, errors, degradations, fresh, mut stats } =
             merge(ctx, victims, results, cfg.warn_frac, cfg.fail_frac);
@@ -555,7 +570,7 @@ impl Engine {
         let interrupted = stop.is_some_and(|s| s.is_stopped());
         if interrupted {
             let skipped = stats.skipped;
-            emit(EngineEvent::RunStopped { completed: victims.len() - skipped, skipped });
+            emit(&|| EngineEvent::RunStopped { completed: victims.len() - skipped, skipped });
         }
 
         // Close. The ledger's record is taken after the cache save, so the
@@ -565,7 +580,7 @@ impl Engine {
             stats.peak_alloc_bytes = mem.peak_bytes;
             stats.allocs = mem.allocs;
             stats.wall_time = start.elapsed();
-            emit(EngineEvent::RunFinished {
+            emit(&|| EngineEvent::RunFinished {
                 victims: victims.len(),
                 wall: stats.wall_time,
                 cache_hits: stats.cache_hits,
@@ -684,7 +699,7 @@ impl Engine {
         cluster: &Cluster,
         name: &str,
         fp: u64,
-        emit: &impl Fn(EngineEvent),
+        emit: &dyn Fn(&dyn Fn() -> EngineEvent),
     ) -> (JournalEntry, Duration, Duration) {
         let cfg = &self.config;
         let mut attempts: Vec<Attempt> = Vec::new();
@@ -728,14 +743,14 @@ impl Engine {
             };
             attempts.push(Attempt { rung, reason, elapsed: attempt_start.elapsed() });
             rung = rung.next().expect("worst case breaks the loop").max(target);
-            emit(EngineEvent::ClusterRetried { name: name.to_owned(), rung: rung.name() });
+            emit(&|| EngineEvent::ClusterRetried { name: name.to_owned(), rung: rung.name() });
         };
         if rung != RecoveryRung::Baseline {
             pcv_trace::count("engine.recovery.degraded", 1);
             if rung == RecoveryRung::SpiceFallback {
                 pcv_trace::count("engine.recovery.fallback_spice", 1);
             }
-            emit(EngineEvent::ClusterDegraded { name: name.to_owned(), rung: rung.name() });
+            emit(&|| EngineEvent::ClusterDegraded { name: name.to_owned(), rung: rung.name() });
         }
         match standing {
             Some(ok) => {

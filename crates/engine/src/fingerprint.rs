@@ -1,6 +1,6 @@
 //! Cluster fingerprints for the incremental result cache.
 //!
-//! A fingerprint is an FNV-1a hash over everything that can change a
+//! A fingerprint is a hash over everything that can change a
 //! cluster's verdict: the cluster's own RC topology, every coupling
 //! capacitor incident to a member (member-to-member couplings enter the
 //! analyzed network; member-to-outside couplings are grounded onto the
@@ -21,15 +21,21 @@
 //! therefore costs one pass over each net, however much the clusters
 //! overlap.
 //!
-//! Element lists are *canonicalized* (sorted) before hashing, so the
+//! Element lists are hashed in *canonical* (ascending) order, so the
 //! fingerprint depends only on the electrical content of a cluster, not on
 //! the order a parasitic extractor happened to emit resistors, capacitors,
-//! or couplings. Re-extracting an unchanged layout therefore keeps the
-//! cache warm even when the netlist file shuffles.
+//! or couplings: re-extracting an unchanged layout keeps the cache warm
+//! even when the netlist file shuffles. A list that already ascends — what
+//! an extractor walking a wire emits — is hashed where it lies; only one
+//! that does not is copied and sorted. Sections and clusters hash 64-bit
+//! words (`Digest`); a string enters as the [`Fnv1a`] hash of its bytes, a
+//! net's name once per sweep; configuration, chip slice and shard
+//! assignment hash bytes.
 
 use pcv_netlist::PNetId;
 use pcv_xtalk::prune::{prune_victim_with_components, Cluster, PruneConfig};
 use pcv_xtalk::AnalysisContext;
+use std::cmp::Ordering;
 use std::sync::OnceLock;
 
 /// Incremental FNV-1a 64-bit hasher.
@@ -82,19 +88,78 @@ impl Fnv1a {
         self.0
     }
 
-    /// Final hash value through a splitmix64 finalizer. FNV-1a avalanches
-    /// weakly over trailing bytes (`"w3"` vs `"w4"`, bus bit indices), so
-    /// anything that takes a modulus or a uniform draw of the hash — shard
-    /// assignment, seeded fault picks — finishes here instead.
+    /// Final hash value through [`mix64`]. FNV-1a avalanches weakly over
+    /// trailing bytes (`"w3"` vs `"w4"`, bus bit indices), so anything that
+    /// takes a modulus or a uniform draw of the hash — shard assignment,
+    /// seeded fault picks — finishes here instead.
     pub(crate) fn finish_mixed(&self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 30;
-        x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        x ^= x >> 27;
-        x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-        x ^= x >> 31;
-        x
+        mix64(self.0)
     }
+}
+
+/// The splitmix64 finalizer: a bijection of `u64` under which flipping any
+/// input bit flips each output bit about half the time.
+fn mix64(mut x: u64) -> u64 {
+    x ^= x >> 30;
+    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x ^= x >> 27;
+    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^= x >> 31;
+    x
+}
+
+/// Word-at-a-time hasher of section and cluster digests. A word is
+/// avalanched by [`mix64`] alone — off the chain that links one word to
+/// the next — then folded in by a rotate, an xor and one odd multiply: a
+/// bijection of the state per word and of the word per state, so two
+/// sequences of one length that differ in one word never share a digest.
+#[derive(Debug, Clone, Copy)]
+struct Digest(u64);
+
+impl Digest {
+    fn new() -> Self {
+        Digest(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(23) ^ mix64(v)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    /// Absorb a list in ascending `order`, each element through `words`,
+    /// then its length: as it stands while it ascends; at the first descent
+    /// that work is dropped and a sorted copy absorbed instead, so the digest
+    /// never tells which of the two happened.
+    fn list<const N: usize>(
+        &mut self,
+        items: impl Iterator<Item = [u64; N]> + Clone,
+        order: impl Fn(&[u64; N], &[u64; N]) -> Ordering,
+        words: impl Fn([u64; N]) -> [u64; N],
+    ) {
+        let (mut in_place, mut last, mut len) = (*self, None, 0u64);
+        for item in items.clone() {
+            if last.is_some_and(|last| order(&last, &item).is_gt()) {
+                let mut sorted: Vec<[u64; N]> = items.collect();
+                sorted.sort_unstable_by(order);
+                sorted.iter().flat_map(|&item| words(item)).for_each(|w| self.word(w));
+                return self.word(sorted.len() as u64);
+            }
+            words(item).iter().for_each(|&w| in_place.word(w));
+            (last, len) = (Some(item), len + 1);
+        }
+        in_place.word(len);
+        *self = in_place;
+    }
+
+    fn finish(self) -> u64 {
+        mix64(self.0)
+    }
+}
+
+/// How a string enters a [`Digest`]: FNV-1a of its length-prefixed bytes.
+fn str_hash(s: &str) -> u64 {
+    let mut h = Fnv1a::new();
+    h.write_str(s);
+    h.finish()
 }
 
 /// Hash the run-global configuration: everything that applies to every
@@ -111,10 +176,9 @@ pub fn config_hash(
     use pcv_xtalk::drivers::DriverModelKind;
     use pcv_xtalk::EngineKind;
     let mut h = Fnv1a::new();
-    // v4: a cluster fingerprint became a digest of per-net section
-    // digests. Bumping the tag invalidates caches written by earlier
-    // layouts.
-    h.write_str("pcv-engine config v4");
+    // v5: sections and clusters are hashed word-wise. Bumping the tag
+    // invalidates caches and journals written by earlier layouts.
+    h.write_str("pcv-engine config v5");
     h.write_f64(prune.cap_ratio);
     h.write_usize(prune.max_aggressors);
     match opts.engine {
@@ -164,101 +228,93 @@ pub fn chip_slice_fingerprint(ctx: &AnalysisContext<'_>, victims: &[pcv_netlist:
     h.finish()
 }
 
-/// Run-scoped memo of per-net section digests, indexed by [`PNetId`].
-///
-/// A section reads nothing but `(ctx, net)`, so within one
+/// Run-scoped memo of per-net section digests and name hashes, indexed by
+/// [`PNetId`]. A section reads nothing but `(ctx, net)`, so within one
 /// [`AnalysisContext`] it is hashed once however many clusters the net is
 /// a member of. A memo is created per sweep and dropped with it: nothing
 /// digested under one context can be read under another.
-pub(crate) struct NetDigests(Vec<OnceLock<u64>>);
+pub(crate) struct NetDigests {
+    sections: Vec<OnceLock<u64>>,
+    names: Vec<OnceLock<u64>>,
+}
 
 impl NetDigests {
     /// An empty memo for the nets of `ctx`.
     pub(crate) fn new(ctx: &AnalysisContext<'_>) -> Self {
-        NetDigests((0..ctx.db.num_nets()).map(|_| OnceLock::new()).collect())
+        let empty = || (0..ctx.db.num_nets()).map(|_| OnceLock::new()).collect();
+        NetDigests { sections: empty(), names: empty() }
     }
 
-    fn get(&self, ctx: &AnalysisContext<'_>, net: PNetId) -> u64 {
-        *self.0[net.0].get_or_init(|| net_section_digest(ctx, net))
+    fn section(&self, ctx: &AnalysisContext<'_>, net: PNetId) -> u64 {
+        *self.sections[net.0].get_or_init(|| self.digest_section(ctx, net))
     }
-}
 
-/// Digest of everything one member net contributes to a cluster's
-/// analysis: its RC, every coupling incident to it, and the design
-/// annotations the analysis consults for it.
-fn net_section_digest(ctx: &AnalysisContext<'_>, m: PNetId) -> u64 {
-    pcv_trace::count("engine.fingerprint.net_digests", 1);
-    let mut h = Fnv1a::new();
-    let net = ctx.db.net(m);
-    h.write_str(net.name());
-    h.write_usize(net.num_nodes());
-    // Canonical order for every element list: the fingerprint must not
-    // depend on the order an extractor emitted the netlist.
-    let mut loads: Vec<usize> = net.load_nodes().to_vec();
-    loads.sort_unstable();
-    for n in loads {
-        h.write_usize(n);
+    fn name(&self, ctx: &AnalysisContext<'_>, net: PNetId) -> u64 {
+        *self.names[net.0].get_or_init(|| str_hash(ctx.db.net(net).name()))
     }
-    let mut resistors: Vec<(usize, usize, u64)> =
-        net.resistors().iter().map(|&(a, b, ohms)| (a, b, ohms.to_bits())).collect();
-    resistors.sort_unstable();
-    for (a, b, bits) in resistors {
-        h.write_usize(a);
-        h.write_usize(b);
-        h.write_u64(bits);
-    }
-    let mut gcaps: Vec<(usize, u64)> =
-        net.ground_caps().iter().map(|&(n, c)| (n, c.to_bits())).collect();
-    gcaps.sort_unstable();
-    for (n, bits) in gcaps {
-        h.write_usize(n);
-        h.write_u64(bits);
-    }
-    // Every coupling incident to a member shapes the analyzed network:
-    // member-to-member caps directly, member-to-outside caps through
-    // conservative decoupling (grounded at the member node).
-    let mut couplings: Vec<(usize, &str, usize, u64)> = ctx
-        .db
-        .couplings_of(m)
-        .map(|c| {
+
+    /// Digest of everything one member net contributes to a cluster's
+    /// analysis: its RC, every coupling incident to it, and the design
+    /// annotations the analysis consults for it.
+    fn digest_section(&self, ctx: &AnalysisContext<'_>, m: PNetId) -> u64 {
+        pcv_trace::count("engine.fingerprint.net_digests", 1);
+        let mut h = Digest::new();
+        let net = ctx.db.net(m);
+        h.word(self.name(ctx, m));
+        h.word(net.num_nodes() as u64);
+        h.list(net.load_nodes().iter().map(|&n| [n as u64]), Ord::cmp, |item| item);
+        let resistors = net.resistors().iter().map(|&(a, b, r)| [a as u64, b as u64, r.to_bits()]);
+        h.list(resistors, Ord::cmp, |item| item);
+        h.list(net.ground_caps().iter().map(|&(n, c)| [n as u64, c.to_bits()]), Ord::cmp, |item| {
+            item
+        });
+        // Every coupling incident to a member shapes the analyzed network:
+        // member-to-member caps directly, member-to-outside caps through
+        // conservative decoupling (grounded at the member node). They are
+        // ordered by the other net's name first — wire by wire, as an
+        // extractor emits them — and the name is absorbed as its hash.
+        let couplings = ctx.db.couplings_of(m).map(|c| {
             let (own, other) = if c.a.net == m { (c.a, c.b) } else { (c.b, c.a) };
-            (own.node, ctx.db.net(other.net).name(), other.node, c.farads.to_bits())
-        })
-        .collect();
-    couplings.sort_unstable();
-    for (own_node, other_name, other_node, bits) in couplings {
-        h.write_usize(own_node);
-        h.write_str(other_name);
-        h.write_usize(other_node);
-        h.write_u64(bits);
-    }
-    // Design-side inputs: receiver loading, switching window, driver
-    // cell, complement partner.
-    h.write_f64(ctx.load_cap(m));
-    if let Some(design) = ctx.design {
-        match design.find_net(net.name()) {
-            Some(dnet) => {
-                match design.window(dnet) {
-                    Some((a, b)) => {
-                        h.write_u64(1);
-                        h.write_f64(a);
-                        h.write_f64(b);
-                    }
-                    None => h.write_u64(0),
-                }
-                match design.complement_of(dnet) {
-                    Some(other) => h.write_str(design.net_name(other)),
-                    None => h.write_u64(0),
-                }
+            [other.net.0 as u64, own.node as u64, other.node as u64, c.farads.to_bits()]
+        });
+        let name = |net: u64| ctx.db.net(PNetId(net as usize)).name();
+        let by_name = |a: &[u64; 4], b: &[u64; 4]| {
+            if a[0] == b[0] {
+                a.cmp(b)
+            } else {
+                name(a[0]).cmp(name(b[0]))
             }
-            None => h.write_u64(2),
+        };
+        let hashed = |c: [u64; 4]| [self.name(ctx, PNetId(c[0] as usize)), c[1], c[2], c[3]];
+        h.list(couplings, by_name, hashed);
+        // Design-side inputs: receiver loading, switching window, driver
+        // cell, complement partner.
+        h.word(ctx.load_cap(m).to_bits());
+        if let Some(design) = ctx.design {
+            match design.find_net(net.name()) {
+                Some(dnet) => {
+                    match design.window(dnet) {
+                        Some((a, b)) => {
+                            h.word(1);
+                            h.word(a.to_bits());
+                            h.word(b.to_bits());
+                        }
+                        None => h.word(0),
+                    }
+                    match design.complement_of(dnet) {
+                        Some(other) => h.word(str_hash(design.net_name(other))),
+                        None => h.word(0),
+                    }
+                }
+                None => h.word(2),
+            }
         }
+        match ctx.driver_cell(m) {
+            Ok(cell) => h.word(str_hash(&cell.name)),
+            Err(_) => h.word(3),
+        }
+        h.finish()
     }
-    match ctx.driver_cell(m) {
-        Ok(cell) => h.write_str(&cell.name),
-        Err(_) => h.write_u64(3),
-    }
-    h.finish()
 }
 
 /// Fingerprint one pruned cluster under a given configuration hash,
@@ -270,18 +326,19 @@ fn cluster_fingerprint_in(
     memo: &NetDigests,
 ) -> u64 {
     pcv_trace::count("engine.fingerprint.clusters", 1);
-    let mut h = Fnv1a::new();
-    h.write_u64(config);
+    let mut h = Digest::new();
+    h.word(config);
 
     // Pruning outcome beyond membership: what was grounded away changes
     // the victim's loading.
-    h.write_f64(cluster.decoupled_cap);
-    h.write_usize(cluster.aggressors.len());
+    h.word(cluster.decoupled_cap.to_bits());
+    h.word(cluster.aggressors.len() as u64);
     for &(_, cc) in &cluster.aggressors {
-        h.write_f64(cc);
+        h.word(cc.to_bits());
     }
-    for m in cluster.members() {
-        h.write_u64(memo.get(ctx, m));
+    h.word(memo.section(ctx, cluster.victim));
+    for &(aggressor, _) in &cluster.aggressors {
+        h.word(memo.section(ctx, aggressor));
     }
     h.finish()
 }
@@ -342,6 +399,67 @@ mod tests {
         b.write_str("a");
         b.write_str("bc");
         assert_ne!(a.finish(), b.finish());
+    }
+
+    #[test]
+    fn flipping_any_bit_of_any_absorbed_word_changes_the_digest() {
+        let mut rng = pcv_rng::Rng::new(0xD16E);
+        let words: Vec<u64> =
+            (0..24).map(|k| if k % 5 == 0 { k } else { rng.next_u64() }).collect();
+        let digest = |words: &[u64]| {
+            let mut h = Digest::new();
+            words.iter().for_each(|&w| h.word(w));
+            h.finish()
+        };
+        let base = digest(&words);
+        let mut flipped_bits = 0;
+        for (k, bit) in (0..words.len()).flat_map(|k| (0..64).map(move |bit| (k, bit))) {
+            let mut edited = words.clone();
+            edited[k] ^= 1 << bit;
+            assert_ne!(digest(&edited), base, "word {k} bit {bit}");
+            flipped_bits += (digest(&edited) ^ base).count_ones();
+        }
+        // Full avalanche: a flipped input bit flips about half the digest.
+        let mean = f64::from(flipped_bits) / (words.len() * 64) as f64;
+        assert!((30.0..34.0).contains(&mean), "mean flipped output bits {mean}");
+        // Length and order count.
+        assert_ne!(digest(&words[1..]), base);
+        assert_ne!(digest(&[&words[1..2], &words[..1], &words[2..]].concat()), base);
+    }
+
+    #[test]
+    fn a_list_digests_alike_in_canonical_order_and_shuffled() {
+        let mut rng = pcv_rng::Rng::new(0x5047);
+        let digest = |list: &[[u64; 3]]| {
+            let mut h = Digest::new();
+            h.list(list.iter().copied(), Ord::cmp, |item| item);
+            h.finish()
+        };
+        for len in [0usize, 1, 2, 3, 17, 200] {
+            // Few distinct leading words, so later words decide the order,
+            // and (from three elements up) a duplicate.
+            let element = |rng: &mut pcv_rng::Rng| {
+                [rng.next_u64() >> 62, rng.next_u64() >> 62, rng.next_u64()]
+            };
+            let mut sorted: Vec<[u64; 3]> = (0..len).map(|_| element(&mut rng)).collect();
+            sorted.extend_from_within(..len.min(3) / 3);
+            sorted.sort_unstable();
+            // In place: what absorbing a sorted copy word by word gives.
+            let mut by_hand = Digest::new();
+            sorted.iter().flatten().for_each(|&w| by_hand.word(w));
+            by_hand.word(sorted.len() as u64);
+            assert_eq!(digest(&sorted), by_hand.finish(), "len {len}");
+            for _ in 0..8 {
+                let mut shuffled = sorted.clone();
+                (1..shuffled.len()).rev().for_each(|k| shuffled.swap(k, rng.range_usize(0, k + 1)));
+                assert_eq!(digest(&shuffled), digest(&sorted), "len {len}: {shuffled:?}");
+            }
+            if let Some(last) = sorted.last().copied() {
+                assert_ne!(digest(&sorted[1..]), digest(&sorted), "len {len}");
+                *sorted.last_mut().expect("non-empty") = [last[0], last[1], last[2] ^ 1];
+                assert_ne!(digest(&sorted), by_hand.finish(), "len {len}");
+            }
+        }
     }
 
     use pcv_cells::library::CellLibrary;
@@ -546,7 +664,7 @@ mod tests {
                     });
                 }
             });
-            let filled = memo.0.iter().filter(|slot| slot.get().is_some()).count();
+            let filled = memo.sections.iter().filter(|slot| slot.get().is_some()).count();
             assert_eq!(filled, distinct.len(), "one digest per net that is a member somewhere");
         }
     }

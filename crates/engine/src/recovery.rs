@@ -31,8 +31,9 @@
 
 use pcv_mor::MorError;
 use pcv_netlist::PNetId;
-use pcv_trace::json::{str_lit, Value};
+use pcv_trace::json::{write_str, Value};
 use pcv_xtalk::XtalkError;
+use std::fmt::Write as _;
 use std::time::Duration;
 
 /// One rung of the recovery ladder, in escalation order.
@@ -188,16 +189,15 @@ impl Trail {
     /// durations are wall-clock and deliberately omitted: both documents
     /// must stay byte-identical across worker counts and machines.
     pub(crate) fn write_json_members(&self, out: &mut String) {
-        out.push_str(&format!("\"recovered\":{},\"attempts\":[", str_lit(self.recovered.name())));
+        // Rung names need no escaping.
+        let _ = write!(out, "\"recovered\":\"{}\",\"attempts\":[", self.recovered.name());
         for (i, a) in self.attempts.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!(
-                "{{\"rung\":{},\"reason\":{}}}",
-                str_lit(a.rung.name()),
-                str_lit(&a.reason)
-            ));
+            let _ = write!(out, "{{\"rung\":\"{}\",\"reason\":", a.rung.name());
+            write_str(out, &a.reason);
+            out.push('}');
         }
         out.push(']');
     }

@@ -3,10 +3,10 @@
 
 use crate::recovery::Degradation;
 use pcv_netlist::PNetId;
-use pcv_trace::json::{f64_lit, str_lit};
+use pcv_trace::json::{f64_lit, str_lit, write_str};
 use pcv_trace::Trace;
 use pcv_xtalk::ChipReport;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -311,14 +311,17 @@ impl EngineReport {
     /// victim with its rung and attempt trail. Byte-identical across worker
     /// counts for a fixed input and fault plan.
     pub fn signoff_json(&self) -> String {
+        let _span = pcv_trace::span("engine", "signoff_json");
         let mut out = String::from("{\"chip\":");
-        out.push_str(&self.chip.to_json());
+        self.chip.write_json(&mut out);
         out.push_str(",\"degradations\":[");
         for (i, d) in self.degradations.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("{{\"net\":{},\"name\":{},", d.net.0, str_lit(&d.name)));
+            let _ = write!(out, "{{\"net\":{},\"name\":", d.net.0);
+            write_str(&mut out, &d.name);
+            out.push(',');
             d.trail.write_json_members(&mut out);
             out.push('}');
         }

@@ -97,6 +97,7 @@ impl RunStore {
         chip_fp: u64,
         resume: bool,
     ) -> Result<RunStore, XtalkError> {
+        let _span = pcv_trace::span("engine", "store_open");
         let lock = match cache_path.map(RunLock::path_for) {
             Some(path) => match RunLock::acquire(&path, config_fp) {
                 Ok(lock) => Some(lock),
@@ -154,6 +155,7 @@ impl RunStore {
         interrupted: bool,
         record: impl FnOnce() -> RunRecord,
     ) {
+        let _span = pcv_trace::span("engine", "store_close");
         let mut saved = false;
         if let Some(path) = &self.cache_path {
             let _span = pcv_trace::span("engine", "cache_save");

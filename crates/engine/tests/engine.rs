@@ -455,3 +455,57 @@ fn changing_analysis_options_invalidates_the_whole_cache() {
     assert_eq!(report.stats.cache_misses, victims.len());
     let _ = std::fs::remove_file(&path);
 }
+
+#[test]
+fn a_traced_turnaround_accounts_for_its_wall_time() {
+    let dir = std::env::temp_dir().join(format!("pcv-eco-trace-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    // A 160-net chain under names no other test of this binary uses:
+    // a session also hears the spans of runs beside it.
+    let chain = |scale: f64| {
+        let mut db = ParasiticDb::new();
+        for i in 0..160 {
+            let mut n = NetParasitics::new(format!("traced{i}"));
+            let n1 = n.add_node();
+            n.add_resistor(0, n1, 150.0);
+            n.add_ground_cap(n1, if i == 80 { 8e-15 * scale } else { 8e-15 });
+            db.add_net(n);
+        }
+        for i in 1..160 {
+            let end = |k| NetNodeRef { net: PNetId(k), node: 1 };
+            db.add_coupling(end(i - 1), end(i), 11e-15);
+        }
+        ResidentChip::fixed_resistance(db, 1000.0, (0..160).map(PNetId).collect())
+    };
+    let (old, new) = (chain(1.0), chain(1.02));
+    let mut config =
+        EngineConfig { workers: 1, cache_path: Some(dir.join("c.cache")), ..Default::default() };
+    config.analysis.mor.max_step_fraction = 1.0 / 50.0;
+    Engine::new(config.clone()).verify_resident(&old, None).unwrap();
+    config.trace = true;
+
+    // Wall-clock: a preempted gap can miss the mark, three in a row cannot.
+    let mut shares = Vec::new();
+    for _attempt in 0..3 {
+        let outcome = Engine::new(config.clone()).eco_verify_resident(&old, &new, false, None);
+        let trace = outcome.unwrap().report.trace.expect("traced run");
+        let named = |name: &'static str| trace.spans.iter().filter(move |s| s.name == name);
+        let diff = named("eco_diff").next().expect("the diff is inside the session");
+        let close = named("store_close").find(|s| s.tid == diff.tid).expect("closed");
+        let extent = close.start_ns + close.dur_ns - diff.start_ns;
+        // The spans of the calling thread tile the turnaround.
+        let accounted: u64 = ["eco_diff", "eco_plan", "store_open", "jobs", "merge", "store_close"]
+            .iter()
+            .flat_map(|name| named(name).filter(|s| s.tid == diff.tid))
+            .map(|s| s.dur_ns)
+            .sum();
+        let jobs = named("cluster_job")
+            .filter(|s| s.label.as_deref().is_some_and(|l| l.starts_with("traced")));
+        assert_eq!(jobs.count(), 160);
+        assert!(accounted <= extent, "spans overlap: {accounted} of {extent} ns");
+        shares.push(accounted as f64 / extent as f64);
+    }
+    assert!(shares.iter().any(|&s| s >= 0.9), "spans cover {shares:?} of the turnaround");
+    let _ = std::fs::remove_dir_all(&dir);
+}

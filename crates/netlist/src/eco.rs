@@ -21,7 +21,7 @@
 //!   electrically inert but still enters the engine's canonical
 //!   fingerprints, so adding or dropping one is a reportable edit.
 
-use crate::parasitics::{NetParasitics, ParasiticDb};
+use crate::parasitics::{NetNodeRef, NetParasitics, PNetId, ParasiticDb};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One endpoint of a coupling capacitor, by net name and node index.
@@ -233,27 +233,19 @@ fn coupling_map(db: &ParasiticDb) -> BTreeMap<(CouplingEnd, CouplingEnd), Vec<f6
 }
 
 /// Fast path over the coupling lists: bit-identical entries in the same
-/// stored order (canonicalizing each entry's endpoint orientation). Like
-/// [`same_net_bits`], `false` only means "build the canonical maps".
-fn same_coupling_bits(old: &ParasiticDb, new: &ParasiticDb) -> bool {
-    fn key<'a>(
-        db: &'a ParasiticDb,
-        c: &crate::CouplingCap,
-    ) -> ((&'a str, usize), (&'a str, usize)) {
-        let ea = (db.net(c.a.net).name(), c.a.node);
-        let eb = (db.net(c.b.net).name(), c.b.node);
-        if ea <= eb {
-            (ea, eb)
-        } else {
-            (eb, ea)
-        }
-    }
+/// stored order, either way round (two entries share a canonical key
+/// exactly when they join the same two endpoints). `new_id` maps an old net
+/// to the new net of its name. Like [`same_net_bits`], `false` only means
+/// "build the canonical maps".
+fn same_coupling_bits(old: &ParasiticDb, new: &ParasiticDb, new_id: &[Option<PNetId>]) -> bool {
+    let same_end =
+        |o: NetNodeRef, n: NetNodeRef| new_id[o.net.0] == Some(n.net) && o.node == n.node;
     old.couplings().len() == new.couplings().len()
-        && old
-            .couplings()
-            .iter()
-            .zip(new.couplings())
-            .all(|(o, n)| key(old, o) == key(new, n) && o.farads.to_bits() == n.farads.to_bits())
+        && old.couplings().iter().zip(new.couplings()).all(|(o, n)| {
+            o.farads.to_bits() == n.farads.to_bits()
+                && ((same_end(o.a, n.a) && same_end(o.b, n.b))
+                    || (same_end(o.a, n.b) && same_end(o.b, n.a)))
+        })
 }
 
 impl EcoDelta {
@@ -261,31 +253,35 @@ impl EcoDelta {
     /// name with bit-exact values and multiset semantics (see the module
     /// docs for the exact rules).
     pub fn diff(old: &ParasiticDb, new: &ParasiticDb) -> EcoDelta {
-        let old_names: BTreeMap<&str, _> = old.iter().map(|(_, n)| (n.name(), n)).collect();
-        let new_names: BTreeMap<&str, _> = new.iter().map(|(_, n)| (n.name(), n)).collect();
-
-        let added = new_names
-            .keys()
-            .filter(|k| !old_names.contains_key(*k))
-            .map(|k| (*k).to_owned())
-            .collect();
-        let removed = old_names
-            .keys()
-            .filter(|k| !new_names.contains_key(*k))
-            .map(|k| (*k).to_owned())
-            .collect();
-        let reparasitized = old_names
-            .iter()
-            .filter_map(|(name, o)| {
-                let n = new_names.get(name)?;
-                if same_net_bits(o, n) {
-                    return None;
+        let _span = pcv_trace::span("engine", "eco_diff");
+        let mut removed = Vec::new();
+        let mut reparasitized = Vec::new();
+        // The new net of each old net's name: one look-up a net, which the
+        // coupling comparison then reads instead of comparing names.
+        let mut new_id = Vec::with_capacity(old.num_nets());
+        for (_, o) in old.iter() {
+            let id = new.find_net(o.name());
+            new_id.push(id);
+            match id.map(|id| new.net(id)) {
+                None => removed.push(o.name().to_owned()),
+                Some(n) if same_net_bits(o, n) => {}
+                Some(n) => {
+                    let d = net_delta(o.name(), o, n);
+                    if !d.is_empty() {
+                        reparasitized.push(d);
+                    }
                 }
-                let d = net_delta(name, o, n);
-                (!d.is_empty()).then_some(d)
-            })
+            }
+        }
+        let mut added: Vec<String> = new
+            .iter()
+            .filter(|(_, n)| old.find_net(n.name()).is_none())
+            .map(|(_, n)| n.name().to_owned())
             .collect();
-        let coupling_edits = if same_coupling_bits(old, new) {
+        added.sort_unstable();
+        removed.sort_unstable();
+        reparasitized.sort_unstable_by(|a: &NetDelta, b| a.name.cmp(&b.name));
+        let coupling_edits = if same_coupling_bits(old, new, &new_id) {
             Vec::new()
         } else {
             multiset_edits(coupling_map(old), coupling_map(new))

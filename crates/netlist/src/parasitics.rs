@@ -62,6 +62,13 @@ impl NetParasitics {
         }
     }
 
+    /// Create a net of `num_nodes` ≥ 1 nodes (node 0 is the driver) at the
+    /// cost of one: what a reader makes of a declared node count.
+    pub fn with_nodes(name: impl Into<String>, num_nodes: usize) -> Self {
+        assert!(num_nodes >= 1, "net needs at least the driver node");
+        NetParasitics { num_nodes, ..Self::new(name) }
+    }
+
     /// Net name.
     pub fn name(&self) -> &str {
         &self.name
@@ -247,7 +254,7 @@ impl ParasiticDb {
     }
 
     /// Coupling capacitors that touch a given net.
-    pub fn couplings_of(&self, net: PNetId) -> impl Iterator<Item = &CouplingCap> {
+    pub fn couplings_of(&self, net: PNetId) -> impl Iterator<Item = &CouplingCap> + Clone {
         self.net_couplings[net.0].iter().map(move |&i| &self.couplings[i])
     }
 

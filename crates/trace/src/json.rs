@@ -4,7 +4,7 @@
 //! journal payloads, worker lines, benchmark summaries).
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Append `s` to `out` as a JSON string literal (with quotes).
 pub fn write_str(out: &mut String, s: &str) {
@@ -17,7 +17,7 @@ pub fn write_str(out: &mut String, s: &str) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
@@ -32,25 +32,26 @@ pub fn str_lit(s: &str) -> String {
     out
 }
 
-/// A JSON number for a finite `f64`, or the exact bit pattern is lost —
-/// use [`f64_bits`] alongside when exactness matters. Non-finite values
-/// are encoded as strings (plain JSON has no NaN/Infinity).
-pub fn f64_lit(v: f64) -> String {
+/// Append a JSON number for a finite `f64`; its exact bit pattern is lost
+/// (golden reports write the bits as a hex string alongside). Non-finite
+/// values are encoded as strings (plain JSON has no NaN/Infinity).
+pub fn write_f64(out: &mut String, v: f64) {
     if v.is_finite() {
-        let mut s = format!("{v}");
-        if !s.contains(['.', 'e', 'E']) {
-            s.push_str(".0");
+        let start = out.len();
+        let _ = write!(out, "{v}");
+        if !out[start..].contains(['.', 'e', 'E']) {
+            out.push_str(".0");
         }
-        s
     } else {
-        str_lit(&format!("{v}"))
+        let _ = write!(out, "\"{v}\"");
     }
 }
 
-/// The exact bit pattern of an `f64` as a hex string literal — the
-/// round-trippable form used by golden reports.
-pub fn f64_bits(v: f64) -> String {
-    format!("\"{:016x}\"", v.to_bits())
+/// [`write_f64`]'s text on its own.
+pub fn f64_lit(v: f64) -> String {
+    let mut out = String::new();
+    write_f64(&mut out, v);
+    out
 }
 
 /// A parsed JSON value.
@@ -361,7 +362,6 @@ mod tests {
         assert_eq!(f64_lit(3.0), "3.0");
         assert_eq!(f64_lit(1e-15), "0.000000000000001");
         assert_eq!(f64_lit(f64::INFINITY), "\"inf\"");
-        assert_eq!(f64_bits(1.0), "\"3ff0000000000000\"");
     }
 
     #[test]

@@ -6,8 +6,8 @@ use crate::error::XtalkError;
 use crate::prune::{prune_victim, Cluster, PruneConfig, PruningStats};
 use crate::receiver::check_receiver_propagation;
 use pcv_netlist::PNetId;
-use pcv_trace::json::{f64_bits, f64_lit, str_lit, Value};
-use std::fmt;
+use pcv_trace::json::{write_f64, write_str, Value};
+use std::fmt::{self, Write as _};
 
 /// Receiver-side verdict for a flagged victim (see [`audit_receivers`]).
 #[derive(Debug, Clone, PartialEq)]
@@ -230,7 +230,9 @@ pub fn verify_chip(
 /// Append `"key":<decimal>,"key_bits":"<hex>"` — every float in the
 /// report documents appears twice, readable and exact.
 fn json_float(out: &mut String, key: &str, v: f64) {
-    out.push_str(&format!("\"{key}\":{},\"{key}_bits\":{}", f64_lit(v), f64_bits(v)));
+    let _ = write!(out, "\"{key}\":");
+    write_f64(out, v);
+    let _ = write!(out, ",\"{key}_bits\":\"{:016x}\"", v.to_bits());
 }
 
 impl NetVerdict {
@@ -248,24 +250,27 @@ impl NetVerdict {
     /// caller owns the braces and any members of its own (the shard
     /// worker's stream adds `"kind":"verdict"`).
     pub fn write_members(&self, out: &mut String) {
-        out.push_str(&format!("\"net\":{},\"name\":{},", self.net.0, str_lit(&self.name)));
+        let _ = write!(out, "\"net\":{},\"name\":", self.net.0);
+        write_str(out, &self.name);
+        out.push(',');
         json_float(out, "rise_peak", self.rise_peak);
         out.push(',');
         json_float(out, "fall_peak", self.fall_peak);
         out.push(',');
         json_float(out, "worst_frac", self.worst_frac);
-        out.push_str(&format!(
-            ",\"severity\":{},\"cluster_size\":{},\"neighbors_before\":{}",
-            str_lit(&self.severity.to_string()),
-            self.cluster_size,
-            self.neighbors_before
-        ));
-        out.push_str(",\"receiver\":");
+        // A severity's name needs no escaping.
+        let _ = write!(
+            out,
+            ",\"severity\":\"{}\",\"cluster_size\":{},\"neighbors_before\":{},\"receiver\":",
+            self.severity, self.cluster_size, self.neighbors_before
+        );
         match &self.receiver {
             Some(r) => {
-                out.push_str(&format!("{{\"cell\":{},", str_lit(&r.cell)));
+                out.push_str("{\"cell\":");
+                write_str(out, &r.cell);
+                out.push(',');
                 json_float(out, "output_peak", r.output_peak);
-                out.push_str(&format!(",\"propagates\":{}}}", r.propagates));
+                let _ = write!(out, ",\"propagates\":{}}}", r.propagates);
             }
             None => out.push_str("null"),
         }
@@ -318,29 +323,35 @@ impl ChipReport {
     /// compared byte-for-byte across runs, worker counts, and cache states
     /// — the property the golden-report regression suite locks down.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        json_float(&mut out, "warn_frac", self.warn_frac);
+        let mut out = String::new();
+        self.write_json(&mut out);
+        out
+    }
+
+    /// Append [`ChipReport::to_json`]'s document to `out`.
+    pub fn write_json(&self, out: &mut String) {
+        out.push('{');
+        json_float(out, "warn_frac", self.warn_frac);
         out.push(',');
-        json_float(&mut out, "fail_frac", self.fail_frac);
+        json_float(out, "fail_frac", self.fail_frac);
         out.push_str(",\"pruning\":{");
-        json_float(&mut out, "mean_before", self.pruning.mean_before);
+        json_float(out, "mean_before", self.pruning.mean_before);
         out.push(',');
-        json_float(&mut out, "mean_component", self.pruning.mean_component);
+        json_float(out, "mean_component", self.pruning.mean_component);
         out.push(',');
-        json_float(&mut out, "mean_after", self.pruning.mean_after);
-        out.push_str(&format!(
-            ",\"max_after\":{},\"active_clusters\":{}}}",
+        json_float(out, "mean_after", self.pruning.mean_after);
+        let _ = write!(
+            out,
+            ",\"max_after\":{},\"active_clusters\":{}}},\"verdicts\":[",
             self.pruning.max_after, self.pruning.active_clusters
-        ));
-        out.push_str(",\"verdicts\":[");
+        );
         for (i, v) in self.verdicts.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            v.write_json(&mut out);
+            v.write_json(out);
         }
         out.push_str("]}");
-        out
     }
 
     /// Render the audit as CSV (one row per victim, worst first) for

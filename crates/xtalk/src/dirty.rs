@@ -31,35 +31,37 @@
 //! dirties the victims it *used to* couple into.
 
 use pcv_netlist::ParasiticDb;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
-/// Name-keyed coupling adjacency of one database.
-fn adjacency(db: &ParasiticDb) -> BTreeMap<&str, BTreeSet<&str>> {
-    let mut adj: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
-    // Every net is present, even uncoupled ones, so lookups are total.
-    for (_, net) in db.iter() {
-        adj.entry(net.name()).or_default();
-    }
-    // Segment-wise extraction emits long runs of couplings between the
-    // same net pair (one per overlap segment); skipping consecutive
-    // repeats cuts the insert count by the segment count.
-    let mut last = None;
-    for c in db.couplings() {
-        if last == Some((c.a.net, c.b.net)) {
-            continue;
+/// Add to `out` the coupling neighbors, in either database, of every net
+/// `names` yields — at the cost of those nets' own coupling lists.
+fn add_neighbors<'a, 'n>(
+    dbs: [&'a ParasiticDb; 2],
+    names: impl Iterator<Item = &'n str>,
+    out: &mut BTreeSet<&'a str>,
+) {
+    for name in names {
+        for db in dbs {
+            let Some(net) = db.find_net(name) else { continue };
+            // Segment-wise extraction emits long runs of couplings between
+            // the same net pair (one per overlap segment); skipping
+            // consecutive repeats cuts the insert count by the segment count.
+            let mut last = None;
+            for c in db.couplings_of(net) {
+                let other = if c.a.net == net { c.b.net } else { c.a.net };
+                if last != Some(other) {
+                    last = Some(other);
+                    out.insert(db.net(other).name());
+                }
+            }
         }
-        last = Some((c.a.net, c.b.net));
-        let a = db.net(c.a.net).name();
-        let b = db.net(c.b.net).name();
-        adj.entry(a).or_default().insert(b);
-        adj.entry(b).or_default().insert(a);
     }
-    adj
 }
 
 /// Every net within two coupling hops of a touched net, in the union of
 /// the old and new coupling graphs (see the module docs for why two hops
-/// bound the reach of a cluster fingerprint).
+/// bound the reach of a cluster fingerprint). The walk starts at the
+/// touched nets, so it costs what the edit reaches, not the chip.
 ///
 /// The result contains net names from either database; intersect it with
 /// the run's victim list to get the candidate dirty clusters. Touched
@@ -69,27 +71,15 @@ pub fn blast_radius(
     new: &ParasiticDb,
     touched: &BTreeSet<String>,
 ) -> BTreeSet<String> {
-    // Borrowed-key union adjacency: names live in the two databases, so
-    // the closure allocates nothing proportional to the chip — only the
-    // (small) result set is owned.
-    let mut adj: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
-    for db in [old, new] {
-        for (name, nbrs) in adjacency(db) {
-            adj.entry(name).or_default().extend(nbrs);
-        }
-    }
+    // Names are borrowed from the two databases until the (small) result
+    // set is built.
+    let (mut hop1, mut hop2) = (BTreeSet::new(), BTreeSet::new());
     // Hop 1: direct coupling neighbors of every touched net.
-    let hop1: BTreeSet<&str> = touched
-        .iter()
-        .filter_map(|t| adj.get(t.as_str()))
-        .flat_map(|nbrs| nbrs.iter().copied())
-        .collect();
+    add_neighbors([old, new], touched.iter().map(String::as_str), &mut hop1);
     // Hop 2: neighbors of hop-1 nets (members of clusters the edit reaches).
-    let hop2: BTreeSet<&str> =
-        hop1.iter().filter_map(|n| adj.get(n)).flat_map(|nbrs| nbrs.iter().copied()).collect();
+    add_neighbors([old, new], hop1.iter().copied(), &mut hop2);
     let mut radius: BTreeSet<String> = touched.clone();
-    radius.extend(hop1.into_iter().map(str::to_owned));
-    radius.extend(hop2.into_iter().map(str::to_owned));
+    radius.extend(hop1.into_iter().chain(hop2).map(str::to_owned));
     radius
 }
 

@@ -22,7 +22,8 @@
 //!    coupling adds/drops/scales) and proves the planner's dirty set is
 //!    exactly the fingerprint-changed victims — every changed cluster is
 //!    caught (soundness of the two-hop radius) and no clean cluster is
-//!    re-analyzed (minimality).
+//!    re-analyzed (minimality) — and that the whole plan, field for field,
+//!    is the one a sweep of every victim of both chips arrives at.
 
 use pcv_engine::{cluster_fingerprint, config_hash, EcoPlan, Engine, EngineConfig, ResidentChip};
 use pcv_netlist::eco::EcoDelta;
@@ -415,6 +416,25 @@ fn random_spec(rng: &mut Rng) -> ChipSpec {
 /// drops/scales/additions — every delta category the planner types.
 fn mutate(spec: &ChipSpec, rng: &mut Rng, tag: u64) -> ChipSpec {
     let mut new = spec.clone();
+    if tag % 6 == 5 {
+        // A coupling-only edit: no net's own RC moves.
+        let k = rng.range_usize(0, new.couplings.len().max(1));
+        if let Some(c) = new.couplings.get_mut(k) {
+            c.farads *= 1.07;
+        }
+        return new;
+    }
+    if rng.bool_with(0.25) {
+        // A rename: to the planner, one net retired and one born.
+        let k = rng.range_usize(0, new.nets.len());
+        let (was, now) = (new.nets[k].name.clone(), format!("r{tag}"));
+        for end in new.couplings.iter_mut().flat_map(|c| [&mut c.a.0, &mut c.b.0]) {
+            if *end == was {
+                end.clone_from(&now);
+            }
+        }
+        new.nets[k].name = now;
+    }
     for net in &mut new.nets {
         if rng.bool_with(0.3) {
             let k = rng.range_usize(0, net.segments.len());
@@ -448,7 +468,7 @@ fn mutate(spec: &ChipSpec, rng: &mut Rng, tag: u64) -> ChipSpec {
     new
 }
 
-/// Canonical v4 fingerprints of every victim, recomputed here from the
+/// Canonical fingerprints of every victim, recomputed here from the
 /// public primitives the engine itself uses — the oracle the planner's
 /// dirty set is checked against.
 fn fingerprints(cfg: &EngineConfig, chip: &ResidentChip) -> BTreeMap<String, u64> {
@@ -471,6 +491,65 @@ fn fingerprints(cfg: &EngineConfig, chip: &ResidentChip) -> BTreeMap<String, u64
         .collect()
 }
 
+/// The plan by its definition, from a sweep of both chips: every victim
+/// of both named and fingerprinted, the two-hop closure taken over an
+/// adjacency of every coupling — what [`EcoPlan::compute`] must equal,
+/// field for field, while visiting only what the edit reaches.
+fn plan_by_sweep(
+    cfg: &EngineConfig,
+    old: &ResidentChip,
+    new: &ResidentChip,
+    delta: &EcoDelta,
+) -> EcoPlan {
+    let (old_fp, new_fp) = (fingerprints(cfg, old), fingerprints(cfg, new));
+    let mut adjacent: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
+    for db in [old.db(), new.db()] {
+        for c in db.couplings() {
+            let (a, b) = (db.net(c.a.net).name(), db.net(c.b.net).name());
+            adjacent.entry(a).or_default().insert(b);
+            adjacent.entry(b).or_default().insert(a);
+        }
+    }
+    let touched = delta.touched_nets();
+    let mut radius = touched.clone();
+    for _hop in 0..2 {
+        let reached: Vec<&str> =
+            radius.iter().filter_map(|n| adjacent.get(n.as_str())).flatten().copied().collect();
+        radius.extend(reached.into_iter().map(str::to_owned));
+    }
+    let candidates: Vec<String> = new_fp
+        .keys()
+        .filter(|v| radius.contains(*v) || !old_fp.contains_key(*v))
+        .cloned()
+        .collect();
+    let dirty: Vec<String> =
+        candidates.iter().filter(|v| old_fp.get(*v) != new_fp.get(*v)).cloned().collect();
+    EcoPlan {
+        edits: delta.num_edits(),
+        touched: touched.into_iter().collect(),
+        candidates,
+        clean: new_fp.len() - dirty.len(),
+        dirty,
+        retired: old_fp.keys().filter(|v| !new_fp.contains_key(*v)).cloned().collect(),
+    }
+}
+
+/// A victim list for `db`: every net, or — seeded — a shuffled subset with
+/// one victim named twice, so the two chips of an ECO audit different
+/// lists in different orders.
+fn some_victims(db: &ParasiticDb, rng: &mut Rng) -> Vec<PNetId> {
+    let mut victims: Vec<PNetId> = (0..db.num_nets()).map(PNetId).collect();
+    if rng.bool_with(0.5) {
+        return victims;
+    }
+    for k in (1..victims.len()).rev() {
+        victims.swap(k, rng.range_usize(0, k + 1));
+    }
+    victims.truncate(rng.range_usize(2, victims.len() + 1));
+    victims.push(victims[0]);
+    victims
+}
+
 #[test]
 fn blast_radius_closure_holds_on_randomized_ecos() {
     let cfg = EngineConfig::default();
@@ -483,6 +562,19 @@ fn blast_radius_closure_holds_on_randomized_ecos() {
         let new = chip(materialize(&new_spec));
         let delta = EcoDelta::diff(old.db(), new.db());
         let plan = EcoPlan::compute(&cfg, &old, &new, &delta);
+        assert_eq!(plan, plan_by_sweep(&cfg, &old, &new, &delta), "seed {seed}");
+        // The same edit between chips that audit other victim lists:
+        // victims join and leave the audit though their nets stay.
+        for _lists in 0..3 {
+            let chip_of = |spec: &ChipSpec, rng: &mut Rng| {
+                let db = materialize(spec);
+                let victims = some_victims(&db, rng);
+                ResidentChip::fixed_resistance(db, 1000.0, victims)
+            };
+            let (old, new) = (chip_of(&old_spec, &mut rng), chip_of(&new_spec, &mut rng));
+            let got = EcoPlan::compute(&cfg, &old, &new, &delta);
+            assert_eq!(got, plan_by_sweep(&cfg, &old, &new, &delta), "seed {seed}");
+        }
 
         let old_fp = fingerprints(&cfg, &old);
         let new_fp = fingerprints(&cfg, &new);

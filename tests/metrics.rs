@@ -207,14 +207,19 @@ fn scrape_validates_absorbs_traces_and_orders_deterministically() {
 
     // Series *structure* is deterministic across scrapes: same families,
     // same order, same label sets (values move — uptime, latencies). A
-    // scrape records its own request *after* rendering, so the /metrics
-    // route's series appear one scrape late — compare the 2nd and 3rd.
-    let b = scrape();
-    let c = scrape();
+    // scrape records its own request *after* responding, so the /metrics
+    // route's series appear a scrape late — or later, when the next scrape
+    // is rendered before that record lands: compare the first scrape that
+    // shows them with the one after it.
+    let mut c = scrape();
+    while !c.contains("route=\"/metrics\"") {
+        c = scrape();
+    }
+    let d = scrape();
     let skeleton = |text: &str| {
         text.lines().map(|l| l.split(' ').next().unwrap_or("").to_owned()).collect::<Vec<_>>()
     };
-    assert_eq!(skeleton(&b), skeleton(&c), "family/series order changed between scrapes");
+    assert_eq!(skeleton(&c), skeleton(&d), "family/series order changed between scrapes");
     server.join();
 }
 
