@@ -210,9 +210,9 @@ const MAX_TRAN_STEPS: usize = 200_000;
 /// function of the rung (not of the failure path that led there).
 fn rung_options(analysis: &AnalysisOptions, rung: RecoveryRung) -> AnalysisOptions {
     let mut opts = analysis.clone();
-    // Stall protection applies at every rung, baseline included. The
-    // budget checks are read-only until they trip, so they cannot perturb
-    // a healthy run's numbers.
+    // Stall protection applies to the reduced transient at every rung,
+    // baseline included (the SPICE rungs take `SimOptions::default()` and no
+    // budget); read-only until it trips, it cannot perturb a healthy run.
     opts.mor.newton_budget = opts.mor.newton_budget.min(NEWTON_BUDGET);
     opts.mor.max_tran_steps = opts.mor.max_tran_steps.min(MAX_TRAN_STEPS);
     if rung >= RecoveryRung::GminBoost {

@@ -21,6 +21,7 @@ use crate::cancel::CancelToken;
 use crate::error::MorError;
 use crate::model::DiagonalModel;
 use pcv_netlist::termination::Termination;
+use pcv_netlist::timestep::{Method, Stepper};
 use pcv_netlist::Waveform;
 use pcv_sparse::dense::{lu_factor_in_place, lu_solve_into};
 
@@ -117,6 +118,8 @@ impl MorTranResult {
 ///
 /// * [`MorError::InvalidIndex`] if the termination list length differs from
 ///   the port count.
+/// * [`MorError::InvalidValue`] unless `tstop` and `opts.max_step_fraction`
+///   are finite and positive.
 /// * [`MorError::NoConvergence`] if Newton fails even at the minimum step.
 pub fn simulate(
     model: &DiagonalModel,
@@ -132,23 +135,16 @@ pub fn simulate(
             bound: p + 1,
         });
     }
-    if tstop.is_nan() || tstop <= 0.0 {
-        return Err(MorError::InvalidValue { what: "tstop" });
-    }
-    let _span = pcv_trace::span("mor", "rom_eval");
-    let q = model.order();
-    let mut ws = Workspace::new(model, terminations, opts);
-    let has_cap: Vec<usize> = (0..p).filter(|&j| ws.caps[j] > 0.0).collect();
-
-    // Breakpoints from termination stimuli.
     let mut bps: Vec<f64> = Vec::new();
     for t in terminations.iter().flatten() {
         bps.extend(t.breakpoints());
     }
-    bps.retain(|&b| b > 0.0 && b < tstop);
-    bps.sort_by(|a, b| a.partial_cmp(b).expect("finite breakpoints"));
-    bps.dedup_by(|a, b| (*a - *b).abs() < 1e-18);
-    let mut bp_idx = 0usize;
+    let mut stepper = Stepper::new(tstop, opts.max_step_fraction, bps)
+        .map_err(|what| MorError::InvalidValue { what })?;
+    let _span = pcv_trace::span("mor", "rom_eval");
+    let q = model.order();
+    let mut ws = Workspace::new(model, terminations, opts);
+    let has_cap: Vec<usize> = (0..p).filter(|&j| ws.caps[j] > 0.0).collect();
 
     // --- DC initialization: solve x = η u(0, ηᵀx). ---
     // Tabulated driver surfaces have derivative kinks that can trap the
@@ -166,25 +162,18 @@ pub fn simulate(
             break;
         }
     }
-    let Some(mut iters) = dc_iters else {
+    let Some(mut total_newton) = dc_iters else {
         if cancelled(opts) {
             return Err(MorError::Cancelled { stage: "reduced transient dc" });
         }
         return Err(MorError::NoConvergence { t: 0.0 });
     };
-    let mut total_newton = iters;
 
     let mut y = vec![0.0; p];
     ws.outputs(&x, &mut y);
     if y.iter().any(|v| !v.is_finite()) {
         return Err(MorError::NonFinite { what: "reduced transient dc solution" });
     }
-    let hmax = tstop * opts.max_step_fraction;
-    let h_init = hmax / 10.0;
-    let mut h = h_init;
-    let mut t = 0.0;
-    let tiny = tstop * 1e-12;
-
     let mut times = vec![0.0];
     let mut data: Vec<Vec<f64>> = (0..p).map(|j| vec![y[j]]).collect();
     let mut steps = 0usize;
@@ -194,77 +183,50 @@ pub fn simulate(
     let mut xdot = vec![0.0; q];
     let mut cap_v_prev = y.clone();
     let mut cap_i_prev = vec![0.0; p];
-    let mut use_be = true;
 
-    while t < tstop - tiny {
+    while let Some((h, method)) = stepper.next() {
+        let t = stepper.t();
         if cancelled(opts) {
             return Err(MorError::Cancelled { stage: "reduced transient" });
         }
         if total_newton > opts.newton_budget || steps >= opts.max_tran_steps {
             return Err(MorError::BudgetExhausted { t });
         }
-        let next_bp = bps.get(bp_idx).copied();
-        let mut h_eff = h.min(hmax).min(tstop - t);
-        if let Some(bp) = next_bp {
-            if bp > t + tiny {
-                h_eff = h_eff.min(bp - t);
-            }
-        }
         // Multistep coefficients: ẋ = α x + β.
-        let alpha = if use_be { 1.0 / h_eff } else { 2.0 / h_eff };
+        let be = method == Method::BackwardEuler;
+        let alpha = if be { 1.0 / h } else { 2.0 / h };
         for ((b, &xi), &xd) in beta.iter_mut().zip(&x).zip(&xdot) {
-            *b = if use_be { -xi / h_eff } else { -2.0 * xi / h_eff - xd };
+            *b = if be { -xi / h } else { -2.0 * xi / h - xd };
         }
         x_new.copy_from_slice(&x);
-        let caps = CapHistory { h: h_eff, be: use_be, v_prev: &cap_v_prev, i_prev: &cap_i_prev };
-        let step = Step { alpha, beta: &beta, t: t + h_eff, caps: Some(caps) };
+        let caps = CapHistory { h, method, v_prev: &cap_v_prev, i_prev: &cap_i_prev };
+        let step = Step { alpha, beta: &beta, t: t + h, caps: Some(caps) };
         match ws.newton(&mut x_new, &step, opts.damping, opts.max_newton) {
-            Ok(it) => {
-                iters = it;
-                total_newton += it;
+            Ok(iters) => {
+                total_newton += iters;
                 // Accept.
                 ws.outputs(&x_new, &mut y);
                 if y.iter().any(|v| !v.is_finite()) {
                     return Err(MorError::NonFinite { what: "reduced transient waveform" });
                 }
                 for &j in &has_cap {
-                    let i_new = if use_be {
-                        ws.caps[j] / h_eff * (y[j] - cap_v_prev[j])
-                    } else {
-                        2.0 * ws.caps[j] / h_eff * (y[j] - cap_v_prev[j]) - cap_i_prev[j]
-                    };
-                    cap_i_prev[j] = i_new;
+                    cap_i_prev[j] =
+                        method.current(ws.caps[j], h, y[j], cap_v_prev[j], cap_i_prev[j]);
                 }
                 cap_v_prev.copy_from_slice(&y);
                 for k in 0..q {
                     xdot[k] = alpha * x_new[k] + beta[k];
                 }
                 std::mem::swap(&mut x, &mut x_new);
-                t += h_eff;
-                times.push(t);
+                stepper.accepted(iters);
+                times.push(stepper.t());
                 for (dj, &yj) in data.iter_mut().zip(&y) {
                     dj.push(yj);
                 }
                 steps += 1;
-                use_be = false;
-                if let Some(bp) = next_bp {
-                    if (t - bp).abs() <= tiny {
-                        bp_idx += 1;
-                        h = h_init;
-                        use_be = true;
-                        continue;
-                    }
-                }
-                if iters <= 3 {
-                    h = (h * 1.5).min(hmax);
-                } else if iters >= 8 {
-                    h *= 0.5;
-                }
             }
             Err(()) => {
-                h /= 4.0;
-                use_be = true;
-                if h < opts.min_step {
+                if stepper.rejected(opts.min_step) {
                     return Err(MorError::NoConvergence { t });
                 }
             }
@@ -279,8 +241,7 @@ pub fn simulate(
 #[derive(Clone, Copy)]
 struct CapHistory<'a> {
     h: f64,
-    /// Backward Euler (else trapezoidal).
-    be: bool,
+    method: Method,
     /// Port voltages and capacitor currents at the last accepted point.
     v_prev: &'a [f64],
     i_prev: &'a [f64],
@@ -446,9 +407,8 @@ impl<'a> Workspace<'a> {
                 let (i_t, g_t) = term.eval(step.t, yj);
                 let (mut i_c, mut g_c) = (0.0, 0.0);
                 if caps[j] > 0.0 {
-                    if let Some(CapHistory { h, be, v_prev, i_prev }) = step.caps {
-                        let geq = if be { caps[j] / h } else { 2.0 * caps[j] / h };
-                        let ieq = if be { geq * v_prev[j] } else { geq * v_prev[j] + i_prev[j] };
+                    if let Some(CapHistory { h, method, v_prev, i_prev }) = step.caps {
+                        let (geq, ieq) = method.companion(caps[j], h, v_prev[j], i_prev[j]);
                         i_c = geq * yj - ieq;
                         g_c = geq;
                     }
@@ -655,8 +615,43 @@ mod tests {
         let rom = reduce(&cl, 2).unwrap().diagonalize().unwrap();
         let err = simulate(&rom, &[None], 1e-9, &MorOptions::default());
         assert!(matches!(err, Err(MorError::InvalidIndex { .. })));
-        let err = simulate(&rom, &[None, None], -1.0, &MorOptions::default());
-        assert!(matches!(err, Err(MorError::InvalidValue { .. })));
+        for tstop in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let err = simulate(&rom, &[None, None], tstop, &MorOptions::default());
+            assert!(matches!(err, Err(MorError::InvalidValue { what: "tstop" })), "{tstop}");
+        }
+        let opts = MorOptions { max_step_fraction: f64::NAN, ..MorOptions::default() };
+        let err = simulate(&rom, &[None, None], 1e-9, &opts);
+        assert!(matches!(err, Err(MorError::InvalidValue { what: "max_step_fraction" })));
+    }
+
+    #[test]
+    fn breakpoints_are_not_stepped_over() {
+        // A very narrow pulse must still be seen by the integrator — also
+        // when the span is so long that its ideal (1 fs) edges are closer
+        // together than the resolution of the time axis. 1 kΩ into 1 fF
+        // settles within the pulse, up to a little trapezoidal overshoot.
+        let mut cl = RcCluster::new();
+        let a = cl.add_node();
+        cl.add_ground_cap(a, 1e-15).unwrap();
+        cl.add_port(a);
+        let rom = reduce(&cl, 2).unwrap().diagonalize().unwrap();
+        for (delay, edge, width, tstop) in
+            [(5e-9, 1e-12, 20e-12, 10e-9), (0.1e-3, 0.0, 2e-9, 0.4e-3), (0.1e-3, 0.0, 2e-9, 2e-3)]
+        {
+            let pulse = SourceWave::Pulse {
+                v0: 0.0,
+                v1: 1.0,
+                delay,
+                rise: edge,
+                fall: edge,
+                width,
+                period: f64::INFINITY,
+            };
+            let drv = TheveninTermination::new(1000.0, pulse);
+            let res = simulate(&rom, &[Some(&drv)], tstop, &MorOptions::default()).unwrap();
+            let (_, peak) = res.waveform(0).peak_deviation(0.0);
+            assert!((peak - 1.0).abs() < 1e-2, "tstop {tstop}: pulse peak captured, got {peak}");
+        }
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //! * [`eco`] — typed deltas ([`EcoDelta`]) between two parasitic
 //!   databases, the front end of incremental (ECO) re-verification.
 //! * [`deck`] — a SPICE-like text format for [`Circuit`].
+//! * [`timestep`] — the time axis both transient engines step along.
 //!
 //! # Example
 //!
@@ -38,6 +39,7 @@ pub mod eco;
 pub mod parasitics;
 pub mod spef;
 pub mod termination;
+pub mod timestep;
 pub mod wave;
 pub mod waveform;
 

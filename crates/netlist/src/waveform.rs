@@ -161,21 +161,6 @@ impl Waveform {
         None
     }
 
-    /// 50 % propagation delay against a reference waveform: the time between
-    /// the reference crossing `0.5 * vdd` and this waveform crossing it, in
-    /// the given directions.
-    pub fn delay_50(
-        &self,
-        reference: &Waveform,
-        vdd: f64,
-        ref_rising: bool,
-        out_rising: bool,
-    ) -> Option<f64> {
-        let tr = reference.crossing(0.5 * vdd, ref_rising, f64::NEG_INFINITY)?;
-        let to = self.crossing(0.5 * vdd, out_rising, f64::NEG_INFINITY)?;
-        Some(to - tr)
-    }
-
     /// 10–90 % transition time of a rising edge (or 90–10 % of a falling
     /// edge when `rising` is false) after time `after`.
     pub fn slew_10_90(&self, vdd: f64, rising: bool, after: f64) -> Option<f64> {
@@ -238,15 +223,6 @@ mod tests {
         // Falling waveform.
         let f = Waveform::from_samples(vec![0.0, 2.0], vec![3.0, 0.0]);
         assert_eq!(f.crossing(1.5, false, 0.0), Some(1.0));
-    }
-
-    #[test]
-    fn delay_measurement() {
-        let input = Waveform::from_samples(vec![0.0, 1.0], vec![0.0, 3.0]);
-        let output = Waveform::from_samples(vec![0.0, 1.0, 3.0], vec![3.0, 3.0, 0.0]);
-        // Input rises through 1.5 at t=0.5; output falls through 1.5 at t=2.0.
-        let d = output.delay_50(&input, 3.0, true, false).unwrap();
-        assert!((d - 1.5).abs() < 1e-12);
     }
 
     #[test]

@@ -179,11 +179,6 @@ impl Dense {
         self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
     }
 
-    /// Largest absolute entry.
-    pub fn norm_max(&self) -> f64 {
-        self.data.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
-    }
-
     /// Symmetrize in place: `A ← (A + Aᵀ)/2`. Useful to remove rounding
     /// asymmetry before an eigendecomposition.
     ///
@@ -304,28 +299,6 @@ impl DenseLu {
         let mut x = vec![0.0; self.n];
         lu_solve_into(&self.lu.data, &self.perm, b, &mut x);
         x
-    }
-
-    /// Determinant of the factored matrix (product of pivots with sign).
-    pub fn det(&self) -> f64 {
-        // Count permutation parity.
-        let mut seen = vec![false; self.n];
-        let mut swaps = 0usize;
-        for start in 0..self.n {
-            if seen[start] {
-                continue;
-            }
-            let mut len = 0usize;
-            let mut j = start;
-            while !seen[j] {
-                seen[j] = true;
-                j = self.perm[j];
-                len += 1;
-            }
-            swaps += len - 1;
-        }
-        let sign = if swaps.is_multiple_of(2) { 1.0 } else { -1.0 };
-        sign * (0..self.n).map(|k| self.lu[(k, k)]).product::<f64>()
     }
 }
 
@@ -676,15 +649,6 @@ mod tests {
         let mut singular = [1.0, 2.0, 2.0, 4.0];
         let err = lu_factor_in_place(&mut singular, &mut [0; 2]);
         assert!(matches!(err, Err(Error::Singular { col: 1 })));
-    }
-
-    #[test]
-    fn lu_det_tracks_sign() {
-        let a = Dense::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]);
-        let lu = DenseLu::factor(a).unwrap();
-        assert_close(lu.det(), -1.0, 1e-15);
-        let b = Dense::from_rows(&[&[3.0, 0.0], &[0.0, 2.0]]);
-        assert_close(DenseLu::factor(b).unwrap().det(), 6.0, 1e-15);
     }
 
     #[test]

@@ -17,12 +17,6 @@ pub fn norm2(x: &[f64]) -> f64 {
     dot(x, x).sqrt()
 }
 
-/// Infinity norm (largest absolute entry) of a slice; `0.0` when empty.
-#[inline]
-pub fn norm_inf(x: &[f64]) -> f64 {
-    x.iter().fold(0.0_f64, |m, &v| m.max(v.abs()))
-}
-
 /// `y += alpha * x`.
 ///
 /// # Panics
@@ -61,13 +55,6 @@ pub fn scale(alpha: f64, x: &mut [f64]) {
     }
 }
 
-/// Relative difference `|a - b| / max(|a|, |b|, floor)`, a robust metric for
-/// comparing measured quantities (glitch peaks, delays) against a reference.
-#[inline]
-pub fn rel_diff(a: f64, b: f64, floor: f64) -> f64 {
-    (a - b).abs() / a.abs().max(b.abs()).max(floor)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -77,8 +64,6 @@ mod tests {
         let x = [3.0, 4.0];
         assert_eq!(dot(&x, &x), 25.0);
         assert_eq!(norm2(&x), 5.0);
-        assert_eq!(norm_inf(&x), 4.0);
-        assert_eq!(norm_inf(&[]), 0.0);
     }
 
     #[test]
@@ -112,13 +97,6 @@ mod tests {
         let mut x = [1.0, -2.0];
         scale(-3.0, &mut x);
         assert_eq!(x, [-3.0, 6.0]);
-    }
-
-    #[test]
-    fn rel_diff_is_symmetric_and_floored() {
-        assert_eq!(rel_diff(1.0, 2.0, 1e-12), rel_diff(2.0, 1.0, 1e-12));
-        assert_eq!(rel_diff(0.0, 0.0, 1.0), 0.0);
-        assert!((rel_diff(1.0, 1.1, 1e-12) - 0.1 / 1.1).abs() < 1e-12);
     }
 
     #[test]

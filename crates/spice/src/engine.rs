@@ -8,6 +8,7 @@
 use crate::mna::{node_voltage, MnaLayout, Stamper};
 use crate::mos::eval_mos;
 use pcv_netlist::termination::Termination;
+use pcv_netlist::timestep::{Method, Stepper};
 use pcv_netlist::Waveform;
 use pcv_netlist::{Circuit, Element, NodeId};
 use pcv_sparse::{Assembly, SparseLu};
@@ -40,6 +41,11 @@ pub enum SimError {
         /// Simulation time of the poisoned solution (`0.0` for DC).
         t: f64,
     },
+    /// A transient was asked for over a span that is not finite and positive.
+    InvalidValue {
+        /// The offending quantity.
+        what: &'static str,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -58,6 +64,7 @@ impl fmt::Display for SimError {
             SimError::NonFinite { t } => {
                 write!(f, "solution produced a non-finite (NaN or infinite) voltage at t = {t:e}")
             }
+            SimError::InvalidValue { what } => write!(f, "{what} must be finite and positive"),
         }
     }
 }
@@ -110,13 +117,6 @@ impl Default for SimOptions {
             min_step: 1e-18,
         }
     }
-}
-
-/// Integration method for one step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Method {
-    BackwardEuler,
-    Trapezoidal,
 }
 
 /// A linear capacitor instance flattened out of the circuit (explicit caps,
@@ -350,16 +350,7 @@ impl<'a> Simulator<'a> {
         }
         if let Some((caps, state, h, method)) = dynamic {
             for (k, cap) in caps.iter().enumerate() {
-                let (geq, ieq) = match method {
-                    Method::BackwardEuler => {
-                        let geq = cap.farads / h;
-                        (geq, geq * state.v_prev[k])
-                    }
-                    Method::Trapezoidal => {
-                        let geq = 2.0 * cap.farads / h;
-                        (geq, geq * state.v_prev[k] + state.i_prev[k])
-                    }
-                };
+                let (geq, ieq) = method.companion(cap.farads, h, state.v_prev[k], state.i_prev[k]);
                 st.conductance(cap.a, cap.b, geq);
                 st.current_into(cap.a, ieq);
                 st.current_into(cap.b, -ieq);
@@ -477,18 +468,18 @@ impl<'a> Simulator<'a> {
     /// # Errors
     ///
     /// Propagates DC failures and returns [`SimError::StepTooSmall`] when the
-    /// integrator cannot find a convergent step.
+    /// integrator cannot find a convergent step, [`SimError::InvalidValue`]
+    /// unless `tstop` and `opts.max_step_fraction` are finite and positive.
     ///
     /// # Panics
     ///
-    /// Panics if `tstop <= 0` or a probe is ground.
+    /// Panics if a probe is ground.
     pub fn transient_probed(
         &self,
         tstop: f64,
         opts: &SimOptions,
         probes: &[NodeId],
     ) -> Result<TranResult, SimError> {
-        assert!(tstop > 0.0, "tstop must be positive");
         assert!(probes.iter().all(|p| !p.is_ground()), "cannot probe ground");
         let mut ws = Workspace::new(self.layout.size());
         let mut result = TranResult {
@@ -515,16 +506,6 @@ impl<'a> Simulator<'a> {
         tstop: f64,
         opts: &SimOptions,
     ) -> Result<(), SimError> {
-        let caps = self.collect_caps();
-        let mut x = self.dc_on(ws, opts)?;
-        if x.iter().any(|v| !v.is_finite()) {
-            return Err(SimError::NonFinite { t: 0.0 });
-        }
-        let mut state = CapState {
-            v_prev: caps.iter().map(|c| node_voltage(&x, c.a) - node_voltage(&x, c.b)).collect(),
-            i_prev: vec![0.0; caps.len()],
-        };
-
         // Breakpoints from source waveforms and termination stimuli.
         let mut bps: Vec<f64> = Vec::new();
         for e in self.ckt.elements() {
@@ -535,93 +516,53 @@ impl<'a> Simulator<'a> {
         for (_, term) in &self.terminations {
             bps.extend(term.breakpoints());
         }
-        bps.retain(|&b| b > 0.0 && b < tstop);
-        bps.sort_by(|a, b| a.partial_cmp(b).expect("finite breakpoints"));
-        bps.dedup_by(|a, b| (*a - *b).abs() < 1e-18);
-        let mut bp_idx = 0;
+        let mut stepper = Stepper::new(tstop, opts.max_step_fraction, bps)
+            .map_err(|what| SimError::InvalidValue { what })?;
 
-        let hmax = tstop * opts.max_step_fraction;
-        let h_init = hmax / 10.0;
-        let mut h = h_init;
-        let mut t = 0.0;
-        let tiny = tstop * 1e-12;
+        let caps = self.collect_caps();
+        let mut x = self.dc_on(ws, opts)?;
+        if x.iter().any(|v| !v.is_finite()) {
+            return Err(SimError::NonFinite { t: 0.0 });
+        }
+        let mut state = CapState {
+            v_prev: caps.iter().map(|c| node_voltage(&x, c.a) - node_voltage(&x, c.b)).collect(),
+            i_prev: vec![0.0; caps.len()],
+        };
 
         let TranResult { times, probes, data, .. } = result;
         times.push(0.0);
         for (samples, &probe) in data.iter_mut().zip(probes.iter()) {
             samples.push(node_voltage(&x, probe));
         }
-        // Start each run (and each post-breakpoint region) with BE to damp
-        // the trapezoidal ringing a slope discontinuity would excite.
-        let mut use_be = true;
 
-        while t < tstop - tiny {
-            let next_bp = bps.get(bp_idx).copied();
-            let mut h_eff = h.min(hmax).min(tstop - t);
-            if let Some(bp) = next_bp {
-                if bp > t + tiny {
-                    h_eff = h_eff.min(bp - t);
-                }
-            }
-            let method = if use_be { Method::BackwardEuler } else { Method::Trapezoidal };
-            match self.solve_point(
-                ws,
-                &x,
-                t + h_eff,
-                opts.gmin,
-                Some((&caps, &state, h_eff, method)),
-                false,
-                opts,
-            ) {
+        while let Some((h, method)) = stepper.next() {
+            let t = stepper.t();
+            let dynamic = Some((&caps[..], &state, h, method));
+            match self.solve_point(ws, &x, t + h, opts.gmin, dynamic, false, opts) {
                 Ok(iters) => {
                     if ws.x.iter().any(|v| !v.is_finite()) {
-                        return Err(SimError::NonFinite { t: t + h_eff });
+                        return Err(SimError::NonFinite { t: t + h });
                     }
                     // Accept: the solution becomes the state, the old state
                     // the next solve's scratch.
                     std::mem::swap(&mut x, &mut ws.x);
                     for (k, cap) in caps.iter().enumerate() {
                         let v_new = node_voltage(&x, cap.a) - node_voltage(&x, cap.b);
-                        let i_new = match method {
-                            Method::BackwardEuler => cap.farads / h_eff * (v_new - state.v_prev[k]),
-                            Method::Trapezoidal => {
-                                2.0 * cap.farads / h_eff * (v_new - state.v_prev[k])
-                                    - state.i_prev[k]
-                            }
-                        };
+                        state.i_prev[k] =
+                            method.current(cap.farads, h, v_new, state.v_prev[k], state.i_prev[k]);
                         state.v_prev[k] = v_new;
-                        state.i_prev[k] = i_new;
                     }
-                    t += h_eff;
-                    times.push(t);
+                    stepper.accepted(iters);
+                    times.push(stepper.t());
                     for (samples, &probe) in data.iter_mut().zip(probes.iter()) {
                         samples.push(node_voltage(&x, probe));
                     }
                     result.steps += 1;
                     result.newton_iters += iters;
-                    use_be = false;
-
-                    // Crossed a breakpoint? Restart small with BE.
-                    if let Some(bp) = next_bp {
-                        if (t - bp).abs() <= tiny {
-                            bp_idx += 1;
-                            h = h_init;
-                            use_be = true;
-                            continue;
-                        }
-                    }
-                    // Iteration-count step control.
-                    if iters <= 3 {
-                        h = (h * 1.5).min(hmax);
-                    } else if iters >= 8 {
-                        h *= 0.5;
-                    }
                 }
                 Err(SimError::NoConvergence { .. }) | Err(SimError::Solver(_)) => {
                     ws.rejected_steps += 1;
-                    h /= 4.0;
-                    use_be = true;
-                    if h < opts.min_step {
+                    if stepper.rejected(opts.min_step) {
                         return Err(SimError::StepTooSmall { t });
                     }
                 }
@@ -1306,27 +1247,48 @@ mod tests {
 
     #[test]
     fn breakpoints_are_not_stepped_over() {
-        // A very narrow pulse must still be seen by the integrator.
+        // A very narrow pulse must still be seen by the integrator — also
+        // when the span is so long that its ideal (1 fs) edges are closer
+        // together than the resolution of the time axis.
+        for (delay, edge, width, tstop) in
+            [(5e-9, 1e-12, 20e-12, 10e-9), (0.1e-3, 0.0, 2e-9, 0.4e-3), (0.1e-3, 0.0, 2e-9, 2e-3)]
+        {
+            let mut ckt = Circuit::new();
+            let a = ckt.node("a");
+            ckt.add_vsrc(
+                a,
+                Circuit::GROUND,
+                SourceWave::Pulse {
+                    v0: 0.0,
+                    v1: 1.0,
+                    delay,
+                    rise: edge,
+                    fall: edge,
+                    width,
+                    period: f64::INFINITY,
+                },
+            );
+            ckt.add_resistor(a, Circuit::GROUND, 1000.0);
+            let res = Simulator::new(&ckt).transient(tstop, &SimOptions::default()).unwrap();
+            let w = res.waveform(a);
+            let (_, peak) = w.peak_deviation(0.0);
+            assert!((peak - 1.0).abs() < 1e-3, "tstop {tstop}: pulse peak captured, got {peak}");
+        }
+    }
+
+    #[test]
+    fn a_bad_span_is_a_typed_error() {
         let mut ckt = Circuit::new();
         let a = ckt.node("a");
-        ckt.add_vsrc(
-            a,
-            Circuit::GROUND,
-            SourceWave::Pulse {
-                v0: 0.0,
-                v1: 1.0,
-                delay: 5e-9,
-                rise: 1e-12,
-                fall: 1e-12,
-                width: 20e-12,
-                period: f64::INFINITY,
-            },
-        );
         ckt.add_resistor(a, Circuit::GROUND, 1000.0);
-        let res = Simulator::new(&ckt).transient(10e-9, &SimOptions::default()).unwrap();
-        let w = res.waveform(a);
-        let (_, peak) = w.peak_deviation(0.0);
-        assert!((peak - 1.0).abs() < 1e-3, "pulse peak captured, got {peak}");
+        let sim = Simulator::new(&ckt);
+        for tstop in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let err = sim.transient(tstop, &SimOptions::default()).unwrap_err();
+            assert!(matches!(err, SimError::InvalidValue { what: "tstop" }), "{tstop}: {err}");
+        }
+        let opts = SimOptions { max_step_fraction: 0.0, ..SimOptions::default() };
+        let err = sim.transient(1e-9, &opts).unwrap_err();
+        assert!(matches!(err, SimError::InvalidValue { what: "max_step_fraction" }), "{err}");
     }
 
     #[test]

@@ -535,14 +535,7 @@ impl PreparedCluster {
             return run_spice(ctx, model, roles, opts);
         }
         let rom = &self.rom.as_ref().expect("prepare() ran for the reduced engine").diag;
-        let mut boxes: Vec<Box<dyn Termination>> = Vec::with_capacity(roles.len());
-        for (k, &role) in roles.iter().enumerate() {
-            let ch = match ctx.driver_model {
-                DriverModelKind::FixedResistance(_) => None,
-                _ => Some(ctx.char_cell(model.members[k])?),
-            };
-            boxes.push(make_termination(ctx.driver_model, role, ch, opts.input_slew, opts.vdd)?);
-        }
+        let boxes = driver_terminations(ctx, model, roles, opts)?;
         let mut terms: Vec<Option<&dyn Termination>> = vec![None; model.rc.num_ports()];
         for (k, b) in boxes.iter().enumerate() {
             terms[model.driver_ports[k]] = Some(b.as_ref());
@@ -608,6 +601,24 @@ pub fn analyze_delay(
     }
 }
 
+/// One termination per member of the cluster, playing its role.
+pub(crate) fn driver_terminations(
+    ctx: &AnalysisContext<'_>,
+    model: &ClusterModel,
+    roles: &[SwitchRole],
+    opts: &AnalysisOptions,
+) -> Result<Vec<Box<dyn Termination>>, XtalkError> {
+    let mut boxes = Vec::with_capacity(roles.len());
+    for (k, &role) in roles.iter().enumerate() {
+        let ch = match ctx.driver_model {
+            DriverModelKind::FixedResistance(_) => None,
+            _ => Some(ctx.char_cell(model.members[k])?),
+        };
+        boxes.push(make_termination(ctx.driver_model, role, ch, opts.input_slew, opts.vdd)?);
+    }
+    Ok(boxes)
+}
+
 /// A driver's output edge starting at `t0`.
 fn edge(rising: bool, t0: f64) -> SwitchRole {
     if rising {
@@ -625,6 +636,30 @@ struct EngineRun {
     reduced_order: Option<usize>,
 }
 
+/// The cluster's RC network as a circuit, and the circuit node of each of
+/// its nodes.
+pub(crate) fn rc_circuit(rc: &RcCluster) -> (Circuit, Vec<pcv_netlist::NodeId>) {
+    let mut ckt = Circuit::new();
+    let node_ids: Vec<pcv_netlist::NodeId> =
+        (0..rc.num_nodes()).map(|i| ckt.node(&format!("n{i}"))).collect();
+    let map = |i: usize| {
+        if i == RcCluster::GROUND {
+            Circuit::GROUND
+        } else {
+            node_ids[i]
+        }
+    };
+    for &(a, b, ohms) in rc.resistors() {
+        ckt.add_resistor(map(a), map(b), ohms);
+    }
+    for &(a, b, farads) in rc.capacitors() {
+        if farads > 0.0 {
+            ckt.add_capacitor(map(a), map(b), farads);
+        }
+    }
+    (ckt, node_ids)
+}
+
 /// SPICE path: rebuild the cluster as a circuit, attach terminations or
 /// transistor-level drivers, and run the full MNA transient.
 fn run_spice(
@@ -633,28 +668,9 @@ fn run_spice(
     roles: &[SwitchRole],
     opts: &AnalysisOptions,
 ) -> Result<EngineRun, XtalkError> {
-    let mut ckt = Circuit::new();
-    let node_ids: Vec<pcv_netlist::NodeId> =
-        (0..model.rc.num_nodes()).map(|i| ckt.node(&format!("n{i}"))).collect();
-    let map = |i: usize| {
-        if i == RcCluster::GROUND {
-            Circuit::GROUND
-        } else {
-            node_ids[i]
-        }
-    };
-    for &(a, b, ohms) in model.rc.resistors() {
-        ckt.add_resistor(map(a), map(b), ohms);
-    }
-    for &(a, b, farads) in model.rc.capacitors() {
-        if farads > 0.0 {
-            ckt.add_capacitor(map(a), map(b), farads);
-        }
-    }
-
+    let (mut ckt, node_ids) = rc_circuit(&model.rc);
     let transistor = ctx.driver_model == DriverModelKind::TransistorLevel;
     let mut boxes: Vec<Box<dyn Termination>> = Vec::new();
-    let mut term_nodes: Vec<pcv_netlist::NodeId> = Vec::new();
     if transistor {
         let vdd_node = ckt.node("vdd");
         ckt.add_vsrc(vdd_node, Circuit::GROUND, SourceWave::Dc(opts.vdd));
@@ -668,18 +684,11 @@ fn run_spice(
             cell.build(&mut ckt, &inputs, out, vdd_node);
         }
     } else {
-        for (k, &role) in roles.iter().enumerate() {
-            let ch = match ctx.driver_model {
-                DriverModelKind::FixedResistance(_) => None,
-                _ => Some(ctx.char_cell(model.members[k])?),
-            };
-            boxes.push(make_termination(ctx.driver_model, role, ch, opts.input_slew, opts.vdd)?);
-            term_nodes.push(node_ids[model.rc.ports()[model.driver_ports[k]]]);
-        }
+        boxes = driver_terminations(ctx, model, roles, opts)?;
     }
     let mut sim = Simulator::new(&ckt);
-    for (node, b) in term_nodes.iter().zip(&boxes) {
-        sim.add_termination(*node, b.as_ref());
+    for (k, b) in boxes.iter().enumerate() {
+        sim.add_termination(node_ids[model.rc.ports()[model.driver_ports[k]]], b.as_ref());
     }
     let observe_node = node_ids[model.rc.ports()[model.observe_port]];
     let victim_node = node_ids[model.rc.ports()[model.victim_port()]];
@@ -796,6 +805,31 @@ mod tests {
         let rel = (mor.peak - spice.peak).abs() / spice.peak.abs();
         assert!(rel < 0.02, "mor {} vs spice {} ({rel})", mor.peak, spice.peak);
         assert!(spice.reduced_order.is_none());
+    }
+
+    #[test]
+    fn a_bad_span_is_a_typed_error_on_either_engine() {
+        let (db, vid) = three_net_db();
+        let ctx = AnalysisContext::fixed_resistance(&db, 1000.0);
+        let cl = cluster(&db, vid);
+        for engine in [EngineKind::Spice, AnalysisOptions::default().engine] {
+            for tstop in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+                let opts = AnalysisOptions { engine, tstop, ..AnalysisOptions::default() };
+                let err = analyze_glitch(&ctx, &cl, true, &opts).unwrap_err();
+                assert!(err.to_string().contains("tstop"), "{engine:?}, tstop {tstop}: {err}");
+                let err = crate::chip::verify_chip(
+                    &ctx,
+                    &[vid],
+                    &PruneConfig::default(),
+                    &opts,
+                    0.1,
+                    0.2,
+                );
+                assert!(err.is_err(), "{engine:?}, tstop {tstop}");
+                let err = crate::em::screen_cluster(&ctx, &cl, &opts, 1e-3);
+                assert!(err.is_err(), "{engine:?}, tstop {tstop}");
+            }
+        }
     }
 
     #[test]

@@ -31,11 +31,6 @@ impl ClusterModel {
     pub fn victim_port(&self) -> usize {
         self.driver_ports[0]
     }
-
-    /// Port indices of the aggressor drivers.
-    pub fn aggressor_ports(&self) -> &[usize] {
-        &self.driver_ports[1..]
-    }
 }
 
 /// Assemble a cluster.
@@ -179,7 +174,7 @@ mod tests {
         assert_eq!(model.rc.num_nodes(), 4);
         assert_eq!(model.rc.num_ports(), 3); // 2 drivers + observe
         assert_eq!(model.victim_port(), 0);
-        assert_eq!(model.aggressor_ports(), &[1]);
+        assert_eq!(model.driver_ports, [0, 1]);
         // Observe port is the victim load node.
         assert_eq!(model.rc.ports()[model.observe_port], 1);
     }

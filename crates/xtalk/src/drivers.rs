@@ -51,13 +51,6 @@ pub enum SwitchRole {
     },
 }
 
-impl SwitchRole {
-    /// `true` for the quiet roles.
-    pub fn is_quiet(self) -> bool {
-        matches!(self, SwitchRole::HoldLow | SwitchRole::HoldHigh)
-    }
-}
-
 /// Build a termination for a driver.
 ///
 /// `ch` supplies the characterized cell for the library-based models; it is
@@ -172,13 +165,5 @@ mod tests {
             2.5,
         );
         assert!(matches!(err, Err(XtalkError::InvalidConfig { .. })));
-    }
-
-    #[test]
-    fn quiet_roles() {
-        assert!(SwitchRole::HoldLow.is_quiet());
-        assert!(SwitchRole::HoldHigh.is_quiet());
-        assert!(!SwitchRole::Rise { t0: 0.0 }.is_quiet());
-        assert!(!SwitchRole::Fall { t0: 0.0 }.is_quiet());
     }
 }

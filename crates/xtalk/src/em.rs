@@ -7,14 +7,12 @@
 //! cluster node probed, computes average/RMS/peak current per wire segment,
 //! and flags segments exceeding a current limit.
 
-use crate::analysis::{AnalysisContext, AnalysisOptions};
+use crate::analysis::{driver_terminations, rc_circuit, AnalysisContext, AnalysisOptions};
 use crate::build::build_cluster;
-use crate::drivers::{make_termination, DriverModelKind, SwitchRole};
+use crate::drivers::{DriverModelKind, SwitchRole};
 use crate::error::XtalkError;
 use crate::prune::Cluster;
-use pcv_mor::RcCluster;
-use pcv_netlist::termination::Termination;
-use pcv_netlist::{Circuit, PNetId};
+use pcv_netlist::PNetId;
 use pcv_spice::{SimOptions, Simulator};
 
 /// Current statistics for one wire segment.
@@ -74,38 +72,14 @@ pub fn screen_cluster(
         roles.push(SwitchRole::Fall { t0: opts.switch_time });
     }
 
-    // Rebuild the cluster as a circuit with every node named and probed.
-    let mut ckt = Circuit::new();
-    let node_ids: Vec<pcv_netlist::NodeId> =
-        (0..model.rc.num_nodes()).map(|i| ckt.node(&format!("n{i}"))).collect();
-    let map = |i: usize| {
-        if i == RcCluster::GROUND {
-            Circuit::GROUND
-        } else {
-            node_ids[i]
-        }
-    };
-    for &(a, b, ohms) in model.rc.resistors() {
-        ckt.add_resistor(map(a), map(b), ohms);
+    // The cluster as a circuit, every node probed.
+    let (ckt, node_ids) = rc_circuit(&model.rc);
+    if ctx.driver_model == DriverModelKind::TransistorLevel {
+        return Err(XtalkError::InvalidConfig {
+            what: "em screening uses termination-style drivers",
+        });
     }
-    for &(a, b, farads) in model.rc.capacitors() {
-        if farads > 0.0 {
-            ckt.add_capacitor(map(a), map(b), farads);
-        }
-    }
-    let mut boxes: Vec<Box<dyn Termination>> = Vec::new();
-    for (k, &role) in roles.iter().enumerate() {
-        let ch = match ctx.driver_model {
-            DriverModelKind::FixedResistance(_) => None,
-            DriverModelKind::TransistorLevel => {
-                return Err(XtalkError::InvalidConfig {
-                    what: "em screening uses termination-style drivers",
-                })
-            }
-            _ => Some(ctx.char_cell(model.members[k])?),
-        };
-        boxes.push(make_termination(ctx.driver_model, role, ch, opts.input_slew, opts.vdd)?);
-    }
+    let boxes = driver_terminations(ctx, &model, &roles, opts)?;
     let mut sim = Simulator::new(&ckt);
     for (k, b) in boxes.iter().enumerate() {
         sim.add_termination(node_ids[model.rc.ports()[model.driver_ports[k]]], b.as_ref());
