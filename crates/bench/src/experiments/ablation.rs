@@ -93,10 +93,12 @@ pub fn to_text(rows: &[OrderRow], fill: (usize, usize, usize)) -> String {
         String::from("Ablation 1: reduction accuracy vs Krylov order (2 GHz, 2 mm cluster)\n");
     out.push_str("  iters   lanczos(order, max rel err)    arnoldi(order, max rel err)\n");
     for r in rows {
-        out.push_str(&format!(
-            "  {:>5}   q={:<3} err={:<12.3e}       q={:<3} err={:<12.3e}\n",
+        let line = format!(
+            "  {:>5}   q={:<3} err={:<12.3e}       q={:<3} err={:<12.3e}",
             r.block_iters, r.lanczos_order, r.lanczos_err, r.arnoldi_order, r.arnoldi_err
-        ));
+        );
+        out.push_str(line.trim_end());
+        out.push('\n');
     }
     out.push_str(&format!(
         "Ablation 2: LU fill by ordering — natural {} nnz, rcm {} nnz, min-degree {} nnz\n",
@@ -135,5 +137,6 @@ mod tests {
         let rows = order_sweep();
         let text = to_text(&rows, (nat, with_rcm, with_md));
         assert!(text.contains("Ablation"));
+        assert!(text.lines().all(|l| l == l.trim_end()), "no trailing blanks: {text}");
     }
 }

@@ -4,7 +4,6 @@
 //! difference.
 
 use super::fig3;
-use super::Scale;
 use pcv_designs::random::{random_cluster, RandomClusterConfig};
 use pcv_designs::Technology;
 use pcv_netlist::Waveform;
@@ -45,6 +44,19 @@ impl Fig45 {
         }
         out
     }
+
+    /// The summary line and a 20-row overlay.
+    pub fn to_text(&self) -> String {
+        let (t, peak) = self.spice.peak_deviation(0.0);
+        format!(
+            "Figures 4/5: worst Figure 3 case {}: SPICE peak {peak:.4} V at {:.3} ns, \
+             SPICE-vs-MPVL peak difference {:.3e} V\n{}",
+            self.case_index,
+            t * 1e9,
+            self.peak_difference(),
+            self.to_csv(20)
+        )
+    }
 }
 
 /// Re-run the worst case of a Figure 3 population and capture waveforms.
@@ -71,12 +83,6 @@ pub fn run(fig3_result: &fig3::Fig3) -> Fig45 {
     Fig45 { case_index: worst.index, spice: spice.waveform, mpvl: mor.waveform }
 }
 
-/// Convenience: run a small Figure 3 population and extract the overlay.
-pub fn run_standalone(scale: Scale) -> Fig45 {
-    let population = fig3::run(scale);
-    run(&population)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,5 +95,14 @@ mod tests {
         assert_eq!(csv.lines().count(), 12);
         assert!(csv.starts_with("time_ns"));
         assert_eq!(f.peak_difference(), 0.0);
+        let text = f.to_text();
+        assert!(
+            text.starts_with(
+                "Figures 4/5: worst Figure 3 case 0: SPICE peak 1.0000 V at 1.000 ns, \
+                 SPICE-vs-MPVL peak difference 0.000e0 V\ntime_ns"
+            ),
+            "{text}"
+        );
+        assert_eq!(text.lines().count(), 23);
     }
 }

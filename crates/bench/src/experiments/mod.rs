@@ -1,10 +1,13 @@
-//! One module per table/figure of the paper's evaluation.
+//! One module per table/figure of the paper's evaluation, and [`record`],
+//! which writes their text into `EXPERIMENTS.md`.
 
 pub mod ablation;
 pub mod fig3;
 pub mod fig45;
 pub mod fig67;
+pub mod immunity;
 pub mod pruning;
+pub mod record;
 pub mod stats;
 pub mod table1;
 pub mod table2;
@@ -18,15 +21,4 @@ pub enum Scale {
     Quick,
     /// Paper-scale sweep (use `--release`).
     Full,
-}
-
-impl Scale {
-    /// Parse from CLI args: `--full` selects [`Scale::Full`].
-    pub fn from_args() -> Scale {
-        if std::env::args().any(|a| a == "--full") {
-            Scale::Full
-        } else {
-            Scale::Quick
-        }
-    }
 }

@@ -79,31 +79,21 @@ impl Histogram {
         let mut out = format!("{label}\n");
         let total = self.total().max(1);
         let width = (self.hi - self.lo) / self.counts.len() as f64;
+        let mut row = |bin: String, c: usize| {
+            let pct = 100.0 * c as f64 / total as f64;
+            let line = format!("  {bin}: {pct:>5.1}% {}", "#".repeat(60 * c / total));
+            out.push_str(line.trim_end());
+            out.push('\n');
+        };
         if self.under > 0 {
-            out.push_str(&format!(
-                "  < {:>8.2}: {:>5.1}% {}\n",
-                self.lo,
-                100.0 * self.under as f64 / total as f64,
-                "#".repeat(60 * self.under / total)
-            ));
+            row(format!("< {:>8.2}", self.lo), self.under);
         }
         for (k, &c) in self.counts.iter().enumerate() {
             let a = self.lo + width * k as f64;
-            out.push_str(&format!(
-                "  [{:>7.2},{:>7.2}): {:>5.1}% {}\n",
-                a,
-                a + width,
-                100.0 * c as f64 / total as f64,
-                "#".repeat(60 * c / total)
-            ));
+            row(format!("[{:>7.2},{:>7.2})", a, a + width), c);
         }
         if self.over > 0 {
-            out.push_str(&format!(
-                "  >={:>8.2}: {:>5.1}% {}\n",
-                self.hi,
-                100.0 * self.over as f64 / total as f64,
-                "#".repeat(60 * self.over / total)
-            ));
+            row(format!(">={:>8.2}", self.hi), self.over);
         }
         out
     }
@@ -134,5 +124,7 @@ mod tests {
         let text = h.to_text("t");
         assert!(text.contains('%'));
         assert!(text.starts_with("t\n"));
+        assert!(text.contains("\n  [   0.00,   2.00):  28.6% #################\n"), "{text}");
+        assert!(text.contains("\n  [   4.00,   6.00):   0.0%\n"), "no trailing blank: {text}");
     }
 }

@@ -55,7 +55,7 @@ mod tests {
     #[test]
     fn glitch_grows_with_coupled_length() {
         // Use the two shortest lengths to keep the test quick; the full
-        // sweep runs in the `table1` binary.
+        // sweep runs in the `experiments` binary.
         let tech = Technology::c025();
         let lib = CellLibrary::standard_025();
         let charlib = charlib_for(&["INVX2", "BUFX8"]);

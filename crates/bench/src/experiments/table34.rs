@@ -92,7 +92,7 @@ impl Study {
             ));
         }
         out.push_str(&format!(
-            "  within 10%% of SPICE: {:.1}%%; cases beyond 50%%: {}\n",
+            "  within 10% of SPICE: {:.1}%; cases beyond 50%: {}\n",
             100.0 * self.fraction_within(10.0),
             self.count_above(50.0)
         ));
@@ -131,12 +131,14 @@ pub fn lengths_for(scale: Scale) -> Vec<f64> {
         .collect()
 }
 
-/// Run the study for one driver model kind.
+/// Run Tables 3 and 4 in one pass: one transistor-level reference per case,
+/// scored against the timing-library model (Table 3) and the nonlinear
+/// model (Table 4), in that order.
 ///
 /// # Panics
 ///
 /// Panics on characterization or analysis failure (harness context).
-pub fn run(model: DriverModelKind, scale: Scale) -> Study {
+pub fn run(scale: Scale) -> [Study; 2] {
     let tech = Technology::c025();
     let lib = CellLibrary::standard_025();
     let cells = cells_for(scale);
@@ -147,7 +149,8 @@ pub fn run(model: DriverModelKind, scale: Scale) -> Study {
     let opts_model = AnalysisOptions::default();
     let opts_ref = AnalysisOptions { engine: EngineKind::Spice, ..AnalysisOptions::default() };
 
-    let mut cases = Vec::new();
+    let mut studies = [DriverModelKind::TimingLibrary, DriverModelKind::Nonlinear]
+        .map(|model| Study { model, cases: Vec::new() });
     for cell in &cells {
         for &len in &lengths_for(scale) {
             let fx = structure_fixture(len, &tech, cell, "BUFX8");
@@ -158,16 +161,19 @@ pub fn run(model: DriverModelKind, scale: Scale) -> Study {
             let reference = analyze_glitch(&ref_ctx, &cluster, true, &opts_ref)
                 .expect("reference analysis succeeds")
                 .peak;
-            let model_ctx = structure_context(&fx, &lib, &charlib, model);
-            let modeled = analyze_glitch(&model_ctx, &cluster, true, &opts_model)
-                .expect("model analysis succeeds")
-                .peak;
-            if reference.abs() >= 0.05 {
-                cases.push(Case { cell: cell.to_string(), length: len, reference, model: modeled });
+            if reference.abs() < 0.05 {
+                continue;
+            }
+            for study in &mut studies {
+                let model_ctx = structure_context(&fx, &lib, &charlib, study.model);
+                let model = analyze_glitch(&model_ctx, &cluster, true, &opts_model)
+                    .expect("model analysis succeeds")
+                    .peak;
+                study.cases.push(Case { cell: cell.to_string(), length: len, reference, model });
             }
         }
     }
-    Study { model, cases }
+    studies
 }
 
 #[cfg(test)]
@@ -188,7 +194,9 @@ mod tests {
         assert_eq!(study.fraction_within(10.0), 2.0 / 3.0);
         assert_eq!(study.count_above(20.0), 1);
         let text = study.to_text("t");
+        assert!(text.starts_with("t (3 cases)\n"));
         assert!(text.contains("avg err%"));
+        assert!(text.ends_with("\n  within 10% of SPICE: 66.7%; cases beyond 50%: 0\n"), "{text}");
         let bins = study.binned();
         assert_eq!(bins.len(), 4);
         assert_eq!(bins[0].1.n, 1);

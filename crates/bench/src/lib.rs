@@ -2,18 +2,11 @@
 //! the paper's evaluation, plus shared fixtures for examples, integration
 //! tests and criterion benches.
 //!
-//! Run the binaries to print paper-style rows (release mode strongly
-//! recommended):
+//! One command runs them all and rewrites the measured blocks of
+//! `EXPERIMENTS.md`:
 //!
 //! ```text
-//! cargo run --release -p pcv-bench --bin table1
-//! cargo run --release -p pcv-bench --bin table2
-//! cargo run --release -p pcv-bench --bin table3        # add --full for paper scale
-//! cargo run --release -p pcv-bench --bin table4        # add --full for paper scale
-//! cargo run --release -p pcv-bench --bin fig3
-//! cargo run --release -p pcv-bench --bin fig4_5
-//! cargo run --release -p pcv-bench --bin fig6_7       # add --full for 101 victims
-//! cargo run --release -p pcv-bench --bin pruning_stats
+//! cargo run --release -p pcv-bench --bin experiments
 //! ```
 //!
 //! Wall-clock benches (`cargo bench -p pcv-bench`, plain `std::time`

@@ -60,7 +60,6 @@ pub mod build;
 pub mod chip;
 pub mod dirty;
 pub mod drivers;
-pub mod em;
 pub mod error;
 pub mod prune;
 pub mod receiver;
@@ -74,7 +73,6 @@ pub use build::{build_cluster, ClusterModel};
 pub use chip::{audit_receivers, verify_chip, ChipReport, NetVerdict, ReceiverVerdict, Severity};
 pub use dirty::blast_radius;
 pub use drivers::DriverModelKind;
-pub use em::{screen_cluster, EmScreenResult, SegmentCurrent};
 pub use error::XtalkError;
 pub use prune::{
     prune_all, prune_victim, prune_victim_weighted, Cluster, PruneConfig, PruningStats,

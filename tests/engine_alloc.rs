@@ -38,6 +38,15 @@ fn a_sinkless_splice_builds_no_events() {
     std::fs::create_dir_all(&dir).unwrap();
     assert!(mem::active(), "the tracking allocator is installed in this binary");
 
+    // Each run's ledger line carries its timings; were their digits to set
+    // the allocation count, the counts below would differ run to run.
+    let cost = |v: f64| {
+        let before = mem::thread_totals().1;
+        std::hint::black_box(pcv_trace::json::f64_lit(v));
+        mem::thread_totals().1 - before
+    };
+    assert_eq!([cost(1.5), cost(12.345678901234567), cost(0.0012345678901234567)], [1; 3]);
+
     // Allocations of one all-hits run over a warm cache, with and without
     // an event sink.
     let splice = |n: usize, sink: Option<Arc<CountingSink>>| {
