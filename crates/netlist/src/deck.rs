@@ -78,8 +78,9 @@ fn parse_wave(tokens: &[&str], line: usize) -> Result<SourceWave, ParseDeckError
     }
     let normalized = joined.replace(['(', ')', ','], " ");
     let parts: Vec<&str> = normalized.split_whitespace().collect();
-    match parts[0].to_ascii_uppercase().as_str() {
-        "PULSE" => {
+    // A spec of separators only (`(`, `,`, `()`) has no first part.
+    match parts.first().map(|p| p.to_ascii_uppercase()).as_deref() {
+        Some("PULSE") => {
             if parts.len() != 8 {
                 return Err(err("PULSE needs 7 values (v0 v1 td tr tf pw per)"));
             }
@@ -95,7 +96,7 @@ fn parse_wave(tokens: &[&str], line: usize) -> Result<SourceWave, ParseDeckError
                 period: if v[6] <= 0.0 { f64::INFINITY } else { v[6] },
             })
         }
-        "PWL" => {
+        Some("PWL") => {
             let vals: Option<Vec<f64>> = parts[1..].iter().map(|t| parse_eng(t)).collect();
             let v = vals.ok_or_else(|| err("invalid PWL value"))?;
             if v.is_empty() || v.len() % 2 != 0 {
@@ -369,5 +370,195 @@ M1 b a 0 TYPE=N W=1u L=0.25u
         let ckt = parse_deck("* hello\n.tran 1n 10n\nR1 a 0 1\n.end\nR2 b 0 1\n").unwrap();
         // .end stops parsing, so R2 is not read.
         assert_eq!(ckt.element_counts().0, 1);
+    }
+
+    #[test]
+    fn a_source_spec_of_separators_only_is_an_error() {
+        // Each once indexed the first of no parts and panicked.
+        for text in ["V1 a 0 (\n", "I1 a 0 ,\n", "V1 a 0 ()\n"] {
+            let e = parse_deck(text).unwrap_err();
+            assert_eq!((e.line, e.message.as_str()), (1, "unrecognized source spec"), "{text:?}");
+        }
+    }
+
+    /// A `pcv-designs` random cluster as a deck: every net's RC and coupling
+    /// capacitors, a DC, PULSE or PWL source behind each driver, and an
+    /// inverter on the victim's far end.
+    fn cluster_deck() -> String {
+        use pcv_designs::random::{random_cluster, RandomClusterConfig};
+        let cfg =
+            RandomClusterConfig { n_aggressors: 3, max_len: 300e-6, seed: 5, ..Default::default() };
+        let db = random_cluster(&cfg, &pcv_designs::Technology::c025()).db;
+        let mut ckt = Circuit::new();
+        let node = |ckt: &mut Circuit, net: usize, k: usize| ckt.node(&format!("n{net}_{k}"));
+        for (i, (_, net)) in db.iter().enumerate() {
+            for &(a, b, ohms) in net.resistors() {
+                let (a, b) = (node(&mut ckt, i, a), node(&mut ckt, i, b));
+                ckt.add_resistor(a, b, ohms);
+            }
+            for &(n, farads) in net.ground_caps().iter().filter(|c| c.1 > 0.0) {
+                let n = node(&mut ckt, i, n);
+                ckt.add_capacitor(n, Circuit::GROUND, farads);
+            }
+            let wave = match i % 3 {
+                0 => SourceWave::Dc(0.0),
+                1 => SourceWave::Pulse {
+                    v0: 0.0,
+                    v1: 2.5,
+                    delay: 1e-9,
+                    rise: 0.2e-9,
+                    fall: 0.2e-9,
+                    width: 3e-9,
+                    period: 10e-9,
+                },
+                _ => SourceWave::Pwl(vec![(0.0, 2.5), (1.5e-9, 2.5), (1.7e-9, 0.0), (4e-9, 0.0)]),
+            };
+            let (pin, driver) = (ckt.node(&format!("pin{i}")), node(&mut ckt, i, 0));
+            ckt.add_vsrc(pin, Circuit::GROUND, wave);
+            ckt.add_resistor(pin, driver, 500.0);
+        }
+        for c in db.couplings().iter().filter(|c| c.farads > 0.0) {
+            let a = node(&mut ckt, c.a.net.0, c.a.node);
+            let b = node(&mut ckt, c.b.net.0, c.b.node);
+            ckt.add_capacitor(a, b, c.farads);
+        }
+        let (vdd, out) = (ckt.node("vdd"), ckt.node("out"));
+        let far = node(&mut ckt, 0, db.iter().next().expect("a victim").1.num_nodes() - 1);
+        ckt.add_vsrc(vdd, Circuit::GROUND, SourceWave::Dc(2.5));
+        ckt.add_mosfet(out, far, Circuit::GROUND, MosParams::nmos_025(1e-6));
+        ckt.add_mosfet(out, far, vdd, MosParams::pmos_025(2.5e-6));
+        write_deck(&ckt, "random cluster")
+    }
+
+    /// One seeded mutation of a deck: a truncated file, a stray or lost
+    /// token, other separators, a source with too few or too many values.
+    fn mutate(text: &str, rng: &mut pcv_rng::Rng) -> String {
+        const GARBAGE: &str = "( , () ) (, ,) PULSE( PWL( PWL() PULSE() DC DC( 1meg 2.5MEG 1e400 \
+            1e308k -1 -0 0 nan inf .5u 5. 1k2 gnd GND TYPE= TYPE=P W= W=-1u L=1u X Q * .end .tran";
+        const SPACES: [&str; 8] = ["\t", "  ", "\u{a0}", "\u{2003}", "\r", ",", "(", ")"];
+        let pick =
+            |rng: &mut pcv_rng::Rng, from: &[&'static str]| from[rng.range_usize(0, from.len())];
+        let garbage: Vec<&str> = GARBAGE.split(' ').collect();
+        let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+        let at = rng.range_usize(0, lines.len());
+        let mut tokens: Vec<String> = lines[at].split(' ').map(str::to_owned).collect();
+        let k = rng.range_usize(0, tokens.len());
+        match rng.range_usize(0, 8) {
+            0 => {
+                // Truncation at any character.
+                let mut cut = rng.range_usize(0, text.len());
+                while !text.is_char_boundary(cut) {
+                    cut -= 1;
+                }
+                return text[..cut].to_owned();
+            }
+            1 => tokens[k] = pick(rng, &garbage).to_owned(),
+            2 => tokens.insert(k, pick(rng, &garbage).to_owned()),
+            3 => {
+                // Arity: a token lost or doubled.
+                if rng.bool_with(0.5) {
+                    tokens.remove(k);
+                } else {
+                    tokens.insert(k, tokens[k].clone());
+                }
+            }
+            4 => {
+                let space = pick(rng, &SPACES);
+                tokens = vec![tokens.join(space)];
+            }
+            5 => {
+                // PULSE/PWL values: some dropped, some added, or none left;
+                // and perhaps the keyword lost.
+                let line = &lines[at];
+                if let (Some(open), Some(close)) = (line.find('('), line.rfind(')')) {
+                    let mut values: Vec<String> =
+                        line[open + 1..close.max(open + 1)].split(' ').map(str::to_owned).collect();
+                    match rng.range_usize(0, 3) {
+                        0 => values.truncate(rng.range_usize(0, values.len() + 1)),
+                        1 => values.extend((0..rng.range_usize(1, 4)).map(|i| format!("{i}n"))),
+                        _ => values.clear(),
+                    }
+                    let mut head = &line[..open];
+                    if rng.bool_with(0.3) {
+                        head = head.trim_end_matches(|c: char| c.is_ascii_alphabetic());
+                    }
+                    tokens = vec![format!("{head}({})", values.join(" "))];
+                }
+            }
+            6 => {
+                // The element letter: another kind, or a comment or dot-card.
+                let letter = pick(rng, &["R", "C", "V", "I", "M", "X", "*", "."]);
+                tokens[0] = format!("{letter}{}", tokens[0].get(1..).unwrap_or(""));
+            }
+            _ => {
+                if rng.bool_with(0.5) {
+                    lines.remove(at);
+                } else {
+                    lines.insert(at, lines[at].clone());
+                }
+                return lines.join("\n");
+            }
+        }
+        lines[at] = tokens.join(" ");
+        lines.join(if rng.bool_with(0.1) { "\r\n" } else { "\n" })
+    }
+
+    /// Parse the example's deck and a cluster's under `rounds` seeded
+    /// mutations each, up to three deep: every outcome is a circuit whose
+    /// written deck reads back to the same elements, or a typed error on a
+    /// line of the text. Returns how many were accepted and rejected.
+    fn fuzz(rounds: usize) -> (usize, usize) {
+        let seeds = [include_str!("../../../examples/spice_deck.sp").to_owned(), cluster_deck()];
+        let mut rng = pcv_rng::Rng::new(0xDEC_F022);
+        let (mut accepted, mut rejected) = (0, 0);
+        for (s, seed) in seeds.iter().enumerate() {
+            assert!(parse_deck(seed).is_ok(), "seed {s} parses");
+            for round in 0..rounds {
+                let mut text = mutate(seed, &mut rng);
+                for _ in 0..rng.range_usize(0, 3) {
+                    if !text.is_empty() {
+                        text = mutate(&text, &mut rng);
+                    }
+                }
+                match parse_deck(&text) {
+                    Ok(ckt) => {
+                        accepted += 1;
+                        // An infinite value (`1e308k`) is written as `inf`,
+                        // which no deck spells: such a deck may not read back.
+                        if let Ok(back) = parse_deck(&write_deck(&ckt, "again")) {
+                            let same = (back.element_counts(), back.num_nodes())
+                                == (ckt.element_counts(), ckt.num_nodes());
+                            assert!(
+                                same,
+                                "seed {s} round {round}: the written deck reads back\n{text}"
+                            );
+                        }
+                    }
+                    Err(e) => {
+                        rejected += 1;
+                        let lines = text.lines().count();
+                        assert!(
+                            (1..=lines).contains(&e.line) && !e.message.is_empty(),
+                            "seed {s} round {round}: {e} of {lines} lines\n{text}"
+                        );
+                    }
+                }
+            }
+        }
+        (accepted, rejected)
+    }
+
+    #[test]
+    fn mutated_decks_parse_or_fail_typed() {
+        let (accepted, rejected) = fuzz(1000);
+        assert!(accepted > 300 && rejected > 300, "{accepted} / {rejected} of 2 000");
+    }
+
+    /// The same at 20 000 mutations — the `chaos` CI job's share.
+    #[test]
+    #[ignore = "20 000 mutations: run by the chaos CI job"]
+    fn twenty_thousand_mutated_decks_parse_or_fail_typed() {
+        let (accepted, rejected) = fuzz(10_000);
+        assert!(accepted > 3000 && rejected > 3000, "{accepted} / {rejected} of 20 000");
     }
 }

@@ -15,7 +15,7 @@
 //! ```
 
 use crate::parasitics::{NetNodeRef, NetParasitics, PNetId, ParasiticDb};
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Errors produced while parsing SPEF-lite text.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,32 +34,81 @@ impl fmt::Display for ParseSpefError {
 
 impl std::error::Error for ParseSpefError {}
 
-/// Serialize a parasitic database to SPEF-lite text.
+/// Push `" {n}"`: a blank and the decimal digits of `n`.
+fn push_index(out: &mut String, n: usize) {
+    let mut digits = [b' '; 21];
+    let (mut i, mut n) = (digits.len(), n);
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[i - 1..]).expect("a blank and ASCII digits"));
+}
+
+/// One value column of the writer (`*R`, `*GC` or `*CC`): the bits it last
+/// wrote and std's `{:e}` text of them. A run of equal bits is formatted
+/// once and its text copied, so every byte is still `{:e}`'s.
+#[derive(Default)]
+struct Column {
+    bits: Option<u64>,
+    text: String,
+}
+
+impl Column {
+    /// Push `" {v:e}\n"`.
+    fn push(&mut self, out: &mut String, v: f64) {
+        if self.bits != Some(v.to_bits()) {
+            self.text.clear();
+            writeln!(self.text, " {v:e}").expect("a String takes any text");
+            self.bits = Some(v.to_bits());
+        }
+        out.push_str(&self.text);
+    }
+}
+
+/// Serialize a parasitic database to SPEF-lite text, into one buffer whose
+/// capacity is the text's length.
 pub fn write_spef(db: &ParasiticDb) -> String {
+    let _span = pcv_trace::span("netlist", "write_spef");
     let mut out = String::from("*SPEF pcv-lite 1.0\n");
+    let (mut r, mut gc, mut cc) = (Column::default(), Column::default(), Column::default());
     for (_, net) in db.iter() {
-        out.push_str(&format!("*NET {} {}\n", net.name(), net.num_nodes()));
+        out.push_str("*NET ");
+        out.push_str(net.name());
+        push_index(&mut out, net.num_nodes());
+        out.push('\n');
         for &n in net.load_nodes() {
-            out.push_str(&format!("*LOAD {n}\n"));
+            out.push_str("*LOAD");
+            push_index(&mut out, n);
+            out.push('\n');
         }
-        for &(a, b, r) in net.resistors() {
-            out.push_str(&format!("*R {a} {b} {r:e}\n"));
+        for &(a, b, ohms) in net.resistors() {
+            out.push_str("*R");
+            push_index(&mut out, a);
+            push_index(&mut out, b);
+            r.push(&mut out, ohms);
         }
-        for &(n, c) in net.ground_caps() {
-            out.push_str(&format!("*GC {n} {c:e}\n"));
+        for &(n, farads) in net.ground_caps() {
+            out.push_str("*GC");
+            push_index(&mut out, n);
+            gc.push(&mut out, farads);
         }
         out.push_str("*END\n");
     }
     for c in db.couplings() {
-        out.push_str(&format!(
-            "*CC {} {} {} {} {:e}\n",
-            db.net(c.a.net).name(),
-            c.a.node,
-            db.net(c.b.net).name(),
-            c.b.node,
-            c.farads
-        ));
+        out.push_str("*CC ");
+        out.push_str(db.net(c.a.net).name());
+        push_index(&mut out, c.a.node);
+        out.push(' ');
+        out.push_str(db.net(c.b.net).name());
+        push_index(&mut out, c.b.node);
+        cc.push(&mut out, c.farads);
     }
+    out.shrink_to_fit();
     out
 }
 
@@ -89,6 +138,30 @@ static CLASS: [Byte; 256] = {
     table
 };
 
+/// The first byte at or after `i` that is not `Byte::Token`, or the
+/// text's length. Every other class lies below `!` or above DEL, so eight
+/// bytes at a time are tested for one of those; borrows of the subtraction
+/// run only towards later bytes, so the first byte flagged is exact. Only a
+/// control character is flagged yet a token byte, and the scan goes on.
+fn token_end(bytes: &[u8], mut i: usize) -> usize {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    while let Some(word) = bytes.get(i..i + 8) {
+        let w = u64::from_le_bytes(word.try_into().expect("eight bytes"));
+        let flagged = (w.wrapping_sub(0x21 * ONES) | w) & (0x80 * ONES);
+        if flagged == 0 {
+            i += 8;
+            continue;
+        }
+        i += (flagged.trailing_zeros() / 8) as usize;
+        if CLASS[bytes[i] as usize] != Byte::Token {
+            return i;
+        }
+        i += 1;
+    }
+    let rest = &bytes[i..];
+    i + rest.iter().position(|&b| CLASS[b as usize] != Byte::Token).unwrap_or(rest.len())
+}
+
 /// The next token of the line `*pos` is in; `None` once only blanks are left
 /// of it, `*pos` then resting on the line's `\n` or on the end of the text.
 fn next_token<'a>(text: &'a str, pos: &mut usize) -> Option<&'a str> {
@@ -114,8 +187,7 @@ fn next_token<'a>(text: &'a str, pos: &mut usize) -> Option<&'a str> {
         }
     };
     loop {
-        let rest = &bytes[i..];
-        i += rest.iter().position(|&b| CLASS[b as usize] != Byte::Token).unwrap_or(rest.len());
+        i = token_end(bytes, i);
         let wide = bytes.get(i).is_some_and(|&b| CLASS[b as usize] == Byte::Wide);
         match wide.then(|| wide_blank(i)) {
             Some((false, len)) => i += len,
@@ -127,12 +199,37 @@ fn next_token<'a>(text: &'a str, pos: &mut usize) -> Option<&'a str> {
 }
 
 /// `s.parse::<usize>()`, reading the spelling every writer emits — digits
-/// only, too few to overflow a `u64` — without the general routine. A sign,
-/// an empty token or twenty digits take `str::parse` and fare as it decides.
+/// only, too few to overflow a `u64` — in one pass without the general
+/// routine. A sign, an empty token or twenty digits take `str::parse` and
+/// fare as it decides.
 fn parse_index(s: &str) -> Option<usize> {
-    let plain = (1..=19).contains(&s.len()) && s.bytes().all(|b| b.is_ascii_digit());
-    let value = plain.then(|| s.bytes().fold(0u64, |v, b| v * 10 + u64::from(b - b'0')));
+    let (mut value, mut plain) = (0u64, (1..=19).contains(&s.len()));
+    for &b in s.as_bytes() {
+        let digit = b.wrapping_sub(b'0');
+        plain &= digit < 10;
+        value = value.wrapping_mul(10).wrapping_add(u64::from(digit));
+    }
+    let value = plain.then_some(value);
     value.and_then(|v| usize::try_from(v).ok()).or_else(|| s.parse().ok())
+}
+
+/// The last value token of one column (`*R`, `*GC` or `*CC`) and what it
+/// parsed to. `f64::from_str` is a function of the bytes, so a run of equal
+/// tokens is parsed once; every check still runs on the value.
+#[derive(Default)]
+struct Repeat<'a> {
+    text: &'a str,
+    value: f64,
+}
+
+impl<'a> Repeat<'a> {
+    fn parse(&mut self, token: &'a str) -> Option<f64> {
+        if token != self.text {
+            self.value = token.parse().ok()?;
+            self.text = token;
+        }
+        Some(self.value)
+    }
 }
 
 /// Parse SPEF-lite text into a parasitic database, in one pass over its
@@ -149,6 +246,7 @@ pub fn parse_spef(text: &str) -> Result<ParasiticDb, ParseSpefError> {
     // The two nets the previous `*CC` line named: consecutive couplings
     // run along one pair of wires, so most look-ups end here.
     let mut last_cc: [Option<(&str, PNetId)>; 2] = [None; 2];
+    let (mut ohms, mut gc, mut cc) = (Repeat::default(), Repeat::default(), Repeat::default());
     let err = |line: usize, message: &str| ParseSpefError { line, message: message.to_owned() };
 
     let (mut pos, mut line) = (0, 0);
@@ -173,7 +271,7 @@ pub fn parse_spef(text: &str) -> Result<ParasiticDb, ParseSpefError> {
         }
         pos += 1;
         let index = |s: &str| parse_index(s).ok_or_else(|| err(line, "invalid node index"));
-        let value = |s: &str| s.parse::<f64>().map_err(|_| err(line, "invalid numeric value"));
+        let value = |v: Option<f64>| v.ok_or_else(|| err(line, "invalid numeric value"));
         match keyword {
             "*SPEF" => {}
             "*NET" => {
@@ -208,7 +306,7 @@ pub fn parse_spef(text: &str) -> Result<ParasiticDb, ParseSpefError> {
                         }
                         let a = index(rest[0])?;
                         let b = index(rest[1])?;
-                        let r = value(rest[2])?;
+                        let r = value(ohms.parse(rest[2]))?;
                         if a >= net.num_nodes() || b >= net.num_nodes() {
                             return Err(err(line, "resistor node out of range"));
                         }
@@ -222,7 +320,7 @@ pub fn parse_spef(text: &str) -> Result<ParasiticDb, ParseSpefError> {
                             return Err(err(line, "*GC needs <node> <farads>"));
                         }
                         let n = index(rest[0])?;
-                        let c = value(rest[1])?;
+                        let c = value(gc.parse(rest[1]))?;
                         if n >= net.num_nodes() {
                             return Err(err(line, "cap node out of range"));
                         }
@@ -258,7 +356,7 @@ pub fn parse_spef(text: &str) -> Result<ParasiticDb, ParseSpefError> {
                 let nb = find(rest[2]).ok_or_else(|| err(line, "unknown net in *CC"))?;
                 last_cc = [Some((rest[0], na)), Some((rest[2], nb))];
                 let b = index(rest[3])?;
-                let c = value(rest[4])?;
+                let c = value(cc.parse(rest[4]))?;
                 if na == nb {
                     return Err(err(line, "coupling endpoints must differ"));
                 }
@@ -466,12 +564,20 @@ mod tests {
         }};
     }
 
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+    /// FNV-1a of `bytes`, continuing from `hash`.
+    fn fnv(hash: u64, bytes: impl IntoIterator<Item = u8>) -> u64 {
+        let step = |h: u64, b: u8| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+        bytes.into_iter().fold(hash, step)
+    }
+
     /// FNV-1a over the outcomes a test has seen, in order.
     struct Outcomes(u64);
 
     impl Outcomes {
         fn new() -> Self {
-            Outcomes(0xcbf2_9ce4_8422_2325)
+            Outcomes(FNV_OFFSET)
         }
 
         /// Parse `text` and absorb the outcome: the database as `write_spef`
@@ -489,9 +595,7 @@ mod tests {
             }
             let seen = got.as_ref().map_or_else(ToString::to_string, write_spef);
             // 0xff is in no text: it ends an outcome.
-            for b in seen.bytes().chain([u8::from(got.is_ok()), 0xff]) {
-                self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
-            }
+            self.0 = fnv(self.0, seen.bytes().chain([u8::from(got.is_ok()), 0xff]));
             got.is_ok()
         }
     }
@@ -669,6 +773,116 @@ mod tests {
     #[ignore = "20 000 mutations: run by the chaos CI job"]
     fn parser_matches_the_reference_on_twenty_thousand_mutations() {
         assert_eq!(corpus_digest(4000), 0x4DFB_E0C9_C8B3_2955, "20 000 mutations");
+    }
+
+    #[test]
+    fn the_word_scan_stops_where_the_byte_table_does() {
+        // Mostly token bytes, so tokens cross words; now and then any byte,
+        // control characters (token bytes below `!`) and wide ones included.
+        let mut rng = Rng::new(0x70CE_0E4D);
+        for _ in 0..3000 {
+            let bytes: Vec<u8> = (0..rng.range_usize(0, 40))
+                .map(|_| match rng.bool_with(0.85) {
+                    true => rng.range_usize(0x21, 0x7f) as u8,
+                    false => rng.range_usize(0, 256) as u8,
+                })
+                .collect();
+            for i in 0..=bytes.len() {
+                let rest = &bytes[i..];
+                let by_table = rest.iter().position(|&b| CLASS[b as usize] != Byte::Token);
+                let want = i + by_table.unwrap_or(rest.len());
+                assert_eq!(token_end(&bytes, i), want, "{bytes:?} from {i}");
+            }
+        }
+        let db = parse_spef("*NET a\u{1}\u{7f}long\u{1f}name 1\n*END\n").unwrap();
+        assert_eq!(db.net(PNetId(0)).name(), "a\u{1}\u{7f}long\u{1f}name");
+    }
+
+    /// A seeded database that probes the writer's shortcuts: node counts and
+    /// indices across 9/10 and 99/100, non-ASCII names, and runs of a value
+    /// broken by one other and resumed. The three columns draw from one
+    /// palette, so equal bits meet in two of them.
+    fn probe_db(rng: &mut Rng, nets: usize) -> ParasiticDb {
+        const NAMES: [&str; 8] = ["n", "é", "网络", "ß_", "∑x", "a.b[3]/", "🔌", "Ω"];
+        const COUNTS: [usize; 9] = [1, 2, 9, 10, 11, 99, 100, 101, 1000];
+        const PALETTE: [f64; 9] =
+            [5e-324, f64::MIN_POSITIVE, f64::MAX, 0.1 + 0.2, 5.0, 1e-15, 2.5e-15, 120.0, 0.0];
+        // A finite value of at least `floor`: from the palette, or any bits.
+        let draw = |rng: &mut Rng, floor: f64| loop {
+            let v = match rng.bool_with(0.6) {
+                true => PALETTE[rng.range_usize(0, PALETTE.len())],
+                false => f64::from_bits(rng.next_u64() >> 1),
+            };
+            if v >= floor && v.is_finite() {
+                break v;
+            }
+        };
+        // The next value of a column: its run's, a new run's, or one other.
+        let next = |rng: &mut Rng, held: &mut f64, floor: f64| match rng.range_usize(0, 20) {
+            0 => draw(rng, floor),
+            1 => {
+                *held = draw(rng, floor);
+                *held
+            }
+            _ => *held,
+        };
+        let mut db = ParasiticDb::new();
+        let (mut r, mut gc, mut cc) = (5.0, 5.0, 5.0);
+        for k in 0..nets {
+            let n = COUNTS[rng.range_usize(0, COUNTS.len())];
+            let mut net = NetParasitics::with_nodes(format!("{}{k}", NAMES[k % NAMES.len()]), n);
+            (0..rng.range_usize(0, 3)).for_each(|_| net.mark_load(rng.range_usize(0, n)));
+            for a in 1..n {
+                let b = if rng.bool_with(0.9) { a - 1 } else { rng.range_usize(0, n) };
+                net.add_resistor(b, a, next(rng, &mut r, 5e-324));
+            }
+            for node in 0..n {
+                net.add_ground_cap(node, next(rng, &mut gc, 0.0));
+            }
+            db.add_net(net);
+        }
+        let couplings = if nets > 1 { 3 * nets } else { 0 };
+        for _ in 0..couplings {
+            let (a, b) = (rng.range_usize(0, nets), rng.range_usize(1, nets));
+            let b = (a + b) % nets;
+            let end = |db: &ParasiticDb, rng: &mut Rng, net: usize| NetNodeRef {
+                net: PNetId(net),
+                node: rng.range_usize(0, db.net(PNetId(net)).num_nodes()),
+            };
+            let (a, b) = (end(&db, rng, a), end(&db, rng, b));
+            db.add_coupling(a, b, next(rng, &mut cc, 0.0));
+        }
+        db
+    }
+
+    /// The writer's bytes on the corpus chips, `zero_cap_db` and seeded
+    /// probes, digested. The digest was recorded by running this test against
+    /// the writer that formatted every record on its own, so one that moves
+    /// means a byte moved. (The DSP block's bytes are pinned beside its cell
+    /// library: `pcv_designs::extract::tests::DSP_PIN`.) Every text also
+    /// reads back to itself: write, parse and write again is the identity.
+    #[test]
+    fn writer_bytes_are_the_recorded_ones() {
+        use pcv_designs::random::{random_cluster, RandomClusterConfig};
+        use pcv_designs::structures::{bundle, sandwich};
+        let tech = pcv_designs::Technology::c025();
+        let random =
+            RandomClusterConfig { n_aggressors: 5, max_len: 600e-6, seed: 9, ..Default::default() };
+        let mut texts = vec![
+            spef_of!(bundle(5, 300e-6, &tech)),
+            spef_of!(sandwich(40e-6, &tech)),
+            spef_of!(random_cluster(&random, &tech).db),
+            write_spef(&zero_cap_db()),
+        ];
+        let mut rng = Rng::new(0x0057_E1F0);
+        texts.extend((0..24).map(|k| write_spef(&probe_db(&mut rng, [1, 2, 10, 11, 101][k % 5]))));
+        let mut digest = FNV_OFFSET;
+        for (k, text) in texts.iter().enumerate() {
+            let back = parse_spef(text).unwrap_or_else(|e| panic!("text {k}: {e}"));
+            assert!(write_spef(&back) == *text, "text {k}: written again, a byte moved");
+            digest = fnv(digest, text.bytes().chain([0xff]));
+        }
+        assert_eq!(digest, 0xFC38_642A_D955_1828, "{digest:#X}");
     }
 
     #[test]

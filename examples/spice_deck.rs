@@ -7,27 +7,8 @@
 use pcv_netlist::deck::parse_deck;
 use pcv_spice::{SimOptions, Simulator};
 
-const DECK: &str = "\
-* CMOS inverter driving a coupled pair of wires
-Vdd vdd 0 DC 2.5
-Vin in 0 PULSE(0 2.5 1n 0.15n 0.15n 4n 0)
-M1 drv in 0 TYPE=N W=1.2u L=0.25u
-M2 drv in vdd TYPE=P W=3u L=0.25u
-* aggressor wire: three RC segments
-R1 drv a1 120
-R2 a1 a2 120
-R3 a2 a3 120
-Ca1 a1 0 4f
-Ca2 a2 0 4f
-Ca3 a3 0 4f
-* victim wire held low through a weak keeper
-Rk vic 0 2k
-Cv1 vic 0 6f
-* coupling
-Cc1 a2 vic 12f
-Cc2 a3 vic 12f
-.end
-";
+/// The deck, shared with `pcv-netlist`'s deck fuzzer as a seed.
+const DECK: &str = include_str!("spice_deck.sp");
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ckt = parse_deck(DECK)?;
