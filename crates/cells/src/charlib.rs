@@ -88,21 +88,17 @@ pub struct IvSurface {
 
 impl IvSurface {
     /// Injected current and its derivative with respect to `vout`, bilinear
-    /// on the grid (clamped outside).
+    /// on the grid (clamped outside). One grid cell and one pair of
+    /// fractions serve both.
     pub fn at(&self, vin: f64, vout: f64) -> (f64, f64) {
-        let i = bilinear(&self.vin, &self.vout, &self.current, vin, vout);
+        let cell = GridCell::locate(&self.vin, &self.vout, vin, vout);
+        let z = &self.current;
+        let (i, j) = (cell.i, cell.j);
         // Derivative along vout from the enclosing grid cell.
-        let j = bracket(&self.vout, vout);
         let (v0, v1) = (self.vout[j], self.vout[j + 1]);
-        let ii = bracket(&self.vin, vin);
-        let frac = if self.vin[ii + 1] > self.vin[ii] {
-            ((vin - self.vin[ii]) / (self.vin[ii + 1] - self.vin[ii])).clamp(0.0, 1.0)
-        } else {
-            0.0
-        };
-        let di_lo = (self.current[(ii, j + 1)] - self.current[(ii, j)]) / (v1 - v0);
-        let di_hi = (self.current[(ii + 1, j + 1)] - self.current[(ii + 1, j)]) / (v1 - v0);
-        (i, di_lo + frac * (di_hi - di_lo))
+        let di_lo = (z[(i, j + 1)] - z[(i, j)]) / (v1 - v0);
+        let di_hi = (z[(i + 1, j + 1)] - z[(i + 1, j)]) / (v1 - v0);
+        (cell.interpolate(z), di_lo + cell.fx * (di_hi - di_lo))
     }
 }
 
@@ -510,15 +506,37 @@ fn output_cap(cell: &Cell) -> f64 {
 
 /// Bilinear interpolation on a rectangular grid with clamping.
 fn bilinear(xs: &[f64], ys: &[f64], z: &Dense, x: f64, y: f64) -> f64 {
-    let i = bracket(xs, x);
-    let j = bracket(ys, y);
-    let fx = frac(xs[i], xs[i + 1], x);
-    let fy = frac(ys[j], ys[j + 1], y);
-    let z00 = z[(i, j)];
-    let z10 = z[(i + 1, j)];
-    let z01 = z[(i, j + 1)];
-    let z11 = z[(i + 1, j + 1)];
-    z00 * (1.0 - fx) * (1.0 - fy) + z10 * fx * (1.0 - fy) + z01 * (1.0 - fx) * fy + z11 * fx * fy
+    GridCell::locate(xs, ys, x, y).interpolate(z)
+}
+
+/// The grid cell `(i, j)` enclosing a point, clamped to the grid, and the
+/// point's fractions `fx`, `fy` across it (each in `[0, 1]`).
+struct GridCell {
+    i: usize,
+    j: usize,
+    fx: f64,
+    fy: f64,
+}
+
+impl GridCell {
+    fn locate(xs: &[f64], ys: &[f64], x: f64, y: f64) -> Self {
+        let i = bracket(xs, x);
+        let j = bracket(ys, y);
+        GridCell { i, j, fx: frac(xs[i], xs[i + 1], x), fy: frac(ys[j], ys[j + 1], y) }
+    }
+
+    /// The bilinear blend of `z`'s four corners of this cell.
+    fn interpolate(&self, z: &Dense) -> f64 {
+        let (i, j, fx, fy) = (self.i, self.j, self.fx, self.fy);
+        let z00 = z[(i, j)];
+        let z10 = z[(i + 1, j)];
+        let z01 = z[(i, j + 1)];
+        let z11 = z[(i + 1, j + 1)];
+        z00 * (1.0 - fx) * (1.0 - fy)
+            + z10 * fx * (1.0 - fy)
+            + z01 * (1.0 - fx) * fy
+            + z11 * fx * fy
+    }
 }
 
 fn bracket(xs: &[f64], x: f64) -> usize {
@@ -594,6 +612,66 @@ mod tests {
         // Equilibrium corners: held output carries ~no current.
         let (i_hold, _) = ch.iv.at(VDD, 0.0);
         assert!(i_hold.abs() < 1e-6, "held-low equilibrium, got {i_hold}");
+    }
+
+    /// `IvSurface::at` as it was before one grid cell served both halves:
+    /// the value through `bilinear`, the slope from brackets and a fraction
+    /// of its own. Kept verbatim as the oracle of the one-bracket form.
+    fn two_bracket_at(s: &IvSurface, vin: f64, vout: f64) -> (f64, f64) {
+        let i = bilinear(&s.vin, &s.vout, &s.current, vin, vout);
+        // Derivative along vout from the enclosing grid cell.
+        let j = bracket(&s.vout, vout);
+        let (v0, v1) = (s.vout[j], s.vout[j + 1]);
+        let ii = bracket(&s.vin, vin);
+        let frac = if s.vin[ii + 1] > s.vin[ii] {
+            ((vin - s.vin[ii]) / (s.vin[ii + 1] - s.vin[ii])).clamp(0.0, 1.0)
+        } else {
+            0.0
+        };
+        let di_lo = (s.current[(ii, j + 1)] - s.current[(ii, j)]) / (v1 - v0);
+        let di_hi = (s.current[(ii + 1, j + 1)] - s.current[(ii + 1, j)]) / (v1 - v0);
+        (i, di_lo + frac * (di_hi - di_lo))
+    }
+
+    #[test]
+    fn one_bracket_lookup_has_the_two_bracket_bits() {
+        // A characterized surface, and seeded ones whose axes repeat grid
+        // points (zero-width cells: a 0/0 slope) and hold ±0.
+        let mut rng = pcv_rng::Rng::new(0x1B5);
+        let mut surfaces = vec![inv4().iv];
+        for _ in 0..12 {
+            let axis = |rng: &mut pcv_rng::Rng| {
+                let mut a: Vec<f64> =
+                    (0..rng.range_usize(2, 9)).map(|_| rng.range_f64(-0.5, 3.0)).collect();
+                if rng.bool_with(0.5) {
+                    let at = rng.range_usize(0, a.len());
+                    a.push(a[at]);
+                }
+                a.push(if rng.bool_with(0.5) { 0.0 } else { -0.0 });
+                a.sort_by(f64::total_cmp);
+                a
+            };
+            let (vin, vout) = (axis(&mut rng), axis(&mut rng));
+            let current = Dense::from_fn(vin.len(), vout.len(), |_, _| rng.range_f64(-4e-3, 4e-3));
+            surfaces.push(IvSurface { vin, vout, current });
+        }
+        let mut probes = 0;
+        for s in &surfaces {
+            // The grid points themselves, points outside, ±0, non-finite
+            // ones, and seeded points in between.
+            let mut vs: Vec<f64> = s.vin.iter().chain(&s.vout).copied().collect();
+            vs.extend([-1.0, -0.0, 0.0, 4.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY]);
+            vs.extend((0..40).map(|_| rng.range_f64(-1.0, 4.0)));
+            for &vin in &vs {
+                for &vout in &vs {
+                    let (got, want) = (s.at(vin, vout), two_bracket_at(s, vin, vout));
+                    let bits = |(i, g): (f64, f64)| (i.to_bits(), g.to_bits());
+                    assert_eq!(bits(got), bits(want), "at ({vin}, {vout}): {got:?} vs {want:?}");
+                    probes += 1;
+                }
+            }
+        }
+        assert!(probes > 10_000, "{probes}");
     }
 
     #[test]

@@ -77,7 +77,10 @@ pub enum ShardFault {
     /// coordinator's heartbeat deadline is what catches it.
     StallAfter(usize),
     /// Coordinator SIGKILLs the worker once it has streamed at least
-    /// `frac` of its slice (e.g. `0.25`, `0.5`, `0.75`).
+    /// `frac` of its slice (e.g. `0.25`, `0.5`, `0.75`). The worker holds
+    /// every later cluster at its finish (journaled, not yet streamed), so
+    /// the kill lands mid-slice with a journal on disk however fast the
+    /// clusters run.
     SigkillAtFrac(f64),
     /// After killing the worker, tear the final line of its shard journal
     /// (truncate mid-frame) before the restart — the replay must drop

@@ -10,7 +10,7 @@
 use crate::error::MorError;
 use pcv_netlist::{Circuit, Element, NodeId};
 use pcv_sparse::dense::{Dense, DenseLu};
-use pcv_sparse::{Csc, Triplets};
+use pcv_sparse::Csc;
 
 /// Default per-node leakage conductance (siemens).
 pub const DEFAULT_GMIN: f64 = 1e-9;
@@ -263,30 +263,36 @@ impl RcCluster {
 
     /// Assemble the conductance matrix `G` (SPD after `gmin`).
     pub fn conductance_matrix(&self) -> Csc {
-        let mut t = Triplets::new(self.n, self.n);
-        for i in 0..self.n {
-            t.push(i, i, self.gmin);
-        }
-        for &(a, b, ohms) in &self.resistors {
-            let g = 1.0 / ohms;
-            stamp_sym(&mut t, a, b, g);
-        }
-        t.to_csc()
+        self.assemble(self.gmin, &self.resistors, |ohms| 1.0 / ohms)
     }
 
     /// Assemble the capacitance matrix `C` (symmetric positive
-    /// semidefinite).
+    /// semidefinite). The full diagonal pattern is pinned, so `C` always
+    /// has stored zeros where the Lanczos matvec expects them.
     pub fn capacitance_matrix(&self) -> Csc {
-        let mut t = Triplets::new(self.n, self.n);
-        // Pin the full diagonal pattern so `C` always has stored zeros where
-        // the Lanczos matvec expects them.
-        for i in 0..self.n {
-            t.push(i, i, 0.0);
-        }
-        for &(a, b, c) in &self.capacitors {
-            stamp_sym(&mut t, a, b, c);
-        }
-        t.to_csc()
+        self.assemble(0.0, &self.capacitors, |farads| farads)
+    }
+
+    /// Stamp `diag` on every node, then each two-terminal element with
+    /// value `value(x)`, straight into CSC: element `(a, b)` pushes
+    /// `(a,a,+)`, `(a,b,−)`, `(b,b,+)`, `(b,a,−)` in that order, minus the
+    /// entries on a grounded row or column.
+    fn assemble(
+        &self,
+        diag: f64,
+        elements: &[(usize, usize, f64)],
+        value: impl Fn(f64) -> f64,
+    ) -> Csc {
+        let value = &value;
+        let stamp = move |&(a, b, x): &(usize, usize, f64)| {
+            let v = value(x);
+            [(a, a, v), (a, b, -v), (b, b, v), (b, a, -v)]
+        };
+        Csc::from_pushes(self.n, self.n, || {
+            (0..self.n)
+                .map(|i| (i, i, diag))
+                .chain(elements.iter().flat_map(stamp).filter(|&(r, c, _)| r != GND && c != GND))
+        })
     }
 
     /// Exact (unreduced) transfer-function matrix
@@ -329,21 +335,6 @@ impl RcCluster {
     }
 }
 
-fn stamp_sym(t: &mut Triplets, a: usize, b: usize, g: f64) {
-    if a != GND {
-        t.push(a, a, g);
-        if b != GND {
-            t.push(a, b, -g);
-        }
-    }
-    if b != GND {
-        t.push(b, b, g);
-        if a != GND {
-            t.push(b, a, -g);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -371,6 +362,95 @@ mod tests {
         assert!(g.is_symmetric(0.0));
         assert!(c.is_symmetric(0.0));
         assert!(pcv_sparse::SparseCholesky::factor(&g).is_ok());
+    }
+
+    /// `G` and `C` as they were assembled before stamping went straight to
+    /// CSC: every stamp pushed into a `Triplets`, then `to_csc`. Kept
+    /// verbatim as the oracle of `assemble`.
+    fn stamped_triplets(cl: &RcCluster) -> (Csc, Csc) {
+        fn stamp_sym(t: &mut pcv_sparse::Triplets, a: usize, b: usize, g: f64) {
+            if a != GND {
+                t.push(a, a, g);
+                if b != GND {
+                    t.push(a, b, -g);
+                }
+            }
+            if b != GND {
+                t.push(b, b, g);
+                if a != GND {
+                    t.push(b, a, -g);
+                }
+            }
+        }
+        let mut t = pcv_sparse::Triplets::new(cl.n, cl.n);
+        for i in 0..cl.n {
+            t.push(i, i, cl.gmin);
+        }
+        for &(a, b, ohms) in &cl.resistors {
+            let g = 1.0 / ohms;
+            stamp_sym(&mut t, a, b, g);
+        }
+        let g = t.to_csc();
+        let mut t = pcv_sparse::Triplets::new(cl.n, cl.n);
+        for i in 0..cl.n {
+            t.push(i, i, 0.0);
+        }
+        for &(a, b, c) in &cl.capacitors {
+            stamp_sym(&mut t, a, b, c);
+        }
+        (g, t.to_csc())
+    }
+
+    #[test]
+    fn assembly_has_the_stamped_triplets_bits() {
+        // Seeded clusters with grounded ends, repeated and self-looped
+        // elements, a hub node whose columns take far more than the 20
+        // pushes up to which the row sort keeps push order, and values at
+        // ±0, subnormal and ordinary magnitudes.
+        let mut rng = pcv_rng::Rng::new(0xA55E);
+        let mut longest = 0;
+        for case in 0..60 {
+            let mut cl = RcCluster::new();
+            let n = rng.range_usize(1, 24);
+            (0..n).for_each(|_| _ = cl.add_node());
+            let farads = |rng: &mut pcv_rng::Rng| match rng.range_usize(0, 6) {
+                0 => 0.0,
+                1 => -0.0,
+                2 => 5e-324 * rng.range_usize(1, 9) as f64,
+                _ => rng.range_f64(0.1e-15, 9e-15),
+            };
+            let ohms = |rng: &mut pcv_rng::Rng| match rng.range_usize(0, 6) {
+                0 => 1e308 * rng.range_f64(1.0, 1.7),
+                _ => rng.range_f64(1.0, 400.0),
+            };
+            let hub = rng.range_usize(0, n);
+            for _ in 0..rng.range_usize(0, 12 * n) {
+                let a = if rng.bool_with(0.3) { hub } else { rng.range_usize(0, n) };
+                let b = rng.range_usize(0, n);
+                match rng.range_usize(0, 4) {
+                    0 => cl.add_resistor(a, b, ohms(&mut rng)).unwrap(),
+                    1 => cl.add_resistor_to_ground(a, ohms(&mut rng)).unwrap(),
+                    2 => cl.add_capacitor(a, b, farads(&mut rng)).unwrap(),
+                    _ => cl.add_ground_cap(a, farads(&mut rng)).unwrap(),
+                }
+            }
+            let (want_g, want_c) = stamped_triplets(&cl);
+            for (what, got, want) in
+                [("G", cl.conductance_matrix(), want_g), ("C", cl.capacitance_matrix(), want_c)]
+            {
+                assert_eq!(got.colptr(), want.colptr(), "case {case} {what}");
+                assert_eq!(got.rowidx(), want.rowidx(), "case {case} {what}");
+                let bits = |m: &Csc| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "case {case} {what}");
+            }
+            for elements in [cl.resistors(), cl.capacitors()] {
+                // At least one push per element touching the hub, plus its
+                // diagonal's.
+                let touching = elements.iter().filter(|&&(a, b, _)| a == hub || b == hub);
+                longest = longest.max(1 + touching.count());
+            }
+        }
+        assert!(longest > 40, "a column far past the sort's stable regime ({longest} pushes)");
     }
 
     #[test]

@@ -24,6 +24,7 @@ use pcv_netlist::termination::Termination;
 use pcv_netlist::timestep::{Method, Stepper};
 use pcv_netlist::Waveform;
 use pcv_sparse::dense::{lu_factor_in_place, lu_solve_into};
+use pcv_sparse::panel;
 
 /// Options for the reduced transient.
 #[derive(Debug, Clone)]
@@ -264,35 +265,64 @@ struct Step<'a> {
 /// `tests::reference`, which rebuilds every quantity in every iteration, so
 /// waveforms, `steps` and `newton_iters` are equal to the last bit. The only
 /// work skipped is work whose result has the same bits by construction:
-/// `M = αD + I` and the Gram matrix `G` depend on `α` alone and are kept
-/// until `α`'s bit pattern changes.
+/// `αD`, `M = αD + I` and the Gram matrix `G` depend on `α` alone and are
+/// kept until `α`'s bit pattern changes; `Dβ` and the port capacitors'
+/// companions are fixed for a step; and the LU factors of `S = I + W G`
+/// depend on `α` and the bits of `W` alone, so they are kept until either
+/// changes (a tabulated driver's slope is constant inside a grid cell). The
+/// port dots (`ηⱼᵀv` for every port `j`) run as the lanes of one
+/// [`panel::dots`] pass over the states, each lane in the textbook order.
 struct Workspace<'a> {
     opts: &'a MorOptions,
     terminations: &'a [Option<&'a dyn Termination>],
     d: &'a [f64],
-    /// Active (current-carrying) ports, ascending.
-    active: Vec<usize>,
+    /// `η`, row-major `q×p`: a panel whose lane `j` is port `j`'s column.
+    eta: Vec<f64>,
+    /// The active (current-carrying) ports, ascending.
+    ports: Vec<ActivePort>,
     /// Port capacitances (companion-modeled at the ports), by port.
     caps: Vec<f64>,
-    /// `ηᵀ`: port `j`'s column of `η` is `cols[j*q..(j+1)*q]`.
-    cols: Vec<f64>,
-    /// The `α` that `m_diag` and `gram` were built for, by bit pattern.
+    /// `Uᵀ`, the active columns of `η`: active port `a`'s column is
+    /// `ut[a*q..(a+1)*q]`.
+    ut: Vec<f64>,
+    /// The `α` that `alpha_d`, `m_diag` and `gram` were built for, by bit
+    /// pattern.
     alpha_bits: Option<u64>,
-    /// `M = αD + I` (diagonal, strictly positive since D ≥ 0).
+    /// `αD` and `M = αD + I` (diagonal, strictly positive since D ≥ 0).
+    alpha_d: Vec<f64>,
     m_diag: Vec<f64>,
-    /// `G = Uᵀ M⁻¹ U` over the active columns `U` of `η`, row-major `k×k`.
+    /// `G = Uᵀ M⁻¹ U`, row-major `k×k`.
     gram: Vec<f64>,
-    /// Effective conductance and drawn current per active port.
-    w: Vec<f64>,
-    i_port: Vec<f64>,
+    /// `Dβ` of the step being solved.
+    d_beta: Vec<f64>,
     /// The residual `F`, then `M⁻¹F` in place.
     f: Vec<f64>,
     delta: Vec<f64>,
+    /// `ηᵀv` of the vector last dotted, by port: the port voltages, `ηᵀM⁻¹F`,
+    /// then the voltage updates.
+    ports_dot: Vec<f64>,
     /// `S = I + W G`, LU-factored in place, and the small solve `S z = rhs`.
     s: Vec<f64>,
     perm: Vec<usize>,
     rhs: Vec<f64>,
     z: Vec<f64>,
+    /// Whether `s` and `perm` hold the factors of `S` for `alpha_bits` and
+    /// every port's `w_lu`.
+    lu_valid: bool,
+}
+
+/// An active port's terms in the Newton iteration.
+struct ActivePort {
+    /// The port's index among all ports.
+    j: usize,
+    /// `(geq, ieq)` of the port capacitor's companion in the step being
+    /// solved; `None` without a capacitor, and in DC.
+    companion: Option<(f64, f64)>,
+    /// Effective conductance `w_j` and drawn current at the iterate.
+    w: f64,
+    i: f64,
+    /// The bits of the `w` that `S`'s factors were built with.
+    w_lu: u64,
 }
 
 impl<'a> Workspace<'a> {
@@ -302,51 +332,57 @@ impl<'a> Workspace<'a> {
         opts: &'a MorOptions,
     ) -> Self {
         let (q, p) = (model.order(), model.num_ports());
-        let active: Vec<usize> = (0..p).filter(|&j| terminations[j].is_some()).collect();
+        let ports: Vec<ActivePort> = (0..p)
+            .filter(|&j| terminations[j].is_some())
+            .map(|j| ActivePort { j, companion: None, w: 0.0, i: 0.0, w_lu: 0 })
+            .collect();
         let eta = model.eta();
-        let k = active.len();
+        let k = ports.len();
         Workspace {
             opts,
             terminations,
             d: model.d(),
-            active,
+            eta: (0..q * p).map(|i| eta[(i / p, i % p)]).collect(),
             caps: terminations.iter().map(|t| t.map_or(0.0, |t| t.capacitance())).collect(),
-            cols: (0..p).flat_map(|j| (0..q).map(move |kk| eta[(kk, j)])).collect(),
+            ut: (0..k * q).map(|i| eta[(i % q, ports[i / q].j)]).collect(),
+            ports,
             alpha_bits: None,
+            alpha_d: vec![0.0; q],
             m_diag: vec![0.0; q],
             gram: vec![0.0; k * k],
-            w: vec![0.0; k],
-            i_port: vec![0.0; k],
+            d_beta: vec![0.0; q],
             f: vec![0.0; q],
             delta: vec![0.0; q],
+            ports_dot: vec![0.0; p],
             s: vec![0.0; k * k],
             perm: vec![0; k],
             rhs: vec![0.0; k],
             z: vec![0.0; k],
+            lu_valid: false,
         }
     }
 
     /// Port voltages `y = ηᵀ x` of every port.
     fn outputs(&self, x: &[f64], y: &mut [f64]) {
-        for (j, yj) in y.iter_mut().enumerate() {
-            *yj = dot(column(&self.cols, x.len(), j), x);
-        }
+        port_dots(&self.eta, x, y);
     }
 
-    /// Rebuild `M` and `G` unless they already belong to this `α`.
+    /// Rebuild `αD`, `M` and `G` unless they already belong to this `α`.
     fn set_alpha(&mut self, alpha: f64) {
         if self.alpha_bits == Some(alpha.to_bits()) {
             return;
         }
         self.alpha_bits = Some(alpha.to_bits());
-        for (m, &dk) in self.m_diag.iter_mut().zip(self.d) {
-            *m = alpha * dk + 1.0;
+        self.lu_valid = false;
+        for ((ad, m), &dk) in self.alpha_d.iter_mut().zip(&mut self.m_diag).zip(self.d) {
+            *ad = alpha * dk;
+            *m = *ad + 1.0;
         }
-        let (q, k) = (self.d.len(), self.active.len());
-        for (a, &ja) in self.active.iter().enumerate() {
-            let col_a = column(&self.cols, q, ja);
-            for (b, &jb) in self.active.iter().enumerate().skip(a) {
-                let col_b = column(&self.cols, q, jb);
+        let (q, k) = (self.d.len(), self.ports.len());
+        for a in 0..k {
+            let col_a = column(&self.ut, q, a);
+            for b in a..k {
+                let col_b = column(&self.ut, q, b);
                 let mut dot_u = 0.0;
                 for ((&ea, &eb), &m) in col_a.iter().zip(col_b).zip(&self.m_diag) {
                     dot_u += ea * eb / m;
@@ -377,53 +413,66 @@ impl<'a> Workspace<'a> {
             opts,
             terminations,
             d,
-            active,
+            ports,
             caps,
-            cols,
+            eta,
+            ut,
+            alpha_d,
             m_diag,
             gram,
-            w,
-            i_port,
+            d_beta,
             f,
             delta,
+            ports_dot,
             s,
             perm,
             rhs,
             z,
+            lu_valid,
             ..
         } = self;
-        let (alpha, beta) = (step.alpha, step.beta);
-        let (q, k) = (d.len(), active.len());
-        let col = |j: usize| column(cols, q, j);
+        let (q, k) = (d.len(), ports.len());
+        let col = |a: usize| column(ut, q, a);
+
+        // What the step fixes: Dβ and the port capacitors' companions.
+        for ((db, &dk), &bk) in d_beta.iter_mut().zip(d.iter()).zip(step.beta) {
+            *db = dk * bk;
+        }
+        for pt in ports.iter_mut() {
+            pt.companion = match step.caps {
+                Some(CapHistory { h, method, v_prev, i_prev }) if caps[pt.j] > 0.0 => {
+                    Some(method.companion(caps[pt.j], h, v_prev[pt.j], i_prev[pt.j]))
+                }
+                _ => None,
+            };
+        }
 
         for iter in 0..max_newton {
             if cancelled(opts) {
                 return Err(());
             }
             // Port currents and conductances.
-            for (a, &j) in active.iter().enumerate() {
-                let term = terminations[j].expect("active port has termination");
-                let yj = dot(col(j), x);
+            port_dots(eta, x, ports_dot);
+            for pt in ports.iter_mut() {
+                let term = terminations[pt.j].expect("active port has termination");
+                let yj = ports_dot[pt.j];
                 let (i_t, g_t) = term.eval(step.t, yj);
-                let (mut i_c, mut g_c) = (0.0, 0.0);
-                if caps[j] > 0.0 {
-                    if let Some(CapHistory { h, method, v_prev, i_prev }) = step.caps {
-                        let (geq, ieq) = method.companion(caps[j], h, v_prev[j], i_prev[j]);
-                        i_c = geq * yj - ieq;
-                        g_c = geq;
-                    }
-                }
-                i_port[a] = i_t + i_c;
-                w[a] = (g_t + g_c).max(0.0);
+                let (i_c, g_c) = match pt.companion {
+                    Some((geq, ieq)) => (geq * yj - ieq, geq),
+                    None => (0.0, 0.0),
+                };
+                pt.i = i_t + i_c;
+                pt.w = (g_t + g_c).max(0.0);
             }
 
             // Residual F(x) = αD x + D β + x + Σ η_j i_port_j  (u = -i_port).
-            for (kk, fk) in f.iter_mut().enumerate() {
-                *fk = alpha * d[kk] * x[kk] + d[kk] * beta[kk] + x[kk];
+            let linear = alpha_d.iter().zip(d_beta.iter());
+            for ((fk, &xk), (&ad, &db)) in f.iter_mut().zip(x.iter()).zip(linear) {
+                *fk = ad * xk + db + xk;
             }
-            for (&j, &ip) in active.iter().zip(i_port.iter()) {
-                for (fk, &e) in f.iter_mut().zip(col(j)) {
-                    *fk += e * ip;
+            for (a, pt) in ports.iter().enumerate() {
+                for (fk, &e) in f.iter_mut().zip(col(a)) {
+                    *fk += e * pt.i;
                 }
             }
 
@@ -437,30 +486,39 @@ impl<'a> Workspace<'a> {
                 *dk = -v;
             }
             if k > 0 {
-                // S = I_k + W G  (k×k), rhs = W Uᵀ M⁻¹ F.
-                for (a, &ja) in active.iter().enumerate() {
-                    rhs[a] = w[a] * dot(col(ja), f);
-                    for b in 0..k {
-                        let ident = if a == b { 1.0 } else { 0.0 };
-                        s[a * k + b] = ident + w[a] * gram[a * k + b];
+                // S = I_k + W G (k×k), row a being w_a·G_a plus the identity's
+                // row — refactored only when W's bits moved since the last
+                // factorization at this α.
+                if !(*lu_valid && ports.iter().all(|pt| pt.w.to_bits() == pt.w_lu)) {
+                    let rows = s.chunks_exact_mut(k).zip(gram.chunks_exact(k));
+                    for (a, ((s_row, g_row), pt)) in rows.zip(ports.iter_mut()).enumerate() {
+                        for (sab, &g) in s_row.iter_mut().zip(g_row) {
+                            *sab = pt.w * g + 0.0;
+                        }
+                        s_row[a] = pt.w * g_row[a] + 1.0;
+                        pt.w_lu = pt.w.to_bits();
+                    }
+                    *lu_valid = lu_factor_in_place(s, perm).is_ok();
+                    if !*lu_valid {
+                        return Err(());
                     }
                 }
-                if lu_factor_in_place(s, perm).is_err() {
-                    return Err(());
+                // rhs = W Uᵀ M⁻¹ F.
+                port_dots(eta, f, ports_dot);
+                for (r, pt) in rhs.iter_mut().zip(ports.iter()) {
+                    *r = pt.w * ports_dot[pt.j];
                 }
                 lu_solve_into(s, perm, rhs, z);
                 // Δ = -M⁻¹F + M⁻¹ U z.
-                for (&ja, &za) in active.iter().zip(z.iter()) {
-                    for ((dk, &e), &m) in delta.iter_mut().zip(col(ja)).zip(m_diag.iter()) {
+                for (a, &za) in z.iter().enumerate() {
+                    for ((dk, &e), &m) in delta.iter_mut().zip(col(a)).zip(m_diag.iter()) {
                         *dk += e * za / m;
                     }
                 }
             }
 
-            let mut max_dy = 0.0f64;
-            for &j in active.iter() {
-                max_dy = max_dy.max(dot(col(j), delta).abs());
-            }
+            port_dots(eta, delta, ports_dot);
+            let max_dy = ports.iter().fold(0.0f64, |m, pt| m.max(ports_dot[pt.j].abs()));
             // Damp large steps: tabulated driver models have derivative kinks
             // that full Newton steps can cycle across.
             let scale = if max_dy > damping { damping / max_dy } else { 1.0 };
@@ -477,20 +535,19 @@ impl<'a> Workspace<'a> {
     }
 }
 
-/// Column `j` of `η` in the transposed copy `cols` (`q` entries a column).
-fn column(cols: &[f64], q: usize, j: usize) -> &[f64] {
-    &cols[j * q..(j + 1) * q]
+/// Column `a` of the transposed copy `cols` (`q` entries a column).
+fn column(cols: &[f64], q: usize, a: usize) -> &[f64] {
+    &cols[a * q..(a + 1) * q]
 }
 
-/// `Σ aₖ·bₖ`, accumulated from `+0.0` in index order. Not `vecops::dot`:
-/// `Iterator::sum` leaves the sign of its starting zero to the toolchain,
-/// and the bit-identity contract cannot.
-fn dot(a: &[f64], b: &[f64]) -> f64 {
-    let mut sum = 0.0;
-    for (&ak, &bk) in a.iter().zip(b) {
-        sum += ak * bk;
-    }
-    sum
+/// `out[j] = Σₖ ηₖⱼ·vₖ` for every port `j` of the row-major `q×p` panel
+/// `eta`, each lane accumulated from `+0.0` in index order as the textbook
+/// `Σ aₖ·bₖ` loop does — not from `vecops::dot`'s `-0.0`: `Iterator::sum`
+/// leaves the sign of its starting zero to the toolchain, and the
+/// bit-identity contract cannot.
+fn port_dots(eta: &[f64], v: &[f64], out: &mut [f64]) {
+    out.fill(0.0);
+    panel::dots(v, eta, out);
 }
 
 #[cfg(test)]
@@ -816,8 +873,20 @@ mod tests {
         let boxes = random_terminations(&mut rng, k, observe);
         let terms: Vec<Option<&dyn Termination>> = boxes.iter().map(|b| b.as_deref()).collect();
         let tag = format!("seed {seed}, q {q}, k {k}, observe {observe}");
-        let got = simulate(&model, &terms, 4e-9, opts);
-        let want = reference::simulate(&model, &terms, 4e-9, opts);
+        assert_runs_alike(&model, &terms, opts, &tag)
+    }
+
+    /// Kernel and oracle over 4 ns of one model under one termination list,
+    /// equal to the last bit; returns the kernel's step count (0 for an
+    /// error, which must be the oracle's).
+    fn assert_runs_alike(
+        model: &DiagonalModel,
+        terms: &[Option<&dyn Termination>],
+        opts: &MorOptions,
+        tag: &str,
+    ) -> usize {
+        let got = simulate(model, terms, 4e-9, opts);
+        let want = reference::simulate(model, terms, 4e-9, opts);
         let (got, want) = match (got, want) {
             (Ok(g), Ok(w)) => (g, w),
             (g, w) => {
@@ -875,6 +944,137 @@ mod tests {
             MorOptions { max_newton: 0, ..MorOptions::default() },
         ] {
             assert_eq!(assert_bit_identical(7, 24, 4, 2, &opts), 0);
+        }
+    }
+
+    /// A termination that logs `(port, t, g)` bits of every evaluation into
+    /// a log shared by all ports.
+    #[derive(Debug)]
+    struct Logged<'a> {
+        port: usize,
+        inner: &'a dyn Termination,
+        log: &'a std::cell::RefCell<Vec<(usize, u64, u64)>>,
+    }
+
+    impl Termination for Logged<'_> {
+        fn eval(&self, t: f64, v: f64) -> (f64, f64) {
+            let (i, g) = self.inner.eval(t, v);
+            self.log.borrow_mut().push((self.port, t.to_bits(), g.to_bits()));
+            (i, g)
+        }
+
+        fn capacitance(&self) -> f64 {
+            self.inner.capacitance()
+        }
+
+        fn breakpoints(&self) -> Vec<f64> {
+            self.inner.breakpoints()
+        }
+    }
+
+    /// The bits of `W` at each of the kernel's Newton iterations in one run:
+    /// the kernel evaluates every active port once an iteration, in port
+    /// order, at the iteration's time.
+    fn iterations(
+        model: &DiagonalModel,
+        terms: &[Option<&dyn Termination>],
+        opts: &MorOptions,
+    ) -> Vec<Vec<u64>> {
+        let log = std::cell::RefCell::new(Vec::new());
+        let logged: Vec<Option<Logged>> = (terms.iter().enumerate())
+            .map(|(port, t)| t.map(|inner| Logged { port, inner, log: &log }))
+            .collect();
+        let logged: Vec<Option<&dyn Termination>> =
+            logged.iter().map(|t| t.as_ref().map(|t| t as &dyn Termination)).collect();
+        let _ = simulate(model, &logged, 4e-9, opts);
+        let k = terms.iter().flatten().count();
+        let log = log.into_inner();
+        log.chunks_exact(k.max(1))
+            .map(|it| {
+                assert!(it.windows(2).all(|w| w[0].0 < w[1].0 && w[0].1 == w[1].1), "{it:?}");
+                it.iter().map(|&(_, _, g)| g).collect()
+            })
+            .collect()
+    }
+
+    /// A resistor to ground of `ohms[1]` from `from` to `to` and `ohms[0]`
+    /// otherwise. It names no breakpoint, so the step size runs through both
+    /// switches unchanged.
+    #[derive(Debug)]
+    struct Switched {
+        ohms: [f64; 2],
+        from: f64,
+        to: f64,
+    }
+
+    impl Termination for Switched {
+        fn eval(&self, t: f64, v: f64) -> (f64, f64) {
+            let g = 1.0 / self.ohms[usize::from((self.from..self.to).contains(&t))];
+            (g * v, g)
+        }
+    }
+
+    #[test]
+    fn kernel_is_bit_identical_when_w_returns_to_an_earlier_pattern() {
+        // W leaves the bits S was factored for at 1.5 ns and returns to them
+        // at 2.5 ns, both under the α of the largest step: the factors in
+        // hand at the return are the other pattern's.
+        for seed in [201, 202] {
+            let mut rng = pcv_rng::Rng::new(seed);
+            let model = random_model(&mut rng, 24, 3);
+            let switched = Switched { ohms: [800.0, 150.0], from: 1.5e-9, to: 2.5e-9 };
+            let driver =
+                TheveninTermination::new(500.0, SourceWave::step(0.0, 2.5, 0.3e-9, 0.1e-9));
+            let terms: [Option<&dyn Termination>; 3] = [Some(&switched), Some(&driver), None];
+            let opts = MorOptions::default();
+            let mut patterns: Vec<Vec<u64>> = Vec::new();
+            for w in iterations(&model, &terms, &opts) {
+                if patterns.last() != Some(&w) {
+                    patterns.push(w);
+                }
+            }
+            assert_eq!(patterns.len(), 3, "seed {seed}: W leaves its pattern and returns");
+            assert_eq!(patterns[0], patterns[2], "seed {seed}");
+            let res = simulate(&model, &terms, 4e-9, &opts).unwrap();
+            let hmax = 4e-9 * opts.max_step_fraction;
+            for t in res.times().windows(2).filter(|t| (1.2e-9..2.8e-9).contains(&t[0])) {
+                assert!(((t[1] - t[0]) / hmax - 1.0).abs() < 1e-6, "seed {seed}: one α across");
+            }
+            assert!(assert_runs_alike(&model, &terms, &opts, &format!("seed {seed}")) > 0);
+        }
+    }
+
+    #[test]
+    fn kernel_is_bit_identical_when_alpha_moves_under_a_fixed_w() {
+        // Linear drivers without capacitance: every w is a constant, so the
+        // factors of S may be kept only as long as α is.
+        for seed in [301, 302] {
+            let mut rng = pcv_rng::Rng::new(seed);
+            let model = random_model(&mut rng, 24, 5);
+            let holding: Vec<ResistiveTermination> =
+                (0..2).map(|_| ResistiveTermination::new(rng.range_f64(300.0, 3000.0))).collect();
+            let drivers: Vec<TheveninTermination> = (0..2)
+                .map(|a| {
+                    let wave = SourceWave::step(0.0, 2.5, 0.4e-9 + 1e-9 * a as f64, 0.1e-9);
+                    TheveninTermination::new(rng.range_f64(200.0, 2000.0), wave)
+                })
+                .collect();
+            let terms: Vec<Option<&dyn Termination>> = (holding.iter().map(|t| t as _))
+                .chain(drivers.iter().map(|t| t as _))
+                .map(Some)
+                .chain([None])
+                .collect();
+            let opts = MorOptions::default();
+            let its = iterations(&model, &terms, &opts);
+            assert!(its.windows(2).all(|w| w[0] == w[1]), "seed {seed}: W is fixed");
+            let tag = format!("seed {seed}");
+            assert!(assert_runs_alike(&model, &terms, &opts, &tag) > 0);
+            let res = simulate(&model, &terms, 4e-9, &opts).unwrap();
+            let mut steps: Vec<u64> =
+                res.times().windows(2).map(|t| (t[1] - t[0]).to_bits()).collect();
+            steps.sort_unstable();
+            steps.dedup();
+            assert!(steps.len() > 2, "seed {seed}: {} distinct step sizes", steps.len());
         }
     }
 

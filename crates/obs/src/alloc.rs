@@ -149,16 +149,19 @@ pub mod mem {
     }
 
     /// The current tracked state, or `None` when tracking is compiled out
-    /// or no allocation has been recorded yet.
+    /// or no allocation has been recorded yet. The peak is never below the
+    /// current size: another thread's allocation may have raised the one
+    /// and not yet the other.
     #[cfg(feature = "track-alloc")]
     pub fn snapshot() -> Option<MemSnapshot> {
         use std::sync::atomic::Ordering;
         if !active() {
             return None;
         }
+        let current_bytes = super::imp::CURRENT.load(Ordering::Relaxed);
         Some(MemSnapshot {
-            current_bytes: super::imp::CURRENT.load(Ordering::Relaxed),
-            peak_bytes: super::imp::PEAK.load(Ordering::Relaxed),
+            current_bytes,
+            peak_bytes: super::imp::PEAK.load(Ordering::Relaxed).max(current_bytes),
             allocs: super::imp::ALLOCS.load(Ordering::Relaxed),
             deallocs: super::imp::DEALLOCS.load(Ordering::Relaxed),
             total_bytes: super::imp::TOTAL.load(Ordering::Relaxed),

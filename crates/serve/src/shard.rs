@@ -185,6 +185,13 @@ fn duplicate_journal_tail(path: &Path) {
     }
 }
 
+/// How many streamed verdicts of an `n`-victim slice a
+/// [`ShardFault::SigkillAtFrac`] drill waits for: `⌈frac·n⌉`, at least one.
+/// The worker lets exactly that many clusters finish before it holds.
+fn kill_point(frac: f64, slice_len: usize) -> usize {
+    ((frac * slice_len as f64).ceil() as usize).max(1)
+}
+
 /// One supervisor's terminal state.
 struct ShardResult {
     stats: ShardStats,
@@ -211,7 +218,7 @@ fn spawn_worker(
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
         .spawn()?;
-    let line = job.coord.worker_config_line(job.shard, &job.cache, drills);
+    let line = job.coord.worker_config_line(job.shard, job.slice_len, &job.cache, drills);
     if let Some(mut stdin) = child.stdin.take() {
         let _ = writeln!(stdin, "{line}");
         // Dropping stdin closes the pipe; the worker has its one line.
@@ -250,8 +257,8 @@ fn supervise_incarnation(
     // Nets on the chip: the bound a streamed verdict's `net` must respect.
     let nets = job.coord.chip.num_nets();
     let mut emitted = 0usize;
-    let mut sigkill_frac = drills.iter().find_map(|d| match d {
-        ShardFault::SigkillAtFrac(frac) => Some(*frac),
+    let mut kill_at = drills.iter().find_map(|d| match d {
+        ShardFault::SigkillAtFrac(frac) => Some(kill_point(*frac, job.slice_len)),
         _ => None,
     });
     loop {
@@ -287,13 +294,11 @@ fn supervise_incarnation(
                             None => stats.malformed_lines += 1,
                         }
                         emitted += 1;
-                        if let Some(frac) = sigkill_frac {
-                            if emitted as f64 >= frac * job.slice_len as f64 {
-                                sigkill_frac = None;
-                                let _ = child.kill();
-                                // The drill *is* the crash; fall through to
-                                // EOF → restart like any real kill -9.
-                            }
+                        if kill_at.is_some_and(|n| emitted >= n) {
+                            kill_at = None;
+                            let _ = child.kill();
+                            // The drill *is* the crash; fall through to
+                            // EOF → restart like any real kill -9.
                         }
                     }
                     Some("done") => {
@@ -450,11 +455,12 @@ impl Coordinator {
     }
 
     /// The one config line a worker incarnation reads: the design, its
-    /// slice, the thresholds, and a key for each armed worker-side drill
-    /// (the other drills are the supervisor's to execute).
+    /// slice, the thresholds, and a key for each armed drill the worker
+    /// takes part in (the journal drills are the supervisor's alone).
     pub(crate) fn worker_config_line(
         &self,
         shard: usize,
+        slice_len: usize,
         cache: &Path,
         drills: &[ShardFault],
     ) -> String {
@@ -473,6 +479,9 @@ impl Coordinator {
             match drill {
                 ShardFault::PanicAfter(n) => line.push_str(&format!(",\"panic_after\":{n}")),
                 ShardFault::StallAfter(n) => line.push_str(&format!(",\"stall_after\":{n}")),
+                ShardFault::SigkillAtFrac(frac) => {
+                    line.push_str(&format!(",\"hold_after\":{}", kill_point(*frac, slice_len)))
+                }
                 _ => {}
             }
         }

@@ -31,7 +31,10 @@
 //! `panic_after` aborts the process after N verdicts have been emitted,
 //! `stall_after` silences all output after N verdicts while the process
 //! stays alive — the two failure modes (crash vs. hang) the supervisor
-//! must distinguish.
+//! must distinguish. `hold_after` is the worker's half of a SIGKILL drill:
+//! after N clusters have finished, every later one is held at its finish
+//! (journaled, never streamed) until the coordinator, on the N-th verdict,
+//! kills the process. The run can then never finish before the kill.
 
 use crate::error::ApiError;
 use crate::overlay::{member, uint, Thresholds};
@@ -41,10 +44,11 @@ use pcv_engine::fs::Fs;
 use pcv_engine::shard::partition;
 use pcv_engine::{Engine, RunRequest, VerdictSnapshot};
 use pcv_obs::json::{parse, Value};
+use pcv_obs::{EngineEvent, EventSink};
 use pcv_xtalk::NetVerdict;
 use std::io::{BufRead, Write};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -72,6 +76,7 @@ struct WorkerConfig {
     thresholds: Thresholds,
     panic_after: Option<usize>,
     stall_after: Option<usize>,
+    hold_after: Option<usize>,
 }
 
 /// Read the coordinator's config line. A member of the wrong type is
@@ -109,7 +114,29 @@ fn parse_config(line: &str) -> Result<WorkerConfig, ApiError> {
         thresholds,
         panic_after: count("panic_after")?,
         stall_after: count("stall_after")?,
+        hold_after: count("hold_after")?,
     })
+}
+
+/// The `hold_after` drill: lets its count of clusters finish, then blocks
+/// each later cluster's job at its `ClusterFinished` — after the journal
+/// append, before the verdict reaches the snapshot — until the process is
+/// killed.
+struct HoldAfter(AtomicUsize);
+
+impl EventSink for HoldAfter {
+    fn event(&self, ev: &EngineEvent) {
+        if matches!(ev, EngineEvent::ClusterFinished { .. })
+            && self
+                .0
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
+                .is_err()
+        {
+            loop {
+                std::thread::sleep(Duration::from_secs(3600));
+            }
+        }
+    }
 }
 
 /// Entry point for `pcv_serve --shard-worker`: run one shard to
@@ -160,7 +187,10 @@ fn worker_main(line: &str) -> Result<i32, String> {
     // check guards staleness.
     // The coordinator's merge configuration (same thresholds, so the same
     // `config_hash`) over the shard's own cache.
-    let ecfg = cfg.thresholds.engine_config(cfg.workers, cfg.cache.clone());
+    let mut ecfg = cfg.thresholds.engine_config(cfg.workers, cfg.cache.clone());
+    if let Some(n) = cfg.hold_after {
+        ecfg.sink = Some(Arc::new(HoldAfter(AtomicUsize::new(n))));
+    }
     let result = Engine::new(ecfg).run(RunRequest {
         victims: &slice,
         resume: true,
@@ -382,7 +412,7 @@ mod tests {
                     ccfg.thresholds = thresholds;
                     ccfg.workers_per_shard = 3;
                     let c = Coordinator::new(spec.clone(), Arc::clone(&chip), ccfg);
-                    let line = c.worker_config_line(1, &c.shard_cache(1), &[]);
+                    let line = c.worker_config_line(1, 5, &c.shard_cache(1), &[]);
                     let worker = parse_config(&line).unwrap();
                     assert_eq!(worker.thresholds, thresholds, "{line}");
                     assert_eq!((worker.shards, worker.shard, worker.workers), (2, 1, 3));
@@ -408,26 +438,37 @@ mod tests {
             Thresholds { warn_frac: Some(0.1 + 0.2), fail_frac: None, check_receivers: Some(true) };
         ccfg.workers_per_shard = 3;
         let c = Coordinator::new(spec, chip, ccfg);
-        // The supervisor's own drills never reach the worker's line.
-        let armed = [ShardFault::SigkillAtFrac(0.5), ShardFault::PanicAfter(3)];
-        let line = c.worker_config_line(1, &c.shard_cache(1), &armed);
+        // The supervisor's journal drills never reach the worker's line; a
+        // SIGKILL drill at half of a 5-victim slice holds after 3 clusters.
+        let armed = [
+            ShardFault::SigkillAtFrac(0.5),
+            ShardFault::TornJournal,
+            ShardFault::PanicAfter(3),
+            ShardFault::DuplicateEntry,
+        ];
+        let line = c.worker_config_line(1, 5, &c.shard_cache(1), &armed);
         assert_eq!(
             line,
             concat!(
                 "{\"design\":{\"kind\":\"dsp\",\"buses\":1,\"bits\":2,\"random\":0,",
                 "\"cycle\":0.00000001,\"seed\":1},\"shards\":2,\"shard\":1,",
                 "\"cache\":\"/tmp/m.cache.shard1\",\"workers\":3,",
-                "\"warn_frac\":0.30000000000000004,\"check_receivers\":true,\"panic_after\":3}"
+                "\"warn_frac\":0.30000000000000004,\"check_receivers\":true,\"hold_after\":3,",
+                "\"panic_after\":3}"
             )
         );
         let worker = parse_config(&line).unwrap();
-        assert_eq!((worker.panic_after, worker.stall_after), (Some(3), None));
+        assert_eq!(
+            (worker.panic_after, worker.stall_after, worker.hold_after),
+            (Some(3), None, Some(3))
+        );
         // A drill or worker-count key of the wrong type used to disarm (or
         // default) silently; it is a typed rejection like the thresholds.
         for (good, bad) in [
             ("\"panic_after\":3", "\"panic_after\":\"3\""),
             ("\"panic_after\":3", "\"stall_after\":-1"),
             ("\"panic_after\":3", "\"stall_after\":1.5"),
+            ("\"hold_after\":3", "\"hold_after\":\"3\""),
             ("\"workers\":3", "\"workers\":\"3\""),
             ("\"shard\":1", "\"shard\":true"),
         ] {

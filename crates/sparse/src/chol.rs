@@ -38,17 +38,17 @@ pub fn etree(a: &Csc) -> Vec<usize> {
 }
 
 /// Nonzero pattern of row `k` of `L` (the *ereach* of column `k`): columns
-/// `j < k` such that `L(k,j) != 0`, returned in topological order suitable
-/// for the up-looking triangular solve.
+/// `j < k` such that `L(k,j) != 0`, appended to `patterns` in topological
+/// order suitable for the up-looking triangular solve.
 fn ereach(
     a: &Csc,
     k: usize,
     parent: &[usize],
     visited: &mut [bool],
     stack: &mut Vec<usize>,
-) -> Vec<usize> {
+    patterns: &mut Vec<usize>,
+) {
     stack.clear();
-    let mut pattern: Vec<usize> = Vec::new();
     visited[k] = true;
     for (i0, _) in a.col_iter(k) {
         if i0 > k {
@@ -67,13 +67,12 @@ fn ereach(
     // stack currently holds disjoint ascending paths; a global sort by node
     // index yields a valid topological order for the etree (children < parents
     // in the natural ordering of a Cholesky etree).
-    pattern.extend_from_slice(stack);
-    pattern.sort_unstable();
-    for &j in &pattern {
+    stack.sort_unstable();
+    for &j in stack.iter() {
         visited[j] = false;
     }
     visited[k] = false;
-    pattern
+    patterns.extend_from_slice(stack);
 }
 
 /// A sparse Cholesky factorization of an SPD matrix in natural ordering.
@@ -124,15 +123,19 @@ impl SparseCholesky {
         let mut visited = vec![false; n];
         let mut stack: Vec<usize> = Vec::new();
 
-        // Symbolic pass: column counts of L (excluding the diagonal).
+        // Symbolic pass: column counts of L (excluding the diagonal), and
+        // the row patterns one after another: row k's is
+        // `patterns[pat_ptr[k]..pat_ptr[k + 1]]`.
         let mut counts = vec![1usize; n]; // 1 for each diagonal
-        let mut patterns: Vec<Vec<usize>> = Vec::with_capacity(n);
+        let mut patterns: Vec<usize> = Vec::with_capacity(a.nnz());
+        let mut pat_ptr = Vec::with_capacity(n + 1);
+        pat_ptr.push(0);
         for k in 0..n {
-            let pat = ereach(a, k, &parent, &mut visited, &mut stack);
-            for &j in &pat {
+            ereach(a, k, &parent, &mut visited, &mut stack, &mut patterns);
+            for &j in &patterns[pat_ptr[k]..] {
                 counts[j] += 1;
             }
-            patterns.push(pat);
+            pat_ptr.push(patterns.len());
         }
         let mut colptr = vec![0usize; n + 1];
         for k in 0..n {
@@ -146,7 +149,7 @@ impl SparseCholesky {
 
         // Numeric up-looking pass: compute row k of L for each k.
         let mut x = vec![0.0f64; n];
-        for (k, pat) in patterns.iter().enumerate() {
+        for (k, pat) in pat_ptr.windows(2).map(|w| &patterns[w[0]..w[1]]).enumerate() {
             // Scatter the upper-triangular part of A(:,k).
             let mut d = 0.0;
             for (i, v) in a.col_iter(k) {
@@ -162,8 +165,9 @@ impl SparseCholesky {
                 let lkj = x[j] / ljj;
                 x[j] = 0.0;
                 // x -= L(:,j) * lkj for rows below j already stored in col j.
-                for p in (colptr[j] + 1)..fill[j] {
-                    x[rowidx[p]] -= values[p] * lkj;
+                let below = colptr[j] + 1..fill[j];
+                for (&r, &l) in rowidx[below.clone()].iter().zip(&values[below]) {
+                    x[r] -= l * lkj;
                 }
                 d -= lkj * lkj;
                 let p = fill[j];

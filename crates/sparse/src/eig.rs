@@ -45,36 +45,43 @@ pub fn jacobi_eigen(a: &Dense) -> Result<SymEigen, Error> {
         return Err(Error::NotSquare { nrows: a.nrows(), ncols: a.ncols() });
     }
     let n = a.nrows();
-    let mut m = a.clone();
-    m.symmetrize();
-    let mut v = Dense::identity(n);
+    let mut sym = a.clone();
+    sym.symmetrize();
     if n <= 1 {
-        let values = if n == 1 { vec![m[(0, 0)]] } else { Vec::new() };
-        return Ok(SymEigen { values, vectors: v });
+        let values = if n == 1 { vec![sym[(0, 0)]] } else { Vec::new() };
+        return Ok(SymEigen { values, vectors: Dense::identity(n) });
+    }
+    // `M` row-major, and the eigenvectors accumulated as the rows of `Vᵀ`:
+    // a rotation of `V`'s columns p, q is one of `Vᵀ`'s rows p, q, so it and
+    // `M`'s row pass run on contiguous slices. Each entry sees the same
+    // operations as in the element-wise form.
+    let mut m: Vec<f64> = (0..n).flat_map(|r| sym.row(r)).copied().collect();
+    let mut vt = vec![0.0; n * n];
+    for i in 0..n {
+        vt[i * n + i] = 1.0;
     }
 
     let max_sweeps = 64;
-    for sweep in 0..max_sweeps {
+    for _ in 0..max_sweeps {
         // Off-diagonal Frobenius norm.
         let mut off = 0.0;
         for r in 0..n {
-            for c in (r + 1)..n {
-                off += m[(r, c)] * m[(r, c)];
+            for &mrc in &m[r * n + r + 1..(r + 1) * n] {
+                off += mrc * mrc;
             }
         }
-        let scale = m.norm_frobenius().max(1e-300);
+        let scale = m.iter().map(|v| v * v).sum::<f64>().sqrt().max(1e-300);
         if off.sqrt() <= 1e-14 * scale {
-            return Ok(finish(m, v));
+            return Ok(finish(n, &m, &vt));
         }
-        let _ = sweep;
         for p in 0..n - 1 {
             for q in (p + 1)..n {
-                let apq = m[(p, q)];
+                let apq = m[p * n + q];
                 if apq == 0.0 {
                     continue;
                 }
-                let app = m[(p, p)];
-                let aqq = m[(q, q)];
+                let app = m[p * n + p];
+                let aqq = m[q * n + q];
                 // Classic stable rotation computation.
                 let theta = (aqq - app) / (2.0 * apq);
                 let t = if theta >= 0.0 {
@@ -85,41 +92,42 @@ pub fn jacobi_eigen(a: &Dense) -> Result<SymEigen, Error> {
                 let c = 1.0 / (1.0 + t * t).sqrt();
                 let s = t * c;
 
-                // Apply rotation to rows/columns p and q of M.
-                for k in 0..n {
-                    let mkp = m[(k, p)];
-                    let mkq = m[(k, q)];
-                    m[(k, p)] = c * mkp - s * mkq;
-                    m[(k, q)] = s * mkp + c * mkq;
+                // Apply rotation to columns, then rows, p and q of M.
+                for row in m.chunks_exact_mut(n) {
+                    let (mkp, mkq) = (row[p], row[q]);
+                    row[p] = c * mkp - s * mkq;
+                    row[q] = s * mkp + c * mkq;
                 }
-                for k in 0..n {
-                    let mpk = m[(p, k)];
-                    let mqk = m[(q, k)];
-                    m[(p, k)] = c * mpk - s * mqk;
-                    m[(q, k)] = s * mpk + c * mqk;
-                }
+                rotate_rows(&mut m, n, p, q, c, s);
                 // Accumulate eigenvectors.
-                for k in 0..n {
-                    let vkp = v[(k, p)];
-                    let vkq = v[(k, q)];
-                    v[(k, p)] = c * vkp - s * vkq;
-                    v[(k, q)] = s * vkp + c * vkq;
-                }
+                rotate_rows(&mut vt, n, p, q, c, s);
             }
         }
     }
     Err(Error::NoConvergence { what: "jacobi eigensolver", iters: max_sweeps })
 }
 
-fn finish(m: Dense, v: Dense) -> SymEigen {
-    let n = m.nrows();
-    let mut pairs: Vec<(f64, usize)> = (0..n).map(|i| (m[(i, i)], i)).collect();
+/// Rotate rows `p < q` of the row-major `n`-column `a`:
+/// `(a_p, a_q) ← (c·a_p − s·a_q, s·a_p + c·a_q)`.
+fn rotate_rows(a: &mut [f64], n: usize, p: usize, q: usize, c: f64, s: f64) {
+    let (top, bottom) = a.split_at_mut(q * n);
+    let row_p = &mut top[p * n..(p + 1) * n];
+    for (ap, aq) in row_p.iter_mut().zip(&mut bottom[..n]) {
+        let (x, y) = (*ap, *aq);
+        *ap = c * x - s * y;
+        *aq = s * x + c * y;
+    }
+}
+
+/// Eigenvalues ascending from `M`'s diagonal, eigenvectors as the columns
+/// the matching rows of `Vᵀ` become.
+fn finish(n: usize, m: &[f64], vt: &[f64]) -> SymEigen {
+    let mut pairs: Vec<(f64, usize)> = (0..n).map(|i| (m[i * n + i], i)).collect();
     pairs.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("eigenvalues are finite"));
     let values: Vec<f64> = pairs.iter().map(|&(w, _)| w).collect();
     let mut vectors = Dense::zeros(n, n);
     for (new, &(_, old)) in pairs.iter().enumerate() {
-        let col = v.col(old);
-        vectors.set_col(new, &col);
+        vectors.set_col(new, &vt[old * n..(old + 1) * n]);
     }
     SymEigen { values, vectors }
 }

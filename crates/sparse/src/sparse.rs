@@ -78,56 +78,14 @@ impl Triplets {
         self.vals.clear();
     }
 
-    /// Scatter the pushes into their columns (push order within a column)
-    /// and sort every column by row: the one ordering rule of assembly.
-    /// `carry(k)` rides along with push `k` — its value for [`to_csc`], its
-    /// index for [`record`] — and the sort never looks at it, so both see
-    /// the same permutation (std's unstable sort keeps push order among
-    /// equal rows only up to 20 entries; beyond that the order is whatever
-    /// this call on this tuple type produces).
-    ///
-    /// Returns the column pointers and the sorted `(row, carried)` entries.
-    ///
-    /// [`to_csc`]: Triplets::to_csc
-    /// [`record`]: Triplets::record
-    fn sorted_columns(&self, carry: impl Fn(usize) -> f64) -> (Vec<usize>, Vec<(usize, f64)>) {
-        let mut colptr = vec![0usize; self.ncols + 1];
-        for &c in &self.cols {
-            colptr[c + 1] += 1;
-        }
-        for c in 0..self.ncols {
-            colptr[c + 1] += colptr[c];
-        }
-        let mut entries = vec![(0usize, 0.0f64); self.vals.len()];
-        let mut next = colptr.clone();
-        for (k, (&r, &c)) in self.rows.iter().zip(&self.cols).enumerate() {
-            entries[next[c]] = (r, carry(k));
-            next[c] += 1;
-        }
-        for c in 0..self.ncols {
-            entries[colptr[c]..colptr[c + 1]].sort_unstable_by_key(|&(r, _)| r);
-        }
-        (colptr, entries)
+    /// The pushes as `(row, col, value)`, in push order.
+    fn pushes(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
+        self.rows.iter().zip(&self.cols).zip(&self.vals).map(|((&r, &c), &v)| (r, c, v))
     }
 
     /// Assemble into compressed sparse column form, summing duplicates.
     pub fn to_csc(&self) -> Csc {
-        let (raw, entries) = self.sorted_columns(|k| self.vals[k]);
-        let mut colptr = vec![0usize; self.ncols + 1];
-        let mut rowidx = Vec::with_capacity(entries.len());
-        let mut values = Vec::with_capacity(entries.len());
-        for c in 0..self.ncols {
-            for dup in entries[raw[c]..raw[c + 1]].chunk_by(|a, b| a.0 == b.0) {
-                let mut v = dup[0].1;
-                for d in &dup[1..] {
-                    v += d.1;
-                }
-                rowidx.push(dup[0].0);
-                values.push(v);
-            }
-            colptr[c + 1] = rowidx.len();
-        }
-        Csc { nrows: self.nrows, ncols: self.ncols, colptr, rowidx, values }
+        Csc::from_pushes(self.nrows, self.ncols, || self.pushes())
     }
 
     /// Record what `self.to_csc()` — followed by
@@ -143,7 +101,9 @@ impl Triplets {
         // The pushes go through the sort tagged with their own index, so the
         // order each slot's duplicates are summed in is read off, not
         // re-derived.
-        let (raw, entries) = self.sorted_columns(|k| k as f64);
+        let (raw, entries) = sorted_columns(self.nrows, self.ncols, || {
+            self.pushes().enumerate().map(|(k, (r, c, _))| (r, c, k as f64))
+        });
         let mut colptr = vec![0usize; self.ncols + 1];
         let mut rowidx = Vec::new();
         let mut slot_ptr = vec![0usize];
@@ -173,6 +133,45 @@ impl Triplets {
         }
         Assembly { rows: self.rows.clone(), cols: self.cols.clone(), slot_ptr, order, a }
     }
+}
+
+/// Scatter `(row, col, carried)` pushes into their columns (push order
+/// within a column) and sort every column by row: the one ordering rule of
+/// assembly. The carried value rides along — a push's value for
+/// [`Csc::from_pushes`], its index for [`Triplets::record`] — and the sort
+/// never looks at it, so both see the same permutation (std's unstable sort
+/// keeps push order among equal rows only up to 20 entries; beyond that the
+/// order is whatever this call on this tuple type produces).
+///
+/// `pushes` is walked twice, to size the columns and to fill them.
+/// Returns the column pointers and the sorted `(row, carried)` entries.
+fn sorted_columns<I>(
+    nrows: usize,
+    ncols: usize,
+    pushes: impl Fn() -> I,
+) -> (Vec<usize>, Vec<(usize, f64)>)
+where
+    I: Iterator<Item = (usize, usize, f64)>,
+{
+    let mut colptr = vec![0usize; ncols + 1];
+    for (r, c, _) in pushes() {
+        assert!(r < nrows && c < ncols, "triplet out of bounds");
+        colptr[c + 1] += 1;
+    }
+    for c in 0..ncols {
+        colptr[c + 1] += colptr[c];
+    }
+    let mut entries = vec![(0usize, 0.0f64); colptr[ncols]];
+    let mut next = colptr.clone();
+    for (r, c, carried) in pushes() {
+        entries[next[c]] = (r, carried);
+        next[c] += 1;
+    }
+    debug_assert_eq!(next[..ncols], colptr[1..], "pushes walked alike twice");
+    for c in 0..ncols {
+        entries[colptr[c]..colptr[c + 1]].sort_unstable_by_key(|&(r, _)| r);
+    }
+    (colptr, entries)
 }
 
 /// A recorded assembly ([`Triplets::record`]): the CSC pattern one push
@@ -246,6 +245,47 @@ impl Csc {
     /// An `nrows x ncols` matrix with no stored entries.
     pub fn zeros(nrows: usize, ncols: usize) -> Self {
         Csc { nrows, ncols, colptr: vec![0; ncols + 1], rowidx: Vec::new(), values: Vec::new() }
+    }
+
+    /// Assemble straight from a sequence of `(row, col, value)` pushes,
+    /// summing duplicates — [`Triplets::to_csc`] without the coordinate
+    /// arrays, to the same bits: each column receives its pushes in push
+    /// order, sorts them by row and sums each row's run in sorted order.
+    /// `pushes` is called twice (to size the columns, then to fill them)
+    /// and must yield the same sequence both times.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a push is out of bounds.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// # use pcv_sparse::Csc;
+    /// let stamps = [(0, 0, 1.0), (1, 0, -1.0), (0, 0, 2.0)];
+    /// let a = Csc::from_pushes(2, 2, || stamps.iter().copied());
+    /// assert_eq!((a.get(0, 0), a.get(1, 0), a.nnz()), (3.0, -1.0, 2));
+    /// ```
+    pub fn from_pushes<I>(nrows: usize, ncols: usize, pushes: impl Fn() -> I) -> Csc
+    where
+        I: Iterator<Item = (usize, usize, f64)>,
+    {
+        let (raw, entries) = sorted_columns(nrows, ncols, pushes);
+        let mut colptr = vec![0usize; ncols + 1];
+        let mut rowidx = Vec::with_capacity(entries.len());
+        let mut values = Vec::with_capacity(entries.len());
+        for c in 0..ncols {
+            for dup in entries[raw[c]..raw[c + 1]].chunk_by(|a, b| a.0 == b.0) {
+                let mut v = dup[0].1;
+                for d in &dup[1..] {
+                    v += d.1;
+                }
+                rowidx.push(dup[0].0);
+                values.push(v);
+            }
+            colptr[c + 1] = rowidx.len();
+        }
+        Csc { nrows, ncols, colptr, rowidx, values }
     }
 
     /// The `n x n` identity.
@@ -600,6 +640,39 @@ mod tests {
             }
         }
         assert!(longest > 60, "the sweep must leave the sort's stable regime ({longest})");
+    }
+
+    #[test]
+    fn assembly_from_pushes_has_the_reference_bits() {
+        // The pushes straight from their source, no `Triplets` in between:
+        // columns from empty to hundreds of pushes, values whose sums show
+        // the order (signed zeros, subnormals, magnitudes 1e-12 to 1e4).
+        let mut rng = Rng::new(0xC5C);
+        let special = [0.0, -0.0, 5e-324, -5e-324, f64::MIN_POSITIVE / 3.0, 1e4, -1e4];
+        for case in 0..90 {
+            let n = rng.range_usize(1, 9);
+            let pushes: Vec<(usize, usize, f64)> = (0..rng
+                .range_usize(0, n * [6, 40, 300][case % 3]))
+                .map(|_| {
+                    let v = if rng.bool_with(0.3) {
+                        special[rng.range_usize(0, special.len())]
+                    } else {
+                        lumpy(&mut rng)
+                    };
+                    (rng.range_usize(0, n), rng.range_usize(0, n), v)
+                })
+                .collect();
+            let mut t = Triplets::new(n, n);
+            pushes.iter().for_each(|&(r, c, v)| t.push(r, c, v));
+            let got = Csc::from_pushes(n, n, || pushes.iter().copied());
+            assert_same_bits(&got, &reference_to_csc(&t), &format!("case {case}"));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn assembly_from_pushes_rejects_out_of_bounds() {
+        Csc::from_pushes(2, 3, || [(0, 2, 1.0), (2, 0, 1.0)].into_iter());
     }
 
     #[test]
