@@ -15,7 +15,9 @@
 //!    with the nonlinear driver models attached; each Newton step solves a
 //!    Jacobian that is a *low-rank modification of a diagonal matrix*
 //!    (Sherman–Morrison / Woodbury), which is what makes chip-level
-//!    crosstalk analysis practical ([`sim::simulate`]).
+//!    crosstalk analysis practical ([`sim::simulate`]). With linear drivers
+//!    only, the drivers fold into the model, which diagonalizes once more,
+//!    and the transient is one scalar recurrence per mode.
 //!
 //! Stability and passivity of the reduced model are verified (and tiny
 //! negative eigenvalues clipped) per the paper's reference \[4\].

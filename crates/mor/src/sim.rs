@@ -16,6 +16,10 @@
 //! claim at the heart of the paper. The one `O(q·k²)` ingredient, the Gram
 //! matrix `Uᵀ(αD + I)⁻¹U` of the active `η` columns, depends on the step
 //! size alone and is rebuilt only when `α` changes (see `Workspace`).
+//!
+//! When every termination is linear there is nothing to iterate on: the
+//! devices fold into the model, which diagonalizes once more, and each step
+//! is one scalar update per mode (the `modal` submodule).
 
 use crate::cancel::CancelToken;
 use crate::error::MorError;
@@ -25,6 +29,8 @@ use pcv_netlist::timestep::{Method, Stepper};
 use pcv_netlist::Waveform;
 use pcv_sparse::dense::{lu_factor_in_place, lu_solve_into};
 use pcv_sparse::panel;
+
+mod modal;
 
 /// Options for the reduced transient.
 #[derive(Debug, Clone)]
@@ -115,6 +121,13 @@ impl MorTranResult {
 /// honored by augmenting the Jacobian and residual with the companion model
 /// of a grounded capacitor at the port.
 ///
+/// Two solvers share the time grid, the budgets, the cancellation polls
+/// and the recording; the terminations choose between them. When every
+/// device is linear ([`Termination::linear`]) the whole system is linear
+/// and diagonalizes once, so each step is one scalar update per mode
+/// (`modal`); any nonlinear device runs the Woodbury–Newton kernel. Both
+/// converge to the same discretized solution; they differ by rounding.
+///
 /// # Errors
 ///
 /// * [`MorError::InvalidIndex`] if the termination list length differs from
@@ -128,6 +141,22 @@ pub fn simulate(
     tstop: f64,
     opts: &MorOptions,
 ) -> Result<MorTranResult, MorError> {
+    let stepper = walk(model, terminations, tstop, opts)?;
+    let _span = pcv_trace::span("mor", "rom_eval");
+    match modal::Modes::new(model, terminations) {
+        Some(modes) => modes.simulate(stepper, opts),
+        None => newton(model, terminations, stepper, opts),
+    }
+}
+
+/// The checked arguments' time axis: the terminations' breakpoints over
+/// `(0, tstop]`.
+fn walk(
+    model: &DiagonalModel,
+    terminations: &[Option<&dyn Termination>],
+    tstop: f64,
+    opts: &MorOptions,
+) -> Result<Stepper, MorError> {
     let p = model.num_ports();
     if terminations.len() != p {
         return Err(MorError::InvalidIndex {
@@ -140,9 +169,17 @@ pub fn simulate(
     for t in terminations.iter().flatten() {
         bps.extend(t.breakpoints());
     }
-    let mut stepper = Stepper::new(tstop, opts.max_step_fraction, bps)
-        .map_err(|what| MorError::InvalidValue { what })?;
-    let _span = pcv_trace::span("mor", "rom_eval");
+    Stepper::new(tstop, opts.max_step_fraction, bps).map_err(|what| MorError::InvalidValue { what })
+}
+
+/// The Woodbury–Newton transient along `stepper`'s walk.
+fn newton(
+    model: &DiagonalModel,
+    terminations: &[Option<&dyn Termination>],
+    mut stepper: Stepper,
+    opts: &MorOptions,
+) -> Result<MorTranResult, MorError> {
+    let p = model.num_ports();
     let q = model.order();
     let mut ws = Workspace::new(model, terminations, opts);
     let has_cap: Vec<usize> = (0..p).filter(|&j| ws.caps[j] > 0.0).collect();
@@ -194,10 +231,9 @@ pub fn simulate(
             return Err(MorError::BudgetExhausted { t });
         }
         // Multistep coefficients: ẋ = α x + β.
-        let be = method == Method::BackwardEuler;
-        let alpha = if be { 1.0 / h } else { 2.0 / h };
+        let alpha = method.alpha(h);
         for ((b, &xi), &xd) in beta.iter_mut().zip(&x).zip(&xdot) {
-            *b = if be { -xi / h } else { -2.0 * xi / h - xd };
+            *b = method.history(h, xi, xd);
         }
         x_new.copy_from_slice(&x);
         let caps = CapHistory { h, method, v_prev: &cap_v_prev, i_prev: &cap_i_prev };
@@ -876,6 +912,17 @@ mod tests {
         assert_runs_alike(&model, &terms, opts, &tag)
     }
 
+    /// The Newton kernel past [`simulate`]'s choice of solver, also for
+    /// terminations that are all linear.
+    pub(super) fn newton_only(
+        model: &DiagonalModel,
+        terms: &[Option<&dyn Termination>],
+        tstop: f64,
+        opts: &MorOptions,
+    ) -> Result<MorTranResult, MorError> {
+        newton(model, terms, walk(model, terms, tstop, opts)?, opts)
+    }
+
     /// Kernel and oracle over 4 ns of one model under one termination list,
     /// equal to the last bit; returns the kernel's step count (0 for an
     /// error, which must be the oracle's).
@@ -885,7 +932,7 @@ mod tests {
         opts: &MorOptions,
         tag: &str,
     ) -> usize {
-        let got = simulate(model, terms, 4e-9, opts);
+        let got = newton_only(model, terms, 4e-9, opts);
         let want = reference::simulate(model, terms, 4e-9, opts);
         let (got, want) = match (got, want) {
             (Ok(g), Ok(w)) => (g, w),
@@ -1069,7 +1116,7 @@ mod tests {
             assert!(its.windows(2).all(|w| w[0] == w[1]), "seed {seed}: W is fixed");
             let tag = format!("seed {seed}");
             assert!(assert_runs_alike(&model, &terms, &opts, &tag) > 0);
-            let res = simulate(&model, &terms, 4e-9, &opts).unwrap();
+            let res = newton_only(&model, &terms, 4e-9, &opts).unwrap();
             let mut steps: Vec<u64> =
                 res.times().windows(2).map(|t| (t[1] - t[0]).to_bits()).collect();
             steps.sort_unstable();
@@ -1100,7 +1147,7 @@ mod tests {
         assert_eq!(ws.newton(&mut x, &dc, opts.damping, opts.max_newton), Err(()));
         assert_eq!(x, [1e-3, 0.0, 0.0], "no update is applied from a singular solve");
         // End to end every DC retry hits it, which is NoConvergence at t = 0.
-        let err = simulate(&model, &terms, 1e-9, &opts).unwrap_err();
+        let err = newton_only(&model, &terms, 1e-9, &opts).unwrap_err();
         assert!(matches!(err, MorError::NoConvergence { t } if t == 0.0), "got {err}");
         let want = reference::simulate(&model, &terms, 1e-9, &opts).unwrap_err();
         assert_eq!(err.to_string(), want.to_string());

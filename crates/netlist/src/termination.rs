@@ -6,6 +6,7 @@
 //! hanging off one node, characterized by the current it draws as a function
 //! of the node voltage and time.
 
+use crate::wave::SourceWave;
 use std::fmt;
 
 /// A nonlinear (or linear) one-port device attached to a single node.
@@ -29,7 +30,19 @@ pub trait Termination: fmt::Debug {
     fn breakpoints(&self) -> Vec<f64> {
         Vec::new()
     }
+
+    /// `Some((g, e))` when the device is linear: it draws `i = g·(v − e(t))`
+    /// (which is what [`Termination::eval`] returns) plus the current of its
+    /// [`Termination::capacitance`]. A transient may then fold the device
+    /// into the interconnect instead of iterating on it. `None`, the
+    /// default, for anything else.
+    fn linear(&self) -> Option<(f64, &SourceWave)> {
+        None
+    }
 }
+
+/// The source of a device that holds its node at ground.
+static GROUND: SourceWave = SourceWave::Dc(0.0);
 
 /// A grounded linear resistor as a termination: `i = v / ohms`.
 #[derive(Debug, Clone)]
@@ -58,6 +71,10 @@ impl Termination for ResistiveTermination {
     fn eval(&self, _t: f64, v: f64) -> (f64, f64) {
         (v / self.ohms, 1.0 / self.ohms)
     }
+
+    fn linear(&self) -> Option<(f64, &SourceWave)> {
+        Some((1.0 / self.ohms, &GROUND))
+    }
 }
 
 /// A Thevenin driver: voltage source `e(t)` behind a series resistance, as a
@@ -69,7 +86,7 @@ impl Termination for ResistiveTermination {
 #[derive(Debug, Clone)]
 pub struct TheveninTermination {
     ohms: f64,
-    wave: crate::wave::SourceWave,
+    wave: SourceWave,
 }
 
 impl TheveninTermination {
@@ -79,7 +96,7 @@ impl TheveninTermination {
     /// # Panics
     ///
     /// Panics unless `ohms` is positive and finite.
-    pub fn new(ohms: f64, wave: crate::wave::SourceWave) -> Self {
+    pub fn new(ohms: f64, wave: SourceWave) -> Self {
         assert!(ohms > 0.0 && ohms.is_finite(), "resistance must be positive");
         TheveninTermination { ohms, wave }
     }
@@ -90,7 +107,7 @@ impl TheveninTermination {
     }
 
     /// The open-circuit voltage waveform.
-    pub fn wave(&self) -> &crate::wave::SourceWave {
+    pub fn wave(&self) -> &SourceWave {
         &self.wave
     }
 }
@@ -102,6 +119,10 @@ impl Termination for TheveninTermination {
 
     fn breakpoints(&self) -> Vec<f64> {
         self.wave.breakpoints()
+    }
+
+    fn linear(&self) -> Option<(f64, &SourceWave)> {
+        Some((1.0 / self.ohms, &self.wave))
     }
 }
 
@@ -130,6 +151,10 @@ impl Termination for CapacitiveTermination {
 
     fn capacitance(&self) -> f64 {
         self.farads
+    }
+
+    fn linear(&self) -> Option<(f64, &SourceWave)> {
+        Some((0.0, &GROUND))
     }
 }
 
@@ -166,6 +191,24 @@ mod tests {
         let c = CapacitiveTermination::new(5e-15);
         assert_eq!(c.eval(0.0, 3.0), (0.0, 0.0));
         assert_eq!(c.capacitance(), 5e-15);
+    }
+
+    #[test]
+    fn linear_devices_report_the_line_they_evaluate() {
+        let wave = SourceWave::step(0.0, 2.5, 1e-9, 1e-10);
+        let devices: [&dyn Termination; 3] = [
+            &ResistiveTermination::new(750.0),
+            &TheveninTermination::new(500.0, wave),
+            &CapacitiveTermination::new(5e-15),
+        ];
+        for dev in devices {
+            let (g, e) = dev.linear().expect("a linear device");
+            for (t, v) in [(0.0, 1.0), (1.05e-9, -0.3), (1e-6, 2.5)] {
+                let (i, di) = dev.eval(t, v);
+                assert_eq!(di, g, "{dev:?}");
+                assert!((i - g * (v - e.value_at(t))).abs() <= 1e-15 * i.abs(), "{dev:?} at {t}");
+            }
+        }
     }
 
     #[test]

@@ -33,6 +33,25 @@ pub enum Method {
 }
 
 impl Method {
+    /// `α` of the multistep derivative `ẋ ≈ α·x + β` over a step of `h`.
+    #[inline]
+    pub fn alpha(self, h: f64) -> f64 {
+        match self {
+            Method::BackwardEuler => 1.0 / h,
+            Method::Trapezoidal => 2.0 / h,
+        }
+    }
+
+    /// The history term `β` of `ẋ ≈ α·x + β` over a step of `h`, from the
+    /// state `x` and its derivative `xdot` at the last accepted point.
+    #[inline]
+    pub fn history(self, h: f64, x: f64, xdot: f64) -> f64 {
+        match self {
+            Method::BackwardEuler => -x / h,
+            Method::Trapezoidal => -2.0 * x / h - xdot,
+        }
+    }
+
     /// Companion of a linear capacitor over a step of `h`: `(geq, ieq)` with
     /// `i(v) = geq·v − ieq`, from the voltage across the capacitor and the
     /// current through it at the last accepted point.
@@ -327,6 +346,16 @@ mod tests {
             assert!(same(i, c / h * (v_new - v_prev)), "BE current of {c:e}, {h:e}");
             let i = Method::Trapezoidal.current(c, h, v_new, v_prev, i_prev);
             assert!(same(i, 2.0 * c / h * (v_new - v_prev) - i_prev), "TR current of {c:e}, {h:e}");
+
+            // The multistep coefficients, as the reduced transient's loop
+            // spelled them inline (`x` a state, `i_prev` standing in for ẋ).
+            let be = Method::BackwardEuler;
+            assert!(same(be.alpha(h), 1.0 / h), "BE alpha of {h:e}");
+            assert!(same(be.history(h, v_new, i_prev), -v_new / h), "BE history of {h:e}");
+            let tr = Method::Trapezoidal;
+            assert!(same(tr.alpha(h), 2.0 / h), "TR alpha of {h:e}");
+            let want = -2.0 * v_new / h - i_prev;
+            assert!(same(tr.history(h, v_new, i_prev), want), "TR history of {h:e}");
         }
     }
 }

@@ -67,7 +67,11 @@ impl DesignSpec {
     ///
     /// [`ApiError::BadRequest`] with the offending detail.
     pub fn from_json(body: &str) -> Result<DesignSpec, ApiError> {
-        let doc = parse(body).map_err(|e| ApiError::BadRequest(format!("session spec: {e}")))?;
+        DesignSpec::from_value(&parse_spec(body)?)
+    }
+
+    /// [`DesignSpec::from_json`] of a body already parsed.
+    pub(crate) fn from_value(doc: &Value) -> Result<DesignSpec, ApiError> {
         let design = doc
             .get("design")
             .ok_or_else(|| ApiError::BadRequest("session spec needs a \"design\" object".into()))?;
@@ -168,6 +172,11 @@ impl DesignSpec {
             }
         }
     }
+}
+
+/// Parse a `POST /sessions` body, or a worker config line, as JSON.
+pub(crate) fn parse_spec(body: &str) -> Result<Value, ApiError> {
+    parse(body).map_err(|e| ApiError::BadRequest(format!("session spec: {e}")))
 }
 
 /// An optional design member that must be a positive number when present.

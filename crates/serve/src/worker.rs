@@ -38,12 +38,12 @@
 
 use crate::error::ApiError;
 use crate::overlay::{member, uint, Thresholds};
-use crate::session::{elaborate, DesignSpec};
+use crate::session::{elaborate, parse_spec, DesignSpec};
 use pcv_engine::durable::Journal;
 use pcv_engine::fs::Fs;
 use pcv_engine::shard::partition;
 use pcv_engine::{Engine, RunRequest, VerdictSnapshot};
-use pcv_obs::json::{parse, Value};
+use pcv_obs::json::Value;
 use pcv_obs::{EngineEvent, EventSink};
 use pcv_xtalk::NetVerdict;
 use std::io::{BufRead, Write};
@@ -88,8 +88,8 @@ fn parse_config(line: &str) -> Result<WorkerConfig, ApiError> {
     fn bad(what: impl Into<String>) -> ApiError {
         ApiError::BadRequest(what.into())
     }
-    let spec = DesignSpec::from_json(line)?;
-    let doc = parse(line).map_err(|e| bad(format!("config line: {e}")))?;
+    let doc = parse_spec(line)?;
+    let spec = DesignSpec::from_value(&doc)?;
     let count = |key: &str| member(&doc, key, uint);
     let shards = count("shards")?.ok_or_else(|| bad("config needs \"shards\""))?;
     let shard = count("shard")?.ok_or_else(|| bad("config needs \"shard\""))?;
@@ -288,6 +288,7 @@ mod tests {
     use super::*;
     use pcv_engine::EngineConfig;
     use pcv_netlist::PNetId;
+    use pcv_obs::json::parse;
     use pcv_xtalk::{ReceiverVerdict, Severity};
 
     fn sample() -> NetVerdict {
@@ -364,6 +365,40 @@ mod tests {
     }
 
     const DESIGN: &str = "\"design\":{\"kind\":\"dsp\",\"buses\":1,\"bits\":2,\"random\":0}";
+
+    #[test]
+    fn a_malformed_config_line_keeps_its_error_text() {
+        // The line is parsed once; what a bad one reports is what the two
+        // parses (as a session spec, then as a config) reported.
+        let cases = [
+            ("not json", "session spec: json parse error at byte 0: invalid literal"),
+            ("{\"design\":", "session spec: json parse error at byte 10: expected a value"),
+            (
+                "{\"design\":{\"kind\":\"dsp\"},\"shards\":2} x",
+                "session spec: json parse error at byte 37: trailing characters after document",
+            ),
+            ("[1]", "session spec needs a \"design\" object"),
+            (
+                "{\"design\":{\"kind\":\"dsp\",\"buses\":\"6\"}}",
+                "buses must be a non-negative integer",
+            ),
+            (
+                &format!("{{{DESIGN},\"shards\":\"2\",\"shard\":1,\"cache\":\"/tmp/x\"}}"),
+                "shards must be a non-negative integer",
+            ),
+            (
+                &format!("{{{DESIGN},\"shards\":2,\"shard\":1,\"cache\":7}}"),
+                "config needs a \"cache\" path",
+            ),
+        ];
+        for (line, want) in cases {
+            match parse_config(line) {
+                Err(ApiError::BadRequest(got)) => assert_eq!(got, want, "{line}"),
+                Err(other) => panic!("{line}: expected BadRequest, got {other:?}"),
+                Ok(_) => panic!("{line}: accepted"),
+            }
+        }
+    }
 
     #[test]
     fn hostile_threshold_overrides_are_rejected_not_defaulted() {

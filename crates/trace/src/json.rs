@@ -6,22 +6,31 @@
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
 
-/// Append `s` to `out` as a JSON string literal (with quotes).
+/// Append `s` to `out` as a JSON string literal (with quotes). Runs that
+/// need no escape are copied whole.
 pub fn write_str(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        // `i` is an ASCII byte, so a char boundary.
+        out.push_str(&s[run..i]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{:04x}", b);
+        } else {
+            out.push_str(escape);
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -150,7 +159,7 @@ impl std::error::Error for ParseError {}
 /// [`ParseError`] with the offending byte offset.
 pub fn parse(text: &str) -> Result<Value, ParseError> {
     let bytes = text.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser { bytes, pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -160,9 +169,15 @@ pub fn parse(text: &str) -> Result<Value, ParseError> {
     Ok(v)
 }
 
+/// How deeply arrays and objects may nest: the parser recurses once a
+/// level, and a hostile document must not overflow the stack.
+const MAX_DEPTH: usize = 512;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -200,8 +215,9 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => Err(self.err("nesting too deep")),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -209,6 +225,16 @@ impl Parser<'_> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a value")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        f: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Value, ParseError> {
@@ -266,53 +292,50 @@ impl Parser<'_> {
         self.expect(b'"', "expected '\"'")?;
         let mut out = String::new();
         loop {
+            // The run up to the next quote or backslash, copied whole: it
+            // starts on a char boundary and ends on an ASCII byte, so it is
+            // UTF-8 whenever the input is.
+            let rest = &self.bytes[self.pos..];
+            let run = rest.iter().position(|&b| b == b'"' || b == b'\\').unwrap_or(rest.len());
+            let text = std::str::from_utf8(&rest[..run])
+                .map_err(|_| self.err("invalid utf-8 in string"))?;
+            out.push_str(text);
+            self.pos += run;
             let Some(b) = self.peek() else {
                 return Err(self.err("unterminated string"));
             };
             self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(esc) = self.peek() else {
-                        return Err(self.err("unterminated escape"));
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| self.err("invalid \\u escape"))?;
-                            self.pos += 4;
-                            // Surrogate pairs are not produced by our
-                            // writers; reject rather than mis-decode.
-                            let c = char::from_u32(hex)
-                                .ok_or_else(|| self.err("unsupported \\u code point"))?;
-                            out.push(c);
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
+            if b == b'"' {
+                return Ok(out);
+            }
+            let Some(esc) = self.peek() else {
+                return Err(self.err("unterminated escape"));
+            };
+            self.pos += 1;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'u' => {
+                    let hex = self
+                        .bytes
+                        .get(self.pos..self.pos + 4)
+                        .and_then(|h| std::str::from_utf8(h).ok())
+                        .and_then(|h| u32::from_str_radix(h, 16).ok())
+                        .ok_or_else(|| self.err("invalid \\u escape"))?;
+                    self.pos += 4;
+                    // Surrogate pairs are not produced by our writers;
+                    // reject rather than mis-decode.
+                    let c = char::from_u32(hex)
+                        .ok_or_else(|| self.err("unsupported \\u code point"))?;
+                    out.push(c);
                 }
-                _ => {
-                    // Re-sync to a char boundary for multi-byte UTF-8.
-                    let start = self.pos - 1;
-                    while self.peek().is_some_and(|b| b & 0xC0 == 0x80) {
-                        self.pos += 1;
-                    }
-                    let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| self.err("invalid utf-8 in string"))?;
-                    out.push_str(s);
-                }
+                _ => return Err(self.err("unknown escape")),
             }
         }
     }
@@ -392,6 +415,31 @@ mod tests {
         for bad in ["", "{", "{\"a\":}", "[1,]", "tru", "\"open", "1 2", "{\"a\":1}x"] {
             assert!(parse(bad).is_err(), "accepted malformed {bad:?}");
         }
+    }
+
+    #[test]
+    fn string_errors_keep_their_offsets() {
+        let cases = [
+            ("\"open", ParseError { what: "unterminated string", at: 5 }),
+            ("\"a\\", ParseError { what: "unterminated escape", at: 3 }),
+            ("\"\\u12", ParseError { what: "invalid \\u escape", at: 3 }),
+            ("\"\\ud800\"", ParseError { what: "unsupported \\u code point", at: 7 }),
+            ("\"ab\\q\"", ParseError { what: "unknown escape", at: 5 }),
+            ("{\"caf\u{e9}\":1,\"k\"}", ParseError { what: "expected ':' after key", at: 14 }),
+        ];
+        for (text, want) in cases {
+            assert_eq!(parse(text), Err(want), "{text:?}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&deep(MAX_DEPTH)).is_ok());
+        let err = parse(&deep(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!((err.what, err.at), ("nesting too deep", MAX_DEPTH));
+        let err = parse(&"{\"a\":[".repeat(200_000)).unwrap_err();
+        assert_eq!(err.what, "nesting too deep");
     }
 
     #[test]

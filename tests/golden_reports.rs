@@ -11,6 +11,7 @@
 mod fixtures;
 
 use fixtures::{bundle_fixture, check_golden, dsp_fixture, random_fixture};
+use pcv_obs::json::{parse, Value};
 use pcv_xtalk::drivers::DriverModelKind;
 use pcv_xtalk::prune::PruneConfig;
 use pcv_xtalk::{audit_receivers, verify_chip, AnalysisContext, AnalysisOptions};
@@ -55,4 +56,56 @@ fn golden_dsp_receiver_audit_report() {
         "fixture must exercise the receiver audit"
     );
     check_golden("dsp_receivers.json", &report.to_json());
+}
+
+/// Every number of `got` within `1e-12` of `want`'s and every string, bool
+/// and key the same, recursively; verdicts are matched by net. `_bits`
+/// members are the numbers' own patterns and may move. Returns how many
+/// numbers moved.
+fn assert_within_rounding(got: &Value, want: &Value, at: &str) -> usize {
+    match (got, want) {
+        (Value::Num(g), Value::Num(w)) => {
+            assert!((g - w).abs() <= 1e-12, "{at}: {g} vs the record's {w}");
+            usize::from(g.to_bits() != w.to_bits())
+        }
+        (Value::Obj(g), Value::Obj(w)) => {
+            assert!(g.keys().eq(w.keys()), "{at}: members differ");
+            let moved = g.iter().filter(|(k, _)| !k.ends_with("_bits"));
+            moved.map(|(k, v)| assert_within_rounding(v, &w[k], &format!("{at}.{k}"))).sum()
+        }
+        (Value::Arr(g), Value::Arr(w)) => {
+            assert_eq!(g.len(), w.len(), "{at}: lengths differ");
+            let net = |v: &Value| v.get("net").and_then(Value::as_u64);
+            let mut sorted: Vec<&Value> = g.iter().collect();
+            sorted.sort_by_key(|v| net(v));
+            let mut record: Vec<&Value> = w.iter().collect();
+            record.sort_by_key(|v| net(v));
+            (sorted.iter().zip(&record).enumerate())
+                .map(|(i, (g, w))| assert_within_rounding(g, w, &format!("{at}[{i}]")))
+                .sum()
+        }
+        (g, w) => {
+            assert_eq!(g, w, "{at}");
+            0
+        }
+    }
+}
+
+/// The goldens were re-recorded when linear drivers moved from the Newton
+/// kernel to the modal solver, which reach the same discretized solution
+/// by different rounding. `tests/golden/newton/` keeps the Newton kernel's
+/// record of the same three reports: every re-recorded number must lie
+/// within 1e-12 V of it, with no severity, receiver verdict, cluster size
+/// or pruning count moved.
+#[test]
+fn reblessed_goldens_are_the_newton_record_to_rounding() {
+    for name in ["bundle16_bus.json", "random_seed99.json", "dsp_receivers.json"] {
+        let read = |dir: &std::path::Path| {
+            let text = std::fs::read_to_string(dir.join(name)).expect("golden file");
+            parse(&text).expect("golden JSON")
+        };
+        let dir = fixtures::golden_dir();
+        let moved = assert_within_rounding(&read(&dir), &read(&dir.join("newton")), name);
+        eprintln!("{name}: {moved} numbers moved, each by at most 1e-12");
+    }
 }
