@@ -12,7 +12,6 @@
 //! one command line ([`GateArgs`]) and one ending ([`finish`]).
 
 use pcv_obs::json::{self, Value};
-use pcv_trace::json::{f64_lit, str_lit};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -99,21 +98,17 @@ pub fn summarize(
 impl BenchReport {
     /// Render the stable-schema JSON document (`BENCH_signoff.json`).
     pub fn to_json(&self) -> String {
-        let samples: Vec<String> = self.samples_ms.iter().map(|&s| f64_lit(s)).collect();
-        format!(
-            "{{\"schema\":{SCHEMA},\"bench\":{},\"warmup\":{},\"iterations\":{},\
-             \"median_ms\":{},\"mad_ms\":{},\"min_ms\":{},\"max_ms\":{},\
-             \"peak_alloc_bytes\":{},\"samples_ms\":[{}]}}",
-            str_lit(&self.bench),
-            self.warmup,
-            self.samples_ms.len(),
-            f64_lit(self.median_ms),
-            f64_lit(self.mad_ms),
-            f64_lit(self.min_ms),
-            f64_lit(self.max_ms),
-            self.peak_alloc_bytes,
-            samples.join(",")
-        )
+        json::object(|o| {
+            o.raw("schema", SCHEMA).str("bench", &self.bench).raw("warmup", self.warmup);
+            o.raw("iterations", self.samples_ms.len()).f64("median_ms", self.median_ms);
+            o.f64("mad_ms", self.mad_ms).f64("min_ms", self.min_ms).f64("max_ms", self.max_ms);
+            o.raw("peak_alloc_bytes", self.peak_alloc_bytes);
+            o.arr("samples_ms", |a| {
+                for &s in &self.samples_ms {
+                    a.f64(s);
+                }
+            });
+        })
     }
 
     /// Parse a report back from its JSON form. `None` for malformed

@@ -166,9 +166,9 @@ impl Journal {
     /// Propagates I/O failures; callers treat the journal as best-effort
     /// (a run without a journal is still correct, just not resumable).
     pub fn begin(fs: &Fs, path: &Path, config_fp: u64, chip_fp: u64) -> io::Result<Journal> {
-        let header = format!(
-            "{{\"kind\":\"run\",\"config\":\"{config_fp:016x}\",\"chip\":\"{chip_fp:016x}\"}}"
-        );
+        let header = json::object(|o| {
+            o.str("kind", "run").hex("config", config_fp).hex("chip", chip_fp);
+        });
         fs.write_atomic(path, frame(&header).as_bytes())?;
         Ok(Journal { path: path.to_owned(), fs: fs.clone() })
     }

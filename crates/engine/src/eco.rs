@@ -39,6 +39,7 @@ use crate::report::EngineReport;
 use crate::resident::{ResidentChip, VerdictSnapshot};
 use pcv_netlist::eco::EcoDelta;
 use pcv_netlist::PNetId;
+use pcv_trace::json::{self, Arr};
 use pcv_xtalk::dirty::blast_radius;
 use pcv_xtalk::XtalkError;
 use std::collections::BTreeSet;
@@ -86,29 +87,18 @@ impl EcoPlan {
     /// The plan as one JSON object — the shape `pcv-serve` returns from
     /// `POST /sessions/{id}/eco` and records in the run ledger.
     pub fn to_json(&self) -> String {
-        use pcv_trace::json::{f64_lit, str_lit};
-        let names = |list: &[String]| {
-            let mut out = String::from("[");
-            for (i, n) in list.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&str_lit(n));
+        let names = |a: &mut Arr<'_>, list: &[String]| {
+            for n in list {
+                a.str(n);
             }
-            out.push(']');
-            out
         };
-        format!(
-            "{{\"edits\":{},\"touched\":{},\"candidates\":{},\"dirty\":{},\"clean\":{},\
-             \"retired\":{},\"splice_fraction\":{}}}",
-            self.edits,
-            names(&self.touched),
-            names(&self.candidates),
-            names(&self.dirty),
-            self.clean,
-            names(&self.retired),
-            f64_lit(self.splice_fraction()),
-        )
+        json::object(|o| {
+            o.raw("edits", self.edits).arr("touched", |a| names(a, &self.touched));
+            o.arr("candidates", |a| names(a, &self.candidates));
+            o.arr("dirty", |a| names(a, &self.dirty)).raw("clean", self.clean);
+            o.arr("retired", |a| names(a, &self.retired));
+            o.f64("splice_fraction", self.splice_fraction());
+        })
     }
 }
 

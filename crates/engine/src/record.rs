@@ -20,7 +20,7 @@
 use crate::fs::crc32;
 use crate::recovery::{Attempt, Degradation, RecoveryRung, Trail};
 use pcv_netlist::PNetId;
-use pcv_trace::json::{str_lit, Value};
+use pcv_trace::json::{self, Value};
 use pcv_xtalk::prune::Cluster;
 use pcv_xtalk::{NetVerdict, ReceiverVerdict, Severity};
 use std::fmt::Write;
@@ -180,34 +180,21 @@ impl JournalEntry {
 
     /// Render as the journal's JSON payload (one line, unframed).
     pub(crate) fn to_journal_json(&self) -> String {
-        let mut out = format!(
-            "{{\"kind\":\"cluster\",\"name\":{},\"fp\":\"{:016x}\",\
-             \"rise\":\"{:016x}\",\"fall\":\"{:016x}\",\"receiver\":",
-            str_lit(&self.name),
-            self.fingerprint,
-            self.rise_bits,
-            self.fall_bits
-        );
-        match &self.receiver {
-            Some(r) => out.push_str(&format!(
-                "{{\"cell\":{},\"peak\":\"{:016x}\",\"propagates\":{}}}",
-                str_lit(&r.cell),
-                r.output_peak.to_bits(),
-                r.propagates
-            )),
-            None => out.push_str("null"),
-        }
-        out.push_str(",\"degraded\":");
-        match &self.degraded {
-            Some(trail) => {
-                out.push('{');
-                trail.write_json_members(&mut out);
-                out.push('}');
-            }
-            None => out.push_str("null"),
-        }
-        out.push('}');
-        out
+        json::object(|o| {
+            o.str("kind", "cluster").str("name", &self.name).hex("fp", self.fingerprint);
+            o.hex("rise", self.rise_bits).hex("fall", self.fall_bits);
+            match &self.receiver {
+                Some(r) => o.obj("receiver", |o| {
+                    o.str("cell", &r.cell).hex("peak", r.output_peak.to_bits());
+                    o.raw("propagates", r.propagates);
+                }),
+                None => o.raw("receiver", "null"),
+            };
+            match &self.degraded {
+                Some(trail) => o.obj("degraded", |o| trail.write_members(o)),
+                None => o.raw("degraded", "null"),
+            };
+        })
     }
 
     /// Parse a journal cluster payload; `None` for anything malformed (the

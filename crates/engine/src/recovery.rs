@@ -31,9 +31,8 @@
 
 use pcv_mor::MorError;
 use pcv_netlist::PNetId;
-use pcv_trace::json::{write_str, Value};
+use pcv_trace::json::{Obj, Value};
 use pcv_xtalk::XtalkError;
-use std::fmt::Write as _;
 use std::time::Duration;
 
 /// One rung of the recovery ladder, in escalation order.
@@ -183,26 +182,23 @@ impl Trail {
         self.attempts.iter().map(|a| a.elapsed).sum()
     }
 
-    /// Append `"recovered":…,"attempts":[{"rung":…,"reason":…},…]` — the
-    /// members a trail contributes to the JSON object that shows it (the
-    /// caller owns the braces and any members of its own). Attempt
+    /// Write `"recovered":…,"attempts":[{"rung":…,"reason":…},…]` into an
+    /// open JSON object — the members a trail contributes to the sign-off's
+    /// degradation entry and the journal's `degraded` object. Attempt
     /// durations are wall-clock and deliberately omitted: both documents
     /// must stay byte-identical across worker counts and machines.
-    pub(crate) fn write_json_members(&self, out: &mut String) {
-        // Rung names need no escaping.
-        let _ = write!(out, "\"recovered\":\"{}\",\"attempts\":[", self.recovered.name());
-        for (i, a) in self.attempts.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+    pub(crate) fn write_members(&self, o: &mut Obj<'_>) {
+        o.str("recovered", self.recovered.name());
+        o.arr("attempts", |a| {
+            for at in &self.attempts {
+                a.obj(|o| {
+                    o.str("rung", at.rung.name()).str("reason", &at.reason);
+                });
             }
-            let _ = write!(out, "{{\"rung\":\"{}\",\"reason\":", a.rung.name());
-            write_str(out, &a.reason);
-            out.push('}');
-        }
-        out.push(']');
+        });
     }
 
-    /// Read the members [`Trail::write_json_members`] wrote out of their
+    /// Read the members [`Trail::write_members`] wrote out of their
     /// object; `None` for anything malformed or an unknown rung name.
     pub(crate) fn from_json(v: &Value) -> Option<Trail> {
         let mut attempts = Vec::new();

@@ -3,10 +3,10 @@
 
 use crate::recovery::Degradation;
 use pcv_netlist::PNetId;
-use pcv_trace::json::{f64_lit, str_lit, write_str};
+use pcv_trace::json;
 use pcv_trace::Trace;
 use pcv_xtalk::ChipReport;
-use std::fmt::{self, Write as _};
+use std::fmt;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -248,60 +248,33 @@ impl EngineReport {
     /// breakdown — as a JSON document for downstream tooling.
     pub fn profile_json(&self) -> String {
         let s = &self.stats;
-        let mut out = String::from("{\"engine\":{");
-        out.push_str(&format!(
-            "\"workers\":{},\"victims\":{},\"cache_hits\":{},\"cache_misses\":{},\
-             \"journal_hits\":{},\"skipped\":{},\"interrupted\":{},",
-            s.workers,
-            s.victims,
-            s.cache_hits,
-            s.cache_misses,
-            s.journal_hits,
-            s.skipped,
-            self.interrupted
-        ));
-        out.push_str(&format!(
-            "\"wall_ms\":{},\"prune_ms\":{},\"analysis_ms\":{},\"receiver_ms\":{},\
-             \"recovery_ms\":{},",
-            f64_lit(s.wall_time.as_secs_f64() * 1e3),
-            f64_lit(s.prune_time.as_secs_f64() * 1e3),
-            f64_lit(s.analysis_time.as_secs_f64() * 1e3),
-            f64_lit(s.receiver_time.as_secs_f64() * 1e3),
-            f64_lit(s.recovery_time.as_secs_f64() * 1e3)
-        ));
-        out.push_str(&format!(
-            "\"steals\":{},\"events_dropped\":{},\"utilization\":{},\"throughput\":{},\
-             \"errors\":{},\"degraded\":{}}}",
-            s.steals,
-            s.events_dropped,
-            f64_lit(s.utilization()),
-            f64_lit(s.throughput()),
-            self.errors.len(),
-            s.degraded
-        ));
-        out.push_str(&format!(
-            ",\"memory\":{{\"peak_alloc_bytes\":{},\"allocs\":{}}}",
-            s.peak_alloc_bytes, s.allocs
-        ));
-        out.push_str(",\"clusters\":[");
-        for (i, c) in self.clusters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"name\":{},\"cluster_size\":{},\"cached\":{},\"prune_ms\":{},\
-                 \"analysis_ms\":{},\"receiver_ms\":{},\"total_ms\":{}}}",
-                str_lit(&c.name),
-                c.cluster_size,
-                c.cached,
-                f64_lit(c.prune.as_secs_f64() * 1e3),
-                f64_lit(c.analysis.as_secs_f64() * 1e3),
-                f64_lit(c.receiver.as_secs_f64() * 1e3),
-                f64_lit(c.total().as_secs_f64() * 1e3)
-            ));
-        }
-        out.push_str("]}");
-        out
+        let ms = |d: Duration| d.as_secs_f64() * 1e3;
+        json::object(|o| {
+            o.obj("engine", |o| {
+                o.raw("workers", s.workers).raw("victims", s.victims);
+                o.raw("cache_hits", s.cache_hits).raw("cache_misses", s.cache_misses);
+                o.raw("journal_hits", s.journal_hits).raw("skipped", s.skipped);
+                o.raw("interrupted", self.interrupted).f64("wall_ms", ms(s.wall_time));
+                o.f64("prune_ms", ms(s.prune_time)).f64("analysis_ms", ms(s.analysis_time));
+                o.f64("receiver_ms", ms(s.receiver_time)).f64("recovery_ms", ms(s.recovery_time));
+                o.raw("steals", s.steals).raw("events_dropped", s.events_dropped);
+                o.f64("utilization", s.utilization()).f64("throughput", s.throughput());
+                o.raw("errors", self.errors.len()).raw("degraded", s.degraded);
+            });
+            o.obj("memory", |o| {
+                o.raw("peak_alloc_bytes", s.peak_alloc_bytes).raw("allocs", s.allocs);
+            });
+            o.arr("clusters", |a| {
+                for c in &self.clusters {
+                    a.obj(|o| {
+                        o.str("name", &c.name).raw("cluster_size", c.cluster_size);
+                        o.raw("cached", c.cached).f64("prune_ms", ms(c.prune));
+                        o.f64("analysis_ms", ms(c.analysis)).f64("receiver_ms", ms(c.receiver));
+                        o.f64("total_ms", ms(c.total()));
+                    });
+                }
+            });
+        })
     }
 
     /// The signoff document: the serial-identical chip report plus the
@@ -312,21 +285,17 @@ impl EngineReport {
     /// counts for a fixed input and fault plan.
     pub fn signoff_json(&self) -> String {
         let _span = pcv_trace::span("engine", "signoff_json");
-        let mut out = String::from("{\"chip\":");
-        self.chip.write_json(&mut out);
-        out.push_str(",\"degradations\":[");
-        for (i, d) in self.degradations.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{{\"net\":{},\"name\":", d.net.0);
-            write_str(&mut out, &d.name);
-            out.push(',');
-            d.trail.write_json_members(&mut out);
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
+        json::object(|o| {
+            o.obj("chip", |o| self.chip.write_members(o));
+            o.arr("degradations", |a| {
+                for d in &self.degradations {
+                    a.obj(|o| {
+                        o.raw("net", d.net.0).str("name", &d.name);
+                        d.trail.write_members(o);
+                    });
+                }
+            });
+        })
     }
 
     /// Write the run's artifacts next to `stem` through `fs`:

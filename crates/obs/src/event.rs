@@ -153,42 +153,41 @@ impl EngineEvent {
     /// milliseconds. This is the wire form `pcv-serve` streams to event
     /// subscribers.
     pub fn to_json(&self) -> String {
-        use pcv_trace::json::{f64_lit, str_lit};
-        let ms = |d: &Duration| f64_lit(d.as_secs_f64() * 1e3);
-        let body = match self {
-            EngineEvent::RunStarted { victims, workers } => {
-                format!("\"victims\":{victims},\"workers\":{workers}")
-            }
-            EngineEvent::ClusterQueued { name }
-            | EngineEvent::ClusterStarted { name }
-            | EngineEvent::CacheHit { name }
-            | EngineEvent::CacheMiss { name }
-            | EngineEvent::ClusterReplayed { name }
-            | EngineEvent::ClusterSkipped { name } => format!("\"name\":{}", str_lit(name)),
-            EngineEvent::ClusterRetried { name, rung }
-            | EngineEvent::ClusterDegraded { name, rung } => {
-                format!("\"name\":{},\"rung\":{}", str_lit(name), str_lit(rung))
-            }
-            EngineEvent::ClusterFinished { name, cached, elapsed } => format!(
-                "\"name\":{},\"cached\":{cached},\"elapsed_ms\":{}",
-                str_lit(name),
-                ms(elapsed)
-            ),
-            EngineEvent::RunResumed { replayable } => format!("\"replayable\":{replayable}"),
-            EngineEvent::RunStopped { completed, skipped } => {
-                format!("\"completed\":{completed},\"skipped\":{skipped}")
-            }
-            EngineEvent::WorkerIdle { worker } => format!("\"worker\":{worker}"),
-            EngineEvent::StallWarning { completed, stalled_ms } => {
-                format!("\"completed\":{completed},\"stalled_ms\":{stalled_ms}")
-            }
-            EngineEvent::RunFinished { victims, wall, cache_hits, degraded } => format!(
-                "\"victims\":{victims},\"wall_ms\":{},\"cache_hits\":{cache_hits},\
-                 \"degraded\":{degraded}",
-                ms(wall)
-            ),
-        };
-        format!("{{\"kind\":{},{body}}}", str_lit(self.kind()))
+        let ms = |d: &Duration| d.as_secs_f64() * 1e3;
+        pcv_trace::json::object(|o| {
+            o.str("kind", self.kind());
+            match self {
+                EngineEvent::RunStarted { victims, workers } => {
+                    o.raw("victims", victims).raw("workers", workers)
+                }
+                EngineEvent::ClusterQueued { name }
+                | EngineEvent::ClusterStarted { name }
+                | EngineEvent::CacheHit { name }
+                | EngineEvent::CacheMiss { name }
+                | EngineEvent::ClusterReplayed { name }
+                | EngineEvent::ClusterSkipped { name } => o.str("name", name),
+                EngineEvent::ClusterRetried { name, rung }
+                | EngineEvent::ClusterDegraded { name, rung } => {
+                    o.str("name", name).str("rung", rung)
+                }
+                EngineEvent::ClusterFinished { name, cached, elapsed } => {
+                    o.str("name", name).raw("cached", cached).f64("elapsed_ms", ms(elapsed))
+                }
+                EngineEvent::RunResumed { replayable } => o.raw("replayable", replayable),
+                EngineEvent::RunStopped { completed, skipped } => {
+                    o.raw("completed", completed).raw("skipped", skipped)
+                }
+                EngineEvent::WorkerIdle { worker } => o.raw("worker", worker),
+                EngineEvent::StallWarning { completed, stalled_ms } => {
+                    o.raw("completed", completed).raw("stalled_ms", stalled_ms)
+                }
+                EngineEvent::RunFinished { victims, wall, cache_hits, degraded } => o
+                    .raw("victims", victims)
+                    .f64("wall_ms", ms(wall))
+                    .raw("cache_hits", cache_hits)
+                    .raw("degraded", degraded),
+            };
+        })
     }
 
     /// `true` for cluster-scoped kinds, whose per-kind counts are

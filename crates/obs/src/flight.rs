@@ -18,7 +18,6 @@
 //! and must not inflate `EngineStats::events_dropped`.
 
 use crate::event::{EngineEvent, EventSink};
-use pcv_trace::json::str_lit;
 use std::collections::VecDeque;
 use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
@@ -109,20 +108,17 @@ impl FlightRecorder {
     pub fn dump_json(&self) -> String {
         let ring = self.ring.lock().unwrap_or_else(PoisonError::into_inner);
         let mut out = String::with_capacity(64 + ring.entries.len() * 96);
-        out.push_str(&format!("{{\"overwritten\":{},\"entries\":[", ring.overwritten));
-        for (i, e) in ring.entries.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"seq\":{},\"at_ms\":{:.3},\"source\":{},\"text\":{}}}",
-                e.seq,
-                e.at_ms,
-                str_lit(e.source),
-                str_lit(&e.text)
-            ));
-        }
-        out.push_str("]}");
+        pcv_trace::json::write_object(&mut out, |o| {
+            o.raw("overwritten", ring.overwritten);
+            o.arr("entries", |a| {
+                for e in &ring.entries {
+                    a.obj(|o| {
+                        o.raw("seq", e.seq).raw("at_ms", format_args!("{:.3}", e.at_ms));
+                        o.str("source", e.source).str("text", &e.text);
+                    });
+                }
+            });
+        });
         out
     }
 }
@@ -139,6 +135,34 @@ impl EventSink for FlightRecorder {
 mod tests {
     use super::*;
     use crate::json;
+
+    #[test]
+    fn dump_bytes_are_pinned() {
+        let entry =
+            |seq, at_ms, source, text: &str| FlightEntry { seq, at_ms, source, text: text.into() };
+        let fr = FlightRecorder::new(2);
+        let empty = fr.dump_json();
+        *fr.ring.lock().unwrap() = Ring {
+            entries: VecDeque::from([
+                entry(7, 0.0, "engine", "{\"kind\":\"run_started\",\"victims\":7}"),
+                entry(8, 1234.56789, "http", "c1 GET /a\tb -> 200"),
+            ]),
+            next_seq: 9,
+            overwritten: 7,
+        };
+        assert_eq!(
+            [empty, fr.dump_json()],
+            [
+                "{\"overwritten\":0,\"entries\":[]}",
+                concat!(
+                    "{\"overwritten\":7,\"entries\":[{\"seq\":7,\"at_ms\":0.000",
+                    ",\"source\":\"engine\",\"text\":\"{\\\"kind\\\":\\\"run_started\\\"",
+                    ",\\\"victims\\\":7}\"},{\"seq\":8,\"at_ms\":1234.568",
+                    ",\"source\":\"http\",\"text\":\"c1 GET /a\\tb -> 200\"}]}",
+                ),
+            ]
+        );
+    }
 
     #[test]
     fn ring_keeps_the_most_recent_entries() {

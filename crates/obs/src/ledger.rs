@@ -7,7 +7,7 @@
 //! verification flow. The schema is versioned and flat so any line-
 //! oriented tool (or [`crate::json::parse`]) can consume it.
 
-use pcv_trace::json::{self, f64_lit, str_lit, Value};
+use pcv_trace::json::{self, Value};
 use std::path::{Path, PathBuf};
 
 /// Current ledger schema version. Version 2 added `outcome`,
@@ -67,34 +67,23 @@ impl RunRecord {
     /// Render as one JSONL line (no trailing newline). Fingerprints are
     /// hex strings so they survive JSON's f64 numbers unscathed.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"schema\":{SCHEMA},\"config_fingerprint\":{},\"chip_fingerprint\":{},\
-             \"victims\":{},\"workers\":{},\"host_parallelism\":{},\
-             \"cache_hits\":{},\"cache_misses\":{},\"journal_hits\":{},\"skipped\":{},\
-             \"outcome\":{},\"degraded\":{},\"errors\":{},\
-             \"steals\":{},\"wall_ms\":{},\"prune_ms\":{},\"analysis_ms\":{},\
-             \"receiver_ms\":{},\"recovery_ms\":{},\"peak_alloc_bytes\":{},\"allocs\":{}}}",
-            str_lit(&format!("{:016x}", self.config_fingerprint)),
-            str_lit(&format!("{:016x}", self.chip_fingerprint)),
-            self.victims,
-            self.workers,
-            self.host_parallelism,
-            self.cache_hits,
-            self.cache_misses,
-            self.journal_hits,
-            self.skipped,
-            str_lit(&self.outcome),
-            self.degraded,
-            self.errors,
-            self.steals,
-            f64_lit(self.wall_ms),
-            f64_lit(self.prune_ms),
-            f64_lit(self.analysis_ms),
-            f64_lit(self.receiver_ms),
-            f64_lit(self.recovery_ms),
-            self.peak_alloc_bytes,
-            self.allocs,
-        )
+        // Room for every member, so a run's line costs one allocation
+        // whatever its timings read.
+        let mut out = String::with_capacity(640);
+        json::write_object(&mut out, |o| {
+            o.raw("schema", SCHEMA).hex("config_fingerprint", self.config_fingerprint);
+            o.hex("chip_fingerprint", self.chip_fingerprint).raw("victims", self.victims);
+            o.raw("workers", self.workers).raw("host_parallelism", self.host_parallelism);
+            o.raw("cache_hits", self.cache_hits).raw("cache_misses", self.cache_misses);
+            o.raw("journal_hits", self.journal_hits).raw("skipped", self.skipped);
+            o.str("outcome", &self.outcome).raw("degraded", self.degraded);
+            o.raw("errors", self.errors).raw("steals", self.steals);
+            o.f64("wall_ms", self.wall_ms).f64("prune_ms", self.prune_ms);
+            o.f64("analysis_ms", self.analysis_ms).f64("receiver_ms", self.receiver_ms);
+            o.f64("recovery_ms", self.recovery_ms);
+            o.raw("peak_alloc_bytes", self.peak_alloc_bytes).raw("allocs", self.allocs);
+        });
+        out
     }
 
     /// Parse one ledger line back into a record. Returns `None` for
@@ -195,6 +184,35 @@ mod tests {
             peak_alloc_bytes: 1_234_567,
             allocs: 98_765,
         }
+    }
+
+    #[test]
+    fn record_line_is_pinned() {
+        let v1 = RunRecord { outcome: "complete".into(), ..RunRecord::default() };
+        assert_eq!(
+            [sample().to_json(), v1.to_json()],
+            [
+                concat!(
+                    "{\"schema\":2,\"config_fingerprint\":\"deadbeef01234567\"",
+                    ",\"chip_fingerprint\":\"0badcafe89abcdef\",\"victims\":42",
+                    ",\"workers\":4,\"host_parallelism\":8,\"cache_hits\":30",
+                    ",\"cache_misses\":12,\"journal_hits\":5,\"skipped\":1",
+                    ",\"outcome\":\"stopped\",\"degraded\":2,\"errors\":1,\"steals\":17",
+                    ",\"wall_ms\":123.5,\"prune_ms\":10.25,\"analysis_ms\":88.0",
+                    ",\"receiver_ms\":4.75,\"recovery_ms\":9.125",
+                    ",\"peak_alloc_bytes\":1234567,\"allocs\":98765}",
+                ),
+                concat!(
+                    "{\"schema\":2,\"config_fingerprint\":\"0000000000000000\"",
+                    ",\"chip_fingerprint\":\"0000000000000000\",\"victims\":0,\"workers\":0",
+                    ",\"host_parallelism\":0,\"cache_hits\":0,\"cache_misses\":0",
+                    ",\"journal_hits\":0,\"skipped\":0,\"outcome\":\"complete\"",
+                    ",\"degraded\":0,\"errors\":0,\"steals\":0,\"wall_ms\":0.0",
+                    ",\"prune_ms\":0.0,\"analysis_ms\":0.0,\"receiver_ms\":0.0",
+                    ",\"recovery_ms\":0.0,\"peak_alloc_bytes\":0,\"allocs\":0}",
+                ),
+            ]
+        );
     }
 
     #[test]

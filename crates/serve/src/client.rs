@@ -78,11 +78,7 @@ impl Client {
             })?;
             text
         } else {
-            let len: usize =
-                header(&headers, "content-length").and_then(|v| v.parse().ok()).unwrap_or(0);
-            let mut buf = vec![0u8; len];
-            reader.read_exact(&mut buf)?;
-            String::from_utf8_lossy(&buf).into_owned()
+            read_sized(&mut reader, &headers)?
         };
         let retry_after = header(&headers, "retry-after").and_then(|v| v.parse().ok());
         Ok(Response { status, body, retry_after })
@@ -132,11 +128,7 @@ impl Client {
         if header(&headers, "transfer-encoding").is_some_and(|v| v == "chunked") {
             read_chunks(&mut reader, on_line)?;
         } else {
-            let len: usize =
-                header(&headers, "content-length").and_then(|v| v.parse().ok()).unwrap_or(0);
-            let mut buf = vec![0u8; len];
-            reader.read_exact(&mut buf)?;
-            on_line(&String::from_utf8_lossy(&buf));
+            on_line(&read_sized(&mut reader, &headers)?);
         }
         Ok(status)
     }
@@ -146,7 +138,28 @@ fn protocol(what: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("bad response: {what}"))
 }
 
-fn read_head(reader: &mut impl BufRead) -> io::Result<(u16, Vec<(String, String)>)> {
+/// Read exactly `len` bytes through `take`, so memory follows the bytes
+/// that arrive, not the length a response declares; fewer is an error.
+fn read_len(reader: &mut impl Read, len: u64, what: &str) -> io::Result<Vec<u8>> {
+    let mut buf = Vec::new();
+    reader.take(len).read_to_end(&mut buf)?;
+    if (buf.len() as u64) < len {
+        return Err(io::Error::new(io::ErrorKind::UnexpectedEof, format!("bad response: {what}")));
+    }
+    Ok(buf)
+}
+
+/// A `Content-Length` body (none without the header).
+pub(crate) fn read_sized(
+    reader: &mut impl Read,
+    headers: &[(String, String)],
+) -> io::Result<String> {
+    let len = header(headers, "content-length").and_then(|v| v.parse().ok()).unwrap_or(0);
+    let body = read_len(reader, len, "body shorter than its content-length")?;
+    Ok(String::from_utf8_lossy(&body).into_owned())
+}
+
+pub(crate) fn read_head(reader: &mut impl BufRead) -> io::Result<(u16, Vec<(String, String)>)> {
     let mut status_line = String::new();
     reader.read_line(&mut status_line)?;
     let status: u16 = status_line
@@ -169,28 +182,30 @@ fn read_head(reader: &mut impl BufRead) -> io::Result<(u16, Vec<(String, String)
     Ok((status, headers))
 }
 
-fn header<'a>(headers: &'a [(String, String)], key: &str) -> Option<&'a str> {
+pub(crate) fn header<'a>(headers: &'a [(String, String)], key: &str) -> Option<&'a str> {
     headers.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
 }
 
 /// Decode a chunked body, invoking `on_line` for every newline-terminated
 /// line of payload (the server emits exactly one JSONL line per chunk,
 /// but this decoder does not rely on that).
-fn read_chunks(reader: &mut impl BufRead, mut on_line: impl FnMut(&str)) -> io::Result<()> {
+pub(crate) fn read_chunks(
+    reader: &mut impl BufRead,
+    mut on_line: impl FnMut(&str),
+) -> io::Result<()> {
     let mut pending = String::new();
     loop {
         let mut size_line = String::new();
         if reader.read_line(&mut size_line)? == 0 {
             break; // server aborted: deliver what we have
         }
-        let size = usize::from_str_radix(size_line.trim(), 16)
+        let size = u64::from_str_radix(size_line.trim(), 16)
             .map_err(|_| protocol("unreadable chunk size"))?;
         if size == 0 {
             break;
         }
-        let mut chunk = vec![0u8; size + 2]; // payload + CRLF
-        reader.read_exact(&mut chunk)?;
-        chunk.truncate(size);
+        let chunk = read_len(reader, size, "chunk shorter than its size")?;
+        read_len(reader, 2, "chunk without its CRLF")?;
         pending.push_str(&String::from_utf8_lossy(&chunk));
         while let Some(pos) = pending.find('\n') {
             let line: String = pending.drain(..=pos).collect();
@@ -213,6 +228,37 @@ mod tests {
         let mut lines = Vec::new();
         read_chunks(&mut &raw[..], |l| lines.push(l.to_owned())).unwrap();
         assert_eq!(lines, vec!["ab", "cd", "ef", "g"]);
+    }
+
+    /// A client of a one-connection server that answers with `raw`.
+    fn answered_by(raw: &'static [u8]) -> (Client, std::thread::JoinHandle<()>) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = Client::new(listener.local_addr().unwrap().to_string());
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            crate::http::read_request(&mut stream).unwrap();
+            stream.write_all(raw).unwrap();
+        });
+        (client, server)
+    }
+
+    #[test]
+    fn a_declared_length_is_not_an_allocation() {
+        let responses: [&[u8]; 4] = [
+            b"HTTP/1.1 200 OK\r\nContent-Length: 17592186044416\r\n\r\n{}",
+            b"HTTP/1.1 200 OK\r\nContent-Length: 3\r\n\r\n{}",
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nfffffffffff\r\nab",
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nffffffffffffffff\r\nab",
+        ];
+        for raw in responses {
+            let (client, server) = answered_by(raw);
+            let err = client.request("GET", "/healthz", "").unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err}");
+            server.join().unwrap();
+            let (client, server) = answered_by(raw);
+            assert!(client.stream("/runs/r1/events", |_| {}).is_err());
+            server.join().unwrap();
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! ([`XtalkError::BadRequest`]) variants keep their meaning on the wire
 //! (429 and 400) instead of collapsing into a generic 500.
 
-use pcv_trace::json::str_lit;
+use pcv_trace::json;
 use pcv_xtalk::XtalkError;
 use std::fmt;
 
@@ -64,7 +64,9 @@ impl ApiError {
     /// `{"error":"<code>","message":"<detail>"}`.
     pub fn to_json(&self) -> String {
         let (_, _, code) = self.status();
-        format!("{{\"error\":{},\"message\":{}}}", str_lit(code), str_lit(self.message()))
+        json::object(|o| {
+            o.str("error", code).str("message", self.message());
+        })
     }
 }
 

@@ -37,31 +37,25 @@ impl Request {
     }
 }
 
-/// Decode `%XX` escapes and `+`-as-space.
+/// Decode `%XX` escapes and `+`-as-space. An escape is `%` and two hex
+/// digits; a `%` followed by anything else stays literal.
 fn percent_decode(text: &str) -> String {
+    let hex = |b: u8| char::from(b).to_digit(16);
     let bytes = text.as_bytes();
     let mut out = Vec::with_capacity(bytes.len());
     let mut i = 0;
     while i < bytes.len() {
-        match bytes[i] {
-            b'%' if i + 2 < bytes.len() => {
-                let hex = std::str::from_utf8(&bytes[i + 1..i + 3]).ok();
-                match hex.and_then(|h| u8::from_str_radix(h, 16).ok()) {
-                    Some(b) => {
-                        out.push(b);
-                        i += 3;
-                    }
-                    None => {
-                        out.push(b'%');
-                        i += 1;
-                    }
-                }
+        let escape = bytes.get(i + 1..i + 3).and_then(|h| Some(hex(h[0])? * 16 + hex(h[1])?));
+        match (bytes[i], escape) {
+            (b'%', Some(b)) => {
+                out.push(b as u8);
+                i += 3;
             }
-            b'+' => {
+            (b'+', _) => {
                 out.push(b' ');
                 i += 1;
             }
-            b => {
+            (b, _) => {
                 out.push(b);
                 i += 1;
             }
@@ -126,8 +120,13 @@ pub fn read_request(stream: &mut dyn Read) -> io::Result<Request> {
     if content_length > MAX_BODY {
         return Err(bad("body too large"));
     }
-    let mut body = vec![0u8; content_length];
-    stream.read_exact(&mut body)?;
+    // Read through `take`: memory follows the bytes that arrive, not the
+    // length a client declares.
+    let mut body = Vec::new();
+    stream.take(content_length as u64).read_to_end(&mut body)?;
+    if body.len() < content_length {
+        return Err(bad("body shorter than its content-length"));
+    }
     let (path_raw, query_raw) = match target.split_once('?') {
         Some((p, q)) => (p, q),
         None => (target, ""),
@@ -279,6 +278,28 @@ mod tests {
         assert!(req.query.is_empty());
         assert!(req.body.is_empty());
         assert_eq!(req.query_get("net"), None);
+    }
+
+    #[test]
+    fn an_escape_needs_two_hex_digits() {
+        for (raw, decoded) in [
+            ("%+4", "% 4"),
+            ("%-1x", "%-1x"),
+            ("%4", "%4"),
+            ("%zz%", "%zz%"),
+            ("%%41", "%A"),
+            ("a%2Fb+c", "a/b c"),
+            ("%c3%A9", "\u{e9}"),
+        ] {
+            assert_eq!(percent_decode(raw), decoded, "{raw}");
+        }
+    }
+
+    #[test]
+    fn a_short_body_is_an_error() {
+        let raw = b"POST /x HTTP/1.1\r\nContent-Length: 60000000\r\n\r\n{}";
+        let err = read_request(&mut &raw[..]).unwrap_err();
+        assert!(err.to_string().contains("body shorter than its content-length"), "{err}");
     }
 
     #[test]

@@ -43,7 +43,7 @@
 //!
 //! ## One verdict object
 //!
-//! A verdict has one JSON rendering, [`pcv_xtalk::NetVerdict::write_json`]:
+//! A verdict has one JSON rendering, [`pcv_xtalk::NetVerdict::write_members`]:
 //! the object inside a sign-off document's `chip.verdicts`, the object
 //! `GET /runs/{id}/verdicts` lists, and — with `"kind":"verdict"` added —
 //! the line a [shard worker](worker) streams to its
@@ -72,6 +72,7 @@ pub mod session;
 pub mod shard;
 pub mod worker;
 
+mod http_fuzz;
 mod overlay;
 
 pub use client::{Client, Response};

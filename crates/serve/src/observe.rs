@@ -19,7 +19,7 @@
 use pcv_engine::fs::Fs;
 use pcv_engine::EngineReport;
 use pcv_obs::{FlightRecorder, Registry};
-use pcv_trace::json::str_lit;
+use pcv_trace::json;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -147,14 +147,11 @@ impl Observatory {
             seconds,
         );
         self.flight.note("http", format!("{corr} {method} {path} -> {status}"));
-        let line = format!(
-            "{{\"corr\":{},\"method\":{},\"path\":{},\"status\":{},\"ms\":{:.3}}}\n",
-            str_lit(corr),
-            str_lit(method),
-            str_lit(path),
-            status,
-            seconds * 1e3
-        );
+        let mut line = json::object(|o| {
+            o.str("corr", corr).str("method", method).str("path", path).raw("status", status);
+            o.raw("ms", format_args!("{:.3}", seconds * 1e3));
+        });
+        line.push('\n');
         let _ = Fs::real().append_durable(&self.access_path, line.as_bytes());
     }
 
@@ -268,19 +265,13 @@ impl Observatory {
         }
     }
 
-    /// The `/healthz` per-shard torn-line object: `{"0":1,"1":0,...}`
-    /// (`{}` before any sharded run).
-    pub fn shard_torn_json(&self) -> String {
+    /// The members of the `/healthz` per-shard torn-line object,
+    /// `{"0":1,"1":0,...}` (none before any sharded run).
+    pub fn write_shard_torn(&self, o: &mut json::Obj<'_>) {
         let torn = self.shard_torn.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let mut out = String::from("{");
         for (k, t) in torn.iter().enumerate() {
-            if k > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{k}\":{t}"));
+            o.raw(&k.to_string(), t);
         }
-        out.push('}');
-        out
     }
 
     /// Refresh the scrape-time gauges and render the registry as

@@ -12,8 +12,7 @@
 
 use crate::error::ApiError;
 use pcv_engine::EngineConfig;
-use pcv_obs::json::Value;
-use pcv_trace::json::f64_lit;
+use pcv_obs::json::{Obj, Value};
 use std::path::PathBuf;
 
 /// Overrides of the engine's result-affecting thresholds; `None` keeps the
@@ -47,17 +46,17 @@ impl Thresholds {
         Ok(true)
     }
 
-    /// Append `,"key":value` for every override that is set — the members
-    /// `read_member` reads back to the same bits.
-    pub(crate) fn write_members(&self, out: &mut String) {
+    /// Write a member into an open JSON object for every override that is
+    /// set — the members `read_member` reads back to the same bits.
+    pub(crate) fn write_members(&self, o: &mut Obj<'_>) {
         if let Some(w) = self.warn_frac {
-            out.push_str(&format!(",\"warn_frac\":{}", f64_lit(w)));
+            o.f64("warn_frac", w);
         }
         if let Some(f) = self.fail_frac {
-            out.push_str(&format!(",\"fail_frac\":{}", f64_lit(f)));
+            o.f64("fail_frac", f);
         }
         if let Some(c) = self.check_receivers {
-            out.push_str(&format!(",\"check_receivers\":{c}"));
+            o.raw("check_receivers", c);
         }
     }
 

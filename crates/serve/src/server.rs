@@ -31,9 +31,8 @@ use pcv_engine::{
     VerdictSnapshot,
 };
 use pcv_netlist::eco::EcoDelta;
-use pcv_obs::json::{parse, Value};
+use pcv_obs::json::{self, parse, Value};
 use pcv_obs::{CursorState, EngineEvent, EventHub, EventSink, FlightRecorder, TeeSink};
-use pcv_trace::json::str_lit;
 use pcv_xtalk::{NetVerdict, XtalkError};
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -165,22 +164,38 @@ impl RunOverlay {
         Ok(true)
     }
 
-    fn from_json(body: &str) -> Result<RunOverlay, ApiError> {
-        if body.trim().is_empty() {
-            return Ok(RunOverlay::default());
+    /// Read a `POST …/runs` body (empty means every default), or with
+    /// `eco` a `POST …/eco` body: the same options plus the edited SPEF
+    /// document `text`, which it must carry and which is returned beside
+    /// them (empty for a run body).
+    fn from_json(body: &str, eco: bool) -> Result<(RunOverlay, String), ApiError> {
+        let (what, kind) = if eco { ("eco body", "eco") } else { ("run overlay", "run") };
+        let mut overlay = RunOverlay::default();
+        let mut text = None;
+        if !eco && body.trim().is_empty() {
+            return Ok((overlay, String::new()));
         }
-        let doc = parse(body).map_err(|e| ApiError::BadRequest(format!("run overlay: {e}")))?;
+        let doc = parse(body).map_err(|e| ApiError::BadRequest(format!("{what}: {e}")))?;
         let obj = doc
             .as_obj()
-            .ok_or_else(|| ApiError::BadRequest("run overlay must be a JSON object".into()))?;
-        let mut overlay = RunOverlay::default();
+            .ok_or_else(|| ApiError::BadRequest(format!("{what} must be a JSON object")))?;
         for (key, value) in obj {
-            if !overlay.apply(key, value)? {
-                return Err(ApiError::BadRequest(format!("unknown run option {key:?}")));
+            if eco && key == "text" {
+                let t = value
+                    .as_str()
+                    .ok_or_else(|| ApiError::BadRequest("text must be a string".into()));
+                text = Some(t?);
+            } else if !overlay.apply(key, value)? {
+                return Err(ApiError::BadRequest(format!("unknown {kind} option {key:?}")));
             }
         }
+        if eco && text.is_none() {
+            return Err(ApiError::BadRequest(
+                "eco needs \"text\": the full edited SPEF document".into(),
+            ));
+        }
         overlay.validate()?;
-        Ok(overlay)
+        Ok((overlay, text.unwrap_or_default().to_owned()))
     }
 
     /// Cross-field checks shared by the run and ECO submit paths: an
@@ -259,18 +274,39 @@ impl RunHandle {
 
     /// The answer to the submission that queued this run.
     fn queued_json(&self) -> String {
-        let mut out = format!(
-            "{{\"run\":{},\"session\":{},\"state\":\"queued\",\"total\":{},\"corr\":{}",
-            str_lit(&self.id),
-            str_lit(&self.session),
-            self.total,
-            str_lit(&self.corr)
-        );
-        if let Some(eco) = &self.eco {
-            out.push_str(&format!(",\"eco\":{}", eco.plan));
-        }
-        out.push('}');
-        out
+        json::object(|o| {
+            o.str("run", &self.id).str("session", &self.session).str("state", "queued");
+            o.raw("total", self.total).str("corr", &self.corr);
+            if let Some(eco) = &self.eco {
+                o.raw("eco", &eco.plan);
+            }
+        })
+    }
+
+    /// The last line of an event stream: how much this subscriber got and
+    /// how much the bounded archive shed, under two correlation IDs — the
+    /// run's (who submitted it) and this subscriber's request's (`corr`).
+    fn trailer_json(&self, delivered: usize, dropped: u64, corr: &str) -> String {
+        json::object(|o| {
+            o.str("kind", "stream_trailer").str("run", &self.id).str("state", self.state().name());
+            o.raw("delivered", delivered).raw("dropped", dropped);
+            o.str("run_corr", &self.corr).str("corr", corr);
+        })
+    }
+
+    /// This run's line of the daemon's `runs.jsonl`: outcome, the artifact
+    /// when one was published, the ECO plan when the run was a splice.
+    fn ledger_line(&self, outcome: &str, artifact: Option<&Path>) -> String {
+        json::object(|o| {
+            o.str("run", &self.id).str("session", &self.session).str("corr", &self.corr);
+            o.str("outcome", outcome).raw("victims", self.total);
+            if let Some(path) = artifact {
+                o.str("artifact", &path.display().to_string());
+            }
+            if let Some(eco) = &self.eco {
+                o.raw("eco", &eco.plan);
+            }
+        })
     }
 }
 
@@ -538,16 +574,17 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
     let corr = shared.obs.mint_corr();
     let segments: Vec<String> = request.segments().iter().map(|s| s.to_string()).collect();
     let names: Vec<&str> = segments.iter().map(String::as_str).collect();
-    // The events route streams and owns the connection; metrics answers
-    // plain text; everything else produces one JSON document (or a typed
-    // error).
-    let status: u16 = if request.method == "GET"
-        && names.len() == 3
-        && names[0] == "runs"
-        && names[2] == "events"
-    {
-        stream_events(&mut stream, &shared, names[1], &corr)
-    } else if request.method == "GET" && names == ["metrics"] {
+    let record = |status: u16| {
+        let seconds = started.elapsed().as_secs_f64();
+        shared.obs.record_http(&corr, &request.method, &request.path, status, seconds);
+    };
+    // The events route streams, owns the connection and records itself;
+    // metrics answers plain text; everything else produces one JSON
+    // document (or a typed error).
+    if request.method == "GET" && names.len() == 3 && names[0] == "runs" && names[2] == "events" {
+        return stream_events(&mut stream, &shared, names[1], &corr, record);
+    }
+    let status: u16 = if request.method == "GET" && names == ["metrics"] {
         let body = shared.obs.render_metrics(
             shared.queue.lock().unwrap_or_else(PoisonError::into_inner).len(),
             shared.sessions.read().unwrap_or_else(PoisonError::into_inner).len(),
@@ -581,13 +618,7 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
             }
         }
     };
-    shared.obs.record_http(
-        &corr,
-        &request.method,
-        &request.path,
-        status,
-        started.elapsed().as_secs_f64(),
-    );
+    record(status);
 }
 
 fn route(
@@ -601,7 +632,9 @@ fn route(
         ("GET", ["debug", "flight"]) => Ok(shared.obs.flight().dump_json()),
         ("POST", ["shutdown"]) => {
             initiate_shutdown(shared);
-            Ok("{\"draining\":true}".to_owned())
+            Ok(json::object(|o| {
+                o.raw("draining", true);
+            }))
         }
         ("POST", ["sessions"]) => create_session(shared, &request.body, corr),
         ("GET", ["sessions", sid]) => Ok(lookup_session(shared, sid)?.info_json()),
@@ -619,20 +652,15 @@ fn route(
 fn healthz(shared: &Shared) -> String {
     let draining = shared.shutting_down.load(Ordering::Acquire);
     let elaborating = shared.obs.elaborating();
-    format!(
-        "{{\"ok\":true,\"version\":{},\"uptime_s\":{:.3},\"ready\":{},\"elaborating\":{},\
-         \"sessions\":{},\"runs\":{},\"draining\":{},\"torn_ledger_lines\":{},\
-         \"shard_torn_journal_lines\":{}}}",
-        str_lit(env!("CARGO_PKG_VERSION")),
-        shared.obs.uptime_s(),
-        !draining && elaborating == 0,
-        elaborating,
-        shared.sessions.read().unwrap_or_else(PoisonError::into_inner).len(),
-        shared.runs.read().unwrap_or_else(PoisonError::into_inner).len(),
-        draining,
-        shared.obs.torn_lines(),
-        shared.obs.shard_torn_json()
-    )
+    json::object(|o| {
+        o.raw("ok", true).str("version", env!("CARGO_PKG_VERSION"));
+        o.raw("uptime_s", format_args!("{:.3}", shared.obs.uptime_s()));
+        o.raw("ready", !draining && elaborating == 0).raw("elaborating", elaborating);
+        o.raw("sessions", shared.sessions.read().unwrap_or_else(PoisonError::into_inner).len());
+        o.raw("runs", shared.runs.read().unwrap_or_else(PoisonError::into_inner).len());
+        o.raw("draining", draining).raw("torn_ledger_lines", shared.obs.torn_lines());
+        o.obj("shard_torn_journal_lines", |o| shared.obs.write_shard_torn(o));
+    })
 }
 
 fn lookup_session(shared: &Shared, sid: &str) -> Result<Arc<Session>, ApiError> {
@@ -670,15 +698,16 @@ fn create_session(shared: &Arc<Shared>, body: &str, corr: &str) -> Result<String
     let session = Arc::new(built?);
     // The session's info object plus `corr`, tying the answered resource
     // back to the request that created it.
-    let mut info = String::from("{");
-    session.write_info_members(&mut info);
-    info.push_str(&format!(",\"corr\":{}}}", str_lit(corr)));
+    let info = json::object(|o| {
+        session.write_info_members(o);
+        o.str("corr", corr);
+    });
     shared.sessions.write().unwrap_or_else(PoisonError::into_inner).insert(id, session);
     Ok(info)
 }
 
 fn submit_run(shared: &Arc<Shared>, sid: &str, body: &str, corr: &str) -> Result<String, ApiError> {
-    let overlay = RunOverlay::from_json(body)?;
+    let (overlay, _) = RunOverlay::from_json(body, false)?;
     let session = lookup_session(shared, sid)?;
     if shared.shutting_down.load(Ordering::Acquire) {
         return Err(ApiError::Busy("daemon is draining".into()));
@@ -699,28 +728,7 @@ fn submit_run(shared: &Arc<Shared>, sid: &str, body: &str, corr: &str) -> Result
 /// sign-off artifact is the spliced document, byte-identical to a
 /// from-scratch sweep of the edited chip.
 fn submit_eco(shared: &Arc<Shared>, sid: &str, body: &str, corr: &str) -> Result<String, ApiError> {
-    let doc = parse(body).map_err(|e| ApiError::BadRequest(format!("eco body: {e}")))?;
-    let obj = doc
-        .as_obj()
-        .ok_or_else(|| ApiError::BadRequest("eco body must be a JSON object".into()))?;
-    let mut overlay = RunOverlay::default();
-    let mut text: Option<String> = None;
-    for (key, value) in obj {
-        if key == "text" {
-            text = Some(
-                value
-                    .as_str()
-                    .ok_or_else(|| ApiError::BadRequest("text must be a string".into()))?
-                    .to_owned(),
-            );
-        } else if !overlay.apply(key, value)? {
-            return Err(ApiError::BadRequest(format!("unknown eco option {key:?}")));
-        }
-    }
-    let text = text.ok_or_else(|| {
-        ApiError::BadRequest("eco needs \"text\": the full edited SPEF document".into())
-    })?;
-    overlay.validate()?;
+    let (overlay, text) = RunOverlay::from_json(body, true)?;
     if overlay.shards.is_some_and(|s| s >= 2) {
         // An ECO splice reads the warm session cache in-process; fanning
         // it out would recompute the clean set and defeat the splice.
@@ -809,21 +817,15 @@ fn verdicts(shared: &Shared, rid: &str, net: Option<&str>) -> Result<String, Api
         }
         None => run.snapshot.all(),
     };
-    let mut out = format!(
-        "{{\"run\":{},\"state\":{},\"completed\":{},\"total\":{},\"verdicts\":[",
-        str_lit(rid),
-        str_lit(run.state().name()),
-        run.snapshot.len(),
-        run.total
-    );
-    for (i, v) in listed.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        v.write_json(&mut out);
-    }
-    out.push_str("]}");
-    Ok(out)
+    Ok(json::object(|o| {
+        o.str("run", rid).str("state", run.state().name());
+        o.raw("completed", run.snapshot.len()).raw("total", run.total);
+        o.arr("verdicts", |a| {
+            for v in &listed {
+                a.obj(|o| v.write_members(o));
+            }
+        });
+    }))
 }
 
 fn signoff(shared: &Shared, rid: &str) -> Result<String, ApiError> {
@@ -875,48 +877,46 @@ fn signoff_from_ledger(shared: &Shared, rid: &str) -> Result<String, ApiError> {
         .map_err(|e| ApiError::Internal(format!("artifact {path} unreadable: {e}")))
 }
 
-fn stream_events(stream: &mut TcpStream, shared: &Shared, rid: &str, corr: &str) -> u16 {
+/// Stream a run's events, then its trailer; `record` counts the request
+/// once, with its status.
+fn stream_events(
+    stream: &mut TcpStream,
+    shared: &Shared,
+    rid: &str,
+    corr: &str,
+    record: impl FnOnce(u16),
+) {
     let run = match lookup_run(shared, rid) {
         Ok(run) => run,
         Err(err) => {
             let (status, reason, _) = err.status();
             let _ = http::respond_json(stream, status, reason, &err.to_json());
-            return status;
+            return record(status);
         }
     };
     let mut cursor = run.hub.subscribe();
     let Ok(mut writer) = ChunkedWriter::begin(stream, "application/jsonl") else {
-        return 200;
+        return record(200);
     };
     loop {
         match cursor.poll() {
             Ok(event) => {
                 if writer.line(&event.to_json()).is_err() {
-                    return 200; // client hung up
+                    return record(200); // client hung up
                 }
             }
             Err(CursorState::Open) => std::thread::sleep(Duration::from_millis(5)),
             Err(CursorState::Closed) => break,
         }
     }
-    // The stream trailer: how much this subscriber got and how much the
-    // bounded archive shed — dropped events are counted, never silent.
-    // It carries two correlation IDs: the run's (who submitted it) and
-    // this subscriber's own request.
-    let trailer = format!(
-        "{{\"kind\":\"stream_trailer\",\"run\":{},\"state\":{},\"delivered\":{},\
-         \"dropped\":{},\"run_corr\":{},\"corr\":{}}}",
-        str_lit(rid),
-        str_lit(run.state().name()),
-        cursor.delivered(),
-        cursor.dropped(),
-        str_lit(&run.corr),
-        str_lit(corr)
-    );
+    // Dropped events are counted in the trailer, never silent.
+    let trailer = run.trailer_json(cursor.delivered(), cursor.dropped(), corr);
+    // Counted before the trailer goes out, so a client that has read the
+    // end of the stream finds it in /metrics.
+    record(200);
     if writer.line(&trailer).is_ok() {
         let _ = writer.finish();
     }
-    200
 }
 
 fn executor_loop(shared: Arc<Shared>) {
@@ -1107,27 +1107,81 @@ fn absorb_run_observations(
 /// fsync'd.
 fn ledger_append(shared: &Shared, run: &RunHandle, outcome: &str, artifact: Option<PathBuf>) {
     let ledger = shared.cfg.data_dir.join("runs.jsonl");
-    let mut line = format!(
-        "{{\"run\":{},\"session\":{},\"corr\":{},\"outcome\":{},\"victims\":{}",
-        str_lit(&run.id),
-        str_lit(&run.session),
-        str_lit(&run.corr),
-        str_lit(outcome),
-        run.total
-    );
-    if let Some(path) = artifact {
-        line.push_str(&format!(",\"artifact\":{}", str_lit(&path.display().to_string())));
-    }
-    if let Some(eco) = &run.eco {
-        line.push_str(&format!(",\"eco\":{}", eco.plan));
-    }
-    line.push_str("}\n");
+    let line = run.ledger_line(outcome, artifact.as_deref()) + "\n";
     let _ = Fs::real().append_durable(&ledger, line.as_bytes());
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A run `r7` of session `s1` over 6 victims, with an ECO plan when
+    /// `plan` is given.
+    fn handle(plan: Option<&str>) -> RunHandle {
+        let chip = ResidentChip::fixed_resistance(pcv_netlist::ParasiticDb::new(), 1e3, vec![]);
+        RunHandle {
+            id: "r7".into(),
+            session: "s1".into(),
+            corr: "c\"3\"".into(),
+            state: Mutex::new(RunState::Queued),
+            hub: Arc::new(EventHub::new(4)),
+            snapshot: Arc::new(VerdictSnapshot::new()),
+            total: 6,
+            overlay: RunOverlay::default(),
+            eco: plan.map(|plan| EcoJob { new: Arc::new(chip), plan: plan.into() }),
+            signoff: Mutex::new(None),
+        }
+    }
+
+    #[test]
+    fn queued_trailer_and_runs_ledger_lines_are_pinned() {
+        let plain = handle(None);
+        let eco = handle(Some("{\"edits\":1,\"splice_fraction\":0.5}"));
+        eco.set_state(RunState::Complete);
+        let artifact = Path::new("/data/r7 \"x\".signoff.json");
+        let lines = [
+            plain.queued_json(),
+            eco.queued_json(),
+            plain.trailer_json(12, 0, "c9"),
+            eco.trailer_json(3, 40, ""),
+            plain.ledger_line("failed", None),
+            eco.ledger_line("complete", Some(artifact)),
+        ];
+        assert_eq!(
+            lines,
+            [
+                concat!(
+                    "{\"run\":\"r7\",\"session\":\"s1\",\"state\":\"queued\",\"total\":6",
+                    ",\"corr\":\"c\\\"3\\\"\"}",
+                ),
+                concat!(
+                    "{\"run\":\"r7\",\"session\":\"s1\",\"state\":\"queued\",\"total\":6",
+                    ",\"corr\":\"c\\\"3\\\"\",\"eco\":{\"edits\":1",
+                    ",\"splice_fraction\":0.5}}",
+                ),
+                concat!(
+                    "{\"kind\":\"stream_trailer\",\"run\":\"r7\",\"state\":\"queued\"",
+                    ",\"delivered\":12,\"dropped\":0,\"run_corr\":\"c\\\"3\\\"\"",
+                    ",\"corr\":\"c9\"}",
+                ),
+                concat!(
+                    "{\"kind\":\"stream_trailer\",\"run\":\"r7\",\"state\":\"complete\"",
+                    ",\"delivered\":3,\"dropped\":40,\"run_corr\":\"c\\\"3\\\"\"",
+                    ",\"corr\":\"\"}",
+                ),
+                concat!(
+                    "{\"run\":\"r7\",\"session\":\"s1\",\"corr\":\"c\\\"3\\\"\"",
+                    ",\"outcome\":\"failed\",\"victims\":6}",
+                ),
+                concat!(
+                    "{\"run\":\"r7\",\"session\":\"s1\",\"corr\":\"c\\\"3\\\"\"",
+                    ",\"outcome\":\"complete\",\"victims\":6",
+                    ",\"artifact\":\"/data/r7 \\\"x\\\".signoff.json\",\"eco\":{\"edits\":1",
+                    ",\"splice_fraction\":0.5}}",
+                ),
+            ]
+        );
+    }
 
     #[test]
     fn an_option_the_run_would_drop_is_a_400_naming_it() {
@@ -1146,7 +1200,7 @@ mod tests {
             ("{\"shards\":1,\"deadline_ms\":500}", "deadline_ms"),
             ("{\"shard_restarts\":1}", "shard_restarts"),
         ] {
-            match RunOverlay::from_json(body) {
+            match RunOverlay::from_json(body, false) {
                 Err(ApiError::BadRequest(m)) => assert!(m.starts_with(key), "{body}: {m}"),
                 other => panic!("{body}: expected a 400 naming {key}, got {other:?}"),
             }
@@ -1154,9 +1208,39 @@ mod tests {
     }
 
     #[test]
+    fn run_and_eco_bodies_keep_their_error_texts() {
+        let bad = |body: &str, eco: bool| match RunOverlay::from_json(body, eco) {
+            Err(ApiError::BadRequest(m)) => m,
+            other => panic!("{body}: expected a 400, got {other:?}"),
+        };
+        for (body, eco, want) in [
+            ("[1]", false, "run overlay must be a JSON object"),
+            ("{\"text\":\"x\"}", false, "unknown run option \"text\""),
+            ("", true, "eco body: json parse error at byte 0: expected a value"),
+            ("7", true, "eco body must be a JSON object"),
+            ("{\"text\":7}", true, "text must be a string"),
+            ("{\"text\":\"x\",\"nope\":1}", true, "unknown eco option \"nope\""),
+            (
+                "{\"shards\":2,\"trace\":true}",
+                true,
+                "eco needs \"text\": the full edited SPEF document",
+            ),
+            ("{\"text\":\"x\",\"drill_seed\":3}", true, "drill_seed requires \"drill_slow_frac\""),
+        ] {
+            assert_eq!(bad(body, eco), want, "{body}");
+        }
+        assert!(bad("{", false).starts_with("run overlay: json parse error"));
+        let (overlay, text) =
+            RunOverlay::from_json("{\"text\":\"*SPEF\",\"workers\":2}", true).unwrap();
+        assert_eq!((overlay.workers, text.as_str()), (Some(2), "*SPEF"));
+    }
+
+    #[test]
     fn the_forms_callers_send_are_accepted() {
         let overlay = |body: &str| {
-            RunOverlay::from_json(body).unwrap_or_else(|e| panic!("{body}: rejected: {e:?}"))
+            RunOverlay::from_json(body, false)
+                .unwrap_or_else(|e| panic!("{body}: rejected: {e:?}"))
+                .0
         };
         assert!(overlay("").shards.is_none());
         assert!(overlay("{\"trace\":true}").trace);

@@ -20,7 +20,7 @@ use pcv_designs::dsp::DspConfig;
 use pcv_engine::ResidentChip;
 use pcv_netlist::spef::parse_spef;
 use pcv_netlist::PNetId;
-use pcv_obs::json::{parse, Value};
+use pcv_obs::json::{self, parse, Obj, Value};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
@@ -133,44 +133,32 @@ impl DesignSpec {
     /// Serialize back to the `POST /sessions` wire shape. Round-trips
     /// through [`DesignSpec::from_json`].
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        self.write_members(&mut out);
-        out.push('}');
-        out
+        json::object(|o| self.write_members(o))
     }
 
-    /// Append `"design":{…}` — the member a spec contributes to the object
-    /// that carries it (the caller owns the braces and any members of its
-    /// own): the `POST /sessions` body, and the config line the shard
-    /// coordinator hands each worker process so it elaborates the
-    /// *identical* chip (same net ids, same fingerprints) the daemon holds.
-    pub(crate) fn write_members(&self, out: &mut String) {
-        use pcv_trace::json::{f64_lit, str_lit};
-        match self {
-            DesignSpec::Dsp { config } => out.push_str(&format!(
-                "\"design\":{{\"kind\":\"dsp\",\"buses\":{},\"bits\":{},\"random\":{},\"cycle\":{},\"seed\":{}}}",
-                config.n_buses,
-                config.bus_bits,
-                config.n_random_nets,
-                f64_lit(config.cycle),
-                config.seed
-            )),
-            DesignSpec::Spef { text, drive_ohms, victims } => {
-                let victims = match victims {
-                    VictimSel::All => "\"all\"".to_owned(),
-                    VictimSel::Named(names) => {
-                        let items: Vec<String> = names.iter().map(|n| str_lit(n)).collect();
-                        format!("[{}]", items.join(","))
-                    }
-                };
-                out.push_str(&format!(
-                    "\"design\":{{\"kind\":\"spef\",\"text\":{},\"drive_ohms\":{},\"victims\":{}}}",
-                    str_lit(text),
-                    f64_lit(*drive_ohms),
-                    victims
-                ));
+    /// Write `"design":{…}` into an open JSON object: the `POST /sessions`
+    /// body, and the config line the shard coordinator hands each worker
+    /// process so it elaborates the *identical* chip (same net ids, same
+    /// fingerprints) the daemon holds.
+    pub(crate) fn write_members(&self, o: &mut Obj<'_>) {
+        o.obj("design", |o| match self {
+            DesignSpec::Dsp { config } => {
+                o.str("kind", "dsp").raw("buses", config.n_buses).raw("bits", config.bus_bits);
+                o.raw("random", config.n_random_nets).f64("cycle", config.cycle);
+                o.raw("seed", config.seed);
             }
-        }
+            DesignSpec::Spef { text, drive_ohms, victims } => {
+                o.str("kind", "spef").str("text", text).f64("drive_ohms", *drive_ohms);
+                match victims {
+                    VictimSel::All => o.str("victims", "all"),
+                    VictimSel::Named(names) => o.arr("victims", |a| {
+                        for n in names {
+                            a.str(n);
+                        }
+                    }),
+                };
+            }
+        });
     }
 }
 
@@ -360,24 +348,15 @@ impl Session {
 
     /// The `{"session":...}` info object served for this session.
     pub fn info_json(&self) -> String {
-        let mut out = String::from("{");
-        self.write_info_members(&mut out);
-        out.push('}');
-        out
+        json::object(|o| self.write_info_members(o))
     }
 
-    /// Append the members of [`Session::info_json`]; the caller owns the
-    /// braces and any members of its own (`POST /sessions` adds `corr`).
-    pub(crate) fn write_info_members(&self, out: &mut String) {
-        use pcv_trace::json::str_lit;
+    /// Write [`Session::info_json`]'s members into an open JSON object
+    /// (`POST /sessions` adds `corr`).
+    pub(crate) fn write_info_members(&self, o: &mut Obj<'_>) {
         let chip = self.chip();
-        out.push_str(&format!(
-            "\"session\":{},\"state\":{},\"nets\":{},\"victims\":{}",
-            str_lit(&self.id),
-            str_lit(self.state().name()),
-            chip.num_nets(),
-            chip.victims().len()
-        ));
+        o.str("session", &self.id).str("state", self.state().name());
+        o.raw("nets", chip.num_nets()).raw("victims", chip.victims().len());
     }
 }
 

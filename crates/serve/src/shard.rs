@@ -464,29 +464,23 @@ impl Coordinator {
         cache: &Path,
         drills: &[ShardFault],
     ) -> String {
-        use pcv_trace::json::str_lit;
-        let mut line = String::from("{");
-        self.spec.write_members(&mut line);
-        line.push_str(&format!(
-            ",\"shards\":{},\"shard\":{},\"cache\":{},\"workers\":{}",
-            self.cfg.shards,
-            shard,
-            str_lit(&cache.display().to_string()),
-            self.cfg.workers_per_shard
-        ));
-        self.cfg.thresholds.write_members(&mut line);
-        for drill in drills {
-            match drill {
-                ShardFault::PanicAfter(n) => line.push_str(&format!(",\"panic_after\":{n}")),
-                ShardFault::StallAfter(n) => line.push_str(&format!(",\"stall_after\":{n}")),
-                ShardFault::SigkillAtFrac(frac) => {
-                    line.push_str(&format!(",\"hold_after\":{}", kill_point(*frac, slice_len)))
-                }
-                _ => {}
+        pcv_trace::json::object(|o| {
+            self.spec.write_members(o);
+            o.raw("shards", self.cfg.shards).raw("shard", shard);
+            o.str("cache", &cache.display().to_string());
+            o.raw("workers", self.cfg.workers_per_shard);
+            self.cfg.thresholds.write_members(o);
+            for drill in drills {
+                match drill {
+                    ShardFault::PanicAfter(n) => o.raw("panic_after", n),
+                    ShardFault::StallAfter(n) => o.raw("stall_after", n),
+                    ShardFault::SigkillAtFrac(frac) => {
+                        o.raw("hold_after", kill_point(*frac, slice_len))
+                    }
+                    ShardFault::TornJournal | ShardFault::DuplicateEntry => o,
+                };
             }
-        }
-        line.push('}');
-        line
+        })
     }
 
     /// Run the sharded sign-off: fan out, supervise, merge, prove.
@@ -578,6 +572,92 @@ impl Coordinator {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn worker_config_lines_are_pinned() {
+        let mut db = pcv_netlist::ParasiticDb::new();
+        let mut net = pcv_netlist::NetParasitics::new("v0");
+        let far = net.add_node();
+        net.add_resistor(0, far, 150.0);
+        net.add_ground_cap(far, 8e-15);
+        net.mark_load(far);
+        db.add_net(net);
+        let spec = DesignSpec::Spef {
+            text: pcv_netlist::spef::write_spef(&db),
+            drive_ohms: 1000.0,
+            victims: crate::VictimSel::Named(vec!["v0".into()]),
+        };
+        let chip = Arc::new(crate::session::elaborate(&spec).unwrap());
+        let mut cfg = CoordinatorConfig::new(3, "/bin/true".into(), "/tmp/s.cache".into());
+        cfg.workers_per_shard = 2;
+        let plain = Coordinator::new(spec.clone(), Arc::clone(&chip), cfg.clone());
+        cfg.thresholds = Thresholds {
+            warn_frac: Some(0.1),
+            fail_frac: Some(0.30000000000000004),
+            check_receivers: Some(false),
+        };
+        let drilled = Coordinator::new(spec, chip, cfg);
+        let cache = Path::new("/tmp/s \"1\"\\.cache.shard1");
+        let lines = [
+            plain.worker_config_line(0, 5, cache, &[]),
+            drilled.worker_config_line(1, 5, cache, &[ShardFault::PanicAfter(2)]),
+            drilled.worker_config_line(1, 5, cache, &[ShardFault::StallAfter(0)]),
+            drilled.worker_config_line(2, 5, cache, &[ShardFault::SigkillAtFrac(0.5)]),
+            drilled.worker_config_line(
+                2,
+                7,
+                cache,
+                &[
+                    ShardFault::TornJournal,
+                    ShardFault::SigkillAtFrac(0.25),
+                    ShardFault::DuplicateEntry,
+                ],
+            ),
+        ];
+        assert_eq!(
+            lines,
+            [
+                concat!(
+                    "{\"design\":{\"kind\":\"spef\",\"text\":\"*SPEF pcv-lite 1.0\\n",
+                    "*NET v0 2\\n*LOAD 1\\n*R 0 1 1.5e2\\n*GC 1 8e-15\\n*END\\n\"",
+                    ",\"drive_ohms\":1000.0,\"victims\":[\"v0\"]},\"shards\":3,\"shard\":0",
+                    ",\"cache\":\"/tmp/s \\\"1\\\"\\\\.cache.shard1\",\"workers\":2}",
+                ),
+                concat!(
+                    "{\"design\":{\"kind\":\"spef\",\"text\":\"*SPEF pcv-lite 1.0\\n",
+                    "*NET v0 2\\n*LOAD 1\\n*R 0 1 1.5e2\\n*GC 1 8e-15\\n*END\\n\"",
+                    ",\"drive_ohms\":1000.0,\"victims\":[\"v0\"]},\"shards\":3,\"shard\":1",
+                    ",\"cache\":\"/tmp/s \\\"1\\\"\\\\.cache.shard1\",\"workers\":2",
+                    ",\"warn_frac\":0.1,\"fail_frac\":0.30000000000000004",
+                    ",\"check_receivers\":false,\"panic_after\":2}",
+                ),
+                concat!(
+                    "{\"design\":{\"kind\":\"spef\",\"text\":\"*SPEF pcv-lite 1.0\\n",
+                    "*NET v0 2\\n*LOAD 1\\n*R 0 1 1.5e2\\n*GC 1 8e-15\\n*END\\n\"",
+                    ",\"drive_ohms\":1000.0,\"victims\":[\"v0\"]},\"shards\":3,\"shard\":1",
+                    ",\"cache\":\"/tmp/s \\\"1\\\"\\\\.cache.shard1\",\"workers\":2",
+                    ",\"warn_frac\":0.1,\"fail_frac\":0.30000000000000004",
+                    ",\"check_receivers\":false,\"stall_after\":0}",
+                ),
+                concat!(
+                    "{\"design\":{\"kind\":\"spef\",\"text\":\"*SPEF pcv-lite 1.0\\n",
+                    "*NET v0 2\\n*LOAD 1\\n*R 0 1 1.5e2\\n*GC 1 8e-15\\n*END\\n\"",
+                    ",\"drive_ohms\":1000.0,\"victims\":[\"v0\"]},\"shards\":3,\"shard\":2",
+                    ",\"cache\":\"/tmp/s \\\"1\\\"\\\\.cache.shard1\",\"workers\":2",
+                    ",\"warn_frac\":0.1,\"fail_frac\":0.30000000000000004",
+                    ",\"check_receivers\":false,\"hold_after\":3}",
+                ),
+                concat!(
+                    "{\"design\":{\"kind\":\"spef\",\"text\":\"*SPEF pcv-lite 1.0\\n",
+                    "*NET v0 2\\n*LOAD 1\\n*R 0 1 1.5e2\\n*GC 1 8e-15\\n*END\\n\"",
+                    ",\"drive_ohms\":1000.0,\"victims\":[\"v0\"]},\"shards\":3,\"shard\":2",
+                    ",\"cache\":\"/tmp/s \\\"1\\\"\\\\.cache.shard1\",\"workers\":2",
+                    ",\"warn_frac\":0.1,\"fail_frac\":0.30000000000000004",
+                    ",\"check_receivers\":false,\"hold_after\":2}",
+                ),
+            ]
+        );
+    }
 
     #[test]
     fn backoff_is_bounded() {

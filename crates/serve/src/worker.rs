@@ -43,7 +43,7 @@ use pcv_engine::durable::Journal;
 use pcv_engine::fs::Fs;
 use pcv_engine::shard::partition;
 use pcv_engine::{Engine, RunRequest, VerdictSnapshot};
-use pcv_obs::json::Value;
+use pcv_obs::json::{self, Value};
 use pcv_obs::{EngineEvent, EventSink};
 use pcv_xtalk::NetVerdict;
 use std::io::{BufRead, Write};
@@ -54,10 +54,34 @@ use std::time::Duration;
 
 /// One line of the worker→coordinator verdict stream.
 fn wire_line(v: &NetVerdict) -> String {
-    let mut line = String::from("{");
-    v.write_members(&mut line);
-    line.push_str(",\"kind\":\"verdict\"}");
-    line
+    json::object(|o| {
+        v.write_members(o);
+        o.str("kind", "verdict");
+    })
+}
+
+/// The first line a worker says: its shard, slice size and the torn
+/// journal lines its replay skipped.
+fn hello_line(shard: usize, victims: usize, torn: usize) -> String {
+    json::object(|o| {
+        o.str("kind", "hello").raw("shard", shard).raw("victims", victims);
+        o.raw("torn_journal_lines", torn);
+    })
+}
+
+/// An idle worker's liveness line: verdicts emitted so far.
+fn beat_line(done: usize) -> String {
+    json::object(|o| {
+        o.str("kind", "beat").raw("done", done);
+    })
+}
+
+/// The last line of a worker that finished its slice.
+fn done_line(outcome: &str, peak_alloc_bytes: u64, torn: usize) -> String {
+    json::object(|o| {
+        o.str("kind", "done").str("outcome", outcome).raw("peak_alloc_bytes", peak_alloc_bytes);
+        o.raw("torn_journal_lines", torn);
+    })
 }
 
 fn emit(line: &str) {
@@ -162,12 +186,7 @@ fn worker_main(line: &str) -> Result<i32, String> {
     let chip = elaborate(&cfg.spec).map_err(|e| format!("elaborate: {e:?}"))?;
     let slice = partition(&chip, chip.victims(), cfg.shards).swap_remove(cfg.shard);
     let torn = Journal::load(&Fs::real(), &Journal::path_for(&cfg.cache)).skipped;
-    emit(&format!(
-        "{{\"kind\":\"hello\",\"shard\":{},\"victims\":{},\"torn_journal_lines\":{}}}",
-        cfg.shard,
-        slice.len(),
-        torn
-    ));
+    emit(&hello_line(cfg.shard, slice.len(), torn));
 
     let snapshot = Arc::new(VerdictSnapshot::new());
     let finished = Arc::new(AtomicBool::new(false));
@@ -211,10 +230,7 @@ fn worker_main(line: &str) -> Result<i32, String> {
 
     let report = result.map_err(|e| format!("verify: {e}"))?;
     let outcome = if report.interrupted { "interrupted" } else { "complete" };
-    emit(&format!(
-        "{{\"kind\":\"done\",\"outcome\":\"{}\",\"peak_alloc_bytes\":{},\"torn_journal_lines\":{}}}",
-        outcome, report.stats.peak_alloc_bytes, torn
-    ));
+    emit(&done_line(outcome, report.stats.peak_alloc_bytes, torn));
     Ok(0)
 }
 
@@ -274,7 +290,7 @@ fn spawn_poller(
             } else {
                 idle_ticks += 1;
                 if idle_ticks >= 5 {
-                    emit(&format!("{{\"kind\":\"beat\",\"done\":{emitted}}}"));
+                    emit(&beat_line(emitted));
                     idle_ticks = 0;
                 }
             }
@@ -290,6 +306,33 @@ mod tests {
     use pcv_netlist::PNetId;
     use pcv_obs::json::parse;
     use pcv_xtalk::{ReceiverVerdict, Severity};
+
+    #[test]
+    fn hello_beat_and_done_lines_are_pinned() {
+        let lines = [
+            hello_line(1, 42, 0),
+            hello_line(0, 0, 3),
+            beat_line(17),
+            done_line("complete", 1 << 30, 2),
+            done_line("interrupted", 0, 0),
+        ];
+        assert_eq!(
+            lines,
+            [
+                "{\"kind\":\"hello\",\"shard\":1,\"victims\":42,\"torn_journal_lines\":0}",
+                "{\"kind\":\"hello\",\"shard\":0,\"victims\":0,\"torn_journal_lines\":3}",
+                "{\"kind\":\"beat\",\"done\":17}",
+                concat!(
+                    "{\"kind\":\"done\",\"outcome\":\"complete\"",
+                    ",\"peak_alloc_bytes\":1073741824,\"torn_journal_lines\":2}",
+                ),
+                concat!(
+                    "{\"kind\":\"done\",\"outcome\":\"interrupted\",\"peak_alloc_bytes\":0",
+                    ",\"torn_journal_lines\":0}",
+                ),
+            ]
+        );
+    }
 
     fn sample() -> NetVerdict {
         NetVerdict {

@@ -3,85 +3,63 @@
 
 use crate::json;
 use crate::trace::Trace;
-
-/// Microseconds (Chrome's native unit) from nanoseconds, with sub-µs
-/// resolution preserved.
-fn us(ns: u64) -> String {
-    format!("{:.3}", ns as f64 / 1e3)
-}
+use std::collections::BTreeSet;
 
 impl Trace {
     /// Render the trace in Chrome `trace_event` JSON object format:
     /// complete (`"ph":"X"`) events for spans, one counter (`"ph":"C"`)
     /// sample per counter, and thread-name metadata. Load the result in
-    /// `chrome://tracing` or Perfetto.
+    /// `chrome://tracing` or Perfetto. Times are microseconds (Chrome's
+    /// native unit) to the nanosecond.
     pub fn to_chrome_trace(&self) -> String {
+        let us = |ns: u64| ns as f64 / 1e3;
         let mut out = String::with_capacity(128 * (self.spans.len() + 16));
-        out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-        let mut first = true;
-        let mut push = |out: &mut String, ev: String| {
-            if !std::mem::take(&mut first) {
-                out.push(',');
-            }
-            out.push_str(&ev);
-        };
-        let threads: std::collections::BTreeSet<u32> = self.spans.iter().map(|s| s.tid).collect();
-        for tid in threads {
-            push(
-                &mut out,
-                format!(
-                    "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\
-                     \"args\":{{\"name\":\"worker-{tid}\"}}}}"
-                ),
-            );
-        }
-        for s in &self.spans {
-            let mut fields = Vec::new();
-            if let Some(label) = &s.label {
-                fields.push(format!("\"label\":{}", json::str_lit(label)));
-            }
-            if s.alloc_bytes > 0 || s.alloc_count > 0 {
-                fields.push(format!("\"alloc_bytes\":{}", s.alloc_bytes));
-                fields.push(format!("\"allocs\":{}", s.alloc_count));
-            }
-            let args = if fields.is_empty() {
-                String::new()
-            } else {
-                format!(",\"args\":{{{}}}", fields.join(","))
-            };
-            push(
-                &mut out,
-                format!(
-                    "{{\"name\":{},\"cat\":{},\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-                     \"pid\":1,\"tid\":{}{args}}}",
-                    json::str_lit(s.name),
-                    json::str_lit(s.cat),
-                    us(s.start_ns),
-                    us(s.dur_ns),
-                    s.tid
-                ),
-            );
-        }
-        let end = us(self.end_ns());
-        for (name, total) in &self.counters {
-            push(
-                &mut out,
-                format!(
-                    "{{\"name\":{n},\"ph\":\"C\",\"ts\":0,\"pid\":1,\
-                     \"args\":{{\"value\":0}}}}",
-                    n = json::str_lit(name)
-                ),
-            );
-            push(
-                &mut out,
-                format!(
-                    "{{\"name\":{n},\"ph\":\"C\",\"ts\":{end},\"pid\":1,\
-                     \"args\":{{\"value\":{total}}}}}",
-                    n = json::str_lit(name)
-                ),
-            );
-        }
-        out.push_str("]}");
+        json::write_object(&mut out, |o| {
+            o.str("displayTimeUnit", "ms");
+            o.arr("traceEvents", |events| {
+                let threads: BTreeSet<u32> = self.spans.iter().map(|s| s.tid).collect();
+                for tid in threads {
+                    events.obj(|e| {
+                        e.str("name", "thread_name").str("ph", "M").raw("pid", 1).raw("tid", tid);
+                        e.obj("args", |a| {
+                            a.str("name", &format!("worker-{tid}"));
+                        });
+                    });
+                }
+                for s in &self.spans {
+                    events.obj(|e| {
+                        e.str("name", s.name).str("cat", s.cat).str("ph", "X");
+                        e.raw("ts", format_args!("{:.3}", us(s.start_ns)));
+                        e.raw("dur", format_args!("{:.3}", us(s.dur_ns)));
+                        e.raw("pid", 1).raw("tid", s.tid);
+                        let allocs = s.alloc_bytes > 0 || s.alloc_count > 0;
+                        if s.label.is_some() || allocs {
+                            e.obj("args", |a| {
+                                if let Some(label) = &s.label {
+                                    a.str("label", label);
+                                }
+                                if allocs {
+                                    a.raw("alloc_bytes", s.alloc_bytes)
+                                        .raw("allocs", s.alloc_count);
+                                }
+                            });
+                        }
+                    });
+                }
+                let end = us(self.end_ns());
+                for (name, total) in &self.counters {
+                    for (ts, value) in [(format_args!("0"), 0), (format_args!("{end:.3}"), *total)]
+                    {
+                        events.obj(|e| {
+                            e.str("name", name).str("ph", "C").raw("ts", ts).raw("pid", 1);
+                            e.obj("args", |a| {
+                                a.raw("value", value);
+                            });
+                        });
+                    }
+                }
+            });
+        });
         out
     }
 }

@@ -1,15 +1,26 @@
-//! The workspace's one JSON module: writing helpers — enough to emit valid
-//! trace and report documents without an external serializer — and a
-//! minimal reader for the documents this workspace writes (ledger records,
+//! The workspace's one JSON module: the writer every document the
+//! workspace emits is spelled by — braces, brackets, commas, quoted keys,
+//! string escapes and number spellings live here and nowhere else — and a
+//! minimal strict reader for the documents it writes (ledger records,
 //! journal payloads, worker lines, benchmark summaries).
+//!
+//! ```
+//! use pcv_trace::json;
+//! let doc = json::object(|o| {
+//!     o.str("kind", "hello").raw("shard", 2).f64("ms", 1.5);
+//!     o.arr("names", |a| {
+//!         a.str("a\"b");
+//!     });
+//! });
+//! assert_eq!(doc, r#"{"kind":"hello","shard":2,"ms":1.5,"names":["a\"b"]}"#);
+//! ```
 
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
 
-/// Append `s` to `out` as a JSON string literal (with quotes). Runs that
+/// Append `s`'s characters to `out`, escaped for a JSON string. Runs that
 /// need no escape are copied whole.
-pub fn write_str(out: &mut String, s: &str) {
-    out.push('"');
+fn escape(out: &mut String, s: &str) {
     let mut run = 0;
     for (i, &b) in s.as_bytes().iter().enumerate() {
         let escape = match b {
@@ -31,6 +42,12 @@ pub fn write_str(out: &mut String, s: &str) {
         run = i + 1;
     }
     out.push_str(&s[run..]);
+}
+
+/// Append `s` to `out` as a JSON string literal (with quotes).
+fn write_str(out: &mut String, s: &str) {
+    out.push('"');
+    escape(out, s);
     out.push('"');
 }
 
@@ -41,10 +58,11 @@ pub fn str_lit(s: &str) -> String {
     out
 }
 
-/// Append a JSON number for a finite `f64`; its exact bit pattern is lost
-/// (golden reports write the bits as a hex string alongside). Non-finite
-/// values are encoded as strings (plain JSON has no NaN/Infinity).
-pub fn write_f64(out: &mut String, v: f64) {
+/// Append a JSON number for a finite `f64`: Rust's shortest round-trip
+/// decimal, with `.0` added to an integral value so it reads back as a
+/// float. Non-finite values are written as strings (plain JSON has no
+/// NaN/Infinity).
+fn write_f64(out: &mut String, v: f64) {
     if v.is_finite() {
         let start = out.len();
         let _ = write!(out, "{v}");
@@ -56,13 +74,131 @@ pub fn write_f64(out: &mut String, v: f64) {
     }
 }
 
-/// [`write_f64`]'s text on its own.
-pub fn f64_lit(v: f64) -> String {
-    // Room for the digits of any measured time or ratio, so a run's ledger
-    // line costs the same allocations whatever its timings read.
-    let mut out = String::with_capacity(24);
-    write_f64(&mut out, v);
+/// A new `String` holding one JSON object, its members written by `f`.
+pub fn object(f: impl FnOnce(&mut Obj<'_>)) -> String {
+    let mut out = String::new();
+    write_object(&mut out, f);
     out
+}
+
+/// Append one JSON object to `out`, its members written by `f`.
+pub fn write_object(out: &mut String, f: impl FnOnce(&mut Obj<'_>)) {
+    out.push('{');
+    f(&mut Obj(Open { out: &mut *out, empty: true }));
+    out.push('}');
+}
+
+/// What an open object and an open array share: the buffer, and whether
+/// the next entry is the first.
+#[derive(Debug)]
+struct Open<'a> {
+    out: &'a mut String,
+    empty: bool,
+}
+
+impl Open<'_> {
+    /// The buffer, after the comma that separates the next entry.
+    fn next(&mut self) -> &mut String {
+        if !std::mem::replace(&mut self.empty, false) {
+            self.out.push(',');
+        }
+        self.out
+    }
+}
+
+/// An open JSON object. Each member call writes the separating comma, the
+/// quoted key and the value; whoever opened the object closes it. Code
+/// that contributes members to an object another caller opened takes
+/// `&mut Obj`.
+#[derive(Debug)]
+pub struct Obj<'a>(Open<'a>);
+
+impl Obj<'_> {
+    /// The separator and `"key":`; the value goes after.
+    fn key(&mut self, key: &str) -> &mut String {
+        let out = self.0.next();
+        write_str(out, key);
+        out.push(':');
+        out
+    }
+
+    /// `"key":"v"`, escaped.
+    pub fn str(&mut self, key: &str, v: &str) -> &mut Self {
+        write_str(self.key(key), v);
+        self
+    }
+
+    /// `"key":v` — the shortest decimal that reads back to the same `f64`,
+    /// `.0` on integral values, a string for NaN and infinities.
+    pub fn f64(&mut self, key: &str, v: f64) -> &mut Self {
+        write_f64(self.key(key), v);
+        self
+    }
+
+    /// `"key":v,"key_bits":"<16 hex digits>"` — the report documents'
+    /// float: readable, and exact in its IEEE-754 bit pattern.
+    pub fn float(&mut self, key: &str, v: f64) -> &mut Self {
+        let out = self.key(key);
+        write_f64(out, v);
+        out.push_str(",\"");
+        escape(out, key);
+        let _ = write!(out, "_bits\":\"{:016x}\"", v.to_bits());
+        self
+    }
+
+    /// `"key":"<16 hex digits>"` — a 64-bit word (a fingerprint, a float's
+    /// bits) as a string, exact where a JSON number is not.
+    pub fn hex(&mut self, key: &str, v: u64) -> &mut Self {
+        let _ = write!(self.key(key), "\"{v:016x}\"");
+        self
+    }
+
+    /// `"key":v` with `v`'s `Display` text written as it is: an integer, a
+    /// bool, a fixed-format number (`format_args!("{:.3}", ms)`), `null`,
+    /// or a document already rendered as JSON.
+    pub fn raw(&mut self, key: &str, v: impl fmt::Display) -> &mut Self {
+        let _ = write!(self.key(key), "{v}");
+        self
+    }
+
+    /// `"key":{…}`, its members written by `f`.
+    pub fn obj(&mut self, key: &str, f: impl FnOnce(&mut Obj<'_>)) -> &mut Self {
+        write_object(self.key(key), f);
+        self
+    }
+
+    /// `"key":[…]`, its elements written by `f`.
+    pub fn arr(&mut self, key: &str, f: impl FnOnce(&mut Arr<'_>)) -> &mut Self {
+        let out = self.key(key);
+        out.push('[');
+        f(&mut Arr(Open { out: &mut *out, empty: true }));
+        out.push(']');
+        self
+    }
+}
+
+/// An open JSON array; see [`Obj`].
+#[derive(Debug)]
+pub struct Arr<'a>(Open<'a>);
+
+impl Arr<'_> {
+    /// A string element, escaped.
+    pub fn str(&mut self, v: &str) -> &mut Self {
+        write_str(self.0.next(), v);
+        self
+    }
+
+    /// A float element, spelled as [`Obj::f64`] spells it.
+    pub fn f64(&mut self, v: f64) -> &mut Self {
+        write_f64(self.0.next(), v);
+        self
+    }
+
+    /// An object element, its members written by `f`.
+    pub fn obj(&mut self, f: impl FnOnce(&mut Obj<'_>)) -> &mut Self {
+        write_object(self.0.next(), f);
+        self
+    }
 }
 
 /// A parsed JSON value.
@@ -383,10 +519,39 @@ mod tests {
 
     #[test]
     fn numbers_stay_numbers() {
-        assert_eq!(f64_lit(0.25), "0.25");
-        assert_eq!(f64_lit(3.0), "3.0");
-        assert_eq!(f64_lit(1e-15), "0.000000000000001");
-        assert_eq!(f64_lit(f64::INFINITY), "\"inf\"");
+        let doc = object(|o| {
+            for (key, v) in [("a", 0.25), ("b", 3.0), ("c", 1e-15), ("d", f64::INFINITY)] {
+                o.f64(key, v);
+            }
+        });
+        assert_eq!(doc, r#"{"a":0.25,"b":3.0,"c":0.000000000000001,"d":"inf"}"#);
+    }
+
+    #[test]
+    fn the_writer_owns_the_punctuation() {
+        let mut out = String::from("x=");
+        write_object(&mut out, |o| {
+            o.str("k\"", "v")
+                .float("p", -0.5)
+                .hex("fp", 0xabc)
+                .raw("n", 7)
+                .raw("ms", format_args!("{:.3}", 1.0 / 3.0));
+            o.obj("empty", |_| {}).arr("none", |_| {});
+            o.arr("items", |a| {
+                a.str("s").f64(2.0).obj(|o| {
+                    o.raw("null", "null");
+                });
+            });
+        });
+        assert_eq!(
+            out,
+            concat!(
+                r#"x={"k\"":"v","p":-0.5,"p_bits":"bfe0000000000000","fp":"0000000000000abc","#,
+                r#""n":7,"ms":0.333,"empty":{},"none":[],"items":["s",2.0,{"null":null}]}"#
+            )
+        );
+        assert!(parse(&out[2..]).is_ok());
+        assert_eq!(object(|_| {}), "{}");
     }
 
     #[test]
@@ -406,8 +571,11 @@ mod tests {
         let lit = str_lit("weird \"name\"\twith\\slashes");
         let v = parse(&lit).unwrap();
         assert_eq!(v.as_str(), Some("weird \"name\"\twith\\slashes"));
-        let v = parse(&f64_lit(0.15)).unwrap();
-        assert_eq!(v.as_f64(), Some(0.15));
+        let v = parse(&object(|o| {
+            o.f64("x", 0.15);
+        }))
+        .unwrap();
+        assert_eq!(v.get("x").and_then(Value::as_f64), Some(0.15));
     }
 
     #[test]

@@ -6,8 +6,8 @@ use crate::error::XtalkError;
 use crate::prune::{prune_victim, Cluster, PruneConfig, PruningStats};
 use crate::receiver::check_receiver_propagation;
 use pcv_netlist::PNetId;
-use pcv_trace::json::{write_f64, write_str, Value};
-use std::fmt::{self, Write as _};
+use pcv_trace::json::{self, Obj, Value};
+use std::fmt;
 
 /// Receiver-side verdict for a flagged victim (see [`audit_receivers`]).
 #[derive(Debug, Clone, PartialEq)]
@@ -35,11 +35,7 @@ pub enum Severity {
 
 impl fmt::Display for Severity {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Severity::Clean => write!(f, "clean"),
-            Severity::Warning => write!(f, "warning"),
-            Severity::Violation => write!(f, "VIOLATION"),
-        }
+        f.write_str(self.name())
     }
 }
 
@@ -65,7 +61,16 @@ impl Severity {
         (worst_frac, severity)
     }
 
-    /// Inverse of the `Display` rendering.
+    /// The stable wire name: `clean`, `warning` or `VIOLATION`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Severity::Clean => "clean",
+            Severity::Warning => "warning",
+            Severity::Violation => "VIOLATION",
+        }
+    }
+
+    /// Inverse of [`Severity::name`].
     fn from_name(name: &str) -> Option<Severity> {
         match name {
             "clean" => Some(Severity::Clean),
@@ -227,56 +232,27 @@ pub fn verify_chip(
     Ok(ChipReport::from_verdicts(verdicts, &clusters, warn_frac, fail_frac))
 }
 
-/// Append `"key":<decimal>,"key_bits":"<hex>"` — every float in the
-/// report documents appears twice, readable and exact.
-fn json_float(out: &mut String, key: &str, v: f64) {
-    let _ = write!(out, "\"{key}\":");
-    write_f64(out, v);
-    let _ = write!(out, ",\"{key}_bits\":\"{:016x}\"", v.to_bits());
-}
-
 impl NetVerdict {
-    /// Append this verdict as a JSON object — the one rendering shared,
-    /// byte for byte, by [`ChipReport::to_json`] (and so every sign-off
-    /// document), the daemon's `GET /runs/{id}/verdicts`, and the shard
-    /// worker's verdict stream. [`NetVerdict::from_json`] reads it back.
-    pub fn write_json(&self, out: &mut String) {
-        out.push('{');
-        self.write_members(out);
-        out.push('}');
-    }
-
-    /// Append the members of [`NetVerdict::write_json`]'s object; the
-    /// caller owns the braces and any members of its own (the shard
-    /// worker's stream adds `"kind":"verdict"`).
-    pub fn write_members(&self, out: &mut String) {
-        let _ = write!(out, "\"net\":{},\"name\":", self.net.0);
-        write_str(out, &self.name);
-        out.push(',');
-        json_float(out, "rise_peak", self.rise_peak);
-        out.push(',');
-        json_float(out, "fall_peak", self.fall_peak);
-        out.push(',');
-        json_float(out, "worst_frac", self.worst_frac);
-        // A severity's name needs no escaping.
-        let _ = write!(
-            out,
-            ",\"severity\":\"{}\",\"cluster_size\":{},\"neighbors_before\":{},\"receiver\":",
-            self.severity, self.cluster_size, self.neighbors_before
-        );
+    /// Write this verdict's members into an open JSON object — the one
+    /// rendering shared, byte for byte, by [`ChipReport::to_json`] (and so
+    /// every sign-off document), the daemon's `GET /runs/{id}/verdicts`,
+    /// and the shard worker's verdict stream (which adds
+    /// `"kind":"verdict"`). [`NetVerdict::from_json`] reads it back.
+    pub fn write_members(&self, o: &mut Obj<'_>) {
+        o.raw("net", self.net.0).str("name", &self.name);
+        o.float("rise_peak", self.rise_peak).float("fall_peak", self.fall_peak);
+        o.float("worst_frac", self.worst_frac).str("severity", self.severity.name());
+        o.raw("cluster_size", self.cluster_size).raw("neighbors_before", self.neighbors_before);
         match &self.receiver {
-            Some(r) => {
-                out.push_str("{\"cell\":");
-                write_str(out, &r.cell);
-                out.push(',');
-                json_float(out, "output_peak", r.output_peak);
-                let _ = write!(out, ",\"propagates\":{}}}", r.propagates);
-            }
-            None => out.push_str("null"),
-        }
+            Some(r) => o.obj("receiver", |o| {
+                o.str("cell", &r.cell).float("output_peak", r.output_peak);
+                o.raw("propagates", r.propagates);
+            }),
+            None => o.raw("receiver", "null"),
+        };
     }
 
-    /// Read a [`NetVerdict::write_json`] object back, bit for bit. The
+    /// Read a [`NetVerdict::write_members`] object back, bit for bit. The
     /// object may come from another process, so the reader is strict: a
     /// float is its 16-digit `_bits` pattern, which must be finite and
     /// agree with the decimal beside it; `net` must be below `nets` (the
@@ -323,35 +299,23 @@ impl ChipReport {
     /// compared byte-for-byte across runs, worker counts, and cache states
     /// — the property the golden-report regression suite locks down.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        self.write_json(&mut out);
-        out
+        json::object(|o| self.write_members(o))
     }
 
-    /// Append [`ChipReport::to_json`]'s document to `out`.
-    pub fn write_json(&self, out: &mut String) {
-        out.push('{');
-        json_float(out, "warn_frac", self.warn_frac);
-        out.push(',');
-        json_float(out, "fail_frac", self.fail_frac);
-        out.push_str(",\"pruning\":{");
-        json_float(out, "mean_before", self.pruning.mean_before);
-        out.push(',');
-        json_float(out, "mean_component", self.pruning.mean_component);
-        out.push(',');
-        json_float(out, "mean_after", self.pruning.mean_after);
-        let _ = write!(
-            out,
-            ",\"max_after\":{},\"active_clusters\":{}}},\"verdicts\":[",
-            self.pruning.max_after, self.pruning.active_clusters
-        );
-        for (i, v) in self.verdicts.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+    /// Write [`ChipReport::to_json`]'s members into an open JSON object.
+    pub fn write_members(&self, o: &mut Obj<'_>) {
+        o.float("warn_frac", self.warn_frac).float("fail_frac", self.fail_frac);
+        o.obj("pruning", |o| {
+            let p = &self.pruning;
+            o.float("mean_before", p.mean_before).float("mean_component", p.mean_component);
+            o.float("mean_after", p.mean_after).raw("max_after", p.max_after);
+            o.raw("active_clusters", p.active_clusters);
+        });
+        o.arr("verdicts", |a| {
+            for v in &self.verdicts {
+                a.obj(|o| v.write_members(o));
             }
-            v.write_json(out);
-        }
-        out.push_str("]}");
+        });
     }
 
     /// Render the audit as CSV (one row per victim, worst first) for

@@ -27,6 +27,7 @@
 //! full queue looks like a slow accept rather than a hard failure.
 
 use pcv_serve::Client;
+use pcv_trace::json;
 use std::io::Write;
 use std::process::exit;
 use std::time::Duration;
@@ -67,13 +68,9 @@ fn expect_ok(what: &str, resp: &pcv_serve::Response) {
     }
 }
 
-/// Extract `"key":"value"` from a flat JSON object without a parser
-/// dependency — the daemon's ids are plain identifiers.
+/// The string member `key` of a JSON object.
 fn json_str_field(body: &str, key: &str) -> Option<String> {
-    let tag = format!("\"{key}\":\"");
-    let start = body.find(&tag)? + tag.len();
-    let end = body[start..].find('"')? + start;
-    Some(body[start..end].to_owned())
+    Some(json::parse(body).ok()?.get(key)?.as_str()?.to_owned())
 }
 
 fn main() {
@@ -89,9 +86,12 @@ fn main() {
             let buses = take_flag(&mut args, "--buses").unwrap_or_else(|| "4".into());
             let bits = take_flag(&mut args, "--bits").unwrap_or_else(|| "16".into());
             let random = take_flag(&mut args, "--random").unwrap_or_else(|| "60".into());
-            let body = format!(
-                "{{\"design\":{{\"kind\":\"dsp\",\"buses\":{buses},\"bits\":{bits},\"random\":{random}}}}}"
-            );
+            let body = json::object(|o| {
+                o.obj("design", |d| {
+                    d.str("kind", "dsp").raw("buses", buses).raw("bits", bits);
+                    d.raw("random", random);
+                });
+            });
             let resp =
                 client.request("POST", "/sessions", &body).unwrap_or_else(|e| fail(&e.to_string()));
             expect_ok("load-dsp", &resp);
@@ -105,10 +105,12 @@ fn main() {
             let drive = take_flag(&mut args, "--drive").unwrap_or_else(|| "1000".into());
             let text = std::fs::read_to_string(&path)
                 .unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
-            let body = format!(
-                "{{\"design\":{{\"kind\":\"spef\",\"drive_ohms\":{drive},\"victims\":\"all\",\"text\":{}}}}}",
-                pcv_trace::json::str_lit(&text)
-            );
+            let body = json::object(|o| {
+                o.obj("design", |d| {
+                    d.str("kind", "spef").raw("drive_ohms", drive).str("victims", "all");
+                    d.str("text", &text);
+                });
+            });
             let resp =
                 client.request("POST", "/sessions", &body).unwrap_or_else(|e| fail(&e.to_string()));
             expect_ok("load-spef", &resp);
@@ -119,26 +121,22 @@ fn main() {
                 fail("run needs a session id");
             }
             let session = args.remove(0);
-            let mut fields = Vec::new();
-            if let Some(w) = take_flag(&mut args, "--workers") {
-                fields.push(format!("\"workers\":{w}"));
-            }
-            if let Some(n) = take_flag(&mut args, "--stop-after") {
-                fields.push(format!("\"stop_after\":{n}"));
-            }
-            if let Some(n) = take_flag(&mut args, "--shards") {
-                fields.push(format!("\"shards\":{n}"));
-            }
-            if let Some(ms) = take_flag(&mut args, "--shard-timeout-ms") {
-                fields.push(format!("\"shard_timeout_ms\":{ms}"));
-            }
-            if let Some(ms) = take_flag(&mut args, "--deadline-ms") {
-                fields.push(format!("\"deadline_ms\":{ms}"));
-            }
-            if take_switch(&mut args, "--resume") {
-                fields.push("\"resume\":true".into());
-            }
-            let body = format!("{{{}}}", fields.join(","));
+            let body = json::object(|o| {
+                for (flag, key) in [
+                    ("--workers", "workers"),
+                    ("--stop-after", "stop_after"),
+                    ("--shards", "shards"),
+                    ("--shard-timeout-ms", "shard_timeout_ms"),
+                    ("--deadline-ms", "deadline_ms"),
+                ] {
+                    if let Some(v) = take_flag(&mut args, flag) {
+                        o.raw(key, v);
+                    }
+                }
+                if take_switch(&mut args, "--resume") {
+                    o.raw("resume", true);
+                }
+            });
             let path = format!("/sessions/{session}/runs");
             let resp = client
                 .request_with_retry("POST", &path, &body, RETRY_ATTEMPTS, RETRY_CAP)
@@ -154,14 +152,15 @@ fn main() {
             let path = args.remove(0);
             let text = std::fs::read_to_string(&path)
                 .unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
-            let mut fields = vec![format!("\"text\":{}", pcv_trace::json::str_lit(&text))];
-            if let Some(w) = take_flag(&mut args, "--workers") {
-                fields.push(format!("\"workers\":{w}"));
-            }
-            if take_switch(&mut args, "--resume") {
-                fields.push("\"resume\":true".into());
-            }
-            let body = format!("{{{}}}", fields.join(","));
+            let body = json::object(|o| {
+                o.str("text", &text);
+                if let Some(w) = take_flag(&mut args, "--workers") {
+                    o.raw("workers", w);
+                }
+                if take_switch(&mut args, "--resume") {
+                    o.raw("resume", true);
+                }
+            });
             let resp = client
                 .request_with_retry(
                     "POST",
@@ -233,9 +232,13 @@ fn main() {
             // The batch dsp_chip_signoff example's configuration, so the
             // served sign-off is byte-comparable against the offline one.
             let out = take_flag(&mut args, "--out");
-            let body = "{\"design\":{\"kind\":\"dsp\",\"buses\":3,\"bits\":12,\"random\":40}}";
+            let body = json::object(|o| {
+                o.obj("design", |d| {
+                    d.str("kind", "dsp").raw("buses", 3).raw("bits", 12).raw("random", 40);
+                });
+            });
             let resp =
-                client.request("POST", "/sessions", body).unwrap_or_else(|e| fail(&e.to_string()));
+                client.request("POST", "/sessions", &body).unwrap_or_else(|e| fail(&e.to_string()));
             expect_ok("smoke: load", &resp);
             let session = json_str_field(&resp.body, "session")
                 .unwrap_or_else(|| fail(&format!("no session id in {}", resp.body)));

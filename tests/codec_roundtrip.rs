@@ -15,7 +15,7 @@
 
 use pcv_engine::{Attempt, Fs, Journal, JournalEntry, RecoveryRung, ResultCache, Trail};
 use pcv_netlist::PNetId;
-use pcv_obs::json::parse;
+use pcv_obs::json::{object, parse};
 use pcv_rng::XorShift128Plus;
 use pcv_xtalk::{NetVerdict, ReceiverVerdict, Severity};
 use std::path::PathBuf;
@@ -194,8 +194,7 @@ fn verdict_json_round_trip_is_bit_exact() {
     let mut rng = XorShift128Plus::new(0x7e4d1c7);
     for _ in 0..512 {
         let v = verdict(&mut rng);
-        let mut text = String::new();
-        v.write_json(&mut text);
+        let text = object(|o| v.write_members(o));
         let doc = parse(&text).unwrap_or_else(|e| panic!("writer emitted bad JSON {text}: {e}"));
         let back = NetVerdict::from_json(&doc, 1000).unwrap_or_else(|| panic!("rejected {text}"));
         assert_eq!(back, v);
@@ -282,8 +281,7 @@ fn a_corrupted_verdict_object_never_changes_a_number() {
     let mut rng = XorShift128Plus::new(0xbad7e4d1c7);
     for _ in 0..24 {
         let v = verdict(&mut rng);
-        let mut text = String::new();
-        v.write_json(&mut text);
+        let text = object(|o| v.write_members(o));
         let bytes = text.as_bytes();
         for i in 0..bytes.len() {
             for mutated in corruptions(bytes, i, &mut rng) {

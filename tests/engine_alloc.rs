@@ -7,7 +7,7 @@
 
 use pcv_engine::{Engine, EngineConfig, ResidentChip};
 use pcv_netlist::{NetNodeRef, NetParasitics, PNetId, ParasiticDb};
-use pcv_obs::{mem, CountingSink, TrackingAlloc};
+use pcv_obs::{mem, CountingSink, RunRecord, TrackingAlloc};
 use std::sync::Arc;
 
 #[global_allocator]
@@ -41,8 +41,17 @@ fn a_sinkless_splice_builds_no_events() {
     // Each run's ledger line carries its timings; were their digits to set
     // the allocation count, the counts below would differ run to run.
     let cost = |v: f64| {
+        let (wall_ms, prune_ms, analysis_ms, receiver_ms, recovery_ms) = (v, v, v, v, v);
+        let record = RunRecord {
+            wall_ms,
+            prune_ms,
+            analysis_ms,
+            receiver_ms,
+            recovery_ms,
+            ..Default::default()
+        };
         let before = mem::thread_totals().1;
-        std::hint::black_box(pcv_trace::json::f64_lit(v));
+        std::hint::black_box(record.to_json());
         mem::thread_totals().1 - before
     };
     assert_eq!([cost(1.5), cost(12.345678901234567), cost(0.0012345678901234567)], [1; 3]);

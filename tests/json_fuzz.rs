@@ -94,9 +94,10 @@ fn documents() -> Vec<(&'static str, String)> {
             propagates: false,
         }),
     };
-    let mut verdict_line = String::from("{");
-    verdict.write_members(&mut verdict_line);
-    verdict_line.push_str(",\"kind\":\"verdict\"}");
+    let verdict_line = pcv_obs::json::object(|o| {
+        verdict.write_members(o);
+        o.str("kind", "verdict");
+    });
 
     let ledger = RunRecord {
         config_fingerprint: 0xdead_beef,
