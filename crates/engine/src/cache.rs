@@ -185,7 +185,7 @@ impl ResultCache {
 fn parse_footer(line: &str) -> Option<(usize, u32)> {
     let mut f = line.strip_prefix(FOOTER_PREFIX)?.split(' ');
     let count = f.next()?.parse().ok()?;
-    let crc = u32::from_str_radix(f.next()?, 16).ok()?;
+    let crc = pcv_trace::parse_hex(f.next()?)?;
     if f.next().is_some() {
         return None;
     }
@@ -196,6 +196,12 @@ fn parse_footer(line: &str) -> Option<(usize, u32)> {
 mod tests {
     use super::*;
     use pcv_xtalk::ReceiverVerdict;
+
+    #[test]
+    fn a_footer_crc_is_hex_digits_only() {
+        assert_eq!(parse_footer("#footer 3 0abcdef1"), Some((3, 0x0abc_def1)));
+        assert_eq!(parse_footer("#footer 3 +abcdef1"), None);
+    }
 
     /// A valid v2 entry line for hand-built store fixtures.
     fn line(body: &str) -> String {

@@ -144,7 +144,7 @@ fn unframe(line: &str) -> Option<&str> {
     // A damaged line may hold multi-byte (lossily replaced) characters
     // anywhere, so the frame is taken apart by checked splits only.
     let (crc_hex, payload) = line.split_at_checked(9)?;
-    let crc = u32::from_str_radix(crc_hex.strip_suffix(' ')?, 16).ok()?;
+    let crc = pcv_trace::parse_hex::<u32>(crc_hex.strip_suffix(' ')?)?;
     (crc32(payload.as_bytes()) == crc).then_some(payload)
 }
 
@@ -224,7 +224,7 @@ impl Journal {
             };
             match v.get("kind").and_then(Value::as_str) {
                 Some("run") if i == 0 => {
-                    let hex = |key: &str| u64::from_str_radix(v.get(key)?.as_str()?, 16).ok();
+                    let hex = |key: &str| pcv_trace::parse_hex::<u64>(v.get(key)?.as_str()?);
                     match (hex("config"), hex("chip")) {
                         (Some(c), Some(ch)) => load.header = Some((c, ch)),
                         _ => load.skipped += 1,
@@ -403,6 +403,18 @@ mod tests {
     use crate::fs::FsFaultKind;
     use crate::recovery::{Attempt, RecoveryRung, Trail};
     use pcv_xtalk::ReceiverVerdict;
+
+    #[test]
+    fn a_frame_crc_is_hex_digits_only() {
+        // A payload whose CRC starts with a zero digit, so a sign fits in
+        // the frame's eight columns.
+        let payload =
+            (0..).map(|i| format!("{{\"i\":{i}}}")).find(|p| crc32(p.as_bytes()) < 1 << 28);
+        let payload = payload.unwrap();
+        let crc = crc32(payload.as_bytes());
+        assert_eq!(unframe(&format!("{crc:08x} {payload}")), Some(payload.as_str()));
+        assert_eq!(unframe(&format!("+{crc:07x} {payload}")), None);
+    }
 
     fn dir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("pcv-durable-{tag}-{}", std::process::id()));

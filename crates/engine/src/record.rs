@@ -50,7 +50,7 @@ pub struct JournalEntry {
 /// NaN/∞ is corruption that slipped past the CRC — rejected rather than
 /// allowed to poison a verdict.
 fn peak_bits(hex: &str) -> Option<u64> {
-    u64::from_str_radix(hex, 16).ok().filter(|&bits| f64::from_bits(bits).is_finite())
+    pcv_trace::parse_hex(hex).filter(|&bits: &u64| f64::from_bits(bits).is_finite())
 }
 
 impl JournalEntry {
@@ -145,12 +145,12 @@ impl JournalEntry {
     pub(crate) fn from_cache_line(line: &str) -> Option<JournalEntry> {
         // The trailing field is the CRC of everything before it.
         let (body, crc_hex) = line.rsplit_once('\t')?;
-        if u32::from_str_radix(crc_hex, 16).ok()? != crc32(body.as_bytes()) {
+        if pcv_trace::parse_hex::<u32>(crc_hex)? != crc32(body.as_bytes()) {
             return None;
         }
         let mut f = body.split('\t');
         let name = f.next().filter(|n| !n.is_empty())?;
-        let fingerprint = u64::from_str_radix(f.next()?, 16).ok()?;
+        let fingerprint = pcv_trace::parse_hex(f.next()?)?;
         let rise_bits = peak_bits(f.next()?)?;
         let fall_bits = peak_bits(f.next()?)?;
         let receiver = match (f.next()?, f.next()?, f.next()?) {
@@ -217,11 +217,24 @@ impl JournalEntry {
         };
         Some(JournalEntry {
             name: v.get("name")?.as_str()?.to_owned(),
-            fingerprint: u64::from_str_radix(v.get("fp")?.as_str()?, 16).ok()?,
+            fingerprint: pcv_trace::parse_hex(v.get("fp")?.as_str()?)?,
             rise_bits: peak_bits(v.get("rise")?.as_str()?)?,
             fall_bits: peak_bits(v.get("fall")?.as_str()?)?,
             receiver,
             degraded,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_stored_peak_is_hex_digits_only() {
+        assert_eq!(peak_bits("3ff0000000000000"), Some(0x3ff0_0000_0000_0000));
+        for hostile in ["+3ff0000000000000", "+0", " 3ff0000000000000", ""] {
+            assert_eq!(peak_bits(hostile), None, "{hostile:?}");
+        }
     }
 }

@@ -61,4 +61,4 @@ pub use cancel::CancelToken;
 pub use error::MorError;
 pub use model::{DiagonalModel, ReducedModel};
 pub use rc::RcCluster;
-pub use sim::{simulate, MorOptions, MorTranResult};
+pub use sim::{simulate, simulate_memo, ModalMemo, MorOptions, MorTranResult};

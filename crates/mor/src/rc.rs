@@ -8,7 +8,7 @@
 //! 1e-4 % level while guaranteeing the Cholesky factorization exists.
 
 use crate::error::MorError;
-use pcv_netlist::{Circuit, Element, NodeId};
+use pcv_netlist::{Circuit, Element, NetParasitics, NodeId};
 use pcv_sparse::dense::{Dense, DenseLu};
 use pcv_sparse::Csc;
 
@@ -88,6 +88,30 @@ impl RcCluster {
     pub fn add_node(&mut self) -> usize {
         self.n += 1;
         self.n - 1
+    }
+
+    /// Append a net's wire RC on nodes of its own: the net's nodes, its
+    /// resistors and its non-zero grounded capacitors, in the net's order,
+    /// node `i` of the net becoming node `offset + i`. Returns `offset`.
+    ///
+    /// Nothing is checked per element: a [`NetParasitics`] holds only
+    /// in-range nodes, positive finite resistances and non-negative finite
+    /// capacitances, and its nodes are the cluster's last.
+    pub fn add_net(&mut self, net: &NetParasitics) -> usize {
+        let offset = self.n;
+        self.n += net.num_nodes();
+        let resistors = net.resistors().iter().map(|&(a, b, ohms)| (offset + a, offset + b, ohms));
+        self.resistors.extend(resistors);
+        let caps = net.ground_caps().iter().filter(|&&(_, farads)| farads > 0.0);
+        self.capacitors.extend(caps.map(|&(a, farads)| (offset + a, GND, farads)));
+        offset
+    }
+
+    /// Reserve room for `resistors` more resistors and `capacitors` more
+    /// capacitors.
+    pub fn reserve(&mut self, resistors: usize, capacitors: usize) {
+        self.resistors.reserve(resistors);
+        self.capacitors.reserve(capacitors);
     }
 
     /// Number of nodes (excluding ground).
@@ -276,23 +300,32 @@ impl RcCluster {
     /// Stamp `diag` on every node, then each two-terminal element with
     /// value `value(x)`, straight into CSC: element `(a, b)` pushes
     /// `(a,a,+)`, `(a,b,−)`, `(b,b,+)`, `(b,a,−)` in that order, minus the
-    /// entries on a grounded row or column.
+    /// entries on a grounded row or column. An element's first node is never
+    /// ground, so a grounded one pushes `(a,a,+)` alone. The pushes per
+    /// column are counted from the node pairs, and the elements are walked
+    /// once, each value computed once.
     fn assemble(
         &self,
         diag: f64,
         elements: &[(usize, usize, f64)],
         value: impl Fn(f64) -> f64,
     ) -> Csc {
-        let value = &value;
-        let stamp = move |&(a, b, x): &(usize, usize, f64)| {
+        let mut counts = vec![1usize; self.n + 1];
+        counts[0] = 0;
+        for &(a, b, _) in elements {
+            if b == GND {
+                counts[a + 1] += 1;
+            } else {
+                counts[a + 1] += 2;
+                counts[b + 1] += 2;
+            }
+        }
+        let stamps = elements.iter().flat_map(|&(a, b, x)| {
             let v = value(x);
-            [(a, a, v), (a, b, -v), (b, b, v), (b, a, -v)]
-        };
-        Csc::from_pushes(self.n, self.n, || {
-            (0..self.n)
-                .map(|i| (i, i, diag))
-                .chain(elements.iter().flat_map(stamp).filter(|&(r, c, _)| r != GND && c != GND))
-        })
+            let pushes = if b == GND { 1 } else { 4 };
+            [(a, a, v), (a, b, -v), (b, b, v), (b, a, -v)].into_iter().take(pushes)
+        });
+        Csc::from_counted_pushes(self.n, counts, (0..self.n).map(|i| (i, i, diag)).chain(stamps))
     }
 
     /// Exact (unreduced) transfer-function matrix

@@ -141,9 +141,35 @@ pub fn simulate(
     tstop: f64,
     opts: &MorOptions,
 ) -> Result<MorTranResult, MorError> {
+    simulate_memo(model, terminations, tstop, opts, &mut ModalMemo::default())
+}
+
+/// What [`simulate_memo`] keeps between calls: the linear solver's modal
+/// decomposition of the last model and devices it ran.
+#[derive(Debug, Clone, Default)]
+pub struct ModalMemo(Option<modal::Basis>);
+
+/// [`simulate`], keeping the modal decomposition in `memo`. With every
+/// device linear, the decomposition (`K`, `M`, their Cholesky and Jacobi
+/// steps, `O`) depends on the model and each device's port, conductance and
+/// capacitance, not on its source: a call on the model and devices of the
+/// decomposition `memo` holds — all of it bit for bit — builds only the
+/// sources' rows, and any other call replaces it. The result has the bits
+/// of [`simulate`]'s.
+///
+/// # Errors
+///
+/// Those of [`simulate`].
+pub fn simulate_memo(
+    model: &DiagonalModel,
+    terminations: &[Option<&dyn Termination>],
+    tstop: f64,
+    opts: &MorOptions,
+    memo: &mut ModalMemo,
+) -> Result<MorTranResult, MorError> {
     let stepper = walk(model, terminations, tstop, opts)?;
     let _span = pcv_trace::span("mor", "rom_eval");
-    match modal::Modes::new(model, terminations) {
+    match modal::Modes::new(model, terminations, &mut memo.0) {
         Some(modes) => modes.simulate(stepper, opts),
         None => newton(model, terminations, stepper, opts),
     }

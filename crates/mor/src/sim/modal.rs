@@ -39,41 +39,36 @@ use pcv_sparse::panel;
 /// an easy step.
 const SOLVES_PER_STEP: usize = 1;
 
-/// A model with linear terminations, decomposed into its modes.
-pub(super) struct Modes<'a> {
+/// The part of a decomposition that no source enters: `σ` and `O`, for one
+/// model under one set of devices — keyed by the bits of the model's `d`
+/// and `η` and of every device's port, conductance and capacitance.
+#[derive(Debug, Clone)]
+pub(super) struct Basis {
+    key: Vec<u64>,
     /// `σ`, clipped at zero.
     sigma: Vec<f64>,
     /// `O`, row-major `q×p`: row `i` holds mode `i`'s weight in every port.
     out: Vec<f64>,
-    /// `rᵢᵀe` over the ports with a constant source, by mode.
-    fixed: Vec<f64>,
-    /// The other sources, and their rows of `r` as a panel
-    /// (`sources.len()×q`, row `s` is `g·O[:, j]` of source `s`'s port).
-    sources: Vec<&'a SourceWave>,
-    drive: Vec<f64>,
-    /// The port count `p`.
-    ports: usize,
 }
 
-impl<'a> Modes<'a> {
-    /// Decompose `model` under `terminations`; `None` when a device is not
-    /// linear, or a decomposition step fails (the Newton kernel then runs).
-    pub(super) fn new(
-        model: &DiagonalModel,
-        terminations: &'a [Option<&'a dyn Termination>],
-    ) -> Option<Self> {
+/// A linear device: its port, `g`, `c` and source `e`.
+type Device<'a> = (usize, f64, f64, &'a SourceWave);
+
+impl Basis {
+    fn key<'k>(
+        model: &'k DiagonalModel,
+        devices: &'k [Device<'_>],
+    ) -> impl Iterator<Item = u64> + 'k {
+        let eta = model.eta();
+        let shape = [model.order() as u64, model.num_ports() as u64];
+        let rows = (0..model.order()).flat_map(move |r| eta.row(r).iter().map(|v| v.to_bits()));
+        let devices = devices.iter().flat_map(|&(j, g, c, _)| [j as u64, g.to_bits(), c.to_bits()]);
+        shape.into_iter().chain(model.d().iter().map(|v| v.to_bits())).chain(rows).chain(devices)
+    }
+
+    /// Decompose `model` under `devices`; `None` when a step fails.
+    fn new(model: &DiagonalModel, devices: &[Device<'_>]) -> Option<Self> {
         let (q, p) = (model.order(), model.num_ports());
-        let mut ports = Vec::new();
-        for (j, t) in terminations.iter().enumerate() {
-            if let Some(t) = *t {
-                let (g, e) = t.linear()?;
-                let c = t.capacitance();
-                if !(g >= 0.0 && g.is_finite() && c >= 0.0 && c.is_finite()) {
-                    return None;
-                }
-                ports.push((j, g, c, e));
-            }
-        }
         let eta = model.eta();
 
         // K and M, then A = L⁻¹ M L⁻ᵀ in M's place: row c of M is column c
@@ -81,7 +76,7 @@ impl<'a> Modes<'a> {
         // solved again, the rows are those of L⁻¹ M L⁻ᵀ.
         let mut k = Dense::identity(q);
         let mut m = Dense::from_diag(model.d());
-        for &(j, g, c, _) in &ports {
+        for &(j, g, c, _) in devices {
             for r in 0..q {
                 let er = eta[(r, j)];
                 for s in 0..q {
@@ -128,11 +123,58 @@ impl<'a> Modes<'a> {
                 out[i * p + j] = sum;
             }
         }
+        Some(Basis { key: Basis::key(model, devices).collect(), sigma, out })
+    }
+}
 
+/// A model with linear terminations, decomposed into its modes.
+pub(super) struct Modes<'a> {
+    /// `σ` and `O`.
+    basis: &'a Basis,
+    /// `rᵢᵀe` over the ports with a constant source, by mode.
+    fixed: Vec<f64>,
+    /// The other sources, and their rows of `r` as a panel
+    /// (`sources.len()×q`, row `s` is `g·O[:, j]` of source `s`'s port).
+    sources: Vec<&'a SourceWave>,
+    drive: Vec<f64>,
+    /// The port count `p`.
+    ports: usize,
+}
+
+impl<'a> Modes<'a> {
+    /// Decompose `model` under `terminations`; `None` when a device is not
+    /// linear, or a decomposition step fails (the Newton kernel then runs).
+    /// The source-free part comes from `memo` when its key matches, and is
+    /// left there when it is built.
+    pub(super) fn new(
+        model: &DiagonalModel,
+        terminations: &'a [Option<&'a dyn Termination>],
+        memo: &'a mut Option<Basis>,
+    ) -> Option<Self> {
+        let (q, p) = (model.order(), model.num_ports());
+        let mut devices = Vec::new();
+        for (j, t) in terminations.iter().enumerate() {
+            if let Some(t) = *t {
+                let (g, e) = t.linear()?;
+                let c = t.capacitance();
+                if !(g >= 0.0 && g.is_finite() && c >= 0.0 && c.is_finite()) {
+                    return None;
+                }
+                devices.push((j, g, c, e));
+            }
+        }
+        let kept =
+            memo.as_ref().is_some_and(|b| b.key.iter().copied().eq(Basis::key(model, &devices)));
+        if !kept {
+            *memo = Some(Basis::new(model, &devices)?);
+        }
+        let basis = memo.as_ref()?;
+
+        let out = &basis.out;
         let mut fixed = vec![0.0; q];
         let mut sources = Vec::new();
         let mut drive = Vec::new();
-        for &(j, g, _, e) in ports.iter().filter(|pt| pt.1 > 0.0) {
+        for &(j, g, _, e) in devices.iter().filter(|pt| pt.1 > 0.0) {
             let row = (0..q).map(|i| g * out[i * p + j]);
             match e {
                 SourceWave::Dc(v) => fixed.iter_mut().zip(row).for_each(|(f, r)| *f += r * v),
@@ -142,7 +184,7 @@ impl<'a> Modes<'a> {
                 }
             }
         }
-        Some(Modes { sigma, out, fixed, sources, drive, ports: p })
+        Some(Modes { basis, fixed, sources, drive, ports: p })
     }
 
     /// `rᵀe(t)` of every mode into `rhs`, the sources' `e(t)` into `e`.
@@ -157,7 +199,7 @@ impl<'a> Modes<'a> {
     /// Port voltages `y = Oᵀ z`.
     fn outputs(&self, z: &[f64], y: &mut [f64]) {
         y.fill(0.0);
-        panel::dots(z, &self.out, y);
+        panel::dots(z, &self.basis.out, y);
     }
 
     /// Integrate from the DC state along `stepper`'s walk. Every solve —
@@ -168,7 +210,8 @@ impl<'a> Modes<'a> {
         mut stepper: Stepper,
         opts: &MorOptions,
     ) -> Result<MorTranResult, MorError> {
-        let (q, p) = (self.sigma.len(), self.ports);
+        let sigma = &self.basis.sigma;
+        let (q, p) = (sigma.len(), self.ports);
         if cancelled(opts) {
             return Err(MorError::Cancelled { stage: "reduced transient dc" });
         }
@@ -203,12 +246,12 @@ impl<'a> Modes<'a> {
             let alpha = method.alpha(h);
             if alpha_bits != Some(alpha.to_bits()) {
                 alpha_bits = Some(alpha.to_bits());
-                for (gi, &s) in gain.iter_mut().zip(&self.sigma) {
+                for (gi, &s) in gain.iter_mut().zip(sigma) {
                     *gi = 1.0 / (s * alpha + 1.0);
                 }
             }
             self.excite(t + h, &mut e, &mut rhs);
-            let modes = z.iter_mut().zip(&mut zdot).zip(&self.sigma);
+            let modes = z.iter_mut().zip(&mut zdot).zip(sigma);
             for (((zi, zd), &s), (&r, &gi)) in modes.zip(rhs.iter().zip(&gain)) {
                 let beta = method.history(h, *zi, *zd);
                 *zi = (r - s * beta) * gi;
@@ -468,6 +511,42 @@ mod tests {
                 _ => modal.to_string() == newton.to_string(),
             };
             assert!(same, "case {i}: modal {modal} vs newton {newton}");
+        }
+    }
+
+    #[test]
+    fn a_kept_decomposition_gives_the_bits_of_a_fresh_one() {
+        use super::super::{simulate_memo, ModalMemo};
+        let bits = |r: &MorTranResult| -> Vec<u64> {
+            (0..r.num_ports()).flat_map(|j| r.data[j].iter().map(|v| v.to_bits())).collect()
+        };
+        let opts = MorOptions::default();
+        let mut rng = Rng::new(0x3E30);
+        let mut memo = ModalMemo::default();
+        let models = [random_model(&mut rng, 14, 3), random_model(&mut rng, 14, 3)];
+        // Rise then fall on one model (same devices, other sources), then a
+        // second model, a changed conductance and a changed capacitance:
+        // every call has the bits of a call with no memo.
+        let rise = TheveninTermination::new(700.0, SourceWave::step(0.0, 2.5, 0.4e-9, 0.1e-9));
+        let fall = TheveninTermination::new(700.0, SourceWave::step(2.5, 0.0, 0.4e-9, 0.1e-9));
+        let other_g = TheveninTermination::new(710.0, SourceWave::step(0.0, 2.5, 0.4e-9, 0.1e-9));
+        let low = ResistiveTermination::new(900.0);
+        let high = TheveninTermination::new(900.0, SourceWave::Dc(2.5));
+        let loaded = CapacitiveTermination::new(3e-15);
+        let sets: [(usize, [Option<&dyn Termination>; 3]); 6] = [
+            (0, [Some(&rise), Some(&low), None]),
+            (0, [Some(&fall), Some(&high), None]),
+            (0, [Some(&rise), Some(&low), None]),
+            (1, [Some(&fall), Some(&high), None]),
+            (1, [Some(&other_g), Some(&high), None]),
+            (1, [Some(&other_g), Some(&high), Some(&loaded)]),
+        ];
+        for (case, (model, terms)) in sets.iter().enumerate() {
+            let model = &models[*model];
+            let want = simulate(model, terms, 4e-9, &opts).unwrap();
+            let got = simulate_memo(model, terms, 4e-9, &opts, &mut memo).unwrap();
+            assert_eq!(bits(&got), bits(&want), "case {case}");
+            assert_eq!(got.times(), want.times(), "case {case}");
         }
     }
 

@@ -32,7 +32,7 @@ use crate::cancel::CancelToken;
 use crate::error::MorError;
 use crate::model::ReducedModel;
 use crate::rc::RcCluster;
-use pcv_sparse::panel::{axpys, dots, sums_of_squares};
+use pcv_sparse::panel::{axpys, axpys_dots, dots, sums_of_squares};
 use pcv_sparse::vecops::{axpy, axpy_dot, dot, norm2};
 use pcv_sparse::{Dense, SparseCholesky};
 
@@ -106,6 +106,7 @@ pub fn reduce_with(
     // block's candidates and, at the end, the columns of ρ and T. `work` is
     // the one panel workspace: candidates, then a block's vectors under F⁻¹.
     let _lanczos_span = pcv_trace::span("mor", "block_lanczos");
+    let c = c.rows();
     let cancelled = || cancel.is_some_and(CancelToken::is_cancelled);
     let max_states = (block_iters * p).min(n);
     let mut basis: Vec<Vec<f64>> = Vec::with_capacity(max_states);
@@ -120,12 +121,12 @@ pub fn reduce_with(
             break;
         }
         // A V = F⁻ᵀ C F⁻¹ V for the block's new vectors together: two
-        // triangular solves around a sparse product.
+        // triangular solves around a sparse product, taken by rows.
         let _apply_span = pcv_trace::span("mor", "apply_a");
         pcv_trace::count("mor.lanczos.block_applies", 1);
         let u = &mut work[..n * width];
-        for (r, v) in basis[start..].iter().enumerate() {
-            u.iter_mut().skip(r).step_by(width).zip(v).for_each(|(slot, &x)| *slot = x);
+        for (i, row) in u.chunks_exact_mut(width).enumerate() {
+            row.iter_mut().zip(&basis[start..]).for_each(|(slot, v)| *slot = v[i]);
         }
         chol.solve_lower_t_in_place(u);
         let mut w = vec![0.0; n * width];
@@ -196,12 +197,19 @@ fn orthonormalize_block(
     let start = basis.len();
     let mut orig = vec![-0.0; k];
     sums_of_squares(cand, &mut orig);
-    let mut proj = vec![0.0; k];
-    for b in basis.iter() {
-        proj.fill(-0.0);
-        dots(b, cand, &mut proj);
-        proj.iter_mut().for_each(|x| *x = -*x);
-        axpys(&proj, b, cand);
+    // `proj = dots(b, cand); cand -= proj·b` down the basis, the update by
+    // one vector sharing its sweep with the products against the next.
+    let mut proj = vec![-0.0; k];
+    let mut alpha = vec![0.0; k];
+    if let Some(first) = basis.first() {
+        dots(first, cand, &mut proj);
+    }
+    for (j, b) in basis.iter().enumerate() {
+        alpha.iter_mut().zip(&mut proj).for_each(|(a, p)| (*a, *p) = (-*p, -0.0));
+        match basis.get(j + 1) {
+            Some(next) => axpys_dots(&alpha, b, cand, next, &mut proj),
+            None => axpys(&alpha, b, cand),
+        }
     }
     for (lane, orig) in orig.into_iter().map(f64::sqrt).enumerate() {
         if basis.len() >= max_states {

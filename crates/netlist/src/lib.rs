@@ -46,7 +46,9 @@ pub mod waveform;
 pub use circuit::{Circuit, Element, MosKind, MosParams, NodeId};
 pub use design::{Design, InstanceId, NetId};
 pub use eco::{CouplingEdit, EcoDelta, GcapEdit, NetDelta, ResEdit, ValueEdit};
-pub use parasitics::{CouplingCap, NetNodeRef, NetParasitics, PNetId, ParasiticDb};
+pub use parasitics::{
+    CouplingCap, CouplingsTouching, NetNodeRef, NetParasitics, PNetId, ParasiticDb,
+};
 pub use termination::{
     CapacitiveTermination, ResistiveTermination, Termination, TheveninTermination,
 };

@@ -37,6 +37,38 @@ pub struct CouplingCap {
     pub farads: f64,
 }
 
+/// The couplings [`ParasiticDb::couplings_touching`] yields: a bitmap over
+/// coupling indices from the first one listed, read in index order.
+#[derive(Debug, Clone)]
+pub struct CouplingsTouching<'a> {
+    couplings: &'a [CouplingCap],
+    marks: Vec<u64>,
+    /// The word the next mark is read from; marks already read are cleared.
+    word: usize,
+    left: usize,
+}
+
+impl<'a> Iterator for CouplingsTouching<'a> {
+    type Item = &'a CouplingCap;
+
+    fn next(&mut self) -> Option<&'a CouplingCap> {
+        while *self.marks.get(self.word)? == 0 {
+            self.word += 1;
+        }
+        let bits = &mut self.marks[self.word];
+        let bit = bits.trailing_zeros() as usize;
+        *bits &= *bits - 1;
+        self.left -= 1;
+        Some(&self.couplings[self.word * 64 + bit])
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for CouplingsTouching<'_> {}
+
 /// RC parasitics of a single net.
 ///
 /// Node `0` is by convention the driver (root) pin. Receiver pins are
@@ -261,22 +293,20 @@ impl ParasiticDb {
     /// Every coupling capacitor with a terminal on any of `nets`, each
     /// exactly once, in [`ParasiticDb::couplings`] order — what a filtered
     /// walk of the whole list yields, at the cost of the listed nets' own
-    /// couplings. `nets` may repeat a net.
-    pub fn couplings_touching(&self, nets: &[PNetId]) -> impl Iterator<Item = &CouplingCap> {
-        // Each per-net list is strictly ascending; merge them by index.
-        let mut heads: Vec<&[usize]> =
-            nets.iter().map(|n| self.net_couplings[n.0].as_slice()).collect();
-        std::iter::from_fn(move || {
-            let next = heads.iter().filter_map(|h| h.first().copied()).min()?;
-            // A member-to-member coupling (or a repeated net) heads more
-            // than one list: advance them all so it is yielded once.
-            for h in &mut heads {
-                if h.first() == Some(&next) {
-                    *h = &h[1..];
-                }
-            }
-            Some(&self.couplings[next])
-        })
+    /// couplings. `nets` may repeat a net. The iterator knows its length.
+    pub fn couplings_touching(&self, nets: &[PNetId]) -> CouplingsTouching<'_> {
+        // The per-net lists name coupling indices: mark each in a bitmap
+        // over the span they cover, then read the marks in index order —
+        // a coupling on two listed nets is marked twice and read once.
+        let lists = || nets.iter().map(|n| self.net_couplings[n.0].as_slice());
+        let first = lists().filter_map(<[usize]>::first).min().copied().unwrap_or(0);
+        let end = lists().filter_map(<[usize]>::last).max().map_or(0, |&last| last + 1);
+        let mut marks = vec![0u64; (end - first).div_ceil(64)];
+        for &i in lists().flatten() {
+            marks[(i - first) / 64] |= 1 << ((i - first) % 64);
+        }
+        let left = marks.iter().map(|w| w.count_ones() as usize).sum();
+        CouplingsTouching { couplings: &self.couplings[first..], marks, word: 0, left }
     }
 
     /// Sum of coupling capacitance touching a net.
@@ -410,6 +440,31 @@ mod tests {
         n.mark_load(k);
         n.mark_load(k);
         assert_eq!(n.load_nodes().len(), 1);
+    }
+
+    #[test]
+    fn couplings_touching_reads_marks_across_words() {
+        // Hundreds of couplings on a chain of nets: the listed nets' marks
+        // span many 64-bit words, start and end inside one, and skip some.
+        let mut db = ParasiticDb::new();
+        let ids: Vec<PNetId> =
+            (0..9).map(|i| db.add_net(NetParasitics::new(format!("n{i}")))).collect();
+        for k in 0..700 {
+            let (a, b) = (ids[k % 8], ids[k % 8 + 1]);
+            db.add_coupling(NetNodeRef { net: a, node: 0 }, NetNodeRef { net: b, node: 0 }, 1e-15);
+        }
+        for set in [vec![ids[3]], vec![ids[0], ids[8]], vec![ids[2], ids[3], ids[2]], ids.clone()] {
+            let want: Vec<*const CouplingCap> = db
+                .couplings()
+                .iter()
+                .filter(|c| set.contains(&c.a.net) || set.contains(&c.b.net))
+                .map(std::ptr::from_ref)
+                .collect();
+            let touching = db.couplings_touching(&set);
+            assert_eq!(touching.len(), want.len(), "set {set:?}");
+            let got: Vec<*const CouplingCap> = touching.map(std::ptr::from_ref).collect();
+            assert_eq!(got, want, "set {set:?}");
+        }
     }
 
     #[test]

@@ -95,8 +95,7 @@ impl RunRecord {
         if schema == 0 || schema > SCHEMA {
             return None;
         }
-        let hex =
-            |key: &str| -> Option<u64> { u64::from_str_radix(v.get(key)?.as_str()?, 16).ok() };
+        let hex = |key: &str| -> Option<u64> { pcv_trace::parse_hex(v.get(key)?.as_str()?) };
         let uint = |key: &str| v.get(key).and_then(Value::as_u64);
         let ms = |key: &str| v.get(key).and_then(Value::as_f64);
         Some(RunRecord {
@@ -221,6 +220,15 @@ mod tests {
         let line = rec.to_json();
         assert!(!line.contains('\n'), "a record is one JSONL line");
         assert_eq!(RunRecord::parse(&line), Some(rec));
+    }
+
+    #[test]
+    fn a_fingerprint_is_hex_digits_only() {
+        let line = sample().to_json();
+        assert_eq!(RunRecord::parse(&line), Some(sample()));
+        let signed = line.replace("\"0badcafe89abcdef\"", "\"+badcafe89abcdef\"");
+        assert_ne!(signed, line);
+        assert_eq!(RunRecord::parse(&signed), None, "{signed}");
     }
 
     #[test]

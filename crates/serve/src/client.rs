@@ -199,8 +199,8 @@ pub(crate) fn read_chunks(
         if reader.read_line(&mut size_line)? == 0 {
             break; // server aborted: deliver what we have
         }
-        let size = u64::from_str_radix(size_line.trim(), 16)
-            .map_err(|_| protocol("unreadable chunk size"))?;
+        let size = pcv_trace::parse_hex::<u64>(size_line.trim())
+            .ok_or_else(|| protocol("unreadable chunk size"))?;
         if size == 0 {
             break;
         }
@@ -228,6 +228,13 @@ mod tests {
         let mut lines = Vec::new();
         read_chunks(&mut &raw[..], |l| lines.push(l.to_owned())).unwrap();
         assert_eq!(lines, vec!["ab", "cd", "ef", "g"]);
+    }
+
+    #[test]
+    fn a_chunk_size_is_hex_digits_only() {
+        let mut lines = Vec::new();
+        let err = read_chunks(&mut &b"+3\r\nab\n\r\n0\r\n\r\n"[..], |l| lines.push(l.to_owned()));
+        assert!(err.is_err() && lines.is_empty(), "{lines:?}");
     }
 
     /// A client of a one-connection server that answers with `raw`.

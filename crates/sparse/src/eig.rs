@@ -1,13 +1,9 @@
 //! Symmetric eigensolvers.
 //!
 //! The SyMPVL reduced model `dv/dt + T v = ρ i` is integrated after
-//! diagonalizing the small symmetric matrix `T = Qᵀ D Q`. Two solvers are
-//! provided:
-//!
-//! * [`jacobi_eigen`] — cyclic Jacobi rotations for a general dense symmetric
-//!   matrix (robust, adequate for the tens-of-states reduced models).
-//! * [`tridiag_eigen`] — implicit-shift QL for symmetric tridiagonal
-//!   matrices, the natural shape of a single-port Lanczos projection.
+//! diagonalizing the small symmetric matrix `T = Qᵀ D Q`:
+//! [`jacobi_eigen`] — cyclic Jacobi rotations for a general dense symmetric
+//! matrix (robust, adequate for the tens-of-states reduced models).
 
 use crate::dense::Dense;
 use crate::error::Error;
@@ -132,114 +128,6 @@ fn finish(n: usize, m: &[f64], vt: &[f64]) -> SymEigen {
     SymEigen { values, vectors }
 }
 
-/// Implicit-shift QL eigensolver for a symmetric tridiagonal matrix with
-/// diagonal `d` and sub/super-diagonal `e` (`e.len() == d.len() - 1`, or both
-/// empty).
-///
-/// Returns eigenvalues ascending and the orthonormal eigenvector matrix.
-///
-/// # Errors
-///
-/// * [`Error::DimensionMismatch`] if `e.len() + 1 != d.len()` (for nonempty
-///   `d`).
-/// * [`Error::NoConvergence`] if an eigenvalue fails to converge in 50
-///   iterations (does not occur for finite input).
-pub fn tridiag_eigen(d: &[f64], e: &[f64]) -> Result<SymEigen, Error> {
-    let n = d.len();
-    if n == 0 {
-        return Ok(SymEigen { values: Vec::new(), vectors: Dense::zeros(0, 0) });
-    }
-    if e.len() + 1 != n {
-        return Err(Error::DimensionMismatch {
-            op: "tridiag_eigen",
-            expected: (n - 1, 1),
-            found: (e.len(), 1),
-        });
-    }
-    let mut d = d.to_vec();
-    // Work array with a trailing zero, as in the classic tql2 routine.
-    let mut e2 = vec![0.0; n];
-    e2[..n - 1].copy_from_slice(e);
-    let mut z = Dense::identity(n);
-
-    for l in 0..n {
-        let mut iter = 0;
-        loop {
-            // Find a small off-diagonal element to split at.
-            let mut m = l;
-            while m + 1 < n {
-                let dd = d[m].abs() + d[m + 1].abs();
-                if e2[m].abs() <= f64::EPSILON * dd {
-                    break;
-                }
-                m += 1;
-            }
-            if m == l {
-                break;
-            }
-            iter += 1;
-            if iter > 50 {
-                return Err(Error::NoConvergence { what: "tridiagonal ql", iters: 50 });
-            }
-            // Form the implicit shift.
-            let mut g = (d[l + 1] - d[l]) / (2.0 * e2[l]);
-            let mut r = g.hypot(1.0);
-            g = d[m] - d[l] + e2[l] / (g + if g >= 0.0 { r.abs() } else { -r.abs() });
-            let (mut s, mut c) = (1.0, 1.0);
-            let mut p = 0.0;
-            let mut i = m - 1;
-            let mut underflow_break = false;
-            loop {
-                let mut f = s * e2[i];
-                let b = c * e2[i];
-                r = f.hypot(g);
-                e2[i + 1] = r;
-                if r == 0.0 {
-                    d[i + 1] -= p;
-                    e2[m] = 0.0;
-                    underflow_break = true;
-                    break;
-                }
-                s = f / r;
-                c = g / r;
-                g = d[i + 1] - p;
-                r = (d[i] - g) * s + 2.0 * c * b;
-                p = s * r;
-                d[i + 1] = g + p;
-                g = c * r - b;
-                // Accumulate the transformation in z.
-                for k in 0..n {
-                    f = z[(k, i + 1)];
-                    z[(k, i + 1)] = s * z[(k, i)] + c * f;
-                    z[(k, i)] = c * z[(k, i)] - s * f;
-                }
-                if i == l {
-                    break;
-                }
-                i -= 1;
-            }
-            if underflow_break {
-                // Deflation by underflow: restart this eigenvalue.
-                continue;
-            }
-            d[l] -= p;
-            e2[l] = g;
-            e2[m] = 0.0;
-        }
-    }
-
-    // Sort ascending, permuting eigenvectors along.
-    let mut idx: Vec<usize> = (0..n).collect();
-    idx.sort_by(|&a, &b| d[a].partial_cmp(&d[b]).expect("finite eigenvalues"));
-    let values: Vec<f64> = idx.iter().map(|&i| d[i]).collect();
-    let mut vectors = Dense::zeros(n, n);
-    for (new, &old) in idx.iter().enumerate() {
-        let col = z.col(old);
-        vectors.set_col(new, &col);
-    }
-    Ok(SymEigen { values, vectors })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -306,41 +194,6 @@ mod tests {
     #[test]
     fn jacobi_rejects_rectangular() {
         assert!(matches!(jacobi_eigen(&Dense::zeros(2, 3)), Err(Error::NotSquare { .. })));
-    }
-
-    #[test]
-    fn tridiag_matches_jacobi() {
-        let d = [2.0, 2.5, 3.0, 1.5, 2.2];
-        let e = [0.5, -0.3, 0.8, 0.1];
-        let eig = tridiag_eigen(&d, &e).unwrap();
-        // Build the dense equivalent and compare spectra.
-        let n = d.len();
-        let mut a = Dense::from_diag(&d);
-        for i in 0..n - 1 {
-            a[(i, i + 1)] = e[i];
-            a[(i + 1, i)] = e[i];
-        }
-        let jac = jacobi_eigen(&a).unwrap();
-        for (x, y) in eig.values.iter().zip(&jac.values) {
-            assert_close(*x, *y, 1e-10);
-        }
-        check_decomposition(&a, &eig, 1e-10);
-    }
-
-    #[test]
-    fn tridiag_singleton_and_empty() {
-        let e = tridiag_eigen(&[4.0], &[]).unwrap();
-        assert_eq!(e.values, vec![4.0]);
-        let e0 = tridiag_eigen(&[], &[]).unwrap();
-        assert!(e0.values.is_empty());
-    }
-
-    #[test]
-    fn tridiag_rejects_bad_lengths() {
-        assert!(matches!(
-            tridiag_eigen(&[1.0, 2.0], &[0.1, 0.2]),
-            Err(Error::DimensionMismatch { .. })
-        ));
     }
 
     #[test]

@@ -13,9 +13,8 @@
 //!   (`G = LLᵀ`), the symmetrization step of SyMPVL.
 //! * [`lu::SparseLu`] — a left-looking Gilbert–Peierls sparse LU with
 //!   partial pivoting, the linear-solve engine of the SPICE substrate.
-//! * [`eig`] — a cyclic Jacobi eigensolver for dense symmetric matrices and
-//!   an implicit-shift QL solver for symmetric tridiagonal matrices, used to
-//!   diagonalize the reduced model (`T = QᵀDQ`).
+//! * [`eig`] — a cyclic Jacobi eigensolver for dense symmetric matrices,
+//!   used to diagonalize the reduced model (`T = QᵀDQ`).
 //! * [`order`] — reverse Cuthill–McKee fill-reducing ordering.
 //! * [`panel`] — the row-major `n × k` form in which the triangular solves,
 //!   the sparse product and the Gram–Schmidt kernels take `k` vectors at once.
@@ -54,4 +53,4 @@ pub use chol::SparseCholesky;
 pub use dense::Dense;
 pub use error::{ensure_finite, Error};
 pub use lu::SparseLu;
-pub use sparse::{Assembly, Csc, Triplets};
+pub use sparse::{Assembly, Csc, Rows, Triplets};

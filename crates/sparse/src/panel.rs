@@ -85,6 +85,39 @@ pub fn axpys(alpha: &[f64], x: &[f64], panel: &mut [f64]) {
     strips!(alpha.len(), strip(alpha, x, panel))
 }
 
+/// [`axpys`] then [`dots`] against `z`, in one sweep:
+/// `panel[j·k + r] += alpha[r] · x[j]`, then `acc[r] += z[j] · panel[j·k + r]`
+/// — [`crate::vecops::axpy_dot`] on each lane, the bits of the two calls.
+pub fn axpys_dots(alpha: &[f64], x: &[f64], panel: &mut [f64], z: &[f64], acc: &mut [f64]) {
+    assert_eq!(acc.len(), alpha.len(), "panel axpys_dots: length mismatch");
+    assert!(
+        panel.len() == x.len() * alpha.len() && z.len() == x.len(),
+        "panel axpys_dots: length mismatch"
+    );
+    fn strip<const K: usize>(
+        k: usize,
+        at: usize,
+        alpha: &[f64],
+        x: &[f64],
+        panel: &mut [f64],
+        z: &[f64],
+        acc: &mut [f64],
+    ) {
+        let mut a = [0.0; K];
+        a.copy_from_slice(&alpha[at..at + K]);
+        let mut sums = [0.0; K];
+        sums.copy_from_slice(&acc[at..at + K]);
+        for ((row, &xj), &zj) in panel.chunks_exact_mut(k).zip(x).zip(z) {
+            for ((v, &ar), sum) in row[at..at + K].iter_mut().zip(&a).zip(&mut sums) {
+                *v += ar * xj;
+                *sum += zj * *v;
+            }
+        }
+        acc[at..at + K].copy_from_slice(&sums);
+    }
+    strips!(alpha.len(), strip(alpha, x, panel, z, acc))
+}
+
 /// Forward substitution `L y = b` on every lane of `x`; `l` is lower
 /// triangular with the diagonal first in each column.
 pub(crate) fn solve_lower(l: &Csc, k: usize, x: &mut [f64]) {
@@ -129,26 +162,48 @@ pub(crate) fn solve_lower_t(l: &Csc, k: usize, x: &mut [f64]) {
     strips!(k, strip(l, x))
 }
 
-/// `y = A x` on every lane. A single vector skips the columns its zeros
-/// select; a lane adds `+0.0` for them instead, which is the same thing
-/// because a sum that starts at `+0.0` never becomes `-0.0`.
-pub(crate) fn matmul(a: &Csc, k: usize, x: &[f64], y: &mut [f64]) {
-    fn strip<const K: usize>(k: usize, at: usize, a: &Csc, x: &[f64], y: &mut [f64]) {
-        let (cp, ri, vv) = (a.colptr(), a.rowidx(), a.values());
-        for (c, xc) in x.chunks_exact(k).enumerate() {
-            let xc = &xc[at..at + K];
-            if xc.iter().all(|&t| t == 0.0) {
-                continue;
-            }
-            for p in cp[c]..cp[c + 1] {
-                for (v, &t) in y[ri[p] * k + at..][..K].iter_mut().zip(xc) {
-                    *v += if t != 0.0 { vv[p] * t } else { 0.0 };
-                }
-            }
+/// `y = A x` on every lane, where column `i` of `rows` is row `i` of `A`:
+/// each output row is summed from `+0.0` over its entries in ascending
+/// column order, a zero lane entry adding `+0.0`, and written once. With
+/// every stored value `finite`, `v · 0` is `±0`, which leaves a sum that
+/// starts at `+0.0` unchanged, so the term is taken without the zero test.
+pub(crate) fn matmul_rows(rows: &Csc, finite: bool, k: usize, x: &[f64], y: &mut [f64]) {
+    fn strip<const K: usize>(
+        k: usize,
+        at: usize,
+        rows: &Csc,
+        finite: bool,
+        x: &[f64],
+        y: &mut [f64],
+    ) {
+        if finite {
+            gather::<K>(k, at, rows, x, y, |v, t| v * t);
+        } else {
+            gather::<K>(k, at, rows, x, y, |v, t| if t != 0.0 { v * t } else { 0.0 });
         }
     }
-    y.fill(0.0);
-    strips!(k, strip(a, x, y))
+    #[inline(always)]
+    fn gather<const K: usize>(
+        k: usize,
+        at: usize,
+        rows: &Csc,
+        x: &[f64],
+        y: &mut [f64],
+        term: impl Fn(f64, f64) -> f64,
+    ) {
+        let (cp, ci, vv) = (rows.colptr(), rows.rowidx(), rows.values());
+        for (i, yi) in y.chunks_exact_mut(k).enumerate() {
+            let mut sum = [0.0; K];
+            for p in cp[i]..cp[i + 1] {
+                let v = vv[p];
+                for (s, &t) in sum.iter_mut().zip(&x[ci[p] * k + at..][..K]) {
+                    *s += term(v, t);
+                }
+            }
+            yi[at..at + K].copy_from_slice(&sum);
+        }
+    }
+    strips!(k, strip(rows, finite, x, y))
 }
 
 #[cfg(test)]
@@ -156,7 +211,7 @@ mod tests {
     use super::*;
     use crate::chol::SparseCholesky;
     use crate::sparse::Triplets;
-    use crate::vecops::{axpy, dot};
+    use crate::vecops::{axpy, axpy_dot, dot};
     use pcv_rng::Rng;
 
     /// SPD matrices whose factors are a chain (RC line), an arrow that fills
@@ -318,6 +373,50 @@ mod tests {
                 let mut want = vs.clone();
                 want.iter_mut().zip(&alpha).for_each(|(v, &a)| axpy(a, &x, v));
                 assert_lanes(&updated, &want, &format!("{what} axpys"));
+            }
+        }
+    }
+
+    #[test]
+    fn a_fused_sweep_has_the_bits_of_axpy_then_dot_on_each_lane() {
+        let mut rng = Rng::new(0xF05ED);
+        let special = [0.0, -0.0, f64::MIN_POSITIVE / 8.0, -5e-324, 1e300, -1e-300];
+        let draw = |rng: &mut Rng| {
+            if rng.bool_with(0.25) {
+                special[rng.range_usize(0, special.len())]
+            } else {
+                rng.range_f64(-1.0, 1.0) * 10f64.powi(rng.range_usize(0, 12) as i32 - 6)
+            }
+        };
+        for n in [0usize, 1, 7, 700] {
+            for k in 1..=12usize {
+                let mut vs: Vec<Vec<f64>> =
+                    (0..k).map(|_| (0..n).map(|_| draw(&mut rng)).collect()).collect();
+                let x: Vec<f64> = (0..n).map(|_| draw(&mut rng)).collect();
+                let mut z: Vec<f64> = (0..n).map(|_| draw(&mut rng)).collect();
+                if n > 1 {
+                    vs[0].fill(-0.0);
+                    z[n / 2] = f64::INFINITY;
+                }
+                let alpha: Vec<f64> = (0..k).map(|_| draw(&mut rng)).collect();
+                let mut panel = pack(&vs);
+                let mut acc: Vec<f64> = (0..k).map(|r| [-0.0, 0.0, 1.5][r % 3]).collect();
+                let start = acc.clone();
+                axpys_dots(&alpha, &x, &mut panel, &z, &mut acc);
+                for (r, v) in vs.iter_mut().enumerate() {
+                    let what = format!("n={n} k={k} lane {r}");
+                    let d = axpy_dot(alpha[r], &x, v, &z);
+                    // `axpy_dot` sums from -0.0; the carried start adds first.
+                    let want = if start[r] == 0.0 && start[r].is_sign_negative() {
+                        d
+                    } else {
+                        let mut s = start[r];
+                        z.iter().zip(v.iter()).for_each(|(zj, vj)| s += zj * vj);
+                        s
+                    };
+                    assert_eq!(acc[r].to_bits(), want.to_bits(), "{what}: sum");
+                }
+                assert_lanes(&panel, &vs, &format!("n={n} k={k} update"));
             }
         }
     }

@@ -6,6 +6,7 @@
 //! exactly the assembly semantics circuit simulation needs.
 
 use crate::dense::Dense;
+use std::borrow::Cow;
 use std::fmt;
 
 /// A coordinate-format (COO) builder for sparse matrices.
@@ -83,9 +84,16 @@ impl Triplets {
         self.rows.iter().zip(&self.cols).zip(&self.vals).map(|((&r, &c), &v)| (r, c, v))
     }
 
+    /// Pushes per column, as [`Csc::from_counted_pushes`] takes them.
+    fn column_counts(&self) -> Vec<usize> {
+        let mut counts = vec![0usize; self.ncols + 1];
+        self.cols.iter().for_each(|&c| counts[c + 1] += 1);
+        counts
+    }
+
     /// Assemble into compressed sparse column form, summing duplicates.
     pub fn to_csc(&self) -> Csc {
-        Csc::from_pushes(self.nrows, self.ncols, || self.pushes())
+        Csc::from_counted_pushes(self.nrows, self.column_counts(), self.pushes())
     }
 
     /// Record what `self.to_csc()` — followed by
@@ -101,9 +109,11 @@ impl Triplets {
         // The pushes go through the sort tagged with their own index, so the
         // order each slot's duplicates are summed in is read off, not
         // re-derived.
-        let (raw, entries) = sorted_columns(self.nrows, self.ncols, || {
-            self.pushes().enumerate().map(|(k, (r, c, _))| (r, c, k as f64))
-        });
+        let (raw, entries) = sorted_columns(
+            self.nrows,
+            self.column_counts(),
+            self.pushes().enumerate().map(|(k, (r, c, _))| (r, c, k as f64)),
+        );
         let mut colptr = vec![0usize; self.ncols + 1];
         let mut rowidx = Vec::new();
         let mut slot_ptr = vec![0usize];
@@ -135,44 +145,67 @@ impl Triplets {
     }
 }
 
-/// Scatter `(row, col, carried)` pushes into their columns (push order
-/// within a column) and sort every column by row: the one ordering rule of
+/// Place `(row, col, carried)` pushes in their columns (push order within a
+/// column) and sort every column by row: the one ordering rule of
 /// assembly. The carried value rides along — a push's value for
-/// [`Csc::from_pushes`], its index for [`Triplets::record`] — and the sort
-/// never looks at it, so both see the same permutation (std's unstable sort
-/// keeps push order among equal rows only up to 20 entries; beyond that the
-/// order is whatever this call on this tuple type produces).
+/// [`Csc::from_counted_pushes`], its index for [`Triplets::record`] — and
+/// the sort never looks at it, so both see the same permutation.
 ///
-/// `pushes` is walked twice, to size the columns and to fill them.
-/// Returns the column pointers and the sorted `(row, carried)` entries.
-fn sorted_columns<I>(
+/// `counts[c + 1]` is the number of pushes into column `c` (`counts[0]` is
+/// 0); `pushes` is walked once. Returns the column pointers and the sorted
+/// `(row, carried)` entries.
+///
+/// # Panics
+///
+/// Panics if a push is out of bounds or the pushes disagree with `counts`.
+fn sorted_columns(
     nrows: usize,
-    ncols: usize,
-    pushes: impl Fn() -> I,
-) -> (Vec<usize>, Vec<(usize, f64)>)
-where
-    I: Iterator<Item = (usize, usize, f64)>,
-{
-    let mut colptr = vec![0usize; ncols + 1];
-    for (r, c, _) in pushes() {
-        assert!(r < nrows && c < ncols, "triplet out of bounds");
-        colptr[c + 1] += 1;
-    }
+    mut counts: Vec<usize>,
+    pushes: impl Iterator<Item = (usize, usize, f64)>,
+) -> (Vec<usize>, Vec<(usize, f64)>) {
+    let ncols = counts.len() - 1;
     for c in 0..ncols {
-        colptr[c + 1] += colptr[c];
+        counts[c + 1] += counts[c];
     }
+    let colptr = counts;
     let mut entries = vec![(0usize, 0.0f64); colptr[ncols]];
     let mut next = colptr.clone();
-    for (r, c, carried) in pushes() {
+    for (r, c, carried) in pushes {
+        assert!(r < nrows && c < ncols, "triplet out of bounds");
+        assert!(next[c] < colptr[c + 1], "more pushes than counted");
         entries[next[c]] = (r, carried);
         next[c] += 1;
     }
-    debug_assert_eq!(next[..ncols], colptr[1..], "pushes walked alike twice");
+    assert_eq!(next[..ncols], colptr[1..], "fewer pushes than counted");
     for c in 0..ncols {
-        entries[colptr[c]..colptr[c + 1]].sort_unstable_by_key(|&(r, _)| r);
+        sort_column(&mut entries[colptr[c]..colptr[c + 1]]);
     }
     (colptr, entries)
 }
+
+/// Sort one column's entries by row. Up to [`STABLE_SORT_MAX`] entries
+/// std's unstable sort is an insertion sort, which keeps push order among
+/// equal rows: so is this one, without the call. A longer column goes
+/// through std's unstable sort itself, on the same input, and keeps
+/// whatever order that leaves equal rows in.
+fn sort_column(col: &mut [(usize, f64)]) {
+    if col.len() > STABLE_SORT_MAX {
+        col.sort_unstable_by_key(|&(r, _)| r);
+        return;
+    }
+    for i in 1..col.len() {
+        let entry = col[i];
+        let mut j = i;
+        while j > 0 && col[j - 1].0 > entry.0 {
+            col[j] = col[j - 1];
+            j -= 1;
+        }
+        col[j] = entry;
+    }
+}
+
+/// The longest slice std's `sort_unstable` sorts by insertion.
+const STABLE_SORT_MAX: usize = 20;
 
 /// A recorded assembly ([`Triplets::record`]): the CSC pattern one push
 /// sequence assembles to and, per stored entry, which pushes sum into it in
@@ -251,8 +284,8 @@ impl Csc {
     /// summing duplicates — [`Triplets::to_csc`] without the coordinate
     /// arrays, to the same bits: each column receives its pushes in push
     /// order, sorts them by row and sums each row's run in sorted order.
-    /// `pushes` is called twice (to size the columns, then to fill them)
-    /// and must yield the same sequence both times.
+    /// `pushes` is called twice (to count the pushes of every column, then
+    /// to place them) and must yield the same sequence both times.
     ///
     /// # Panics
     ///
@@ -270,7 +303,39 @@ impl Csc {
     where
         I: Iterator<Item = (usize, usize, f64)>,
     {
-        let (raw, entries) = sorted_columns(nrows, ncols, pushes);
+        let mut counts = vec![0usize; ncols + 1];
+        for (r, c, _) in pushes() {
+            assert!(r < nrows && c < ncols, "triplet out of bounds");
+            counts[c + 1] += 1;
+        }
+        Csc::from_counted_pushes(nrows, counts, pushes())
+    }
+
+    /// [`Csc::from_pushes`] walking the pushes once, for a caller that
+    /// knows how many land in each column: `counts` has one entry more
+    /// than there are columns, `counts[c + 1]` pushes go to column `c` and
+    /// `counts[0]` is 0. Same bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a push is out of bounds or the pushes disagree with
+    /// `counts`.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// # use pcv_sparse::Csc;
+    /// let stamps = [(0, 0, 1.0), (1, 0, -1.0), (0, 0, 2.0), (1, 1, 4.0)];
+    /// let a = Csc::from_counted_pushes(2, vec![0, 3, 1], stamps.into_iter());
+    /// assert_eq!(a, Csc::from_pushes(2, 2, || stamps.into_iter()));
+    /// ```
+    pub fn from_counted_pushes(
+        nrows: usize,
+        counts: Vec<usize>,
+        pushes: impl Iterator<Item = (usize, usize, f64)>,
+    ) -> Csc {
+        let ncols = counts.len() - 1;
+        let (raw, entries) = sorted_columns(nrows, counts, pushes);
         let mut colptr = vec![0usize; ncols + 1];
         let mut rowidx = Vec::with_capacity(entries.len());
         let mut values = Vec::with_capacity(entries.len());
@@ -377,7 +442,9 @@ impl Csc {
         self.rowidx[range.clone()].iter().copied().zip(self.values[range].iter().copied())
     }
 
-    /// `y = A x`.
+    /// `y = A x`, scattering each column whose `x` entry is not zero down
+    /// its entries, in column order — the single-vector product that every
+    /// lane of [`Rows::matvec_into`] reproduces.
     ///
     /// # Panics
     ///
@@ -385,21 +452,26 @@ impl Csc {
     pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.ncols, "matvec: length mismatch");
         let mut y = vec![0.0; self.nrows];
-        self.matvec_into(x, &mut y);
+        for (c, &xc) in x.iter().enumerate() {
+            if xc != 0.0 {
+                for (r, v) in self.col_iter(c) {
+                    y[r] += v * xc;
+                }
+            }
+        }
         y
     }
 
-    /// `y = A x` into a caller-provided buffer (cleared first) — for one
-    /// vector or, lane by lane with the same bits, a [panel](crate::panel).
+    /// `y = A x` into a caller-provided buffer — for one vector or, lane by
+    /// lane with the bits of [`Csc::matvec`], a [panel](crate::panel). It
+    /// reads `A` through [`Csc::rows`], which it builds on every call: a
+    /// caller multiplying by one matrix many times keeps the row view.
     ///
     /// # Panics
     ///
     /// Panics unless `x` holds `ncols` and `y` `nrows` rows of the same width.
     pub fn matvec_into(&self, x: &[f64], y: &mut [f64]) {
-        let k = x.len() / self.ncols.max(1);
-        assert_eq!(x.len(), self.ncols * k, "matvec: x length");
-        assert_eq!(y.len(), self.nrows * k, "matvec: y length");
-        crate::panel::matmul(self, k, x, y);
+        self.rows().matvec_into(x, y);
     }
 
     /// `y = Aᵀ x`.
@@ -422,13 +494,63 @@ impl Csc {
 
     /// Transpose as a new matrix.
     pub fn transpose(&self) -> Csc {
-        let mut t = Triplets::new(self.ncols, self.nrows);
+        let mut colptr = vec![0usize; self.nrows + 1];
+        self.rowidx.iter().for_each(|&r| colptr[r + 1] += 1);
+        for r in 0..self.nrows {
+            colptr[r + 1] += colptr[r];
+        }
+        let mut next = colptr.clone();
+        let mut rowidx = vec![0usize; self.nnz()];
+        let mut values = vec![0.0; self.nnz()];
+        // Columns in order, so every row of the transpose comes out sorted.
         for c in 0..self.ncols {
             for (r, v) in self.col_iter(c) {
-                t.push(c, r, v);
+                rowidx[next[r]] = c;
+                values[next[r]] = v;
+                next[r] += 1;
             }
         }
-        t.to_csc()
+        Csc { nrows: self.ncols, ncols: self.nrows, colptr, rowidx, values }
+    }
+
+    /// This matrix by rows, for [`Rows::matvec_into`]: its own arrays when
+    /// it is bitwise its own transpose — every stored `(r, c)` has a stored
+    /// `(c, r)` with the same bits, as a stamped `C` has unless a column's
+    /// sum order differs from its row's — and its [transpose](Csc::transpose)
+    /// otherwise.
+    pub fn rows(&self) -> Rows<'_> {
+        let rows = if self.is_own_transpose() {
+            Cow::Borrowed(self)
+        } else {
+            Cow::Owned(self.transpose())
+        };
+        Rows { rows, finite: self.values.iter().all(|v| v.is_finite()) }
+    }
+
+    /// Every stored `(r, c)` has a stored `(c, r)` with the same bits. One
+    /// pass: the entries below the diagonal, column by column, meet their
+    /// mirrors above it in each mirror column's row order, so a cursor per
+    /// column walks the entries above the diagonal once.
+    fn is_own_transpose(&self) -> bool {
+        if self.nrows != self.ncols {
+            return false;
+        }
+        let (cp, ri, vv) = (&self.colptr, &self.rowidx, &self.values);
+        let mut above = cp[..self.ncols].to_vec();
+        for c in 0..self.ncols {
+            for p in cp[c]..cp[c + 1] {
+                let r = ri[p];
+                if r <= c {
+                    continue;
+                }
+                let q = above[r];
+                if q == cp[r + 1] || ri[q] != c || vv[q].to_bits() != vv[p].to_bits() {
+                    return false;
+                }
+                above[r] += 1;
+            }
+        }
+        (0..self.ncols).all(|c| above[c] == cp[c + 1] || ri[above[c]] >= c)
     }
 
     /// Symmetric permutation `P A Pᵀ` where `perm[new] = old`.
@@ -498,6 +620,35 @@ impl Csc {
             }
         }
         t.to_csc()
+    }
+}
+
+/// A matrix read by rows ([`Csc::rows`]): column `i` of the matrix held is
+/// row `i` of the one it was made from.
+#[derive(Debug, Clone)]
+pub struct Rows<'a> {
+    rows: Cow<'a, Csc>,
+    /// Every stored value is finite.
+    finite: bool,
+}
+
+impl Rows<'_> {
+    /// `y = A x` on every lane of a [panel](crate::panel), one output row
+    /// at a time: a lane's terms are added in ascending column order from
+    /// `+0.0`, a column whose lane entry is zero contributing `+0.0` — the
+    /// bits of [`Csc::matvec`], which scatters the columns in that order
+    /// and skips the zeros (adding `+0.0` to a sum that starts at `+0.0`
+    /// changes nothing: such a sum is never `-0.0`).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `x` holds `ncols` and `y` `nrows` rows of the same width.
+    pub fn matvec_into(&self, x: &[f64], y: &mut [f64]) {
+        let (nrows, ncols) = (self.rows.ncols, self.rows.nrows);
+        let k = x.len() / ncols.max(1);
+        assert_eq!(x.len(), ncols * k, "matvec: x length");
+        assert_eq!(y.len(), nrows * k, "matvec: y length");
+        crate::panel::matmul_rows(&self.rows, self.finite, k, x, y);
     }
 }
 
@@ -698,6 +849,53 @@ mod tests {
                 && a.values.iter().zip(&b.values).any(|(x, y)| x.to_bits() != y.to_bits())
         });
         assert!(differs, "expected push-order summation to differ from the sorted order");
+    }
+
+    #[test]
+    fn short_columns_sort_as_std_sorts_them() {
+        // The insertion sort stands in for std's unstable sort only where
+        // that sort keeps equal rows in push order: the payload tells.
+        let mut rng = Rng::new(0x50_27);
+        for len in 0..=STABLE_SORT_MAX {
+            for _ in 0..200 {
+                let rows = rng.range_usize(1, 6);
+                let col: Vec<(usize, f64)> =
+                    (0..len).map(|k| (rng.range_usize(0, rows), k as f64)).collect();
+                let (mut ours, mut std) = (col.clone(), col);
+                sort_column(&mut ours);
+                std.sort_unstable_by_key(|&(r, _)| r);
+                assert_eq!(ours, std, "{len} entries");
+            }
+        }
+    }
+
+    #[test]
+    fn counted_pushes_must_match_their_counts() {
+        let pushes = [(0, 0, 1.0), (1, 1, 2.0)];
+        for counts in [vec![0, 2, 0], vec![0, 1, 2], vec![0, 0, 2]] {
+            let caught = std::panic::catch_unwind(|| {
+                Csc::from_counted_pushes(2, counts.clone(), pushes.into_iter())
+            });
+            assert!(caught.is_err(), "{counts:?}");
+        }
+    }
+
+    #[test]
+    fn the_row_view_is_the_matrix_itself_only_when_bitwise_symmetric() {
+        let mut t = Triplets::new(3, 3);
+        for (r, c, v) in [(0, 0, 2.0), (1, 0, -1.0), (0, 1, -1.0), (2, 2, 0.0), (1, 1, 3.0)] {
+            t.push(r, c, v);
+        }
+        let sym = t.to_csc();
+        assert!(matches!(sym.rows().rows, Cow::Borrowed(_)));
+        // One bit off in a mirror value, a mirror missing, not square.
+        let mut skewed = sym.clone();
+        skewed.values_mut()[1] = f64::from_bits((-1.0f64).to_bits() + 1);
+        let mut lopsided = Triplets::new(3, 3);
+        lopsided.push(1, 0, -1.0);
+        for a in [skewed, lopsided.to_csc(), sample().transpose(), Csc::zeros(2, 3)] {
+            assert_eq!(*a.rows().rows, a.transpose(), "{a}");
+        }
     }
 
     #[test]

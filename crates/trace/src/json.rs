@@ -462,7 +462,7 @@ impl Parser<'_> {
                         .bytes
                         .get(self.pos..self.pos + 4)
                         .and_then(|h| std::str::from_utf8(h).ok())
-                        .and_then(|h| u32::from_str_radix(h, 16).ok())
+                        .and_then(crate::parse_hex::<u32>)
                         .ok_or_else(|| self.err("invalid \\u escape"))?;
                     self.pos += 4;
                     // Surrogate pairs are not produced by our writers;
@@ -508,6 +508,14 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_unicode_escape_is_four_hex_digits() {
+        assert_eq!(parse(r#""\u0041""#).unwrap().as_str(), Some("A"));
+        for hostile in [r#""\u+041""#, r#""\u 041""#, r#""\u-041""#, r#""\u004""#] {
+            assert!(parse(hostile).is_err(), "{hostile} was read");
+        }
+    }
 
     #[test]
     fn strings_are_escaped() {

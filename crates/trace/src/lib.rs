@@ -58,6 +58,23 @@ pub use trace::{Histogram, Span, Trace};
 use std::sync::Arc;
 use std::time::Instant;
 
+/// Read a hex field: a non-empty run of ASCII hex digits, either case, as
+/// a number. Anything else — a sign, a space, an empty string, a value
+/// above `T::MAX` — is `None`. Every hex field the workspace reads goes
+/// through here; `from_str_radix` alone would also take a leading `+`.
+///
+/// ```
+/// assert_eq!(pcv_trace::parse_hex::<u32>("0041"), Some(0x41));
+/// assert_eq!(pcv_trace::parse_hex::<u32>("+041"), None);
+/// assert_eq!(pcv_trace::parse_hex::<u32>("1ffffffff"), None);
+/// ```
+pub fn parse_hex<T: TryFrom<u64>>(digits: &str) -> Option<T> {
+    if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_hexdigit()) {
+        return None;
+    }
+    T::try_from(u64::from_str_radix(digits, 16).ok()?).ok()
+}
+
 /// An open span: records itself into the active session when dropped.
 ///
 /// When tracing is disabled this is an empty shell — no clock is read and

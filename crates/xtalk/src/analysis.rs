@@ -12,7 +12,7 @@ use crate::error::XtalkError;
 use crate::prune::Cluster;
 use pcv_cells::charlib::{CharCell, CharLibrary};
 use pcv_cells::library::{Cell, CellKind, CellLibrary};
-use pcv_mor::{simulate, sympvl, DiagonalModel, MorOptions, RcCluster};
+use pcv_mor::{simulate_memo, sympvl, DiagonalModel, ModalMemo, MorOptions, RcCluster};
 use pcv_netlist::termination::Termination;
 use pcv_netlist::{Circuit, Design, PNetId, ParasiticDb, SourceWave, Waveform};
 use pcv_spice::{SimOptions, Simulator};
@@ -365,12 +365,15 @@ pub struct PreparedCluster {
     rom: Option<Rom>,
 }
 
-/// A diagonalized reduced model and the options it was reduced under.
+/// A diagonalized reduced model, the options it was reduced under and the
+/// modal decomposition its linear runs share: both polarities present the
+/// same drivers' `(port, g, c)`, so the second rebuilds only its sources.
 #[derive(Debug, Clone)]
 struct Rom {
     block_iters: usize,
     gmin_scale: f64,
     diag: DiagonalModel,
+    modal: ModalMemo,
 }
 
 impl PreparedCluster {
@@ -420,7 +423,8 @@ impl PreparedCluster {
             rc.set_gmin(rc.gmin() * gmin_scale)?;
             sympvl::reduce_with(&rc, block_iters, cancel)?
         };
-        self.rom = Some(Rom { block_iters, gmin_scale, diag: reduced.diagonalize()? });
+        let diag = reduced.diagonalize()?;
+        self.rom = Some(Rom { block_iters, gmin_scale, diag, modal: ModalMemo::default() });
         Ok(())
     }
 
@@ -525,7 +529,7 @@ impl PreparedCluster {
 
     /// Run the prepared cluster with per-member roles on the selected engine.
     fn run(
-        &self,
+        &mut self,
         ctx: &AnalysisContext<'_>,
         roles: &[SwitchRole],
         opts: &AnalysisOptions,
@@ -534,18 +538,18 @@ impl PreparedCluster {
         if opts.engine == EngineKind::Spice {
             return run_spice(ctx, model, roles, opts);
         }
-        let rom = &self.rom.as_ref().expect("prepare() ran for the reduced engine").diag;
+        let rom = self.rom.as_mut().expect("prepare() ran for the reduced engine");
         let boxes = driver_terminations(ctx, model, roles, opts)?;
         let mut terms: Vec<Option<&dyn Termination>> = vec![None; model.rc.num_ports()];
         for (k, b) in boxes.iter().enumerate() {
             terms[model.driver_ports[k]] = Some(b.as_ref());
         }
-        let res = simulate(rom, &terms, opts.tstop, &opts.mor)?;
+        let res = simulate_memo(&rom.diag, &terms, opts.tstop, &opts.mor, &mut rom.modal)?;
         Ok(EngineRun {
             observe: res.waveform(model.observe_port),
             victim_driver: res.waveform(model.victim_port()),
             newton_iters: res.newton_iters,
-            reduced_order: Some(rom.order()),
+            reduced_order: Some(rom.diag.order()),
         })
     }
 }

@@ -57,22 +57,21 @@ pub fn build_cluster(
     let mut rc = RcCluster::new();
     let mut offsets = Vec::with_capacity(members.len());
 
+    // Room for every element up front: the members' resistors, ground caps
+    // and load pins, and a capacitor per coupling (two in decoupled mode).
+    let nets = || members.iter().map(|&m| (m, db.net(m)));
+    let couplings = db.couplings_touching(&members);
+    let stamps = if ground_couplings { 2 } else { 1 };
+    rc.reserve(
+        nets().map(|(_, net)| net.resistors().len()).sum(),
+        nets().map(|(_, net)| net.ground_caps().len() + net.load_nodes().len()).sum::<usize>()
+            + stamps * couplings.len(),
+    );
+
     // Wire RC of each member.
-    for &m in &members {
-        let net = db.net(m);
-        let offset = rc.num_nodes();
+    for (m, net) in nets() {
+        let offset = rc.add_net(net);
         offsets.push(offset);
-        for _ in 0..net.num_nodes() {
-            rc.add_node();
-        }
-        for &(a, b, ohms) in net.resistors() {
-            rc.add_resistor(offset + a, offset + b, ohms).expect("valid net resistor");
-        }
-        for &(n, c) in net.ground_caps() {
-            if c > 0.0 {
-                rc.add_ground_cap(offset + n, c).expect("valid net cap");
-            }
-        }
         // Receiver pin loading, split across the net's load pins.
         let pins = net.load_nodes();
         let total = load_cap(m);
@@ -88,10 +87,20 @@ pub fn build_cluster(
     // grounded at the member side. Only the members' own couplings are
     // visited, in database order: a cluster's element order is the
     // database's order restricted to the cluster, which is what keeps
-    // every stamped sum's bits whatever the size of the chip around it.
-    let member_idx = |net: PNetId| members.iter().position(|&m| m == net);
+    // every stamped sum's bits whatever the size of the chip around it. A
+    // table over the members' net ids names a terminal's member.
+    let first = members.iter().map(|m| m.0).min().expect("a cluster has its victim");
+    let span = members.iter().map(|m| m.0).max().expect("a cluster has its victim") - first;
+    let mut member_at = vec![usize::MAX; span + 1];
+    for (k, m) in members.iter().enumerate().rev() {
+        member_at[m.0 - first] = k;
+    }
+    let member_idx = |net: PNetId| {
+        let k = *member_at.get(net.0.wrapping_sub(first))?;
+        (k != usize::MAX).then_some(k)
+    };
     let mut visited = 0u64;
-    for c in db.couplings_touching(&members) {
+    for c in couplings {
         visited += 1;
         let ia = member_idx(c.a.net);
         let ib = member_idx(c.b.net);

@@ -261,7 +261,7 @@ impl NetVerdict {
     pub fn from_json(v: &Value, nets: usize) -> Option<NetVerdict> {
         fn float(v: &Value, key: &str, bits_key: &str) -> Option<f64> {
             let hex = v.get(bits_key)?.as_str()?;
-            let x = f64::from_bits(u64::from_str_radix(hex, 16).ok()?);
+            let x = f64::from_bits(pcv_trace::parse_hex(hex)?);
             let agrees = v.get(key)?.as_f64()?.to_bits() == x.to_bits();
             (hex.len() == 16 && x.is_finite() && agrees).then_some(x)
         }
@@ -589,6 +589,29 @@ mod tests {
         let v = &report.verdicts[0];
         let needle = format!("\"rise_peak_bits\":\"{:016x}\"", v.rise_peak.to_bits());
         assert!(a.contains(&needle));
+    }
+
+    #[test]
+    fn a_bits_field_is_sixteen_hex_digits() {
+        // 1e-300's bits start with a zero digit, which a sign can replace
+        // while the decimal beside the field still agrees.
+        let v = NetVerdict {
+            net: PNetId(3),
+            name: "tiny".into(),
+            rise_peak: 1e-300,
+            fall_peak: 0.5,
+            worst_frac: 0.2,
+            severity: Severity::Warning,
+            cluster_size: 2,
+            neighbors_before: 4,
+            receiver: None,
+        };
+        let doc = pcv_trace::json::object(|o| v.write_members(o));
+        let read = |doc: &str| NetVerdict::from_json(&pcv_trace::json::parse(doc).unwrap(), 8);
+        assert_eq!(read(&doc), Some(v));
+        let signed = doc.replace("\"rise_peak_bits\":\"01a5", "\"rise_peak_bits\":\"+1a5");
+        assert_ne!(signed, doc);
+        assert_eq!(read(&signed), None, "{signed}");
     }
 
     #[test]
