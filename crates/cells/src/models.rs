@@ -121,8 +121,8 @@ impl Termination for NonlinearDriverModel {
         self.cout
     }
 
-    fn breakpoints(&self) -> Vec<f64> {
-        self.vin_wave.breakpoints()
+    fn breakpoints(&self, tstop: f64) -> Vec<f64> {
+        self.vin_wave.breakpoints(tstop)
     }
 }
 
@@ -178,7 +178,7 @@ mod tests {
         let m = NonlinearDriverModel::switching(&ch, true, 1e-9, 0.2e-9, VDD);
         assert_eq!(m.vin_wave().value_at(0.0), VDD);
         assert_eq!(m.vin_wave().value_at(1e-6), 0.0);
-        assert!(!m.breakpoints().is_empty());
+        assert!(!m.breakpoints(1e-6).is_empty());
         assert!(m.capacitance() > 0.0);
     }
 

@@ -108,6 +108,16 @@ impl MorTranResult {
         Waveform::from_samples(self.times.clone(), self.data[port].clone())
     }
 
+    /// Waveform of a port, moving its samples and the time axis out of the
+    /// result instead of copying them.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an out-of-range port index.
+    pub fn into_waveform(mut self, port: usize) -> Waveform {
+        Waveform::from_samples(self.times, self.data.swap_remove(port))
+    }
+
     /// Number of ports recorded.
     pub fn num_ports(&self) -> usize {
         self.data.len()
@@ -193,7 +203,7 @@ fn walk(
     }
     let mut bps: Vec<f64> = Vec::new();
     for t in terminations.iter().flatten() {
-        bps.extend(t.breakpoints());
+        bps.extend(t.breakpoints(tstop));
     }
     Stepper::new(tstop, opts.max_step_fraction, bps).map_err(|what| MorError::InvalidValue { what })
 }
@@ -872,7 +882,7 @@ mod tests {
             1.5e-15
         }
 
-        fn breakpoints(&self) -> Vec<f64> {
+        fn breakpoints(&self, _tstop: f64) -> Vec<f64> {
             vec![self.t0, self.t0 + self.tr]
         }
     }
@@ -1040,8 +1050,8 @@ mod tests {
             self.inner.capacitance()
         }
 
-        fn breakpoints(&self) -> Vec<f64> {
-            self.inner.breakpoints()
+        fn breakpoints(&self, tstop: f64) -> Vec<f64> {
+            self.inner.breakpoints(tstop)
         }
     }
 
@@ -1237,7 +1247,7 @@ mod tests {
             // Breakpoints from termination stimuli.
             let mut bps: Vec<f64> = Vec::new();
             for t in terminations.iter().flatten() {
-                bps.extend(t.breakpoints());
+                bps.extend(t.breakpoints(tstop));
             }
             bps.retain(|&b| b > 0.0 && b < tstop);
             bps.sort_by(|a, b| a.partial_cmp(b).expect("finite breakpoints"));

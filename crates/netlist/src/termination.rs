@@ -25,9 +25,9 @@ pub trait Termination: fmt::Debug {
         0.0
     }
 
-    /// Hint for transient breakpoint placement: times at which the device's
-    /// internal stimulus has corners.
-    fn breakpoints(&self) -> Vec<f64> {
+    /// Hint for transient breakpoint placement: times up to `tstop` at
+    /// which the device's internal stimulus has corners.
+    fn breakpoints(&self, _tstop: f64) -> Vec<f64> {
         Vec::new()
     }
 
@@ -117,8 +117,8 @@ impl Termination for TheveninTermination {
         ((v - self.wave.value_at(t)) / self.ohms, 1.0 / self.ohms)
     }
 
-    fn breakpoints(&self) -> Vec<f64> {
-        self.wave.breakpoints()
+    fn breakpoints(&self, tstop: f64) -> Vec<f64> {
+        self.wave.breakpoints(tstop)
     }
 
     fn linear(&self) -> Option<(f64, &SourceWave)> {
@@ -183,7 +183,7 @@ mod tests {
         // Long after the edge: e = 2.5.
         let (i1, _) = t.eval(1e-6, 2.5);
         assert!(i1.abs() < 1e-12);
-        assert!(!t.breakpoints().is_empty());
+        assert!(!t.breakpoints(1e-6).is_empty());
     }
 
     #[test]

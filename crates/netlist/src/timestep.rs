@@ -6,6 +6,13 @@
 //! (the paper's Fig. 3), which means something only while both integrate
 //! alike, so these decisions are spelled here once. Each engine keeps its own
 //! loop around a [`Stepper`]: their solves, errors and recording differ.
+//!
+//! One decision is an engine's own: when the rest of the run can no longer
+//! show anything, it may *coast* ([`Stepper::coast`]) — take whatever is left
+//! of the span in one step, once no breakpoint lies ahead. The reduced
+//! transient's linear solver does, once every source has stopped changing and
+//! its modes' distance from their final values bounds every later sample
+//! within `vtol`; the walk up to that point is the one both engines step.
 
 /// A run, and every stretch after a breakpoint, starts at `hmax / 10`.
 const INITIAL_STEP_DIVISOR: f64 = 10.0;
@@ -184,6 +191,27 @@ impl Stepper {
         }
     }
 
+    /// Lift the step cap for the rest of the walk, so the next proposal is
+    /// whatever is left of the span: for an engine that has shown no later
+    /// sample can tell the steps it skips from the one it takes. The step
+    /// is backward Euler, which damps a decaying state toward its end value
+    /// for any `h`; the trapezoidal rule would mirror it across that value
+    /// once `h` outgrows the state's time constant. `false`, and nothing
+    /// changes, while a breakpoint still lies ahead; nothing changes either
+    /// when the next step ends the walk anyway.
+    pub fn coast(&mut self) -> bool {
+        if self.bps.last().is_some_and(|&bp| bp > self.t + self.tiny) {
+            return false;
+        }
+        if self.h.min(self.hmax) >= self.tstop - self.t {
+            return true;
+        }
+        self.hmax = f64::INFINITY;
+        self.h = self.tstop - self.t;
+        self.method = Method::BackwardEuler;
+        true
+    }
+
     /// The proposed step did not converge: stay and retry smaller. `true`
     /// once the step has fallen below `min_step` and the caller gives up.
     #[must_use]
@@ -310,6 +338,40 @@ mod tests {
             rejections > 300 && landings > 300 && long_spans > 20,
             "{rejections}, {landings}, {long_spans}"
         );
+    }
+
+    #[test]
+    fn a_coast_takes_the_rest_of_the_span_once_no_breakpoint_lies_ahead() {
+        let (tstop, bp) = (4e-9, 1.3e-9);
+        let mut stepper = Stepper::new(tstop, 1e-3, vec![bp]).unwrap();
+        let mut steps = 0;
+        // Refused before the breakpoint: the walk goes on at the policy's step.
+        while stepper.t() < bp {
+            assert!(!stepper.coast(), "t = {:e}: a breakpoint lies ahead", stepper.t());
+            let (h, _) = stepper.next().unwrap();
+            assert!(h <= tstop * 1e-3);
+            stepper.accepted(1);
+            steps += 1;
+        }
+        assert_eq!(stepper.t().to_bits(), bp.to_bits(), "landed on the breakpoint");
+        let (_, method) = stepper.next().unwrap();
+        assert_eq!(method, Method::BackwardEuler, "the restart after it");
+        stepper.accepted(1);
+        let t = stepper.t();
+        assert!(stepper.coast());
+        let (h, method) = stepper.next().unwrap();
+        assert_eq!(h.to_bits(), (tstop - t).to_bits(), "the rest of the span in one step");
+        assert_eq!(method, Method::BackwardEuler, "a damped step to the end");
+        // A rejection still shrinks the step; the walk then ends at `tstop`.
+        assert!(!stepper.rejected(1e-18));
+        let (h, method) = stepper.next().unwrap();
+        assert_eq!((h, method), ((tstop - t) / 4.0, Method::BackwardEuler));
+        while stepper.next().is_some() {
+            stepper.accepted(1);
+            steps += 1;
+        }
+        assert!((stepper.t() - tstop).abs() <= tstop * 1e-12, "ends at {:e}", stepper.t());
+        assert!(steps < 400, "{steps} steps");
     }
 
     #[test]

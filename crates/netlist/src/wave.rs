@@ -39,6 +39,8 @@ pub enum SourceWave {
 }
 
 const MIN_EDGE: f64 = 1e-15;
+/// Past this many periods `k·period` no longer counts periods one by one.
+const MAX_PERIODS: f64 = 4_503_599_627_370_496.0;
 
 impl SourceWave {
     /// A single rising (or falling) step: `v0` until `delay`, ramping
@@ -93,26 +95,79 @@ impl SourceWave {
         }
     }
 
-    /// Earliest time at which the waveform can change (used to pick
-    /// breakpoints for the transient integrator). `None` for DC.
-    pub fn breakpoints(&self) -> Vec<f64> {
+    /// Every corner of the waveform up to `tstop` — where its slope may
+    /// change, so where a transient lands and restarts — for the
+    /// integrator's breakpoint schedule. Empty for DC. A periodic pulse
+    /// lists the four corners of every period that starts before `tstop`,
+    /// no more entries than the walk that lands on them takes steps.
+    pub fn breakpoints(&self, tstop: f64) -> Vec<f64> {
         match self {
             SourceWave::Dc(_) => Vec::new(),
             SourceWave::Pulse { delay, rise, fall, width, period, .. } => {
                 let rise = rise.max(MIN_EDGE);
                 let fall = fall.max(MIN_EDGE);
-                let mut pts =
-                    vec![*delay, delay + rise, delay + rise + width, delay + rise + width + fall];
+                let corners =
+                    [*delay, delay + rise, delay + rise + width, delay + rise + width + fall];
+                let mut pts = corners.to_vec();
                 if period.is_finite() && *period > 0.0 {
-                    let base = pts.clone();
-                    for k in 1..4 {
-                        pts.extend(base.iter().map(|p| p + k as f64 * period));
+                    // Periods whose corners all fall before 0 are skipped;
+                    // a count past f64's integers is not a schedule.
+                    let first = (-corners[3] / period).floor().max(1.0);
+                    let last = ((tstop - delay) / period).ceil();
+                    if first.is_finite() && last.is_finite() && last < MAX_PERIODS {
+                        for k in first as u64..=last.max(0.0) as u64 {
+                            let shift = k as f64 * period;
+                            if corners[0] + shift >= tstop {
+                                break;
+                            }
+                            pts.extend(corners.map(|c| c + shift));
+                        }
                     }
                 }
                 pts
             }
             SourceWave::Pwl(points) => points.iter().map(|&(t, _)| t).collect(),
         }
+    }
+
+    /// A time after which the waveform stops changing: [`value_at`] gives
+    /// one value at every `t > T`. `None` for a waveform that never stops:
+    /// a periodic pulse, or one whose final time is not a number.
+    ///
+    /// Read off the branches of [`value_at`], not the corners of
+    /// [`breakpoints`]: the strict `t > T` holds however `T` rounds.
+    ///
+    /// ```
+    /// # use pcv_netlist::SourceWave;
+    /// let w = SourceWave::step(0.0, 2.5, 1e-9, 0.2e-9);
+    /// let t = w.settles_after().unwrap();
+    /// assert_eq!(w.value_at(t * 1.001), w.value_at(1.0));
+    /// assert_eq!(SourceWave::Dc(1.0).settles_after(), Some(f64::NEG_INFINITY));
+    /// ```
+    ///
+    /// [`value_at`]: SourceWave::value_at
+    /// [`breakpoints`]: SourceWave::breakpoints
+    pub fn settles_after(&self) -> Option<f64> {
+        let t = match self {
+            SourceWave::Dc(_) => f64::NEG_INFINITY,
+            SourceWave::Pulse { period, .. } if period.is_finite() && *period > 0.0 => {
+                return None;
+            }
+            SourceWave::Pulse { delay, rise, fall, width, .. } => {
+                // The last branch's threshold on `t − delay`, and the ramp
+                // before it when a negative width puts it later. `max`
+                // skips a NaN threshold as the branch comparisons do.
+                let rise = rise.max(MIN_EDGE);
+                let end = rise + width + fall.max(MIN_EDGE);
+                delay + rise.max(rise + width).max(end)
+            }
+            SourceWave::Pwl(points) => match (points.first(), points.last()) {
+                (Some(&(first, _)), Some(&(last, _))) if !last.is_nan() => last.max(first),
+                (Some(_), Some(_)) => return None,
+                _ => f64::NEG_INFINITY,
+            },
+        };
+        (!t.is_nan()).then_some(t)
     }
 
     /// The DC (t → -∞ / t = 0⁻) value, used for the operating point.
@@ -135,7 +190,7 @@ mod tests {
         assert_eq!(w.value_at(0.0), 2.5);
         assert_eq!(w.value_at(1.0), 2.5);
         assert_eq!(w.dc_value(), 2.5);
-        assert!(w.breakpoints().is_empty());
+        assert!(w.breakpoints(1.0).is_empty());
     }
 
     #[test]
@@ -174,6 +229,88 @@ mod tests {
     }
 
     #[test]
+    fn a_periodic_pulse_lists_the_corners_of_every_period_in_the_span() {
+        let (rise, fall, width, period) = (0.1e-9, 0.2e-9, 0.4e-9, 1.2e-9);
+        let pulse = |delay, period| SourceWave::Pulse {
+            v0: 0.0,
+            v1: 1.0,
+            delay,
+            rise,
+            fall,
+            width,
+            period,
+        };
+        let bps = pulse(0.3e-9, period).breakpoints(12e-9);
+        assert_eq!(bps.len(), 40, "ten periods start before 12 ns");
+        let base = [0.3e-9, 0.3e-9 + rise, 0.3e-9 + rise + width, 0.3e-9 + rise + width + fall];
+        for (k, corners) in bps.chunks(4).enumerate() {
+            let want = base.map(|p| p + k as f64 * period);
+            assert_eq!(corners, want, "period {k}");
+        }
+        // Periods whose corners all lie before 0 are not listed.
+        let bps = pulse(-100e-9, period).breakpoints(2e-9);
+        assert_eq!(bps.iter().filter(|&&t| t > 0.0 && t < 2e-9).count(), 6, "{bps:?}");
+        assert!(bps.len() <= 4 + 4 * 3, "{} corners", bps.len());
+        // A one-shot pulse, or a period that is not one, lists one pulse.
+        for period in [f64::INFINITY, 0.0, -1.0, f64::NAN] {
+            assert_eq!(pulse(0.3e-9, period).breakpoints(1.0).len(), 4);
+        }
+    }
+
+    #[test]
+    fn value_at_does_not_change_after_settles_after() {
+        let mut rng = pcv_rng::Rng::new(0x005e_771e);
+        let odd = [0.0, -0.0, -1e-9, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e-30];
+        let draw = |rng: &mut pcv_rng::Rng, scale: f64| {
+            if rng.bool_with(0.1) {
+                odd[rng.range_usize(0, odd.len())]
+            } else {
+                rng.range_f64(-0.2, 1.0) * scale
+            }
+        };
+        let (mut settled, mut never) = (0, 0);
+        for case in 0..4000 {
+            let w = match rng.range_usize(0, 4) {
+                0 => SourceWave::Dc(rng.range_f64(-3.0, 3.0)),
+                1 => SourceWave::Pulse {
+                    v0: rng.range_f64(-3.0, 3.0),
+                    v1: rng.range_f64(-3.0, 3.0),
+                    delay: draw(&mut rng, 1e-9),
+                    rise: draw(&mut rng, 1e-10),
+                    fall: draw(&mut rng, 1e-10),
+                    width: draw(&mut rng, 1e-9),
+                    period: if rng.bool_with(0.7) { f64::INFINITY } else { draw(&mut rng, 2e-9) },
+                },
+                2 => SourceWave::step(rng.range_f64(-3.0, 3.0), 1.0, draw(&mut rng, 1e-9), 1e-10),
+                _ => SourceWave::Pwl(
+                    (0..rng.range_usize(0, 5))
+                        .map(|_| (draw(&mut rng, 2e-9), rng.range_f64(-3.0, 3.0)))
+                        .collect(),
+                ),
+            };
+            let Some(t) = w.settles_after() else {
+                never += 1;
+                continue;
+            };
+            settled += 1;
+            let last = w.value_at(f64::MAX);
+            let mut after = vec![t.max(-1e-6).next_up(), t.max(-1e-6) + 1e-12, f64::MAX];
+            after.extend((0..20).map(|_| t.max(-1e-6) + rng.range_f64(0.0, 1e-8)));
+            for s in after.into_iter().filter(|&s| s > t) {
+                let v = w.value_at(s);
+                assert!(
+                    v.to_bits() == last.to_bits() || (v.is_nan() && last.is_nan()),
+                    "case {case}: {w:?} settles after {t:e}, yet reads {v} at {s:e}, {last} late"
+                );
+            }
+        }
+        assert!(settled > 2000 && never > 200, "{settled}, {never}");
+        assert_eq!(SourceWave::Dc(1.0).settles_after(), Some(f64::NEG_INFINITY));
+        assert_eq!(SourceWave::Pwl(vec![]).settles_after(), Some(f64::NEG_INFINITY));
+        assert_eq!(SourceWave::Pwl(vec![(0.0, 1.0), (f64::NAN, 2.0)]).settles_after(), None);
+    }
+
+    #[test]
     fn pwl_interpolates_and_clamps() {
         let w = SourceWave::Pwl(vec![(1.0, 0.0), (2.0, 2.0), (4.0, -2.0)]);
         assert_eq!(w.value_at(0.0), 0.0);
@@ -181,7 +318,7 @@ mod tests {
         assert_eq!(w.value_at(3.0), 0.0);
         assert_eq!(w.value_at(9.0), -2.0);
         assert_eq!(w.dc_value(), 0.0);
-        assert_eq!(w.breakpoints(), vec![1.0, 2.0, 4.0]);
+        assert_eq!(w.breakpoints(9.0), vec![1.0, 2.0, 4.0]);
     }
 
     #[test]

@@ -208,6 +208,17 @@ impl TranResult {
         self.try_waveform(node).expect("node was not probed")
     }
 
+    /// Waveform of a probed node, moving its samples and the time axis out
+    /// of the result instead of copying them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node was not probed.
+    pub fn into_waveform(mut self, node: NodeId) -> Waveform {
+        let idx = self.probes.iter().position(|&p| p == node).expect("node was not probed");
+        Waveform::from_samples(self.times, self.data.swap_remove(idx))
+    }
+
     /// Waveform of a probed node, or an error.
     ///
     /// # Errors
@@ -510,11 +521,11 @@ impl<'a> Simulator<'a> {
         let mut bps: Vec<f64> = Vec::new();
         for e in self.ckt.elements() {
             if let Element::Vsrc { wave, .. } | Element::Isrc { wave, .. } = e {
-                bps.extend(wave.breakpoints());
+                bps.extend(wave.breakpoints(tstop));
             }
         }
         for (_, term) in &self.terminations {
-            bps.extend(term.breakpoints());
+            bps.extend(term.breakpoints(tstop));
         }
         let mut stepper = Stepper::new(tstop, opts.max_step_fraction, bps)
             .map_err(|what| SimError::InvalidValue { what })?;
@@ -683,11 +694,11 @@ mod tests {
             let mut bps: Vec<f64> = Vec::new();
             for e in sim.ckt.elements() {
                 if let Element::Vsrc { wave, .. } | Element::Isrc { wave, .. } = e {
-                    bps.extend(wave.breakpoints());
+                    bps.extend(wave.breakpoints(tstop));
                 }
             }
             for (_, term) in &sim.terminations {
-                bps.extend(term.breakpoints());
+                bps.extend(term.breakpoints(tstop));
             }
             bps.retain(|&b| b > 0.0 && b < tstop);
             bps.sort_by(|a, b| a.partial_cmp(b).expect("finite breakpoints"));
@@ -965,8 +976,8 @@ mod tests {
         fn capacitance(&self) -> f64 {
             self.cout
         }
-        fn breakpoints(&self) -> Vec<f64> {
-            self.target.breakpoints()
+        fn breakpoints(&self, tstop: f64) -> Vec<f64> {
+            self.target.breakpoints(tstop)
         }
     }
 
@@ -1273,6 +1284,36 @@ mod tests {
             let w = res.waveform(a);
             let (_, peak) = w.peak_deviation(0.0);
             assert!((peak - 1.0).abs() < 1e-3, "tstop {tstop}: pulse peak captured, got {peak}");
+        }
+    }
+
+    #[test]
+    fn every_edge_of_a_long_clock_is_a_sample_time() {
+        // Ten periods over the span: every corner of every period is landed
+        // on, not only those of the first four.
+        let (period, tstop) = (1.2e-9, 12e-9);
+        let mut ckt = Circuit::new();
+        let a = ckt.node("a");
+        let clock = SourceWave::Pulse {
+            v0: 0.0,
+            v1: 2.5,
+            delay: 0.05e-9,
+            rise: 0.1e-9,
+            fall: 0.1e-9,
+            width: 0.45e-9,
+            period,
+        };
+        ckt.add_vsrc(a, Circuit::GROUND, clock);
+        ckt.add_resistor(a, Circuit::GROUND, 1000.0);
+        let res = Simulator::new(&ckt).transient(tstop, &SimOptions::default()).unwrap();
+        let tiny = tstop * 1e-12;
+        for k in 0..10 {
+            for corner in [0.0, 0.1e-9, 0.55e-9, 0.65e-9] {
+                let edge = 0.05e-9 + corner + k as f64 * period;
+                let nearest =
+                    res.times().iter().map(|&t| (t - edge).abs()).fold(f64::MAX, f64::min);
+                assert!(nearest <= tiny, "period {k}: edge {edge:e} missed by {nearest:e}");
+            }
         }
     }
 

@@ -460,7 +460,7 @@ impl PreparedCluster {
                 hold
             }
         }));
-        let run = self.run(ctx, &roles, opts)?;
+        let run = self.run(ctx, &roles, false, opts)?;
         let baseline = if rising { 0.0 } else { opts.vdd };
         let (t_peak, peak) = run.observe.peak_deviation(baseline);
         if !peak.is_finite() || !t_peak.is_finite() {
@@ -508,15 +508,14 @@ impl PreparedCluster {
         let _span = pcv_trace::span("xtalk", "delay");
         let mut roles = vec![aggressor; self.model.members.len()];
         roles[0] = edge(victim_rising, opts.switch_time);
-        let run = self.run(ctx, &roles, opts)?;
+        let run = self.run(ctx, &roles, true, opts)?;
         let half = 0.5 * opts.vdd;
         let far = run
             .observe
             .crossing(half, victim_rising, 0.0)
             .ok_or(XtalkError::Measurement { what: "victim receiver 50% crossing" })?;
-        let near = run
-            .victim_driver
-            .crossing(half, victim_rising, 0.0)
+        let near = (run.victim_driver.as_ref())
+            .and_then(|w| w.crossing(half, victim_rising, 0.0))
             .ok_or(XtalkError::Measurement { what: "victim driver 50% crossing" })?;
         Ok(DelayResult {
             delay: far - near,
@@ -527,16 +526,18 @@ impl PreparedCluster {
         })
     }
 
-    /// Run the prepared cluster with per-member roles on the selected engine.
+    /// Run the prepared cluster with per-member roles on the selected engine;
+    /// the victim driver's waveform too when `driver`.
     fn run(
         &mut self,
         ctx: &AnalysisContext<'_>,
         roles: &[SwitchRole],
+        driver: bool,
         opts: &AnalysisOptions,
     ) -> Result<EngineRun, XtalkError> {
         let model = &self.model;
         if opts.engine == EngineKind::Spice {
-            return run_spice(ctx, model, roles, opts);
+            return run_spice(ctx, model, roles, driver, opts);
         }
         let rom = self.rom.as_mut().expect("prepare() ran for the reduced engine");
         let boxes = driver_terminations(ctx, model, roles, opts)?;
@@ -546,10 +547,10 @@ impl PreparedCluster {
         }
         let res = simulate_memo(&rom.diag, &terms, opts.tstop, &opts.mor, &mut rom.modal)?;
         Ok(EngineRun {
-            observe: res.waveform(model.observe_port),
-            victim_driver: res.waveform(model.victim_port()),
+            victim_driver: driver.then(|| res.waveform(model.victim_port())),
             newton_iters: res.newton_iters,
             reduced_order: Some(rom.diag.order()),
+            observe: res.into_waveform(model.observe_port),
         })
     }
 }
@@ -635,7 +636,8 @@ fn edge(rising: bool, t0: f64) -> SwitchRole {
 /// Internal engine-run output.
 struct EngineRun {
     observe: Waveform,
-    victim_driver: Waveform,
+    /// Recorded for delay runs only.
+    victim_driver: Option<Waveform>,
     newton_iters: usize,
     reduced_order: Option<usize>,
 }
@@ -646,6 +648,7 @@ fn run_spice(
     ctx: &AnalysisContext<'_>,
     model: &ClusterModel,
     roles: &[SwitchRole],
+    driver: bool,
     opts: &AnalysisOptions,
 ) -> Result<EngineRun, XtalkError> {
     let mut ckt = Circuit::new();
@@ -689,13 +692,13 @@ fn run_spice(
     }
     let observe_node = node_ids[model.rc.ports()[model.observe_port]];
     let victim_node = node_ids[model.rc.ports()[model.victim_port()]];
-    let res =
-        sim.transient_probed(opts.tstop, &SimOptions::default(), &[observe_node, victim_node])?;
+    let probes: &[_] = if driver { &[observe_node, victim_node] } else { &[observe_node] };
+    let res = sim.transient_probed(opts.tstop, &SimOptions::default(), probes)?;
     Ok(EngineRun {
-        observe: res.waveform(observe_node),
-        victim_driver: res.waveform(victim_node),
+        victim_driver: driver.then(|| res.waveform(victim_node)),
         newton_iters: res.newton_iters,
         reduced_order: None,
+        observe: res.into_waveform(observe_node),
     })
 }
 

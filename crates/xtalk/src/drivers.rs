@@ -144,7 +144,7 @@ mod tests {
         // Long after the edge the open-circuit source sits at vdd.
         let (i, _) = rise.eval(1e-6, 2.5);
         assert!(i.abs() < 1e-12);
-        assert!(!rise.breakpoints().is_empty());
+        assert!(!rise.breakpoints(1e-6).is_empty());
     }
 
     #[test]

@@ -86,7 +86,7 @@ pub fn check_receiver_propagation(
     ckt.add_capacitor(out, Circuit::GROUND, cell.input_cap().max(1e-15));
 
     let res = Simulator::new(&ckt).transient_probed(t_end, &SimOptions::default(), &[out])?;
-    let output = res.waveform(out);
+    let output = res.into_waveform(out);
 
     // The receiver's quiet output level given the quiet input level.
     let inverting = cell.kind.inverting();
