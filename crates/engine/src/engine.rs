@@ -208,7 +208,7 @@ const MAX_TRAN_STEPS: usize = 200_000;
 /// Analysis options for one ladder rung. Adjustments are *cumulative*: each
 /// higher rung keeps every lower rung's mitigation, so the walk is a pure
 /// function of the rung (not of the failure path that led there).
-fn rung_options(analysis: &AnalysisOptions, rung: RecoveryRung) -> AnalysisOptions {
+pub(crate) fn rung_options(analysis: &AnalysisOptions, rung: RecoveryRung) -> AnalysisOptions {
     let mut opts = analysis.clone();
     // Stall protection applies to the reduced transient at every rung,
     // baseline included (the SPICE rungs take `SimOptions::default()` and no

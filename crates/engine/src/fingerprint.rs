@@ -668,4 +668,54 @@ mod tests {
             assert_eq!(filled, distinct.len(), "one digest per net that is a member somewhere");
         }
     }
+
+    /// The bits every cache, journal and sign-off is keyed by, recorded
+    /// while the solver tolerances were still option fields: the default
+    /// configuration over a fixed-resistance and a nonlinear context,
+    /// every ladder rung's options, and the cluster fingerprints of a
+    /// small DSP block. A tolerance turned into a constant must keep
+    /// writing the same value in the same slot.
+    #[test]
+    fn configuration_and_cluster_digests_are_the_recorded_ones() {
+        use crate::engine::{rung_options, EngineConfig};
+        use crate::recovery::RecoveryRung;
+        use pcv_designs::dsp::{generate, DspConfig};
+        let cfg = EngineConfig::default();
+        let (db, _) = fixture(0, &BASE);
+        let fixed = AnalysisContext::fixed_resistance(&db, 1500.0);
+        let lib = CellLibrary::standard_025();
+        let dsp = DspConfig { n_buses: 2, bus_bits: 8, n_random_nets: 24, ..Default::default() };
+        let block = generate(&dsp, &pcv_designs::Technology::c025(), &lib);
+        let nonlinear = AnalysisContext {
+            db: &block.parasitics,
+            design: Some(&block.design),
+            lib: Some(&lib),
+            charlib: None,
+            driver_model: DriverModelKind::Nonlinear,
+        };
+        let mut got = vec![cfg.config_hash(&fixed), cfg.config_hash(&nonlinear)];
+        for rung in RecoveryRung::ALL {
+            let opts = rung_options(&cfg.analysis, rung);
+            got.push(config_hash(&fixed, &cfg.prune, &opts, cfg.warn_frac, cfg.fail_frac, true));
+        }
+        let config = cfg.config_hash(&nonlinear);
+        let mut clusters = Fnv1a::new();
+        for v in 0..block.parasitics.num_nets() {
+            let cluster = prune_victim(&block.parasitics, PNetId(v), &cfg.prune);
+            clusters.write_u64(cluster_fingerprint(&nonlinear, &cluster, config));
+        }
+        got.push(clusters.finish());
+        let want: [u64; 9] = [
+            0x40cc46f5bdbfa113,
+            0xa0db976abb565b7a,
+            0xf8e63671ba2c2be4,
+            0x023265214e2f63ba,
+            0x6f1541229db32010,
+            0x0ddfd8aa3059ad70,
+            0x8b4e827d76231f61,
+            0x8b4e827d76231f61,
+            0xc8997104c4dbdaf8,
+        ];
+        assert_eq!(got, want, "{got:#018x?}");
+    }
 }
