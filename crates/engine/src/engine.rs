@@ -430,9 +430,6 @@ impl Engine {
     /// The session of a traced run ([`EngineConfig::trace`]). An ECO opens it
     /// before its diff and plan, so one trace holds the whole turnaround.
     pub(crate) fn trace_session(&self) -> Option<pcv_trace::TraceSession> {
-        // Bridge spans to the allocation counters when the instrumented
-        // allocator is installed (idempotent no-op otherwise).
-        pcv_obs::mem::install_trace_probe();
         self.config.trace.then(pcv_trace::TraceSession::start)
     }
 

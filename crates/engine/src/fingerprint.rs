@@ -189,15 +189,17 @@ pub fn config_hash(
         EngineKind::Spice => h.write_u64(2),
     }
     h.write_f64(opts.tstop);
-    h.write_f64(opts.switch_time);
+    // The solver constants keep the slots the option fields they replaced
+    // had, so fingerprints written before still match.
+    h.write_f64(pcv_xtalk::analysis::SWITCH_TIME);
     h.write_f64(opts.input_slew);
     h.write_f64(opts.vdd);
     h.write_f64(opts.gmin_scale);
     h.write_f64(opts.mor.max_step_fraction);
-    h.write_f64(opts.mor.vtol);
-    h.write_f64(opts.mor.damping);
+    h.write_f64(pcv_mor::sim::VTOL);
+    h.write_f64(pcv_mor::sim::DAMPING);
     h.write_usize(opts.mor.max_newton);
-    h.write_f64(opts.mor.min_step);
+    h.write_f64(pcv_mor::sim::MIN_STEP);
     h.write_usize(opts.mor.newton_budget);
     h.write_usize(opts.mor.max_tran_steps);
     h.write_f64(warn_frac);

@@ -2,32 +2,21 @@
 //!
 //! A [`CancelToken`] is a cheap, clonable handle polled inside the block
 //! Lanczos and Newton loops so a pathological cluster degrades (via the
-//! engine's recovery ladder) instead of stalling a worker forever. Two
-//! trigger mechanisms exist:
-//!
-//! * an explicit flag ([`CancelToken::cancel`]) — deterministic, settable
-//!   from another thread;
-//! * an optional wall-clock soft deadline ([`CancelToken::with_deadline`]) —
-//!   **non-deterministic** by nature, so report-determinism-sensitive callers
-//!   (the chaos suite, golden fixtures) must not use it. The engine's
-//!   deterministic budgets (`newton_budget` / `max_tran_steps` in
-//!   [`crate::MorOptions`]) are the default stall protection.
+//! engine's recovery ladder) instead of stalling a worker forever. Its one
+//! trigger is an explicit flag ([`CancelToken::cancel`]), settable from
+//! another thread. There is no wall-clock trigger: it would make a report
+//! depend on machine speed. The engine's deterministic budgets
+//! (`newton_budget` / `max_tran_steps` in [`crate::MorOptions`]) are the
+//! stall protection.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// A cooperative cancellation handle shared between a worker loop and its
 /// supervisor. Cloning shares the underlying flag.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
-    inner: Arc<Inner>,
-}
-
-#[derive(Debug, Default)]
-struct Inner {
-    flag: AtomicBool,
-    deadline: Option<Instant>,
+    flag: Arc<AtomicBool>,
 }
 
 impl CancelToken {
@@ -37,35 +26,15 @@ impl CancelToken {
         Self::default()
     }
 
-    /// A token that additionally fires once `budget` of wall-clock time has
-    /// elapsed. Wall-clock deadlines are non-deterministic; prefer the
-    /// iteration budgets in [`crate::MorOptions`] when byte-identical
-    /// reports matter.
-    #[must_use]
-    pub fn with_deadline(budget: Duration) -> Self {
-        CancelToken {
-            inner: Arc::new(Inner {
-                flag: AtomicBool::new(false),
-                deadline: Some(Instant::now() + budget),
-            }),
-        }
-    }
-
     /// Raise the cancellation flag. All clones observe it.
     pub fn cancel(&self) {
-        self.inner.flag.store(true, Ordering::Relaxed);
+        self.flag.store(true, Ordering::Relaxed);
     }
 
-    /// Whether the flag is raised or the soft deadline has passed.
+    /// Whether the flag is raised.
     #[must_use]
     pub fn is_cancelled(&self) -> bool {
-        if self.inner.flag.load(Ordering::Relaxed) {
-            return true;
-        }
-        match self.inner.deadline {
-            Some(d) => Instant::now() >= d,
-            None => false,
-        }
+        self.flag.load(Ordering::Relaxed)
     }
 }
 
@@ -82,14 +51,6 @@ mod tests {
         t2.cancel();
         assert!(t.is_cancelled());
         assert!(t2.is_cancelled());
-    }
-
-    #[test]
-    fn elapsed_deadline_fires() {
-        let t = CancelToken::with_deadline(Duration::from_secs(0));
-        assert!(t.is_cancelled());
-        let far = CancelToken::with_deadline(Duration::from_secs(3600));
-        assert!(!far.is_cancelled());
     }
 
     #[test]

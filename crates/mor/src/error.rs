@@ -44,7 +44,7 @@ pub enum MorError {
         /// Simulation time at which the budget ran out.
         t: f64,
     },
-    /// A cooperative cancellation flag or soft deadline fired.
+    /// A cooperative cancellation flag fired.
     Cancelled {
         /// The stage that observed the cancellation, e.g. `"block lanczos"`.
         stage: &'static str,
@@ -73,7 +73,7 @@ impl fmt::Display for MorError {
                 write!(f, "per-cluster work budget exhausted at t = {t:e}")
             }
             MorError::Cancelled { stage } => {
-                write!(f, "cancelled during {stage} (soft deadline or cancellation flag)")
+                write!(f, "cancelled during {stage}")
             }
         }
     }

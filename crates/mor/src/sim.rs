@@ -32,20 +32,24 @@ use pcv_sparse::panel;
 
 mod modal;
 
+/// Newton convergence tolerance on port voltages (volts). The modal
+/// solver's settle bound uses it too.
+pub const VTOL: f64 = 1e-6;
+
+/// Largest port-voltage change accepted per Newton iteration (volts);
+/// damps limit cycles across the kinks of tabulated driver models.
+pub const DAMPING: f64 = 0.5;
+
+/// Smallest allowed timestep (seconds).
+pub const MIN_STEP: f64 = 1e-18;
+
 /// Options for the reduced transient.
 #[derive(Debug, Clone)]
 pub struct MorOptions {
     /// Maximum timestep as a fraction of the simulation span.
     pub max_step_fraction: f64,
-    /// Newton convergence tolerance on port voltages (volts).
-    pub vtol: f64,
-    /// Largest port-voltage change accepted per Newton iteration (volts);
-    /// damps limit cycles across the kinks of tabulated driver models.
-    pub damping: f64,
     /// Newton iteration budget per step.
     pub max_newton: usize,
-    /// Smallest allowed timestep (seconds).
-    pub min_step: f64,
     /// Total Newton-iteration budget for the whole transient (DC solve
     /// included). Deterministic stall protection: a pathological cluster
     /// surfaces [`MorError::BudgetExhausted`] instead of running without
@@ -54,9 +58,8 @@ pub struct MorOptions {
     /// Budget of accepted transient steps; [`MorError::BudgetExhausted`]
     /// when exceeded. `usize::MAX` disables the check.
     pub max_tran_steps: usize,
-    /// Optional cooperative cancellation handle, polled once per transient
-    /// step and once per Newton iteration. Wall-clock deadlines on the token
-    /// are non-deterministic; see [`CancelToken`].
+    /// Optional cooperative cancellation handle ([`CancelToken`]), polled
+    /// once per transient step and once per Newton iteration.
     pub cancel: Option<CancelToken>,
 }
 
@@ -64,10 +67,7 @@ impl Default for MorOptions {
     fn default() -> Self {
         MorOptions {
             max_step_fraction: 1.0 / 1000.0,
-            vtol: 1e-6,
-            damping: 0.5,
             max_newton: 80,
-            min_step: 1e-18,
             newton_budget: usize::MAX,
             max_tran_steps: usize::MAX,
             cancel: None,
@@ -231,7 +231,7 @@ fn newton(
     for damp_scale in [1.0, 0.2, 0.04] {
         x.fill(0.0);
         let dc = Step { alpha: 0.0, beta: &beta, t: 0.0, caps: None };
-        if let Ok(it) = ws.newton(&mut x, &dc, opts.damping * damp_scale, opts.max_newton * 4) {
+        if let Ok(it) = ws.newton(&mut x, &dc, DAMPING * damp_scale, opts.max_newton * 4) {
             dc_iters = Some(it);
             break;
         }
@@ -274,7 +274,7 @@ fn newton(
         x_new.copy_from_slice(&x);
         let caps = CapHistory { h, method, v_prev: &cap_v_prev, i_prev: &cap_i_prev };
         let step = Step { alpha, beta: &beta, t: t + h, caps: Some(caps) };
-        match ws.newton(&mut x_new, &step, opts.damping, opts.max_newton) {
+        match ws.newton(&mut x_new, &step, DAMPING, opts.max_newton) {
             Ok(iters) => {
                 total_newton += iters;
                 // Accept.
@@ -299,7 +299,7 @@ fn newton(
                 steps += 1;
             }
             Err(()) => {
-                if stepper.rejected(opts.min_step) {
+                if stepper.rejected(MIN_STEP) {
                     return Err(MorError::NoConvergence { t });
                 }
             }
@@ -599,7 +599,7 @@ impl<'a> Workspace<'a> {
             for (xk, &dk) in x.iter_mut().zip(delta.iter()) {
                 *xk += scale * dk;
             }
-            if max_dy < opts.vtol && max_dx < opts.vtol * 100.0 {
+            if max_dy < VTOL && max_dx < VTOL * 100.0 {
                 return Ok(iter + 1);
             }
         }
@@ -1180,7 +1180,7 @@ mod tests {
         let beta = [0.0; 3];
         let mut x = [1e-3, 0.0, 0.0];
         let dc = Step { alpha: 0.0, beta: &beta, t: 0.0, caps: None };
-        assert_eq!(ws.newton(&mut x, &dc, opts.damping, opts.max_newton), Err(()));
+        assert_eq!(ws.newton(&mut x, &dc, DAMPING, opts.max_newton), Err(()));
         assert_eq!(x, [1e-3, 0.0, 0.0], "no update is applied from a singular solve");
         // End to end every DC retry hits it, which is NoConvergence at t = 0.
         let err = newton_only(&model, &terms, 1e-9, &opts).unwrap_err();
@@ -1202,7 +1202,7 @@ mod tests {
         let beta = vec![0.0; rom.order()];
         let mut x = vec![0.25; rom.order()];
         let dc = Step { alpha: 0.0, beta: &beta, t: 0.0, caps: None };
-        assert_eq!(ws.newton(&mut x, &dc, opts.damping, opts.max_newton), Err(()));
+        assert_eq!(ws.newton(&mut x, &dc, DAMPING, opts.max_newton), Err(()));
         assert!(x.iter().all(|&v| v == 0.25), "the poll precedes the first iteration");
         let err = simulate(&rom, &terms, 2e-9, &opts).unwrap_err();
         assert!(matches!(err, MorError::Cancelled { stage: "reduced transient dc" }), "got {err}");
@@ -1263,7 +1263,6 @@ mod tests {
             let mut dc_ok = false;
             for damp_scale in [1.0, 0.2, 0.04] {
                 let mut dc_opts = opts.clone();
-                dc_opts.damping = opts.damping * damp_scale;
                 dc_opts.max_newton = opts.max_newton * 4;
                 x.iter_mut().for_each(|v| *v = 0.0);
                 if let Ok(it) = newton_solve(
@@ -1276,6 +1275,7 @@ mod tests {
                     /* beta */ &vec![0.0; q],
                     /* t */ 0.0,
                     /* cap history */ None,
+                    DAMPING * damp_scale,
                     &dc_opts,
                 ) {
                     iters = it;
@@ -1347,6 +1347,7 @@ mod tests {
                     &beta,
                     t + h_eff,
                     cap_hist,
+                    DAMPING,
                     opts,
                 ) {
                     Ok(it) => {
@@ -1395,7 +1396,7 @@ mod tests {
                     Err(()) => {
                         h /= 4.0;
                         use_be = true;
-                        if h < opts.min_step {
+                        if h < MIN_STEP {
                             return Err(MorError::NoConvergence { t });
                         }
                     }
@@ -1422,6 +1423,7 @@ mod tests {
             beta: &[f64],
             t: f64,
             cap_hist: Option<(f64, bool, &[f64], &[f64])>,
+            damping: f64,
             opts: &MorOptions,
         ) -> Result<usize, ()> {
             let q = model.order();
@@ -1517,13 +1519,13 @@ mod tests {
                 }
                 // Damp large steps: tabulated driver models have derivative kinks
                 // that full Newton steps can cycle across.
-                let scale = if max_dy > opts.damping { opts.damping / max_dy } else { 1.0 };
+                let scale = if max_dy > damping { damping / max_dy } else { 1.0 };
                 // Also watch the raw state update so observe-only models converge.
                 let max_dx = delta.iter().fold(0.0f64, |m, &v| m.max(v.abs()));
                 for kk in 0..q {
                     x[kk] += scale * delta[kk];
                 }
-                if max_dy < opts.vtol && max_dx < opts.vtol * 100.0 {
+                if max_dy < VTOL && max_dx < VTOL * 100.0 {
                     return Ok(iter + 1);
                 }
             }

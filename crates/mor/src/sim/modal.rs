@@ -27,11 +27,11 @@
 //!
 //! Once every source has stopped changing, `rᵢᵀe` is constant and each mode
 //! only decays toward it; when the ports' distance from their final values
-//! is bounded below `vtol`, no later sample can tell, and the walk ends in
+//! is bounded below [`VTOL`], no later sample can tell, and the walk ends in
 //! one step ([`Stepper::coast`]). The samples before it are those of the
 //! full walk, bit for bit (DESIGN §5, the settle rule).
 
-use super::{cancelled, MorOptions, MorTranResult};
+use super::{cancelled, MorOptions, MorTranResult, VTOL};
 use crate::error::MorError;
 use crate::model::DiagonalModel;
 use pcv_netlist::termination::Termination;
@@ -287,7 +287,7 @@ impl<'a> Modes<'a> {
             // Past the last source change `rhs` holds each mode's end value
             // and every later step, of any size, moves the mode toward it
             // (`|ρᵢ| ≤ 1`): no port can leave `B = Σ wᵢ·|zᵢ − rhsᵢ|` around
-            // its final value. Below `vtol`, the rest of the span is one step.
+            // its final value. Below `VTOL`, the rest of the span is one step.
             // The sum stops at the first term that takes it past and starts
             // from the slowest mode (`σ` ascends), the last to settle.
             if !coasting && self.settle.is_some_and(|s| stepper.t() > s) {
@@ -295,7 +295,7 @@ impl<'a> Modes<'a> {
                 let mut rest = z.iter().zip(&rhs).zip(&self.basis.reach).rev();
                 let settled = rest.all(|((&zi, &ri), &wi)| {
                     bound += wi * (zi - ri).abs();
-                    bound < opts.vtol
+                    bound < VTOL
                 });
                 coasting = settled && stepper.coast();
             }
@@ -309,7 +309,7 @@ impl<'a> Modes<'a> {
 #[cfg(test)]
 mod tests {
     use super::super::tests::newton_only;
-    use super::super::{simulate, MorOptions, MorTranResult};
+    use super::super::{simulate, MorOptions, MorTranResult, VTOL};
     use crate::cancel::CancelToken;
     use crate::error::MorError;
     use crate::model::{DiagonalModel, ReducedModel};
@@ -455,8 +455,8 @@ mod tests {
     /// Newton run stepped easily throughout, the same walk and every sample
     /// within 1e-12 V + 1e-12·|v| up to the point where the modal run
     /// coasted, if it did. After that point the modal run's last sample lies
-    /// within `2·vtol` of Newton's, and every later Newton sample within
-    /// `vtol` + 1e-12 of Newton's own last one: the settle bound, checked on
+    /// within `2·VTOL` of Newton's, and every later Newton sample within
+    /// `VTOL` + 1e-12 of Newton's own last one: the settle bound, checked on
     /// the kernel that does not use it.
     fn assert_modal_matches(
         model: &DiagonalModel,
@@ -502,12 +502,12 @@ mod tests {
             if coasted {
                 let (m_end, n_end) = (m[m.len() - 1], n[n.len() - 1]);
                 let gap = (m_end - n_end).abs();
-                assert!(gap <= 2.0 * opts.vtol, "{tag}: port {j} ends at {m_end} vs {n_end}");
+                assert!(gap <= 2.0 * VTOL, "{tag}: port {j} ends at {m_end} vs {n_end}");
                 seen.worst_end = seen.worst_end.max(gap);
                 for (k, &v) in n.iter().enumerate().skip(shared) {
                     let off = (v - n_end).abs();
                     assert!(
-                        off <= opts.vtol + 1e-12,
+                        off <= VTOL + 1e-12,
                         "{tag}: port {j}: newton sample {k} past the coast point is {off:e} \
                          from its end"
                     );

@@ -21,9 +21,9 @@
 //!   status display that auto-disables when stderr is not a TTY or
 //!   `PCV_NO_PROGRESS` is set.
 //! - **Memory** ([`TrackingAlloc`], [`mem`]) — an instrumented global
-//!   allocator (feature `track-alloc`, relaxed atomics) recording
-//!   current/peak bytes and allocation counts, globally and per thread,
-//!   plus a [`pcv_trace`] probe so every span carries its allocation delta.
+//!   allocator (relaxed atomics) recording current/peak bytes and
+//!   allocation counts, globally and per thread; the per-thread counters
+//!   are [`pcv_trace::mem`]'s, so every span carries its allocation delta.
 //! - **Ledger** ([`ledger`]) — one append-only JSONL record per engine run
 //!   (fingerprints, stage wall times, counters, peak memory), written next
 //!   to the result cache, parseable back with the in-tree [`json`] reader

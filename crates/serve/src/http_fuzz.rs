@@ -5,7 +5,8 @@
 //! through the client's head, body and chunk decoders. Every mutation must
 //! end in a parse or a typed error: no panic, no hang, and no allocation
 //! beyond a fixed multiple of the input's length, whatever length a head
-//! or a chunk declares.
+//! or a chunk declares. Its mutation and allocation helpers also drive
+//! the shard-worker stream fuzzer in [`crate::worker`]'s tests.
 
 #![cfg(test)]
 
@@ -99,9 +100,15 @@ fn mutate(input: &[u8], rng: &mut Rng) -> Vec<u8> {
         b"0\r\n\r\n",
         b"HTTP/1.1 ",
     ];
+    mutate_with(input, TOKENS, rng)
+}
+
+/// One seeded mutation of `input`: a truncation, a lost or doubled span, or
+/// one of `tokens` inserted or in place of a span.
+pub(crate) fn mutate_with(input: &[u8], tokens: &[&[u8]], rng: &mut Rng) -> Vec<u8> {
     let (x, y) = (rng.range_usize(0, input.len() + 1), rng.range_usize(0, input.len() + 1));
     let (a, b) = (x.min(y), x.min(y) + (x.max(y) - x.min(y)).min(24));
-    let token = TOKENS[rng.range_usize(0, TOKENS.len())];
+    let token = tokens[rng.range_usize(0, tokens.len())];
     match rng.range_usize(0, 8) {
         0 => input[..a].to_vec(),
         1 | 2 => [&input[..a], &input[b..]].concat(),
@@ -112,7 +119,7 @@ fn mutate(input: &[u8], rng: &mut Rng) -> Vec<u8> {
 }
 
 /// Bytes this thread allocated while `f` ran.
-fn allocated(f: impl FnOnce()) -> u64 {
+pub(crate) fn allocated(f: impl FnOnce()) -> u64 {
     let before = pcv_obs::mem::thread_totals().0;
     f();
     pcv_obs::mem::thread_totals().0 - before

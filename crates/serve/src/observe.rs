@@ -209,7 +209,7 @@ impl Observatory {
         );
         r.gauge_set(
             "pcv_engine_peak_alloc_bytes",
-            "Peak tracked heap of the most recent run (0 without track-alloc).",
+            "Peak tracked heap of the most recent run (0 without the tracking allocator).",
             &[],
             s.peak_alloc_bytes as f64,
         );
@@ -258,7 +258,7 @@ impl Observatory {
         for s in &outcome.shards {
             r.gauge_set(
                 "pcv_shard_peak_heap_bytes",
-                "Peak tracked heap per shard worker (0 without track-alloc).",
+                "Peak tracked heap per shard worker (0 without the tracking allocator).",
                 &[("shard", &s.shard.to_string())],
                 s.peak_alloc_bytes as f64,
             );

@@ -38,14 +38,13 @@
 use crate::error::ApiError;
 use crate::overlay::Thresholds;
 use crate::session::DesignSpec;
+use crate::worker::{read_stream_line, StreamLine};
 use pcv_engine::durable::StopFlag;
 use pcv_engine::shard::{harvest_shard, partition, ShardContribution, ShardFault};
 use pcv_engine::{
     write_merged_journal, Engine, EngineReport, Plan, ResidentChip, RunRequest, VerdictSnapshot,
 };
-use pcv_obs::json::{parse, Value};
 use pcv_obs::EventSink;
-use pcv_xtalk::NetVerdict;
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -117,7 +116,7 @@ pub struct ShardStats {
     /// Heartbeat deadlines missed (each one kills an incarnation).
     pub heartbeat_misses: u32,
     /// Stdout lines that were not JSON, or verdict lines the strict reader
-    /// ([`NetVerdict::from_json`]) rejected. They still count as
+    /// ([`pcv_xtalk::NetVerdict::from_json`]) rejected. They still count as
     /// heartbeats; their verdicts arrive through the journal harvest.
     pub malformed_lines: usize,
     /// Whether the restart budget ran out (WorstCase fill applied).
@@ -275,21 +274,15 @@ fn supervise_incarnation(
         match rx.recv_timeout(wait) {
             Ok(line) => {
                 job.snapshot.beat();
-                let Ok(doc) = parse(&line) else {
-                    stats.malformed_lines += 1;
-                    continue;
-                };
-                match doc.get("kind").and_then(Value::as_str) {
-                    Some("hello") => {
-                        if let Some(t) = doc.get("torn_journal_lines").and_then(Value::as_u64) {
-                            stats.torn_journal_lines = stats.torn_journal_lines.max(t as usize);
-                        }
+                match read_stream_line(&line, nets) {
+                    StreamLine::Hello { torn: Some(t) } => {
+                        stats.torn_journal_lines = stats.torn_journal_lines.max(t);
                     }
-                    Some("verdict") => {
+                    StreamLine::Verdict(verdict) => {
                         // The stream only feeds the live snapshot; a line
                         // the strict reader rejects is dropped here, and the
                         // verdict still arrives through the journal harvest.
-                        match NetVerdict::from_json(&doc, nets) {
+                        match verdict {
                             Some(v) => job.snapshot.insert(v),
                             None => stats.malformed_lines += 1,
                         }
@@ -301,14 +294,10 @@ fn supervise_incarnation(
                             // EOF → restart like any real kill -9.
                         }
                     }
-                    Some("done") => {
-                        let peak = doc.get("peak_alloc_bytes").and_then(Value::as_u64).unwrap_or(0);
-                        let torn =
-                            doc.get("torn_journal_lines").and_then(Value::as_u64).unwrap_or(0)
-                                as usize;
-                        return Exit::Done { peak, torn };
-                    }
-                    _ => {} // beats and anything future just prove liveness
+                    StreamLine::Done { peak, torn } => return Exit::Done { peak, torn },
+                    StreamLine::Malformed => stats.malformed_lines += 1,
+                    // Beats and anything future just prove liveness.
+                    StreamLine::Hello { torn: None } | StreamLine::Beat => {}
                 }
             }
             Err(mpsc::RecvTimeoutError::Timeout) => {

@@ -19,9 +19,9 @@
 //!
 //! A verdict line is the one verdict JSON object
 //! ([`NetVerdict::write_members`], the same bytes a sign-off document
-//! holds) with `"kind":"verdict"` added; the coordinator reads it with
-//! [`NetVerdict::from_json`], which rejects anything a healthy worker
-//! could not have written. Any line is a heartbeat to the coordinator;
+//! holds) with `"kind":"verdict"` added; the coordinator reads every line
+//! with `read_stream_line`, and a verdict with [`NetVerdict::from_json`],
+//! which rejects anything a healthy worker could not have written. Any line is a heartbeat to the coordinator;
 //! silence past the deadline is what gets a worker killed and restarted.
 //! Exit status 0 means the `done` line is trustworthy; anything else is a
 //! crash.
@@ -82,6 +82,43 @@ fn done_line(outcome: &str, peak_alloc_bytes: u64, torn: usize) -> String {
         o.str("kind", "done").str("outcome", outcome).raw("peak_alloc_bytes", peak_alloc_bytes);
         o.raw("torn_journal_lines", torn);
     })
+}
+
+/// One line of a worker's stream, as the coordinator reads it. Any line,
+/// malformed or not, is also a heartbeat.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum StreamLine {
+    /// The first line: the torn journal lines the replay skipped, when the
+    /// line states a count.
+    Hello { torn: Option<usize> },
+    /// A verdict, or `None` when [`NetVerdict::from_json`] rejects it.
+    Verdict(Option<NetVerdict>),
+    /// The last line of a finished slice; a count it lacks reads as 0.
+    Done { peak: u64, torn: usize },
+    /// A beat, or a kind this build does not know: liveness only.
+    Beat,
+    /// Not a JSON document.
+    Malformed,
+}
+
+/// Decode one line a worker wrote, for a chip of `nets` nets — the reader
+/// of [`hello_line`], [`wire_line`], [`beat_line`] and [`done_line`].
+pub(crate) fn read_stream_line(line: &str, nets: usize) -> StreamLine {
+    let Ok(doc) = json::parse(line) else {
+        return StreamLine::Malformed;
+    };
+    let count = |key: &str| doc.get(key).and_then(Value::as_u64);
+    match doc.get("kind").and_then(Value::as_str) {
+        Some("hello") => {
+            StreamLine::Hello { torn: count("torn_journal_lines").map(|t| t as usize) }
+        }
+        Some("verdict") => StreamLine::Verdict(NetVerdict::from_json(&doc, nets)),
+        Some("done") => StreamLine::Done {
+            peak: count("peak_alloc_bytes").unwrap_or(0),
+            torn: count("torn_journal_lines").unwrap_or(0) as usize,
+        },
+        _ => StreamLine::Beat,
+    }
 }
 
 fn emit(line: &str) {
@@ -565,5 +602,116 @@ mod tests {
         let body = "{\"design\":{\"kind\":\"dsp\",\"buses\":1,\"bits\":2,\"random\":0},\"shards\":2,\"shard\":1,\"cache\":\"/tmp/x\"}";
         let cfg = parse_config(body).unwrap();
         assert_eq!((cfg.shards, cfg.shard), (2, 1));
+    }
+
+    /// Nets on the fuzzed chip: the sample verdict's net is the last.
+    const NETS: usize = 8;
+
+    /// The lines a worker writes, through its own writers: a hello, two
+    /// verdicts (one with a receiver, one with a name a codec can get
+    /// wrong), a beat and a done line.
+    fn stream_seeds() -> Vec<(String, StreamLine)> {
+        let odd = NetVerdict { name: "n\u{e9} \"q\"\\".into(), receiver: None, ..sample() };
+        vec![
+            (hello_line(1, 42, 3), StreamLine::Hello { torn: Some(3) }),
+            (wire_line(&sample()), StreamLine::Verdict(Some(sample()))),
+            (wire_line(&odd), StreamLine::Verdict(Some(odd))),
+            (beat_line(17), StreamLine::Beat),
+            (done_line("complete", 1 << 30, 2), StreamLine::Done { peak: 1 << 30, torn: 2 }),
+        ]
+    }
+
+    /// A decoded line spelled by the writers and decoded again; `None` for
+    /// what no writer spells (a refused line).
+    fn respelled(line: &StreamLine) -> Option<StreamLine> {
+        let text = match line {
+            StreamLine::Hello { torn: Some(t) } => hello_line(0, 0, *t),
+            StreamLine::Verdict(Some(v)) => wire_line(v),
+            StreamLine::Done { peak, torn } => done_line("complete", *peak, *torn),
+            StreamLine::Beat => beat_line(0),
+            StreamLine::Hello { torn: None }
+            | StreamLine::Verdict(None)
+            | StreamLine::Malformed => return None,
+        };
+        Some(read_stream_line(&text, NETS))
+    }
+
+    /// Run `rounds` mutations, up to three deep, of the writer-made lines
+    /// through [`read_stream_line`]. Every outcome is a [`StreamLine`]; one
+    /// that carries values is exactly what the writers spell back, and no
+    /// decode allocates more than 64 bytes per input byte plus 64 KiB.
+    /// Returns how many lines carried values and how many were refused.
+    fn fuzz_stream(rounds: usize) -> (usize, usize) {
+        use crate::http_fuzz::{allocated, mutate_with};
+        const TOKENS: &[&[u8]] = &[
+            b"\n",
+            b" ",
+            b"{",
+            b"}",
+            b"[[[[[[[[",
+            b"\"",
+            b"\\u",
+            b"\\ud800",
+            b",",
+            b":",
+            b"null",
+            b"-1",
+            b"1.5",
+            b"1e999",
+            b"9007199254740993",
+            b"18446744073709551616",
+            b"\"kind\":\"done\",",
+            b"\"kind\":\"hello\",",
+            b"\"kind\":\"verdict\",",
+            b"\"net\":0,",
+            b"\0",
+            b"\xff\xfe",
+            "\u{e9}".as_bytes(),
+        ];
+        assert!(pcv_obs::mem::active(), "the tracking allocator is installed in this binary");
+        let mut rng = pcv_rng::Rng::new(0x5354_5245);
+        let (mut carried, mut refused) = (0, 0);
+        let seeds = stream_seeds();
+        for (s, (seed, _)) in seeds.iter().enumerate() {
+            for round in 0..rounds / seeds.len() {
+                let mut input = mutate_with(seed.as_bytes(), TOKENS, &mut rng);
+                for _ in 0..rng.range_usize(0, 3) {
+                    input = mutate_with(&input, TOKENS, &mut rng);
+                }
+                let text = String::from_utf8_lossy(&input);
+                let mut decoded = StreamLine::Malformed;
+                let bytes = allocated(|| decoded = read_stream_line(&text, NETS));
+                match respelled(&decoded) {
+                    Some(again) => {
+                        assert_eq!(again, decoded, "seed {s} round {round}: {text}");
+                        carried += 1;
+                    }
+                    None => refused += 1,
+                }
+                let bound = 64 * input.len() as u64 + (64 << 10);
+                assert!(bytes <= bound, "seed {s} round {round}: {bytes} bytes allocated\n{text}");
+            }
+        }
+        (carried, refused)
+    }
+
+    #[test]
+    fn mutated_stream_lines_decode_to_what_the_writers_spell_or_are_refused() {
+        for (line, want) in stream_seeds() {
+            assert_eq!(read_stream_line(&line, NETS), want, "a writer-made line: {line}");
+        }
+        let (carried, refused) = fuzz_stream(2000);
+        assert!(carried > 100 && refused > 1000, "{carried} carried, {refused} refused of 2 000");
+    }
+
+    /// The same at 20 000 mutations — the `chaos` CI job's share.
+    #[test]
+    #[ignore = "20 000 mutations: run by the chaos CI job"]
+    fn twenty_thousand_mutated_stream_lines_decode_or_are_refused() {
+        let (carried, refused) = fuzz_stream(20_000);
+        assert!(
+            carried > 1000 && refused > 10_000,
+            "{carried} carried, {refused} refused of 20 000"
+        );
     }
 }

@@ -84,21 +84,25 @@ impl From<pcv_sparse::Error> for SimError {
     }
 }
 
+/// Minimum conductance from every node to ground (siemens): keeps floating
+/// nodes and cutoff devices solvable.
+const GMIN: f64 = 1e-12;
+
+/// Absolute voltage convergence tolerance (volts).
+const VTOL: f64 = 1e-6;
+
+/// Relative convergence tolerance.
+const RELTOL: f64 = 1e-4;
+
+/// Largest allowed voltage change per Newton iteration (volts).
+const DAMPING: f64 = 0.4;
+
 /// Simulator tuning knobs. The defaults suit 0.25 µm digital circuits on
 /// nanosecond timescales.
 #[derive(Debug, Clone)]
 pub struct SimOptions {
-    /// Minimum conductance from every node to ground (keeps floating nodes
-    /// and cutoff devices solvable).
-    pub gmin: f64,
-    /// Absolute voltage convergence tolerance.
-    pub vtol: f64,
-    /// Relative convergence tolerance.
-    pub reltol: f64,
     /// Newton iteration budget per solve.
     pub max_newton: usize,
-    /// Largest allowed voltage change per Newton iteration (damping).
-    pub damping: f64,
     /// Maximum timestep as a fraction of the simulation span.
     pub max_step_fraction: f64,
     /// Smallest allowed timestep in seconds.
@@ -107,15 +111,7 @@ pub struct SimOptions {
 
 impl Default for SimOptions {
     fn default() -> Self {
-        SimOptions {
-            gmin: 1e-12,
-            vtol: 1e-6,
-            reltol: 1e-4,
-            max_newton: 100,
-            damping: 0.4,
-            max_step_fraction: 1.0 / 1000.0,
-            min_step: 1e-18,
-        }
+        SimOptions { max_newton: 100, max_step_fraction: 1.0 / 1000.0, min_step: 1e-18 }
     }
 }
 
@@ -414,10 +410,10 @@ impl<'a> Simulator<'a> {
             for (i, (x, &x_new)) in ws.x.iter_mut().zip(&ws.x_new).enumerate() {
                 let delta = x_new - *x;
                 if i < n {
-                    if delta.abs() > opts.vtol + opts.reltol * x.abs() {
+                    if delta.abs() > VTOL + RELTOL * x.abs() {
                         converged = false;
                     }
-                    *x += delta.clamp(-opts.damping, opts.damping);
+                    *x += delta.clamp(-DAMPING, DAMPING);
                 } else {
                     *x = x_new;
                 }
@@ -446,17 +442,17 @@ impl<'a> Simulator<'a> {
 
     fn dc_on(&self, ws: &mut Workspace, opts: &SimOptions) -> Result<Vec<f64>, SimError> {
         let mut x = vec![0.0; self.layout.size()];
-        if self.solve_point(ws, &x, 0.0, opts.gmin, None, true, opts).is_err() {
+        if self.solve_point(ws, &x, 0.0, GMIN, None, true, opts).is_err() {
             // gmin stepping: solve a heavily damped system first and
             // track the solution as gmin relaxes.
             let mut g = 1e-2;
-            while g > opts.gmin * 1.001 {
+            while g > GMIN * 1.001 {
                 if self.solve_point(ws, &x, 0.0, g, None, true, opts).is_ok() {
                     x.copy_from_slice(&ws.x);
                 }
                 g *= 0.1;
             }
-            self.solve_point(ws, &x, 0.0, opts.gmin, None, true, opts)?;
+            self.solve_point(ws, &x, 0.0, GMIN, None, true, opts)?;
         }
         x.copy_from_slice(&ws.x);
         Ok(x)
@@ -549,7 +545,7 @@ impl<'a> Simulator<'a> {
         while let Some((h, method)) = stepper.next() {
             let t = stepper.t();
             let dynamic = Some((&caps[..], &state, h, method));
-            match self.solve_point(ws, &x, t + h, opts.gmin, dynamic, false, opts) {
+            match self.solve_point(ws, &x, t + h, GMIN, dynamic, false, opts) {
                 Ok(iters) => {
                     if ws.x.iter().any(|v| !v.is_finite()) {
                         return Err(SimError::NonFinite { t: t + h });
@@ -637,10 +633,10 @@ mod tests {
                 for i in 0..size {
                     let delta = x_new[i] - x[i];
                     if i < n {
-                        if delta.abs() > opts.vtol + opts.reltol * x[i].abs() {
+                        if delta.abs() > VTOL + RELTOL * x[i].abs() {
                             converged = false;
                         }
-                        next[i] = x[i] + delta.clamp(-opts.damping, opts.damping);
+                        next[i] = x[i] + delta.clamp(-DAMPING, DAMPING);
                     } else {
                         next[i] = x_new[i];
                     }
@@ -655,18 +651,18 @@ mod tests {
 
         pub fn dc(sim: &Simulator, opts: &SimOptions) -> Result<Vec<f64>, SimError> {
             let x0 = vec![0.0; sim.layout.size()];
-            match solve_point(sim, &x0, 0.0, opts.gmin, None, true, opts) {
+            match solve_point(sim, &x0, 0.0, GMIN, None, true, opts) {
                 Ok((x, _)) => Ok(x),
                 Err(_) => {
                     let mut x = x0;
                     let mut g = 1e-2;
-                    while g > opts.gmin * 1.001 {
+                    while g > GMIN * 1.001 {
                         if let Ok((xs, _)) = solve_point(sim, &x, 0.0, g, None, true, opts) {
                             x = xs;
                         }
                         g *= 0.1;
                     }
-                    let (x, _) = solve_point(sim, &x, 0.0, opts.gmin, None, true, opts)?;
+                    let (x, _) = solve_point(sim, &x, 0.0, GMIN, None, true, opts)?;
                     Ok(x)
                 }
             }
@@ -733,7 +729,7 @@ mod tests {
                     sim,
                     &x,
                     t + h_eff,
-                    opts.gmin,
+                    GMIN,
                     Some((&caps, &state, h_eff, method)),
                     false,
                     opts,
@@ -1070,7 +1066,7 @@ mod tests {
         let sim = Simulator::new(&ckt);
         let mut ws = Workspace::new(sim.layout.size());
         let x0 = vec![0.0; sim.layout.size()];
-        assert!(sim.solve_point(&mut ws, &x0, 0.0, tight.gmin, None, true, &tight).is_err());
+        assert!(sim.solve_point(&mut ws, &x0, 0.0, GMIN, None, true, &tight).is_err());
         let mut result =
             TranResult { times: vec![], probes: vec![], data: vec![], steps: 0, newton_iters: 0 };
         sim.transient_on(&mut ws, &mut result, tstop, &tight).unwrap();

@@ -44,12 +44,7 @@ fn a_run_reports_its_counters_once() {
 
     // A run that dies still says what it cost: a coarse grid and a small
     // Newton budget reject the input edge until the step floor is hit.
-    let opts = SimOptions {
-        max_newton: 9,
-        max_step_fraction: 0.1,
-        min_step: 1e-11,
-        ..SimOptions::default()
-    };
+    let opts = SimOptions { max_newton: 9, max_step_fraction: 0.1, min_step: 1e-11 };
     let session = TraceSession::start();
     let err = Simulator::new(&ckt).transient_probed(2e-9, &opts, &[out]).unwrap_err();
     let trace = session.finish();

@@ -88,14 +88,14 @@ struct ActiveSpan {
     label: Option<String>,
     start: Instant,
     /// This thread's cumulative `(bytes, allocs)` at span open, from the
-    /// registered [`mem`] probe (zeros when none is registered).
+    /// [`mem`] counters (zeros unless an instrumented allocator bumps them).
     mem0: (u64, u64),
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some(active) = self.0.take() {
-            let (bytes, allocs) = mem::sample();
+            let (bytes, allocs) = mem::thread_totals();
             active.collector.record_span(
                 active.cat,
                 active.name,
@@ -135,7 +135,14 @@ fn open_span(
     label: impl FnOnce() -> Option<String>,
 ) -> SpanGuard {
     SpanGuard(session::with_collector(|c| (Arc::clone(c), label())).map(|(collector, label)| {
-        ActiveSpan { collector, cat, name, label, start: Instant::now(), mem0: mem::sample() }
+        ActiveSpan {
+            collector,
+            cat,
+            name,
+            label,
+            start: Instant::now(),
+            mem0: mem::thread_totals(),
+        }
     }))
 }
 

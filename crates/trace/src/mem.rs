@@ -1,42 +1,33 @@
-//! The span↔allocator bridge: a pluggable memory probe sampled at span
-//! open and close, so every span carries the allocation delta of its
-//! scope.
+//! Per-thread allocation counters, sampled at span open and close, so every
+//! span carries the allocation delta of its scope.
 //!
-//! `pcv-trace` stays dependency-free: it does not know where the numbers
-//! come from. An instrumented allocator (see `pcv-obs`) registers a probe
-//! returning this thread's cumulative `(bytes_allocated, allocations)`;
-//! spans difference the two samples. With no probe registered — the
-//! default — span creation pays one lock-free [`std::sync::OnceLock`]
-//! read and records zeros.
+//! `pcv-trace` stays dependency-free: an instrumented global allocator (see
+//! `pcv-obs`) calls [`on_alloc`] for every allocation, and spans difference
+//! two readings of [`thread_totals`]. In a binary without one, nothing
+//! bumps the counters and spans record zeros.
 
-use std::sync::OnceLock;
+use std::cell::Cell;
 
-/// A memory probe: this thread's cumulative, monotonically increasing
-/// `(bytes_allocated, allocation_count)`. Must be cheap and infallible —
-/// it runs inside every span when registered.
-pub type MemProbe = fn() -> (u64, u64);
-
-static PROBE: OnceLock<MemProbe> = OnceLock::new();
-
-/// Register the process-wide memory probe. First registration wins;
-/// later calls are ignored (the probe is sampled from every thread, so
-/// swapping it mid-run would make deltas meaningless).
-pub fn set_probe(probe: MemProbe) {
-    let _ = PROBE.set(probe);
+thread_local! {
+    // `Cell<u64>` has no destructor, so first access never allocates: safe
+    // to touch from inside the allocator itself.
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Sample the registered probe, or `(0, 0)` when none is registered.
+/// Charge one allocation of `size` bytes to this thread.
 #[inline]
-pub fn sample() -> (u64, u64) {
-    match PROBE.get() {
-        Some(probe) => probe(),
-        None => (0, 0),
-    }
+pub fn on_alloc(size: u64) {
+    let _ = BYTES.try_with(|c| c.set(c.get() + size));
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
 }
 
-/// `true` when a probe is registered.
-pub fn probed() -> bool {
-    PROBE.get().is_some()
+/// This thread's cumulative, monotonically increasing
+/// `(bytes_allocated, allocations)`; `(0, 0)` once the thread's locals are
+/// gone.
+#[inline]
+pub fn thread_totals() -> (u64, u64) {
+    (BYTES.try_with(Cell::get).unwrap_or(0), ALLOCS.try_with(Cell::get).unwrap_or(0))
 }
 
 #[cfg(test)]
@@ -44,16 +35,24 @@ mod tests {
     use super::*;
 
     #[test]
-    fn unregistered_probe_samples_zero_or_first_registration_wins() {
-        // Tests share the process-wide OnceLock, so exercise both halves
-        // in one test: before any registration the sample is zero; after
-        // the first `set_probe`, later registrations cannot replace it.
-        if !probed() {
-            assert_eq!(sample(), (0, 0));
-        }
-        set_probe(|| (7, 3));
-        let first = sample();
-        set_probe(|| (1_000_000, 1_000_000));
-        assert_eq!(sample(), first, "second registration must be ignored");
+    fn allocations_are_charged_to_the_thread_that_made_them() {
+        // This test binary has the system allocator: only explicit charges
+        // move the counters.
+        let (bytes, allocs) = thread_totals();
+        on_alloc(40);
+        on_alloc(24);
+        assert_eq!(thread_totals(), (bytes + 64, allocs + 2));
+        std::thread::spawn(|| {
+            let (bytes, allocs) = thread_totals();
+            on_alloc(1000);
+            assert_eq!(thread_totals(), (bytes + 1000, allocs + 1));
+        })
+        .join()
+        .unwrap();
+        assert_eq!(
+            thread_totals(),
+            (bytes + 64, allocs + 2),
+            "another thread's charge stays there"
+        );
     }
 }

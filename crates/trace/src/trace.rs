@@ -18,7 +18,7 @@ pub struct Span {
     /// Duration in nanoseconds.
     pub dur_ns: u64,
     /// Bytes allocated on the recording thread while this span was open
-    /// (0 unless an allocator probe is registered; see `pcv_trace::mem`).
+    /// (0 unless an instrumented allocator is installed; see `pcv_trace::mem`).
     pub alloc_bytes: u64,
     /// Allocations made on the recording thread while this span was open.
     pub alloc_count: u64,

@@ -30,6 +30,10 @@ pub enum EngineKind {
     Spice,
 }
 
+/// Default aggressor/victim transition start (seconds): where every
+/// aggressor switches when no switching window moves it.
+pub const SWITCH_TIME: f64 = 1e-9;
+
 /// Analysis knobs shared by glitch and delay runs.
 #[derive(Debug, Clone)]
 pub struct AnalysisOptions {
@@ -37,8 +41,6 @@ pub struct AnalysisOptions {
     pub engine: EngineKind,
     /// Simulated span (seconds).
     pub tstop: f64,
-    /// Default aggressor/victim transition start (seconds).
-    pub switch_time: f64,
     /// Input slew handed to the driver models (seconds, 10–90 %).
     pub input_slew: f64,
     /// Supply voltage (volts).
@@ -57,7 +59,6 @@ impl Default for AnalysisOptions {
         AnalysisOptions {
             engine: EngineKind::Mor { block_iters: 4 },
             tstop: 10e-9,
-            switch_time: 1e-9,
             input_slew: 0.2e-9,
             vdd: 2.5,
             gmin_scale: 1.0,
@@ -218,20 +219,22 @@ pub struct AggressorPlan {
 /// the pessimism-reduction step of Section 2.
 ///
 /// Without design annotations, every aggressor switches at
-/// `opts.switch_time` (the fully conservative audit). With windows, the
+/// [`SWITCH_TIME`] (the fully conservative audit). With windows, the
 /// alignment time that maximizes the *summed coupling of simultaneously
 /// eligible aggressors* is chosen; aggressors whose windows exclude it stay
 /// quiet. Complementary (e.g. flip-flop Q/QB) aggressor pairs never switch
 /// in the same direction together — the weaker-coupled one is silenced.
+///
+/// No option is read; the parameter stays because `benchmark/` passes it.
 pub fn plan_aggressors(
     ctx: &AnalysisContext<'_>,
     cluster: &Cluster,
-    opts: &AnalysisOptions,
+    _opts: &AnalysisOptions,
 ) -> Vec<AggressorPlan> {
     let mut plans: Vec<AggressorPlan> = cluster
         .aggressors
         .iter()
-        .map(|&(net, _)| AggressorPlan { net, switching: true, t0: opts.switch_time })
+        .map(|&(net, _)| AggressorPlan { net, switching: true, t0: SWITCH_TIME })
         .collect();
 
     if let Some(design) = ctx.design {
@@ -240,7 +243,7 @@ pub fn plan_aggressors(
             design.find_net(ctx.db.net(net).name()).and_then(|d| design.window(d))
         };
         // Candidate alignment instants: window endpoints.
-        let mut candidates: Vec<f64> = vec![opts.switch_time];
+        let mut candidates: Vec<f64> = vec![SWITCH_TIME];
         for &(net, _) in &cluster.aggressors {
             if let Some((a, b)) = window_of(net) {
                 candidates.push(a);
@@ -263,7 +266,7 @@ pub fn plan_aggressors(
             .iter()
             .copied()
             .max_by(|a, b| score(*a).partial_cmp(&score(*b)).expect("finite scores"))
-            .unwrap_or(opts.switch_time);
+            .unwrap_or(SWITCH_TIME);
         for (plan, &(net, _)) in plans.iter_mut().zip(&cluster.aggressors) {
             if contains(window_of(net), t_star) {
                 plan.t0 = t_star;
@@ -491,7 +494,7 @@ impl PreparedCluster {
         aggressors_opposite: bool,
         opts: &AnalysisOptions,
     ) -> Result<DelayResult, XtalkError> {
-        let aggressor = edge(victim_rising ^ aggressors_opposite, opts.switch_time);
+        let aggressor = edge(victim_rising ^ aggressors_opposite, SWITCH_TIME);
         self.delay_with(ctx, victim_rising, aggressor, opts)
     }
 
@@ -507,7 +510,7 @@ impl PreparedCluster {
         self.prepare(ctx, opts)?;
         let _span = pcv_trace::span("xtalk", "delay");
         let mut roles = vec![aggressor; self.model.members.len()];
-        roles[0] = edge(victim_rising, opts.switch_time);
+        roles[0] = edge(victim_rising, SWITCH_TIME);
         let run = self.run(ctx, &roles, true, opts)?;
         let half = 0.5 * opts.vdd;
         let far = run

@@ -13,7 +13,7 @@ use pcv_designs::Technology;
 use pcv_mor::{CancelToken, MorError};
 use pcv_netlist::{Design, NetNodeRef, NetParasitics, PNetId, ParasiticDb};
 use pcv_rng::Rng;
-use pcv_xtalk::analysis::plan_aggressors;
+use pcv_xtalk::analysis::{plan_aggressors, SWITCH_TIME};
 use pcv_xtalk::drivers::DriverModelKind;
 use pcv_xtalk::prune::{prune_victim, Cluster, PruneConfig};
 use pcv_xtalk::{
@@ -106,7 +106,7 @@ fn both_polarities_of_one_prepared_cluster_equal_independent_analyses() {
 
                 let plans = plan_aggressors(&ctx, &cluster, &opts);
                 silenced += plans.iter().filter(|p| !p.switching).count();
-                realigned += plans.iter().filter(|p| p.t0 != opts.switch_time).count();
+                realigned += plans.iter().filter(|p| p.t0 != SWITCH_TIME).count();
                 let mut prepared = PreparedCluster::new(&ctx, &cluster, &opts);
                 assert_same(&prepared.glitch(&ctx, true, &opts).unwrap(), &up, &what);
                 assert_same(&prepared.glitch(&ctx, false, &opts).unwrap(), &down, &what);

@@ -47,7 +47,7 @@ fn fig3_peaks_keep_their_bits() {
             h.write(&g.t_peak.to_bits().to_le_bytes());
             let baseline = if rising { 0.0 } else { opts.vdd };
             let last = *g.waveform.values().last().expect("samples");
-            if g.peak.abs() <= (last - baseline).abs() + opts.mor.vtol {
+            if g.peak.abs() <= (last - baseline).abs() + pcv_mor::sim::VTOL {
                 within_margin += 1;
             }
         }
