@@ -143,9 +143,8 @@ fn ledger_records_a_real_run_trajectory() {
 
 #[test]
 fn memory_telemetry_flows_into_stats_and_profile() {
-    // The bench harness compiles pcv-obs with `track-alloc`, but this test
-    // binary does not install the tracking allocator, so the engine must
-    // degrade to zeros rather than report garbage.
+    // This test binary does not install the tracking allocator, so the
+    // engine must degrade to zeros rather than report garbage.
     let (db, victims) = bundle_fixture();
     let ctx = AnalysisContext::fixed_resistance(&db, 1000.0);
     let report = Engine::new(EngineConfig { workers: 1, ..Default::default() })
