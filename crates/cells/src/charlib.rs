@@ -254,24 +254,6 @@ impl CharLibrary {
     }
 }
 
-/// Characterize every driver cell of a library (latches get pin caps only
-/// and are excluded here; their `cin` comes from [`Cell::input_cap`]).
-///
-/// # Errors
-///
-/// Propagates the first characterization failure.
-pub fn characterize_library(lib: &CellLibrary) -> Result<CharLibrary, CellError> {
-    let mut out = CharLibrary::default();
-    for cell in lib.iter() {
-        if cell.kind == CellKind::Latch {
-            continue;
-        }
-        let ch = characterize(cell)?;
-        out.cells.insert(ch.name.clone(), ch);
-    }
-    Ok(out)
-}
-
 /// Characterize a single cell.
 ///
 /// # Errors
@@ -692,27 +674,6 @@ mod tests {
         let ch = characterize(lib.cell("NAND2X2").unwrap()).unwrap();
         assert!(ch.rout_rise > 10.0 && ch.rout_fall > 10.0);
         assert_eq!(ch.kind, CellKind::Nand2);
-    }
-
-    #[test]
-    fn char_library_skips_latch() {
-        let mut lib = CellLibrary::new();
-        lib.add(crate::library::Cell {
-            name: "INVX2".into(),
-            kind: CellKind::Inverter,
-            strength: 2.0,
-        });
-        lib.add(crate::library::Cell {
-            name: "LATCH".into(),
-            kind: CellKind::Latch,
-            strength: 1.0,
-        });
-        let ch = characterize_library(&lib).unwrap();
-        assert_eq!(ch.len(), 1);
-        assert!(ch.cell("INVX2").is_some());
-        assert!(ch.require("LATCH").is_err());
-        assert!(!ch.is_empty());
-        assert_eq!(ch.iter().count(), 1);
     }
 
     #[test]

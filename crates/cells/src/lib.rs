@@ -43,9 +43,7 @@ pub mod liberty;
 pub mod library;
 pub mod models;
 
-pub use charlib::{
-    characterize, characterize_library, CharCell, CharLibrary, IvSurface, TimingTable,
-};
+pub use charlib::{characterize, CharCell, CharLibrary, IvSurface, TimingTable};
 pub use error::CellError;
 pub use liberty::{parse_liberty, write_liberty};
 pub use library::{Cell, CellKind, CellLibrary};

@@ -227,12 +227,6 @@ impl CellLibrary {
     pub fn iter(&self) -> impl Iterator<Item = &Cell> {
         self.cells.values()
     }
-
-    /// Names of all *driver* cells (everything except latches), in name
-    /// order — the population the characterization studies sweep.
-    pub fn driver_names(&self) -> Vec<&str> {
-        self.cells.values().filter(|c| c.kind != CellKind::Latch).map(|c| c.name.as_str()).collect()
-    }
 }
 
 fn fmt_x(s: f64) -> String {
@@ -258,14 +252,6 @@ mod tests {
         assert!(lib.cell("LATCH").is_some());
         assert!(lib.cell("XYZ").is_none());
         assert!(!lib.is_empty());
-    }
-
-    #[test]
-    fn driver_names_exclude_latch() {
-        let lib = CellLibrary::standard_025();
-        let drivers = lib.driver_names();
-        assert!(!drivers.contains(&"LATCH"));
-        assert_eq!(drivers.len(), lib.len() - 1);
     }
 
     #[test]

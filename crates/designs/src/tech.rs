@@ -74,14 +74,6 @@ impl Technology {
         }
         self.cc_per_len_min_space * overlap * (self.min_spacing / spacing)
     }
-
-    /// Fraction of a victim wire's total capacitance that is coupling when
-    /// flanked on both sides at minimum spacing — a diagnostic for the
-    /// "coupling dominates" regime.
-    pub fn coupling_fraction_sandwich(&self) -> f64 {
-        let cc = 2.0 * self.cc_per_len_min_space;
-        cc / (cc + self.cg_per_len)
-    }
 }
 
 impl Default for Technology {
@@ -114,13 +106,6 @@ mod tests {
         // Coupling at min spacing exceeds grounded cap.
         let cc = t.coupling_cap(1000e-6, t.min_spacing);
         assert!(cc > cg, "coupling {cc} should exceed grounded {cg}");
-    }
-
-    #[test]
-    fn coupling_dominates_in_sandwich() {
-        let t = Technology::c025();
-        // Paper: "capacitance could contribute in excess of 70% of total".
-        assert!(t.coupling_fraction_sandwich() > 0.7);
     }
 
     #[test]

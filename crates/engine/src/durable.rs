@@ -38,24 +38,6 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Durability knobs for an engine run. What is *not* a knob: whenever
-/// [`EngineConfig::cache_path`](crate::EngineConfig::cache_path) names a
-/// location to persist next to, the run keeps the write-ahead checkpoint
-/// journal (`<cache>.journal`, so a killed run can
-/// [`resume`](crate::RunRequest::resume)) and takes the advisory run lock
-/// (`<cache>.lock`) — both best-effort on I/O failure.
-#[derive(Debug, Clone, Default)]
-pub struct DurableConfig {
-    /// Cooperative stop flag: when raised mid-run, the engine drains
-    /// (in-flight clusters finish and are checkpointed, queued ones are
-    /// skipped) and returns an interrupted, resumable report. `None`
-    /// (the default) makes the run uninterruptible.
-    pub stop: Option<StopFlag>,
-    /// The I/O handle every persisted artifact goes through — swap in
-    /// [`Fs::with_faults`] to chaos-drill the storage layer.
-    pub fs: Fs,
-}
-
 /// Cooperative stop request for a running engine. Clones share the flag.
 ///
 /// Raising the flag ([`StopFlag::stop`]) asks the engine to drain: no new

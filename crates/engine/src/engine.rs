@@ -1,26 +1,24 @@
 //! The engine proper: shard victims into cluster jobs, run them on the
 //! work-stealing scheduler, and merge a deterministic report.
 
-use crate::durable::DurableConfig;
+use crate::durable::StopFlag;
 use crate::fault::Plan;
 use crate::fingerprint::{chip_slice_fingerprint, config_hash, pruned_fingerprint, NetDigests};
+use crate::fs::Fs;
 use crate::record::JournalEntry;
-use crate::recovery::{route, Attempt, Degradation, FaultKind, RecoveryRung, Trail};
+use crate::recovery::{self, AttemptOk, Degradation, FaultKind, RecoveryRung};
 use crate::report::{ClusterCost, EngineError, EngineReport, EngineStats};
 use crate::resident::{ResidentChip, VerdictSnapshot};
 use crate::scheduler;
 use crate::store::{RunStore, Source};
-use pcv_mor::MorError;
 use pcv_netlist::PNetId;
 use pcv_obs::{EngineEvent, EventSink, RunRecord};
-use pcv_xtalk::drivers::DriverModelKind;
 use pcv_xtalk::prune::{coupling_component_sizes, Cluster, PruneConfig};
 use pcv_xtalk::{
-    check_receiver_propagation, AnalysisContext, AnalysisOptions, ChipReport, EngineKind,
-    NetVerdict, PreparedCluster, ReceiverVerdict, Severity, XtalkError,
+    check_receiver_propagation, AnalysisContext, AnalysisOptions, ChipReport, NetVerdict,
+    PreparedCluster, ReceiverVerdict, Severity, XtalkError,
 };
 use std::borrow::Cow;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -56,11 +54,16 @@ pub struct EngineConfig {
     /// they happen — they carry wall-clock data and exist strictly outside
     /// the deterministic report path. `None` (the default) costs nothing.
     pub sink: Option<Arc<dyn EventSink>>,
-    /// Durability knobs ([`DurableConfig`]): cooperative stop and the
-    /// (fault-injectable) filesystem handle all persisted artifacts go
-    /// through. The checkpoint journal and the run lock are not knobs:
-    /// both are on whenever `cache_path` is set.
-    pub durable: DurableConfig,
+    /// Cooperative stop: once raised, the run drains — jobs already
+    /// started finish and are checkpointed, the rest are skipped — and
+    /// returns an [interrupted](EngineReport::interrupted), resumable
+    /// report. `None` (the default) makes the run uninterruptible.
+    pub stop: Option<StopFlag>,
+    /// The I/O handle every persisted artifact goes through — swap in
+    /// [`Fs::with_faults`] to chaos-drill the storage layer. The checkpoint
+    /// journal and the run lock are not knobs: both are on whenever
+    /// `cache_path` is set.
+    pub fs: Fs,
 }
 
 impl EngineConfig {
@@ -91,7 +94,8 @@ impl std::fmt::Debug for EngineConfig {
             .field("cache_path", &self.cache_path)
             .field("trace", &self.trace)
             .field("sink", &self.sink.as_ref().map(|_| "<EventSink>"))
-            .field("durable", &self.durable)
+            .field("stop", &self.stop)
+            .field("fs", &self.fs)
             .finish()
     }
 }
@@ -108,7 +112,8 @@ impl Default for EngineConfig {
             cache_path: None,
             trace: false,
             sink: None,
-            durable: DurableConfig::default(),
+            stop: None,
+            fs: Fs::default(),
         }
     }
 }
@@ -183,86 +188,6 @@ struct JobOk {
     prune: Duration,
     analysis: Duration,
     receiver: Duration,
-}
-
-/// Outcome of one ladder attempt (a full analysis at one rung).
-struct AttemptOk {
-    rise: f64,
-    fall: f64,
-    receiver: Option<ReceiverVerdict>,
-    analysis: Duration,
-    receiver_time: Duration,
-}
-
-/// Multiplier applied to `gmin` at [`RecoveryRung::GminBoost`] and up.
-const GMIN_BOOST: f64 = 1e3;
-/// Multiplier applied to the MOR `max_step_fraction` at
-/// [`RecoveryRung::SofterNewton`] and up.
-const STEP_SHRINK: f64 = 0.25;
-/// Per-attempt Newton-iteration budget: deterministic stall protection (a
-/// wall-clock deadline would make degradation depend on machine speed).
-const NEWTON_BUDGET: usize = 2_000_000;
-/// Per-attempt accepted-step budget.
-const MAX_TRAN_STEPS: usize = 200_000;
-
-/// Analysis options for one ladder rung. Adjustments are *cumulative*: each
-/// higher rung keeps every lower rung's mitigation, so the walk is a pure
-/// function of the rung (not of the failure path that led there).
-pub(crate) fn rung_options(analysis: &AnalysisOptions, rung: RecoveryRung) -> AnalysisOptions {
-    let mut opts = analysis.clone();
-    // Stall protection applies to the reduced transient at every rung,
-    // baseline included (the SPICE rungs take `SimOptions::default()` and no
-    // budget); read-only until it trips, it cannot perturb a healthy run.
-    opts.mor.newton_budget = opts.mor.newton_budget.min(NEWTON_BUDGET);
-    opts.mor.max_tran_steps = opts.mor.max_tran_steps.min(MAX_TRAN_STEPS);
-    if rung >= RecoveryRung::GminBoost {
-        opts.gmin_scale *= GMIN_BOOST;
-    }
-    if rung >= RecoveryRung::ReducedOrder {
-        if let EngineKind::Mor { block_iters } = opts.engine {
-            opts.engine = EngineKind::Mor { block_iters: (block_iters / 2).max(1) };
-        }
-    }
-    if rung >= RecoveryRung::SofterNewton {
-        opts.mor.max_step_fraction *= STEP_SHRINK;
-    }
-    if rung >= RecoveryRung::SpiceFallback {
-        opts.engine = EngineKind::Spice;
-    }
-    opts
-}
-
-/// Context for one ladder rung: from [`RecoveryRung::SofterNewton`] up,
-/// nonlinear driver surfaces are swapped for the smooth Thevenin
-/// (timing-library) model, which cannot trap Newton in a kink limit cycle.
-fn rung_context<'a>(ctx: &AnalysisContext<'a>, rung: RecoveryRung) -> AnalysisContext<'a> {
-    let mut adjusted = *ctx;
-    if rung >= RecoveryRung::SofterNewton && adjusted.driver_model == DriverModelKind::Nonlinear {
-        adjusted.driver_model = DriverModelKind::TimingLibrary;
-    }
-    adjusted
-}
-
-/// Realize one injected fault for one ladder attempt. `Panic` unwinds like
-/// a real job bug; `NonSpd` and `NaN` return the exact typed errors the
-/// numeric guards produce (so routing is exercised end-to-end without
-/// machine-dependent arithmetic); `Slow` collapses the Newton budget so the
-/// *real* budget mechanism trips.
-fn inject(kind: FaultKind, name: &str, opts: &mut AnalysisOptions) -> Result<(), XtalkError> {
-    match kind {
-        FaultKind::Panic => panic!("injected fault in cluster job for {name}"),
-        FaultKind::NonSpd => {
-            Err(XtalkError::Mor(MorError::Numeric(pcv_sparse::Error::NotPositiveDefinite {
-                col: 0,
-                pivot: -1.0,
-            })))
-        }
-        FaultKind::NaN => Err(XtalkError::Mor(MorError::NonFinite { what: "injected nan fault" })),
-        FaultKind::Slow => {
-            opts.mor.newton_budget = 1;
-            Ok(())
-        }
-    }
 }
 
 /// What the merge of a run's job results yields: the report's parts, the
@@ -469,13 +394,12 @@ impl Engine {
         // (on resume, the one a run of this config + chip slice left).
         let chash = cfg.config_hash(ctx);
         let chip_fp = chip_slice_fingerprint(ctx, victims);
-        let mut store =
-            RunStore::open(&cfg.durable.fs, cfg.cache_path.as_deref(), chash, chip_fp, resume)?;
+        let mut store = RunStore::open(&cfg.fs, cfg.cache_path.as_deref(), chash, chip_fp, resume)?;
         if let Some(replayable) = store.replayable() {
             emit(&|| EngineEvent::RunResumed { replayable });
         }
 
-        let stop = cfg.durable.stop.as_ref();
+        let stop = cfg.stop.as_ref();
 
         // One union-find for the whole run instead of one per victim —
         // or zero, when a ResidentChip already paid for it at elaboration.
@@ -528,8 +452,16 @@ impl Engine {
                 None => {
                     pcv_trace::count("engine.cache.misses", 1);
                     emit(&|| EngineEvent::CacheMiss { name: name.to_owned() });
-                    let (fresh, analysis, receiver) =
-                        self.walk_ladder(ctx, &cluster, name, fp, &emit);
+                    let mut prepared = None;
+                    let (fresh, analysis, receiver) = recovery::walk(
+                        ctx,
+                        &cfg.analysis,
+                        &self.plan,
+                        name,
+                        fp,
+                        &emit,
+                        |actx, opts| self.run_attempt(actx, &cluster, name, opts, &mut prepared),
+                    );
                     store.checkpoint(&fresh);
                     (Cow::Owned(fresh), analysis, receiver)
                 }
@@ -617,7 +549,7 @@ impl Engine {
         // the cache file (best-effort, like the cache save itself).
         if report.trace.is_some() {
             if let Some(path) = cfg.cache_path.as_deref() {
-                let _ = report.write_profile_with(&cfg.durable.fs, path);
+                let _ = report.write_profile_with(&cfg.fs, path);
             }
         }
         Ok(report)
@@ -683,84 +615,6 @@ impl Engine {
             None
         };
         Ok(AttemptOk { rise, fall, receiver, analysis, receiver_time })
-    }
-
-    /// The recovery ladder for one cache-missed cluster: walk rungs until
-    /// an attempt succeeds; past the last analysis rung the record is the
-    /// conservative [`JournalEntry::worst_case`], so every victim ends
-    /// with a verdict. Returns the record plus the standing attempt's
-    /// analysis and receiver-check times.
-    fn walk_ladder(
-        &self,
-        ctx: &AnalysisContext<'_>,
-        cluster: &Cluster,
-        name: &str,
-        fp: u64,
-        emit: &dyn Fn(&dyn Fn() -> EngineEvent),
-    ) -> (JournalEntry, Duration, Duration) {
-        let cfg = &self.config;
-        let mut attempts: Vec<Attempt> = Vec::new();
-        let mut prepared: Option<PreparedCluster> = None;
-        let mut rung = RecoveryRung::Baseline;
-        let standing = loop {
-            if rung == RecoveryRung::WorstCase {
-                pcv_trace::count("engine.recovery.worst_case", 1);
-                break None;
-            }
-            if rung > RecoveryRung::Baseline {
-                pcv_trace::count("engine.recovery.retries", 1);
-            }
-            let mut opts = rung_options(&cfg.analysis, rung);
-            let actx = rung_context(ctx, rung);
-            // A fault's occurrence is the attempt index: a one-shot rule
-            // hits the baseline only, so the first retry rung sees a
-            // healthy cluster.
-            let inject_here = self.plan.armed(name, attempts.len() as u32).next().copied();
-            let attempt_start = Instant::now();
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                if let Some(kind) = inject_here {
-                    inject(kind, name, &mut opts)?;
-                }
-                self.run_attempt(&actx, cluster, name, &opts, &mut prepared)
-            }));
-            let (reason, target) = match outcome {
-                Ok(Ok(ok)) => break Some(ok),
-                Ok(Err(err)) => {
-                    if matches!(&err, XtalkError::Mor(MorError::BudgetExhausted { .. })) {
-                        pcv_trace::count("engine.recovery.budget_exhausted", 1);
-                    }
-                    (err.to_string(), route(&err))
-                }
-                // A panic carries no typed routing information; skip the
-                // MOR-tuning rungs entirely.
-                Err(payload) => {
-                    let message = scheduler::panic_message(payload);
-                    (format!("job panicked: {message}"), RecoveryRung::SpiceFallback)
-                }
-            };
-            attempts.push(Attempt { rung, reason, elapsed: attempt_start.elapsed() });
-            rung = rung.next().expect("worst case breaks the loop").max(target);
-            emit(&|| EngineEvent::ClusterRetried { name: name.to_owned(), rung: rung.name() });
-        };
-        if rung != RecoveryRung::Baseline {
-            pcv_trace::count("engine.recovery.degraded", 1);
-            if rung == RecoveryRung::SpiceFallback {
-                pcv_trace::count("engine.recovery.fallback_spice", 1);
-            }
-            emit(&|| EngineEvent::ClusterDegraded { name: name.to_owned(), rung: rung.name() });
-        }
-        match standing {
-            Some(ok) => {
-                let trail =
-                    (rung != RecoveryRung::Baseline).then_some(Trail { recovered: rung, attempts });
-                let record = JournalEntry::new(name, fp, ok.rise, ok.fall, ok.receiver, trail);
-                (record, ok.analysis, ok.receiver_time)
-            }
-            None => {
-                let record = JournalEntry::worst_case(name, fp, cfg.analysis.vdd, attempts);
-                (record, Duration::ZERO, Duration::ZERO)
-            }
-        }
     }
 }
 

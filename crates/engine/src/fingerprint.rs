@@ -679,8 +679,8 @@ mod tests {
     /// writing the same value in the same slot.
     #[test]
     fn configuration_and_cluster_digests_are_the_recorded_ones() {
-        use crate::engine::{rung_options, EngineConfig};
-        use crate::recovery::RecoveryRung;
+        use crate::engine::EngineConfig;
+        use crate::recovery::{rung_options, RecoveryRung};
         use pcv_designs::dsp::{generate, DspConfig};
         let cfg = EngineConfig::default();
         let (db, _) = fixture(0, &BASE);

@@ -99,7 +99,7 @@ pub mod shard;
 mod store;
 
 pub use cache::{CacheLoadStats, ResultCache};
-pub use durable::{DurableConfig, Journal, JournalLoad, LockError, RunLock, StopAfter, StopFlag};
+pub use durable::{Journal, JournalLoad, LockError, RunLock, StopAfter, StopFlag};
 pub use eco::{EcoOutcome, EcoPlan};
 pub use engine::{Engine, EngineConfig, RunRequest};
 pub use fault::Plan;

@@ -1,39 +1,61 @@
-//! The per-cluster recovery ladder: escalation policy, the numeric fault
-//! classes a drill can inject, and degradation records.
+//! The per-cluster recovery ladder: what each rung changes, how a failure
+//! escalates, the numeric fault classes a drill can inject, and the
+//! degradation records.
 //!
 //! The paper's deliverable is chip-level *signoff*: every victim net must
 //! end with a verdict. A cluster whose reduction or transient fails must
 //! therefore not vanish from the report — it has to be retried with a more
 //! robust (if slower or more conservative) strategy, and if everything
-//! fails, conservatively flagged. This module defines the ladder the engine
-//! walks:
+//! fails, conservatively flagged. The engine hands each cache-missed
+//! cluster's analysis to this module as a closure, and the ladder walks
+//! these rungs until an attempt stands:
 //!
-//! 1. [`RecoveryRung::Baseline`] — the configured analysis, unchanged.
-//! 2. [`RecoveryRung::GminBoost`] — boost the `gmin` regularization; the
-//!    cure for a conductance matrix that Cholesky rejects as not positive
-//!    definite (rounding on near-floating nodes).
-//! 3. [`RecoveryRung::ReducedOrder`] — halve the block-Lanczos iteration
-//!    count; a smaller Krylov space sidesteps breakdown and non-finite
-//!    projections at some accuracy cost.
-//! 4. [`RecoveryRung::SofterNewton`] — shrink the maximum timestep and swap
-//!    nonlinear driver surfaces for the Thevenin (timing-library) model,
-//!    whose smooth I–V curve cannot trap Newton in a kink limit cycle.
-//! 5. [`RecoveryRung::SpiceFallback`] — bypass MOR entirely and run the
-//!    unreduced cluster through the `pcv-spice` MNA engine.
-//! 6. [`RecoveryRung::WorstCase`] — give up analyzing and emit a
-//!    conservative rail-to-rail verdict (`worst_frac = 1.0`, violation).
+//! | rung | mitigation | cures |
+//! |---|---|---|
+//! | 1 [`Baseline`](RecoveryRung::Baseline) | configured analysis, unchanged | — |
+//! | 2 [`GminBoost`](RecoveryRung::GminBoost) | multiply `gmin` by `GMIN_BOOST` (10³) | `NotPositiveDefinite` Cholesky breakdowns on near-floating nodes |
+//! | 3 [`ReducedOrder`](RecoveryRung::ReducedOrder) | halve the block-Lanczos iteration count | Lanczos breakdown, non-finite projections/waveforms |
+//! | 4 [`SofterNewton`](RecoveryRung::SofterNewton) | scale `max_step_fraction` by `STEP_SHRINK` (0.25) and swap nonlinear driver surfaces for the smooth Thevenin (timing-library) model | Newton `NoConvergence` (kink limit cycles) |
+//! | 5 [`SpiceFallback`](RecoveryRung::SpiceFallback) | bypass MOR: full MNA transient through `pcv-spice` | budget exhaustion, panics, anything MOR-shaped |
+//! | 6 [`WorstCase`](RecoveryRung::WorstCase) | no analysis: [`JournalEntry::worst_case`], rail to rail (`worst_frac = 1.0`, violation) | everything else |
+//!
+//! Mitigations are *cumulative*: each rung keeps every lower rung's, so the
+//! options at a rung are a pure function of the rung, not of the failure
+//! path that led there. Every reduced-transient attempt, baseline included,
+//! runs under `NEWTON_BUDGET` Newton iterations and `MAX_TRAN_STEPS`
+//! accepted steps: deterministic stall protection that cannot perturb a
+//! healthy run (a wall-clock deadline would make degradation depend on
+//! machine speed). The SPICE rung runs unbudgeted.
 //!
 //! Escalation is *typed*: each failure class routes to the rung that
 //! addresses it (see [`route`]), never below the next rung up, so the walk
-//! is strictly monotone and terminates. Everything here is a pure function
-//! of the victim and the configuration — no wall-clock, no randomness — so
-//! a recovered report is byte-identical across worker counts.
+//! is strictly monotone and terminates. A panic carries no type and goes
+//! straight to `SpiceFallback`. Everything here is a pure function of the
+//! victim, the configuration and the fault plan — no wall-clock, no
+//! randomness — so a recovered report is byte-identical across worker
+//! counts.
 
+use crate::fault::Plan;
+use crate::record::JournalEntry;
+use crate::scheduler;
 use pcv_mor::MorError;
 use pcv_netlist::PNetId;
+use pcv_obs::EngineEvent;
 use pcv_trace::json::{Obj, Value};
-use pcv_xtalk::XtalkError;
-use std::time::Duration;
+use pcv_xtalk::drivers::DriverModelKind;
+use pcv_xtalk::{AnalysisContext, AnalysisOptions, EngineKind, ReceiverVerdict, XtalkError};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::{Duration, Instant};
+
+/// Multiplier applied to `gmin` at [`RecoveryRung::GminBoost`] and up.
+const GMIN_BOOST: f64 = 1e3;
+/// Multiplier applied to the MOR `max_step_fraction` at
+/// [`RecoveryRung::SofterNewton`] and up.
+const STEP_SHRINK: f64 = 0.25;
+/// Per-attempt Newton-iteration budget of the reduced transient.
+const NEWTON_BUDGET: usize = 2_000_000;
+/// Per-attempt accepted-step budget of the reduced transient.
+const MAX_TRAN_STEPS: usize = 200_000;
 
 /// One rung of the recovery ladder, in escalation order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -89,7 +111,7 @@ impl RecoveryRung {
 }
 
 /// Route a typed failure to the cheapest rung that addresses it. The
-/// caller escalates to `max(route(err), current.next())` so the walk never
+/// ladder escalates to `max(route(err), current.next())`, so the walk never
 /// revisits a rung.
 pub fn route(err: &XtalkError) -> RecoveryRung {
     match err {
@@ -110,9 +132,150 @@ pub fn route(err: &XtalkError) -> RecoveryRung {
     }
 }
 
-/// The failure class a [`Plan`](crate::fault::Plan) injects into a cluster
-/// job — keyed by victim *name* (scheduling- and worker-count-independent),
-/// the occurrence being the ladder attempt: a rule with `fires` 1 hits the
+/// Analysis options for one ladder rung: the budgets at every rung, then
+/// each mitigation from its rung up.
+pub(crate) fn rung_options(analysis: &AnalysisOptions, rung: RecoveryRung) -> AnalysisOptions {
+    let mut opts = analysis.clone();
+    opts.mor.newton_budget = opts.mor.newton_budget.min(NEWTON_BUDGET);
+    opts.mor.max_tran_steps = opts.mor.max_tran_steps.min(MAX_TRAN_STEPS);
+    if rung >= RecoveryRung::GminBoost {
+        opts.gmin_scale *= GMIN_BOOST;
+    }
+    if rung >= RecoveryRung::ReducedOrder {
+        if let EngineKind::Mor { block_iters } = opts.engine {
+            opts.engine = EngineKind::Mor { block_iters: (block_iters / 2).max(1) };
+        }
+    }
+    if rung >= RecoveryRung::SofterNewton {
+        opts.mor.max_step_fraction *= STEP_SHRINK;
+    }
+    if rung >= RecoveryRung::SpiceFallback {
+        opts.engine = EngineKind::Spice;
+    }
+    opts
+}
+
+/// Context for one ladder rung: from [`RecoveryRung::SofterNewton`] up,
+/// nonlinear driver surfaces are swapped for the Thevenin model.
+fn rung_context<'a>(ctx: &AnalysisContext<'a>, rung: RecoveryRung) -> AnalysisContext<'a> {
+    let mut adjusted = *ctx;
+    if rung >= RecoveryRung::SofterNewton && adjusted.driver_model == DriverModelKind::Nonlinear {
+        adjusted.driver_model = DriverModelKind::TimingLibrary;
+    }
+    adjusted
+}
+
+/// Realize one injected fault for one ladder attempt. `Panic` unwinds like
+/// a real job bug; `NonSpd` and `NaN` return the exact typed errors the
+/// numeric guards produce (so routing is exercised end-to-end without
+/// machine-dependent arithmetic); `Slow` collapses the Newton budget so the
+/// *real* budget mechanism trips.
+fn inject(kind: FaultKind, name: &str, opts: &mut AnalysisOptions) -> Result<(), XtalkError> {
+    match kind {
+        FaultKind::Panic => panic!("injected fault in cluster job for {name}"),
+        FaultKind::NonSpd => {
+            Err(XtalkError::Mor(MorError::Numeric(pcv_sparse::Error::NotPositiveDefinite {
+                col: 0,
+                pivot: -1.0,
+            })))
+        }
+        FaultKind::NaN => Err(XtalkError::Mor(MorError::NonFinite { what: "injected nan fault" })),
+        FaultKind::Slow => {
+            opts.mor.newton_budget = 1;
+            Ok(())
+        }
+    }
+}
+
+/// What one successful ladder attempt (a full analysis at one rung) yields.
+pub(crate) struct AttemptOk {
+    pub(crate) rise: f64,
+    pub(crate) fall: f64,
+    pub(crate) receiver: Option<ReceiverVerdict>,
+    pub(crate) analysis: Duration,
+    pub(crate) receiver_time: Duration,
+}
+
+/// Walk the ladder for the cache-missed cluster of victim `name`
+/// (fingerprint `fp`): run `attempt` at each rung's context and options
+/// until it succeeds; past the last analysis rung the record is the
+/// conservative [`JournalEntry::worst_case`], so every victim ends with a
+/// verdict. `plan` injects the drills' faults, the attempt index being the
+/// occurrence; `emit` receives the retry and degradation events. Returns
+/// the record plus the standing attempt's analysis and receiver-check
+/// times.
+pub(crate) fn walk(
+    ctx: &AnalysisContext<'_>,
+    analysis: &AnalysisOptions,
+    plan: &Plan<FaultKind>,
+    name: &str,
+    fp: u64,
+    emit: &dyn Fn(&dyn Fn() -> EngineEvent),
+    mut attempt: impl FnMut(&AnalysisContext<'_>, &AnalysisOptions) -> Result<AttemptOk, XtalkError>,
+) -> (JournalEntry, Duration, Duration) {
+    let mut attempts: Vec<Attempt> = Vec::new();
+    let mut rung = RecoveryRung::Baseline;
+    let standing = loop {
+        if rung == RecoveryRung::WorstCase {
+            pcv_trace::count("engine.recovery.worst_case", 1);
+            break None;
+        }
+        if rung > RecoveryRung::Baseline {
+            pcv_trace::count("engine.recovery.retries", 1);
+        }
+        let mut opts = rung_options(analysis, rung);
+        let actx = rung_context(ctx, rung);
+        // A one-shot rule hits the baseline only, so the first retry rung
+        // sees a healthy cluster.
+        let inject_here = plan.armed(name, attempts.len() as u32).next().copied();
+        let attempt_start = Instant::now();
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            if let Some(kind) = inject_here {
+                inject(kind, name, &mut opts)?;
+            }
+            attempt(&actx, &opts)
+        }));
+        let (reason, target) = match outcome {
+            Ok(Ok(ok)) => break Some(ok),
+            Ok(Err(err)) => {
+                if matches!(&err, XtalkError::Mor(MorError::BudgetExhausted { .. })) {
+                    pcv_trace::count("engine.recovery.budget_exhausted", 1);
+                }
+                (err.to_string(), route(&err))
+            }
+            Err(payload) => {
+                let message = scheduler::panic_message(payload);
+                (format!("job panicked: {message}"), RecoveryRung::SpiceFallback)
+            }
+        };
+        attempts.push(Attempt { rung, reason, elapsed: attempt_start.elapsed() });
+        rung = rung.next().expect("worst case breaks the loop").max(target);
+        emit(&|| EngineEvent::ClusterRetried { name: name.to_owned(), rung: rung.name() });
+    };
+    if rung != RecoveryRung::Baseline {
+        pcv_trace::count("engine.recovery.degraded", 1);
+        if rung == RecoveryRung::SpiceFallback {
+            pcv_trace::count("engine.recovery.fallback_spice", 1);
+        }
+        emit(&|| EngineEvent::ClusterDegraded { name: name.to_owned(), rung: rung.name() });
+    }
+    match standing {
+        Some(ok) => {
+            let trail =
+                (rung != RecoveryRung::Baseline).then_some(Trail { recovered: rung, attempts });
+            let record = JournalEntry::new(name, fp, ok.rise, ok.fall, ok.receiver, trail);
+            (record, ok.analysis, ok.receiver_time)
+        }
+        None => {
+            let record = JournalEntry::worst_case(name, fp, analysis.vdd, attempts);
+            (record, Duration::ZERO, Duration::ZERO)
+        }
+    }
+}
+
+/// The failure class a [`Plan`] injects into a cluster job — keyed by
+/// victim *name* (scheduling- and worker-count-independent), the
+/// occurrence being the ladder attempt: a rule with `fires` 1 hits the
 /// baseline attempt only, so the first retry rung sees a healthy cluster;
 /// [`ALWAYS`](crate::fault::ALWAYS) hits every rung (a
 /// [`FaultKind::Panic`] can then only end worst-cased).
@@ -248,7 +411,7 @@ impl std::fmt::Display for Degradation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{Plan, ALWAYS};
+    use crate::fault::ALWAYS;
 
     #[test]
     fn rungs_escalate_in_order_and_terminate() {

@@ -128,7 +128,7 @@ pub fn harvest_shard(
     let ctx = chip.ctx();
     let config_fp = cfg.config_hash(&ctx);
     let shard_fp = chip_slice_fingerprint(&ctx, slice);
-    let store = RunStore::read(&cfg.durable.fs, Some(cache_path), config_fp, shard_fp, true);
+    let store = RunStore::read(&cfg.fs, Some(cache_path), config_fp, shard_fp, true);
     let mut out = Vec::new();
     let mut stat = ShardContribution { torn_lines: store.torn_lines, ..Default::default() };
 
@@ -193,7 +193,7 @@ pub fn write_merged_journal(
     let (config_fp, chip_fp) =
         (cfg.config_hash(&ctx), chip_slice_fingerprint(&ctx, chip.victims()));
     let path = Journal::path_for(merged_cache);
-    Journal::begin(&cfg.durable.fs, &path, config_fp, chip_fp)?.record_all(entries)
+    Journal::begin(&cfg.fs, &path, config_fp, chip_fp)?.record_all(entries)
 }
 
 #[cfg(test)]

@@ -214,7 +214,7 @@ mod tests {
         let chip = chip();
         let ctx = chip.ctx();
         let cfg = EngineConfig { workers: 2, cache_path: Some(path.clone()), ..Default::default() };
-        let fs = &cfg.durable.fs;
+        let fs = &cfg.fs;
         let (chash, chip_fp) =
             (cfg.config_hash(&ctx), chip_slice_fingerprint(&ctx, chip.victims()));
 

@@ -1,13 +1,16 @@
-//! Cooperative cancellation for long-running reductions and transients.
+//! A cooperative cancellation flag, settable from another thread.
 //!
-//! A [`CancelToken`] is a cheap, clonable handle polled inside the block
-//! Lanczos and Newton loops so a pathological cluster degrades (via the
-//! engine's recovery ladder) instead of stalling a worker forever. Its one
-//! trigger is an explicit flag ([`CancelToken::cancel`]), settable from
-//! another thread. There is no wall-clock trigger: it would make a report
-//! depend on machine speed. The engine's deterministic budgets
-//! (`newton_budget` / `max_tran_steps` in [`crate::MorOptions`]) are the
-//! stall protection.
+//! A [`CancelToken`] is a cheap, clonable handle. [`sympvl::reduce_with`]
+//! polls an optional one once per Lanczos candidate vector; the transient
+//! kernels poll nothing. The chip engine's stop flag wraps a token and
+//! reads it only between cluster jobs: a job that has started runs to its
+//! verdict, because a job cut short mid-analysis would escalate the
+//! recovery ladder and change that verdict. There is no wall-clock
+//! trigger, which would make a report depend on machine speed; the
+//! deterministic budgets (`newton_budget` / `max_tran_steps` in
+//! [`crate::MorOptions`]) are the stall protection.
+//!
+//! [`sympvl::reduce_with`]: crate::sympvl::reduce_with
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

@@ -29,8 +29,6 @@ pub enum MorError {
         /// Simulation time of the failure.
         t: f64,
     },
-    /// An element was found that the linear reduction cannot absorb.
-    NotLinear,
     /// A computed waveform or reduced-model matrix contained NaN or
     /// infinite entries; surfaced as a typed error so non-finite values
     /// fail fast instead of poisoning downstream verdicts.
@@ -62,9 +60,6 @@ impl fmt::Display for MorError {
             MorError::NoPorts => write!(f, "cluster has no ports"),
             MorError::NoConvergence { t } => {
                 write!(f, "reduced-model newton failed to converge at t = {t:e}")
-            }
-            MorError::NotLinear => {
-                write!(f, "circuit contains elements the linear reduction cannot absorb")
             }
             MorError::NonFinite { what } => {
                 write!(f, "{what} produced a non-finite (NaN or infinite) value")
@@ -101,7 +96,6 @@ mod tests {
     #[test]
     fn display_variants() {
         assert!(MorError::NoPorts.to_string().contains("ports"));
-        assert!(MorError::NotLinear.to_string().contains("linear"));
         assert!(MorError::NoConvergence { t: 1.0 }.to_string().contains("newton"));
         let e = MorError::InvalidIndex { what: "port", index: 5, bound: 3 };
         assert!(e.to_string().contains('5'));

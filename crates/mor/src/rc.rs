@@ -8,7 +8,7 @@
 //! 1e-4 % level while guaranteeing the Cholesky factorization exists.
 
 use crate::error::MorError;
-use pcv_netlist::{Circuit, Element, NetParasitics, NodeId};
+use pcv_netlist::NetParasitics;
 use pcv_sparse::dense::{Dense, DenseLu};
 use pcv_sparse::Csc;
 
@@ -224,67 +224,6 @@ impl RcCluster {
         Ok(())
     }
 
-    /// Build a cluster from a [`Circuit`] containing only resistors and
-    /// capacitors, with the given circuit nodes as ports.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MorError::NotLinear`] if the circuit contains sources or
-    /// MOSFETs, and [`MorError::InvalidIndex`] if a port node is ground.
-    pub fn from_circuit(ckt: &Circuit, ports: &[NodeId]) -> Result<Self, MorError> {
-        let mut cl = RcCluster::new();
-        for _ in 0..ckt.num_nodes() {
-            cl.add_node();
-        }
-        let idx = |id: NodeId| -> usize {
-            match id.index_opt() {
-                Some(i) => i,
-                None => GND,
-            }
-        };
-        for e in ckt.elements() {
-            match e {
-                Element::Resistor { a, b, ohms } => {
-                    let (ia, ib) = (idx(*a), idx(*b));
-                    if ia == GND && ib == GND {
-                        continue;
-                    }
-                    if ia == GND {
-                        cl.add_resistor_to_ground(ib, *ohms)?;
-                    } else if ib == GND {
-                        cl.add_resistor_to_ground(ia, *ohms)?;
-                    } else {
-                        cl.add_resistor(ia, ib, *ohms)?;
-                    }
-                }
-                Element::Capacitor { a, b, farads } => {
-                    let (ia, ib) = (idx(*a), idx(*b));
-                    if ia == GND && ib == GND {
-                        continue;
-                    }
-                    if ia == GND {
-                        cl.add_ground_cap(ib, *farads)?;
-                    } else if ib == GND {
-                        cl.add_ground_cap(ia, *farads)?;
-                    } else {
-                        cl.add_capacitor(ia, ib, *farads)?;
-                    }
-                }
-                _ => return Err(MorError::NotLinear),
-            }
-        }
-        for &p in ports {
-            let i = p.index_opt().ok_or(MorError::InvalidIndex {
-                what: "port",
-                index: usize::MAX,
-                bound: cl.n,
-            })?;
-            cl.check_node(i)?;
-            cl.ports.push(i);
-        }
-        Ok(cl)
-    }
-
     /// Assemble the conductance matrix `G` (SPD after `gmin`).
     pub fn conductance_matrix(&self) -> Csc {
         self.assemble(self.gmin, &self.resistors, |ohms| 1.0 / ohms)
@@ -371,7 +310,6 @@ impl RcCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pcv_netlist::SourceWave;
 
     fn ladder(n: usize) -> RcCluster {
         let mut cl = RcCluster::new();
@@ -513,36 +451,6 @@ mod tests {
         let h0 = cl.exact_transfer(0.0).unwrap()[(0, 0)];
         let hf = cl.exact_transfer(1e13).unwrap()[(0, 0)];
         assert!(hf < h0, "impedance falls with frequency: {hf} vs {h0}");
-    }
-
-    #[test]
-    fn from_circuit_round_trip() {
-        let mut ckt = Circuit::new();
-        let a = ckt.node("a");
-        let b = ckt.node("b");
-        ckt.add_resistor(a, b, 50.0);
-        ckt.add_resistor(b, Circuit::GROUND, 100.0);
-        ckt.add_capacitor(a, Circuit::GROUND, 1e-15);
-        ckt.add_capacitor(a, b, 2e-15);
-        let cl = RcCluster::from_circuit(&ckt, &[a]).unwrap();
-        assert_eq!(cl.num_nodes(), 2);
-        assert_eq!(cl.num_ports(), 1);
-        let h = cl.exact_transfer(0.0).unwrap();
-        assert!((h[(0, 0)] - 150.0).abs() / 150.0 < 1e-4);
-    }
-
-    #[test]
-    fn from_circuit_rejects_nonlinear() {
-        let mut ckt = Circuit::new();
-        let a = ckt.node("a");
-        ckt.add_vsrc(a, Circuit::GROUND, SourceWave::Dc(1.0));
-        assert!(matches!(RcCluster::from_circuit(&ckt, &[a]), Err(MorError::NotLinear)));
-    }
-
-    #[test]
-    fn from_circuit_rejects_ground_port() {
-        let ckt = Circuit::new();
-        assert!(RcCluster::from_circuit(&ckt, &[Circuit::GROUND]).is_err());
     }
 
     #[test]

@@ -21,7 +21,6 @@
 //! devices fold into the model, which diagonalizes once more, and each step
 //! is one scalar update per mode (the `modal` submodule).
 
-use crate::cancel::CancelToken;
 use crate::error::MorError;
 use crate::model::DiagonalModel;
 use pcv_netlist::termination::Termination;
@@ -58,9 +57,6 @@ pub struct MorOptions {
     /// Budget of accepted transient steps; [`MorError::BudgetExhausted`]
     /// when exceeded. `usize::MAX` disables the check.
     pub max_tran_steps: usize,
-    /// Optional cooperative cancellation handle ([`CancelToken`]), polled
-    /// once per transient step and once per Newton iteration.
-    pub cancel: Option<CancelToken>,
 }
 
 impl Default for MorOptions {
@@ -70,14 +66,8 @@ impl Default for MorOptions {
             max_newton: 80,
             newton_budget: usize::MAX,
             max_tran_steps: usize::MAX,
-            cancel: None,
         }
     }
-}
-
-/// Whether the options' cancellation token (if any) has fired.
-fn cancelled(opts: &MorOptions) -> bool {
-    opts.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
 }
 
 /// Result of a reduced-model transient: one waveform per port.
@@ -131,12 +121,12 @@ impl MorTranResult {
 /// honored by augmenting the Jacobian and residual with the companion model
 /// of a grounded capacitor at the port.
 ///
-/// Two solvers share the time grid, the budgets, the cancellation polls
-/// and the recording; the terminations choose between them. When every
-/// device is linear ([`Termination::linear`]) the whole system is linear
-/// and diagonalizes once, so each step is one scalar update per mode
-/// (`modal`); any nonlinear device runs the Woodbury–Newton kernel. Both
-/// converge to the same discretized solution; they differ by rounding.
+/// Two solvers share the time grid, the budgets and the recording; the
+/// terminations choose between them. When every device is linear
+/// ([`Termination::linear`]) the whole system is linear and diagonalizes
+/// once, so each step is one scalar update per mode (`modal`); any
+/// nonlinear device runs the Woodbury–Newton kernel. Both converge to the
+/// same discretized solution; they differ by rounding.
 ///
 /// # Errors
 ///
@@ -217,7 +207,7 @@ fn newton(
 ) -> Result<MorTranResult, MorError> {
     let p = model.num_ports();
     let q = model.order();
-    let mut ws = Workspace::new(model, terminations, opts);
+    let mut ws = Workspace::new(model, terminations);
     let has_cap: Vec<usize> = (0..p).filter(|&j| ws.caps[j] > 0.0).collect();
 
     // --- DC initialization: solve x = η u(0, ηᵀx). ---
@@ -237,9 +227,6 @@ fn newton(
         }
     }
     let Some(mut total_newton) = dc_iters else {
-        if cancelled(opts) {
-            return Err(MorError::Cancelled { stage: "reduced transient dc" });
-        }
         return Err(MorError::NoConvergence { t: 0.0 });
     };
 
@@ -260,9 +247,6 @@ fn newton(
 
     while let Some((h, method)) = stepper.next() {
         let t = stepper.t();
-        if cancelled(opts) {
-            return Err(MorError::Cancelled { stage: "reduced transient" });
-        }
         if total_newton > opts.newton_budget || steps >= opts.max_tran_steps {
             return Err(MorError::BudgetExhausted { t });
         }
@@ -345,7 +329,6 @@ struct Step<'a> {
 /// port dots (`ηⱼᵀv` for every port `j`) run as the lanes of one
 /// [`panel::dots`] pass over the states, each lane in the textbook order.
 struct Workspace<'a> {
-    opts: &'a MorOptions,
     terminations: &'a [Option<&'a dyn Termination>],
     d: &'a [f64],
     /// `η`, row-major `q×p`: a panel whose lane `j` is port `j`'s column.
@@ -398,11 +381,7 @@ struct ActivePort {
 }
 
 impl<'a> Workspace<'a> {
-    fn new(
-        model: &'a DiagonalModel,
-        terminations: &'a [Option<&'a dyn Termination>],
-        opts: &'a MorOptions,
-    ) -> Self {
+    fn new(model: &'a DiagonalModel, terminations: &'a [Option<&'a dyn Termination>]) -> Self {
         let (q, p) = (model.order(), model.num_ports());
         let ports: Vec<ActivePort> = (0..p)
             .filter(|&j| terminations[j].is_some())
@@ -411,7 +390,6 @@ impl<'a> Workspace<'a> {
         let eta = model.eta();
         let k = ports.len();
         Workspace {
-            opts,
             terminations,
             d: model.d(),
             eta: (0..q * p).map(|i| eta[(i / p, i % p)]).collect(),
@@ -482,7 +460,6 @@ impl<'a> Workspace<'a> {
     ) -> Result<usize, ()> {
         self.set_alpha(step.alpha);
         let Workspace {
-            opts,
             terminations,
             d,
             ports,
@@ -520,9 +497,6 @@ impl<'a> Workspace<'a> {
         }
 
         for iter in 0..max_newton {
-            if cancelled(opts) {
-                return Err(());
-            }
             // Port currents and conductances.
             port_dots(eta, x, ports_dot);
             for pt in ports.iter_mut() {
@@ -809,19 +783,6 @@ mod tests {
         let opts = MorOptions { max_tran_steps: 3, ..MorOptions::default() };
         let err = simulate(&rom, &[Some(&drv), None], 2e-9, &opts).unwrap_err();
         assert!(matches!(err, MorError::BudgetExhausted { t } if t > 0.0), "got {err}");
-    }
-
-    #[test]
-    fn pre_cancelled_token_stops_the_transient() {
-        use crate::cancel::CancelToken;
-        let cl = rc_line(4, 100.0, 1e-15);
-        let rom = reduce(&cl, 3).unwrap().diagonalize().unwrap();
-        let drv = TheveninTermination::new(500.0, SourceWave::step(0.0, 1.0, 0.1e-9, 0.1e-9));
-        let token = CancelToken::new();
-        token.cancel();
-        let opts = MorOptions { cancel: Some(token), ..MorOptions::default() };
-        let err = simulate(&rom, &[Some(&drv), None], 2e-9, &opts).unwrap_err();
-        assert!(matches!(err, MorError::Cancelled { .. }), "got {err}");
     }
 
     #[test]
@@ -1176,7 +1137,7 @@ mod tests {
         let (model, short) = singular_case();
         let terms: [Option<&dyn Termination>; 2] = [Some(&short), Some(&short)];
         let opts = MorOptions::default();
-        let mut ws = Workspace::new(&model, &terms, &opts);
+        let mut ws = Workspace::new(&model, &terms);
         let beta = [0.0; 3];
         let mut x = [1e-3, 0.0, 0.0];
         let dc = Step { alpha: 0.0, beta: &beta, t: 0.0, caps: None };
@@ -1187,25 +1148,6 @@ mod tests {
         assert!(matches!(err, MorError::NoConvergence { t } if t == 0.0), "got {err}");
         let want = reference::simulate(&model, &terms, 1e-9, &opts).unwrap_err();
         assert_eq!(err.to_string(), want.to_string());
-    }
-
-    #[test]
-    fn pre_cancelled_token_stops_inside_newton() {
-        let cl = rc_line(4, 100.0, 1e-15);
-        let rom = reduce(&cl, 3).unwrap().diagonalize().unwrap();
-        let drv = TheveninTermination::new(500.0, SourceWave::step(0.0, 1.0, 0.1e-9, 0.1e-9));
-        let terms: [Option<&dyn Termination>; 2] = [Some(&drv), None];
-        let token = CancelToken::new();
-        token.cancel();
-        let opts = MorOptions { cancel: Some(token), ..MorOptions::default() };
-        let mut ws = Workspace::new(&rom, &terms, &opts);
-        let beta = vec![0.0; rom.order()];
-        let mut x = vec![0.25; rom.order()];
-        let dc = Step { alpha: 0.0, beta: &beta, t: 0.0, caps: None };
-        assert_eq!(ws.newton(&mut x, &dc, DAMPING, opts.max_newton), Err(()));
-        assert!(x.iter().all(|&v| v == 0.25), "the poll precedes the first iteration");
-        let err = simulate(&rom, &terms, 2e-9, &opts).unwrap_err();
-        assert!(matches!(err, MorError::Cancelled { stage: "reduced transient dc" }), "got {err}");
     }
 
     /// The textbook loop the workspace kernel replaced, verbatim: every
@@ -1284,9 +1226,6 @@ mod tests {
                 }
             }
             if !dc_ok {
-                if cancelled(opts) {
-                    return Err(MorError::Cancelled { stage: "reduced transient dc" });
-                }
                 return Err(MorError::NoConvergence { t: 0.0 });
             }
             let mut total_newton = iters;
@@ -1313,9 +1252,6 @@ mod tests {
             let mut use_be = true;
 
             while t < tstop - tiny {
-                if cancelled(opts) {
-                    return Err(MorError::Cancelled { stage: "reduced transient" });
-                }
                 if total_newton > opts.newton_budget || steps >= opts.max_tran_steps {
                     return Err(MorError::BudgetExhausted { t });
                 }
@@ -1435,9 +1371,6 @@ mod tests {
             let m_diag: Vec<f64> = d.iter().map(|&dk| alpha * dk + 1.0).collect();
 
             for iter in 0..opts.max_newton {
-                if cancelled(opts) {
-                    return Err(());
-                }
                 let y = model.outputs(x);
                 // Port currents and conductances.
                 let mut w = vec![0.0; k]; // effective conductance per active port

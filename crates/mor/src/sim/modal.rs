@@ -31,7 +31,7 @@
 //! one step ([`Stepper::coast`]). The samples before it are those of the
 //! full walk, bit for bit (DESIGN §5, the settle rule).
 
-use super::{cancelled, MorOptions, MorTranResult, VTOL};
+use super::{MorOptions, MorTranResult, VTOL};
 use crate::error::MorError;
 use crate::model::DiagonalModel;
 use pcv_netlist::termination::Termination;
@@ -227,9 +227,6 @@ impl<'a> Modes<'a> {
     ) -> Result<MorTranResult, MorError> {
         let sigma = &self.basis.sigma;
         let (q, p) = (sigma.len(), self.ports);
-        if cancelled(opts) {
-            return Err(MorError::Cancelled { stage: "reduced transient dc" });
-        }
         if opts.max_newton < SOLVES_PER_STEP {
             return Err(MorError::NoConvergence { t: 0.0 });
         }
@@ -253,9 +250,6 @@ impl<'a> Modes<'a> {
         let mut coasting = false;
         while let Some((h, method)) = stepper.next() {
             let t = stepper.t();
-            if cancelled(opts) {
-                return Err(MorError::Cancelled { stage: "reduced transient" });
-            }
             if solves > opts.newton_budget || steps >= opts.max_tran_steps {
                 return Err(MorError::BudgetExhausted { t });
             }
@@ -310,7 +304,6 @@ impl<'a> Modes<'a> {
 mod tests {
     use super::super::tests::newton_only;
     use super::super::{simulate, MorOptions, MorTranResult, VTOL};
-    use crate::cancel::CancelToken;
     use crate::error::MorError;
     use crate::model::{DiagonalModel, ReducedModel};
     use pcv_netlist::termination::{
@@ -559,8 +552,6 @@ mod tests {
         let drv = TheveninTermination::new(600.0, SourceWave::step(0.0, 2.5, 0.5e-9, 0.1e-9));
         let hold = ResistiveTermination::new(900.0);
         let terms: [Option<&dyn Termination>; 3] = [Some(&drv), Some(&hold), None];
-        let cancelled = CancelToken::new();
-        cancelled.cancel();
         let cases = [
             (f64::NAN, MorOptions::default()),
             (-1e-9, MorOptions::default()),
@@ -569,7 +560,6 @@ mod tests {
             (4e-9, MorOptions { newton_budget: 0, ..MorOptions::default() }),
             (4e-9, MorOptions { max_tran_steps: 40, ..MorOptions::default() }),
             (4e-9, MorOptions { max_newton: 0, ..MorOptions::default() }),
-            (4e-9, MorOptions { cancel: Some(cancelled), ..MorOptions::default() }),
         ];
         for (i, (tstop, opts)) in cases.iter().enumerate() {
             let modal = simulate(&model, &terms, *tstop, opts).unwrap_err();

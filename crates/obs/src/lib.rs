@@ -16,10 +16,10 @@
 //!   replaying subscribers ([`HubCursor`]), for serving one run's event
 //!   stream to several clients that may join mid-run; overflow is shed
 //!   and counted, never backpressure.
-//! - **Progress** ([`ProgressMonitor`], [`StderrStatusLine`]) — throughput,
-//!   EWMA-based ETA, per-stage completion, and a live single-line stderr
-//!   status display that auto-disables when stderr is not a TTY or
-//!   `PCV_NO_PROGRESS` is set.
+//! - **Progress** ([`StderrStatusLine`], [`ProgressSnapshot`]) —
+//!   throughput, EWMA-based ETA, per-stage completion, and a live
+//!   single-line stderr status display that stays off when asked to be
+//!   quiet or when stderr is not a TTY.
 //! - **Memory** ([`TrackingAlloc`], [`mem`]) — an instrumented global
 //!   allocator (relaxed atomics) recording current/peak bytes and
 //!   allocation counts, globally and per thread; the per-thread counters
@@ -56,4 +56,4 @@ pub use flight::{FlightEntry, FlightRecorder};
 pub use ledger::RunRecord;
 pub use metrics::Registry;
 pub use pcv_trace::json;
-pub use progress::{ProgressMonitor, ProgressSnapshot, StderrStatusLine};
+pub use progress::{ProgressSnapshot, StderrStatusLine};

@@ -2,7 +2,7 @@
 //! per-stage completion counts, and a single-line stderr status display.
 //!
 //! Everything here observes wall-clock time, so it lives strictly outside
-//! the deterministic report path: the monitor renders to stderr (never
+//! the deterministic report path: the status line renders to stderr (never
 //! stdout, never the report) and nothing it computes flows back into the
 //! engine.
 
@@ -94,20 +94,49 @@ struct MonitorState {
     finished: bool,
 }
 
-/// An [`EventSink`] that folds the event stream into live progress
-/// statistics: completion counts, throughput, and an EWMA-based ETA.
-#[derive(Debug, Default)]
-pub struct ProgressMonitor {
+/// The live stderr status line: an [`EventSink`] that folds the event
+/// stream into progress statistics (completion counts, throughput, an
+/// EWMA-based ETA) and repaints a single `\r`-rewritten line as clusters
+/// finish, throttled so rendering never becomes the bottleneck.
+///
+/// The display is off (the sink still counts, but never writes) when it
+/// was constructed quiet ([`StderrStatusLine::auto`] with `quiet = true`,
+/// e.g. from a `--quiet` flag) or when stderr is not a terminal (CI logs
+/// stay clean).
+pub struct StderrStatusLine {
     state: Mutex<MonitorState>,
+    enabled: bool,
+    paint: Mutex<PaintState>,
 }
 
-impl ProgressMonitor {
-    /// Fresh monitor.
-    pub fn new() -> Self {
-        Self::default()
+#[derive(Debug, Default)]
+struct PaintState {
+    last: Option<Instant>,
+    /// Width of the previous paint, so shorter lines fully overwrite it.
+    width: usize,
+}
+
+/// Minimum interval between repaints.
+const PAINT_INTERVAL: Duration = Duration::from_millis(100);
+
+impl StderrStatusLine {
+    /// A status line that paints unless `quiet` or stderr is not a TTY.
+    pub fn auto(quiet: bool) -> Self {
+        Self::with_enabled(!quiet && std::io::stderr().is_terminal())
     }
 
-    /// Current progress.
+    /// A status line with the display forced on or off (tests use this;
+    /// binaries should prefer [`StderrStatusLine::auto`]).
+    pub fn with_enabled(enabled: bool) -> Self {
+        StderrStatusLine { state: Mutex::default(), enabled, paint: Mutex::default() }
+    }
+
+    /// Whether the display will actually write to stderr.
+    pub fn is_enabled(&self) -> bool {
+        self.enabled
+    }
+
+    /// Current progress (works whether or not the display is enabled).
     pub fn snapshot(&self) -> ProgressSnapshot {
         let s = self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let elapsed = s.started.map(|t| t.elapsed()).unwrap_or_default();
@@ -135,10 +164,9 @@ impl ProgressMonitor {
             finished: s.finished,
         }
     }
-}
 
-impl EventSink for ProgressMonitor {
-    fn event(&self, ev: &EngineEvent) {
+    /// Fold one event into the statistics.
+    fn count(&self, ev: &EngineEvent) {
         let mut s = self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         match ev {
             EngineEvent::RunStarted { victims, .. } => {
@@ -170,59 +198,6 @@ impl EventSink for ProgressMonitor {
             _ => {}
         }
     }
-}
-
-/// The live stderr status line: wraps a [`ProgressMonitor`] and repaints a
-/// single `\r`-rewritten line as clusters finish, throttled so rendering
-/// never becomes the bottleneck.
-///
-/// The display auto-disables (the sink still counts, but never writes)
-/// when any of these hold:
-/// - it was constructed quiet ([`StderrStatusLine::auto`] with
-///   `quiet = true`, e.g. from a `--quiet` flag),
-/// - the `PCV_NO_PROGRESS` environment variable is set (any value),
-/// - stderr is not a terminal (CI logs stay clean).
-pub struct StderrStatusLine {
-    monitor: ProgressMonitor,
-    enabled: bool,
-    paint: Mutex<PaintState>,
-}
-
-#[derive(Debug, Default)]
-struct PaintState {
-    last: Option<Instant>,
-    /// Width of the previous paint, so shorter lines fully overwrite it.
-    width: usize,
-}
-
-/// Minimum interval between repaints.
-const PAINT_INTERVAL: Duration = Duration::from_millis(100);
-
-impl StderrStatusLine {
-    /// A status line honoring the escape hatches: disabled when `quiet`,
-    /// when `PCV_NO_PROGRESS` is set, or when stderr is not a TTY.
-    pub fn auto(quiet: bool) -> Self {
-        let enabled = !quiet
-            && std::env::var_os("PCV_NO_PROGRESS").is_none()
-            && std::io::stderr().is_terminal();
-        Self::with_enabled(enabled)
-    }
-
-    /// A status line with the display forced on or off (tests use this;
-    /// binaries should prefer [`StderrStatusLine::auto`]).
-    pub fn with_enabled(enabled: bool) -> Self {
-        StderrStatusLine { monitor: ProgressMonitor::new(), enabled, paint: Mutex::default() }
-    }
-
-    /// Whether the display will actually write to stderr.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Current progress (works whether or not the display is enabled).
-    pub fn snapshot(&self) -> ProgressSnapshot {
-        self.monitor.snapshot()
-    }
 
     fn paint(&self, force: bool, terminal: bool) {
         let mut p = self.paint.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -231,7 +206,7 @@ impl StderrStatusLine {
             return;
         }
         p.last = Some(now);
-        let line = self.monitor.snapshot().status_line();
+        let line = self.snapshot().status_line();
         let pad = p.width.saturating_sub(line.len());
         p.width = line.len();
         let mut err = std::io::stderr().lock();
@@ -246,7 +221,7 @@ impl StderrStatusLine {
 
 impl EventSink for StderrStatusLine {
     fn event(&self, ev: &EngineEvent) {
-        self.monitor.event(ev);
+        self.count(ev);
         if !self.enabled {
             return;
         }
@@ -271,7 +246,7 @@ mod tests {
 
     #[test]
     fn monitor_tracks_counts_and_fraction() {
-        let m = ProgressMonitor::new();
+        let m = StderrStatusLine::with_enabled(false);
         m.event(&EngineEvent::RunStarted { victims: 4, workers: 2 });
         m.event(&finished("a", true));
         m.event(&finished("b", false));
@@ -319,8 +294,10 @@ mod tests {
 
     #[test]
     fn quiet_and_env_disable_the_display() {
-        // quiet flag wins regardless of the environment.
+        // The quiet flag wins regardless of the environment; without it,
+        // the display paints exactly when stderr is a terminal.
         assert!(!StderrStatusLine::auto(true).is_enabled());
+        assert_eq!(StderrStatusLine::auto(false).is_enabled(), std::io::stderr().is_terminal());
         // The forced-off display still counts events without writing.
         let line = StderrStatusLine::with_enabled(false);
         line.event(&EngineEvent::RunStarted { victims: 2, workers: 1 });
@@ -330,7 +307,7 @@ mod tests {
 
     #[test]
     fn a_fresh_run_resets_the_monitor() {
-        let m = ProgressMonitor::new();
+        let m = StderrStatusLine::with_enabled(false);
         m.event(&EngineEvent::RunStarted { victims: 2, workers: 1 });
         m.event(&finished("a", false));
         m.event(&EngineEvent::RunStarted { victims: 5, workers: 1 });

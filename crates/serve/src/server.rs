@@ -994,7 +994,7 @@ fn execute_run(shared: &Shared, run_id: &str) {
         execute_sharded(shared, &session, &run, sink, &stop)
     } else {
         let mut cfg = run.overlay.engine_config(session.cache_path.clone(), Some(sink));
-        cfg.durable.stop = Some(stop.clone());
+        cfg.stop = Some(stop.clone());
 
         let mut engine = Engine::new(cfg);
         if let Some(frac) = run.overlay.drill_slow_frac {

@@ -548,7 +548,7 @@ impl Coordinator {
             .map_err(|e| ApiError::Internal(format!("merged journal: {e}")))?;
 
         ecfg.sink = self.cfg.sink.clone();
-        ecfg.durable.stop = self.cfg.stop.clone();
+        ecfg.stop = self.cfg.stop.clone();
         let report = Engine::new(ecfg).run(RunRequest {
             resume: true,
             snapshot: snapshot.map(Arc::as_ref),

@@ -49,8 +49,8 @@ pub struct AnalysisOptions {
     /// reduction (1.0 = leave as extracted). The recovery ladder boosts
     /// this when Cholesky reports a non-SPD conductance matrix.
     pub gmin_scale: f64,
-    /// Reduced-transient integration knobs (step limits, Newton budgets,
-    /// cancellation), forwarded to [`pcv_mor::simulate`].
+    /// Reduced-transient integration knobs (step limits, Newton budgets),
+    /// forwarded to [`pcv_mor::simulate`].
     pub mor: MorOptions,
 }
 
@@ -397,7 +397,7 @@ impl PreparedCluster {
     ///
     /// Fails with [`XtalkError::InvalidConfig`] for transistor-level drivers
     /// under the reduced engine, otherwise with what the reduction reports
-    /// (non-SPD conductance, cancellation, non-finite projection).
+    /// (non-SPD conductance, non-finite projection).
     fn prepare(
         &mut self,
         ctx: &AnalysisContext<'_>,
@@ -418,13 +418,12 @@ impl PreparedCluster {
             return Ok(());
         }
         let _span = pcv_trace::span("xtalk", "prepare");
-        let cancel = opts.mor.cancel.as_ref();
         let reduced = if gmin_scale == 1.0 {
-            sympvl::reduce_with(&self.model.rc, block_iters, cancel)?
+            sympvl::reduce(&self.model.rc, block_iters)?
         } else {
             let mut rc = self.model.rc.clone();
             rc.set_gmin(rc.gmin() * gmin_scale)?;
-            sympvl::reduce_with(&rc, block_iters, cancel)?
+            sympvl::reduce(&rc, block_iters)?
         };
         let diag = reduced.diagonalize()?;
         self.rom = Some(Rom { block_iters, gmin_scale, diag, modal: ModalMemo::default() });

@@ -10,7 +10,7 @@ use pcv_cells::charlib::{characterize, CharLibrary};
 use pcv_cells::library::CellLibrary;
 use pcv_designs::random::{random_cluster, RandomClusterConfig};
 use pcv_designs::Technology;
-use pcv_mor::{CancelToken, MorError};
+use pcv_mor::MorError;
 use pcv_netlist::{Design, NetNodeRef, NetParasitics, PNetId, ParasiticDb};
 use pcv_rng::Rng;
 use pcv_xtalk::analysis::{plan_aggressors, SWITCH_TIME};
@@ -210,17 +210,9 @@ fn non_spd_cluster_fails_alike_and_reduces_once_gmin_is_boosted() {
 }
 
 #[test]
-fn cancellation_budget_and_config_errors_keep_their_types() {
+fn budget_and_config_errors_keep_their_types() {
     let (db, cluster) = pair_db(150.0);
     let mut ctx = AnalysisContext::fixed_resistance(&db, 1000.0);
-
-    let cancelled = CancelToken::new();
-    cancelled.cancel();
-    let mut opts = AnalysisOptions::default();
-    opts.mor.cancel = Some(cancelled);
-    assert_both_fail(&ctx, &cluster, &opts, |e| {
-        matches!(e, XtalkError::Mor(MorError::Cancelled { stage: "block lanczos" }))
-    });
 
     let mut opts = AnalysisOptions::default();
     opts.mor.newton_budget = 1;
@@ -238,15 +230,14 @@ fn cancellation_budget_and_config_errors_keep_their_types() {
 fn a_failing_second_polarity_does_not_return_the_first_result() {
     let (db, cluster) = pair_db(150.0);
     let ctx = AnalysisContext::fixed_resistance(&db, 1000.0);
-    let token = CancelToken::new();
-    let mut opts = AnalysisOptions::default();
-    opts.mor.cancel = Some(token.clone());
+    let opts = AnalysisOptions::default();
     let mut prepared = PreparedCluster::new(&ctx, &cluster, &opts);
-    let up = prepared.glitch(&ctx, true, &opts).expect("live token");
+    let up = prepared.glitch(&ctx, true, &opts).expect("default budget");
     assert!(up.peak > 0.0);
-    // The reduced model is already in hand, so the token is next polled by
-    // the transient — which must stop, not hand back the rise.
-    token.cancel();
-    let down = prepared.glitch(&ctx, false, &opts);
-    assert!(matches!(down, Err(XtalkError::Mor(MorError::Cancelled { .. }))), "{down:?}");
+    // The reduced model is already in hand, so the collapsed budget trips
+    // in the transient — which must fail, not hand back the rise.
+    let mut starved = opts.clone();
+    starved.mor.newton_budget = 1;
+    let down = prepared.glitch(&ctx, false, &starved);
+    assert!(matches!(down, Err(XtalkError::Mor(MorError::BudgetExhausted { .. }))), "{down:?}");
 }

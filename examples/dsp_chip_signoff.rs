@@ -7,9 +7,9 @@
 //! Run with: `cargo run --release -p pcv-bench --example dsp_chip_signoff`
 //!
 //! While the engine runs, a live status line on stderr shows clusters
-//! done, throughput, ETA, cache hits and degradations. Pass `--quiet` (or
-//! set `PCV_NO_PROGRESS`) to suppress it; it also disappears on its own
-//! when stderr is not a terminal.
+//! done, throughput, ETA, cache hits and degradations. Pass `--quiet` to
+//! suppress it; it also disappears on its own when stderr is not a
+//! terminal.
 //!
 //! Pass `--stop-after N` to drill the crash-safe path: the run stops
 //! cooperatively after N cluster verdicts (simulating an interrupted
@@ -74,7 +74,7 @@ fn main() -> Result<(), XtalkError> {
         let stopper: Arc<dyn EventSink> = Arc::new(StopAfter::new(flag.clone(), n));
         let mut cfg = base.clone();
         cfg.sink = Some(Arc::new(TeeSink::new(vec![status.clone(), stopper])));
-        cfg.durable.stop = Some(flag);
+        cfg.stop = Some(flag);
         let partial = Engine::new(cfg).verify(&ctx, victims)?;
         println!(
             "stopped early: {}/{} verdict(s) checkpointed, {} skipped — resuming",

@@ -33,7 +33,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 /// ledger) stay healthy unless a drill names them too.
 fn config_on(cache: PathBuf, fs: Fs) -> EngineConfig {
     let mut cfg = EngineConfig { workers: 2, cache_path: Some(cache), ..Default::default() };
-    cfg.durable.fs = fs;
+    cfg.fs = fs;
     cfg
 }
 
@@ -154,7 +154,7 @@ fn bit_flip_on_journal_read_drops_only_the_damaged_checkpoint() {
         EngineConfig { workers: 2, cache_path: Some(cache.clone()), ..Default::default() };
     cfg.sink =
         Some(Arc::new(StopAfter::new(flag.clone(), victims.len() / 2)) as Arc<dyn EventSink>);
-    cfg.durable.stop = Some(flag);
+    cfg.stop = Some(flag);
     let partial = Engine::new(cfg).verify(&ctx, &victims).unwrap();
     assert!(partial.interrupted);
     let completed = victims.len() - partial.stats.skipped;
@@ -258,7 +258,7 @@ fn seeded_disk_fault_sweep_never_skews_a_verdict_and_converges() {
             let flag = StopFlag::new();
             let mut stopped = config_on(cache.clone(), fs.clone());
             stopped.sink = Some(Arc::new(StopAfter::new(flag.clone(), victims.len() / 2)));
-            stopped.durable.stop = Some(flag);
+            stopped.stop = Some(flag);
             for cfg in [stopped, config_on(cache.clone(), fs)] {
                 let Ok(report) = Engine::new(cfg).run(request) else {
                     continue;

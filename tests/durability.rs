@@ -7,13 +7,13 @@
 use pcv_designs::structures::bundle;
 use pcv_designs::Technology;
 use pcv_engine::{
-    Engine, EngineConfig, EngineReport, Journal, RunLock, RunRequest, StopAfter, StopFlag,
+    Engine, EngineConfig, EngineReport, Fs, Journal, RunLock, RunRequest, StopAfter, StopFlag,
 };
 use pcv_netlist::{PNetId, ParasiticDb};
-use pcv_obs::{ledger, EventSink};
+use pcv_obs::{ledger, EngineEvent, EventSink};
 use pcv_xtalk::{AnalysisContext, XtalkError};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// A 12-wire bus: small enough to drill many interrupt points, coupled
 /// enough that every wire gets a real verdict.
@@ -54,7 +54,7 @@ fn interrupted_run(
     let flag = StopFlag::new();
     let mut cfg = config(workers, Some(cache.to_owned()));
     cfg.sink = Some(Arc::new(StopAfter::new(flag.clone(), stop_after)) as Arc<dyn EventSink>);
-    cfg.durable.stop = Some(flag);
+    cfg.stop = Some(flag);
     Engine::new(cfg).verify(&ctx, victims).unwrap()
 }
 
@@ -135,6 +135,89 @@ fn single_worker_stop_skips_exactly_the_queued_tail() {
     assert_eq!(records[1].outcome, "complete");
     assert_eq!(records[1].journal_hits, stop_after);
     assert_eq!(resumed.stats.journal_hits, stop_after);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Raises the stop flag on the `k`-th cache miss — the event a job emits
+/// just before its ladder walk — and records which jobs started, which
+/// victim the stop landed in, and which jobs were skipped.
+#[derive(Default)]
+struct StopOnMiss {
+    flag: StopFlag,
+    k: usize,
+    log: Mutex<DrainLog>,
+}
+
+#[derive(Default)]
+struct DrainLog {
+    started: Vec<String>,
+    misses: usize,
+    stopped_in: Option<String>,
+    skipped: Vec<String>,
+}
+
+impl EventSink for StopOnMiss {
+    fn event(&self, ev: &EngineEvent) {
+        let mut log = self.log.lock().unwrap();
+        match ev {
+            EngineEvent::ClusterStarted { name } => log.started.push(name.clone()),
+            EngineEvent::CacheMiss { name } => {
+                log.misses += 1;
+                if log.misses == self.k {
+                    log.stopped_in = Some(name.clone());
+                    self.flag.stop();
+                }
+            }
+            EngineEvent::ClusterSkipped { name } => log.skipped.push(name.clone()),
+            _ => {}
+        }
+    }
+}
+
+#[test]
+fn a_stop_raised_inside_a_job_lets_it_finish_and_skips_only_later_jobs() {
+    // The drain contract: the stop is read between jobs only. A job that
+    // has started when the flag goes up analyzes its victim to a verdict
+    // and checkpoints it; every job after it is skipped.
+    let (db, victims) = fixture();
+    let ctx = AnalysisContext::fixed_resistance(&db, 1000.0);
+    let baseline = baseline_signoff(&db, &victims);
+    let dir = temp_dir("drain");
+    let cache = dir.join("signoff.cache");
+    let k = 5;
+    let sink = Arc::new(StopOnMiss { k, ..StopOnMiss::default() });
+    let mut cfg = config(1, Some(cache.clone()));
+    cfg.sink = Some(sink.clone() as Arc<dyn EventSink>);
+    cfg.stop = Some(sink.flag.clone());
+    let partial = Engine::new(cfg).verify(&ctx, &victims).unwrap();
+    assert!(partial.interrupted);
+
+    let log = sink.log.lock().unwrap();
+    let victim_k = log.stopped_in.clone().expect("the k-th cache miss raised the stop");
+    assert_eq!(log.started.len(), k, "no job starts after the stop");
+    assert_eq!(log.started.last(), Some(&victim_k));
+    let sorted = |names: Vec<String>| {
+        let mut names = names;
+        names.sort();
+        names
+    };
+    // Victim k's verdict is in the report and in the journal, beside those
+    // of the jobs before it.
+    let started = sorted(log.started.clone());
+    assert_eq!(sorted(partial.chip.verdicts.iter().map(|v| v.name.clone()).collect()), started);
+    let journal = Journal::load(&Fs::real(), &Journal::path_for(&cache));
+    assert_eq!(sorted(journal.entries.into_iter().map(|e| e.name).collect()), started);
+    // Exactly the later victims are skipped: every victim either started
+    // (at or before k) or was skipped, never both.
+    assert_eq!(partial.stats.skipped, victims.len() - k);
+    let all = sorted(log.started.iter().chain(&log.skipped).cloned().collect());
+    assert_eq!(all, sorted(victims.iter().map(|&v| db.net(v).name().to_owned()).collect()));
+
+    let resumed = Engine::new(config(1, Some(cache)))
+        .run(RunRequest { resume: true, ..RunRequest::new(&ctx, &victims) })
+        .unwrap();
+    assert_eq!(resumed.stats.journal_hits, k);
+    assert_eq!(resumed.signoff_json(), baseline);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
