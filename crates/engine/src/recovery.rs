@@ -14,7 +14,7 @@
 //! |---|---|---|
 //! | 1 [`Baseline`](RecoveryRung::Baseline) | configured analysis, unchanged | — |
 //! | 2 [`GminBoost`](RecoveryRung::GminBoost) | multiply `gmin` by `GMIN_BOOST` (10³) | `NotPositiveDefinite` Cholesky breakdowns on near-floating nodes |
-//! | 3 [`ReducedOrder`](RecoveryRung::ReducedOrder) | halve the block-Lanczos iteration count | Lanczos breakdown, non-finite projections/waveforms |
+//! | 3 [`ReducedOrder`](RecoveryRung::ReducedOrder) | halve the block-Lanczos ceiling | Lanczos breakdown, non-finite projections/waveforms |
 //! | 4 [`SofterNewton`](RecoveryRung::SofterNewton) | scale `max_step_fraction` by `STEP_SHRINK` (0.25) and swap nonlinear driver surfaces for the smooth Thevenin (timing-library) model | Newton `NoConvergence` (kink limit cycles) |
 //! | 5 [`SpiceFallback`](RecoveryRung::SpiceFallback) | bypass MOR: full MNA transient through `pcv-spice` | budget exhaustion, panics, anything MOR-shaped |
 //! | 6 [`WorstCase`](RecoveryRung::WorstCase) | no analysis: [`JournalEntry::worst_case`], rail to rail (`worst_frac = 1.0`, violation) | everything else |
@@ -64,7 +64,7 @@ pub enum RecoveryRung {
     Baseline,
     /// Re-reduce with boosted `gmin` regularization.
     GminBoost,
-    /// Retry with half the block-Lanczos iterations (smaller ROM).
+    /// Retry with half the block-Lanczos ceiling (smaller ROM).
     ReducedOrder,
     /// Shrink the max timestep and swap nonlinear drivers for Thevenin.
     SofterNewton,

@@ -18,7 +18,7 @@ pub const SCHEMA: u64 = 2;
 /// One engine run, as recorded in the ledger.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RunRecord {
-    /// Configuration fingerprint (the engine's `config_hash`, tag v5).
+    /// Configuration fingerprint (the engine's `config_hash`, tag v6).
     pub config_fingerprint: u64,
     /// Fingerprint of the audited chip slice (victim set + netlist shape).
     pub chip_fingerprint: u64,

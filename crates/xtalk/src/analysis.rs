@@ -23,7 +23,9 @@ use std::time::{Duration, Instant};
 pub enum EngineKind {
     /// SyMPVL reduction + diagonalized nonlinear integration (fast path).
     Mor {
-        /// Block Lanczos iterations (Padé order); 3–6 is typical.
+        /// Ceiling on the block Lanczos iterations (Padé order): the
+        /// reduction stops below it once another block no longer moves the
+        /// port transfer ([`pcv_mor::sympvl::reduce`]); 3–6 is ample.
         block_iters: usize,
     },
     /// Full MNA transient on the unreduced cluster (reference path).

@@ -58,20 +58,27 @@ fn golden_dsp_receiver_audit_report() {
     check_golden("dsp_receivers.json", &report.to_json());
 }
 
-/// Every number of `got` within `1e-12` of `want`'s and every string, bool
-/// and key the same, recursively; verdicts are matched by net. `_bits`
-/// members are the numbers' own patterns and may move. Returns how many
-/// numbers moved.
-fn assert_within_rounding(got: &Value, want: &Value, at: &str) -> usize {
+/// How far a re-recorded number may lie from the Newton record, relative
+/// to `max(|record|, 1 mV)`: the order sweep's bound (`oracle_sweep.rs`).
+const RECORD_BOUND: f64 = 2e-4;
+
+/// Every number of `got` within [`RECORD_BOUND`] of `want`'s and every
+/// string, bool and key the same, recursively; verdicts are matched by net.
+/// `_bits` members are the numbers' own patterns and may move. Returns how
+/// many numbers moved and the largest relative move.
+fn assert_within_bound(got: &Value, want: &Value, at: &str) -> (usize, f64) {
     match (got, want) {
         (Value::Num(g), Value::Num(w)) => {
-            assert!((g - w).abs() <= 1e-12, "{at}: {g} vs the record's {w}");
-            usize::from(g.to_bits() != w.to_bits())
+            let dev = (g - w).abs() / w.abs().max(1e-3);
+            assert!(dev <= RECORD_BOUND, "{at}: {g} vs the record's {w} ({dev:e})");
+            (usize::from(g.to_bits() != w.to_bits()), dev)
         }
         (Value::Obj(g), Value::Obj(w)) => {
             assert!(g.keys().eq(w.keys()), "{at}: members differ");
             let moved = g.iter().filter(|(k, _)| !k.ends_with("_bits"));
-            moved.map(|(k, v)| assert_within_rounding(v, &w[k], &format!("{at}.{k}"))).sum()
+            moved
+                .map(|(k, v)| assert_within_bound(v, &w[k], &format!("{at}.{k}")))
+                .fold((0, 0.0), |(n, worst), (m, dev)| (n + m, dev.max(worst)))
         }
         (Value::Arr(g), Value::Arr(w)) => {
             assert_eq!(g.len(), w.len(), "{at}: lengths differ");
@@ -81,31 +88,35 @@ fn assert_within_rounding(got: &Value, want: &Value, at: &str) -> usize {
             let mut record: Vec<&Value> = w.iter().collect();
             record.sort_by_key(|v| net(v));
             (sorted.iter().zip(&record).enumerate())
-                .map(|(i, (g, w))| assert_within_rounding(g, w, &format!("{at}[{i}]")))
-                .sum()
+                .map(|(i, (g, w))| assert_within_bound(g, w, &format!("{at}[{i}]")))
+                .fold((0, 0.0), |(n, worst), (m, dev)| (n + m, dev.max(worst)))
         }
         (g, w) => {
             assert_eq!(g, w, "{at}");
-            0
+            (0, 0.0)
         }
     }
 }
 
 /// The goldens were re-recorded when linear drivers moved from the Newton
 /// kernel to the modal solver, which reach the same discretized solution
-/// by different rounding. `tests/golden/newton/` keeps the Newton kernel's
-/// record of the same three reports: every re-recorded number must lie
-/// within 1e-12 V of it, with no severity, receiver verdict, cluster size
-/// or pruning count moved.
+/// by different rounding: `tests/golden/newton/` keeps the Newton kernel's
+/// record of the same three reports, and every number then lay within
+/// 1e-12 V of it (the modal solver's own contract, which `pcv-mor`'s
+/// `sim::modal` differential still holds at 1e-12). They were re-recorded
+/// again when the reduction began to stop at the Padé order a cluster
+/// needs, which moves a peak by design: every number must now lie within
+/// the order sweep's bound of the record, with no severity, receiver
+/// verdict, cluster size or pruning count moved.
 #[test]
-fn reblessed_goldens_are_the_newton_record_to_rounding() {
+fn reblessed_goldens_keep_the_newton_record_within_the_order_bound() {
     for name in ["bundle16_bus.json", "random_seed99.json", "dsp_receivers.json"] {
         let read = |dir: &std::path::Path| {
             let text = std::fs::read_to_string(dir.join(name)).expect("golden file");
             parse(&text).expect("golden JSON")
         };
         let dir = fixtures::golden_dir();
-        let moved = assert_within_rounding(&read(&dir), &read(&dir.join("newton")), name);
-        eprintln!("{name}: {moved} numbers moved, each by at most 1e-12");
+        let (moved, worst) = assert_within_bound(&read(&dir), &read(&dir.join("newton")), name);
+        eprintln!("{name}: {moved} numbers moved, the largest by {worst:e} of max(|v|, 1 mV)");
     }
 }

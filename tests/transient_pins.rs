@@ -8,7 +8,9 @@
 //! sample can leave a `vtol`-band around its final value; a peak larger than
 //! that band keeps its bits and its time, and so every byte here. Re-record
 //! a digest only by running this file against a checkout of the code it
-//! pins, never from new code.
+//! pins, never from new code. All four were re-recorded once, when the
+//! reduction began to stop at the Padé order a cluster needs (the order
+//! sweep in `oracle_sweep.rs` judges what that moved).
 
 use pcv_designs::extract::{extract, WireGeom};
 use pcv_designs::random::{random_cluster, RandomClusterConfig};
@@ -57,7 +59,7 @@ fn fig3_peaks_keep_their_bits() {
     assert_eq!(h.finish(), FIG3_PEAKS, "fig3 (peak, t_peak) bits moved");
 }
 
-const FIG3_PEAKS: u64 = 0x08d0_0f85_9d8d_f909;
+const FIG3_PEAKS: u64 = 0x319c_e77f_515d_3a8b;
 
 /// `groups` bundles of `wires` minimum-pitch wires six empty tracks apart,
 /// group lengths evenly spread over `len` (metres) in a fixed shuffled
@@ -95,7 +97,7 @@ fn a_field_of_192_short_tiles_keeps_its_signoff_bytes() {
     assert_eq!(signoff_digest(&db), TILES_192, "sign-off bytes moved");
 }
 
-const TILES_192: u64 = 0xa021_3698_ac98_579f;
+const TILES_192: u64 = 0x0b02_96c0_ffb0_de42;
 
 #[test]
 fn a_field_of_long_tiles_keeps_its_signoff_bytes() {
@@ -103,7 +105,7 @@ fn a_field_of_long_tiles_keeps_its_signoff_bytes() {
     assert_eq!(signoff_digest(&db), LONG_TILES, "sign-off bytes moved");
 }
 
-const LONG_TILES: u64 = 0xffcf_9fcb_4ee1_972e;
+const LONG_TILES: u64 = 0x6527_7806_1ec1_676d;
 
 #[test]
 fn a_fine_mesh_field_keeps_its_signoff_bytes() {
@@ -111,4 +113,4 @@ fn a_fine_mesh_field_keeps_its_signoff_bytes() {
     assert_eq!(signoff_digest(&db), FINE_MESH, "sign-off bytes moved");
 }
 
-const FINE_MESH: u64 = 0xb0d6_0967_7914_438c;
+const FINE_MESH: u64 = 0xd658_e994_9a17_ecc1;
