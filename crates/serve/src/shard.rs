@@ -350,7 +350,7 @@ fn supervise_shard(job: &ShardJob) -> ShardResult {
         // into a SIGKILL status. Everything else gets killed so a child is
         // never leaked.
         let status = match exit {
-            Exit::Done { .. } => wait_bounded(&mut child, cfg.heartbeat_timeout),
+            Exit::Done { .. } => wait_bounded(&mut child, &rx, cfg.heartbeat_timeout),
             _ => {
                 let _ = child.kill();
                 child.wait()
@@ -399,19 +399,26 @@ fn exhausted(job: &ShardJob, mut stats: ShardStats) -> ShardResult {
     ShardResult { stats, exhausted_reason: Some(reason), timed_out: false }
 }
 
-/// Wait for a child's natural exit, but never past `limit` — a worker
-/// that said "done" yet won't die still gets reaped.
-fn wait_bounded(child: &mut Child, limit: Duration) -> std::io::Result<std::process::ExitStatus> {
-    let start = Instant::now();
+/// Wait for a child's natural exit after its done line, but never past
+/// `limit` — a worker that said "done" yet won't die still gets reaped.
+/// The worker's stdout closes as it exits, so the stream reader's channel
+/// disconnecting is the signal to reap: no polling.
+fn wait_bounded(
+    child: &mut Child,
+    rx: &mpsc::Receiver<String>,
+    limit: Duration,
+) -> std::io::Result<std::process::ExitStatus> {
+    let deadline = Instant::now() + limit;
     loop {
-        if let Some(status) = child.try_wait()? {
-            return Ok(status);
+        match rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
+            // Nothing after the done line counts; keep draining to EOF.
+            Ok(_) => {}
+            Err(mpsc::RecvTimeoutError::Disconnected) => return child.wait(),
+            Err(mpsc::RecvTimeoutError::Timeout) => {
+                let _ = child.kill();
+                return child.wait();
+            }
         }
-        if start.elapsed() >= limit {
-            let _ = child.kill();
-            return child.wait();
-        }
-        std::thread::sleep(Duration::from_millis(5));
     }
 }
 

@@ -255,6 +255,8 @@ fn worker_main(line: &str) -> Result<i32, String> {
     });
 
     finished.store(true, Ordering::Release);
+    // Wake the poller from its tick so it drains and ends now.
+    poller.thread().unpark();
     let _ = poller.join();
 
     if silenced.load(Ordering::Acquire) {
@@ -273,6 +275,8 @@ fn worker_main(line: &str) -> Result<i32, String> {
 
 /// Stream verdicts off the snapshot as they land (~20 ms cadence), with
 /// idle beats (~100 ms) so a slow cluster doesn't read as a dead worker.
+/// A tick parks rather than sleeps, so the run's end (an `unpark`) ends
+/// the wait at once.
 /// Owns the worker-side fault drills, which are keyed to the *emitted*
 /// verdict count so SIGKILL-at-fraction drills line up deterministically.
 fn spawn_poller(
@@ -331,7 +335,7 @@ fn spawn_poller(
                     idle_ticks = 0;
                 }
             }
-            std::thread::sleep(Duration::from_millis(20));
+            std::thread::park_timeout(Duration::from_millis(20));
         }
     })
 }
