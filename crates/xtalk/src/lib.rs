@@ -78,6 +78,7 @@ pub use prune::{
     prune_all, prune_victim, prune_victim_weighted, Cluster, PruneConfig, PruningStats,
 };
 pub use receiver::{
-    check_receiver_propagation, noise_immunity_curve, ImmunityPoint, ReceiverCheck,
+    check_receiver_propagation, noise_immunity_curve, receiver_response, ImmunityPoint,
+    ReceiverCheck,
 };
 pub use sta::{apply_windows, compute_windows, StaOptions};

@@ -74,19 +74,7 @@ pub fn check_receiver_propagation(
             .collect()
     };
 
-    let mut ckt = Circuit::new();
-    let vdd_node = ckt.node("vdd");
-    let inp = ckt.node("in");
-    let out = ckt.node("out");
-    ckt.add_vsrc(vdd_node, Circuit::GROUND, SourceWave::Dc(vdd));
-    ckt.add_vsrc(inp, Circuit::GROUND, SourceWave::Pwl(pwl));
-    let inputs = vec![inp; cell.kind.num_inputs()];
-    cell.build(&mut ckt, &inputs, out, vdd_node);
-    // Fanout-of-one-ish load.
-    ckt.add_capacitor(out, Circuit::GROUND, cell.input_cap().max(1e-15));
-
-    let res = Simulator::new(&ckt).transient_probed(t_end, &SimOptions::default(), &[out])?;
-    let output = res.into_waveform(out);
+    let output = receiver_response(cell, pwl, vdd, t_end, &SimOptions::default())?;
 
     // The receiver's quiet output level given the quiet input level.
     let inverting = cell.kind.inverting();
@@ -102,6 +90,35 @@ pub fn check_receiver_propagation(
         propagates: output_peak.abs() >= threshold_frac * vdd,
         output,
     })
+}
+
+/// The receiver testbench of [`check_receiver_propagation`]: `cell`, every
+/// input tied to the PWL source `pwl`, supplied from `vdd` and loaded by its
+/// own input capacitance, simulated to `t_end` under `sim`. Returns the
+/// output waveform.
+///
+/// # Errors
+///
+/// Propagates simulation failures.
+pub fn receiver_response(
+    cell: &Cell,
+    pwl: Vec<(f64, f64)>,
+    vdd: f64,
+    t_end: f64,
+    sim: &SimOptions,
+) -> Result<Waveform, XtalkError> {
+    let mut ckt = Circuit::new();
+    let vdd_node = ckt.node("vdd");
+    let inp = ckt.node("in");
+    let out = ckt.node("out");
+    ckt.add_vsrc(vdd_node, Circuit::GROUND, SourceWave::Dc(vdd));
+    ckt.add_vsrc(inp, Circuit::GROUND, SourceWave::Pwl(pwl));
+    let inputs = vec![inp; cell.kind.num_inputs()];
+    cell.build(&mut ckt, &inputs, out, vdd_node);
+    // Fanout-of-one-ish load.
+    ckt.add_capacitor(out, Circuit::GROUND, cell.input_cap().max(1e-15));
+    let res = Simulator::new(&ckt).transient_probed(t_end, sim, &[out])?;
+    Ok(res.into_waveform(out))
 }
 
 /// One point of a noise-immunity curve: the smallest glitch amplitude that

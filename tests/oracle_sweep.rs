@@ -29,9 +29,19 @@
 //! block two), walked through the same public steps the engine's analysis
 //! takes.
 //!
-//! Tier-1 runs the 12 smallest networks and 8 DSP clusters; all 113
-//! networks, the whole DSP chip and the mesh run with `--ignored` (CI
-//! `golden`).
+//! The receiver reference judges the time axis of what a flagged victim's
+//! receiver check reports: its output peak must lie within
+//! [`RECEIVER_BOUND`] (on the tier-1 three, [`RECEIVER_BOUND_TIER1`]) of a
+//! reference that walks the same reduced model and the same receiver
+//! testbench at [`RECEIVER_STEP_FRACTION`], 100× finer than the engine, with
+//! every sample of the refined glitch a corner of the receiver's input. The
+//! engine's receiver sees its glitch on the default grid, decimated to 400
+//! points when longer, and so carries both errors.
+//!
+//! Tier-1 runs the 12 smallest networks, 8 DSP clusters and three DSP
+//! receivers (`bus2_12`, `bus3_0`, `bus1_20`); all 113 networks, the whole
+//! DSP chip with every flagged receiver, and the mesh run with `--ignored`
+//! (CI `golden`).
 
 use pcv_designs::dsp::DspConfig;
 use pcv_designs::extract::{extract, WireGeom};
@@ -42,11 +52,14 @@ use pcv_mor::{reduce_arnoldi, simulate, sympvl, RcCluster, ReducedModel};
 use pcv_netlist::termination::Termination;
 use pcv_netlist::{PNetId, ParasiticDb};
 use pcv_sparse::eig::jacobi_eigen;
+use pcv_spice::SimOptions;
 use pcv_xtalk::analysis::plan_aggressors;
 use pcv_xtalk::build::build_cluster;
 use pcv_xtalk::drivers::{make_termination, DriverModelKind, SwitchRole};
 use pcv_xtalk::prune::{prune_victim, Cluster, PruneConfig};
-use pcv_xtalk::{analyze_glitch, AnalysisContext, AnalysisOptions, EngineKind};
+use pcv_xtalk::{
+    analyze_glitch, receiver_response, AnalysisContext, AnalysisOptions, EngineKind, NetVerdict,
+};
 
 /// The population's size: the paper simulated 113 coupled networks.
 const CASES: usize = 113;
@@ -58,6 +71,17 @@ const REFERENCE_ARNOLDI_BLOCKS: usize = 16;
 /// How far a peak of the default analysis may lie from the reference's,
 /// relative to `max(|reference|, 1 mV)`.
 const ORDER_BOUND: f64 = 2e-4;
+
+/// The refined receiver reference's step cap, as a fraction of the span, on
+/// the reduced walk and on the receiver's SPICE walk: 100× finer than the
+/// engine's `max_step_fraction`.
+const RECEIVER_STEP_FRACTION: f64 = 1e-5;
+
+/// How far a receiver's output peak may lie from the refined reference
+/// (volts), on the three tier-1 receivers and on every flagged receiver of
+/// `dsp_cold`'s chip. EXPERIMENTS.md records each error.
+const RECEIVER_BOUND_TIER1: f64 = 3e-3;
+const RECEIVER_BOUND: f64 = 40e-3;
 
 /// What one case measured.
 struct Outcome {
@@ -237,6 +261,54 @@ fn order_sweep(ctx: &AnalysisContext, victims: &[PNetId]) -> (f64, usize) {
     (worst, peaks)
 }
 
+/// The refined reference of a flagged victim's receiver output peak: the
+/// worse-polarity glitch of its cluster walked at
+/// [`RECEIVER_STEP_FRACTION`], every sample a corner of the receiver's PWL
+/// input, into the receiver testbench walked at the same fraction.
+fn refined_receiver_peak(ctx: &AnalysisContext, cfg: &EngineConfig, v: &NetVerdict) -> f64 {
+    let rising = v.rise_peak.abs() >= v.fall_peak.abs();
+    let cluster = prune_victim(ctx.db, v.net, &cfg.prune);
+    let mut opts = cfg.analysis.clone();
+    opts.mor.max_step_fraction = RECEIVER_STEP_FRACTION;
+    let glitch = analyze_glitch(ctx, &cluster, rising, &opts).expect("refined glitch");
+    let wave = &glitch.waveform;
+    let pwl: Vec<(f64, f64)> = wave.times().iter().copied().zip(wave.values().to_vec()).collect();
+    let t_end = *wave.times().last().expect("samples");
+    let cell = ctx.receiver_cell(&v.name).expect("a receiver cell");
+    let vdd = opts.vdd;
+    let sim = SimOptions { max_step_fraction: RECEIVER_STEP_FRACTION, ..SimOptions::default() };
+    let output = receiver_response(cell, pwl, vdd, t_end, &sim).expect("refined receiver run");
+    // The receiver's quiet output under the victim's quiet input, as the
+    // engine's check reads it.
+    let out_quiet = if cell.kind.inverting() == !rising { 0.0 } else { vdd };
+    output.peak_deviation(out_quiet).1
+}
+
+/// Sign off `victims` with receiver checks on and hold every flagged
+/// victim's receiver output peak within `bound` of the refined reference;
+/// print each error and return the largest and the number of receivers
+/// compared.
+fn receiver_sweep(ctx: &AnalysisContext, victims: &[PNetId], bound: f64) -> (f64, usize) {
+    let cfg = EngineConfig { workers: 2, check_receivers: true, ..Default::default() };
+    let report = Engine::new(cfg.clone()).verify(ctx, victims).expect("sign-off runs");
+    assert!(report.errors.is_empty() && report.degradations.is_empty());
+    let (mut worst, mut worst_name, mut compared) = (0.0f64, "", 0);
+    for v in &report.chip.verdicts {
+        let Some(receiver) = &v.receiver else { continue };
+        let reference = refined_receiver_peak(ctx, &cfg, v);
+        let err = receiver.output_peak - reference;
+        eprintln!("{}: {} V vs {reference} V, error {:+.3e} V", v.name, receiver.output_peak, err);
+        if err.abs() > worst {
+            worst = err.abs();
+            worst_name = v.name.as_str();
+        }
+        compared += 1;
+    }
+    eprintln!("{compared} receivers: max |error| {worst:e} V ({worst_name})");
+    assert!(worst <= bound, "{worst_name}: {worst:e} V from the reference");
+    (worst, compared)
+}
+
 /// `dsp_cold`'s chip: four 32-bit buses and 120 random nets, nonlinear cell
 /// drivers.
 fn dsp_chip() -> ResidentChip {
@@ -300,4 +372,23 @@ fn the_fine_mesh_keeps_its_reference_peaks() {
     let victims: Vec<PNetId> = (0..db.num_nets()).map(PNetId).collect();
     let (_, peaks) = order_sweep(&AnalysisContext::fixed_resistance(&db, 1000.0), &victims);
     assert_eq!(peaks, 2 * 96);
+}
+
+#[test]
+fn three_dsp_receivers_keep_to_the_refined_reference() {
+    let chip = dsp_chip();
+    let ctx = chip.ctx();
+    let victims: Vec<PNetId> = ["bus2_12", "bus3_0", "bus1_20"]
+        .map(|name| ctx.db.find_net(name).expect("a DSP bus bit"))
+        .to_vec();
+    let (_, compared) = receiver_sweep(&ctx, &victims, RECEIVER_BOUND_TIER1);
+    assert_eq!(compared, 3, "each is flagged and checked");
+}
+
+#[test]
+#[ignore = "every flagged receiver of dsp_cold's chip: run by the golden CI job"]
+fn every_dsp_receiver_keeps_to_the_refined_reference() {
+    let chip = dsp_chip();
+    let (_, compared) = receiver_sweep(&chip.ctx(), chip.victims(), RECEIVER_BOUND);
+    assert!(compared >= 100, "{compared} flagged receivers");
 }
