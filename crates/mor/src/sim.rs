@@ -893,14 +893,15 @@ mod tests {
     }
 
     /// Run kernel and oracle on one seeded case and require equality to the
-    /// last bit — of the result, or of the typed error.
+    /// last bit — of the result, or of the typed error; returns the kernel's
+    /// step count and [`outcome_digest`].
     fn assert_bit_identical(
         seed: u64,
         q: usize,
         k: usize,
         observe: usize,
         opts: &MorOptions,
-    ) -> usize {
+    ) -> (usize, u64) {
         let mut rng = pcv_rng::Rng::new(seed);
         let model = random_model(&mut rng, q, k + observe);
         let boxes = random_terminations(&mut rng, k, observe);
@@ -920,22 +921,45 @@ mod tests {
         newton(model, terms, walk(model, terms, tstop, opts)?, opts)
     }
 
+    /// FNV-1a over what a run did and how it ended: its step and iteration
+    /// counts and the bits of its times and samples, or its error's text.
+    fn outcome_digest(run: &Result<MorTranResult, MorError>) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        };
+        match run {
+            Ok(r) => {
+                eat(&(r.steps as u64).to_le_bytes());
+                eat(&(r.newton_iters as u64).to_le_bytes());
+                for v in r.times.iter().chain(r.data.iter().flatten()) {
+                    eat(&v.to_bits().to_le_bytes());
+                }
+            }
+            Err(e) => eat(e.to_string().as_bytes()),
+        }
+        h
+    }
+
     /// Kernel and oracle over 4 ns of one model under one termination list,
     /// equal to the last bit; returns the kernel's step count (0 for an
-    /// error, which must be the oracle's).
+    /// error, which must be the oracle's) and [`outcome_digest`].
     fn assert_runs_alike(
         model: &DiagonalModel,
         terms: &[Option<&dyn Termination>],
         opts: &MorOptions,
         tag: &str,
-    ) -> usize {
+    ) -> (usize, u64) {
         let got = newton_only(model, terms, 4e-9, opts);
+        let digest = outcome_digest(&got);
         let want = reference::simulate(model, terms, 4e-9, opts);
         let (got, want) = match (got, want) {
             (Ok(g), Ok(w)) => (g, w),
             (g, w) => {
                 assert_eq!(g.err().map(|e| e.to_string()), w.err().map(|e| e.to_string()), "{tag}");
-                return 0;
+                return (0, digest);
             }
         };
         assert_eq!((got.steps, got.newton_iters), (want.steps, want.newton_iters), "{tag}");
@@ -945,24 +969,47 @@ mod tests {
         for (j, (g, w)) in got.data.iter().zip(&want.data).enumerate() {
             assert_eq!(bits(g), bits(w), "{tag}: port {j}");
         }
-        got.steps
+        (got.steps, digest)
     }
 
     #[test]
     fn kernel_is_bit_identical_to_the_reference_loop() {
         let opts = MorOptions::default();
         let mut seed = 0;
+        let mut digests = Vec::new();
         for k in [0, 1, 4, 13] {
             for (q, observe) in [(1, 1), (7, 0), (24, 2), (40, 5)] {
                 if k + observe == 0 {
                     continue;
                 }
                 seed += 1;
-                let steps = assert_bit_identical(seed, q, k, observe, &opts);
+                let (steps, digest) = assert_bit_identical(seed, q, k, observe, &opts);
                 assert!(steps >= 1000, "seed {seed}: a full transient ran, got {steps} steps");
+                digests.push(digest);
             }
         }
+        assert_eq!(digests, SEEDED_DIGESTS, "{digests:#018x?}");
     }
+
+    /// [`outcome_digest`] of the 15 seeded cases of
+    /// `kernel_is_bit_identical_to_the_reference_loop`, seeds 1 to 15.
+    const SEEDED_DIGESTS: [u64; 15] = [
+        0xccfe10bd04b5e88c,
+        0x772bf6b9683e540c,
+        0xa645ca14d7f5b68c,
+        0x7960b47bde74c170,
+        0x8b518e623e87fbb2,
+        0x438cf66f43d7e9f5,
+        0x546dfe441fd42731,
+        0xd73de1fc598b8b48,
+        0x7d6c36ddd51b9031,
+        0xf5a1fbbdb754bc44,
+        0x0de85057cc91e917,
+        0xda3515fa9467a845,
+        0x2750d581d92a2c25,
+        0x99d465d254771d9b,
+        0x7ae712ae4e1a64bf,
+    ];
 
     #[test]
     fn kernel_is_bit_identical_through_step_rejections() {
@@ -971,25 +1018,46 @@ mod tests {
         // the integrator falls back to backward Euler, so the α cache is
         // invalidated over and over.
         let tight = MorOptions { max_newton: 2, ..MorOptions::default() };
+        let mut digests = Vec::new();
         for seed in [101, 102, 103] {
-            let relaxed = assert_bit_identical(seed, 24, 4, 2, &MorOptions::default());
-            let rejected = assert_bit_identical(seed, 24, 4, 2, &tight);
+            let (relaxed, d_relaxed) = assert_bit_identical(seed, 24, 4, 2, &MorOptions::default());
+            let (rejected, d_rejected) = assert_bit_identical(seed, 24, 4, 2, &tight);
             assert!(rejected > relaxed, "seed {seed}: {rejected} steps vs {relaxed}");
+            digests.extend([d_relaxed, d_rejected]);
         }
+        assert_eq!(digests, REJECTION_DIGESTS, "{digests:#018x?}");
     }
+
+    /// [`outcome_digest`] of seeds 101 to 103, each relaxed then with two
+    /// Newton iterations a step.
+    const REJECTION_DIGESTS: [u64; 6] = [
+        0xb7cfec22c9e10a75,
+        0x8ff83d302aa9e601,
+        0xf4a4576ee4feb429,
+        0xea671314cbb2e510,
+        0x59ad8f52c54e9479,
+        0x26c44e35dc5fabd2,
+    ];
 
     #[test]
     fn kernel_and_reference_fail_alike() {
         // Budgets and a starved DC solve end both loops with the same typed
         // error at the same time point.
+        let mut digests = Vec::new();
         for opts in [
             MorOptions { newton_budget: 300, ..MorOptions::default() },
             MorOptions { max_tran_steps: 40, ..MorOptions::default() },
             MorOptions { max_newton: 0, ..MorOptions::default() },
         ] {
-            assert_eq!(assert_bit_identical(7, 24, 4, 2, &opts), 0);
+            let (steps, digest) = assert_bit_identical(7, 24, 4, 2, &opts);
+            assert_eq!(steps, 0);
+            digests.push(digest);
         }
+        assert_eq!(digests, FAILURE_DIGESTS, "{digests:#018x?}");
     }
+
+    /// [`outcome_digest`] of seed 7's three failures: the error's text.
+    const FAILURE_DIGESTS: [u64; 3] = [0x8fb8fb1199e565a8, 0xa6e8f03137ae0da7, 0x3c9eadeee9413e2a];
 
     /// A termination that logs `(port, t, g)` bits of every evaluation into
     /// a log shared by all ports.
@@ -1063,6 +1131,7 @@ mod tests {
         // W leaves the bits S was factored for at 1.5 ns and returns to them
         // at 2.5 ns, both under the α of the largest step: the factors in
         // hand at the return are the other pattern's.
+        let mut digests = Vec::new();
         for seed in [201, 202] {
             let mut rng = pcv_rng::Rng::new(seed);
             let model = random_model(&mut rng, 24, 3);
@@ -1084,14 +1153,21 @@ mod tests {
             for t in res.times().windows(2).filter(|t| (1.2e-9..2.8e-9).contains(&t[0])) {
                 assert!(((t[1] - t[0]) / hmax - 1.0).abs() < 1e-6, "seed {seed}: one α across");
             }
-            assert!(assert_runs_alike(&model, &terms, &opts, &format!("seed {seed}")) > 0);
+            let (steps, digest) = assert_runs_alike(&model, &terms, &opts, &format!("seed {seed}"));
+            assert!(steps > 0);
+            digests.push(digest);
         }
+        assert_eq!(digests, SWITCHED_DIGESTS, "{digests:#018x?}");
     }
+
+    /// [`outcome_digest`] of seeds 201 and 202 under the switched resistor.
+    const SWITCHED_DIGESTS: [u64; 2] = [0xfa5fe28d2e822d85, 0x7697b284a34092c8];
 
     #[test]
     fn kernel_is_bit_identical_when_alpha_moves_under_a_fixed_w() {
         // Linear drivers without capacitance: every w is a constant, so the
         // factors of S may be kept only as long as α is.
+        let mut digests = Vec::new();
         for seed in [301, 302] {
             let mut rng = pcv_rng::Rng::new(seed);
             let model = random_model(&mut rng, 24, 5);
@@ -1112,7 +1188,9 @@ mod tests {
             let its = iterations(&model, &terms, &opts);
             assert!(its.windows(2).all(|w| w[0] == w[1]), "seed {seed}: W is fixed");
             let tag = format!("seed {seed}");
-            assert!(assert_runs_alike(&model, &terms, &opts, &tag) > 0);
+            let (run_steps, digest) = assert_runs_alike(&model, &terms, &opts, &tag);
+            assert!(run_steps > 0);
+            digests.push(digest);
             let res = newton_only(&model, &terms, 4e-9, &opts).unwrap();
             let mut steps: Vec<u64> =
                 res.times().windows(2).map(|t| (t[1] - t[0]).to_bits()).collect();
@@ -1120,7 +1198,11 @@ mod tests {
             steps.dedup();
             assert!(steps.len() > 2, "seed {seed}: {} distinct step sizes", steps.len());
         }
+        assert_eq!(digests, FIXED_W_DIGESTS, "{digests:#018x?}");
     }
+
+    /// [`outcome_digest`] of seeds 301 and 302 under linear devices.
+    const FIXED_W_DIGESTS: [u64; 2] = [0x6c9340d68cc24623, 0x42203db251e8fb86];
 
     /// Two ports on one node (identical `η` columns) shorted by 1e-30 Ω:
     /// `w·G` swallows the identity in `S = I + W G`, whose rows then cancel

@@ -813,10 +813,38 @@ mod tests {
         }
     }
 
+    /// FNV-1a over a DC point's bits or error and a transient's outcome.
+    fn outcome_digest(dc: &Result<Vec<u64>, String>, tran: &Outcome) -> u64 {
+        let mut bytes: Vec<u8> = Vec::new();
+        // A NaN's payload is the optimizer's choice; every NaN is one word.
+        let words = |bytes: &mut Vec<u8>, w: &[u64]| {
+            for &v in w {
+                let v = if f64::from_bits(v).is_nan() { f64::NAN.to_bits() } else { v };
+                bytes.extend(v.to_le_bytes());
+            }
+        };
+        match dc {
+            Ok(x) => words(&mut bytes, x),
+            Err(e) => bytes.extend(e.as_bytes()),
+        }
+        match tran {
+            Ok((steps, iters, times, data)) => {
+                words(&mut bytes, &[*steps as u64, *iters as u64]);
+                words(&mut bytes, times);
+                data.iter().for_each(|d| words(&mut bytes, d));
+            }
+            Err(e) => bytes.extend(e.as_bytes()),
+        }
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+        })
+    }
+
     /// Run the reference and the workspace path, each on a simulator of its
-    /// own (so each derives the ordering itself), and require one outcome.
-    /// `natural` pins an ordering of the wrong length on both, which sends
-    /// them down the natural-order branch.
+    /// own (so each derives the ordering itself), and require one outcome;
+    /// returns it and its [`outcome_digest`]. `natural` pins an ordering of
+    /// the wrong length on both, which sends them down the natural-order
+    /// branch.
     fn assert_bit_identical(
         what: &str,
         ckt: &Circuit,
@@ -824,7 +852,7 @@ mod tests {
         tstop: f64,
         opts: &SimOptions,
         natural: bool,
-    ) -> Outcome {
+    ) -> (Outcome, u64) {
         let sim = || {
             let mut sim = Simulator::new(ckt);
             for &(node, term) in terms {
@@ -847,7 +875,8 @@ mod tests {
             { got.as_ref().map(|g| (g.0, g.1)) },
             want.as_ref().map(|w| (w.0, w.1))
         );
-        got
+        let digest = outcome_digest(&got_dc, &got);
+        (got, digest)
     }
 
     /// A victim glitch as the cluster analysis would hand it over: `samples`
@@ -924,7 +953,7 @@ mod tests {
             ("TBUFX8", 1),
             ("NAND2X1", 6),
         ];
-        let mut switched = 0;
+        let (mut switched, mut digests) = (0, Vec::new());
         for (k, (name, fingers)) in benches.into_iter().enumerate() {
             let cell = lib.cell(name).unwrap();
             for rising in [true, false] {
@@ -941,14 +970,33 @@ mod tests {
                     assert!(pushes > 20 * size, "{pushes} pushes over {size} columns");
                 }
                 let what = format!("{name}x{fingers} rising={rising} samples={samples}");
-                let got = assert_bit_identical(&what, &ckt, &[], tstop, &opts, false).unwrap();
-                let out = &got.3[ckt.find_node("out").unwrap().index()];
+                let (got, digest) = assert_bit_identical(&what, &ckt, &[], tstop, &opts, false);
+                digests.push(digest);
+                let out = &got.unwrap().3[ckt.find_node("out").unwrap().index()];
                 let swing = out.iter().map(|&b| (f64::from_bits(b) - f64::from_bits(out[0])).abs());
                 switched += usize::from(swing.fold(0.0, f64::max) > 0.5 * VDD);
             }
         }
         assert!(switched >= 2, "some glitches must flip the receiver ({switched})");
+        assert_eq!(digests, RECEIVER_DIGESTS, "{digests:#018x?}");
     }
+
+    /// [`outcome_digest`] of the twelve receiver benches, in bench order,
+    /// rising then falling.
+    const RECEIVER_DIGESTS: [u64; 12] = [
+        0x15a78ed1e789c37b,
+        0x3704a7f70b93dc74,
+        0x61914e6bbad92d3d,
+        0xdc39c0db197e1094,
+        0x55b74e7809d89e10,
+        0x4e3f6bfcd8d54a1c,
+        0x6a05b912dae1bbc0,
+        0x492552fc65b94341,
+        0xfb954c00d218d3dc,
+        0x027d5bfdd8b7329c,
+        0xd51f11ee6a9b67cc,
+        0x6c5a2725c02b6b33,
+    ];
 
     /// A driver with a saturating (tanh) pull toward a ramping target: a
     /// nonlinear termination with its own breakpoints and capacitance.
@@ -1021,16 +1069,23 @@ mod tests {
     fn rc_clusters_with_nonlinear_terminations_match_the_reference() {
         let mut rng = Rng::new(0xfa11_bac4);
         let opts = SimOptions::default();
+        let mut digests = Vec::new();
         for (wires, segs, natural) in [(3, 8, false), (5, 12, false), (4, 6, true)] {
             let (ckt, near) = rc_cluster(&mut rng, wires, segs);
             let drivers = tanh_drivers(&mut rng, wires, f64::INFINITY);
             let terms: Vec<(NodeId, &dyn Termination)> =
                 near.iter().zip(&drivers).map(|(&n, d)| (n, d as &dyn Termination)).collect();
             let what = format!("{wires}x{segs} natural={natural}");
-            let got = assert_bit_identical(&what, &ckt, &terms, 2e-9, &opts, natural).unwrap();
-            assert!(got.0 > 500, "{what}: {} steps", got.0);
+            let (got, digest) = assert_bit_identical(&what, &ckt, &terms, 2e-9, &opts, natural);
+            let steps = got.unwrap().0;
+            assert!(steps > 500, "{what}: {steps} steps");
+            digests.push(digest);
         }
+        assert_eq!(digests, CLUSTER_DIGESTS, "{digests:#018x?}");
     }
+
+    /// [`outcome_digest`] of the three RC clusters.
+    const CLUSTER_DIGESTS: [u64; 3] = [0x8e5e45a048af4c44, 0x08de55dde9d6780c, 0x55b3a14638f000bf];
 
     #[test]
     fn failures_match_the_reference_in_variant_and_time() {
@@ -1046,7 +1101,14 @@ mod tests {
         ckt.add_vsrc(a, Circuit::GROUND, SourceWave::Dc(2.0));
         ckt.add_resistor(a, b, 100.0);
         ckt.add_capacitor(b, Circuit::GROUND, 1e-15);
-        let err = assert_bit_identical("singular", &ckt, &[], 1e-9, &defaults, false).unwrap_err();
+        let mut digests = Vec::new();
+        let mut run =
+            |what: &str, ckt: &Circuit, terms: &[(NodeId, &dyn Termination)], tstop, opts| {
+                let (got, digest) = assert_bit_identical(what, ckt, terms, tstop, opts, false);
+                digests.push(digest);
+                got
+            };
+        let err = run("singular", &ckt, &[], 1e-9, &defaults).unwrap_err();
         assert!(err.starts_with("Solver(Singular"), "{err}");
 
         // A Newton budget too small for the steps the controller asks for:
@@ -1072,16 +1134,16 @@ mod tests {
         sim.transient_on(&mut ws, &mut result, tstop, &tight).unwrap();
         assert!(ws.rejected_steps > 0, "the tight budget must reject steps");
         assert_eq!(ws.plan_builds, 2, "one DC plan, one transient plan, rejections or not");
-        assert_bit_identical("rejections", &ckt, &[], tstop, &tight, false).unwrap();
+        run("rejections", &ckt, &[], tstop, &tight).unwrap();
 
         // The same deck with a floor under the step: the retries run out.
         let floored = SimOptions { min_step: tstop / 100.0, ..tight.clone() };
-        let err = assert_bit_identical("floor", &ckt, &[], tstop, &floored, false).unwrap_err();
+        let err = run("floor", &ckt, &[], tstop, &floored).unwrap_err();
         assert!(err.starts_with("StepTooSmall"), "{err}");
 
         // A DC point no budget reaches.
         let hopeless = SimOptions { max_newton: 1, ..SimOptions::default() };
-        let err = assert_bit_identical("dc", &ckt, &[], tstop, &hopeless, false).unwrap_err();
+        let err = run("dc", &ckt, &[], tstop, &hopeless).unwrap_err();
         assert!(err.starts_with("NoConvergence { t: 0.0 }"), "{err}");
 
         // A termination that turns to NaN mid-run: NonFinite at that step.
@@ -1089,15 +1151,27 @@ mod tests {
         let drivers = tanh_drivers(&mut rng, 3, 0.8e-9);
         let terms: Vec<(NodeId, &dyn Termination)> =
             near.iter().zip(&drivers).map(|(&n, d)| (n, d as &dyn Termination)).collect();
-        let err = assert_bit_identical("nan", &ckt, &terms, 2e-9, &defaults, false).unwrap_err();
+        let err = run("nan", &ckt, &terms, 2e-9, &defaults).unwrap_err();
         assert!(err.starts_with("NonFinite"), "{err}");
         // ... and from the start: NonFinite at the DC point.
         let drivers = tanh_drivers(&mut rng, 3, 0.0);
         let terms: Vec<(NodeId, &dyn Termination)> =
             near.iter().zip(&drivers).map(|(&n, d)| (n, d as &dyn Termination)).collect();
-        let err = assert_bit_identical("nan dc", &ckt, &terms, 2e-9, &defaults, false).unwrap_err();
+        let err = run("nan dc", &ckt, &terms, 2e-9, &defaults).unwrap_err();
         assert_eq!(err, "NonFinite { t: 0.0 }");
+        assert_eq!(digests, FAILURE_DIGESTS, "{digests:#018x?}");
     }
+
+    /// [`outcome_digest`] of the six decks above, in order: singular,
+    /// rejections, floor, dc, nan, nan dc.
+    const FAILURE_DIGESTS: [u64; 6] = [
+        0xc1e730938a2ee659,
+        0xae3968203a8b5b3f,
+        0x4a390a7e0ccf78d6,
+        0x620fff98f3b9ed05,
+        0xc3fafcbb9b230b97,
+        0xc69acbea76cc2eed,
+    ];
 
     #[test]
     fn dc_voltage_divider() {
