@@ -124,6 +124,10 @@ impl Termination for NonlinearDriverModel {
     fn breakpoints(&self, tstop: f64) -> Vec<f64> {
         self.vin_wave.breakpoints(tstop)
     }
+
+    fn quiet_until(&self) -> f64 {
+        self.vin_wave.starts_after()
+    }
 }
 
 #[cfg(test)]
@@ -179,6 +183,12 @@ mod tests {
         assert_eq!(m.vin_wave().value_at(0.0), VDD);
         assert_eq!(m.vin_wave().value_at(1e-6), 0.0);
         assert!(!m.breakpoints(1e-6).is_empty());
+        // Quiet until the calibrated input edge starts, near 1 ns.
+        let quiet = m.quiet_until();
+        assert!(quiet > 0.5e-9 && quiet < 2e-9, "{quiet:e}");
+        assert_eq!(m.eval(quiet, 1.0), m.eval(0.0, 1.0));
+        assert_ne!(m.eval(quiet + 0.1e-9, 1.0), m.eval(0.0, 1.0));
+        assert_eq!(NonlinearDriverModel::holding(&ch, true, VDD).quiet_until(), f64::INFINITY);
         assert!(m.capacitance() > 0.0);
     }
 

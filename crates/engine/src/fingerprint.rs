@@ -176,10 +176,11 @@ pub fn config_hash(
     use pcv_xtalk::drivers::DriverModelKind;
     use pcv_xtalk::EngineKind;
     let mut h = Fnv1a::new();
-    // v6: `block_iters` is a ceiling the reduction may stop below (v5
-    // hashed sections and clusters word-wise). Bumping the tag invalidates
-    // caches and journals written by earlier layouts or rules.
-    h.write_str("pcv-engine config v6");
+    // v7: every transient holds its DC point across its quiet prefix (v6:
+    // `block_iters` is a ceiling the reduction may stop below; v5 hashed
+    // sections and clusters word-wise). Bumping the tag invalidates caches
+    // and journals written by earlier layouts or rules.
+    h.write_str("pcv-engine config v7");
     h.write_f64(prune.cap_ratio);
     h.write_usize(prune.max_aggressors);
     match opts.engine {
@@ -677,8 +678,9 @@ mod tests {
     /// configuration over a fixed-resistance and a nonlinear context,
     /// every ladder rung's options, and the cluster fingerprints of a
     /// small DSP block. A tolerance turned into a constant must keep
-    /// writing the same value in the same slot. Re-recorded once since, for
-    /// the tag `v6` (the reduction's stop rule): only the tag moved.
+    /// writing the same value in the same slot. Re-recorded twice since, for
+    /// the tags `v6` (the reduction's stop rule) and `v7` (the DC hold):
+    /// only the tag moved.
     #[test]
     fn configuration_and_cluster_digests_are_the_recorded_ones() {
         use crate::engine::EngineConfig;
@@ -710,15 +712,15 @@ mod tests {
         }
         got.push(clusters.finish());
         let want: [u64; 9] = [
-            0xf479349e94da7c72,
-            0xb5098380268cab0b,
-            0x6b50602cb0e850e1,
-            0x0cad262e64e194f7,
-            0x32d22000c5200d5d,
-            0xd6138655f640e57d,
-            0xae736c12ee7c1f4c,
-            0xae736c12ee7c1f4c,
-            0x3f892e87e76d1e64,
+            0xbac6c5746af6ddd1,
+            0xd62aea9187ec5bb8,
+            0xb13b9af23fe32172,
+            0x2ff55202c2b72f78,
+            0xeb03f711bfa29e42,
+            0x44af5f0d2e20bf22,
+            0x3c0392c57bad946b,
+            0x3c0392c57bad946b,
+            0xb60b4a24e5e80103,
         ];
         assert_eq!(got, want, "{got:#018x?}");
     }

@@ -167,22 +167,24 @@ pub fn simulate_memo(
     opts: &MorOptions,
     memo: &mut ModalMemo,
 ) -> Result<MorTranResult, MorError> {
-    let stepper = walk(model, terminations, tstop, opts)?;
+    let (stepper, quiet) = walk(model, terminations, tstop, opts)?;
     let _span = pcv_trace::span("mor", "rom_eval");
     match modal::Modes::new(model, terminations, &mut memo.0) {
-        Some(modes) => modes.simulate(stepper, opts),
-        None => newton(model, terminations, stepper, opts),
+        Some(modes) => modes.simulate(stepper, quiet, opts),
+        None => newton(model, terminations, stepper, quiet, opts),
     }
 }
 
-/// The checked arguments' time axis: the terminations' breakpoints over
-/// `(0, tstop]`.
+/// The checked arguments' time axis — the terminations' breakpoints over
+/// `(0, tstop]` — and the end of their quiet prefix: the earliest
+/// [`Termination::quiet_until`] (NaN if any is), up to which the DC
+/// operating point is the exact solution.
 fn walk(
     model: &DiagonalModel,
     terminations: &[Option<&dyn Termination>],
     tstop: f64,
     opts: &MorOptions,
-) -> Result<Stepper, MorError> {
+) -> Result<(Stepper, f64), MorError> {
     let p = model.num_ports();
     if terminations.len() != p {
         return Err(MorError::InvalidIndex {
@@ -192,17 +194,37 @@ fn walk(
         });
     }
     let mut bps: Vec<f64> = Vec::new();
+    let mut quiet = f64::INFINITY;
     for t in terminations.iter().flatten() {
         bps.extend(t.breakpoints(tstop));
+        let until = t.quiet_until();
+        if until < quiet || until.is_nan() {
+            quiet = until;
+        }
     }
-    Stepper::new(tstop, opts.max_step_fraction, bps).map_err(|what| MorError::InvalidValue { what })
+    let stepper = Stepper::new(tstop, opts.max_step_fraction, bps)
+        .map_err(|what| MorError::InvalidValue { what })?;
+    Ok((stepper, quiet))
 }
 
-/// The Woodbury–Newton transient along `stepper`'s walk.
+/// Hold `stepper` at the DC point up to `quiet` ([`Stepper::hold`]); when it
+/// holds, count the hold and its span (femtoseconds) in the trace.
+fn hold(stepper: &mut Stepper, quiet: f64) -> bool {
+    let held = stepper.hold(quiet);
+    if held {
+        pcv_trace::count("mor.walk.holds", 1);
+        pcv_trace::value("mor.walk.held_fs", (stepper.t() * 1e15).round() as u64);
+    }
+    held
+}
+
+/// The Woodbury–Newton transient along `stepper`'s walk, holding its DC
+/// point up to `quiet`.
 fn newton(
     model: &DiagonalModel,
     terminations: &[Option<&dyn Termination>],
     mut stepper: Stepper,
+    quiet: f64,
     opts: &MorOptions,
 ) -> Result<MorTranResult, MorError> {
     let p = model.num_ports();
@@ -237,6 +259,12 @@ fn newton(
     }
     let mut times = vec![0.0];
     let mut data: Vec<Vec<f64>> = (0..p).map(|j| vec![y[j]]).collect();
+    if hold(&mut stepper, quiet) {
+        times.push(stepper.t());
+        for (dj, &yj) in data.iter_mut().zip(&y) {
+            dj.push(yj);
+        }
+    }
     let mut steps = 0usize;
 
     // Multistep history: xdot for trapezoidal, port-voltage/current history
@@ -795,7 +823,9 @@ mod tests {
         assert!(res.steps > 10);
         assert!(res.newton_iters >= res.steps);
         assert_eq!(res.num_ports(), 2);
-        assert_eq!(res.times().len(), res.steps + 1);
+        // The DC point, the end of the hold at the driver's edge, one a step.
+        assert_eq!(res.times().len(), res.steps + 2);
+        assert_eq!(res.times()[1], 0.1e-9);
     }
 
     /// A tabulated push-pull driver: piecewise-linear pull-up and pull-down
@@ -918,7 +948,8 @@ mod tests {
         tstop: f64,
         opts: &MorOptions,
     ) -> Result<MorTranResult, MorError> {
-        newton(model, terms, walk(model, terms, tstop, opts)?, opts)
+        let (stepper, quiet) = walk(model, terms, tstop, opts)?;
+        newton(model, terms, stepper, quiet, opts)
     }
 
     /// FNV-1a over what a run did and how it ended: its step and iteration
@@ -943,6 +974,13 @@ mod tests {
         h
     }
 
+    /// Whether a walk over `tstop` under `terms` holds its DC point: every
+    /// device quiet beyond the axis' resolution.
+    pub(super) fn holds(terms: &[Option<&dyn Termination>], tstop: f64) -> bool {
+        let quiet = terms.iter().flatten().map(|t| t.quiet_until()).fold(f64::INFINITY, f64::min);
+        quiet > tstop * 1e-12
+    }
+
     /// The Newton kernel over 4 ns of one model under one termination list;
     /// returns its step count (0 for an error) and [`outcome_digest`].
     fn kernel_run(
@@ -953,7 +991,9 @@ mod tests {
     ) -> (usize, u64) {
         let run = newton_only(model, terms, 4e-9, opts);
         if let Ok(r) = &run {
-            assert_eq!(r.times.len(), r.steps + 1, "{tag}: one sample a step");
+            // The DC point, the end of the hold if the walk held, one a step.
+            let samples = 1 + usize::from(holds(terms, 4e-9)) + r.steps;
+            assert_eq!(r.times.len(), samples, "{tag}: one sample a step");
             assert!(r.data.iter().all(|d| d.len() == r.times.len()), "{tag}");
         }
         (run.as_ref().map_or(0, |r| r.steps), outcome_digest(&run))
@@ -973,7 +1013,11 @@ mod tests {
                 }
                 seed += 1;
                 let (steps, digest) = seeded_run(seed, q, k, observe, &opts);
-                assert!(steps >= 1000, "seed {seed}: a full transient ran, got {steps} steps");
+                if k == 0 {
+                    assert_eq!(steps, 0, "seed {seed}: no device, the DC point holds to tstop");
+                } else {
+                    assert!(steps >= 1000, "seed {seed}: a full transient ran, got {steps} steps");
+                }
                 digests.push(digest);
             }
         }
@@ -981,11 +1025,13 @@ mod tests {
     }
 
     /// [`outcome_digest`] of the 15 seeded cases of
-    /// `kernel_keeps_its_recorded_digests`, seeds 1 to 15.
+    /// `kernel_keeps_its_recorded_digests`, seeds 1 to 15. Seeds 1 to 3
+    /// attach no device, so their walks hold the DC point to `tstop`: their
+    /// digests were re-recorded when walks began to hold.
     const SEEDED_DIGESTS: [u64; 15] = [
-        0xccfe10bd04b5e88c,
-        0x772bf6b9683e540c,
-        0xa645ca14d7f5b68c,
+        0x0cc316cd11e62a7f,
+        0x58222f0008d7b23f,
+        0x51f354a999c3e97f,
         0x7960b47bde74c170,
         0x8b518e623e87fbb2,
         0x438cf66f43d7e9f5,
@@ -1190,8 +1236,10 @@ mod tests {
         assert_eq!(digests, FIXED_W_DIGESTS, "{digests:#018x?}");
     }
 
-    /// [`outcome_digest`] of seeds 301 and 302 under linear devices.
-    const FIXED_W_DIGESTS: [u64; 2] = [0x6c9340d68cc24623, 0x42203db251e8fb86];
+    /// [`outcome_digest`] of seeds 301 and 302 under linear devices,
+    /// re-recorded when walks began to hold: both hold to the first
+    /// driver's edge at 0.4 ns.
+    const FIXED_W_DIGESTS: [u64; 2] = [0x1cf26c2d34a116d2, 0x6ab0655fcb10968b];
 
     /// Two ports on one node (identical `η` columns) shorted by 1e-30 Ω:
     /// `w·G` swallows the identity in `S = I + W G`, whose rows then cancel

@@ -217,12 +217,14 @@ impl<'a> Modes<'a> {
         panel::dots(z, &self.basis.out, y);
     }
 
-    /// Integrate from the DC state along `stepper`'s walk. Every solve —
-    /// the DC point and each step — counts as one Newton iteration against
-    /// `opts`' budgets.
+    /// Integrate from the DC state along `stepper`'s walk, holding the DC
+    /// state up to `quiet`. Every solve — the DC point and each step —
+    /// counts as one Newton iteration against `opts`' budgets; the hold is
+    /// neither.
     pub(super) fn simulate(
         self,
         mut stepper: Stepper,
+        quiet: f64,
         opts: &MorOptions,
     ) -> Result<MorTranResult, MorError> {
         let sigma = &self.basis.sigma;
@@ -240,6 +242,12 @@ impl<'a> Modes<'a> {
         }
         let mut times = vec![0.0];
         let mut data: Vec<Vec<f64>> = y.iter().map(|&yj| vec![yj]).collect();
+        if super::hold(&mut stepper, quiet) {
+            times.push(stepper.t());
+            for (dj, &yj) in data.iter_mut().zip(&y) {
+                dj.push(yj);
+            }
+        }
         let (mut steps, mut solves) = (0usize, SOLVES_PER_STEP);
 
         let mut zdot = vec![0.0; q];
@@ -302,7 +310,7 @@ impl<'a> Modes<'a> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::tests::newton_only;
+    use super::super::tests::{holds, newton_only};
     use super::super::{simulate, MorOptions, MorTranResult, VTOL};
     use crate::error::MorError;
     use crate::model::{DiagonalModel, ReducedModel};
@@ -379,9 +387,10 @@ mod tests {
             .collect()
     }
 
-    /// A device seen only through `eval`, `capacitance` and `breakpoints` —
-    /// its linearity hidden, so a set of them runs the Newton kernel — that
-    /// logs the time of every evaluation.
+    /// A device seen only through `eval`, `capacitance`, `breakpoints` and
+    /// `quiet_until` — its linearity hidden, so a set of them runs the
+    /// Newton kernel, on the walk and hold the modal solver takes — that logs
+    /// the time of every evaluation.
     #[derive(Debug)]
     struct Opaque<'a> {
         inner: &'a dyn Termination,
@@ -402,6 +411,10 @@ mod tests {
 
         fn breakpoints(&self, tstop: f64) -> Vec<f64> {
             self.inner.breakpoints(tstop)
+        }
+
+        fn quiet_until(&self) -> f64 {
+            self.inner.quiet_until()
         }
     }
 
@@ -438,6 +451,9 @@ mod tests {
     struct Compared {
         cases: usize,
         coasted: usize,
+        /// Cases whose every device stays quiet to `tstop`: the hold is the
+        /// whole walk, and neither run takes a step.
+        held_through: usize,
         /// The largest sample gap up to the coast point.
         worst: f64,
         /// The largest gap between the two runs' last samples after a coast.
@@ -475,7 +491,8 @@ mod tests {
         }
         seen.cases += 1;
         let end = modal.times()[modal.times().len() - 1];
-        assert_eq!(modal.times().len(), modal.steps + 1, "{tag}: one sample a step");
+        let held = usize::from(holds(terms, tstop));
+        assert_eq!(modal.times().len(), 1 + held + modal.steps, "{tag}: one sample a step");
         assert!((end - tstop).abs() <= tstop * 1e-12, "{tag}: ends at {end:e}");
         let coasted = modal.steps < newton.steps;
         // Samples the two walks share: all of them, or up to the coast point.
@@ -508,6 +525,7 @@ mod tests {
             }
         }
         seen.coasted += usize::from(coasted);
+        seen.held_through += usize::from(modal.steps == 0 && newton.steps == 0);
     }
 
     fn sweep(cases: u64, seed: u64) {
@@ -522,16 +540,22 @@ mod tests {
             let tag = format!("case {case}: q {q}, p {p}");
             assert_modal_matches(&model, &terms, 4e-9, &opts, &tag, &mut seen);
         }
-        let Compared { cases: compared, coasted, worst, worst_end } = seen;
+        let Compared { cases: compared, coasted, held_through, worst, worst_end } = seen;
         eprintln!(
-            "modal vs newton: {compared} of {cases} cases compared, {coasted} coasted; \
-             max |dv| {worst:e} V to the coast point, {worst_end:e} V at the end"
+            "modal vs newton: {compared} of {cases} cases compared, {coasted} coasted, \
+             {held_through} held to the end; max |dv| {worst:e} V to the coast point, \
+             {worst_end:e} V at the end"
         );
         assert!(
             compared * 10 >= cases as usize * 9,
             "only {compared} of {cases} cases stepped easily"
         );
-        assert!(coasted * 4 >= compared, "only {coasted} of {compared} cases coasted");
+        // A case whose devices are all quiet to the end holds instead of
+        // coasting after one step, as it did before walks held: it counts
+        // toward the quarter that takes a shortcut, and each kind is seen.
+        let shortcut = coasted + held_through;
+        assert!(shortcut * 4 >= compared, "only {shortcut} of {compared} cases took a shortcut");
+        assert!(coasted > 0 && held_through > 0, "{coasted} coasted, {held_through} held");
     }
 
     #[test]

@@ -31,6 +31,15 @@ pub trait Termination: fmt::Debug {
         Vec::new()
     }
 
+    /// A time `T` up to which the device draws what it draws at `t = 0`,
+    /// `eval(t, v) == eval(0, v)` for every `t` in `[0, T]` and `v`: the DC
+    /// operating point is then an equilibrium of the device up to `T`, and a
+    /// transient may hold it there ([`crate::timestep::Stepper::hold`]).
+    /// `0`, the default, claims nothing.
+    fn quiet_until(&self) -> f64 {
+        0.0
+    }
+
     /// `Some((g, e))` when the device is linear: it draws `i = g·(v − e(t))`
     /// (which is what [`Termination::eval`] returns) plus the current of its
     /// [`Termination::capacitance`]. A transient may then fold the device
@@ -70,6 +79,10 @@ impl ResistiveTermination {
 impl Termination for ResistiveTermination {
     fn eval(&self, _t: f64, v: f64) -> (f64, f64) {
         (v / self.ohms, 1.0 / self.ohms)
+    }
+
+    fn quiet_until(&self) -> f64 {
+        f64::INFINITY
     }
 
     fn linear(&self) -> Option<(f64, &SourceWave)> {
@@ -121,6 +134,10 @@ impl Termination for TheveninTermination {
         self.wave.breakpoints(tstop)
     }
 
+    fn quiet_until(&self) -> f64 {
+        self.wave.starts_after()
+    }
+
     fn linear(&self) -> Option<(f64, &SourceWave)> {
         Some((1.0 / self.ohms, &self.wave))
     }
@@ -151,6 +168,10 @@ impl Termination for CapacitiveTermination {
 
     fn capacitance(&self) -> f64 {
         self.farads
+    }
+
+    fn quiet_until(&self) -> f64 {
+        f64::INFINITY
     }
 
     fn linear(&self) -> Option<(f64, &SourceWave)> {
@@ -203,6 +224,10 @@ mod tests {
         ];
         for dev in devices {
             let (g, e) = dev.linear().expect("a linear device");
+            let quiet = dev.quiet_until().min(1e-6);
+            for t in [0.0, 0.5 * quiet, quiet] {
+                assert_eq!(dev.eval(t, 0.7), dev.eval(0.0, 0.7), "{dev:?} is quiet at {t}");
+            }
             for (t, v) in [(0.0, 1.0), (1.05e-9, -0.3), (1e-6, 2.5)] {
                 let (i, di) = dev.eval(t, v);
                 assert_eq!(di, g, "{dev:?}");

@@ -7,12 +7,24 @@
 //! alike, so these decisions are spelled here once. Each engine keeps its own
 //! loop around a [`Stepper`]: their solves, errors and recording differ.
 //!
-//! One decision is an engine's own: when the rest of the run can no longer
-//! show anything, it may *coast* ([`Stepper::coast`]) — take whatever is left
-//! of the span in one step, once no breakpoint lies ahead. The reduced
-//! transient's linear solver does, once every source has stopped changing and
-//! its modes' distance from their final values bounds every later sample
-//! within `vtol`; the walk up to that point is the one both engines step.
+//! A walk may take two stretches in one step, where stepping could show
+//! nothing the step does not:
+//!
+//! - A *hold* ([`Stepper::hold`]) at the start. Until its first stimulus
+//!   moves, every source and device draws what the DC solve used, so the DC
+//!   operating point is the exact trajectory; the walk records it once more
+//!   at the end of that quiet prefix and restarts there as after any
+//!   breakpoint (`h_init`, backward Euler), so the grid after it is the
+//!   grid a stepped prefix ends on. All three walks hold: the reduced
+//!   Newton and modal solvers and the SPICE transient, which is how a
+//!   receiver fed a held glitch, flat bit for bit, holds as well.
+//! - A *coast* ([`Stepper::coast`]) at the end, an engine's own decision:
+//!   once the rest of the run can no longer show anything, it takes
+//!   whatever is left of the span in one step, once no breakpoint lies
+//!   ahead. The reduced transient's linear solver does, once every source
+//!   has stopped changing and its modes' distance from their final values
+//!   bounds every later sample within `vtol`; the walk up to that point is
+//!   the one both engines step.
 
 /// A run, and every stretch after a breakpoint, starts at `hmax / 10`.
 const INITIAL_STEP_DIVISOR: f64 = 10.0;
@@ -111,7 +123,8 @@ pub struct Stepper {
     bps: Vec<f64>,
     ahead: usize,
     t: f64,
-    /// The step the policy wants; a proposal clamps it into `h_eff`.
+    /// The step the policy wants; a proposal clamps it into `h_eff`, which
+    /// is `0` until the first proposal.
     h: f64,
     h_eff: f64,
     method: Method,
@@ -189,6 +202,27 @@ impl Stepper {
         } else if newton_iters >= HARD_ITERS {
             self.h *= SHRINK;
         }
+    }
+
+    /// Start the walk with a hold: stand at `min(until, tstop)` as if every
+    /// step up to it had been taken, passing every breakpoint up to that
+    /// point, for an engine whose DC operating point is its exact solution
+    /// over `[0, until]` (every stimulus at its DC value there). The engine
+    /// records that point's sample — the `t = 0` one, bit for bit — and
+    /// takes no step and no solve for it; its state, `ẋ` and capacitor
+    /// currents stay those of the DC point. The next proposal is the
+    /// restart after a breakpoint, `h_init` by backward Euler. `false`, and
+    /// nothing changes, once a step has been proposed or unless `until`
+    /// lies beyond `tiny`.
+    pub fn hold(&mut self, until: f64) -> bool {
+        if self.t != 0.0 || self.h_eff != 0.0 || until.is_nan() || until <= self.tiny {
+            return false;
+        }
+        self.t = until.min(self.tstop);
+        while self.bps.get(self.ahead).is_some_and(|&bp| bp <= self.t) {
+            self.ahead += 1;
+        }
+        true
     }
 
     /// Lift the step cap for the rest of the walk, so the next proposal is
@@ -372,6 +406,56 @@ mod tests {
         }
         assert!((stepper.t() - tstop).abs() <= tstop * 1e-12, "ends at {:e}", stepper.t());
         assert!(steps < 400, "{steps} steps");
+    }
+
+    #[test]
+    fn a_hold_lands_on_its_end_and_restarts_as_after_a_breakpoint() {
+        let mut rng = Rng::new(0x401d_5a7e);
+        let (mut held, mut to_the_end) = (0, 0);
+        for case in 0..300 {
+            let (tstop, fraction, bps) = random_walk(&mut rng);
+            let (hmax, tiny) = (tstop * fraction, tstop * 1e-12);
+            let until = match rng.range_usize(0, 6) {
+                0 => bps.first().copied().unwrap_or(0.3 * tstop),
+                1 => 0.5 * tiny,
+                2 => [f64::NAN, f64::INFINITY, -1.0, 0.0][rng.range_usize(0, 4)],
+                3 => rng.range_f64(1.0, 2.0) * tstop,
+                _ => rng.range_f64(0.0, 1.0) * tstop,
+            };
+            let tag = format!("case {case}: hold to {until:e} of {tstop:e}");
+            let mut stepper = Stepper::new(tstop, fraction, bps.clone()).unwrap();
+            let mut fresh = Stepper::new(tstop, fraction, bps.clone()).unwrap();
+            if !stepper.hold(until) {
+                assert!(until.is_nan() || until <= tiny, "{tag}: refused");
+                assert_eq!((stepper.t(), stepper.next()), (0.0, fresh.next()), "{tag}");
+                continue;
+            }
+            held += 1;
+            let end = until.min(tstop);
+            assert_eq!(stepper.t().to_bits(), end.to_bits(), "{tag}: lands on its end");
+            assert!(!stepper.hold(2.0 * until), "{tag}: one hold, before any step");
+            let Some((h, method)) = stepper.next() else {
+                to_the_end += 1;
+                assert!(end >= tstop - tiny, "{tag}: the walk is over");
+                continue;
+            };
+            assert_eq!(method, Method::BackwardEuler, "{tag}");
+            // The restart after a breakpoint, unless the next one or the
+            // end is nearer; no breakpoint it passed is still ahead.
+            let next_bp = bps.iter().copied().filter(|&b| b > end + tiny && b < tstop);
+            let limit = next_bp.fold(tstop, f64::min) - end;
+            assert_eq!(h.to_bits(), (hmax / 10.0).min(limit).to_bits(), "{tag}");
+            stepper.accepted(1);
+            assert_eq!(stepper.t().to_bits(), (end + h).to_bits(), "{tag}");
+            assert!(!stepper.hold(tstop), "{tag}: not after a step");
+        }
+        assert!(held > 150 && to_the_end > 20, "{held}, {to_the_end}");
+        // Not after a proposal either, even a rejected one that stayed at 0.
+        let mut stepper = Stepper::new(1e-9, 1e-3, vec![]).unwrap();
+        let _ = stepper.next();
+        assert!(!stepper.rejected(0.0));
+        assert!(!stepper.hold(0.5e-9));
+        assert_eq!(stepper.t(), 0.0);
     }
 
     #[test]

@@ -170,6 +170,62 @@ impl SourceWave {
         (!t.is_nan()).then_some(t)
     }
 
+    /// The end of the waveform's quiet prefix: a time `T` with
+    /// [`value_at`]`(t) == `[`dc_value`]`()` at every `t` in `[0, T]`, so
+    /// that a transient started from its DC operating point may hold that
+    /// point up to `T`. Read off the branches of [`value_at`], as
+    /// [`settles_after`] is: `+∞` for DC, the delay of a pulse, and for a
+    /// PWL the last point of the leading run whose values have the first
+    /// point's bits (`+∞` when the run is all of it). A `T` of `0` or less
+    /// claims nothing; it is what a DC value that is not finite gives, a
+    /// delay that is not a number, a PWL whose times are not finite and
+    /// ascending, and a
+    /// first edge whose slope is not finite, whose `v + 0·slope` is NaN at
+    /// the very point where it starts.
+    ///
+    /// ```
+    /// # use pcv_netlist::SourceWave;
+    /// let w = SourceWave::step(0.0, 2.5, 1e-9, 0.2e-9);
+    /// assert_eq!(w.starts_after(), 1e-9);
+    /// assert_eq!(w.value_at(1e-9), w.dc_value());
+    /// assert!(w.value_at(1e-9 * 1.001) > w.dc_value());
+    /// assert_eq!(SourceWave::Dc(1.0).starts_after(), f64::INFINITY);
+    /// ```
+    ///
+    /// [`value_at`]: SourceWave::value_at
+    /// [`dc_value`]: SourceWave::dc_value
+    /// [`settles_after`]: SourceWave::settles_after
+    pub fn starts_after(&self) -> f64 {
+        let dc = self.dc_value();
+        if !dc.is_finite() {
+            return 0.0;
+        }
+        let t = match self {
+            SourceWave::Dc(_) => return f64::INFINITY,
+            // `t < delay` is the first branch: `v0` before it.
+            SourceWave::Pulse { delay, .. } => *delay,
+            // Inside the run a segment is `v + 0·x`, which is `v` while `x`
+            // is finite; the binary search finds that segment only while
+            // the times ascend.
+            SourceWave::Pwl(points) => {
+                let finite = points.iter().all(|p| p.0.is_finite());
+                if !(finite && points.windows(2).all(|w| w[0].0 <= w[1].0)) {
+                    return 0.0;
+                }
+                match points.iter().position(|p| p.1.to_bits() != dc.to_bits()) {
+                    None => return f64::INFINITY,
+                    Some(k) => points[k - 1].0,
+                }
+            }
+        };
+        // At `T` the first edge starts, as `v + 0·slope`: `v` unless the
+        // slope is not finite, or a vertical step at `T` already ended.
+        if t.is_nan() || self.value_at(t) != dc {
+            return 0.0;
+        }
+        t
+    }
+
     /// The DC (t → -∞ / t = 0⁻) value, used for the operating point.
     pub fn dc_value(&self) -> f64 {
         match self {
@@ -308,6 +364,89 @@ mod tests {
         assert_eq!(SourceWave::Dc(1.0).settles_after(), Some(f64::NEG_INFINITY));
         assert_eq!(SourceWave::Pwl(vec![]).settles_after(), Some(f64::NEG_INFINITY));
         assert_eq!(SourceWave::Pwl(vec![(0.0, 1.0), (f64::NAN, 2.0)]).settles_after(), None);
+    }
+
+    #[test]
+    fn value_at_is_the_dc_value_up_to_starts_after() {
+        let mut rng = pcv_rng::Rng::new(0x0057_a125);
+        let odd = [0.0, -0.0, -1e-9, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e-30];
+        let draw = |rng: &mut pcv_rng::Rng, scale: f64| {
+            if rng.bool_with(0.1) {
+                odd[rng.range_usize(0, odd.len())]
+            } else {
+                rng.range_f64(-0.2, 1.0) * scale
+            }
+        };
+        let level = |rng: &mut pcv_rng::Rng| {
+            if rng.bool_with(0.05) {
+                odd[rng.range_usize(0, odd.len())]
+            } else {
+                [0.0, 2.5, rng.range_f64(-3.0, 3.0)][rng.range_usize(0, 3)]
+            }
+        };
+        let (mut quiet, mut never, mut forever) = (0, 0, 0);
+        for case in 0..4000 {
+            let w = match rng.range_usize(0, 4) {
+                0 => SourceWave::Dc(level(&mut rng)),
+                1 => SourceWave::Pulse {
+                    v0: level(&mut rng),
+                    v1: level(&mut rng),
+                    delay: draw(&mut rng, 1e-9),
+                    rise: draw(&mut rng, 1e-10),
+                    fall: draw(&mut rng, 1e-10),
+                    width: draw(&mut rng, 1e-9),
+                    period: if rng.bool_with(0.7) { f64::INFINITY } else { draw(&mut rng, 2e-9) },
+                },
+                2 => {
+                    SourceWave::step(level(&mut rng), level(&mut rng), draw(&mut rng, 1e-9), 1e-10)
+                }
+                // A flat run (ascending times, a repeated level) before
+                // whatever follows, as a resampled glitch starts.
+                _ => {
+                    let v = level(&mut rng);
+                    let mut t = 0.0;
+                    let mut points: Vec<(f64, f64)> = (0..rng.range_usize(0, 4))
+                        .map(|_| {
+                            t += rng.range_f64(0.0, 1e-9);
+                            (t, v)
+                        })
+                        .collect();
+                    if rng.bool_with(0.5) {
+                        points.sort_by(|a, b| a.0.total_cmp(&b.0));
+                    }
+                    let tail = rng.range_usize(0, 4);
+                    points.extend((0..tail).map(|_| (draw(&mut rng, 4e-9), level(&mut rng))));
+                    if rng.bool_with(0.7) {
+                        points.sort_by(|a, b| a.0.total_cmp(&b.0));
+                    }
+                    SourceWave::Pwl(points)
+                }
+            };
+            let t = w.starts_after();
+            assert!(!t.is_nan(), "case {case}: {w:?}");
+            if t <= 0.0 {
+                never += 1;
+                continue;
+            }
+            quiet += 1;
+            forever += usize::from(t == f64::INFINITY);
+            let dc = w.dc_value();
+            let end = t.min(1e-6);
+            let mut at = vec![0.0, end, end.next_down(), f64::MIN_POSITIVE];
+            at.extend(w.breakpoints(end).into_iter().filter(|&b| (0.0..=end).contains(&b)));
+            at.extend((0..20).map(|_| rng.range_f64(0.0, end)));
+            for s in at {
+                let v = w.value_at(s);
+                assert!(v == dc, "case {case}: {w:?} is quiet to {t:e}, yet reads {v} at {s:e}");
+            }
+        }
+        assert!(quiet > 1500 && never > 200 && forever > 200, "{quiet}, {never}, {forever}");
+        assert_eq!(SourceWave::Dc(f64::NAN).starts_after(), 0.0);
+        assert_eq!(SourceWave::Pwl(vec![]).starts_after(), f64::INFINITY);
+        let pwl = SourceWave::Pwl(vec![(0.0, 1.0), (2e-9, 1.0), (3e-9, 2.0), (4e-9, 1.0)]);
+        assert_eq!(pwl.starts_after(), 2e-9);
+        let vertical = SourceWave::Pwl(vec![(0.0, 1.0), (2e-9, 1.0), (2e-9, 2.0), (4e-9, 2.0)]);
+        assert_eq!(vertical.starts_after(), 0.0, "the step at 2 ns has ended at 2 ns");
     }
 
     #[test]

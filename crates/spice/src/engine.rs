@@ -513,15 +513,25 @@ impl<'a> Simulator<'a> {
         tstop: f64,
         opts: &SimOptions,
     ) -> Result<(), SimError> {
-        // Breakpoints from source waveforms and termination stimuli.
+        // Breakpoints from source waveforms and termination stimuli, and the
+        // end of their quiet prefix: the earliest time one of them leaves
+        // the value the DC point was solved with (NaN if any says NaN).
         let mut bps: Vec<f64> = Vec::new();
+        let mut quiet = f64::INFINITY;
+        let mut earliest = |until: f64| {
+            if until < quiet || until.is_nan() {
+                quiet = until;
+            }
+        };
         for e in self.ckt.elements() {
             if let Element::Vsrc { wave, .. } | Element::Isrc { wave, .. } = e {
                 bps.extend(wave.breakpoints(tstop));
+                earliest(wave.starts_after());
             }
         }
         for (_, term) in &self.terminations {
             bps.extend(term.breakpoints(tstop));
+            earliest(term.quiet_until());
         }
         let mut stepper = Stepper::new(tstop, opts.max_step_fraction, bps)
             .map_err(|what| SimError::InvalidValue { what })?;
@@ -540,6 +550,15 @@ impl<'a> Simulator<'a> {
         times.push(0.0);
         for (samples, &probe) in data.iter_mut().zip(probes.iter()) {
             samples.push(node_voltage(&x, probe));
+        }
+        // Up to `quiet` the DC point is the solution: one sample, no step.
+        if stepper.hold(quiet) {
+            times.push(stepper.t());
+            for (samples, &probe) in data.iter_mut().zip(probes.iter()) {
+                samples.push(node_voltage(&x, probe));
+            }
+            pcv_trace::count("spice.tran.holds", 1);
+            pcv_trace::value("spice.tran.held_fs", (stepper.t() * 1e15).round() as u64);
         }
 
         while let Some((h, method)) = stepper.next() {
@@ -950,10 +969,12 @@ mod tests {
     }
 
     /// [`outcome_digest`] of the six decks above, in order: singular,
-    /// rejections, floor, dc, nan, nan dc.
+    /// rejections, floor, dc, nan, nan dc. The rejections deck's input is
+    /// quiet to 1 ns, where its walk holds: its digest was re-recorded when
+    /// walks began to hold (the floor deck fails at the same point).
     const FAILURE_DIGESTS: [u64; 6] = [
         0xc1e730938a2ee659,
-        0xae3968203a8b5b3f,
+        0x93e4084aa5cf1827,
         0x4a390a7e0ccf78d6,
         0x620fff98f3b9ed05,
         0xc3fafcbb9b230b97,

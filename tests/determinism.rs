@@ -195,6 +195,15 @@ fn traced_run_builds_and_reduces_each_coupled_cluster_once() {
     assert_eq!((blocks.count as usize, blocks.sum as usize), (coupled, applies));
     assert_eq!(applies, 3 * coupled);
     assert_eq!(trace.counters.get("mor.lanczos.early_stops").copied(), Some(coupled as u64));
+
+    // Every aggressor switches at `SWITCH_TIME` and every victim holds, so
+    // each of the two walks a coupled job takes holds its DC point to that
+    // instant, in one step that is neither a step nor a solve.
+    let walks = 2 * coupled as u64;
+    assert_eq!(trace.counters.get("mor.walk.holds").copied(), Some(walks));
+    let held = &trace.histograms["mor.walk.held_fs"];
+    let switch_fs = (pcv_xtalk::analysis::SWITCH_TIME * 1e15).round() as u64;
+    assert_eq!((held.count, held.min, held.max), (walks, switch_fs, switch_fs));
 }
 
 #[test]

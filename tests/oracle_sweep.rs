@@ -278,9 +278,10 @@ fn refined_receiver_peak(ctx: &AnalysisContext, cfg: &EngineConfig, v: &NetVerdi
     let vdd = opts.vdd;
     let sim = SimOptions { max_step_fraction: RECEIVER_STEP_FRACTION, ..SimOptions::default() };
     let output = receiver_response(cell, pwl, vdd, t_end, &sim).expect("refined receiver run");
-    // The receiver's quiet output under the victim's quiet input, as the
-    // engine's check reads it.
-    let out_quiet = if cell.kind.inverting() == !rising { 0.0 } else { vdd };
+    // The receiver's quiet output under the victim's quiet input (high
+    // under a falling glitch), as the engine's check reads it.
+    let input_high = !rising;
+    let out_quiet = if cell.kind.inverting() == input_high { 0.0 } else { vdd };
     output.peak_deviation(out_quiet).1
 }
 
