@@ -59,16 +59,24 @@ pub fn check_receiver_propagation(
     if t_end.is_nan() || t_end <= 0.0 {
         return Err(XtalkError::Measurement { what: "victim waveform spans no time" });
     }
-    // Use the waveform's own samples when small; decimate onto a uniform
-    // grid only for long recordings (keeps the MNA breakpoint list
-    // manageable without flattening the glitch apex).
-    let pwl: Vec<(f64, f64)> = if glitch.len() <= 400 {
+    // Use the waveform's own samples when they are few; resample a long
+    // recording onto a uniform grid of `POINTS`, which bounds the MNA
+    // breakpoint list but flattens an apex that falls between two grid
+    // points (by 2.5 mV on `dsp_cold`'s `bus2_12` against a time-refined
+    // reference, `tests/oracle_sweep.rs`). A flat lead-in counts as the grid
+    // points it spans, not as the two samples a walk that held its DC point
+    // up to the first edge records there: a held glitch is resampled as the
+    // stepped recording it replaces was.
+    const POINTS: usize = 400;
+    let first = glitch.values()[0].to_bits();
+    let lead = glitch.values().iter().take_while(|v| v.to_bits() == first).count();
+    let lead_points = (glitch.times()[lead - 1] / t_end * (POINTS - 1) as f64) as usize;
+    let pwl: Vec<(f64, f64)> = if glitch.len() + lead_points <= POINTS {
         glitch.times().iter().copied().zip(glitch.values().iter().copied()).collect()
     } else {
-        let points = 400;
-        (0..points)
+        (0..POINTS)
             .map(|k| {
-                let t = t_end * k as f64 / (points - 1) as f64;
+                let t = t_end * k as f64 / (POINTS - 1) as f64;
                 (t, glitch.value_at(t))
             })
             .collect()
