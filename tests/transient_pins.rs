@@ -10,7 +10,11 @@
 //! a digest only by running this file against a checkout of the code it
 //! pins, never from new code. All four were re-recorded once, when the
 //! reduction began to stop at the Padé order a cluster needs (the order
-//! sweep in `oracle_sweep.rs` judges what that moved).
+//! sweep in `oracle_sweep.rs` judges what that moved). The Fig. 3 bits and
+//! the two tiled fields were re-recorded once more when every walk began to
+//! hold its DC point up to the first aggressor edge: the state there is the
+//! DC point itself rather than a re-converged copy, which moves later
+//! samples by rounding; the fine mesh kept its bytes.
 
 use pcv_designs::extract::{extract, WireGeom};
 use pcv_designs::random::{random_cluster, RandomClusterConfig};
@@ -59,7 +63,7 @@ fn fig3_peaks_keep_their_bits() {
     assert_eq!(h.finish(), FIG3_PEAKS, "fig3 (peak, t_peak) bits moved");
 }
 
-const FIG3_PEAKS: u64 = 0x319c_e77f_515d_3a8b;
+const FIG3_PEAKS: u64 = 0xb012_7c79_fe3b_4595;
 
 /// `groups` bundles of `wires` minimum-pitch wires six empty tracks apart,
 /// group lengths evenly spread over `len` (metres) in a fixed shuffled
@@ -97,7 +101,7 @@ fn a_field_of_192_short_tiles_keeps_its_signoff_bytes() {
     assert_eq!(signoff_digest(&db), TILES_192, "sign-off bytes moved");
 }
 
-const TILES_192: u64 = 0x0b02_96c0_ffb0_de42;
+const TILES_192: u64 = 0x53be_830c_f1ca_a122;
 
 #[test]
 fn a_field_of_long_tiles_keeps_its_signoff_bytes() {
@@ -105,7 +109,7 @@ fn a_field_of_long_tiles_keeps_its_signoff_bytes() {
     assert_eq!(signoff_digest(&db), LONG_TILES, "sign-off bytes moved");
 }
 
-const LONG_TILES: u64 = 0x6527_7806_1ec1_676d;
+const LONG_TILES: u64 = 0xec1d_d100_0bb9_303d;
 
 #[test]
 fn a_fine_mesh_field_keeps_its_signoff_bytes() {
