@@ -179,9 +179,8 @@ impl SourceWave {
     /// point's bits (`+∞` when the run is all of it). A `T` of `0` or less
     /// claims nothing; it is what a DC value that is not finite gives, a
     /// delay that is not a number, a PWL whose times are not finite and
-    /// ascending, and a
-    /// first edge whose slope is not finite, whose `v + 0·slope` is NaN at
-    /// the very point where it starts.
+    /// ascending, and a first edge whose slope is not finite, whose
+    /// `v + 0·slope` is NaN at the very point where it starts.
     ///
     /// ```
     /// # use pcv_netlist::SourceWave;
