@@ -4,9 +4,9 @@
 //! SPICE MNA transient on the same pruned cluster with identical 1 kOhm
 //! Thevenin drivers — the wall-clock basis of the paper's 15-25x claims.
 //!
-//! Part 2 — chip engine: the serial `verify_chip` sweep versus the
-//! `pcv-engine` work-stealing pool at several worker counts, plus a
-//! warm-cache re-run (every cluster unchanged → every job a cache hit).
+//! Part 2 — chip engine: the `pcv-engine` work-stealing pool at several
+//! worker counts, plus a warm-cache re-run (every cluster unchanged →
+//! every job a cache hit).
 //!
 //! Run with: `cargo bench -p pcv-bench --bench engines`
 
@@ -16,7 +16,7 @@ use pcv_designs::structures::bundle;
 use pcv_designs::Technology;
 use pcv_engine::{Engine, EngineConfig};
 use pcv_xtalk::prune::{prune_victim, PruneConfig};
-use pcv_xtalk::{analyze_glitch, verify_chip, AnalysisContext, AnalysisOptions, EngineKind};
+use pcv_xtalk::{analyze_glitch, AnalysisContext, AnalysisOptions, EngineKind};
 
 fn bench_analysis_engines(tech: &Technology) {
     for n_agg in [2usize, 6, 12] {
@@ -44,12 +44,7 @@ fn bench_chip_engine(tech: &Technology) {
     let db = bundle(16, 2000e-6, tech);
     let victims: Vec<_> = (0..db.num_nets()).map(pcv_netlist::PNetId).collect();
     let ctx = AnalysisContext::fixed_resistance(&db, 1000.0);
-    let prune = PruneConfig::default();
-    let opts = AnalysisOptions::default();
 
-    bench_case("chip_engine", "serial", 5, || {
-        verify_chip(&ctx, &victims, &prune, &opts, 0.1, 0.2).unwrap()
-    });
     for workers in [1usize, 2, 4] {
         let engine = Engine::new(EngineConfig { workers, ..Default::default() });
         bench_case("chip_engine", &format!("workers={workers}"), 5, || {

@@ -8,10 +8,11 @@
 //! Every net is audited as a victim with uniform fixed-resistance drivers
 //! (the design-less flow); use the library API for cell-based models.
 
+use pcv_engine::{Engine, EngineConfig};
 use pcv_netlist::spef::parse_spef;
 use pcv_netlist::PNetId;
 use pcv_xtalk::prune::PruneConfig;
-use pcv_xtalk::{verify_chip, AnalysisContext, AnalysisOptions};
+use pcv_xtalk::AnalysisContext;
 use std::process::ExitCode;
 
 fn parse_flag(args: &[String], name: &str, default: f64) -> Result<f64, String> {
@@ -45,8 +46,14 @@ fn run() -> Result<(), String> {
     let victims: Vec<PNetId> = (0..db.num_nets()).map(PNetId).collect();
     let ctx = AnalysisContext::fixed_resistance(&db, drive);
     let prune = PruneConfig { cap_ratio: ratio, max_aggressors: 12 };
-    let report = verify_chip(&ctx, &victims, &prune, &AnalysisOptions::default(), warn, fail)
-        .map_err(|e| e.to_string())?;
+    let engine =
+        Engine::new(EngineConfig { prune, warn_frac: warn, fail_frac: fail, ..Default::default() });
+    let audit = engine.verify(&ctx, &victims).map_err(|e| e.to_string())?;
+    // A cluster no analysis rung could settle is worst-cased: a violation.
+    for e in &audit.errors {
+        eprintln!("audit: {e}");
+    }
+    let report = audit.chip;
     if csv {
         print!("{}", report.to_csv());
     } else {

@@ -28,16 +28,18 @@ use std::time::{Duration, Instant};
 pub struct EngineConfig {
     /// Worker threads; `0` means one per available core.
     pub workers: usize,
-    /// Pruning parameters (same meaning as the serial flow).
+    /// Pruning parameters: each victim's cluster is
+    /// [`pcv_xtalk::prune_victim`]'s under them.
     pub prune: PruneConfig,
-    /// Analysis knobs (same meaning as the serial flow).
+    /// Analysis knobs for both glitch polarities of every cluster.
     pub analysis: AnalysisOptions,
     /// Warning threshold as a fraction of Vdd.
     pub warn_frac: f64,
     /// Violation threshold as a fraction of Vdd.
     pub fail_frac: f64,
-    /// Run receiver-propagation checks on flagged victims (the serial
-    /// [`pcv_xtalk::audit_receivers`] pass), in-job.
+    /// Replay the worse-polarity glitch of every victim at or above
+    /// [`Severity::Warning`] into its receiving cell
+    /// ([`pcv_xtalk::check_receiver_propagation`]), in-job.
     pub check_receivers: bool,
     /// Incremental result store; `None` disables caching.
     pub cache_path: Option<PathBuf>,
@@ -120,11 +122,10 @@ impl Default for EngineConfig {
 
 /// Parallel, fault-isolated, incremental chip-verification engine.
 ///
-/// [`Engine::run`] produces, when every job succeeds and the cache is
-/// cold, the exact same [`ChipReport`] as the serial
-/// [`pcv_xtalk::verify_chip`] (+ [`pcv_xtalk::audit_receivers`] when
-/// `check_receivers` is set) — verdict for verdict, bit for bit —
-/// regardless of worker count or scheduling order.
+/// [`Engine::run`] is the one code that turns victims into a
+/// [`ChipReport`]. When every job succeeds, the report is the same —
+/// verdict for verdict, bit for bit — for any worker count, scheduling
+/// order or cache state; the golden reports record it.
 #[derive(Debug, Clone, Default)]
 pub struct Engine {
     /// Configuration every run of this engine uses.
@@ -202,8 +203,8 @@ struct Merged {
 }
 
 /// Deterministic merge: collect the job results in input order, then sort
-/// as the serial flow does ([`ChipReport::from_verdicts`]), so the merged
-/// report is independent of scheduling.
+/// stably ([`ChipReport::from_verdicts`]), so the merged report is
+/// independent of scheduling.
 fn merge(
     ctx: &AnalysisContext<'_>,
     victims: &[PNetId],
@@ -326,9 +327,8 @@ impl Engine {
     }
 
     /// Audit the request's victims: prune, analyze and classify each one
-    /// as a parallel cluster job, then merge a report identical to the
-    /// serial flow — the one way a run starts, whatever the request asks
-    /// for.
+    /// as a parallel cluster job, then merge the report in input order —
+    /// the one way a run starts, whatever the request asks for.
     ///
     /// A cluster whose analysis errors or panics walks the recovery ladder
     /// and, at worst, ends with a conservative verdict plus an
@@ -593,10 +593,9 @@ impl Engine {
             let t = Instant::now();
             let cell = ctx.receiver_cell(name)?;
             let rising = rise.abs() >= fall.abs();
-            // The worse-polarity waveform is already in hand (the analysis
-            // is deterministic, so re-running it as the serial audit does
-            // would give the same samples); only an aggressor-less victim
-            // flagged by a zero warning threshold has none yet.
+            // The worse-polarity waveform is already in hand; only an
+            // aggressor-less victim flagged by a zero warning threshold
+            // has none yet.
             let worse = match worse {
                 Some(g) => g,
                 None => glitch(rising)?,
@@ -624,7 +623,8 @@ mod tests {
     use crate::fault::ALWAYS;
     use pcv_netlist::{NetNodeRef, NetParasitics, ParasiticDb};
 
-    /// The same two-victim fixture as the serial chip tests.
+    /// The two-victim fixture of `pcv_xtalk::chip`'s tests: `hot` is
+    /// heavily coupled to `agg`, `cold` barely.
     fn db() -> (ParasiticDb, PNetId, PNetId) {
         let mut db = ParasiticDb::new();
         let mk = |name: &str, cg: f64| {
@@ -652,26 +652,74 @@ mod tests {
     }
 
     #[test]
-    fn matches_serial_verify_chip() {
+    fn worker_counts_agree_verdict_for_verdict() {
         let (db, hot, cold) = db();
         let ctx = AnalysisContext::fixed_resistance(&db, 2000.0);
         let victims = [cold, hot];
-        let serial = pcv_xtalk::verify_chip(
-            &ctx,
-            &victims,
-            &PruneConfig::default(),
-            &AnalysisOptions::default(),
-            0.1,
-            0.2,
-        )
-        .unwrap();
+        let one = Engine::new(config(1)).verify(&ctx, &victims).unwrap();
+        // Classified and sorted worst first: the hot net leads.
+        let names: Vec<&str> = one.chip.verdicts.iter().map(|v| v.name.as_str()).collect();
+        assert_eq!(names, ["hot", "cold"]);
+        assert_eq!(one.chip.verdicts[0].severity, Severity::Violation);
+        assert_eq!(one.chip.num_violations(), 1);
         for workers in [1, 2, 4] {
             let report = Engine::new(config(workers)).verify(&ctx, &victims).unwrap();
-            assert_eq!(report.chip, serial);
+            assert_eq!(report.chip, one.chip, "{workers} workers");
             assert!(report.errors.is_empty());
             assert_eq!(report.stats.cache_misses, 2);
             assert_eq!(report.stats.workers, workers);
         }
+    }
+
+    #[test]
+    fn quiet_nets_are_clean_without_simulation() {
+        let (db, _, cold) = db();
+        let ctx = AnalysisContext::fixed_resistance(&db, 2000.0);
+        // The cold net's one weak coupling is pruned away entirely.
+        let prune = PruneConfig { cap_ratio: 0.05, max_aggressors: 12 };
+        let report =
+            Engine::new(EngineConfig { prune, ..config(1) }).verify(&ctx, &[cold]).unwrap();
+        let v = &report.chip.verdicts[0];
+        assert_eq!(v.severity, Severity::Clean);
+        assert_eq!((v.rise_peak, v.fall_peak), (0.0, 0.0));
+        assert_eq!(v.cluster_size, 1);
+    }
+
+    #[test]
+    fn receiver_audit_annotates_flagged_victims() {
+        use pcv_cells::library::CellLibrary;
+        use pcv_netlist::Design;
+        let (db, hot, cold) = db();
+        // Design view: drivers + an inverter load on the hot net.
+        let mut design = Design::new("t");
+        let dh = design.add_net("hot");
+        let dc_ = design.add_net("cold");
+        let da = design.add_net("agg");
+        let pi = design.add_net("pi");
+        design.add_instance("h_drv", "INVX2", vec![pi], Some(dh), false);
+        design.add_instance("c_drv", "INVX2", vec![pi], Some(dc_), false);
+        design.add_instance("a_drv", "BUFX4", vec![pi], Some(da), false);
+        design.add_instance("h_rx", "INVX4", vec![dh], None, false);
+        let lib = CellLibrary::standard_025();
+        let ctx = AnalysisContext {
+            db: &db,
+            design: Some(&design),
+            lib: Some(&lib),
+            charlib: None,
+            driver_model: pcv_xtalk::DriverModelKind::FixedResistance(2000.0),
+        };
+        let engine = Engine::new(EngineConfig { check_receivers: true, ..config(1) });
+        let report = engine.verify(&ctx, &[hot, cold]).unwrap();
+        // The hot (flagged) victim gets a receiver verdict; the clean one
+        // does not.
+        let hot_v = report.chip.verdicts.iter().find(|v| v.name == "hot").unwrap();
+        assert!(hot_v.severity >= Severity::Warning);
+        let rc = hot_v.receiver.as_ref().expect("flagged victim checked");
+        assert_eq!(rc.cell, "INVX4");
+        assert!(rc.output_peak.is_finite());
+        let cold_v = report.chip.verdicts.iter().find(|v| v.name == "cold").unwrap();
+        assert_eq!(cold_v.severity, Severity::Clean);
+        assert!(cold_v.receiver.is_none());
     }
 
     #[test]

@@ -2,20 +2,21 @@
 //! parallel, fault-isolated, incremental engine over
 //! [`pcv_xtalk`]'s victim-cluster analysis.
 //!
-//! The serial flow ([`pcv_xtalk::verify_chip`] +
-//! [`pcv_xtalk::audit_receivers`]) audits victims one at a time and dies
-//! with the first failure. At chip scale — thousands of latch-input
-//! victims — that is neither fast enough nor robust enough. This crate
-//! keeps the serial flow as the reference semantics and adds the
-//! engineering around it:
+//! [`Engine`] is the one code that turns victims into a
+//! [`pcv_xtalk::ChipReport`]: prune, reduce, simulate, classify and, on
+//! flagged victims, check the receiver. At chip scale — thousands of
+//! latch-input victims — a loop that audits one victim at a time and dies
+//! with the first failure is neither fast enough nor robust enough, so the
+//! engine wraps the flow in:
 //!
 //! - **Parallelism** ([`scheduler`]) — victims are sharded into
 //!   independent cluster jobs (prune → reduce → analyze → receiver check)
 //!   on a std-only work-stealing thread pool. No external dependencies:
 //!   threads, channels and atomics.
-//! - **Determinism** — results are merged by input index and sorted with
-//!   the serial flow's exact stable comparator, so an N-worker run is
-//!   byte-identical to the serial report regardless of scheduling.
+//! - **Determinism** — results are merged by input index and sorted by
+//!   [`pcv_xtalk::ChipReport::from_verdicts`]' stable comparator, so an
+//!   N-worker run is byte-identical to the 1-worker report regardless of
+//!   scheduling. The golden reports record that report.
 //! - **Fault isolation** — each analysis attempt runs under
 //!   `catch_unwind`; a panicking or erroring cluster affects only its own
 //!   verdict while every other victim is still fully audited.

@@ -1,4 +1,4 @@
-//! Engine run reports: the serial [`ChipReport`] plus fault records and
+//! Engine run reports: the [`ChipReport`] plus fault records and
 //! execution statistics.
 
 use crate::recovery::Degradation;
@@ -139,13 +139,12 @@ impl EngineStats {
 }
 
 /// The result of one [`Engine::verify`](crate::Engine::verify) run: the
-/// same [`ChipReport`] the serial flow produces, plus per-job fault
-/// records and execution statistics.
+/// [`ChipReport`], plus per-job fault records and execution statistics.
 #[derive(Debug, Clone)]
 pub struct EngineReport {
     /// Verdicts for every victim whose job completed, worst first —
-    /// byte-identical to the serial [`pcv_xtalk::verify_chip`] report when
-    /// no job failed.
+    /// byte-identical for every worker count and cache state when no job
+    /// failed.
     pub chip: ChipReport,
     /// Victims whose jobs failed (error or panic), in input order: the
     /// worst-cased victims, every one of which still has a (conservative)
@@ -277,8 +276,8 @@ impl EngineReport {
         })
     }
 
-    /// The signoff document: the serial-identical chip report plus the
-    /// degradation trail, as one JSON object. The `"chip"` value is the
+    /// The signoff document: the chip report plus the degradation trail,
+    /// as one JSON object. The `"chip"` value is the
     /// unmodified [`ChipReport::to_json`] output (so golden chip-report
     /// bytes are embedded verbatim); `"degradations"` lists every recovered
     /// victim with its rung and attempt trail. Byte-identical across worker

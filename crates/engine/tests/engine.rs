@@ -1,5 +1,5 @@
-//! Engine acceptance tests: determinism against the serial flow on the
-//! DSP fixture, fault isolation under an injected panic, and incremental
+//! Engine acceptance tests: determinism across worker counts on the DSP
+//! fixture, fault isolation under an injected panic, and incremental
 //! cache behavior (full warm-run hits, exact invalidation).
 
 use pcv_cells::charlib::CharLibrary;
@@ -15,7 +15,7 @@ use pcv_netlist::{NetNodeRef, NetParasitics, PNetId, ParasiticDb};
 use pcv_rng::Rng;
 use pcv_xtalk::drivers::DriverModelKind;
 use pcv_xtalk::prune::{prune_victim, PruneConfig};
-use pcv_xtalk::{audit_receivers, verify_chip, AnalysisContext, AnalysisOptions};
+use pcv_xtalk::{AnalysisContext, AnalysisOptions};
 
 /// A small DSP block plus its latch-input victim list.
 fn dsp_fixture() -> (pcv_designs::dsp::DspBlock, CellLibrary, Vec<PNetId>) {
@@ -95,26 +95,33 @@ fn engine_config(workers: usize) -> EngineConfig {
     EngineConfig { workers, ..Default::default() }
 }
 
+/// The DSP fixture's context with fixed 2 kΩ drivers.
+fn fixed_ctx<'a>(
+    block: &'a pcv_designs::dsp::DspBlock,
+    lib: &'a CellLibrary,
+) -> AnalysisContext<'a> {
+    AnalysisContext {
+        db: &block.parasitics,
+        design: Some(&block.design),
+        lib: Some(lib),
+        charlib: None,
+        driver_model: DriverModelKind::FixedResistance(2000.0),
+    }
+}
+
 #[test]
 fn parallel_run_matches_serial_on_dsp_fixture() {
     let (block, lib, victims) = dsp_fixture();
     assert!(victims.len() >= 4, "fixture must exercise real parallelism");
-    let ctx = AnalysisContext {
-        db: &block.parasitics,
-        design: Some(&block.design),
-        lib: Some(&lib),
-        charlib: None,
-        driver_model: DriverModelKind::FixedResistance(2000.0),
-    };
-    let prune = PruneConfig::default();
-    let opts = AnalysisOptions::default();
-    let serial = verify_chip(&ctx, &victims, &prune, &opts, 0.1, 0.2).unwrap();
+    let ctx = fixed_ctx(&block, &lib);
+    let serial = Engine::new(engine_config(1)).verify(&ctx, &victims).unwrap();
+    assert!(serial.errors.is_empty());
 
-    for workers in [1usize, 2, 4] {
+    for workers in [2usize, 4] {
         let report = Engine::new(engine_config(workers)).verify(&ctx, &victims).unwrap();
         assert!(report.errors.is_empty());
         // Verdict for verdict, bit for bit — including order.
-        assert_eq!(report.chip, serial, "{workers}-worker run diverged from serial");
+        assert_eq!(report.chip, serial.chip, "{workers}-worker run diverged from 1 worker");
         assert_eq!(report.stats.cache_misses, victims.len());
         assert_eq!(report.stats.cache_hits, 0);
         assert_eq!(report.stats.worker_busy.len(), workers);
@@ -124,45 +131,32 @@ fn parallel_run_matches_serial_on_dsp_fixture() {
 #[test]
 fn receiver_audit_matches_serial_on_dsp_fixture() {
     let (block, lib, victims) = dsp_fixture();
-    let ctx = AnalysisContext {
-        db: &block.parasitics,
-        design: Some(&block.design),
-        lib: Some(&lib),
-        charlib: None,
-        driver_model: DriverModelKind::FixedResistance(2000.0),
-    };
-    let prune = PruneConfig::default();
-    let opts = AnalysisOptions::default();
+    let ctx = fixed_ctx(&block, &lib);
     // Low thresholds so some victims are flagged and receiver checks run.
-    let mut serial = verify_chip(&ctx, &victims, &prune, &opts, 0.02, 0.05).unwrap();
-    audit_receivers(&ctx, &mut serial, &prune, &opts).unwrap();
-    assert!(
-        serial.verdicts.iter().any(|v| v.receiver.is_some()),
-        "fixture must flag at least one victim"
-    );
-
-    let engine = Engine::new(EngineConfig {
-        workers: 4,
+    let config = |workers| EngineConfig {
+        workers,
         warn_frac: 0.02,
         fail_frac: 0.05,
         check_receivers: true,
         ..Default::default()
-    });
-    let report = engine.verify(&ctx, &victims).unwrap();
-    assert!(report.errors.is_empty());
-    assert_eq!(report.chip, serial);
+    };
+    let serial = Engine::new(config(1)).verify(&ctx, &victims).unwrap();
+    assert!(serial.errors.is_empty());
+    assert!(
+        serial.chip.verdicts.iter().any(|v| v.receiver.is_some()),
+        "fixture must flag at least one victim"
+    );
+    for workers in [2usize, 4] {
+        let report = Engine::new(config(workers)).verify(&ctx, &victims).unwrap();
+        assert!(report.errors.is_empty());
+        assert_eq!(report.chip, serial.chip, "{workers}-worker run diverged from 1 worker");
+    }
 }
 
 #[test]
 fn injected_panic_yields_one_error_and_a_complete_report() {
     let (block, lib, victims) = dsp_fixture();
-    let ctx = AnalysisContext {
-        db: &block.parasitics,
-        design: Some(&block.design),
-        lib: Some(&lib),
-        charlib: None,
-        driver_model: DriverModelKind::FixedResistance(2000.0),
-    };
+    let ctx = fixed_ctx(&block, &lib);
     let faulted = block.parasitics.net(victims[1]).name().to_owned();
     let mut engine = Engine::new(engine_config(4));
     engine.set_fault_plan(Plan::new().at(&faulted, ALWAYS, FaultKind::Panic));
@@ -179,15 +173,13 @@ fn injected_panic_yields_one_error_and_a_complete_report() {
     assert_eq!(worst.worst_frac, 1.0);
     assert_eq!(report.degradations.len(), 1);
     assert_eq!(report.degradations[0].name, faulted);
-    // The survivors match a serial run over the same survivors, bit for
-    // bit (the worst-cased verdict removed, order preserved).
-    let rest: Vec<PNetId> = victims.iter().copied().filter(|&v| v != victims[1]).collect();
-    let serial =
-        verify_chip(&ctx, &rest, &PruneConfig::default(), &AnalysisOptions::default(), 0.1, 0.2)
-            .unwrap();
-    let survivors: Vec<_> =
-        report.chip.verdicts.iter().filter(|v| v.name != faulted).cloned().collect();
-    assert_eq!(survivors, serial.verdicts);
+    // The survivors match a clean run's verdicts, bit for bit (the
+    // worst-cased verdict removed, order preserved).
+    let clean = Engine::new(engine_config(1)).verify(&ctx, &victims).unwrap();
+    let others = |chip: &pcv_xtalk::ChipReport| -> Vec<_> {
+        chip.verdicts.iter().filter(|v| v.name != faulted).cloned().collect()
+    };
+    assert_eq!(others(&report.chip), others(&clean.chip));
 }
 
 /// Disjoint victim/aggressor pairs: perturbing one pair's coupling must

@@ -87,7 +87,9 @@ impl SourceWave {
                 let idx = points.partition_point(|&(pt, _)| pt <= t);
                 let (t0, v0) = points[idx - 1];
                 let (t1, v1) = points[idx];
-                if t1 <= t0 {
+                // A segment from -∞ has slope 0 and ends at `v1`; its
+                // `(t − t0) / (t1 − t0)` would be ∞/∞.
+                if t1 <= t0 || t0 == f64::NEG_INFINITY {
                     return v1;
                 }
                 v0 + (v1 - v0) * (t - t0) / (t1 - t0)
@@ -178,9 +180,9 @@ impl SourceWave {
     /// PWL the last point of the leading run whose values have the first
     /// point's bits (`+∞` when the run is all of it). A `T` of `0` or less
     /// claims nothing; it is what a DC value that is not finite gives, a
-    /// delay that is not a number, a PWL whose times are not finite and
-    /// ascending, and a first edge whose slope is not finite, whose
-    /// `v + 0·slope` is NaN at the very point where it starts.
+    /// delay that is not a number, a PWL whose times do not ascend, and a
+    /// first edge whose slope is not finite, whose `v + 0·slope` is NaN at
+    /// the very point where it starts.
     ///
     /// ```
     /// # use pcv_netlist::SourceWave;
@@ -204,11 +206,10 @@ impl SourceWave {
             // `t < delay` is the first branch: `v0` before it.
             SourceWave::Pulse { delay, .. } => *delay,
             // Inside the run a segment is `v + 0·x`, which is `v` while `x`
-            // is finite; the binary search finds that segment only while
-            // the times ascend.
+            // is finite, and `v` from -∞; the binary search finds that
+            // segment only while the times ascend.
             SourceWave::Pwl(points) => {
-                let finite = points.iter().all(|p| p.0.is_finite());
-                if !(finite && points.windows(2).all(|w| w[0].0 <= w[1].0)) {
+                if !points.windows(2).all(|w| w[0].0 <= w[1].0) {
                     return 0.0;
                 }
                 match points.iter().position(|p| p.1.to_bits() != dc.to_bits()) {
@@ -472,6 +473,16 @@ mod tests {
         assert_eq!(w.value_at(0.0), 3.0);
         assert!((w.value_at(2.25e-9) - 1.5).abs() < 1e-9);
         assert_eq!(w.value_at(1.0), 0.0);
+    }
+
+    #[test]
+    fn a_segment_from_minus_infinity_reads_its_end_value() {
+        let w = SourceWave::Pwl(vec![(f64::NEG_INFINITY, 0.0), (2.7e-9, 0.0), (3e-9, 1.0)]);
+        assert_eq!(w.value_at(0.0), 0.0);
+        assert_eq!(w.value_at(-1.0), 0.0);
+        assert_eq!(w.starts_after(), 2.7e-9);
+        let ramp = SourceWave::Pwl(vec![(f64::NEG_INFINITY, -1.0), (1e-9, 2.0)]);
+        assert_eq!(ramp.value_at(0.0), 2.0, "slope 0 from -inf: the line is at its end");
     }
 
     #[test]

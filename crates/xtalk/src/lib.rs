@@ -20,8 +20,10 @@
 //!    either the SyMPVL reduced engine (fast path) or the SPICE substrate
 //!    (reference path), with identical driver abstractions so the two are
 //!    directly comparable.
-//! 5. **Chip-level audit** ([`chip`]) — sweep every latch-input victim,
-//!    classify against noise-margin thresholds and emit a report.
+//! 5. **Chip-level verdicts** ([`chip`]) — each victim's peaks classified
+//!    against noise-margin thresholds, and the report they make. The sweep
+//!    over every latch-input victim is `pcv-engine`'s `Engine`, the one
+//!    code that turns victims into a [`ChipReport`].
 //!
 //! # Example
 //!
@@ -63,22 +65,18 @@ pub mod drivers;
 pub mod error;
 pub mod prune;
 pub mod receiver;
-pub mod sta;
 
 pub use analysis::{
     analyze_delay, analyze_glitch, AnalysisContext, AnalysisOptions, DelayMode, DelayResult,
     EngineKind, GlitchResult, PreparedCluster,
 };
 pub use build::{build_cluster, ClusterModel};
-pub use chip::{audit_receivers, verify_chip, ChipReport, NetVerdict, ReceiverVerdict, Severity};
+pub use chip::{ChipReport, NetVerdict, ReceiverVerdict, Severity};
 pub use dirty::blast_radius;
 pub use drivers::DriverModelKind;
 pub use error::XtalkError;
-pub use prune::{
-    prune_all, prune_victim, prune_victim_weighted, Cluster, PruneConfig, PruningStats,
-};
+pub use prune::{prune_all, prune_victim, Cluster, PruneConfig, PruningStats};
 pub use receiver::{
     check_receiver_propagation, noise_immunity_curve, receiver_response, ImmunityPoint,
     ReceiverCheck,
 };
-pub use sta::{apply_windows, compute_windows, StaOptions};

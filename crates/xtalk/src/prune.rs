@@ -126,47 +126,6 @@ pub fn prune_victim_with_components(
     }
 }
 
-/// Prune one victim with *context weighting* (the paper's enhancement of
-/// plain capacitance-ratio pruning with "cell and context information"):
-/// each aggressor's coupling is scaled by `strength(net)` before the ratio
-/// test, so a strongly driven aggressor survives a threshold a weak one
-/// would not. `strength` should return a value around 1.0 for a typical
-/// driver (e.g. normalized drive strength); the victim's own entry is not
-/// consulted.
-pub fn prune_victim_weighted(
-    db: &ParasiticDb,
-    victim: PNetId,
-    cfg: &PruneConfig,
-    strength: &dyn Fn(PNetId) -> f64,
-) -> Cluster {
-    let sizes = coupling_component_sizes(db);
-    let total = db.total_cap(victim).max(1e-30);
-    let mut neighbors = db.neighbors(victim);
-    // Sort by *weighted* coupling so the strongest effective aggressors
-    // are kept under the max_aggressors cap.
-    neighbors.sort_by(|a, b| {
-        (b.1 * strength(b.0)).partial_cmp(&(a.1 * strength(a.0))).expect("finite weights")
-    });
-    let neighbors_before = neighbors.len();
-    let mut kept = Vec::new();
-    let mut decoupled = 0.0;
-    for (agg, cc) in neighbors {
-        let weighted = cc * strength(agg);
-        if weighted / total >= cfg.cap_ratio && kept.len() < cfg.max_aggressors {
-            kept.push((agg, cc));
-        } else {
-            decoupled += cc;
-        }
-    }
-    Cluster {
-        victim,
-        aggressors: kept,
-        decoupled_cap: decoupled,
-        neighbors_before,
-        component_size: sizes[victim.0],
-    }
-}
-
 /// Prune every net of the database as a victim.
 pub fn prune_all(db: &ParasiticDb, cfg: &PruneConfig) -> Vec<Cluster> {
     let sizes = coupling_component_sizes(db);
@@ -287,53 +246,6 @@ mod tests {
         assert!(stats.mean_before > stats.mean_after);
         assert!(stats.max_after <= 2 + 1);
         assert!(stats.active_clusters >= 1);
-    }
-
-    #[test]
-    fn weighted_pruning_keeps_strong_aggressors() {
-        // Two aggressors with equal coupling; strength weighting must keep
-        // the strongly driven one when the threshold cuts midway.
-        let mut db = ParasiticDb::new();
-        let mut v = NetParasitics::new("v");
-        let v1 = v.add_node();
-        v.add_ground_cap(v1, 100e-15);
-        let vid = db.add_net(v);
-        let strong = db.add_net(NetParasitics::new("strong"));
-        let weak = db.add_net(NetParasitics::new("weak"));
-        for agg in [strong, weak] {
-            db.add_coupling(
-                NetNodeRef { net: vid, node: 1 },
-                NetNodeRef { net: agg, node: 0 },
-                3e-15,
-            );
-        }
-        // Unweighted ratio = 3/106 ≈ 0.028 for both.
-        let cfg = PruneConfig { cap_ratio: 0.04, max_aggressors: 12 };
-        let strength = |n: PNetId| if n == strong { 2.0 } else { 0.5 };
-        let cluster = prune_victim_weighted(&db, vid, &cfg, &strength);
-        assert_eq!(cluster.aggressors.len(), 1);
-        assert_eq!(cluster.aggressors[0].0, strong);
-        // Plain pruning at the same threshold drops both.
-        let plain = prune_victim(&db, vid, &cfg);
-        assert!(plain.aggressors.is_empty());
-    }
-
-    #[test]
-    fn weighted_pruning_orders_by_effective_coupling() {
-        let mut db = ParasiticDb::new();
-        let mut v = NetParasitics::new("v");
-        let v1 = v.add_node();
-        v.add_ground_cap(v1, 10e-15);
-        let vid = db.add_net(v);
-        let a = db.add_net(NetParasitics::new("a"));
-        let b = db.add_net(NetParasitics::new("b"));
-        db.add_coupling(NetNodeRef { net: vid, node: 1 }, NetNodeRef { net: a, node: 0 }, 5e-15);
-        db.add_coupling(NetNodeRef { net: vid, node: 1 }, NetNodeRef { net: b, node: 0 }, 4e-15);
-        // b is driven 3x stronger: effective coupling 12 vs 5.
-        let strength = |n: PNetId| if n == b { 3.0 } else { 1.0 };
-        let cfg = PruneConfig { cap_ratio: 0.0, max_aggressors: 1 };
-        let cluster = prune_victim_weighted(&db, vid, &cfg, &strength);
-        assert_eq!(cluster.aggressors[0].0, b);
     }
 
     #[test]

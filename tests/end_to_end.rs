@@ -6,12 +6,11 @@ use pcv_bench::charlib_for;
 use pcv_cells::library::CellLibrary;
 use pcv_designs::dsp::{generate, DspConfig};
 use pcv_designs::Technology;
+use pcv_engine::{Engine, EngineConfig};
 use pcv_netlist::PNetId;
 use pcv_xtalk::drivers::DriverModelKind;
 use pcv_xtalk::prune::{prune_all, prune_victim, PruneConfig, PruningStats};
-use pcv_xtalk::{
-    analyze_glitch, verify_chip, AnalysisContext, AnalysisOptions, EngineKind, Severity,
-};
+use pcv_xtalk::{analyze_glitch, AnalysisContext, AnalysisOptions, EngineKind, Severity};
 
 fn charlib() -> pcv_cells::charlib::CharLibrary {
     charlib_for(&pcv_designs::dsp::DRIVER_CELLS)
@@ -39,15 +38,15 @@ fn dsp_block_chip_audit_with_nonlinear_models() {
         &charlib,
         DriverModelKind::Nonlinear,
     );
-    let report = verify_chip(
-        &ctx,
-        &victims,
-        &PruneConfig { cap_ratio: 0.02, max_aggressors: 6 },
-        &AnalysisOptions::default(),
-        0.10,
-        0.20,
-    )
-    .expect("audit completes");
+    let engine = Engine::new(EngineConfig {
+        prune: PruneConfig { cap_ratio: 0.02, max_aggressors: 6 },
+        warn_frac: 0.10,
+        fail_frac: 0.20,
+        ..Default::default()
+    });
+    let report = engine.verify(&ctx, &victims).expect("audit completes");
+    assert!(report.errors.is_empty(), "{:?}", report.errors);
+    let report = report.chip;
 
     assert_eq!(report.verdicts.len(), victims.len());
     // Bus bits sandwiched between simultaneously switching neighbors must

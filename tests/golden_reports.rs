@@ -11,18 +11,27 @@
 mod fixtures;
 
 use fixtures::{bundle_fixture, check_golden, dsp_fixture, random_fixture};
+use pcv_engine::{Engine, EngineConfig};
 use pcv_obs::json::{parse, Value};
 use pcv_xtalk::drivers::DriverModelKind;
-use pcv_xtalk::prune::PruneConfig;
-use pcv_xtalk::{audit_receivers, verify_chip, AnalysisContext, AnalysisOptions};
+use pcv_xtalk::{AnalysisContext, ChipReport};
+
+/// The report of a clean 1-worker engine run over `victims`.
+fn audit(
+    ctx: &AnalysisContext<'_>,
+    victims: &[pcv_netlist::PNetId],
+    config: EngineConfig,
+) -> ChipReport {
+    let report = Engine::new(EngineConfig { workers: 1, ..config }).verify(ctx, victims).unwrap();
+    assert!(report.errors.is_empty() && report.degradations.is_empty(), "{:?}", report.errors);
+    report.chip
+}
 
 #[test]
 fn golden_bundle_bus_report() {
     let (db, victims) = bundle_fixture();
     let ctx = AnalysisContext::fixed_resistance(&db, 1000.0);
-    let report =
-        verify_chip(&ctx, &victims, &PruneConfig::default(), &AnalysisOptions::default(), 0.1, 0.2)
-            .unwrap();
+    let report = audit(&ctx, &victims, EngineConfig::default());
     check_golden("bundle16_bus.json", &report.to_json());
 }
 
@@ -30,9 +39,7 @@ fn golden_bundle_bus_report() {
 fn golden_random_cluster_report() {
     let (db, victims) = random_fixture();
     let ctx = AnalysisContext::fixed_resistance(&db, 1000.0);
-    let report =
-        verify_chip(&ctx, &victims, &PruneConfig::default(), &AnalysisOptions::default(), 0.1, 0.2)
-            .unwrap();
+    let report = audit(&ctx, &victims, EngineConfig::default());
     check_golden("random_seed99.json", &report.to_json());
 }
 
@@ -46,11 +53,14 @@ fn golden_dsp_receiver_audit_report() {
         charlib: None,
         driver_model: DriverModelKind::FixedResistance(2000.0),
     };
-    let prune = PruneConfig::default();
-    let opts = AnalysisOptions::default();
     // Low thresholds so receiver checks actually run on flagged victims.
-    let mut report = verify_chip(&ctx, &victims, &prune, &opts, 0.02, 0.05).unwrap();
-    audit_receivers(&ctx, &mut report, &prune, &opts).unwrap();
+    let config = EngineConfig {
+        warn_frac: 0.02,
+        fail_frac: 0.05,
+        check_receivers: true,
+        ..Default::default()
+    };
+    let report = audit(&ctx, &victims, config);
     assert!(
         report.verdicts.iter().any(|v| v.receiver.is_some()),
         "fixture must exercise the receiver audit"

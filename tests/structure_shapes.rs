@@ -5,11 +5,10 @@
 
 use pcv_designs::structures::{bundle, sandwich};
 use pcv_designs::Technology;
+use pcv_engine::Engine;
 use pcv_netlist::PNetId;
 use pcv_xtalk::prune::{prune_victim, PruneConfig};
-use pcv_xtalk::{
-    analyze_delay, analyze_glitch, verify_chip, AnalysisContext, AnalysisOptions, DelayMode,
-};
+use pcv_xtalk::{analyze_delay, analyze_glitch, AnalysisContext, AnalysisOptions, DelayMode};
 
 fn glitch_at(length: f64) -> f64 {
     let tech = Technology::c025();
@@ -88,9 +87,7 @@ fn interior_bus_bits_fare_worse_than_edge_bits() {
     let db = bundle(6, 1200e-6, &tech);
     let victims: Vec<PNetId> = (0..db.num_nets()).map(PNetId).collect();
     let ctx = AnalysisContext::fixed_resistance(&db, 1000.0);
-    let report =
-        verify_chip(&ctx, &victims, &PruneConfig::default(), &AnalysisOptions::default(), 0.1, 0.2)
-            .unwrap();
+    let report = Engine::default().verify(&ctx, &victims).unwrap().chip;
     // Worst victims are interior bits (two strong neighbors).
     let worst_name = &report.verdicts[0].name;
     assert!(
