@@ -14,7 +14,7 @@ use pcv_bench::timing::bench_case;
 use pcv_designs::random::{random_cluster, RandomClusterConfig};
 use pcv_designs::structures::bundle;
 use pcv_designs::Technology;
-use pcv_engine::{Engine, EngineConfig};
+use pcv_engine::{Engine, EngineConfig, ResidentChip, RunRequest};
 use pcv_xtalk::prune::{prune_victim, PruneConfig};
 use pcv_xtalk::{analyze_glitch, AnalysisContext, AnalysisOptions, EngineKind};
 
@@ -43,12 +43,13 @@ fn bench_chip_engine(tech: &Technology) {
     // carries an actual reduction + transient.
     let db = bundle(16, 2000e-6, tech);
     let victims: Vec<_> = (0..db.num_nets()).map(pcv_netlist::PNetId).collect();
-    let ctx = AnalysisContext::fixed_resistance(&db, 1000.0);
+    let chip = ResidentChip::fixed_resistance(db, 1000.0, victims);
+    let victims = chip.victims();
 
     for workers in [1usize, 2, 4] {
         let engine = Engine::new(EngineConfig { workers, ..Default::default() });
         bench_case("chip_engine", &format!("workers={workers}"), 5, || {
-            engine.verify(&ctx, &victims).unwrap()
+            engine.run(RunRequest::resident(&chip)).unwrap()
         });
     }
 
@@ -56,8 +57,10 @@ fn bench_chip_engine(tech: &Technology) {
     // quantify enabled-mode overhead next to the untraced workers=4 case.
     // The trace artifacts land in target/ for chrome://tracing.
     let traced = Engine::new(EngineConfig { workers: 4, trace: true, ..Default::default() });
-    bench_case("chip_engine", "workers=4+trace", 5, || traced.verify(&ctx, &victims).unwrap());
-    let report = traced.verify(&ctx, &victims).unwrap();
+    bench_case("chip_engine", "workers=4+trace", 5, || {
+        traced.run(RunRequest::resident(&chip)).unwrap()
+    });
+    let report = traced.run(RunRequest::resident(&chip)).unwrap();
     let stem = std::env::temp_dir().join("pcv-engines-bench");
     if let (Some(trace), Ok(paths)) =
         (&report.trace, report.write_profile_with(&pcv_engine::Fs::real(), &stem))
@@ -79,10 +82,10 @@ fn bench_chip_engine(tech: &Technology) {
         cache_path: Some(cache_path.clone()),
         ..Default::default()
     });
-    let primed = engine.verify(&ctx, &victims).unwrap();
+    let primed = engine.run(RunRequest::resident(&chip)).unwrap();
     assert_eq!(primed.stats.cache_misses, victims.len());
     bench_case("chip_engine", "workers=4+warm-cache", 5, || {
-        let report = engine.verify(&ctx, &victims).unwrap();
+        let report = engine.run(RunRequest::resident(&chip)).unwrap();
         assert_eq!(report.stats.cache_hits, victims.len());
         report
     });

@@ -8,11 +8,10 @@
 //! Every net is audited as a victim with uniform fixed-resistance drivers
 //! (the design-less flow); use the library API for cell-based models.
 
-use pcv_engine::{Engine, EngineConfig};
+use pcv_engine::{Engine, EngineConfig, ResidentChip, RunRequest};
 use pcv_netlist::spef::parse_spef;
 use pcv_netlist::PNetId;
 use pcv_xtalk::prune::PruneConfig;
-use pcv_xtalk::AnalysisContext;
 use std::process::ExitCode;
 
 fn parse_flag(args: &[String], name: &str, default: f64) -> Result<f64, String> {
@@ -44,11 +43,11 @@ fn run() -> Result<(), String> {
     eprintln!("loaded {}: {} nets, {} coupling caps", path, db.num_nets(), db.couplings().len());
 
     let victims: Vec<PNetId> = (0..db.num_nets()).map(PNetId).collect();
-    let ctx = AnalysisContext::fixed_resistance(&db, drive);
+    let chip = ResidentChip::fixed_resistance(db, drive, victims);
     let prune = PruneConfig { cap_ratio: ratio, max_aggressors: 12 };
     let engine =
         Engine::new(EngineConfig { prune, warn_frac: warn, fail_frac: fail, ..Default::default() });
-    let audit = engine.verify(&ctx, &victims).map_err(|e| e.to_string())?;
+    let audit = engine.run(RunRequest::resident(&chip)).map_err(|e| e.to_string())?;
     // A cluster no analysis rung could settle is worst-cased: a violation.
     for e in &audit.errors {
         eprintln!("audit: {e}");

@@ -2,11 +2,12 @@
 //! sign-off flow.
 //!
 //! Runs warmup + N timed repetitions of a full [`pcv_engine::Engine`]
-//! verify over the deterministic 16-wire bundle fixture (cold cache every
-//! repetition), summarizes with median/MAD, and writes the stable-schema
-//! `BENCH_signoff.json`. With `--check`, compares against the checked-in
-//! baseline using the noise-aware gate in [`pcv_bench::regression`] and
-//! exits nonzero on regression.
+//! run over the deterministic 16-wire bundle fixture (elaborated once,
+//! outside the timed loop; cold cache every repetition), summarizes with
+//! median/MAD, and writes the stable-schema `BENCH_signoff.json`. With
+//! `--check`, compares against the checked-in baseline using the
+//! noise-aware gate in [`pcv_bench::regression`] and exits nonzero on
+//! regression.
 //!
 //! ```text
 //! cargo run --release -p pcv-bench --bin signoff_bench              # measure
@@ -17,10 +18,9 @@
 use pcv_bench::regression::{self, GateArgs};
 use pcv_designs::structures::bundle;
 use pcv_designs::Technology;
-use pcv_engine::{Engine, EngineConfig};
+use pcv_engine::{Engine, EngineConfig, ResidentChip, RunRequest};
 use pcv_netlist::PNetId;
 use pcv_obs::{mem, TrackingAlloc};
-use pcv_xtalk::AnalysisContext;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -31,13 +31,13 @@ static ALLOC: TrackingAlloc = TrackingAlloc::system();
 
 const BENCH_NAME: &str = "signoff_bundle16";
 
-/// One timed repetition: a cold-cache engine verify over the bundle.
-fn run_once(ctx: &AnalysisContext<'_>, victims: &[PNetId]) -> f64 {
+/// One timed repetition: a cold-cache engine run over the bundle.
+fn run_once(chip: &ResidentChip) -> f64 {
     let engine = Engine::new(EngineConfig { workers: 0, ..Default::default() });
     let t0 = Instant::now();
-    let report = engine.verify(ctx, victims).expect("bench workload verifies");
+    let report = engine.run(RunRequest::resident(chip)).expect("bench workload verifies");
     let elapsed_ms = t0.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(report.chip.verdicts.len(), victims.len(), "bench workload must stay intact");
+    assert_eq!(report.chip.verdicts.len(), chip.victims().len(), "bench workload must stay intact");
     elapsed_ms
 }
 
@@ -50,15 +50,15 @@ fn main() -> ExitCode {
 
     let db = bundle(16, 2000e-6, &Technology::c025());
     let victims: Vec<PNetId> = (0..db.num_nets()).map(PNetId).collect();
-    let ctx = AnalysisContext::fixed_resistance(&db, 1000.0);
+    let chip = ResidentChip::fixed_resistance(db, 1000.0, victims);
 
     for _ in 0..warmup {
-        run_once(&ctx, &victims);
+        run_once(&chip);
     }
     mem::reset_peak();
     let mut samples_ms = Vec::with_capacity(args.iters);
     for _ in 0..args.iters {
-        samples_ms.push(run_once(&ctx, &victims));
+        samples_ms.push(run_once(&chip));
     }
     let peak = mem::snapshot().map_or(0, |s| s.peak_bytes);
 

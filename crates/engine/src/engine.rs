@@ -13,7 +13,7 @@ use crate::scheduler;
 use crate::store::{RunStore, Source};
 use pcv_netlist::PNetId;
 use pcv_obs::{EngineEvent, EventSink, RunRecord};
-use pcv_xtalk::prune::{coupling_component_sizes, Cluster, PruneConfig};
+use pcv_xtalk::prune::{Cluster, PruneConfig};
 use pcv_xtalk::{
     check_receiver_propagation, AnalysisContext, AnalysisOptions, ChipReport, NetVerdict,
     PreparedCluster, ReceiverVerdict, Severity, XtalkError,
@@ -134,20 +134,17 @@ pub struct Engine {
 }
 
 /// What one [`Engine::run`] audits and how it starts — plain data, built
-/// with struct-update syntax over one of the two constructors:
+/// with struct-update syntax over its one constructor:
 /// `RunRequest { resume: true, ..RunRequest::resident(&chip) }`.
 #[derive(Clone, Copy)]
 pub struct RunRequest<'a> {
-    /// The analysis context the run borrows.
-    pub ctx: AnalysisContext<'a>,
-    /// The victims to audit, in input order. A shard worker narrows a
-    /// resident chip's list to its own slice; the context stays the full
-    /// chip so cluster fingerprints match every other process's.
+    /// The elaborated chip the run audits: its context, and the coupling
+    /// component sizes it computed at elaboration.
+    pub chip: &'a ResidentChip,
+    /// The victims to audit, in input order. A shard worker narrows the
+    /// chip's list to its own slice; the context stays the full chip so
+    /// cluster fingerprints match every other process's.
     pub victims: &'a [PNetId],
-    /// Coupling-component sizes already computed over `ctx.db`
-    /// ([`ResidentChip::component_sizes`]); `None` builds the union-find
-    /// at run start.
-    pub components: Option<&'a [usize]>,
     /// First replay the checkpoint journal a previous (interrupted or
     /// killed) run left next to the cache. With no journal on disk — or
     /// one from a different config or victim list — the run simply
@@ -159,20 +156,9 @@ pub struct RunRequest<'a> {
 }
 
 impl<'a> RunRequest<'a> {
-    /// A from-scratch run of `victims` over a borrowed context.
-    pub fn new(ctx: &AnalysisContext<'a>, victims: &'a [PNetId]) -> Self {
-        RunRequest { ctx: *ctx, victims, components: None, resume: false, snapshot: None }
-    }
-
-    /// A from-scratch run of every victim of a resident chip, reusing the
-    /// component sizes it computed at elaboration. The report is
-    /// byte-identical to [`RunRequest::new`] over `chip.ctx()` and
-    /// `chip.victims()`.
+    /// A from-scratch run of every victim of `chip`.
     pub fn resident(chip: &'a ResidentChip) -> Self {
-        RunRequest {
-            components: Some(chip.component_sizes()),
-            ..Self::new(&chip.ctx(), chip.victims())
-        }
+        RunRequest { chip, victims: chip.victims(), resume: false, snapshot: None }
     }
 }
 
@@ -298,20 +284,6 @@ impl Engine {
         self.plan = plan;
     }
 
-    /// [`Engine::run`] from scratch over a borrowed context: the
-    /// convenience for callers that hold no [`ResidentChip`].
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Engine::run`].
-    pub fn verify(
-        &self,
-        ctx: &AnalysisContext<'_>,
-        victims: &[PNetId],
-    ) -> Result<EngineReport, XtalkError> {
-        self.run(RunRequest::new(ctx, victims))
-    }
-
     /// [`Engine::run`] from scratch over a whole [`ResidentChip`],
     /// publishing into `snapshot` when one is given.
     ///
@@ -364,8 +336,8 @@ impl Engine {
         request: RunRequest<'_>,
         session: Option<pcv_trace::TraceSession>,
     ) -> Result<EngineReport, XtalkError> {
-        let RunRequest { ctx, victims, components, resume, snapshot } = request;
-        let ctx = &ctx;
+        let RunRequest { chip, victims, resume, snapshot } = request;
+        let ctx = &chip.ctx();
         let cfg = &self.config;
         if cfg.warn_frac > cfg.fail_frac {
             return Err(XtalkError::InvalidConfig {
@@ -401,13 +373,6 @@ impl Engine {
 
         let stop = cfg.stop.as_ref();
 
-        // One union-find for the whole run instead of one per victim —
-        // or zero, when a ResidentChip already paid for it at elaboration.
-        let component_sizes: Cow<'_, [usize]> = match components {
-            Some(sizes) => Cow::Borrowed(sizes),
-            None => Cow::Owned(coupling_component_sizes(ctx.db)),
-        };
-
         for &vic in victims {
             emit(&|| EngineEvent::ClusterQueued { name: ctx.db.net(vic).name().to_owned() });
         }
@@ -432,8 +397,9 @@ impl Engine {
             let job_start = Instant::now();
             emit(&|| EngineEvent::ClusterStarted { name: name.to_owned() });
             let t = Instant::now();
-            let (cluster, fp) =
-                pruned_fingerprint(ctx, vic, &cfg.prune, &component_sizes, chash, &digests);
+            // The component sizes are the chip's, computed at elaboration.
+            let sizes = chip.component_sizes();
+            let (cluster, fp) = pruned_fingerprint(ctx, vic, &cfg.prune, sizes, chash, &digests);
             let prune = t.elapsed();
 
             let stored = store.adopt(name, fp);
@@ -647,6 +613,11 @@ mod tests {
         (db, hot, cold)
     }
 
+    /// The fixture with fixed 2 kΩ drivers, audited on `victims`.
+    fn chip(db: ParasiticDb, victims: Vec<PNetId>) -> ResidentChip {
+        ResidentChip::fixed_resistance(db, 2000.0, victims)
+    }
+
     fn config(workers: usize) -> EngineConfig {
         EngineConfig { workers, ..Default::default() }
     }
@@ -654,16 +625,15 @@ mod tests {
     #[test]
     fn worker_counts_agree_verdict_for_verdict() {
         let (db, hot, cold) = db();
-        let ctx = AnalysisContext::fixed_resistance(&db, 2000.0);
-        let victims = [cold, hot];
-        let one = Engine::new(config(1)).verify(&ctx, &victims).unwrap();
+        let chip = chip(db, vec![cold, hot]);
+        let one = Engine::new(config(1)).run(RunRequest::resident(&chip)).unwrap();
         // Classified and sorted worst first: the hot net leads.
         let names: Vec<&str> = one.chip.verdicts.iter().map(|v| v.name.as_str()).collect();
         assert_eq!(names, ["hot", "cold"]);
         assert_eq!(one.chip.verdicts[0].severity, Severity::Violation);
         assert_eq!(one.chip.num_violations(), 1);
         for workers in [1, 2, 4] {
-            let report = Engine::new(config(workers)).verify(&ctx, &victims).unwrap();
+            let report = Engine::new(config(workers)).run(RunRequest::resident(&chip)).unwrap();
             assert_eq!(report.chip, one.chip, "{workers} workers");
             assert!(report.errors.is_empty());
             assert_eq!(report.stats.cache_misses, 2);
@@ -674,11 +644,11 @@ mod tests {
     #[test]
     fn quiet_nets_are_clean_without_simulation() {
         let (db, _, cold) = db();
-        let ctx = AnalysisContext::fixed_resistance(&db, 2000.0);
+        let chip = chip(db, vec![cold]);
         // The cold net's one weak coupling is pruned away entirely.
         let prune = PruneConfig { cap_ratio: 0.05, max_aggressors: 12 };
-        let report =
-            Engine::new(EngineConfig { prune, ..config(1) }).verify(&ctx, &[cold]).unwrap();
+        let engine = Engine::new(EngineConfig { prune, ..config(1) });
+        let report = engine.run(RunRequest::resident(&chip)).unwrap();
         let v = &report.chip.verdicts[0];
         assert_eq!(v.severity, Severity::Clean);
         assert_eq!((v.rise_peak, v.fall_peak), (0.0, 0.0));
@@ -687,6 +657,7 @@ mod tests {
 
     #[test]
     fn receiver_audit_annotates_flagged_victims() {
+        use pcv_cells::charlib::CharLibrary;
         use pcv_cells::library::CellLibrary;
         use pcv_netlist::Design;
         let (db, hot, cold) = db();
@@ -700,16 +671,17 @@ mod tests {
         design.add_instance("c_drv", "INVX2", vec![pi], Some(dc_), false);
         design.add_instance("a_drv", "BUFX4", vec![pi], Some(da), false);
         design.add_instance("h_rx", "INVX4", vec![dh], None, false);
-        let lib = CellLibrary::standard_025();
-        let ctx = AnalysisContext {
-            db: &db,
-            design: Some(&design),
-            lib: Some(&lib),
-            charlib: None,
-            driver_model: pcv_xtalk::DriverModelKind::FixedResistance(2000.0),
-        };
+        // Fixed-resistance drivers read no characterization.
+        let chip = ResidentChip::with_design(
+            db,
+            design,
+            CellLibrary::standard_025(),
+            CharLibrary::default(),
+            pcv_xtalk::DriverModelKind::FixedResistance(2000.0),
+            vec![hot, cold],
+        );
         let engine = Engine::new(EngineConfig { check_receivers: true, ..config(1) });
-        let report = engine.verify(&ctx, &[hot, cold]).unwrap();
+        let report = engine.run(RunRequest::resident(&chip)).unwrap();
         // The hot (flagged) victim gets a receiver verdict; the clean one
         // does not.
         let hot_v = report.chip.verdicts.iter().find(|v| v.name == "hot").unwrap();
@@ -725,10 +697,10 @@ mod tests {
     #[test]
     fn injected_fault_is_isolated_and_worst_cased() {
         let (db, hot, cold) = db();
-        let ctx = AnalysisContext::fixed_resistance(&db, 2000.0);
+        let chip = chip(db, vec![cold, hot]);
         let mut engine = Engine::new(config(2));
         engine.set_fault_plan(Plan::new().at("hot", ALWAYS, FaultKind::Panic));
-        let report = engine.verify(&ctx, &[cold, hot]).unwrap();
+        let report = engine.run(RunRequest::resident(&chip)).unwrap();
         // A persistent panic defeats every analysis rung, so the victim is
         // worst-cased: a conservative verdict plus a structured error.
         assert_eq!(report.errors.len(), 1);
@@ -755,13 +727,12 @@ mod tests {
     #[test]
     fn transient_fault_recovers_on_first_retry() {
         let (db, hot, cold) = db();
-        let ctx = AnalysisContext::fixed_resistance(&db, 2000.0);
-        let victims = [cold, hot];
-        let clean = Engine::new(config(1)).verify(&ctx, &victims).unwrap();
+        let chip = chip(db, vec![cold, hot]);
+        let clean = Engine::new(config(1)).run(RunRequest::resident(&chip)).unwrap();
 
         let mut engine = Engine::new(config(2));
         engine.set_fault_plan(Plan::new().at("hot", 1, FaultKind::NonSpd));
-        let report = engine.verify(&ctx, &victims).unwrap();
+        let report = engine.run(RunRequest::resident(&chip)).unwrap();
         // The non-SPD fault routes to GminBoost; the retry sees a healthy
         // cluster and succeeds there.
         assert!(report.errors.is_empty());
@@ -781,10 +752,10 @@ mod tests {
     #[test]
     fn slow_fault_trips_budget_and_falls_back_to_spice() {
         let (db, hot, cold) = db();
-        let ctx = AnalysisContext::fixed_resistance(&db, 2000.0);
+        let chip = chip(db, vec![cold, hot]);
         let mut engine = Engine::new(config(2));
         engine.set_fault_plan(Plan::new().at("hot", ALWAYS, FaultKind::Slow));
-        let report = engine.verify(&ctx, &[cold, hot]).unwrap();
+        let report = engine.run(RunRequest::resident(&chip)).unwrap();
         // The collapsed Newton budget defeats every MOR rung; the SPICE
         // fallback does not consult the MOR budget and succeeds.
         assert!(report.errors.is_empty());
@@ -799,7 +770,7 @@ mod tests {
     #[test]
     fn degraded_results_are_not_cached() {
         let (db, hot, cold) = db();
-        let ctx = AnalysisContext::fixed_resistance(&db, 2000.0);
+        let chip = chip(db, vec![cold, hot]);
         let dir = std::env::temp_dir().join("pcv-engine-degraded-cache-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("store");
@@ -809,12 +780,12 @@ mod tests {
         cfg.cache_path = Some(path.clone());
         let mut engine = Engine::new(cfg.clone());
         engine.set_fault_plan(Plan::new().at("hot", 1, FaultKind::NaN));
-        let faulted = engine.verify(&ctx, &[cold, hot]).unwrap();
+        let faulted = engine.run(RunRequest::resident(&chip)).unwrap();
         assert_eq!(faulted.degradations.len(), 1);
 
         // A clean re-run must re-analyze the degraded victim (cache miss)
         // and produce the baseline verdict.
-        let clean = Engine::new(cfg).verify(&ctx, &[cold, hot]).unwrap();
+        let clean = Engine::new(cfg).run(RunRequest::resident(&chip)).unwrap();
         assert_eq!(clean.stats.cache_hits, 1, "only the healthy victim was cached");
         assert_eq!(clean.stats.cache_misses, 1);
         assert!(clean.degradations.is_empty());
@@ -824,24 +795,30 @@ mod tests {
     #[test]
     fn bad_thresholds_are_rejected() {
         let (db, hot, _) = db();
-        let ctx = AnalysisContext::fixed_resistance(&db, 2000.0);
+        let chip = chip(db, vec![hot]);
         let engine = Engine::new(EngineConfig { warn_frac: 0.5, fail_frac: 0.2, ..config(1) });
-        assert!(matches!(engine.verify(&ctx, &[hot]), Err(XtalkError::InvalidConfig { .. })));
+        assert!(matches!(
+            engine.run(RunRequest::resident(&chip)),
+            Err(XtalkError::InvalidConfig { .. })
+        ));
     }
 
     #[test]
     fn receiver_checks_without_design_are_rejected() {
         let (db, hot, _) = db();
-        let ctx = AnalysisContext::fixed_resistance(&db, 2000.0);
+        let chip = chip(db, vec![hot]);
         let engine = Engine::new(EngineConfig { check_receivers: true, ..config(1) });
-        assert!(matches!(engine.verify(&ctx, &[hot]), Err(XtalkError::InvalidConfig { .. })));
+        assert!(matches!(
+            engine.run(RunRequest::resident(&chip)),
+            Err(XtalkError::InvalidConfig { .. })
+        ));
     }
 
     #[test]
     fn empty_victim_list_yields_empty_report() {
         let (db, _, _) = db();
-        let ctx = AnalysisContext::fixed_resistance(&db, 2000.0);
-        let report = Engine::new(config(2)).verify(&ctx, &[]).unwrap();
+        let chip = chip(db, Vec::new());
+        let report = Engine::new(config(2)).run(RunRequest::resident(&chip)).unwrap();
         assert!(report.chip.verdicts.is_empty());
         assert_eq!(report.stats.victims, 0);
         assert_eq!(report.stats.hit_rate(), 0.0);

@@ -4,10 +4,11 @@
 //!
 //! [`Engine`] is the one code that turns victims into a
 //! [`pcv_xtalk::ChipReport`]: prune, reduce, simulate, classify and, on
-//! flagged victims, check the receiver. At chip scale — thousands of
-//! latch-input victims — a loop that audits one victim at a time and dies
-//! with the first failure is neither fast enough nor robust enough, so the
-//! engine wraps the flow in:
+//! flagged victims, check the receiver. Every run enters it the same way,
+//! as a [`RunRequest`] over a [`ResidentChip`], the chip elaborated once.
+//! At chip scale — thousands of latch-input victims — a loop that audits
+//! one victim at a time and dies with the first failure is neither fast
+//! enough nor robust enough, so the engine wraps the flow in:
 //!
 //! - **Parallelism** ([`scheduler`]) — victims are sharded into
 //!   independent cluster jobs (prune → reduce → analyze → receiver check)
@@ -55,8 +56,7 @@
 //! # Example
 //!
 //! ```
-//! # use pcv_engine::{Engine, EngineConfig};
-//! # use pcv_xtalk::AnalysisContext;
+//! # use pcv_engine::{Engine, EngineConfig, ResidentChip, RunRequest};
 //! # use pcv_netlist::{NetParasitics, NetNodeRef, ParasiticDb};
 //! # fn main() -> Result<(), pcv_xtalk::XtalkError> {
 //! let mut db = ParasiticDb::new();
@@ -73,9 +73,9 @@
 //! let aid = db.add_net(a);
 //! db.add_coupling(NetNodeRef { net: vid, node: v1 },
 //!                 NetNodeRef { net: aid, node: a1 }, 30e-15);
-//! let ctx = AnalysisContext::fixed_resistance(&db, 1000.0);
+//! let chip = ResidentChip::fixed_resistance(db, 1000.0, vec![vid]);
 //! let engine = Engine::new(EngineConfig { workers: 2, ..Default::default() });
-//! let report = engine.verify(&ctx, &[vid])?;
+//! let report = engine.run(RunRequest::resident(&chip))?;
 //! assert_eq!(report.chip.verdicts.len(), 1);
 //! assert!(report.errors.is_empty());
 //! # Ok(())

@@ -138,7 +138,7 @@ impl EngineStats {
     }
 }
 
-/// The result of one [`Engine::verify`](crate::Engine::verify) run: the
+/// The result of one [`Engine::run`](crate::Engine::run): the
 /// [`ChipReport`], plus per-job fault records and execution statistics.
 #[derive(Debug, Clone)]
 pub struct EngineReport {

@@ -9,7 +9,7 @@ use pcv_designs::Technology;
 use pcv_engine::fault::ALWAYS;
 use pcv_engine::{
     chip_slice_fingerprint, cluster_fingerprint, config_hash, Engine, EngineConfig, FaultKind, Fs,
-    JournalEntry, Plan, ResidentChip, ResultCache,
+    JournalEntry, Plan, ResidentChip, ResultCache, RunRequest,
 };
 use pcv_netlist::{NetNodeRef, NetParasitics, PNetId, ParasiticDb};
 use pcv_rng::Rng;
@@ -95,30 +95,30 @@ fn engine_config(workers: usize) -> EngineConfig {
     EngineConfig { workers, ..Default::default() }
 }
 
-/// The DSP fixture's context with fixed 2 kΩ drivers.
-fn fixed_ctx<'a>(
-    block: &'a pcv_designs::dsp::DspBlock,
-    lib: &'a CellLibrary,
-) -> AnalysisContext<'a> {
-    AnalysisContext {
-        db: &block.parasitics,
-        design: Some(&block.design),
-        lib: Some(lib),
-        charlib: None,
-        driver_model: DriverModelKind::FixedResistance(2000.0),
-    }
+/// The DSP fixture as a chip with fixed 2 kΩ drivers, which read no
+/// characterization.
+fn fixed_chip() -> ResidentChip {
+    let (block, lib, victims) = dsp_fixture();
+    ResidentChip::with_design(
+        block.parasitics,
+        block.design,
+        lib,
+        CharLibrary::default(),
+        DriverModelKind::FixedResistance(2000.0),
+        victims,
+    )
 }
 
 #[test]
 fn parallel_run_matches_serial_on_dsp_fixture() {
-    let (block, lib, victims) = dsp_fixture();
+    let chip = fixed_chip();
+    let victims = chip.victims();
     assert!(victims.len() >= 4, "fixture must exercise real parallelism");
-    let ctx = fixed_ctx(&block, &lib);
-    let serial = Engine::new(engine_config(1)).verify(&ctx, &victims).unwrap();
+    let serial = Engine::new(engine_config(1)).run(RunRequest::resident(&chip)).unwrap();
     assert!(serial.errors.is_empty());
 
     for workers in [2usize, 4] {
-        let report = Engine::new(engine_config(workers)).verify(&ctx, &victims).unwrap();
+        let report = Engine::new(engine_config(workers)).run(RunRequest::resident(&chip)).unwrap();
         assert!(report.errors.is_empty());
         // Verdict for verdict, bit for bit — including order.
         assert_eq!(report.chip, serial.chip, "{workers}-worker run diverged from 1 worker");
@@ -130,8 +130,7 @@ fn parallel_run_matches_serial_on_dsp_fixture() {
 
 #[test]
 fn receiver_audit_matches_serial_on_dsp_fixture() {
-    let (block, lib, victims) = dsp_fixture();
-    let ctx = fixed_ctx(&block, &lib);
+    let chip = fixed_chip();
     // Low thresholds so some victims are flagged and receiver checks run.
     let config = |workers| EngineConfig {
         workers,
@@ -140,14 +139,14 @@ fn receiver_audit_matches_serial_on_dsp_fixture() {
         check_receivers: true,
         ..Default::default()
     };
-    let serial = Engine::new(config(1)).verify(&ctx, &victims).unwrap();
+    let serial = Engine::new(config(1)).run(RunRequest::resident(&chip)).unwrap();
     assert!(serial.errors.is_empty());
     assert!(
         serial.chip.verdicts.iter().any(|v| v.receiver.is_some()),
         "fixture must flag at least one victim"
     );
     for workers in [2usize, 4] {
-        let report = Engine::new(config(workers)).verify(&ctx, &victims).unwrap();
+        let report = Engine::new(config(workers)).run(RunRequest::resident(&chip)).unwrap();
         assert!(report.errors.is_empty());
         assert_eq!(report.chip, serial.chip, "{workers}-worker run diverged from 1 worker");
     }
@@ -155,12 +154,12 @@ fn receiver_audit_matches_serial_on_dsp_fixture() {
 
 #[test]
 fn injected_panic_yields_one_error_and_a_complete_report() {
-    let (block, lib, victims) = dsp_fixture();
-    let ctx = fixed_ctx(&block, &lib);
-    let faulted = block.parasitics.net(victims[1]).name().to_owned();
+    let chip = fixed_chip();
+    let victims = chip.victims();
+    let faulted = chip.db().net(victims[1]).name().to_owned();
     let mut engine = Engine::new(engine_config(4));
     engine.set_fault_plan(Plan::new().at(&faulted, ALWAYS, FaultKind::Panic));
-    let report = engine.verify(&ctx, &victims).unwrap();
+    let report = engine.run(RunRequest::resident(&chip)).unwrap();
 
     assert_eq!(report.errors.len(), 1);
     assert_eq!(report.errors[0].name, faulted);
@@ -175,7 +174,7 @@ fn injected_panic_yields_one_error_and_a_complete_report() {
     assert_eq!(report.degradations[0].name, faulted);
     // The survivors match a clean run's verdicts, bit for bit (the
     // worst-cased verdict removed, order preserved).
-    let clean = Engine::new(engine_config(1)).verify(&ctx, &victims).unwrap();
+    let clean = Engine::new(engine_config(1)).run(RunRequest::resident(&chip)).unwrap();
     let others = |chip: &pcv_xtalk::ChipReport| -> Vec<_> {
         chip.verdicts.iter().filter(|v| v.name != faulted).cloned().collect()
     };
@@ -215,18 +214,19 @@ fn warm_cache_rerun_hits_every_cluster() {
     let path = cache_file("warm-rerun");
     let _ = std::fs::remove_file(&path);
     let (db, victims) = pair_db(&[30e-15, 25e-15, 20e-15, 15e-15]);
-    let ctx = AnalysisContext::fixed_resistance(&db, 1500.0);
+    let chip = ResidentChip::fixed_resistance(db, 1500.0, victims);
+    let victims = chip.victims();
     let engine = Engine::new(EngineConfig {
         workers: 2,
         cache_path: Some(path.clone()),
         ..Default::default()
     });
 
-    let cold = engine.verify(&ctx, &victims).unwrap();
+    let cold = engine.run(RunRequest::resident(&chip)).unwrap();
     assert_eq!(cold.stats.cache_misses, victims.len());
     assert_eq!(cold.stats.cache_hits, 0);
 
-    let warm = engine.verify(&ctx, &victims).unwrap();
+    let warm = engine.run(RunRequest::resident(&chip)).unwrap();
     assert_eq!(warm.stats.cache_hits, victims.len(), "100% hits on unchanged rerun");
     assert_eq!(warm.stats.cache_misses, 0);
     assert!((warm.stats.hit_rate() - 1.0).abs() < 1e-12);
@@ -241,20 +241,21 @@ fn perturbing_one_coupling_invalidates_exactly_that_cluster() {
     let _ = std::fs::remove_file(&path);
     let caps = [30e-15, 25e-15, 20e-15, 15e-15];
     let (db, victims) = pair_db(&caps);
-    let ctx = AnalysisContext::fixed_resistance(&db, 1500.0);
+    let chip = ResidentChip::fixed_resistance(db, 1500.0, victims);
     let engine = Engine::new(EngineConfig {
         workers: 2,
         cache_path: Some(path.clone()),
         ..Default::default()
     });
-    let cold = engine.verify(&ctx, &victims).unwrap();
+    let cold = engine.run(RunRequest::resident(&chip)).unwrap();
 
     // Same design, except pair 2's coupling capacitor grew by 20%.
     let mut perturbed = caps;
     perturbed[2] *= 1.2;
     let (db2, victims2) = pair_db(&perturbed);
-    let ctx2 = AnalysisContext::fixed_resistance(&db2, 1500.0);
-    let second = engine.verify(&ctx2, &victims2).unwrap();
+    let chip2 = ResidentChip::fixed_resistance(db2, 1500.0, victims2);
+    let victims2 = chip2.victims();
+    let second = engine.run(RunRequest::resident(&chip2)).unwrap();
 
     assert_eq!(second.stats.cache_hits, victims2.len() - 1);
     assert_eq!(second.stats.cache_misses, 1, "only the touched cluster re-ran");
@@ -277,18 +278,19 @@ fn a_cache_entry_under_any_other_fingerprint_is_a_miss_then_overwritten() {
     let path = cache_file("foreign-fingerprint");
     let _ = std::fs::remove_file(&path);
     let (db, victims) = pair_db(&[30e-15, 25e-15, 20e-15]);
-    let ctx = AnalysisContext::fixed_resistance(&db, 1500.0);
+    let chip = ResidentChip::fixed_resistance(db, 1500.0, victims);
+    let (ctx, victims) = (chip.ctx(), chip.victims());
     let engine = Engine::new(EngineConfig {
         workers: 2,
         cache_path: Some(path.clone()),
         ..Default::default()
     });
-    let cold = engine.verify(&ctx, &victims).unwrap();
+    let cold = engine.run(RunRequest::resident(&chip)).unwrap();
 
     // The engine files each record under exactly the public fingerprint.
     let cfg = &engine.config;
     let chash = config_hash(&ctx, &cfg.prune, &cfg.analysis, cfg.warn_frac, cfg.fail_frac, false);
-    let fp = cluster_fingerprint(&ctx, &prune_victim(&db, victims[1], &cfg.prune), chash);
+    let fp = cluster_fingerprint(&ctx, &prune_victim(ctx.db, victims[1], &cfg.prune), chash);
     let fs = Fs::real();
     let (cache, _) = ResultCache::load_with(&fs, &path);
     let stored = cache.lookup("v1", fp).expect("filed under cluster_fingerprint").clone();
@@ -302,7 +304,7 @@ fn a_cache_entry_under_any_other_fingerprint_is_a_miss_then_overwritten() {
             ..stored.clone()
         });
         tampered.save_with(&fs, &path).unwrap();
-        let run = engine.verify(&ctx, &victims).unwrap();
+        let run = engine.run(RunRequest::resident(&chip)).unwrap();
         assert_eq!((run.stats.cache_hits, run.stats.cache_misses), (victims.len() - 1, 1));
         assert_eq!(run.chip, cold.chip, "fingerprint {foreign:#x} was adopted");
         let (after, _) = ResultCache::load_with(&fs, &path);
@@ -410,14 +412,14 @@ fn cache_survives_netlist_reordering() {
     });
 
     let (db, victim) = reorderable_db(3, None);
-    let ctx = AnalysisContext::fixed_resistance(&db, 1500.0);
-    let cold = engine.verify(&ctx, &[victim]).unwrap();
+    let chip = ResidentChip::fixed_resistance(db, 1500.0, vec![victim]);
+    let cold = engine.run(RunRequest::resident(&chip)).unwrap();
     assert_eq!(cold.stats.cache_misses, 1);
 
     // Same layout, different extractor emission order: still a cache hit.
     let (db2, victim2) = reorderable_db(8, None);
-    let ctx2 = AnalysisContext::fixed_resistance(&db2, 1500.0);
-    let warm = engine.verify(&ctx2, &[victim2]).unwrap();
+    let chip2 = ResidentChip::fixed_resistance(db2, 1500.0, vec![victim2]);
+    let warm = engine.run(RunRequest::resident(&chip2)).unwrap();
     assert_eq!(warm.stats.cache_hits, 1, "reordered netlist must stay warm");
     assert_eq!(warm.chip, cold.chip);
     let _ = std::fs::remove_file(&path);
@@ -428,13 +430,14 @@ fn changing_analysis_options_invalidates_the_whole_cache() {
     let path = cache_file("config-change");
     let _ = std::fs::remove_file(&path);
     let (db, victims) = pair_db(&[30e-15, 25e-15]);
-    let ctx = AnalysisContext::fixed_resistance(&db, 1500.0);
+    let chip = ResidentChip::fixed_resistance(db, 1500.0, victims);
+    let victims = chip.victims();
     let engine = Engine::new(EngineConfig {
         workers: 2,
         cache_path: Some(path.clone()),
         ..Default::default()
     });
-    engine.verify(&ctx, &victims).unwrap();
+    engine.run(RunRequest::resident(&chip)).unwrap();
 
     let mut stricter = Engine::new(EngineConfig {
         workers: 2,
@@ -442,7 +445,7 @@ fn changing_analysis_options_invalidates_the_whole_cache() {
         ..Default::default()
     });
     stricter.config.warn_frac = 0.05;
-    let report = stricter.verify(&ctx, &victims).unwrap();
+    let report = stricter.run(RunRequest::resident(&chip)).unwrap();
     assert_eq!(report.stats.cache_hits, 0, "options are part of the fingerprint");
     assert_eq!(report.stats.cache_misses, victims.len());
     let _ = std::fs::remove_file(&path);

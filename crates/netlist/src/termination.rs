@@ -25,8 +25,9 @@ pub trait Termination: fmt::Debug {
         0.0
     }
 
-    /// Hint for transient breakpoint placement: times up to `tstop` at
-    /// which the device's internal stimulus has corners.
+    /// Hint for transient breakpoint placement: the times in `[0, tstop]`,
+    /// ascending and finite, at which the device's internal stimulus has
+    /// corners.
     fn breakpoints(&self, _tstop: f64) -> Vec<f64> {
         Vec::new()
     }

@@ -42,6 +42,17 @@ const MIN_EDGE: f64 = 1e-15;
 /// Past this many periods `k·period` no longer counts periods one by one.
 const MAX_PERIODS: f64 = 4_503_599_627_370_496.0;
 
+/// The value `x` into an edge of length `span` from `from` to `to`. An
+/// edge of infinite length has slope 0: it stays at `from`, where its
+/// `x / span` would read ∞/∞ far enough out.
+fn along(from: f64, to: f64, x: f64, span: f64) -> f64 {
+    if span == f64::INFINITY {
+        from
+    } else {
+        from + (to - from) * x / span
+    }
+}
+
 impl SourceWave {
     /// A single rising (or falling) step: `v0` until `delay`, ramping
     /// linearly to `v1` over `rise`.
@@ -64,53 +75,59 @@ impl SourceWave {
                     tau %= period;
                 }
                 if tau < rise {
-                    v0 + (v1 - v0) * tau / rise
+                    along(*v0, *v1, tau, rise)
                 } else if tau < rise + width {
                     *v1
                 } else if tau < rise + width + fall {
-                    v1 + (v0 - v1) * (tau - rise - width) / fall
+                    along(*v1, *v0, tau - rise - width, fall)
                 } else {
                     *v0
                 }
             }
             SourceWave::Pwl(points) => {
-                if points.is_empty() {
+                let (Some(&(first, v_first)), Some(&(last, v_last))) =
+                    (points.first(), points.last())
+                else {
                     return 0.0;
+                };
+                if t <= first {
+                    return v_first;
                 }
-                if t <= points[0].0 {
-                    return points[0].1;
+                if t >= last || points.len() == 1 {
+                    return v_last;
                 }
-                if t >= points[points.len() - 1].0 {
-                    return points[points.len() - 1].1;
-                }
-                // Binary search for the enclosing segment.
-                let idx = points.partition_point(|&(pt, _)| pt <= t);
+                // Binary search for the enclosing segment; times out of
+                // order, or not numbers, leave it some segment still.
+                let idx = points.partition_point(|&(pt, _)| pt <= t).clamp(1, points.len() - 1);
                 let (t0, v0) = points[idx - 1];
                 let (t1, v1) = points[idx];
                 // A segment from -∞ has slope 0 and ends at `v1`; its
-                // `(t − t0) / (t1 − t0)` would be ∞/∞.
-                if t1 <= t0 || t0 == f64::NEG_INFINITY {
-                    return v1;
+                // `(t − t0) / (t1 − t0)` would be ∞/∞. A vertical one, or
+                // one whose ends are not ordered numbers, ends at `v1` too.
+                if t0 > f64::NEG_INFINITY && t0 < t1 {
+                    along(v0, v1, t - t0, t1 - t0)
+                } else {
+                    v1
                 }
-                v0 + (v1 - v0) * (t - t0) / (t1 - t0)
             }
         }
     }
 
-    /// Every corner of the waveform up to `tstop` — where its slope may
+    /// Every corner of the waveform in `[0, tstop]` — where its slope may
     /// change, so where a transient lands and restarts — for the
-    /// integrator's breakpoint schedule. Empty for DC. A periodic pulse
-    /// lists the four corners of every period that starts before `tstop`,
-    /// no more entries than the walk that lands on them takes steps.
+    /// integrator's breakpoint schedule: ascending and finite, whatever
+    /// order the points came in. Empty for DC. A periodic pulse enumerates
+    /// only the periods that start before `tstop`, no more entries than
+    /// the walk that lands on them takes steps.
     pub fn breakpoints(&self, tstop: f64) -> Vec<f64> {
-        match self {
+        let mut pts = match self {
             SourceWave::Dc(_) => Vec::new(),
             SourceWave::Pulse { delay, rise, fall, width, period, .. } => {
                 let rise = rise.max(MIN_EDGE);
                 let fall = fall.max(MIN_EDGE);
                 let corners =
                     [*delay, delay + rise, delay + rise + width, delay + rise + width + fall];
-                let mut pts = corners.to_vec();
+                let mut all = corners.to_vec();
                 if period.is_finite() && *period > 0.0 {
                     // Periods whose corners all fall before 0 are skipped;
                     // a count past f64's integers is not a schedule.
@@ -122,14 +139,17 @@ impl SourceWave {
                             if corners[0] + shift >= tstop {
                                 break;
                             }
-                            pts.extend(corners.map(|c| c + shift));
+                            all.extend(corners.map(|c| c + shift));
                         }
                     }
                 }
-                pts
+                all
             }
             SourceWave::Pwl(points) => points.iter().map(|&(t, _)| t).collect(),
-        }
+        };
+        pts.retain(|&t| t.is_finite() && (0.0..=tstop).contains(&t));
+        pts.sort_by(f64::total_cmp);
+        pts
     }
 
     /// A time after which the waveform stops changing: [`value_at`] gives
@@ -239,6 +259,9 @@ impl SourceWave {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::termination::{
+        CapacitiveTermination, ResistiveTermination, Termination, TheveninTermination,
+    };
 
     #[test]
     fn dc_is_constant() {
@@ -366,6 +389,71 @@ mod tests {
         assert_eq!(SourceWave::Pwl(vec![(0.0, 1.0), (f64::NAN, 2.0)]).settles_after(), None);
     }
 
+    /// `breakpoints(tstop)` ascends, is finite and lies in `[0, tstop]`.
+    fn assert_schedule(case: usize, what: &dyn std::fmt::Debug, bps: &[f64], tstop: f64) {
+        let inside = |&b: &f64| b.is_finite() && (0.0..=tstop).contains(&b);
+        assert!(bps.iter().all(inside), "case {case}: {what:?} lists {bps:?} for {tstop:e}");
+        assert!(bps.windows(2).all(|w| w[0] <= w[1]), "case {case}: {what:?} lists {bps:?}");
+    }
+
+    /// What a drawn waveform owes its transient whatever its points are: a
+    /// number at every finite time when its levels are finite, one value
+    /// after [`SourceWave::settles_after`], a schedule inside the span; and
+    /// the same of the three terminations, over `w` where one has a wave.
+    fn hostile_properties(case: usize, w: &SourceWave, tstop: f64, rng: &mut pcv_rng::Rng) {
+        let (levels, times) = match w {
+            SourceWave::Dc(v) => (vec![*v], vec![]),
+            SourceWave::Pulse { v0, v1, delay, rise, fall, width, period } => {
+                (vec![*v0, *v1], vec![*delay, delay + rise, delay + rise + width + fall, *period])
+            }
+            SourceWave::Pwl(points) => points.iter().map(|&(t, v)| (v, t)).unzip(),
+        };
+        let mut at: Vec<f64> =
+            times.into_iter().flat_map(|t| [t, t.next_down(), t.next_up()]).collect();
+        at.extend([0.0, -1e-9, 1e-9, f64::MAX, f64::MIN]);
+        at.extend((0..8).map(|_| rng.range_f64(-1e-9, 5e-9)));
+        at.retain(|t| t.is_finite());
+        if levels.iter().all(|v| v.is_finite()) {
+            for &s in &at {
+                let v = w.value_at(s);
+                assert!(!v.is_nan(), "case {case}: {w:?} reads NaN at {s:e}");
+            }
+        }
+        if let Some(t) = w.settles_after() {
+            let last = w.value_at(f64::MAX);
+            for s in at.iter().copied().chain([t.next_up()]).filter(|&s| s > t) {
+                let v = w.value_at(s);
+                assert!(
+                    v.to_bits() == last.to_bits() || (v.is_nan() && last.is_nan()),
+                    "case {case}: {w:?} settles after {t:e}, yet reads {v} at {s:e}, {last} late"
+                );
+            }
+        }
+        assert_schedule(case, w, &w.breakpoints(tstop), tstop);
+
+        let devices: [&dyn Termination; 3] = [
+            &ResistiveTermination::new(750.0),
+            &TheveninTermination::new(rng.range_f64(1.0, 5e3), w.clone()),
+            &CapacitiveTermination::new(5e-15),
+        ];
+        for dev in devices {
+            let quiet = dev.quiet_until();
+            assert!(!quiet.is_nan(), "case {case}: {dev:?}");
+            if quiet > 0.0 {
+                let end = quiet.min(1e-6);
+                let probe = [0.0, end, end.next_down(), rng.range_f64(0.0, end)];
+                for (s, v) in probe.into_iter().zip([0.7, -0.3, 2.5, 1e-3]) {
+                    let (now, start) = (dev.eval(s, v), dev.eval(0.0, v));
+                    assert!(
+                        now == start,
+                        "case {case}: {dev:?} quiet to {quiet:e}, moves at {s:e}"
+                    );
+                }
+            }
+            assert_schedule(case, dev, &dev.breakpoints(tstop), tstop);
+        }
+    }
+
     #[test]
     fn value_at_is_the_dc_value_up_to_starts_after() {
         let mut rng = pcv_rng::Rng::new(0x0057_a125);
@@ -422,6 +510,8 @@ mod tests {
                     SourceWave::Pwl(points)
                 }
             };
+            let tstop = draw(&mut rng, 4e-9);
+            hostile_properties(case, &w, tstop, &mut rng);
             let t = w.starts_after();
             assert!(!t.is_nan(), "case {case}: {w:?}");
             if t <= 0.0 {
@@ -483,6 +573,34 @@ mod tests {
         assert_eq!(w.starts_after(), 2.7e-9);
         let ramp = SourceWave::Pwl(vec![(f64::NEG_INFINITY, -1.0), (1e-9, 2.0)]);
         assert_eq!(ramp.value_at(0.0), 2.0, "slope 0 from -inf: the line is at its end");
+    }
+
+    #[test]
+    fn hostile_points_read_numbers_and_schedule_inside_the_span() {
+        // A first time that is not a number sent the segment search below
+        // the first point; an edge to +∞ read (∞·Δv)/∞ far out.
+        let nan_first = SourceWave::Pwl(vec![(f64::NAN, 1.0), (5e-9, 2.0)]);
+        assert_eq!(nan_first.value_at(1e-9), 2.0);
+        let to_inf = SourceWave::Pwl(vec![(0.0, 1.0), (f64::INFINITY, 3.0)]);
+        assert_eq!(to_inf.value_at(f64::MAX), 1.0);
+        let endless_fall = SourceWave::Pulse {
+            v0: -2.0,
+            v1: 1.0,
+            delay: 0.0,
+            rise: 1e-10,
+            fall: f64::INFINITY,
+            width: 1e-9,
+            period: f64::INFINITY,
+        };
+        assert_eq!(endless_fall.value_at(f64::MAX), 1.0);
+        let shuffled = SourceWave::Pwl(vec![
+            (3e-9, 0.0),
+            (-1e-9, 1.0),
+            (f64::NAN, 0.0),
+            (1e-9, 1.0),
+            (9.0, 0.0),
+        ]);
+        assert_eq!(shuffled.breakpoints(4e-9), [1e-9, 3e-9]);
     }
 
     #[test]

@@ -226,23 +226,6 @@ impl SparseCholesky {
         x
     }
 
-    /// Solve `A x = b` and verify the solution is finite — the guard that
-    /// keeps a NaN/Inf produced by an ill-conditioned factor from leaking
-    /// into downstream results as a silently-wrong number.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::NonFinite`] when any solution component is NaN or infinite.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len()` differs from the matrix dimension.
-    pub fn try_solve(&self, b: &[f64]) -> Result<Vec<f64>, Error> {
-        let x = self.solve(b);
-        crate::error::ensure_finite(&x, "cholesky solve")?;
-        Ok(x)
-    }
-
     /// Solve `L y = b` in place (forward substitution) — on one vector or,
     /// lane by lane with the same bits, on a [panel] of them.
     ///

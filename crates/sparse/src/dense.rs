@@ -1,5 +1,5 @@
 //! Row-major dense matrices with the factorizations needed by reduced-order
-//! models: LU with partial pivoting and Householder QR.
+//! models: LU with partial pivoting and Cholesky.
 //!
 //! Reduced models produced by SyMPVL are small (tens of states), so a simple,
 //! cache-friendly dense kernel is both sufficient and easy to verify.
@@ -497,71 +497,6 @@ impl DenseCholesky {
     }
 }
 
-/// A thin Householder QR factorization (`A = Q R` with `Q` having orthonormal
-/// columns), used to orthonormalize Lanczos blocks.
-#[derive(Debug, Clone)]
-pub struct DenseQr {
-    /// Orthonormal basis of the column space (`m x k`, `k = rank cols kept`).
-    pub q: Dense,
-    /// Upper-triangular factor (`k x n`).
-    pub r: Dense,
-}
-
-impl DenseQr {
-    /// Factor an `m x n` matrix with `m >= n` using modified Gram–Schmidt
-    /// with one reorthogonalization pass (numerically robust for the small,
-    /// well-conditioned blocks that arise in block Lanczos).
-    ///
-    /// Columns whose residual norm falls below `tol * original_norm` are
-    /// replaced by zero columns in `Q` and flagged by a zero diagonal in `R`;
-    /// callers detect block breakdown through [`DenseQr::rank`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::DimensionMismatch`] if `m < n`.
-    pub fn factor(a: &Dense, tol: f64) -> Result<Self, Error> {
-        let (m, n) = (a.nrows, a.ncols);
-        if m < n {
-            return Err(Error::DimensionMismatch {
-                op: "qr (m >= n required)",
-                expected: (n, n),
-                found: (m, n),
-            });
-        }
-        let mut q = a.clone();
-        let mut r = Dense::zeros(n, n);
-        for j in 0..n {
-            let mut v = q.col(j);
-            let orig_norm = crate::vecops::norm2(&v);
-            // Two passes of Gram–Schmidt against previous columns.
-            for _pass in 0..2 {
-                for i in 0..j {
-                    let qi = q.col(i);
-                    let proj = crate::vecops::dot(&qi, &v);
-                    r[(i, j)] += proj;
-                    crate::vecops::axpy(-proj, &qi, &mut v);
-                }
-            }
-            let nrm = crate::vecops::norm2(&v);
-            if nrm <= tol * orig_norm.max(1e-300) {
-                // Deflated (linearly dependent) column.
-                r[(j, j)] = 0.0;
-                q.set_col(j, &vec![0.0; m]);
-            } else {
-                r[(j, j)] = nrm;
-                crate::vecops::scale(1.0 / nrm, &mut v);
-                q.set_col(j, &v);
-            }
-        }
-        Ok(DenseQr { q, r })
-    }
-
-    /// Number of independent columns found (non-zero diagonal entries of R).
-    pub fn rank(&self) -> usize {
-        (0..self.r.ncols()).filter(|&j| self.r[(j, j)] != 0.0).count()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -649,35 +584,6 @@ mod tests {
         let mut singular = [1.0, 2.0, 2.0, 4.0];
         let err = lu_factor_in_place(&mut singular, &mut [0; 2]);
         assert!(matches!(err, Err(Error::Singular { col: 1 })));
-    }
-
-    #[test]
-    fn qr_orthonormalizes() {
-        let a = Dense::from_rows(&[&[1.0, 1.0], &[1.0, 0.0], &[0.0, 1.0]]);
-        let qr = DenseQr::factor(&a, 1e-12).unwrap();
-        assert_eq!(qr.rank(), 2);
-        // QᵀQ = I
-        let qtq = qr.q.transpose().matmul(&qr.q).unwrap();
-        for i in 0..2 {
-            for j in 0..2 {
-                assert_close(qtq[(i, j)], if i == j { 1.0 } else { 0.0 }, 1e-12);
-            }
-        }
-        // QR = A
-        let qr_prod = qr.q.matmul(&qr.r).unwrap();
-        for r in 0..3 {
-            for c in 0..2 {
-                assert_close(qr_prod[(r, c)], a[(r, c)], 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn qr_flags_dependent_columns() {
-        let a = Dense::from_rows(&[&[1.0, 2.0], &[1.0, 2.0], &[1.0, 2.0]]);
-        let qr = DenseQr::factor(&a, 1e-10).unwrap();
-        assert_eq!(qr.rank(), 1);
-        assert_eq!(qr.r[(1, 1)], 0.0);
     }
 
     #[test]

@@ -42,28 +42,6 @@ pub enum Error {
         /// Iterations performed.
         iters: usize,
     },
-    /// A solve or factorization produced a NaN or infinite value. Surfaced
-    /// as a typed error so non-finite numbers fail fast at the kernel
-    /// boundary instead of poisoning downstream verdicts.
-    NonFinite {
-        /// The operation whose output was non-finite, e.g. `"cholesky solve"`.
-        what: &'static str,
-    },
-}
-
-/// Check that every element of `xs` is finite; [`Error::NonFinite`]
-/// otherwise. The guard the solver outputs and model waveforms go through
-/// before results are trusted.
-///
-/// # Errors
-///
-/// [`Error::NonFinite`] naming `what` when any element is NaN or infinite.
-pub fn ensure_finite(xs: &[f64], what: &'static str) -> Result<(), Error> {
-    if xs.iter().all(|x| x.is_finite()) {
-        Ok(())
-    } else {
-        Err(Error::NonFinite { what })
-    }
 }
 
 impl fmt::Display for Error {
@@ -85,9 +63,6 @@ impl fmt::Display for Error {
             }
             Error::NoConvergence { what, iters } => {
                 write!(f, "{what} did not converge after {iters} iterations")
-            }
-            Error::NonFinite { what } => {
-                write!(f, "{what} produced a non-finite (NaN or infinite) value")
             }
         }
     }
@@ -117,28 +92,6 @@ mod tests {
 
         let e = Error::NoConvergence { what: "jacobi", iters: 50 };
         assert!(e.to_string().contains("50"));
-
-        let e = Error::NonFinite { what: "cholesky solve" };
-        assert!(e.to_string().contains("cholesky solve"));
-        assert!(e.to_string().contains("non-finite"));
-    }
-
-    #[test]
-    fn ensure_finite_accepts_finite_and_rejects_nan_inf() {
-        assert!(ensure_finite(&[0.0, -1.5, 1e300], "x").is_ok());
-        assert!(ensure_finite(&[], "x").is_ok());
-        assert_eq!(
-            ensure_finite(&[0.0, f64::NAN], "solve"),
-            Err(Error::NonFinite { what: "solve" })
-        );
-        assert_eq!(
-            ensure_finite(&[f64::INFINITY], "solve"),
-            Err(Error::NonFinite { what: "solve" })
-        );
-        assert_eq!(
-            ensure_finite(&[f64::NEG_INFINITY, 1.0], "solve"),
-            Err(Error::NonFinite { what: "solve" })
-        );
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! exactly the kernels the DATE 1999 SyMPVL methodology needs, implemented
 //! from scratch so the workspace has no external numerical dependencies:
 //!
-//! * [`Dense`] — a small row-major dense matrix with LU, QR and
+//! * [`Dense`] — a small row-major dense matrix with LU, Cholesky and
 //!   matrix products, used for reduced-order models and Newton Jacobians.
 //! * [`Triplets`] / [`Csc`] — coordinate-format assembly and compressed
 //!   sparse column storage with matrix–vector products and permutations,
@@ -51,6 +51,6 @@ pub mod vecops;
 
 pub use chol::SparseCholesky;
 pub use dense::Dense;
-pub use error::{ensure_finite, Error};
+pub use error::Error;
 pub use lu::SparseLu;
 pub use sparse::{Assembly, Csc, Rows, Triplets};

@@ -300,26 +300,6 @@ impl SparseLu {
         self.usolve_in_place(x);
     }
 
-    /// Solve `A x = b`, rejecting non-finite solutions.
-    ///
-    /// Identical to [`solve`](Self::solve) except that a solution containing
-    /// NaN or infinite entries is surfaced as [`Error::NonFinite`] instead of
-    /// being returned, so ill-conditioned systems fail fast at the kernel
-    /// boundary.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::NonFinite`] if any solution component is NaN or infinite.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len()` differs from the matrix dimension.
-    pub fn try_solve(&self, b: &[f64]) -> Result<Vec<f64>, Error> {
-        let x = self.solve(b);
-        crate::error::ensure_finite(&x, "lu solve")?;
-        Ok(x)
-    }
-
     fn lsolve_in_place(&self, x: &mut [f64]) {
         let (cp, ri, vv) = (&self.l.colptr, &self.l.rowidx, &self.l.values);
         for j in 0..self.n {

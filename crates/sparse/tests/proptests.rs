@@ -5,7 +5,7 @@
 
 use pcv_rng::Rng;
 use pcv_sparse::chol::SparseCholesky;
-use pcv_sparse::dense::{Dense, DenseLu, DenseQr};
+use pcv_sparse::dense::{Dense, DenseLu};
 use pcv_sparse::eig::jacobi_eigen;
 use pcv_sparse::lu::SparseLu;
 use pcv_sparse::order::rcm;
@@ -159,29 +159,6 @@ fn jacobi_eigenvalues_match_trace_and_are_real_sorted() {
         assert!((trace - sum).abs() < 1e-9 * (1.0 + trace.abs()));
         for w in eig.values.windows(2) {
             assert!(w[0] <= w[1] + 1e-12);
-        }
-    }
-}
-
-#[test]
-fn qr_factor_reproduces_input() {
-    let mut rng = Rng::new(0x59A177);
-    let mut cases = 0;
-    while cases < 64 {
-        let m = rng.range_usize(2, 10);
-        let n = rng.range_usize(1, 6);
-        if m < n {
-            continue;
-        }
-        cases += 1;
-        let raw: Vec<f64> = (0..100).map(|_| rng.range_f64(-2.0, 2.0)).collect();
-        let a = Dense::from_fn(m, n, |r, c| raw[(r * n + c) % raw.len()]);
-        let qr = DenseQr::factor(&a, 1e-10).unwrap();
-        let prod = qr.q.matmul(&qr.r).unwrap();
-        for r in 0..m {
-            for c in 0..n {
-                assert!((prod[(r, c)] - a[(r, c)]).abs() < 1e-9);
-            }
         }
     }
 }

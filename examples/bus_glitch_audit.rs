@@ -10,10 +10,10 @@
 
 use pcv_designs::structures::bundle;
 use pcv_designs::Technology;
-use pcv_engine::{Engine, EngineConfig};
+use pcv_engine::{Engine, EngineConfig, ResidentChip, RunRequest};
 use pcv_netlist::PNetId;
 use pcv_obs::StderrStatusLine;
-use pcv_xtalk::{AnalysisContext, AnalysisOptions, XtalkError};
+use pcv_xtalk::{AnalysisOptions, XtalkError};
 use std::sync::Arc;
 
 fn main() -> Result<(), XtalkError> {
@@ -31,8 +31,8 @@ fn main() -> Result<(), XtalkError> {
         // An 8-bit bus: adjacent bits couple strongly, edge bits less.
         let db = bundle(8, length_um * 1e-6, &tech);
         let victims: Vec<PNetId> = (0..db.num_nets()).map(PNetId).collect();
-        let ctx = AnalysisContext::fixed_resistance(&db, 800.0);
-        let report = engine.verify(&ctx, &victims)?;
+        let chip = ResidentChip::fixed_resistance(db, 800.0, victims);
+        let report = engine.run(RunRequest::resident(&chip))?;
 
         println!("=== {length_um:.0} um bus ===");
         print!("{}", report.to_text());

@@ -74,16 +74,16 @@ fn main() -> Result<(), XtalkError> {
         let mut cfg = base.clone();
         cfg.sink = Some(Arc::new(TeeSink::new(vec![status.clone(), stopper])));
         cfg.stop = Some(flag);
-        let partial = Engine::new(cfg).verify(&ctx, victims)?;
+        let partial = Engine::new(cfg).run(RunRequest::resident(&chip))?;
         println!(
             "stopped early: {}/{} verdict(s) checkpointed, {} skipped — resuming",
             partial.stats.victims - partial.stats.skipped,
             partial.stats.victims,
             partial.stats.skipped
         );
-        Engine::new(base).run(RunRequest { resume: true, ..RunRequest::new(&ctx, victims) })?
+        Engine::new(base).run(RunRequest { resume: true, ..RunRequest::resident(&chip) })?
     } else {
-        Engine::new(base).verify(&ctx, victims)?
+        Engine::new(base).run(RunRequest::resident(&chip))?
     };
     let progress = status.snapshot();
     println!(

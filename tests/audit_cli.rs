@@ -4,11 +4,10 @@
 
 mod fixtures;
 
-use pcv_engine::{Engine, EngineConfig};
+use pcv_engine::{Engine, EngineConfig, ResidentChip, RunRequest};
 use pcv_netlist::spef::{parse_spef, write_spef};
 use pcv_netlist::PNetId;
 use pcv_xtalk::prune::PruneConfig;
-use pcv_xtalk::AnalysisContext;
 use std::process::Command;
 
 #[test]
@@ -22,7 +21,7 @@ fn csv_is_the_engine_report_and_the_exit_code_is_the_violations() {
     // 1 kΩ fixed drivers, `--ratio` as the prune threshold.
     let read = parse_spef(&spef).unwrap();
     let victims: Vec<PNetId> = (0..read.num_nets()).map(PNetId).collect();
-    let ctx = AnalysisContext::fixed_resistance(&read, 1000.0);
+    let chip = ResidentChip::fixed_resistance(read, 1000.0, victims);
 
     let cases =
         [(&[][..], 0.10, 0.20, true), (&["--warn", "0.5", "--fail", "0.9"][..], 0.5, 0.9, false)];
@@ -33,7 +32,7 @@ fn csv_is_the_engine_report_and_the_exit_code_is_the_violations() {
             fail_frac,
             ..Default::default()
         };
-        let report = Engine::new(config).verify(&ctx, &victims).unwrap().chip;
+        let report = Engine::new(config).run(RunRequest::resident(&chip)).unwrap().chip;
         assert_eq!(report.num_violations() > 0, want_violations, "{flags:?}");
 
         let out = Command::new(env!("CARGO_BIN_EXE_audit"))

@@ -11,9 +11,9 @@ mod fixtures;
 
 use fixtures::{bundle_fixture, random_fixture};
 use pcv_engine::fault::ALWAYS;
-use pcv_engine::{Engine, EngineConfig, FaultKind, Plan, RecoveryRung};
+use pcv_engine::{Engine, EngineConfig, FaultKind, Plan, RecoveryRung, ResidentChip, RunRequest};
 use pcv_netlist::{NetNodeRef, NetParasitics, PNetId, ParasiticDb};
-use pcv_xtalk::{AnalysisContext, Severity};
+use pcv_xtalk::Severity;
 
 /// Twelve disjoint victim/aggressor pairs with slightly varied RC values.
 /// Every net is two nodes, so *every* ladder rung — including the full-MNA
@@ -63,9 +63,9 @@ fn mixed_plan() -> Plan<FaultKind> {
 #[test]
 fn every_faulted_cluster_is_verified_or_degraded_with_a_recorded_rung() {
     let (db, victims) = chaos_fixture();
-    let ctx = AnalysisContext::fixed_resistance(&db, 1000.0);
+    let chip = ResidentChip::fixed_resistance(db.clone(), 1000.0, victims.clone());
     let plan = mixed_plan();
-    let report = engine_with(4, plan.clone()).verify(&ctx, &victims).unwrap();
+    let report = engine_with(4, plan.clone()).run(RunRequest::resident(&chip)).unwrap();
 
     // Zero silently-missing victims: one verdict per input, full stop.
     assert_eq!(report.chip.verdicts.len(), victims.len());
@@ -121,11 +121,12 @@ fn every_faulted_cluster_is_verified_or_degraded_with_a_recorded_rung() {
 #[test]
 fn signoff_document_is_byte_identical_across_worker_counts() {
     let (db, victims) = chaos_fixture();
-    let ctx = AnalysisContext::fixed_resistance(&db, 1000.0);
-    let baseline = engine_with(1, mixed_plan()).verify(&ctx, &victims).unwrap().signoff_json();
+    let chip = ResidentChip::fixed_resistance(db, 1000.0, victims);
+    let baseline =
+        engine_with(1, mixed_plan()).run(RunRequest::resident(&chip)).unwrap().signoff_json();
     assert!(baseline.contains("\"degradations\":[{"), "fixture must actually degrade");
     for workers in [2usize, 4, 8] {
-        let report = engine_with(workers, mixed_plan()).verify(&ctx, &victims).unwrap();
+        let report = engine_with(workers, mixed_plan()).run(RunRequest::resident(&chip)).unwrap();
         assert_eq!(report.signoff_json(), baseline, "{workers}-worker signoff diverged");
     }
 }
@@ -133,10 +134,10 @@ fn signoff_document_is_byte_identical_across_worker_counts() {
 #[test]
 fn seeded_fault_storm_recovers_every_cluster_deterministically() {
     let (db, victims) = random_fixture();
-    let ctx = AnalysisContext::fixed_resistance(&db, 1000.0);
+    let chip = ResidentChip::fixed_resistance(db.clone(), 1000.0, victims.clone());
     let storm = || Plan::new().seeded(7, 0.6, 1, FaultKind::NonSpd);
 
-    let report = engine_with(4, storm()).verify(&ctx, &victims).unwrap();
+    let report = engine_with(4, storm()).run(RunRequest::resident(&chip)).unwrap();
     let expected: usize =
         victims.iter().filter(|&&v| storm().armed(db.net(v).name(), 0).count() > 0).count();
     assert!(expected >= 2, "p=0.6 must fault several of {} victims", victims.len());
@@ -147,16 +148,16 @@ fn seeded_fault_storm_recovers_every_cluster_deterministically() {
     assert_eq!(report.chip.verdicts.len(), victims.len());
 
     // The same storm twice: the degradation trail replays exactly.
-    let again = engine_with(2, storm()).verify(&ctx, &victims).unwrap();
+    let again = engine_with(2, storm()).run(RunRequest::resident(&chip)).unwrap();
     assert_eq!(again.signoff_json(), report.signoff_json());
 }
 
 #[test]
 fn empty_plan_leaves_reports_untouched() {
     let (db, victims) = bundle_fixture();
-    let ctx = AnalysisContext::fixed_resistance(&db, 1000.0);
+    let chip = ResidentChip::fixed_resistance(db, 1000.0, victims);
     let clean = Engine::new(EngineConfig { workers: 4, ..Default::default() })
-        .verify(&ctx, &victims)
+        .run(RunRequest::resident(&chip))
         .unwrap();
     // The ladder is invisible on a healthy chip: nothing degrades, and the
     // chip report bytes are exactly what the golden suite pins.
@@ -167,6 +168,6 @@ fn empty_plan_leaves_reports_untouched() {
     assert!(signoff.ends_with(",\"degradations\":[]}"));
     assert!(signoff.contains(&clean.chip.to_json()));
 
-    let explicit_empty = engine_with(4, Plan::new()).verify(&ctx, &victims).unwrap();
+    let explicit_empty = engine_with(4, Plan::new()).run(RunRequest::resident(&chip)).unwrap();
     assert_eq!(explicit_empty.signoff_json(), signoff);
 }

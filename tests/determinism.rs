@@ -8,10 +8,8 @@
 mod fixtures;
 
 use fixtures::{bundle_fixture, dsp_fixture, random_fixture};
-use pcv_engine::{Engine, EngineConfig};
+use pcv_engine::{Engine, EngineConfig, ResidentChip, RunRequest};
 use pcv_netlist::{NetParasitics, PNetId};
-use pcv_xtalk::drivers::DriverModelKind;
-use pcv_xtalk::AnalysisContext;
 use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// A trace session collects from every thread of the process, so an engine
@@ -38,15 +36,15 @@ fn cache_file(tag: &str) -> std::path::PathBuf {
 fn bundle_report_is_identical_across_worker_counts() {
     let _shared = beside_untraced_runs();
     let (db, victims) = bundle_fixture();
-    let ctx = AnalysisContext::fixed_resistance(&db, 1000.0);
+    let chip = ResidentChip::fixed_resistance(db, 1000.0, victims);
     let baseline = Engine::new(EngineConfig { workers: 1, ..Default::default() })
-        .verify(&ctx, &victims)
+        .run(RunRequest::resident(&chip))
         .unwrap()
         .chip
         .to_json();
     for workers in [2usize, 4, 8] {
         let report = Engine::new(EngineConfig { workers, ..Default::default() })
-            .verify(&ctx, &victims)
+            .run(RunRequest::resident(&chip))
             .unwrap();
         assert!(report.errors.is_empty());
         assert_eq!(report.chip.to_json(), baseline, "{workers}-worker run diverged");
@@ -57,15 +55,15 @@ fn bundle_report_is_identical_across_worker_counts() {
 fn random_cluster_report_is_identical_across_worker_counts() {
     let _shared = beside_untraced_runs();
     let (db, victims) = random_fixture();
-    let ctx = AnalysisContext::fixed_resistance(&db, 1000.0);
+    let chip = ResidentChip::fixed_resistance(db, 1000.0, victims);
     let baseline = Engine::new(EngineConfig { workers: 1, ..Default::default() })
-        .verify(&ctx, &victims)
+        .run(RunRequest::resident(&chip))
         .unwrap()
         .chip
         .to_json();
     for workers in [2usize, 4, 8] {
         let report = Engine::new(EngineConfig { workers, ..Default::default() })
-            .verify(&ctx, &victims)
+            .run(RunRequest::resident(&chip))
             .unwrap();
         assert_eq!(report.chip.to_json(), baseline, "{workers}-worker run diverged");
     }
@@ -74,14 +72,8 @@ fn random_cluster_report_is_identical_across_worker_counts() {
 #[test]
 fn dsp_receiver_report_is_identical_across_worker_counts_and_cache_states() {
     let _shared = beside_untraced_runs();
-    let (block, lib, victims) = dsp_fixture();
-    let ctx = AnalysisContext {
-        db: &block.parasitics,
-        design: Some(&block.design),
-        lib: Some(&lib),
-        charlib: None,
-        driver_model: DriverModelKind::FixedResistance(2000.0),
-    };
+    let chip = dsp_fixture();
+    let victims = chip.victims();
     let config = |workers: usize| EngineConfig {
         workers,
         warn_frac: 0.02,
@@ -89,9 +81,9 @@ fn dsp_receiver_report_is_identical_across_worker_counts_and_cache_states() {
         check_receivers: true,
         ..Default::default()
     };
-    let baseline = Engine::new(config(1)).verify(&ctx, &victims).unwrap().chip.to_json();
+    let baseline = Engine::new(config(1)).run(RunRequest::resident(&chip)).unwrap().chip.to_json();
     for workers in [2usize, 4, 8] {
-        let report = Engine::new(config(workers)).verify(&ctx, &victims).unwrap();
+        let report = Engine::new(config(workers)).run(RunRequest::resident(&chip)).unwrap();
         assert_eq!(report.chip.to_json(), baseline, "{workers}-worker run diverged");
     }
 
@@ -99,10 +91,10 @@ fn dsp_receiver_report_is_identical_across_worker_counts_and_cache_states() {
     let path = cache_file("dsp-cold-warm");
     let _ = std::fs::remove_file(&path);
     let engine = Engine::new(EngineConfig { cache_path: Some(path.clone()), ..config(4) });
-    let cold = engine.verify(&ctx, &victims).unwrap();
+    let cold = engine.run(RunRequest::resident(&chip)).unwrap();
     assert_eq!(cold.stats.cache_misses, victims.len());
     assert_eq!(cold.chip.to_json(), baseline);
-    let warm = engine.verify(&ctx, &victims).unwrap();
+    let warm = engine.run(RunRequest::resident(&chip)).unwrap();
     assert_eq!(warm.stats.cache_hits, victims.len());
     assert_eq!(warm.chip.to_json(), baseline, "warm-cache run diverged");
     let _ = std::fs::remove_file(&path);
@@ -112,14 +104,14 @@ fn dsp_receiver_report_is_identical_across_worker_counts_and_cache_states() {
 fn traced_run_matches_untraced_and_emits_chrome_trace() {
     let _alone = alone_in_the_trace();
     let (db, victims) = bundle_fixture();
-    let ctx = AnalysisContext::fixed_resistance(&db, 1000.0);
+    let chip = ResidentChip::fixed_resistance(db, 1000.0, victims.clone());
     let plain = Engine::new(EngineConfig { workers: 4, ..Default::default() })
-        .verify(&ctx, &victims)
+        .run(RunRequest::resident(&chip))
         .unwrap();
     assert!(plain.trace.is_none());
 
     let traced = Engine::new(EngineConfig { workers: 4, trace: true, ..Default::default() })
-        .verify(&ctx, &victims)
+        .run(RunRequest::resident(&chip))
         .unwrap();
     // Instrumentation must not perturb the numerics.
     assert_eq!(traced.chip.to_json(), plain.chip.to_json(), "tracing changed the report");
@@ -156,10 +148,10 @@ fn traced_run_builds_and_reduces_each_coupled_cluster_once() {
     lone.mark_load(far);
     let lone: PNetId = db.add_net(lone);
     victims.push(lone);
-    let ctx = AnalysisContext::fixed_resistance(&db, 1000.0);
+    let chip = ResidentChip::fixed_resistance(db, 1000.0, victims.clone());
 
     let traced = Engine::new(EngineConfig { workers: 2, trace: true, ..Default::default() })
-        .verify(&ctx, &victims)
+        .run(RunRequest::resident(&chip))
         .unwrap();
     assert!(traced.errors.is_empty() && traced.degradations.is_empty());
     assert_eq!(traced.stats.cache_misses, victims.len());
@@ -227,9 +219,9 @@ fn per_victim_work_follows_the_cluster_not_the_chip() {
     for tiles in [4usize, 64] {
         let db = field(tiles);
         let victims: Vec<PNetId> = (0..db.num_nets()).map(PNetId).collect();
-        let ctx = AnalysisContext::fixed_resistance(&db, 1000.0);
+        let chip = ResidentChip::fixed_resistance(db.clone(), 1000.0, victims.clone());
         let traced = Engine::new(EngineConfig { workers: 2, trace: true, ..Default::default() })
-            .verify(&ctx, &victims)
+            .run(RunRequest::resident(&chip))
             .unwrap();
         assert!(traced.errors.is_empty() && traced.degradations.is_empty());
         let trace = traced.trace.as_ref().expect("traced run carries a trace");
@@ -274,9 +266,9 @@ fn fine_mesh_signoff_keeps_its_recorded_digest() {
     }
     let db = extract(&wires, &tech, 2.5e-6);
     let victims: Vec<PNetId> = (0..db.num_nets()).map(PNetId).collect();
-    let ctx = AnalysisContext::fixed_resistance(&db, 1000.0);
+    let chip = ResidentChip::fixed_resistance(db, 1000.0, victims);
     let report = Engine::new(EngineConfig { workers: 2, ..Default::default() })
-        .verify(&ctx, &victims)
+        .run(RunRequest::resident(&chip))
         .unwrap();
     assert!(report.errors.is_empty() && report.degradations.is_empty());
     let widest = report.chip.verdicts.iter().map(|v| v.cluster_size).max().unwrap();

@@ -7,18 +7,18 @@ use pcv_designs::structures::bundle;
 use pcv_designs::Technology;
 use pcv_engine::fault::ALWAYS;
 use pcv_engine::{
-    Engine, EngineConfig, Fs, FsFaultKind, Journal, Plan, RunRequest, StopAfter, StopFlag,
+    Engine, EngineConfig, Fs, FsFaultKind, Journal, Plan, ResidentChip, RunRequest, StopAfter,
+    StopFlag,
 };
-use pcv_netlist::{PNetId, ParasiticDb};
+use pcv_netlist::PNetId;
 use pcv_obs::{ledger, EventSink};
-use pcv_xtalk::AnalysisContext;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-fn fixture() -> (ParasiticDb, Vec<PNetId>) {
+fn fixture() -> ResidentChip {
     let db = bundle(10, 1000e-6, &Technology::c025());
     let victims = (0..db.num_nets()).map(PNetId).collect();
-    (db, victims)
+    ResidentChip::fixed_resistance(db, 1000.0, victims)
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -43,17 +43,16 @@ fn ledger_path(cache: &std::path::Path) -> PathBuf {
     PathBuf::from(os)
 }
 
-fn baseline_signoff(db: &ParasiticDb, victims: &[PNetId]) -> String {
-    let ctx = AnalysisContext::fixed_resistance(db, 1000.0);
+fn baseline_signoff(chip: &ResidentChip) -> String {
     let cfg = EngineConfig { workers: 2, ..Default::default() };
-    Engine::new(cfg).verify(&ctx, victims).unwrap().signoff_json()
+    Engine::new(cfg).run(RunRequest::resident(chip)).unwrap().signoff_json()
 }
 
 #[test]
 fn torn_cache_save_is_detected_and_recomputed() {
-    let (db, victims) = fixture();
-    let ctx = AnalysisContext::fixed_resistance(&db, 1000.0);
-    let baseline = baseline_signoff(&db, &victims);
+    let chip = fixture();
+    let victims = chip.victims();
+    let baseline = baseline_signoff(&chip);
     let dir = temp_dir("torn-cache");
     let cache = dir.join("results.cache");
 
@@ -61,13 +60,13 @@ fn torn_cache_save_is_detected_and_recomputed() {
     // non-atomic writer would leave behind.
     let plan = Plan::new().at(cache.display(), 1, FsFaultKind::ShortWrite);
     let first = Engine::new(config_on(cache.clone(), Fs::with_faults(plan)))
-        .verify(&ctx, &victims)
+        .run(RunRequest::resident(&chip))
         .unwrap();
     assert_eq!(first.signoff_json(), baseline, "the fault only hits the disk, not the verdicts");
 
     // The warm run loads the torn file: intact leading entries are kept,
     // the torn tail is dropped, and the missing verdicts are recomputed.
-    let warm = Engine::new(config_on(cache, Fs::real())).verify(&ctx, &victims).unwrap();
+    let warm = Engine::new(config_on(cache, Fs::real())).run(RunRequest::resident(&chip)).unwrap();
     assert_eq!(warm.signoff_json(), baseline, "a torn cache must never skew a verdict");
     assert!(warm.stats.cache_misses > 0, "the dropped tail must be recomputed");
     assert_eq!(warm.stats.cache_hits + warm.stats.cache_misses, victims.len());
@@ -76,18 +75,19 @@ fn torn_cache_save_is_detected_and_recomputed() {
 
 #[test]
 fn bit_flip_on_cache_read_never_reaches_a_verdict() {
-    let (db, victims) = fixture();
-    let ctx = AnalysisContext::fixed_resistance(&db, 1000.0);
-    let baseline = baseline_signoff(&db, &victims);
+    let chip = fixture();
+    let baseline = baseline_signoff(&chip);
     let dir = temp_dir("flip-cache");
     let cache = dir.join("results.cache");
 
-    Engine::new(config_on(cache.clone(), Fs::real())).verify(&ctx, &victims).unwrap();
+    Engine::new(config_on(cache.clone(), Fs::real())).run(RunRequest::resident(&chip)).unwrap();
 
     // Silent media corruption: one bit flips inside the cache file. The
     // per-record CRC catches it; the damaged record is recomputed.
     let plan = Plan::new().at(cache.display(), ALWAYS, FsFaultKind::BitFlip);
-    let warm = Engine::new(config_on(cache, Fs::with_faults(plan))).verify(&ctx, &victims).unwrap();
+    let warm = Engine::new(config_on(cache, Fs::with_faults(plan)))
+        .run(RunRequest::resident(&chip))
+        .unwrap();
     assert_eq!(warm.signoff_json(), baseline, "a flipped bit must never skew a verdict");
     assert!(warm.stats.cache_misses > 0, "the corrupt record must be recomputed, not trusted");
     let _ = std::fs::remove_dir_all(&dir);
@@ -95,19 +95,18 @@ fn bit_flip_on_cache_read_never_reaches_a_verdict() {
 
 #[test]
 fn failed_cache_replacement_preserves_the_previous_cache() {
-    let (db, victims) = fixture();
-    let ctx = AnalysisContext::fixed_resistance(&db, 1000.0);
-    let baseline = baseline_signoff(&db, &victims);
+    let chip = fixture();
+    let baseline = baseline_signoff(&chip);
     let dir = temp_dir("rename-cache");
     let cache = dir.join("results.cache");
 
-    Engine::new(config_on(cache.clone(), Fs::real())).verify(&ctx, &victims).unwrap();
+    Engine::new(config_on(cache.clone(), Fs::real())).run(RunRequest::resident(&chip)).unwrap();
     let saved = std::fs::read(&cache).unwrap();
 
     for kind in [FsFaultKind::RenameFail, FsFaultKind::FsyncFail, FsFaultKind::NoSpace] {
         let plan = Plan::new().at(cache.display(), ALWAYS, kind);
         let report = Engine::new(config_on(cache.clone(), Fs::with_faults(plan)))
-            .verify(&ctx, &victims)
+            .run(RunRequest::resident(&chip))
             .unwrap();
         assert_eq!(report.signoff_json(), baseline, "{}: verdicts unaffected", kind.name());
         assert_eq!(
@@ -124,16 +123,15 @@ fn failed_cache_replacement_preserves_the_previous_cache() {
 fn enospc_everywhere_still_produces_correct_verdicts() {
     // The disk fills up mid-run: nothing persists, but the in-memory
     // sign-off is still complete and correct.
-    let (db, victims) = fixture();
-    let ctx = AnalysisContext::fixed_resistance(&db, 1000.0);
-    let baseline = baseline_signoff(&db, &victims);
+    let chip = fixture();
+    let baseline = baseline_signoff(&chip);
     let dir = temp_dir("enospc");
     let cache = dir.join("results.cache");
 
     // Probability 1 picks every path: cache, journal and ledger alike.
     let plan = Plan::new().seeded(0, 1.0, ALWAYS, FsFaultKind::NoSpace);
     let report = Engine::new(config_on(cache.clone(), Fs::with_faults(plan)))
-        .verify(&ctx, &victims)
+        .run(RunRequest::resident(&chip))
         .unwrap();
     assert_eq!(report.signoff_json(), baseline);
     assert!(!cache.exists(), "the full disk accepted no cache file");
@@ -142,9 +140,9 @@ fn enospc_everywhere_still_produces_correct_verdicts() {
 
 #[test]
 fn bit_flip_on_journal_read_drops_only_the_damaged_checkpoint() {
-    let (db, victims) = fixture();
-    let ctx = AnalysisContext::fixed_resistance(&db, 1000.0);
-    let baseline = baseline_signoff(&db, &victims);
+    let chip = fixture();
+    let victims = chip.victims();
+    let baseline = baseline_signoff(&chip);
     let dir = temp_dir("flip-journal");
     let cache = dir.join("results.cache");
 
@@ -155,7 +153,7 @@ fn bit_flip_on_journal_read_drops_only_the_damaged_checkpoint() {
     cfg.sink =
         Some(Arc::new(StopAfter::new(flag.clone(), victims.len() / 2)) as Arc<dyn EventSink>);
     cfg.stop = Some(flag);
-    let partial = Engine::new(cfg).verify(&ctx, &victims).unwrap();
+    let partial = Engine::new(cfg).run(RunRequest::resident(&chip)).unwrap();
     assert!(partial.interrupted);
     let completed = victims.len() - partial.stats.skipped;
     // The interrupted run saved its partial cache; remove it so every
@@ -166,7 +164,7 @@ fn bit_flip_on_journal_read_drops_only_the_damaged_checkpoint() {
     // the CRC frame rejects the damaged record(s), which are recomputed.
     let plan = Plan::new().at(Journal::path_for(&cache).display(), ALWAYS, FsFaultKind::BitFlip);
     let resumed = Engine::new(config_on(cache.clone(), Fs::with_faults(plan)))
-        .run(RunRequest { resume: true, ..RunRequest::new(&ctx, &victims) })
+        .run(RunRequest { resume: true, ..RunRequest::resident(&chip) })
         .unwrap();
     assert_eq!(resumed.signoff_json(), baseline, "a corrupt journal must never skew the signoff");
     assert!(resumed.stats.journal_hits < completed, "at least the flipped record must be rejected");
@@ -178,23 +176,22 @@ fn bit_flip_on_journal_read_drops_only_the_damaged_checkpoint() {
 fn enospc_on_the_journal_does_not_change_the_run() {
     // Checkpointing is best-effort: a journal that cannot be written costs
     // resumability, never correctness.
-    let (db, victims) = fixture();
-    let ctx = AnalysisContext::fixed_resistance(&db, 1000.0);
-    let baseline = baseline_signoff(&db, &victims);
+    let chip = fixture();
+    let baseline = baseline_signoff(&chip);
     let dir = temp_dir("enospc-journal");
     let cache = dir.join("results.cache");
 
     let plan = Plan::new().at(Journal::path_for(&cache).display(), ALWAYS, FsFaultKind::NoSpace);
-    let report =
-        Engine::new(config_on(cache, Fs::with_faults(plan))).verify(&ctx, &victims).unwrap();
+    let report = Engine::new(config_on(cache, Fs::with_faults(plan)))
+        .run(RunRequest::resident(&chip))
+        .unwrap();
     assert_eq!(report.signoff_json(), baseline);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn torn_ledger_append_is_counted_not_misparsed() {
-    let (db, victims) = fixture();
-    let ctx = AnalysisContext::fixed_resistance(&db, 1000.0);
+    let chip = fixture();
     let dir = temp_dir("torn-ledger");
     let cache = dir.join("results.cache");
     let ledger_path = ledger_path(&cache);
@@ -205,7 +202,7 @@ fn torn_ledger_append_is_counted_not_misparsed() {
     // a clean line.
     let fs = Fs::with_faults(Plan::new().at(ledger_path.display(), 1, FsFaultKind::ShortWrite));
     for _ in 0..3 {
-        Engine::new(config_on(cache.clone(), fs.clone())).verify(&ctx, &victims).unwrap();
+        Engine::new(config_on(cache.clone(), fs.clone())).run(RunRequest::resident(&chip)).unwrap();
     }
 
     let (records, unparsed) = ledger::scan(&ledger_path);
@@ -223,12 +220,13 @@ fn seeded_disk_fault_sweep_never_skews_a_verdict_and_converges() {
     // Small on purpose: the sweep drills I/O, and makes 160 runs.
     let db = bundle(6, 200e-6, &Technology::c025());
     let victims: Vec<PNetId> = (0..db.num_nets()).map(PNetId).collect();
-    let ctx = AnalysisContext::fixed_resistance(&db, 1000.0);
-    let healthy =
-        Engine::new(EngineConfig { workers: 2, ..Default::default() }).verify(&ctx, &victims);
+    let chip = ResidentChip::fixed_resistance(db, 1000.0, victims);
+    let victims = chip.victims();
+    let healthy = Engine::new(EngineConfig { workers: 2, ..Default::default() })
+        .run(RunRequest::resident(&chip));
     let healthy = healthy.unwrap();
     let baseline = healthy.signoff_json();
-    let request = RunRequest { resume: true, ..RunRequest::new(&ctx, &victims) };
+    let request = RunRequest { resume: true, ..RunRequest::resident(&chip) };
 
     let mut picked_total = 0;
     for seed in 0..8u64 {

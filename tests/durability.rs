@@ -7,20 +7,21 @@
 use pcv_designs::structures::bundle;
 use pcv_designs::Technology;
 use pcv_engine::{
-    Engine, EngineConfig, EngineReport, Fs, Journal, RunLock, RunRequest, StopAfter, StopFlag,
+    Engine, EngineConfig, EngineReport, Fs, Journal, ResidentChip, RunLock, RunRequest, StopAfter,
+    StopFlag,
 };
-use pcv_netlist::{PNetId, ParasiticDb};
+use pcv_netlist::PNetId;
 use pcv_obs::{ledger, EngineEvent, EventSink};
-use pcv_xtalk::{AnalysisContext, XtalkError};
+use pcv_xtalk::XtalkError;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 /// A 12-wire bus: small enough to drill many interrupt points, coupled
 /// enough that every wire gets a real verdict.
-fn fixture() -> (ParasiticDb, Vec<PNetId>) {
+fn fixture() -> ResidentChip {
     let db = bundle(12, 1200e-6, &Technology::c025());
     let victims = (0..db.num_nets()).map(PNetId).collect();
-    (db, victims)
+    ResidentChip::fixed_resistance(db, 1000.0, victims)
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -36,33 +37,30 @@ fn config(workers: usize, cache: Option<PathBuf>) -> EngineConfig {
 
 /// Run to completion with a cold cache-less engine: the reference
 /// sign-off every interrupted-and-resumed run must reproduce bit for bit.
-fn baseline_signoff(db: &ParasiticDb, victims: &[PNetId]) -> String {
-    let ctx = AnalysisContext::fixed_resistance(db, 1000.0);
-    Engine::new(config(2, None)).verify(&ctx, victims).unwrap().signoff_json()
+fn baseline_signoff(chip: &ResidentChip) -> String {
+    Engine::new(config(2, None)).run(RunRequest::resident(chip)).unwrap().signoff_json()
 }
 
 /// Run with a stop raised after `stop_after` cluster completions; returns
 /// the interrupted report.
 fn interrupted_run(
-    db: &ParasiticDb,
-    victims: &[PNetId],
+    chip: &ResidentChip,
     workers: usize,
     stop_after: usize,
     cache: &Path,
 ) -> EngineReport {
-    let ctx = AnalysisContext::fixed_resistance(db, 1000.0);
     let flag = StopFlag::new();
     let mut cfg = config(workers, Some(cache.to_owned()));
     cfg.sink = Some(Arc::new(StopAfter::new(flag.clone(), stop_after)) as Arc<dyn EventSink>);
     cfg.stop = Some(flag);
-    Engine::new(cfg).verify(&ctx, victims).unwrap()
+    Engine::new(cfg).run(RunRequest::resident(chip)).unwrap()
 }
 
 #[test]
 fn resume_is_byte_identical_across_stop_points_and_worker_counts() {
-    let (db, victims) = fixture();
-    let ctx = AnalysisContext::fixed_resistance(&db, 1000.0);
-    let baseline = baseline_signoff(&db, &victims);
+    let chip = fixture();
+    let victims = chip.victims();
+    let baseline = baseline_signoff(&chip);
     let n = victims.len();
 
     // Stop at 25%, 50% and 75% of the victim count, under every pool size.
@@ -71,7 +69,7 @@ fn resume_is_byte_identical_across_stop_points_and_worker_counts() {
             let dir = temp_dir(&format!("matrix-w{workers}-s{stop_after}"));
             let cache = dir.join("signoff.cache");
 
-            let partial = interrupted_run(&db, &victims, workers, stop_after, &cache);
+            let partial = interrupted_run(&chip, workers, stop_after, &cache);
             assert!(partial.interrupted, "w={workers} s={stop_after}: stop must mark the report");
             let completed = n - partial.stats.skipped;
             assert!(completed >= stop_after, "at least the trigger count completed");
@@ -83,7 +81,7 @@ fn resume_is_byte_identical_across_stop_points_and_worker_counts() {
             // Resume with a fresh engine (no stop): replay the journal,
             // compute only what is missing, discard the journal on success.
             let resumed = Engine::new(config(workers, Some(cache.clone())))
-                .run(RunRequest { resume: true, ..RunRequest::new(&ctx, &victims) })
+                .run(RunRequest { resume: true, ..RunRequest::resident(&chip) })
                 .unwrap();
             assert!(!resumed.interrupted);
             assert_eq!(
@@ -109,11 +107,12 @@ fn resume_is_byte_identical_across_stop_points_and_worker_counts() {
 fn single_worker_stop_skips_exactly_the_queued_tail() {
     // With one worker the drain point is exact: stop fires inside the
     // Nth job, so precisely n - N clusters are skipped.
-    let (db, victims) = fixture();
+    let chip = fixture();
+    let victims = chip.victims();
     let dir = temp_dir("exact");
     let cache = dir.join("signoff.cache");
     let stop_after = 5;
-    let partial = interrupted_run(&db, &victims, 1, stop_after, &cache);
+    let partial = interrupted_run(&chip, 1, stop_after, &cache);
     assert_eq!(partial.stats.skipped, victims.len() - stop_after);
     assert_eq!(partial.chip.verdicts.len(), stop_after);
 
@@ -123,9 +122,8 @@ fn single_worker_stop_skips_exactly_the_queued_tail() {
         os.push(".ledger.jsonl");
         PathBuf::from(os)
     };
-    let ctx = AnalysisContext::fixed_resistance(&db, 1000.0);
     let resumed = Engine::new(config(1, Some(cache)))
-        .run(RunRequest { resume: true, ..RunRequest::new(&ctx, &victims) })
+        .run(RunRequest { resume: true, ..RunRequest::resident(&chip) })
         .unwrap();
     let (records, unparsed) = ledger::scan(&ledger_path);
     assert_eq!(unparsed, 0);
@@ -179,9 +177,9 @@ fn a_stop_raised_inside_a_job_lets_it_finish_and_skips_only_later_jobs() {
     // The drain contract: the stop is read between jobs only. A job that
     // has started when the flag goes up analyzes its victim to a verdict
     // and checkpoints it; every job after it is skipped.
-    let (db, victims) = fixture();
-    let ctx = AnalysisContext::fixed_resistance(&db, 1000.0);
-    let baseline = baseline_signoff(&db, &victims);
+    let chip = fixture();
+    let (db, victims) = (chip.db(), chip.victims());
+    let baseline = baseline_signoff(&chip);
     let dir = temp_dir("drain");
     let cache = dir.join("signoff.cache");
     let k = 5;
@@ -189,7 +187,7 @@ fn a_stop_raised_inside_a_job_lets_it_finish_and_skips_only_later_jobs() {
     let mut cfg = config(1, Some(cache.clone()));
     cfg.sink = Some(sink.clone() as Arc<dyn EventSink>);
     cfg.stop = Some(sink.flag.clone());
-    let partial = Engine::new(cfg).verify(&ctx, &victims).unwrap();
+    let partial = Engine::new(cfg).run(RunRequest::resident(&chip)).unwrap();
     assert!(partial.interrupted);
 
     let log = sink.log.lock().unwrap();
@@ -214,7 +212,7 @@ fn a_stop_raised_inside_a_job_lets_it_finish_and_skips_only_later_jobs() {
     assert_eq!(all, sorted(victims.iter().map(|&v| db.net(v).name().to_owned()).collect()));
 
     let resumed = Engine::new(config(1, Some(cache)))
-        .run(RunRequest { resume: true, ..RunRequest::new(&ctx, &victims) })
+        .run(RunRequest { resume: true, ..RunRequest::resident(&chip) })
         .unwrap();
     assert_eq!(resumed.stats.journal_hits, k);
     assert_eq!(resumed.signoff_json(), baseline);
@@ -226,13 +224,13 @@ fn sigkill_simulation_with_torn_journal_and_no_cache_still_resumes_identically()
     // The hard crash: the process died mid-append (half a journal record
     // at the tail) and never reached the cache save. Resume must drop the
     // torn record and recompute — never misread it into a verdict.
-    let (db, victims) = fixture();
-    let ctx = AnalysisContext::fixed_resistance(&db, 1000.0);
-    let baseline = baseline_signoff(&db, &victims);
+    let chip = fixture();
+    let victims = chip.victims();
+    let baseline = baseline_signoff(&chip);
     let dir = temp_dir("sigkill");
     let cache = dir.join("signoff.cache");
 
-    let partial = interrupted_run(&db, &victims, 2, victims.len() / 2, &cache);
+    let partial = interrupted_run(&chip, 2, victims.len() / 2, &cache);
     let completed = victims.len() - partial.stats.skipped;
 
     // SIGKILL damage: tear the journal's final record in half and remove
@@ -246,7 +244,7 @@ fn sigkill_simulation_with_torn_journal_and_no_cache_still_resumes_identically()
     let _ = std::fs::remove_file(&cache);
 
     let resumed = Engine::new(config(4, Some(cache)))
-        .run(RunRequest { resume: true, ..RunRequest::new(&ctx, &victims) })
+        .run(RunRequest { resume: true, ..RunRequest::resident(&chip) })
         .unwrap();
     assert_eq!(resumed.signoff_json(), baseline, "torn journal must not corrupt the signoff");
     // Exactly one checkpoint was destroyed; everything else replays.
@@ -256,12 +254,12 @@ fn sigkill_simulation_with_torn_journal_and_no_cache_still_resumes_identically()
 
 #[test]
 fn resume_without_a_journal_is_a_plain_verify() {
-    let (db, victims) = fixture();
-    let ctx = AnalysisContext::fixed_resistance(&db, 1000.0);
-    let baseline = baseline_signoff(&db, &victims);
+    let chip = fixture();
+    let victims = chip.victims();
+    let baseline = baseline_signoff(&chip);
     let dir = temp_dir("nojournal");
     let report = Engine::new(config(2, Some(dir.join("signoff.cache"))))
-        .run(RunRequest { resume: true, ..RunRequest::new(&ctx, &victims) })
+        .run(RunRequest { resume: true, ..RunRequest::resident(&chip) })
         .unwrap();
     assert_eq!(report.signoff_json(), baseline);
     assert_eq!(report.stats.journal_hits, 0);
@@ -273,36 +271,37 @@ fn resume_without_a_journal_is_a_plain_verify() {
 fn stale_journal_from_another_config_is_ignored() {
     // A journal checkpointed under different thresholds must not leak
     // verdicts into a resume with the current configuration.
-    let (db, victims) = fixture();
-    let ctx = AnalysisContext::fixed_resistance(&db, 1000.0);
+    let chip = fixture();
+    let victims = chip.victims();
     let dir = temp_dir("stale");
     let cache = dir.join("signoff.cache");
-    let _ = interrupted_run(&db, &victims, 2, victims.len() / 2, &cache);
+    let _ = interrupted_run(&chip, 2, victims.len() / 2, &cache);
     let _ = std::fs::remove_file(&cache); // force recomputation, not cache hits
 
     let mut cfg = config(2, Some(cache));
     cfg.fail_frac = 0.5; // different config fingerprint
     let resumed = Engine::new(cfg.clone())
-        .run(RunRequest { resume: true, ..RunRequest::new(&ctx, &victims) })
+        .run(RunRequest { resume: true, ..RunRequest::resident(&chip) })
         .unwrap();
     assert_eq!(resumed.stats.journal_hits, 0, "a stale journal must not be replayed");
-    let fresh =
-        Engine::new(EngineConfig { cache_path: None, ..cfg }).verify(&ctx, &victims).unwrap();
+    let fresh = Engine::new(EngineConfig { cache_path: None, ..cfg })
+        .run(RunRequest::resident(&chip))
+        .unwrap();
     assert_eq!(resumed.signoff_json(), fresh.signoff_json());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn concurrent_run_against_the_same_cache_is_rejected_with_a_typed_error() {
-    let (db, victims) = fixture();
-    let ctx = AnalysisContext::fixed_resistance(&db, 1000.0);
+    let chip = fixture();
+    let victims = chip.victims();
     let dir = temp_dir("lock");
     let cache = dir.join("signoff.cache");
 
     // Another live run (this process) holds the lock.
     let held = RunLock::acquire(&RunLock::path_for(&cache), 0).unwrap();
     let engine = Engine::new(config(2, Some(cache.clone())));
-    match engine.verify(&ctx, &victims) {
+    match engine.run(RunRequest::resident(&chip)) {
         Err(XtalkError::Busy { pid, path }) => {
             assert_eq!(pid, std::process::id());
             assert!(path.ends_with(".lock"));
@@ -313,7 +312,7 @@ fn concurrent_run_against_the_same_cache_is_rejected_with_a_typed_error() {
 
     // With the lock released the same engine runs — and releases its own
     // lock on the way out.
-    let report = engine.verify(&ctx, &victims).unwrap();
+    let report = engine.run(RunRequest::resident(&chip)).unwrap();
     assert_eq!(report.chip.verdicts.len(), victims.len());
     assert!(!RunLock::path_for(&cache).exists());
     let _ = std::fs::remove_dir_all(&dir);

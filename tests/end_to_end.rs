@@ -6,7 +6,7 @@ use pcv_bench::charlib_for;
 use pcv_cells::library::CellLibrary;
 use pcv_designs::dsp::{generate, DspConfig};
 use pcv_designs::Technology;
-use pcv_engine::{Engine, EngineConfig};
+use pcv_engine::{Engine, EngineConfig, ResidentChip, RunRequest};
 use pcv_netlist::PNetId;
 use pcv_xtalk::drivers::DriverModelKind;
 use pcv_xtalk::prune::{prune_all, prune_victim, PruneConfig, PruningStats};
@@ -31,12 +31,13 @@ fn dsp_block_chip_audit_with_nonlinear_models() {
     let victims: Vec<PNetId> = block.victims().into_iter().take(4).collect();
     assert!(!victims.is_empty());
 
-    let ctx = AnalysisContext::with_design(
-        &block.parasitics,
-        &block.design,
-        &lib,
-        &charlib,
+    let chip = ResidentChip::with_design(
+        block.parasitics,
+        block.design,
+        lib,
+        charlib,
         DriverModelKind::Nonlinear,
+        victims.clone(),
     );
     let engine = Engine::new(EngineConfig {
         prune: PruneConfig { cap_ratio: 0.02, max_aggressors: 6 },
@@ -44,7 +45,7 @@ fn dsp_block_chip_audit_with_nonlinear_models() {
         fail_frac: 0.20,
         ..Default::default()
     });
-    let report = engine.verify(&ctx, &victims).expect("audit completes");
+    let report = engine.run(RunRequest::resident(&chip)).expect("audit completes");
     assert!(report.errors.is_empty(), "{:?}", report.errors);
     let report = report.chip;
 

@@ -11,18 +11,14 @@
 mod fixtures;
 
 use fixtures::{bundle_fixture, check_golden, dsp_fixture, random_fixture};
-use pcv_engine::{Engine, EngineConfig};
+use pcv_engine::{Engine, EngineConfig, ResidentChip, RunRequest};
 use pcv_obs::json::{parse, Value};
-use pcv_xtalk::drivers::DriverModelKind;
-use pcv_xtalk::{AnalysisContext, ChipReport};
+use pcv_xtalk::ChipReport;
 
-/// The report of a clean 1-worker engine run over `victims`.
-fn audit(
-    ctx: &AnalysisContext<'_>,
-    victims: &[pcv_netlist::PNetId],
-    config: EngineConfig,
-) -> ChipReport {
-    let report = Engine::new(EngineConfig { workers: 1, ..config }).verify(ctx, victims).unwrap();
+/// The report of a clean 1-worker engine run over `chip`.
+fn audit(chip: &ResidentChip, config: EngineConfig) -> ChipReport {
+    let engine = Engine::new(EngineConfig { workers: 1, ..config });
+    let report = engine.run(RunRequest::resident(chip)).unwrap();
     assert!(report.errors.is_empty() && report.degradations.is_empty(), "{:?}", report.errors);
     report.chip
 }
@@ -30,29 +26,22 @@ fn audit(
 #[test]
 fn golden_bundle_bus_report() {
     let (db, victims) = bundle_fixture();
-    let ctx = AnalysisContext::fixed_resistance(&db, 1000.0);
-    let report = audit(&ctx, &victims, EngineConfig::default());
+    let chip = ResidentChip::fixed_resistance(db, 1000.0, victims);
+    let report = audit(&chip, EngineConfig::default());
     check_golden("bundle16_bus.json", &report.to_json());
 }
 
 #[test]
 fn golden_random_cluster_report() {
     let (db, victims) = random_fixture();
-    let ctx = AnalysisContext::fixed_resistance(&db, 1000.0);
-    let report = audit(&ctx, &victims, EngineConfig::default());
+    let chip = ResidentChip::fixed_resistance(db, 1000.0, victims);
+    let report = audit(&chip, EngineConfig::default());
     check_golden("random_seed99.json", &report.to_json());
 }
 
 #[test]
 fn golden_dsp_receiver_audit_report() {
-    let (block, lib, victims) = dsp_fixture();
-    let ctx = AnalysisContext {
-        db: &block.parasitics,
-        design: Some(&block.design),
-        lib: Some(&lib),
-        charlib: None,
-        driver_model: DriverModelKind::FixedResistance(2000.0),
-    };
+    let chip = dsp_fixture();
     // Low thresholds so receiver checks actually run on flagged victims.
     let config = EngineConfig {
         warn_frac: 0.02,
@@ -60,7 +49,7 @@ fn golden_dsp_receiver_audit_report() {
         check_receivers: true,
         ..Default::default()
     };
-    let report = audit(&ctx, &victims, config);
+    let report = audit(&chip, config);
     assert!(
         report.verdicts.iter().any(|v| v.receiver.is_some()),
         "fixture must exercise the receiver audit"

@@ -11,14 +11,13 @@
 mod fixtures;
 
 use fixtures::bundle_fixture;
-use pcv_engine::{Engine, EngineConfig, FaultKind, Plan};
+use pcv_engine::{Engine, EngineConfig, FaultKind, Plan, ResidentChip, RunRequest};
 use pcv_obs::{ledger, CountingSink, EventSink};
-use pcv_xtalk::AnalysisContext;
 use std::sync::Arc;
 
 fn observed_run(workers: usize, plan: Option<Plan<FaultKind>>) -> (Arc<CountingSink>, String) {
     let (db, victims) = bundle_fixture();
-    let ctx = AnalysisContext::fixed_resistance(&db, 1000.0);
+    let chip = ResidentChip::fixed_resistance(db, 1000.0, victims);
     let sink = Arc::new(CountingSink::new());
     let mut engine = Engine::new(EngineConfig {
         workers,
@@ -28,7 +27,7 @@ fn observed_run(workers: usize, plan: Option<Plan<FaultKind>>) -> (Arc<CountingS
     if let Some(plan) = plan {
         engine.set_fault_plan(plan);
     }
-    let report = engine.verify(&ctx, &victims).unwrap();
+    let report = engine.run(RunRequest::resident(&chip)).unwrap();
     (sink, report.signoff_json())
 }
 
@@ -80,9 +79,9 @@ fn retry_and_degradation_events_are_deterministic_under_faults() {
 #[test]
 fn signoff_bytes_match_an_unobserved_run() {
     let (db, victims) = bundle_fixture();
-    let ctx = AnalysisContext::fixed_resistance(&db, 1000.0);
+    let chip = ResidentChip::fixed_resistance(db, 1000.0, victims);
     let unobserved = Engine::new(EngineConfig { workers: 4, ..Default::default() })
-        .verify(&ctx, &victims)
+        .run(RunRequest::resident(&chip))
         .unwrap()
         .signoff_json();
     let (_, observed) = observed_run(4, None);
@@ -92,7 +91,7 @@ fn signoff_bytes_match_an_unobserved_run() {
 #[test]
 fn ledger_records_a_real_run_trajectory() {
     let (db, victims) = bundle_fixture();
-    let ctx = AnalysisContext::fixed_resistance(&db, 1000.0);
+    let chip = ResidentChip::fixed_resistance(db, 1000.0, victims.clone());
     let dir = std::env::temp_dir().join(format!("pcv-observatory-ledger-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let cache = dir.join("signoff.cache");
@@ -109,9 +108,9 @@ fn ledger_records_a_real_run_trajectory() {
         })
     };
     // Run twice: a cold run then a fully cached one.
-    engine(None).verify(&ctx, &victims).unwrap();
+    engine(None).run(RunRequest::resident(&chip)).unwrap();
     let sink = Arc::new(CountingSink::new());
-    engine(Some(sink.clone() as Arc<dyn EventSink>)).verify(&ctx, &victims).unwrap();
+    engine(Some(sink.clone() as Arc<dyn EventSink>)).run(RunRequest::resident(&chip)).unwrap();
     assert_eq!(sink.count("cache_hit"), victims.len() as u64, "second run must be all hits");
 
     let records = ledger::scan(&ledger_path).0;
@@ -146,9 +145,9 @@ fn memory_telemetry_flows_into_stats_and_profile() {
     // This test binary does not install the tracking allocator, so the
     // engine must degrade to zeros rather than report garbage.
     let (db, victims) = bundle_fixture();
-    let ctx = AnalysisContext::fixed_resistance(&db, 1000.0);
+    let chip = ResidentChip::fixed_resistance(db, 1000.0, victims);
     let report = Engine::new(EngineConfig { workers: 1, ..Default::default() })
-        .verify(&ctx, &victims)
+        .run(RunRequest::resident(&chip))
         .unwrap();
     let profile = report.profile_json();
     assert!(profile.contains("\"memory\":{\"peak_alloc_bytes\":"), "profile carries memory block");

@@ -47,7 +47,7 @@ use pcv_designs::dsp::DspConfig;
 use pcv_designs::extract::{extract, WireGeom};
 use pcv_designs::random::{random_cluster, RandomCluster, RandomClusterConfig};
 use pcv_designs::Technology;
-use pcv_engine::{Engine, EngineConfig, ResidentChip};
+use pcv_engine::{Engine, EngineConfig, ResidentChip, RunRequest};
 use pcv_mor::{reduce_arnoldi, simulate, sympvl, RcCluster, ReducedModel};
 use pcv_netlist::termination::Termination;
 use pcv_netlist::{PNetId, ParasiticDb};
@@ -234,9 +234,11 @@ fn sweep(cases: impl Iterator<Item = usize>) {
 /// peak within [`ORDER_BOUND`] of the reference's; return the largest
 /// deviation and the number of peaks compared. The public steps are first
 /// held to the engine: under SyMPVL they give its peaks bit for bit.
-fn order_sweep(ctx: &AnalysisContext, victims: &[PNetId]) -> (f64, usize) {
+fn order_sweep(chip: &ResidentChip, victims: &[PNetId]) -> (f64, usize) {
+    let ctx = &chip.ctx();
     let cfg = EngineConfig { workers: 2, ..Default::default() };
-    let report = Engine::new(cfg.clone()).verify(ctx, victims).expect("sign-off runs");
+    let request = RunRequest { victims, ..RunRequest::resident(chip) };
+    let report = Engine::new(cfg.clone()).run(request).expect("sign-off runs");
     assert!(report.errors.is_empty() && report.degradations.is_empty());
     let opts = &cfg.analysis;
     let EngineKind::Mor { block_iters } = opts.engine else { unreachable!() };
@@ -289,9 +291,11 @@ fn refined_receiver_peak(ctx: &AnalysisContext, cfg: &EngineConfig, v: &NetVerdi
 /// victim's receiver output peak within `bound` of the refined reference;
 /// print each error and return the largest and the number of receivers
 /// compared.
-fn receiver_sweep(ctx: &AnalysisContext, victims: &[PNetId], bound: f64) -> (f64, usize) {
+fn receiver_sweep(chip: &ResidentChip, victims: &[PNetId], bound: f64) -> (f64, usize) {
+    let ctx = &chip.ctx();
     let cfg = EngineConfig { workers: 2, check_receivers: true, ..Default::default() };
-    let report = Engine::new(cfg.clone()).verify(ctx, victims).expect("sign-off runs");
+    let request = RunRequest { victims, ..RunRequest::resident(chip) };
+    let report = Engine::new(cfg.clone()).run(request).expect("sign-off runs");
     assert!(report.errors.is_empty() && report.degradations.is_empty());
     let (mut worst, mut worst_name, mut compared) = (0.0f64, "", 0);
     for v in &report.chip.verdicts {
@@ -354,7 +358,7 @@ fn every_fig3_network_keeps_the_reduction_promises() {
 #[test]
 fn eight_dsp_clusters_keep_their_reference_peaks() {
     let chip = dsp_chip();
-    let (_, peaks) = order_sweep(&chip.ctx(), &chip.victims()[..8]);
+    let (_, peaks) = order_sweep(&chip, &chip.victims()[..8]);
     assert!(peaks >= 8, "{peaks} coupled peaks");
 }
 
@@ -362,7 +366,7 @@ fn eight_dsp_clusters_keep_their_reference_peaks() {
 #[ignore = "every cluster of dsp_cold's chip: run by the golden CI job"]
 fn every_dsp_cluster_keeps_its_reference_peaks() {
     let chip = dsp_chip();
-    let (_, peaks) = order_sweep(&chip.ctx(), chip.victims());
+    let (_, peaks) = order_sweep(&chip, chip.victims());
     assert_eq!(peaks, 2 * 162, "dsp_cold's coupled clusters, both polarities");
 }
 
@@ -371,7 +375,8 @@ fn every_dsp_cluster_keeps_its_reference_peaks() {
 fn the_fine_mesh_keeps_its_reference_peaks() {
     let db = mesh(12, 8, (3e-3, 4e-3), 2.5e-6);
     let victims: Vec<PNetId> = (0..db.num_nets()).map(PNetId).collect();
-    let (_, peaks) = order_sweep(&AnalysisContext::fixed_resistance(&db, 1000.0), &victims);
+    let chip = ResidentChip::fixed_resistance(db, 1000.0, victims);
+    let (_, peaks) = order_sweep(&chip, chip.victims());
     assert_eq!(peaks, 2 * 96);
 }
 
@@ -382,7 +387,7 @@ fn three_dsp_receivers_keep_to_the_refined_reference() {
     let victims: Vec<PNetId> = ["bus2_12", "bus3_0", "bus1_20"]
         .map(|name| ctx.db.find_net(name).expect("a DSP bus bit"))
         .to_vec();
-    let (_, compared) = receiver_sweep(&ctx, &victims, RECEIVER_BOUND_TIER1);
+    let (_, compared) = receiver_sweep(&chip, &victims, RECEIVER_BOUND_TIER1);
     assert_eq!(compared, 3, "each is flagged and checked");
 }
 
@@ -390,6 +395,6 @@ fn three_dsp_receivers_keep_to_the_refined_reference() {
 #[ignore = "every flagged receiver of dsp_cold's chip: run by the golden CI job"]
 fn every_dsp_receiver_keeps_to_the_refined_reference() {
     let chip = dsp_chip();
-    let (_, compared) = receiver_sweep(&chip.ctx(), chip.victims(), RECEIVER_BOUND);
+    let (_, compared) = receiver_sweep(&chip, chip.victims(), RECEIVER_BOUND);
     assert!(compared >= 100, "{compared} flagged receivers");
 }

@@ -5,7 +5,7 @@
 
 use pcv_designs::structures::{bundle, sandwich};
 use pcv_designs::Technology;
-use pcv_engine::Engine;
+use pcv_engine::{Engine, ResidentChip, RunRequest};
 use pcv_netlist::PNetId;
 use pcv_xtalk::prune::{prune_victim, PruneConfig};
 use pcv_xtalk::{analyze_delay, analyze_glitch, AnalysisContext, AnalysisOptions, DelayMode};
@@ -86,8 +86,8 @@ fn interior_bus_bits_fare_worse_than_edge_bits() {
     let tech = Technology::c025();
     let db = bundle(6, 1200e-6, &tech);
     let victims: Vec<PNetId> = (0..db.num_nets()).map(PNetId).collect();
-    let ctx = AnalysisContext::fixed_resistance(&db, 1000.0);
-    let report = Engine::default().verify(&ctx, &victims).unwrap().chip;
+    let chip = ResidentChip::fixed_resistance(db, 1000.0, victims);
+    let report = Engine::default().run(RunRequest::resident(&chip)).unwrap().chip;
     // Worst victims are interior bits (two strong neighbors).
     let worst_name = &report.verdicts[0].name;
     assert!(

@@ -19,7 +19,7 @@
 use pcv_designs::extract::{extract, WireGeom};
 use pcv_designs::random::{random_cluster, RandomClusterConfig};
 use pcv_designs::Technology;
-use pcv_engine::{Engine, EngineConfig, Fnv1a};
+use pcv_engine::{Engine, EngineConfig, Fnv1a, ResidentChip, RunRequest};
 use pcv_netlist::{PNetId, ParasiticDb};
 use pcv_xtalk::prune::{prune_victim, PruneConfig};
 use pcv_xtalk::{AnalysisContext, AnalysisOptions, PreparedCluster};
@@ -85,9 +85,9 @@ fn field(groups: usize, wires: usize, len: (f64, f64), seg: f64) -> ParasiticDb 
 /// The FNV-1a digest of `db`'s sign-off, every net a victim, 1 kΩ drivers.
 fn signoff_digest(db: &ParasiticDb) -> u64 {
     let victims: Vec<PNetId> = (0..db.num_nets()).map(PNetId).collect();
-    let ctx = AnalysisContext::fixed_resistance(db, 1000.0);
+    let chip = ResidentChip::fixed_resistance(db.clone(), 1000.0, victims);
     let report = Engine::new(EngineConfig { workers: 2, ..Default::default() })
-        .verify(&ctx, &victims)
+        .run(RunRequest::resident(&chip))
         .unwrap();
     assert!(report.errors.is_empty() && report.degradations.is_empty());
     let mut h = Fnv1a::new();
