@@ -4,7 +4,7 @@
 //! SPICE MNA transient on the same pruned cluster with identical 1 kOhm
 //! Thevenin drivers — the wall-clock basis of the paper's 15-25x claims.
 //!
-//! Part 2 — chip engine: the `pcv-engine` work-stealing pool at several
+//! Part 2 — chip engine: the `pcv-engine` worker pool at several
 //! worker counts, plus a warm-cache re-run (every cluster unchanged →
 //! every job a cache hit).
 //!

@@ -12,7 +12,7 @@ use super::Scale;
 use pcv_designs::dsp::DspConfig;
 use pcv_engine::ResidentChip;
 use pcv_xtalk::drivers::DriverModelKind;
-use pcv_xtalk::prune::{prune_victim, PruneConfig};
+use pcv_xtalk::prune::{prune_victim_with_components, PruneConfig};
 use pcv_xtalk::{analyze_glitch, AnalysisContext, AnalysisOptions, EngineKind};
 use std::time::Duration;
 
@@ -131,7 +131,12 @@ pub fn run(scale: Scale) -> (Distribution, Distribution) {
     let mut rise_cases = Vec::new();
     let mut fall_cases = Vec::new();
     for &pnet in chip.victims().iter().take(wanted) {
-        let cluster = prune_victim(chip.db(), pnet, &PruneConfig::default());
+        let cluster = prune_victim_with_components(
+            chip.db(),
+            pnet,
+            &PruneConfig::default(),
+            chip.component_sizes(),
+        );
         if cluster.aggressors.is_empty() {
             continue;
         }

@@ -1,5 +1,5 @@
 //! The engine proper: shard victims into cluster jobs, run them on the
-//! work-stealing scheduler, and merge a deterministic report.
+//! worker pool (one shared job cursor), and merge a deterministic report.
 
 use crate::durable::StopFlag;
 use crate::fault::Plan;
@@ -52,9 +52,9 @@ pub struct EngineConfig {
     pub trace: bool,
     /// Streaming lifecycle-event sink ([`pcv_obs::EventSink`]): run
     /// start/finish, cluster queue/start/finish, cache hits, retries,
-    /// degradations, worker idling. Events fire from worker threads as
-    /// they happen — they carry wall-clock data and exist strictly outside
-    /// the deterministic report path. `None` (the default) costs nothing.
+    /// degradations. Events fire from worker threads as they happen — they
+    /// carry wall-clock data and exist strictly outside the deterministic
+    /// report path. `None` (the default) costs nothing.
     pub sink: Option<Arc<dyn EventSink>>,
     /// Cooperative stop: once raised, the run drains — jobs already
     /// started finish and are checkpointed, the rest are skipped — and
@@ -451,16 +451,13 @@ impl Engine {
             Some(JobOk { verdict, cluster, source, record, degradation, prune, analysis, receiver })
         };
         let jobs_span = pcv_trace::span("engine", "jobs");
-        let (results, run_stats) = scheduler::run_with_idle(workers, victims.len(), job, |w| {
-            emit(&|| EngineEvent::WorkerIdle { worker: w })
-        });
+        let (results, worker_busy) = scheduler::run(workers, victims.len(), job);
         drop(jobs_span);
 
         let Merged { chip, costs, errors, degradations, fresh, mut stats } =
             merge(ctx, victims, results, cfg.warn_frac, cfg.fail_frac);
         stats.workers = workers;
-        stats.worker_busy = run_stats.worker_busy;
-        stats.steals = run_stats.steals;
+        stats.worker_busy = worker_busy;
 
         let interrupted = stop.is_some_and(|s| s.is_stopped());
         if interrupted {
@@ -498,7 +495,6 @@ impl Engine {
                 cache_misses: stats.cache_misses,
                 degraded: stats.degraded,
                 errors: errors.len(),
-                steals: stats.steals,
                 wall_ms: ms(stats.wall_time),
                 prune_ms: ms(stats.prune_time),
                 analysis_ms: ms(stats.analysis_time),

@@ -10,10 +10,10 @@
 //! one victim at a time and dies with the first failure is neither fast
 //! enough nor robust enough, so the engine wraps the flow in:
 //!
-//! - **Parallelism** ([`scheduler`]) — victims are sharded into
-//!   independent cluster jobs (prune → reduce → analyze → receiver check)
-//!   on a std-only work-stealing thread pool. No external dependencies:
-//!   threads, channels and atomics.
+//! - **Parallelism** — victims are sharded into independent cluster jobs
+//!   (prune → reduce → analyze → receiver check), each a millisecond or
+//!   more, on a std-only pool of scoped threads that claim jobs in input
+//!   order from one shared atomic cursor. No external dependencies.
 //! - **Determinism** — results are merged by input index and sorted by
 //!   [`pcv_xtalk::ChipReport::from_verdicts`]' stable comparator, so an
 //!   N-worker run is byte-identical to the 1-worker report regardless of
@@ -40,8 +40,7 @@
 //!   touching one coupling capacitor invalidates exactly the clusters it
 //!   feeds.
 //! - **Observability** ([`report`]) — per-stage wall-times, cache
-//!   hit-rate, worker utilization and steal counts in every
-//!   [`EngineReport`].
+//!   hit-rate and worker utilization in every [`EngineReport`].
 //! - **Durability** ([`durable`], [`fs`]) — every persisted artifact is
 //!   written atomically (write-temp + fsync + rename) with CRC-32
 //!   integrity framing; completed records are checkpointed to a
@@ -95,7 +94,7 @@ pub mod record;
 pub mod recovery;
 pub mod report;
 pub mod resident;
-pub mod scheduler;
+mod scheduler;
 pub mod shard;
 mod store;
 

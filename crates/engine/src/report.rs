@@ -91,7 +91,8 @@ pub struct EngineStats {
     pub wall_time: Duration,
     /// Per-worker busy time (time spent inside jobs).
     pub worker_busy: Vec<Duration>,
-    /// Jobs a worker stole from another worker's queue.
+    /// Always 0: workers claim jobs from one shared cursor and steal none.
+    /// Kept only because the benchmark harness reads it.
     pub steals: u64,
     /// Peak live heap bytes observed by the instrumented allocator
     /// ([`pcv_obs::TrackingAlloc`]); 0 when tracking is not installed.
@@ -192,11 +193,10 @@ impl EngineReport {
             s.throughput()
         ));
         out.push_str(&format!(
-            "engine: cache {}/{} hits ({:.0}%), {} steals, {:.0}% utilization\n",
+            "engine: cache {}/{} hits ({:.0}%), {:.0}% utilization\n",
             s.cache_hits,
             s.cache_hits + s.cache_misses,
             100.0 * s.hit_rate(),
-            s.steals,
             100.0 * s.utilization()
         ));
         if s.events_dropped > 0 {
@@ -256,7 +256,7 @@ impl EngineReport {
                 o.raw("interrupted", self.interrupted).f64("wall_ms", ms(s.wall_time));
                 o.f64("prune_ms", ms(s.prune_time)).f64("analysis_ms", ms(s.analysis_time));
                 o.f64("receiver_ms", ms(s.receiver_time)).f64("recovery_ms", ms(s.recovery_time));
-                o.raw("steals", s.steals).raw("events_dropped", s.events_dropped);
+                o.raw("events_dropped", s.events_dropped);
                 o.f64("utilization", s.utilization()).f64("throughput", s.throughput());
                 o.raw("errors", self.errors.len()).raw("degraded", s.degraded);
             });

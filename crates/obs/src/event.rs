@@ -14,9 +14,9 @@ use std::time::Duration;
 /// Cluster-scoped events (`ClusterQueued` through `ClusterFinished`) fire a
 /// deterministic number of times per kind for a fixed input, cache state
 /// and fault plan — worker count and scheduling only change interleaving.
-/// Run- and worker-scoped events (`RunStarted`, `WorkerIdle`, `RunFinished`,
-/// `RunResumed`, `RunStopped`) scale with the execution environment instead,
-/// and `ClusterSkipped` depends on stop timing.
+/// Run-scoped events (`RunStarted`, `RunFinished`, `RunResumed`,
+/// `RunStopped`) scale with the execution environment instead, and
+/// `ClusterSkipped` depends on stop timing.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EngineEvent {
     /// Verification started.
@@ -98,11 +98,6 @@ pub enum EngineEvent {
         /// Clusters skipped without a verdict.
         skipped: usize,
     },
-    /// A worker ran out of work and left the pool (one per worker).
-    WorkerIdle {
-        /// Dense worker index.
-        worker: usize,
-    },
     /// A stall watchdog observed no cluster completions for its configured
     /// no-progress interval. Purely advisory — the watchdog never stops
     /// the run — and inherently timing-dependent, so the kind is excluded
@@ -142,7 +137,6 @@ impl EngineEvent {
             EngineEvent::ClusterSkipped { .. } => "cluster_skipped",
             EngineEvent::RunResumed { .. } => "run_resumed",
             EngineEvent::RunStopped { .. } => "run_stopped",
-            EngineEvent::WorkerIdle { .. } => "worker_idle",
             EngineEvent::StallWarning { .. } => "stall_warning",
             EngineEvent::RunFinished { .. } => "run_finished",
         }
@@ -177,7 +171,6 @@ impl EngineEvent {
                 EngineEvent::RunStopped { completed, skipped } => {
                     o.raw("completed", completed).raw("skipped", skipped)
                 }
-                EngineEvent::WorkerIdle { worker } => o.raw("worker", worker),
                 EngineEvent::StallWarning { completed, stalled_ms } => {
                     o.raw("completed", completed).raw("stalled_ms", stalled_ms)
                 }
@@ -196,7 +189,6 @@ impl EngineEvent {
         !matches!(
             self,
             EngineEvent::RunStarted { .. }
-                | EngineEvent::WorkerIdle { .. }
                 | EngineEvent::RunFinished { .. }
                 | EngineEvent::RunResumed { .. }
                 | EngineEvent::RunStopped { .. }
@@ -310,7 +302,6 @@ mod tests {
         let run = EngineEvent::RunStarted { victims: 3, workers: 2 };
         assert_eq!(run.kind(), "run_started");
         assert!(!run.is_cluster_scoped());
-        assert!(!EngineEvent::WorkerIdle { worker: 0 }.is_cluster_scoped());
     }
 
     #[test]
@@ -354,7 +345,6 @@ mod tests {
             sink.event(&EngineEvent::ClusterStarted { name: name.into() });
             sink.event(&EngineEvent::CacheMiss { name: name.into() });
         }
-        sink.event(&EngineEvent::WorkerIdle { worker: 0 });
         assert_eq!(sink.count("cluster_started"), 2);
         assert_eq!(sink.count("cache_miss"), 2);
         assert_eq!(sink.count("run_started"), 1);
@@ -362,7 +352,6 @@ mod tests {
         let cluster = sink.cluster_counts();
         assert!(cluster.contains_key("cluster_started"));
         assert!(!cluster.contains_key("run_started"));
-        assert!(!cluster.contains_key("worker_idle"));
     }
 
     #[test]

@@ -42,8 +42,6 @@ pub struct RunRecord {
     pub degraded: usize,
     /// Failed-job records.
     pub errors: usize,
-    /// Work-stealing events.
-    pub steals: u64,
     /// Wall-clock time of the run, milliseconds.
     pub wall_ms: f64,
     /// Summed pruning time across workers, milliseconds.
@@ -77,7 +75,7 @@ impl RunRecord {
             o.raw("cache_hits", self.cache_hits).raw("cache_misses", self.cache_misses);
             o.raw("journal_hits", self.journal_hits).raw("skipped", self.skipped);
             o.str("outcome", &self.outcome).raw("degraded", self.degraded);
-            o.raw("errors", self.errors).raw("steals", self.steals);
+            o.raw("errors", self.errors);
             o.f64("wall_ms", self.wall_ms).f64("prune_ms", self.prune_ms);
             o.f64("analysis_ms", self.analysis_ms).f64("receiver_ms", self.receiver_ms);
             o.f64("recovery_ms", self.recovery_ms);
@@ -112,7 +110,6 @@ impl RunRecord {
             outcome: v.get("outcome").and_then(Value::as_str).unwrap_or("complete").to_owned(),
             degraded: uint("degraded")? as usize,
             errors: uint("errors")? as usize,
-            steals: uint("steals")?,
             wall_ms: ms("wall_ms")?,
             prune_ms: ms("prune_ms")?,
             analysis_ms: ms("analysis_ms")?,
@@ -174,7 +171,6 @@ mod tests {
             outcome: "stopped".to_owned(),
             degraded: 2,
             errors: 1,
-            steals: 17,
             wall_ms: 123.5,
             prune_ms: 10.25,
             analysis_ms: 88.0,
@@ -196,7 +192,7 @@ mod tests {
                     ",\"chip_fingerprint\":\"0badcafe89abcdef\",\"victims\":42",
                     ",\"workers\":4,\"host_parallelism\":8,\"cache_hits\":30",
                     ",\"cache_misses\":12,\"journal_hits\":5,\"skipped\":1",
-                    ",\"outcome\":\"stopped\",\"degraded\":2,\"errors\":1,\"steals\":17",
+                    ",\"outcome\":\"stopped\",\"degraded\":2,\"errors\":1",
                     ",\"wall_ms\":123.5,\"prune_ms\":10.25,\"analysis_ms\":88.0",
                     ",\"receiver_ms\":4.75,\"recovery_ms\":9.125",
                     ",\"peak_alloc_bytes\":1234567,\"allocs\":98765}",
@@ -206,7 +202,7 @@ mod tests {
                     ",\"chip_fingerprint\":\"0000000000000000\",\"victims\":0,\"workers\":0",
                     ",\"host_parallelism\":0,\"cache_hits\":0,\"cache_misses\":0",
                     ",\"journal_hits\":0,\"skipped\":0,\"outcome\":\"complete\"",
-                    ",\"degraded\":0,\"errors\":0,\"steals\":0,\"wall_ms\":0.0",
+                    ",\"degraded\":0,\"errors\":0,\"wall_ms\":0.0",
                     ",\"prune_ms\":0.0,\"analysis_ms\":0.0,\"receiver_ms\":0.0",
                     ",\"recovery_ms\":0.0,\"peak_alloc_bytes\":0,\"allocs\":0}",
                 ),
@@ -220,6 +216,14 @@ mod tests {
         let line = rec.to_json();
         assert!(!line.contains('\n'), "a record is one JSONL line");
         assert_eq!(RunRecord::parse(&line), Some(rec));
+    }
+
+    #[test]
+    fn a_line_that_still_carries_steals_parses() {
+        // Ledgers written while the pool stole work have a `steals` member.
+        let line = sample().to_json().replace(",\"wall_ms\"", ",\"steals\":17,\"wall_ms\"");
+        assert!(line.contains("\"steals\":17"));
+        assert_eq!(RunRecord::parse(&line), Some(sample()));
     }
 
     #[test]

@@ -195,7 +195,6 @@ impl Observatory {
             s.degraded as u64,
         );
         c("pcv_engine_skipped_total", "Clusters skipped by cooperative stop.", s.skipped as u64);
-        c("pcv_engine_steals_total", "Work-steal operations across runs.", s.steals);
         c(
             "pcv_engine_events_dropped_total",
             "Observability events shed by bounded sinks.",

@@ -11,7 +11,7 @@
 //!   with a category, a name, and an optional per-instance label (e.g. the
 //!   victim net). Nesting falls out naturally from scope nesting.
 //! - **Counters** ([`count`]) — monotonic event counts (cache hits, solver
-//!   calls, steals), summed across threads.
+//!   calls), summed across threads.
 //! - **Histograms** ([`value`]) — sample distributions (reduced-model
 //!   order, queue depth) in power-of-two buckets.
 //! - **Sessions** ([`TraceSession`]) — start, run, [`TraceSession::finish`]

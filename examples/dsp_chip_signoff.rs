@@ -52,9 +52,10 @@ fn main() -> Result<(), XtalkError> {
     println!("auditing {} latch-input victims...", victims.len());
 
     // Parallel, cached sign-off run: one cluster job per victim on a
-    // work-stealing pool, verdicts stored under topology fingerprints in
-    // target/ so an unchanged rerun skips every analysis. Tracing is on,
-    // so the run also drops a Chrome trace + profile next to the cache.
+    // shared-cursor worker pool, verdicts stored under topology
+    // fingerprints in target/ so an unchanged rerun skips every analysis.
+    // Tracing is on, so the run also drops a Chrome trace + profile next
+    // to the cache.
     let cache =
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/dsp_signoff.cache");
     let status = Arc::new(StderrStatusLine::auto(quiet));

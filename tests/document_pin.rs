@@ -40,7 +40,6 @@ fn engine_event_lines_are_pinned() {
         E::ClusterSkipped { name: name("skipped") },
         E::RunResumed { replayable: 5 },
         E::RunStopped { completed: 4, skipped: 1 },
-        E::WorkerIdle { worker: 1 },
         E::StallWarning { completed: 9, stalled_ms: 2500 },
         E::RunFinished { victims: 6, wall: Duration::from_millis(2), cache_hits: 3, degraded: 1 },
     ]
@@ -69,7 +68,6 @@ fn engine_event_lines_are_pinned() {
             "{\"kind\":\"cluster_skipped\",\"name\":\"skipped\"}",
             "{\"kind\":\"run_resumed\",\"replayable\":5}",
             "{\"kind\":\"run_stopped\",\"completed\":4,\"skipped\":1}",
-            "{\"kind\":\"worker_idle\",\"worker\":1}",
             "{\"kind\":\"stall_warning\",\"completed\":9,\"stalled_ms\":2500}",
             concat!(
                 "{\"kind\":\"run_finished\",\"victims\":6,\"wall_ms\":2.0,\"cache_hits\":3",
@@ -246,7 +244,7 @@ fn profile_signoff_and_chrome_trace_are_pinned() {
             recovery_time: ms(8),
             wall_time: ms(25_000),
             worker_busy: vec![ms(20_000), ms(21_250)],
-            steals: 4,
+            steals: 0,
             peak_alloc_bytes: 1 << 20,
             allocs: 777,
             events_dropped: 2,
@@ -290,7 +288,7 @@ fn profile_signoff_and_chrome_trace_are_pinned() {
                 "{\"engine\":{\"workers\":2,\"victims\":3,\"cache_hits\":1",
                 ",\"cache_misses\":2,\"journal_hits\":0,\"skipped\":1,\"interrupted\":true",
                 ",\"wall_ms\":25.0,\"prune_ms\":1.25,\"analysis_ms\":40.0",
-                ",\"receiver_ms\":0.0,\"recovery_ms\":0.008,\"steals\":4",
+                ",\"receiver_ms\":0.0,\"recovery_ms\":0.008",
                 ",\"events_dropped\":2,\"utilization\":0.825,\"throughput\":120.0",
                 ",\"errors\":0,\"degraded\":1},\"memory\":{\"peak_alloc_bytes\":1048576",
                 ",\"allocs\":777},\"clusters\":[{\"name\":\"bus0.3\",\"cluster_size\":11",

@@ -56,7 +56,7 @@ use pcv_spice::SimOptions;
 use pcv_xtalk::analysis::plan_aggressors;
 use pcv_xtalk::build::build_cluster;
 use pcv_xtalk::drivers::{make_termination, DriverModelKind, SwitchRole};
-use pcv_xtalk::prune::{prune_victim, Cluster, PruneConfig};
+use pcv_xtalk::prune::{prune_victim, prune_victim_with_components, Cluster, PruneConfig};
 use pcv_xtalk::{
     analyze_glitch, receiver_response, AnalysisContext, AnalysisOptions, EngineKind, NetVerdict,
 };
@@ -245,7 +245,8 @@ fn order_sweep(chip: &ResidentChip, victims: &[PNetId]) -> (f64, usize) {
     let sympvl = |rc: &RcCluster| sympvl::reduce(rc, block_iters).expect("the cluster reduces");
     let (mut worst, mut peaks) = (0.0f64, 0);
     for v in &report.chip.verdicts {
-        let cluster = prune_victim(ctx.db, v.net, &cfg.prune);
+        let cluster =
+            prune_victim_with_components(ctx.db, v.net, &cfg.prune, chip.component_sizes());
         if cluster.aggressors.is_empty() {
             continue;
         }
@@ -267,9 +268,10 @@ fn order_sweep(chip: &ResidentChip, victims: &[PNetId]) -> (f64, usize) {
 /// worse-polarity glitch of its cluster walked at
 /// [`RECEIVER_STEP_FRACTION`], every sample a corner of the receiver's PWL
 /// input, into the receiver testbench walked at the same fraction.
-fn refined_receiver_peak(ctx: &AnalysisContext, cfg: &EngineConfig, v: &NetVerdict) -> f64 {
+fn refined_receiver_peak(chip: &ResidentChip, cfg: &EngineConfig, v: &NetVerdict) -> f64 {
+    let ctx = &chip.ctx();
     let rising = v.rise_peak.abs() >= v.fall_peak.abs();
-    let cluster = prune_victim(ctx.db, v.net, &cfg.prune);
+    let cluster = prune_victim_with_components(ctx.db, v.net, &cfg.prune, chip.component_sizes());
     let mut opts = cfg.analysis.clone();
     opts.mor.max_step_fraction = RECEIVER_STEP_FRACTION;
     let glitch = analyze_glitch(ctx, &cluster, rising, &opts).expect("refined glitch");
@@ -292,7 +294,6 @@ fn refined_receiver_peak(ctx: &AnalysisContext, cfg: &EngineConfig, v: &NetVerdi
 /// print each error and return the largest and the number of receivers
 /// compared.
 fn receiver_sweep(chip: &ResidentChip, victims: &[PNetId], bound: f64) -> (f64, usize) {
-    let ctx = &chip.ctx();
     let cfg = EngineConfig { workers: 2, check_receivers: true, ..Default::default() };
     let request = RunRequest { victims, ..RunRequest::resident(chip) };
     let report = Engine::new(cfg.clone()).run(request).expect("sign-off runs");
@@ -300,7 +301,7 @@ fn receiver_sweep(chip: &ResidentChip, victims: &[PNetId], bound: f64) -> (f64, 
     let (mut worst, mut worst_name, mut compared) = (0.0f64, "", 0);
     for v in &report.chip.verdicts {
         let Some(receiver) = &v.receiver else { continue };
-        let reference = refined_receiver_peak(ctx, &cfg, v);
+        let reference = refined_receiver_peak(chip, &cfg, v);
         let err = receiver.output_peak - reference;
         eprintln!("{}: {} V vs {reference} V, error {:+.3e} V", v.name, receiver.output_peak, err);
         if err.abs() > worst {
