@@ -209,8 +209,9 @@ pub struct GateArgs {
 
 impl GateArgs {
     /// Parse the process arguments of gate binary `bin` (`<what>_bench`)
-    /// over its defaults; the report defaults to `BENCH_<what>.json`, the
-    /// baseline to the checked-in `baselines/BENCH_<what>.json`. A malformed
+    /// over its defaults; the report defaults to `target/BENCH_<what>.json`
+    /// in the workspace, the baseline to the checked-in
+    /// `baselines/BENCH_<what>.json`. A malformed
     /// command line is reported on stderr; the error is the exit code (2).
     pub fn parse(
         bin: &'static str,
@@ -219,8 +220,12 @@ impl GateArgs {
         serve_exe: Option<PathBuf>,
     ) -> Result<GateArgs, ExitCode> {
         let file = format!("BENCH_{}.json", bin.trim_end_matches("_bench"));
-        let baseline = Path::new(env!("CARGO_MANIFEST_DIR")).join("baselines").join(&file);
-        let (out, threshold) = (PathBuf::from(file), DEFAULT_THRESHOLD);
+        let crate_dir = Path::new(env!("CARGO_MANIFEST_DIR"));
+        let baseline = crate_dir.join("baselines").join(&file);
+        // Under the workspace's build directory, never beside the tracked
+        // copies at the repo root: a local run leaves no tracked file dirty.
+        let out = crate_dir.join("../../target").join(&file);
+        let threshold = DEFAULT_THRESHOLD;
         let mut args = GateArgs {
             iters,
             warmup,

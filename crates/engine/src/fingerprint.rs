@@ -176,11 +176,13 @@ pub fn config_hash(
     use pcv_xtalk::drivers::DriverModelKind;
     use pcv_xtalk::EngineKind;
     let mut h = Fnv1a::new();
-    // v7: every transient holds its DC point across its quiet prefix (v6:
-    // `block_iters` is a ceiling the reduction may stop below; v5 hashed
-    // sections and clusters word-wise). Bumping the tag invalidates caches
-    // and journals written by earlier layouts or rules.
-    h.write_str("pcv-engine config v7");
+    // v8: every transient sizes its steps by its truncation error, and a
+    // receiver sees its glitch's corners (v7: every transient holds its DC
+    // point across its quiet prefix; v6: `block_iters` is a ceiling the
+    // reduction may stop below; v5 hashed sections and clusters word-wise).
+    // Bumping the tag invalidates caches and journals written by earlier
+    // layouts or rules.
+    h.write_str("pcv-engine config v8");
     h.write_f64(prune.cap_ratio);
     h.write_usize(prune.max_aggressors);
     match opts.engine {
@@ -216,6 +218,9 @@ pub fn config_hash(
         DriverModelKind::Nonlinear => h.write_u64(12),
         DriverModelKind::TransistorLevel => h.write_u64(13),
     }
+    h.write_f64(pcv_mor::sim::LTE_ABSTOL);
+    h.write_f64(pcv_mor::sim::LTE_RELTOL);
+    h.write_f64(pcv_xtalk::receiver::CHORD_TOL);
     h.finish()
 }
 
@@ -678,9 +683,11 @@ mod tests {
     /// configuration over a fixed-resistance and a nonlinear context,
     /// every ladder rung's options, and the cluster fingerprints of a
     /// small DSP block. A tolerance turned into a constant must keep
-    /// writing the same value in the same slot. Re-recorded twice since, for
-    /// the tags `v6` (the reduction's stop rule) and `v7` (the DC hold):
-    /// only the tag moved.
+    /// writing the same value in the same slot. Re-recorded since for the
+    /// tags `v6` (the reduction's stop rule) and `v7` (the DC hold), where
+    /// only the tag moved, and `v8` (the error-controlled step), where the
+    /// default `max_step_fraction` moved in its slot and the controller's
+    /// tolerances and the receiver's chord tolerance were appended.
     #[test]
     fn configuration_and_cluster_digests_are_the_recorded_ones() {
         use crate::engine::EngineConfig;
@@ -712,15 +719,15 @@ mod tests {
         }
         got.push(clusters.finish());
         let want: [u64; 9] = [
-            0xbac6c5746af6ddd1,
-            0xd62aea9187ec5bb8,
-            0xb13b9af23fe32172,
-            0x2ff55202c2b72f78,
-            0xeb03f711bfa29e42,
-            0x44af5f0d2e20bf22,
-            0x3c0392c57bad946b,
-            0x3c0392c57bad946b,
-            0xb60b4a24e5e80103,
+            0xde6bc131de9df071,
+            0x22501f574fadab34,
+            0x0895c9a208390496,
+            0xd85fd641ed340c88,
+            0xecb6d4e9e16789c6,
+            0x1d81bf05411eb2a6,
+            0x66d35c506ba90ebb,
+            0x66d35c506ba90ebb,
+            0x1d82deae82ff523a,
         ];
         assert_eq!(got, want, "{got:#018x?}");
     }

@@ -320,6 +320,8 @@ struct Shared {
     next_run: AtomicU64,
     shutting_down: AtomicBool,
     listener_stop: AtomicBool,
+    /// Returns from the listener's `accept`, connections or errors.
+    accept_wakeups: AtomicU64,
     /// The in-flight run: its handle for the stall watchdog's heartbeat
     /// poll, its stop flag for the shutdown drain.
     in_flight: Mutex<Option<(Arc<RunHandle>, StopFlag)>>,
@@ -359,6 +361,7 @@ impl Server {
             next_run: AtomicU64::new(0),
             shutting_down: AtomicBool::new(false),
             listener_stop: AtomicBool::new(false),
+            accept_wakeups: AtomicU64::new(0),
             in_flight: Mutex::new(None),
             watchdog_stop: AtomicBool::new(false),
             obs,
@@ -385,6 +388,12 @@ impl Server {
     /// The bound address (resolves port 0).
     pub fn addr(&self) -> SocketAddr {
         self.addr
+    }
+
+    /// How many times the listener has returned from `accept`: once per
+    /// connection while it blocks there, more if it ever polls.
+    pub fn accept_wakeups(&self) -> u64 {
+        self.shared.accept_wakeups.load(Ordering::SeqCst)
     }
 
     /// The daemon's flight recorder (always present; records only while
@@ -540,6 +549,7 @@ fn initiate_shutdown(shared: &Shared) {
 /// every accepted connection, the last of which is the waker's.
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     for stream in listener.incoming() {
+        shared.accept_wakeups.fetch_add(1, Ordering::SeqCst);
         if shared.listener_stop.load(Ordering::Acquire) {
             return;
         }

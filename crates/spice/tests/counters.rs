@@ -22,18 +22,19 @@ fn a_run_reports_its_counters_once() {
 
     // A transient: one DC plan, one transient plan, however many iterations.
     // The input is quiet to 0.5 ns: the walk holds its DC point there, and
-    // steps the 1.5 ns after it at most 2 ps at a time.
+    // steps the 1.5 ns after it at most 20 ps at a time.
     let session = TraceSession::start();
     let res = Simulator::new(&ckt).transient_probed(2e-9, &SimOptions::default(), &[out]).unwrap();
     let trace = session.finish();
-    assert!(res.steps > 750 && res.newton_iters > res.steps);
+    assert!(res.steps >= 75 && res.newton_iters > res.steps);
     assert_eq!(res.times()[..2], [0.0, 0.5e-9]);
     assert_eq!(count(&trace, "spice.tran.holds"), Some(1));
     let held = &trace.histograms["spice.tran.held_fs"];
     assert_eq!((held.count, held.sum), (1, 500_000));
     assert_eq!(count(&trace, "spice.tran.steps"), Some(res.steps as u64));
     assert_eq!(count(&trace, "spice.tran.newton_iters"), Some(res.newton_iters as u64));
-    assert_eq!(count(&trace, "spice.tran.rejected_steps"), Some(0));
+    // Every solve converges; three steps the estimate rejects at the edge.
+    assert_eq!(count(&trace, "spice.tran.rejected_steps"), Some(3));
     assert_eq!(count(&trace, "spice.asm.plan_builds"), Some(2));
     // Every Newton iteration (the DC point's included) is one refactor and
     // one solve on the workspace.
@@ -56,10 +57,11 @@ fn a_run_reports_its_counters_once() {
     let err = Simulator::new(&ckt).transient_probed(2e-9, &opts, &[out]).unwrap_err();
     let trace = session.finish();
     assert!(matches!(err, SimError::StepTooSmall { .. }), "{err}");
-    // It holds to the edge at 0.5 ns and takes no step past it, and still
-    // reports that it took none.
+    // It holds to the edge at 0.5 ns, steps into it from the restart's
+    // 20 fs until a step its solve cannot converge falls below the floor,
+    // and still reports the steps it took.
     assert!(count(&trace, "spice.tran.rejected_steps").unwrap() >= 1);
     assert_eq!(count(&trace, "spice.tran.holds"), Some(1));
-    assert_eq!(count(&trace, "spice.tran.steps"), Some(0));
+    assert!(count(&trace, "spice.tran.steps").is_some_and(|steps| steps > 0));
     assert_eq!(count(&trace, "spice.asm.plan_builds"), Some(2));
 }

@@ -14,6 +14,11 @@ use pcv_cells::library::Cell;
 use pcv_netlist::{Circuit, SourceWave, Waveform};
 use pcv_spice::{SimOptions, Simulator};
 
+/// How far (volts) the receiver's PWL input may lie from any sample of the
+/// glitch it replays: the chord tolerance of the thinning that picks its
+/// corners.
+pub const CHORD_TOL: f64 = 1e-3;
+
 /// Result of replaying a glitch into a transistor-level receiver.
 #[derive(Debug, Clone)]
 pub struct ReceiverCheck {
@@ -32,6 +37,11 @@ pub struct ReceiverCheck {
 }
 
 /// Replay a victim waveform into a receiver cell and measure propagation.
+///
+/// The receiver sees the waveform's own samples thinned to the corners that
+/// follow it within [`CHORD_TOL`]: each corner is a breakpoint of its
+/// SPICE walk, so fewer corners are fewer restarts, and a thinned apex is
+/// still a sample.
 ///
 /// * `glitch` — the victim-receiver waveform from
 ///   [`crate::analysis::GlitchResult`].
@@ -59,29 +69,8 @@ pub fn check_receiver_propagation(
     if t_end.is_nan() || t_end <= 0.0 {
         return Err(XtalkError::Measurement { what: "victim waveform spans no time" });
     }
-    // Use the waveform's own samples when they are few; resample a long
-    // recording onto a uniform grid of `POINTS`, which bounds the MNA
-    // breakpoint list but flattens an apex that falls between two grid
-    // points (by 2.5 mV on `dsp_cold`'s `bus2_12` against a time-refined
-    // reference, `tests/oracle_sweep.rs`). A flat lead-in counts as the grid
-    // points it spans, not as the two samples a walk that held its DC point
-    // up to the first edge records there: a held glitch is resampled as the
-    // stepped recording it replaces was.
-    const POINTS: usize = 400;
-    let first = glitch.values()[0].to_bits();
-    let lead = glitch.values().iter().take_while(|v| v.to_bits() == first).count();
-    let lead_points = (glitch.times()[lead - 1] / t_end * (POINTS - 1) as f64) as usize;
-    let pwl: Vec<(f64, f64)> = if glitch.len() + lead_points <= POINTS {
-        glitch.times().iter().copied().zip(glitch.values().iter().copied()).collect()
-    } else {
-        (0..POINTS)
-            .map(|k| {
-                let t = t_end * k as f64 / (POINTS - 1) as f64;
-                (t, glitch.value_at(t))
-            })
-            .collect()
-    };
-
+    let pwl = corners(glitch.times(), glitch.values(), CHORD_TOL);
+    pcv_trace::value("xtalk.receiver.corners", pwl.len() as u64);
     let output = receiver_response(cell, pwl, vdd, t_end, &SimOptions::default())?;
 
     // The receiver's quiet output level given the quiet input level.
@@ -98,6 +87,37 @@ pub fn check_receiver_propagation(
         propagates: output_peak.abs() >= threshold_frac * vdd,
         output,
     })
+}
+
+/// The corners of the PWL that follows the samples `(times, values)` within
+/// `tol` volts: Douglas–Peucker on the vertical distance from each chord.
+/// The first and last samples are corners; a stretch whose every sample
+/// lies within `tol` of the chord between its ends is that chord, and any
+/// other splits at its farthest sample. Every corner is a sample, so a flat
+/// lead-in is its two ends and the apex of a sharp glitch is kept.
+fn corners(times: &[f64], values: &[f64], tol: f64) -> Vec<(f64, f64)> {
+    let last = times.len() - 1;
+    let mut keep = vec![false; times.len()];
+    keep[0] = true;
+    keep[last] = true;
+    let mut stretches = Vec::with_capacity(times.len());
+    stretches.push((0, last));
+    while let Some((a, b)) = stretches.pop() {
+        let (ta, va) = (times[a], values[a]);
+        let slope = (values[b] - va) / (times[b] - ta);
+        let (mut far, mut dist) = (a, tol);
+        for k in a + 1..b {
+            let d = (values[k] - va - slope * (times[k] - ta)).abs();
+            if d > dist {
+                (far, dist) = (k, d);
+            }
+        }
+        if far > a {
+            keep[far] = true;
+            stretches.extend([(a, far), (far, b)]);
+        }
+    }
+    (0..=last).filter(|&k| keep[k]).map(|k| (times[k], values[k])).collect()
 }
 
 /// The receiver testbench of [`check_receiver_propagation`]: `cell`, every

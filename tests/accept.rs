@@ -3,7 +3,7 @@
 
 use pcv_serve::{Client, Server, ServerConfig};
 use std::sync::mpsc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 fn boot(tag: &str) -> (Server, Client) {
     let data_dir = std::env::temp_dir().join(format!("pcv-accept-{tag}-{}", std::process::id()));
@@ -29,14 +29,13 @@ fn returns(what: &str, server: Server, stop: fn(Server)) {
 #[test]
 fn sequential_round_trips_do_not_wait_on_a_poll() {
     let (server, client) = boot("roundtrips");
-    assert_eq!(client.request("GET", "/healthz", "").unwrap().status, 200);
-    let started = Instant::now();
-    for _ in 0..20 {
+    for _ in 0..21 {
         assert_eq!(client.request("GET", "/healthz", "").unwrap().status, 200);
     }
-    let took = started.elapsed();
-    // A 20 ms accept poll costs each of these 10–20 ms: 200–400 ms.
-    assert!(took < Duration::from_millis(100), "20 round trips took {took:?}");
+    // One return from `accept` a connection, however loaded the machine: a
+    // listener that polled would return at every tick with nothing to
+    // accept as well, at least once for each request that waits on one.
+    assert_eq!(server.accept_wakeups(), 21, "the listener woke without a connection");
     returns("join", server, Server::join);
 }
 

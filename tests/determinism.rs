@@ -199,6 +199,40 @@ fn traced_run_builds_and_reduces_each_coupled_cluster_once() {
 }
 
 #[test]
+fn traced_receiver_run_counts_corners_and_rejected_steps() {
+    let _alone = alone_in_the_trace();
+    let chip = dsp_fixture();
+    let config = EngineConfig {
+        workers: 2,
+        warn_frac: 0.02,
+        fail_frac: 0.05,
+        check_receivers: true,
+        trace: true,
+        ..Default::default()
+    };
+    let report = Engine::new(config).run(RunRequest::resident(&chip)).unwrap();
+    assert!(report.errors.is_empty() && report.degradations.is_empty());
+    let checked = report.chip.verdicts.iter().filter(|v| v.receiver.is_some()).count();
+    assert!(checked > 0, "the fixture exercises the receiver check");
+    let trace = report.trace.as_ref().expect("traced run carries a trace");
+
+    // One sample a receiver check: the corners of the PWL its SPICE walk
+    // restarts at, at least the glitch's two ends and its apex, and on
+    // average fewer than the samples of the walk that recorded the glitch.
+    let corners = &trace.histograms["xtalk.receiver.corners"];
+    assert_eq!(corners.count as usize, checked);
+    assert!(corners.min >= 3, "{} corners", corners.min);
+    let steps = &trace.histograms["mor.tran_steps"];
+    assert!(corners.sum * steps.count < steps.sum * corners.count, "corners vs samples");
+
+    // Every walk reports the steps its error estimate rejected: few, next to
+    // the steps it took.
+    let rejected = trace.counters["mor.walk.rejected"];
+    assert!(rejected * 10 <= steps.sum, "{rejected} rejected of {} steps", steps.sum);
+    assert!(trace.counters["spice.tran.steps"] > 0);
+}
+
+#[test]
 fn per_victim_work_follows_the_cluster_not_the_chip() {
     use pcv_designs::extract::{extract, WireGeom};
     let _alone = alone_in_the_trace();
@@ -250,8 +284,9 @@ fn per_victim_work_follows_the_cluster_not_the_chip() {
 /// blocks five and six wide, which no golden fixture reaches. Recorded
 /// before block Lanczos worked on panels (commit 4516939); re-recorded when
 /// linear drivers moved to the modal solver, every number within 3.2e-15
-/// of the Newton kernel's and no other byte of the verdicts moved; and once
-/// more when the reduction began to stop at the Padé order a cluster needs.
+/// of the Newton kernel's and no other byte of the verdicts moved; once
+/// more when the reduction began to stop at the Padé order a cluster needs;
+/// and when steps began to be sized by their truncation error.
 #[test]
 fn fine_mesh_signoff_keeps_its_recorded_digest() {
     use pcv_designs::extract::{extract, WireGeom};
@@ -275,5 +310,5 @@ fn fine_mesh_signoff_keeps_its_recorded_digest() {
     assert!(widest >= 5, "blocks of at least six ports, got clusters of {widest}");
     let mut h = pcv_engine::Fnv1a::new();
     h.write(report.signoff_json().as_bytes());
-    assert_eq!(h.finish(), 0xb122_904c_55a7_a334, "sign-off bytes moved");
+    assert_eq!(h.finish(), 0xe03c_7a3c_8972_9dd9, "sign-off bytes moved");
 }

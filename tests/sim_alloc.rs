@@ -94,10 +94,12 @@ fn a_transient_step_does_not_allocate() {
 }
 
 /// A victim glitch of `samples` points over 4 ns: quiet, a 0.9 V bump
-/// centred at 2 ns, quiet again.
+/// centred at 2 ns, quiet again, with a 50 mV ripple on every other sample,
+/// so that every sample is a corner of the receiver's input.
 fn glitch(samples: usize) -> Waveform {
     let times: Vec<f64> = (0..samples).map(|k| 4e-9 * k as f64 / (samples - 1) as f64).collect();
-    let values = times.iter().map(|&t| 0.9 * (-((t - 2e-9) / 0.4e-9).powi(2)).exp()).collect();
+    let bump = |t: f64| 0.9 * (-((t - 2e-9) / 0.4e-9).powi(2)).exp();
+    let values = times.iter().enumerate().map(|(k, &t)| bump(t) + 0.05 * (k % 2) as f64).collect();
     Waveform::from_samples(times, values)
 }
 
@@ -143,9 +145,11 @@ fn a_receiver_check_allocates_nothing_per_step_or_newton_iteration() {
         "{long_allocs} allocations over {long_iters} Newton iterations: more than one in ten"
     );
     // What may separate the two: a longer PWL and breakpoint list (the same
-    // number of vectors, each larger) and one or two more doublings of
-    // `times` and of the one probe's samples.
-    let growth = 8;
+    // number of vectors, each larger) and the doublings of `times` and of
+    // the one probe's samples that the longer run's extra steps take, one
+    // more each for where the shorter run's capacity happened to stand.
+    let doublings = (long_steps as f64 / short_steps as f64).log2().ceil() as u64;
+    let growth = 2 * (doublings + 1) + 4;
     assert!(
         long_allocs <= short_allocs + growth,
         "{long_steps} steps took {long_allocs} allocations, {short_steps} steps took \
